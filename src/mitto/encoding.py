@@ -134,10 +134,5 @@ class ByteReader:
             raise DecodeError(f"{len(self._data) - self._pos} trailing bytes")
 
 
-def encode_canonical(entity) -> bytes:
-    """Canonical bytes of any protocol entity (each type tags itself)."""
-    return entity.encode()
-
-
 def canonical_digest(entity) -> Digest:
     return hash_bytes(entity.encode())

@@ -2,11 +2,13 @@
 automatic replay probes, and the invariant accountant wired in after every
 step.
 
-The runner is deliberately paranoid about its own host: every rejected
-transaction is followed by a dump comparison proving no chain state moved,
-and every accepted redeem or withdrawal is immediately replayed to prove
-the replay defenses hold. Violations of either are reported the same way
-as accountant findings rather than silently trusted.
+The runner is deliberately paranoid about its own host: chain state lives
+in write-counting containers (``journal``), and every rejected transaction
+is bracketed by write marks over all of them, proving no chain or
+settlement-chain state was written or rebound; every accepted redeem or
+withdrawal is immediately replayed to prove the replay defenses hold.
+Violations of either are reported the same way as accountant findings
+rather than silently trusted.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from pathlib import Path
 from .accountant import Accountant
 from .encoding import canonical_digest
 from .hashing import Digest, hash_bytes
+from .journal import WriteMarks
 from .keys import KeyPair, PubKey
 from .mainchain import Mainchain, STATUS_CEASED
 from .messages import (
@@ -187,6 +190,30 @@ class World:
             }
         return out
 
+    def write_marks(self) -> WriteMarks:
+        """Where all journaled chain state stands now: each sidechain's
+        replay set, outbox, epoch archive and handler table, each token
+        ledger and the name registry it points at, and the settlement
+        chain's nullifier sets and pending withdrawals, plus the scalar
+        fields the chain dumps read. Costs O(chains), not O(held state)."""
+        boxes = [self.mainchain._pending_csws]
+        scalars = []
+        for chain in self.chains.values():
+            scalars.append((chain.sc_id, chain.label))
+            boxes += (chain.redeemed, chain.outbox, chain.epochs, chain.handlers)
+            for handler in chain.handlers.values():
+                state = handler.state
+                scalars.append((state.sc_id, state.variant))
+                boxes += (
+                    state.s_tks,
+                    state.s_sent,
+                    state.issued_totals,
+                    state.issued_token_ids,
+                    state.registry._names,
+                )
+            boxes.append(self.mainchain.record(chain.sc_id).used_nullifiers)
+        return WriteMarks(boxes, tuple(scalars))
+
     def dump(self) -> dict:
         chains = {}
         for label, chain in self.chains.items():
@@ -256,19 +283,14 @@ class Runner:
         for finding in findings:
             self.violations.append(f"step {index}: {finding}")
 
-    def _chain_dumps(self) -> str:
-        return json.dumps(
-            {label: chain.dump_state() for label, chain in self.world.chains.items()}, sort_keys=True
-        )
-
-    def _atomic(self, index: int, op: str, pre: str, accepted: bool) -> None:
+    def _atomic(self, index: int, op: str, pre: WriteMarks, accepted: bool) -> None:
         """A rejected submission must leave every chain's state untouched.
 
-        The snapshot is taken after wallet-level instance resolution (split
+        The marks are taken after wallet-level instance resolution (split
         or merge to match the step's amount), which is the submitter's own
         bookkeeping, not part of the protocol operation under test.
         """
-        if not accepted and self._chain_dumps() != pre:
+        if not accepted and self.world.write_marks() != pre:
             self.violations.append(f"step {index}: atomicity: rejected {op} changed chain state")
 
     def _build_message(self, step: dict, instance: TokenInstance) -> CscpMessage:
@@ -340,7 +362,7 @@ class Runner:
         message = self._build_message(step, instance)
         signature = owner.sign(message_digest(message))
         tx = SendTx(message=message, payload=instance.encode(), signature=signature)
-        pre = self._chain_dumps()
+        pre = self.world.write_marks()
         verdict = self.world.chains[step["from"]].accept_send(tx)
         self._atomic(index, "send", pre, verdict.accepted)
         self._note(index, self.world.accountant.note_send(step["from"], instance, message, verdict.accepted))
@@ -439,7 +461,7 @@ class Runner:
                 "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
                 "summary": f"redeem {step['send']!r} on {label}: {err}",
             }
-        pre = self._chain_dumps()
+        pre = self.world.write_marks()
         verdict = chain.accept_redeem(tx)
         self._atomic(index, "redeem", pre, verdict.accepted)
         instance = _decode_instance(record.payload)
@@ -467,7 +489,7 @@ class Runner:
                 "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
                 "summary": f"withdrawal {step['id']!r} from {step['chain']}: {err}",
             }
-        pre = self._chain_dumps()
+        pre = self.world.write_marks()
         verdict = self.world.mainchain.submit_csw(package.csw)
         self._atomic(index, "csw", pre, verdict.accepted)
         if verdict.accepted:
@@ -537,7 +559,7 @@ class Runner:
                 "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
                 "summary": f"csw redeem {step['withdrawal']!r} on {label}: {err}",
             }
-        pre = self._chain_dumps()
+        pre = self.world.write_marks()
         verdict = chain.accept_csw_redeem(tx)
         self._atomic(index, "csw_redeem", pre, verdict.accepted)
         instance = _decode_instance(package.payload)

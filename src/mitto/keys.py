@@ -63,10 +63,6 @@ class KeyPair:
         return _private_from_seed(self.seed).sign(bytes(digest))
 
 
-def sign(key: KeyPair, digest: Digest) -> Signature:
-    return key.sign(digest)
-
-
 def verify_sig(public: PubKey, digest: Digest, signature: Signature) -> bool:
     """True iff ``signature`` is a valid signature on ``digest`` under ``public``."""
     try:

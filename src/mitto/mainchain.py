@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 
 from . import encoding as enc
 from . import verdict as v
-from .encoding import ByteReader, canonical_digest
+from .encoding import canonical_digest
 from .hashing import Digest, EMPTY_ROOT, ScBlockEntries, StcTree, build_stc
+from .journal import JournalList, JournalSet
 from .messages import (
     BlockHeader,
     CeasedSidechainWithdrawal,
     VerificationKey,
     WithdrawalCertificate,
-    decode_verification_key,
 )
 from .proofs import (
     SchemeMismatch,
@@ -71,24 +71,6 @@ class SidechainRegistration:
             + self.csw_vk.encode()
         )
 
-    def to_json(self) -> dict:
-        return {
-            "sc_id": self.sc_id,
-            "epoch_length": self.epoch_length,
-            "wcert_vk": self.wcert_vk.to_json(),
-            "csw_vk": self.csw_vk.to_json(),
-        }
-
-
-def decode_registration(reader: ByteReader) -> SidechainRegistration:
-    reader.expect_tag(enc.TAG_REGISTRATION)
-    return SidechainRegistration(
-        sc_id=reader.u32(),
-        epoch_length=reader.u32(),
-        wcert_vk=decode_verification_key(reader),
-        csw_vk=decode_verification_key(reader),
-    )
-
 
 @dataclass(frozen=True)
 class Block:
@@ -120,7 +102,7 @@ class ScRecord:
     last_cert_block_hash: Digest | None = None
     registration_block_hash: Digest | None = None
     pending_cert: WithdrawalCertificate | None = None
-    used_nullifiers: set[Digest] = field(default_factory=set)
+    used_nullifiers: JournalSet[Digest] = field(default_factory=JournalSet)
 
     @property
     def epoch_length(self) -> int:
@@ -153,7 +135,7 @@ class Mainchain:
         self._csw_included: dict[tuple[int, Digest], tuple[CeasedSidechainWithdrawal, Digest]] = {}
         self._records: dict[int, ScRecord] = {}
         self._pending_registrations: list[SidechainRegistration] = []
-        self._pending_csws: dict[int, list[CeasedSidechainWithdrawal]] = {}
+        self._pending_csws: JournalList[tuple[int, CeasedSidechainWithdrawal]] = JournalList()
         self._next_sc_id = 1
 
     # -- registration -------------------------------------------------------
@@ -186,7 +168,7 @@ class Mainchain:
     def tip_height(self) -> int:
         return self._blocks[-1].height
 
-    def advance_block(self, extra_txs: dict[int, list[Digest]] | None = None) -> Block:
+    def advance_block(self) -> Block:
         """Seal one block from everything queued since the last one."""
         height = self.tip_height + 1
         cert_lists: dict[int, list[Digest]] = {}
@@ -228,19 +210,12 @@ class Mainchain:
             finalizing.append((record, cert))
 
         csw_batch: list[tuple[int, CeasedSidechainWithdrawal, Digest]] = []
-        for sc_id, csws in sorted(self._pending_csws.items()):
-            for csw in csws:
-                digest = canonical_digest(csw)
-                self._postings[digest] = csw
-                tx_entry(sc_id, digest)
-                csw_batch.append((sc_id, csw, digest))
+        for sc_id, csw in sorted(self._pending_csws, key=lambda pending: pending[0]):
+            digest = canonical_digest(csw)
+            self._postings[digest] = csw
+            tx_entry(sc_id, digest)
+            csw_batch.append((sc_id, csw, digest))
         self._pending_csws.clear()
-
-        for sc_id, digests in sorted((extra_txs or {}).items()):
-            if sc_id not in self._records:
-                raise NotFound(f"unknown sidechain {sc_id}")
-            for digest in digests:
-                tx_entry(sc_id, digest)
 
         entries = {
             sc_id: ScBlockEntries(
@@ -330,7 +305,7 @@ class Mainchain:
         if not valid:
             return Verdict.rejected(v.PROOF_INVALID)
         record.used_nullifiers.add(csw.nullifier)
-        self._pending_csws.setdefault(csw.ledger_id, []).append(csw)
+        self._pending_csws.append((csw.ledger_id, csw))
         return Verdict.ok()
 
     # -- queries (MainchainView) ----------------------------------------------
@@ -403,6 +378,3 @@ class Mainchain:
                 record.pending_cert.quality if record.pending_cert else None
             )
         return status
-
-    def used_nullifier_sets(self) -> dict[int, frozenset[Digest]]:
-        return {sc_id: frozenset(rec.used_nullifiers) for sc_id, rec in self._records.items()}

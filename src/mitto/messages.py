@@ -71,11 +71,6 @@ class VerificationKey:
         return cls(int(obj["scheme_id"]), bytes.fromhex(obj["params"]))
 
 
-def decode_verification_key(reader: ByteReader) -> VerificationKey:
-    reader.expect_tag(enc.TAG_VERIFICATION_KEY)
-    return VerificationKey(scheme_id=reader.u8(), params=reader.raw_bytes())
-
-
 @dataclass(frozen=True)
 class CscpMessage:
     """One cross-chain message. payload_hash commits to the payload carried

@@ -45,6 +45,9 @@ STEP_OPS = (
 
 CSW_MODES = ("held", "foreign", "sent_record")
 
+# Amounts and token ids are encoded as u64 on the wire.
+U64_MAX = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -85,20 +88,26 @@ def _need(obj: dict, key: str, kind, where: str):
     return value
 
 
+def _u64(obj: dict, key: str, where: str, low: int) -> int:
+    value = _need(obj, key, int, where)
+    if value > U64_MAX:
+        raise ParseError(f"{where}: field {key!r} must be at most 2^64-1")
+    if value < low:
+        raise ParseError(f"{where}: field {key!r} must be {'positive' if low else 'nonnegative'}")
+    return value
+
+
 def _issuance(obj: dict, where: str) -> dict:
     name = _need(obj, "name", str, where)
     fungible = _need(obj, "fungible", bool, where)
     owner = _need(obj, "owner", str, where)
     out = {"name": name, "fungible": fungible, "owner": owner, "data": obj.get("data", name)}
     if fungible:
-        amount = _need(obj, "amount", int, where)
-        if amount <= 0:
-            raise ParseError(f"{where}: field 'amount' must be positive")
-        out["amount"] = amount
+        out["amount"] = _u64(obj, "amount", where, 1)
         if "token_id" in obj:
             raise ParseError(f"{where}: fungible issuance cannot carry 'token_id'")
     else:
-        out["token_id"] = _need(obj, "token_id", int, where)
+        out["token_id"] = _u64(obj, "token_id", where, 0)
         if "amount" in obj:
             raise ParseError(f"{where}: non-fungible issuance cannot carry 'amount'")
     return out
@@ -164,6 +173,11 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
         raise ParseError(f"{where}: unknown op {op!r}, expected one of {', '.join(STEP_OPS)}")
     for key, kind in _STEP_FIELDS[op].items():
         _need(step, key, kind, where)
+    if op != "issue":
+        if "amount" in step:
+            _u64(step, "amount", where, 1)
+        if "token_id" in step:
+            _u64(step, "token_id", where, 0)
     for key in ("chain", "from", "to", "issuer"):
         if key in step and op != "notify":
             if step[key] not in labels:

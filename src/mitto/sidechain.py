@@ -19,6 +19,7 @@ from typing import Protocol
 from . import verdict as v
 from .encoding import canonical_digest
 from .hashing import Digest, MerkleTree, build_merkle, hash_bytes
+from .journal import JournalDict, JournalList, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
 from .mainchain import Mainchain
 from .messages import (
@@ -104,10 +105,10 @@ class Sidechain:
         self.label = label or f"sc{sc_id}"
         self.wcert_signer = wcert_signer
         self.csw_signer = csw_signer
-        self.handlers: dict[int, MessageHandler] = {}
-        self.outbox: list[tuple[CscpMessage, bytes]] = []
-        self.epochs: list[ClosedEpoch] = []
-        self.redeemed: set[Digest] = set()
+        self.handlers: JournalDict[int, MessageHandler] = JournalDict()
+        self.outbox: JournalList[tuple[CscpMessage, bytes]] = JournalList()
+        self.epochs: JournalList[ClosedEpoch] = JournalList()
+        self.redeemed: JournalSet[Digest] = JournalSet()
 
     @classmethod
     def create(cls, mainchain: Mainchain, epoch_length: int, label: str, seed: int = 0) -> "Sidechain":
@@ -173,6 +174,19 @@ class Sidechain:
         """Certificate over the current outbox and state. epoch_id and
         last_block_hash can be overridden to construct deliberately stale or
         early submissions for rejection tests."""
+        return self._certify(
+            self.current_message_tree(), self.current_committed_state(), quality, bt_list, epoch_id, last_block_hash
+        )
+
+    def _certify(
+        self,
+        tree: MerkleTree,
+        committed: CommittedState,
+        quality: int,
+        bt_list: tuple[bytes, ...],
+        epoch_id: int | None = None,
+        last_block_hash: Digest | None = None,
+    ) -> WithdrawalCertificate:
         epoch = self.next_epoch_to_close() if epoch_id is None else epoch_id
         if last_block_hash is None:
             record = self.mainchain.record(self.sc_id)
@@ -184,7 +198,7 @@ class Sidechain:
                 last_block_hash = self.mainchain.tip.hash
             else:
                 last_block_hash = self.mainchain.get_block(end).hash
-        proofdata = (self.current_message_tree().root, self.current_committed_state().root)
+        proofdata = (tree.root, committed.root)
         public_input = make_wcert_input(quality, bt_list, last_block_hash, proofdata)
         proof = prove_wcert(self.wcert_signer, public_input, bt_list, proofdata)
         return WithdrawalCertificate(
@@ -204,20 +218,22 @@ class Sidechain:
         On acceptance the outbox and handler snapshots are archived and a new
         empty epoch opens; on rejection nothing changes and the caller may
         retry."""
-        cert = self.build_certificate(quality=quality, bt_list=bt_list)
+        tree = self.current_message_tree()
+        committed = self.current_committed_state()
+        cert = self._certify(tree, committed, quality, bt_list)
         verdict = self.mainchain.submit_certificate(cert)
         if verdict.accepted:
             self.epochs.append(
                 ClosedEpoch(
                     epoch_id=cert.epoch_id,
                     messages=tuple(self.outbox),
-                    tree=self.current_message_tree(),
-                    committed=self.current_committed_state(),
+                    tree=tree,
+                    committed=committed,
                     snapshots={t: h.snapshot() for t, h in sorted(self.handlers.items())},
                     submitted_cert=cert,
                 )
             )
-            self.outbox = []
+            self.outbox.clear()
         return cert, verdict
 
     # -- redeeming ----------------------------------------------------------------

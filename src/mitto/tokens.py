@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from . import encoding as enc
 from .encoding import ByteReader, DecodeError, canonical_digest
 from .hashing import Digest, hash_bytes, merkle_path
+from .journal import JournalDict, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
 from .messages import (
     CeasedSidechainWithdrawal,
@@ -223,7 +224,7 @@ class TokenNameRegistry:
     and one issuing sidechain."""
 
     def __init__(self) -> None:
-        self._names: dict[str, tuple[bool, int]] = {}
+        self._names: JournalDict[str, tuple[bool, int]] = JournalDict()
 
     def register(self, name: str, fungibility: bool, issuer_sc_id: int) -> None:
         existing = self._names.get(name)
@@ -266,10 +267,10 @@ class MittoState:
     sc_id: int
     registry: TokenNameRegistry
     variant: str = VARIANT_STANDARD
-    s_tks: dict[Digest, TokenInstance] = field(default_factory=dict)
-    s_sent: dict[tuple, SentRecord] = field(default_factory=dict)
-    issued_totals: dict[str, int] = field(default_factory=dict)
-    issued_token_ids: set[tuple[str, int]] = field(default_factory=set)
+    s_tks: JournalDict[Digest, TokenInstance] = field(default_factory=JournalDict)
+    s_sent: JournalDict[tuple, SentRecord] = field(default_factory=JournalDict)
+    issued_totals: JournalDict[str, int] = field(default_factory=JournalDict)
+    issued_token_ids: JournalSet[tuple[str, int]] = field(default_factory=JournalSet)
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -512,10 +513,10 @@ class MittoState:
             sc_id=self.sc_id,
             registry=self.registry,
             variant=self.variant,
-            s_tks=dict(self.s_tks),
-            s_sent=dict(self.s_sent),
-            issued_totals=dict(self.issued_totals),
-            issued_token_ids=set(self.issued_token_ids),
+            s_tks=JournalDict(self.s_tks),
+            s_sent=JournalDict(self.s_sent),
+            issued_totals=JournalDict(self.issued_totals),
+            issued_token_ids=JournalSet(self.issued_token_ids),
         )
 
     def dump(self) -> dict:
@@ -549,7 +550,7 @@ class MittoState:
         for entry in obj.get("s_sent", []):
             record = SentRecord.from_json(entry)
             state.s_sent[_record_key(record)] = record
-        state.issued_totals = {name: int(total) for name, total in obj.get("issued", {}).items()}
+        state.issued_totals.update((name, int(total)) for name, total in obj.get("issued", {}).items())
         for entry in obj.get("s_tks", []):
             if entry.get("token_id") is not None:
                 state.issued_token_ids.add((entry["token_name"], int(entry["token_id"])))

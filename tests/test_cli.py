@@ -97,6 +97,23 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", bad]) == 2
 
 
+@pytest.mark.parametrize("issuance", [
+    {"name": "BIG", "fungible": True, "amount": 2**64, "owner": "a"},
+    {"name": "NEG", "fungible": False, "token_id": -1, "owner": "a"},
+])
+def test_out_of_range_integer_exit_two(tmp_path, capsys, issuance):
+    path = write_scenario(tmp_path, {
+        "name": "overflow",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2, "issuances": [issuance]},
+                   {"label": "beta", "epoch_length": 2}],
+        "steps": [],
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_fuzz_mode(capsys):
     assert main(["run", GOLDEN, "--fuzz", "3", "--seed", "11", "--json-report", "/dev/null"]) == 0
     out = capsys.readouterr().out

@@ -2,12 +2,21 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from dump_reference import DumpCheckRunner
 from mitto.encoding import canonical_digest
+from mitto.fuzz import generate_trace
 from mitto.harness import Runner, diff_state, dump_state, render_report, run_scenario
+from mitto.hashing import hash_bytes
+from mitto.journal import JournalDict, JournalList, JournalSet
+from mitto.mainchain import Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
 from mitto.scenario import load_scenario, parse_scenario
+from mitto.sidechain import Sidechain
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+FUZZ_SEED = 20260817  # the acceptance suite's fuzz corpus
 
 
 def scenario_obj(steps, chains=None, name="inline", seed=3, **extra) -> dict:
@@ -212,3 +221,201 @@ def test_notify_rejected_on_standard_chain():
          "expect": {"accepted": False, "reason": "NotSupported"}},
     ])
     assert report["ok"] is True, report["violations"]
+
+
+# -- atomicity: write journal ----------------------------------------------------
+
+# One rejection of each checked op, at steps 1 (send), 6 (redeem), 10 (csw)
+# and 13 (csw_redeem); the run is clean when nothing leaks.
+REJECTIONS = {
+    "name": "rejections",
+    "seed": 11,
+    "chains": [
+        {"label": "alpha", "epoch_length": 2,
+         "issuances": [{"name": "GLD", "fungible": True, "amount": 50, "owner": "alice"}]},
+        {"label": "beta", "epoch_length": 2},
+    ],
+    "steps": [
+        {"op": "send", "id": "s1", "from": "alpha", "to": "beta", "name": "GLD",
+         "amount": 10, "owner": "alice", "receiver": "bob", "expect": {"accepted": True}},
+        {"op": "send", "from": "alpha", "to": "alpha", "name": "GLD", "amount": 5,
+         "owner": "alice", "receiver": "bob", "expect": {"accepted": False, "reason": "SelfSend"}},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch"},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "redeem", "send": "s1", "expect": {"accepted": True}},
+        {"op": "redeem", "send": "s1", "expect": {"accepted": False, "reason": "AlreadyRedeemed"}},
+        {"op": "close_epoch", "chains": ["beta"]},
+        {"op": "cease_by_silence", "chain": "alpha"},
+        {"op": "csw", "id": "w1", "mode": "held", "chain": "alpha", "name": "GLD",
+         "owner": "alice", "target": "beta", "receiver": "alice", "expect": {"accepted": True}},
+        {"op": "csw", "id": "w2", "mode": "held", "chain": "alpha", "name": "GLD",
+         "owner": "alice", "target": "beta", "receiver": "alice",
+         "expect": {"accepted": False, "reason": "NullifierReused"}},
+        {"op": "advance_mainchain", "blocks": 1},
+        {"op": "csw_redeem", "withdrawal": "w1", "expect": {"accepted": True}},
+        {"op": "csw_redeem", "withdrawal": "w1",
+         "expect": {"accepted": False, "reason": "AlreadyRedeemed"}},
+    ],
+}
+
+
+def _bump_issued(chain, _tx):
+    totals = chain.handlers[MSG_TYPE_TOKEN_TRANSFER].state.issued_totals
+    totals["GHOST"] = totals.get("GHOST", 0) + 1
+
+
+def _rebind_sent(chain, _tx):
+    state = chain.handlers[MSG_TYPE_TOKEN_TRANSFER].state
+    state.s_sent = JournalDict(state.s_sent)
+
+
+def _add_redeemed(chain, _tx):
+    chain.redeemed.add(hash_bytes(b"leak%d" % len(chain.redeemed)))
+
+
+def _append_epoch(chain, _tx):
+    chain.epochs.append(chain.epochs[-1])
+
+
+def _add_nullifier(mainchain, csw):
+    used = mainchain.record(csw.ledger_id).used_nullifiers
+    used.add(hash_bytes(b"leak%d" % len(used)))
+
+
+def _queue_csw(mainchain, csw):
+    mainchain._pending_csws.append((csw.ledger_id, csw))
+
+
+# (op, step index, class, method, injected write, whether the dump sees it)
+LEAKS = [
+    ("send", 1, Sidechain, "accept_send", _bump_issued, True),
+    ("send", 1, Sidechain, "accept_send", _rebind_sent, False),
+    ("redeem", 6, Sidechain, "accept_redeem", _add_redeemed, True),
+    ("csw", 10, Mainchain, "submit_csw", _add_nullifier, False),
+    ("csw", 10, Mainchain, "submit_csw", _queue_csw, False),
+    ("csw_redeem", 13, Sidechain, "accept_csw_redeem", _append_epoch, True),
+]
+
+
+def test_rejection_scenario_is_clean():
+    scenario = parse_scenario(REJECTIONS)
+    assert Runner(scenario).run()["violations"] == []
+    assert DumpCheckRunner(scenario).run()["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "op,index,cls,method,write,dump_sees",
+    LEAKS,
+    ids=[f"{op}-{write.__name__.strip('_')}" for op, _, _, _, write, _ in LEAKS],
+)
+def test_write_on_rejected_path_is_flagged(monkeypatch, op, index, cls, method, write, dump_sees):
+    original = getattr(cls, method)
+
+    def leaky(self, tx):
+        verdict = original(self, tx)
+        if not verdict.accepted:
+            write(self, tx)
+        return verdict
+
+    monkeypatch.setattr(cls, method, leaky)
+    scenario = parse_scenario(REJECTIONS)
+    finding = f"step {index}: atomicity: rejected {op} changed chain state"
+    assert finding in Runner(scenario).run()["violations"]
+    # The dump comparison never saw rebinding to equal contents, nor any
+    # settlement-chain state.
+    assert (finding in DumpCheckRunner(scenario).run()["violations"]) is dump_sees
+
+
+# Methods of dict, set and list that only read.
+READ_ONLY = {
+    "copy", "count", "fromkeys", "get", "index", "items", "keys", "values",
+    "difference", "intersection", "isdisjoint", "issubset", "issuperset",
+    "symmetric_difference", "union",
+}
+
+MUTATIONS = {
+    JournalDict: {
+        "__delitem__": lambda d: d.__delitem__("a"),
+        "__ior__": lambda d: d.__ior__({"b": 1}),
+        "__setitem__": lambda d: d.__setitem__("b", 1),
+        "clear": lambda d: d.clear(),
+        "pop": lambda d: d.pop("a"),
+        "popitem": lambda d: d.popitem(),
+        "setdefault": lambda d: d.setdefault("b", 1),
+        "update": lambda d: d.update(b=1),
+    },
+    JournalSet: {
+        "__iand__": lambda s: s.__iand__({"b"}),
+        "__ior__": lambda s: s.__ior__({"b"}),
+        "__isub__": lambda s: s.__isub__({"a"}),
+        "__ixor__": lambda s: s.__ixor__({"b"}),
+        "add": lambda s: s.add("b"),
+        "clear": lambda s: s.clear(),
+        "difference_update": lambda s: s.difference_update({"a"}),
+        "discard": lambda s: s.discard("a"),
+        "intersection_update": lambda s: s.intersection_update({"b"}),
+        "pop": lambda s: s.pop(),
+        "remove": lambda s: s.remove("a"),
+        "symmetric_difference_update": lambda s: s.symmetric_difference_update({"b"}),
+        "update": lambda s: s.update({"b"}),
+    },
+    JournalList: {
+        "__delitem__": lambda l: l.__delitem__(0),
+        "__iadd__": lambda l: l.__iadd__(["c"]),
+        "__imul__": lambda l: l.__imul__(2),
+        "__setitem__": lambda l: l.__setitem__(0, "c"),
+        "append": lambda l: l.append("c"),
+        "clear": lambda l: l.clear(),
+        "extend": lambda l: l.extend(["c"]),
+        "insert": lambda l: l.insert(0, "c"),
+        "pop": lambda l: l.pop(),
+        "remove": lambda l: l.remove("a"),
+        "reverse": lambda l: l.reverse(),
+        "sort": lambda l: l.sort(),
+    },
+}
+
+SEEDS = {JournalDict: {"a": 0}, JournalSet: {"a"}, JournalList: ["b", "a"]}
+
+
+def _mutators(base) -> set[str]:
+    """Public and in-place methods of a builtin container, minus READ_ONLY."""
+    return {
+        name for name in dir(base)
+        if callable(getattr(base, name))
+        and name not in READ_ONLY
+        and (
+            not name.startswith("_")
+            or name in ("__setitem__", "__delitem__")
+            or (name.startswith("__i") and name not in ("__init__", "__init_subclass__", "__iter__"))
+        )
+    }
+
+
+@pytest.mark.parametrize("cls", list(MUTATIONS), ids=lambda cls: cls.__name__)
+def test_every_mutator_bumps_writes(cls):
+    base = cls.__bases__[-1]
+    assert _mutators(base) == set(MUTATIONS[cls]), "a mutator of the base type is not journaled"
+    for name, mutate in MUTATIONS[cls].items():
+        assert name in cls.__dict__, f"{cls.__name__}.{name} is inherited, so it writes unseen"
+        box = cls(SEEDS[cls])
+        assert box.writes == 0
+        mutate(box)
+        assert box.writes == 1, name
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_journal_matches_dump_reference_on_bundled_scenarios(path):
+    scenario = load_scenario(path)
+    assert render_report(Runner(scenario).run()) == render_report(DumpCheckRunner(scenario).run())
+
+
+def test_journal_matches_dump_reference_on_fuzz_corpus():
+    mismatched = []
+    for index in range(200):
+        obj, _probes = generate_trace(FUZZ_SEED, index)
+        scenario = parse_scenario(obj, source=obj["name"])
+        if Runner(scenario).run() != DumpCheckRunner(scenario).run():
+            mismatched.append(index)
+    assert mismatched == []

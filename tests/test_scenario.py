@@ -181,3 +181,42 @@ def test_close_epoch_chain_list():
     with pytest.raises(ParseError, match="undeclared chain 'gamma'"):
         parse_scenario(minimal(steps=[{"op": "close_epoch", "chains": ["gamma"]}]))
     parse_scenario(minimal(steps=[{"op": "close_epoch", "chains": ["alpha"]}]))
+
+
+U64 = 2**64 - 1
+
+
+def _issuing(**issuance) -> dict:
+    obj = minimal()
+    obj["chains"][0]["issuances"] = [{"name": "GLD", "owner": "alice", **issuance}]
+    return obj
+
+
+def _stepping(**step) -> dict:
+    return minimal(steps=[{"from": "alpha", "to": "beta", "name": "GLD", "owner": "a", "receiver": "b", **step}])
+
+
+@pytest.mark.parametrize("obj,message", [
+    pytest.param(_issuing(fungible=True, amount=U64 + 1), r"issuances\[0\].*'amount' must be at most 2\^64-1", id="issue-amount-high"),
+    pytest.param(_issuing(fungible=True, amount=0), r"'amount' must be positive", id="issue-amount-zero"),
+    pytest.param(_issuing(fungible=False, token_id=U64 + 1), r"'token_id' must be at most 2\^64-1", id="issue-id-high"),
+    pytest.param(_issuing(fungible=False, token_id=-1), r"'token_id' must be nonnegative", id="issue-id-negative"),
+    pytest.param(_stepping(op="send", amount=U64 + 1), r"steps\[0\].*'amount' must be at most 2\^64-1", id="send-amount-high"),
+    pytest.param(_stepping(op="send", amount=-3), r"steps\[0\].*'amount' must be positive", id="send-amount-negative"),
+    pytest.param(_stepping(op="send", token_id=-1), r"steps\[0\].*'token_id' must be nonnegative", id="send-id-negative"),
+    pytest.param(_stepping(op="send", amount="7"), r"steps\[0\].*'amount' must be int", id="send-amount-str"),
+    pytest.param(_stepping(op="fabricate_send", fungible=True, issuer="alpha", amount=U64 + 1),
+                 r"steps\[0\].*'amount' must be at most 2\^64-1", id="fabricate-amount-high"),
+    pytest.param(_stepping(op="fabricate_send", fungible=False, issuer="alpha", token_id=U64 + 1),
+                 r"steps\[0\].*'token_id' must be at most 2\^64-1", id="fabricate-id-high"),
+])
+def test_integers_bounded_to_u64(obj, message):
+    with pytest.raises(ParseError, match=message):
+        parse_scenario(obj)
+
+
+def test_u64_extremes_accepted():
+    parse_scenario(_issuing(fungible=True, amount=U64))
+    parse_scenario(_issuing(fungible=False, token_id=0))
+    parse_scenario(_issuing(fungible=False, token_id=U64))
+    parse_scenario(_stepping(op="send", amount=U64))
