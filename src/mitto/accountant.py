@@ -1,11 +1,22 @@
-"""Global invariant checking over raw state dumps.
+"""Global invariant checking over shadow books of every ledger.
 
 The accountant is the harness's independent bookkeeper. It watches the
 event stream (issues, sends, redeems, withdrawal redeems) to maintain its
-own counters, and re-derives the balance-sheet invariants from the JSON
-state dumps each step, never from the token module's internal maps. A
-disagreement between the two bookkeepers is exactly what it exists to
-catch.
+own counters, and keeps its own book of what each chain holds and records,
+never reading the token module's tallies. A disagreement between the two
+bookkeepers is exactly what it exists to catch.
+
+After every step the runner hands it references to each chain's ledgers
+(``World.snapshot_for_accountant``). A chain's book is resynced only from a
+container that was rebound or written since the last step, judged by the
+write counters of ``journal``; the resync compares entries by identity,
+which is sound because instances and sent records are frozen, and moves
+running tallies of held units, recorded units and NFT holders by what left
+and what arrived. The invariants are then read off the tallies, at a cost
+set by names times chains rather than by what the chains hold. The full
+re-derivation from JSON dumps that this replaces is kept as the reference
+in ``tests/accountant_reference.py``, and the tests hold both to the same
+findings.
 
 Scope: tokens issued by non-byzantine chains. A byzantine issuer's books
 are garbage by construction, so nothing is promised about them. Chains
@@ -18,14 +29,18 @@ still fire. That is the point of running those variants at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 
 from .hashing import Digest
+from .journal import JournalDict
+from .mainchain import STATUS_ALIVE, STATUS_CEASED
 from .messages import CscpMessage, message_digest
 from .proofs import csw_nullifier
 from .tokens import (
     VARIANT_NO_RECEIVER_TRACKING,
     VARIANT_NO_SENT_RECORDS,
     VARIANT_STANDARD,
+    SentRecord,
     TokenInstance,
 )
 
@@ -56,10 +71,6 @@ class IssueInfo:
     total: int = 0
 
 
-def _units(entry: dict) -> int:
-    return entry["amount"] if entry.get("fungibility") else 1
-
-
 @dataclass
 class Accountant:
     chains: dict[str, ChainInfo] = field(default_factory=dict)
@@ -69,6 +80,8 @@ class Accountant:
     csw_credit: dict[tuple[int, str], int] = field(default_factory=dict)
     accepted_redeems: dict[str, set[Digest]] = field(default_factory=dict)
     accepted_csw_redeems: dict[str, set[Digest]] = field(default_factory=dict)
+    _books: dict[str, "_Book"] = field(default_factory=dict, repr=False)
+    _holders: "_Holders" = field(default_factory=lambda: _Holders(), repr=False)
 
     # -- event stream ----------------------------------------------------------
 
@@ -76,12 +89,6 @@ class Accountant:
         self.chains[label] = ChainInfo(sc_id=sc_id, byzantine=byzantine, variant=variant)
         self.accepted_redeems[label] = set()
         self.accepted_csw_redeems[label] = set()
-
-    def label_of(self, sc_id: int) -> str | None:
-        for label, info in self.chains.items():
-            if info.sc_id == sc_id:
-                return label
-        return None
 
     def note_issue(self, label: str, instance: TokenInstance) -> None:
         info = self.issues.setdefault(
@@ -154,38 +161,43 @@ class Accountant:
             ]
         return []
 
-    # -- balance sheet from dumps ------------------------------------------------
+    # -- balance sheet from shadow books ------------------------------------------
 
     def check(self, snapshot: dict[str, dict]) -> list[str]:
-        """Re-derive the standing invariants from raw state dumps.
+        """Bring each chain's shadow book up to date, then read the standing
+        invariants off its tallies.
 
-        ``snapshot`` maps chain label to::
+        ``snapshot`` maps every chain label to references (never copies)::
 
             {"status": "alive"|"ceased"|"pending",
-             "live": <MittoState dump>,
-             "frozen": <final committed dump or None>,
-             "used_nullifiers": set of hex strings}
+             "live": <MittoState>,
+             "frozen": <MittoState committed at the final epoch, or None>,
+             "used_nullifiers": <the settlement chain's nullifier set>}
         """
-        violations = []
-        # A byzantine chain's dump is a self-report nobody vouches for; its
+        # A byzantine chain's ledger is a self-report nobody vouches for; its
         # claimed holdings stay off the balance sheet. What it managed to
         # push INTO honest chains is counted through the event stream.
-        books = {
-            label: self._effective_book(label, entry)
-            for label, entry in snapshot.items()
-            if not self.chains[label].byzantine
-        }
+        books = {}
+        for label, entry in snapshot.items():
+            chain = self.chains[label]
+            if chain.byzantine:
+                continue
+            book = self._books.get(label)
+            if book is None:
+                book = self._books[label] = _Book(self._holders)
+            book.sync(entry, chain.sc_id)
+            books[label] = book
 
+        violations = []
         for name, info in self.issues.items():
             if not self._tracked(name):
                 continue
             issuer = info.issuer_label
-            issuer_sc = self.chains[issuer].sc_id
             variant = self.chains[issuer].variant
-            held = {label: _held_units(book, name) for label, book in books.items()}
-            records = _record_units(books[issuer], name)
+            held = {label: book.held.get(name, 0) for label, book in books.items()}
+            records = books[issuer].recorded.get(name, {})
 
-            if snapshot[issuer]["status"] == "alive" and variant != VARIANT_NO_SENT_RECORDS:
+            if snapshot[issuer]["status"] == STATUS_ALIVE and variant != VARIANT_NO_SENT_RECORDS:
                 recorded_total = sum(records.values())
                 if held[issuer] + recorded_total != info.total:
                     violations.append(
@@ -194,7 +206,7 @@ class Accountant:
                     )
 
             if variant not in (VARIANT_NO_SENT_RECORDS, VARIANT_NO_RECEIVER_TRACKING):
-                for label, book in books.items():
+                for label in books:
                     if label == issuer:
                         continue
                     sc_id = self.chains[label].sc_id
@@ -211,51 +223,161 @@ class Accountant:
                     f"issued {info.total}"
                 )
 
-            if not info.fungible:
-                seen: dict[int, str] = {}
-                for label, book in books.items():
-                    for entry in book.get("s_tks", []):
-                        if entry["token_name"] != name:
-                            continue
-                        token_id = entry["token_id"]
-                        if token_id in seen:
-                            violations.append(
-                                f"{NFT_UNIQUENESS}: {name!r} id {token_id} live on both "
-                                f"{seen[token_id]} and {label}"
-                            )
-                        seen[token_id] = label
+            crowded = self._holders.crowded.get(name)
+            if not info.fungible and crowded:
+                violations.extend(_duplicate_holders(books, name, crowded))
         return violations
 
-    def _effective_book(self, label: str, entry: dict) -> dict:
-        """What a chain truly holds: live state while alive, the final
-        committed state minus already-withdrawn entities once ceased."""
-        if entry["status"] != "ceased":
-            return entry["live"]
-        frozen = entry["frozen"]
-        if frozen is None:
-            return {"s_tks": [], "s_sent": []}
-        sc_id = self.chains[label].sc_id
-        used = entry["used_nullifiers"]
-        kept = [
-            e
-            for e in frozen.get("s_tks", [])
-            if csw_nullifier(sc_id, bytes.fromhex(e["digest"])).hex() not in used
-        ]
-        return {"s_tks": kept, "s_sent": frozen.get("s_sent", [])}
+
+class _Holders:
+    """How many shadow books hold each NFT (name, token_id), and per name
+    the ids held more than once: uniqueness is checked only where it can
+    fail."""
+
+    def __init__(self) -> None:
+        self.count: dict[tuple[str, int], int] = {}
+        self.crowded: dict[str, set[int]] = {}
+
+    def add(self, name: str, token_id: int) -> None:
+        key = (name, token_id)
+        count = self.count.get(key, 0) + 1
+        self.count[key] = count
+        if count == 2:
+            self.crowded.setdefault(name, set()).add(token_id)
+
+    def remove(self, name: str, token_id: int) -> None:
+        key = (name, token_id)
+        _untally(self.count, key, 1)
+        if self.count.get(key) == 1:
+            self.crowded[name].discard(token_id)
 
 
-def _units_of(instance: TokenInstance) -> int:
-    return instance.amount if instance.fungibility else 1
+_NOTHING: JournalDict = JournalDict()  # the book of a chain that ceased before any certificate
 
 
-def _held_units(book: dict, name: str) -> int:
-    return sum(_units(e) for e in book.get("s_tks", []) if e["token_name"] == name)
+class _Book:
+    """What one chain truly holds and records: its live ledger while it is
+    not ceased, its final committed ledger minus already-withdrawn entities
+    once it is. Keeps its own copy of the entries and running tallies of
+    them, and resyncs only from a source container that was rebound or
+    written since the last sync."""
+
+    def __init__(self, holders: _Holders) -> None:
+        self.tks: dict[Digest, TokenInstance] = {}
+        self.sent: dict[tuple, SentRecord] = {}
+        self.held: dict[str, int] = {}
+        self.recorded: dict[str, dict[int, int]] = {}
+        self._holders = holders
+        self._seen: dict[str, tuple] = {}  # slot -> (container, its write count and scalars)
+        self._entity_of: dict[Digest, Digest] = {}  # csw nullifier -> frozen entity digest
+        self._spent: set[Digest] = set()
+
+    def sync(self, entry: dict, sc_id: int) -> None:
+        ceased = entry["status"] == STATUS_CEASED
+        source = entry["frozen"] if ceased else entry["live"]
+        tks = _NOTHING if source is None else source.s_tks
+        sent = _NOTHING if source is None else source.s_sent
+        if self._moved("tks", tks, ceased):
+            # The one csw_nullifier pass, made when the chain ceases; _spend
+            # then drops whatever is already withdrawn.
+            self._entity_of = {csw_nullifier(sc_id, digest): digest for digest in tks} if ceased else {}
+            self._spent = set()
+            self._seen.pop("used", None)
+            _mirror(self.tks, tks, self._drop_instance, self._add_instance)
+        if ceased and self._moved("used", entry["used_nullifiers"]):
+            self._spend(tks, entry["used_nullifiers"])
+        if self._moved("sent", sent):
+            _mirror(self.sent, sent, self._drop_record, self._add_record)
+
+    def _moved(self, slot: str, box, *scalars) -> bool:
+        """Was ``box`` rebound, written or seen with other scalars since
+        this slot last looked? The container is held, not its id()."""
+        mark = (box.writes, *scalars)
+        seen = self._seen.get(slot)
+        if seen is not None and seen[0] is box and seen[1] == mark:
+            return False
+        self._seen[slot] = (box, mark)
+        return True
+
+    def _spend(self, tks: dict, used: set) -> None:
+        """Drop frozen entities whose nullifier is newly used; restore any
+        whose nullifier is no longer there."""
+        for nullifier in used - self._spent:
+            digest = self._entity_of.get(nullifier)
+            if digest in self.tks:
+                self._drop_instance(digest)
+        for nullifier in self._spent - used:
+            digest = self._entity_of.get(nullifier)
+            if digest is not None and digest not in self.tks:
+                self._add_instance(digest, tks[digest])
+        self._spent = set(used)
+
+    def _add_instance(self, digest: Digest, instance: TokenInstance) -> None:
+        self.tks[digest] = instance
+        name = instance.token_name
+        self.held[name] = self.held.get(name, 0) + _units_of(instance)
+        if not instance.fungibility:
+            self._holders.add(name, instance.token_id)
+
+    def _drop_instance(self, digest: Digest) -> None:
+        instance = self.tks.pop(digest)
+        name = instance.token_name
+        _untally(self.held, name, _units_of(instance))
+        if not instance.fungibility:
+            self._holders.remove(name, instance.token_id)
+
+    def _add_record(self, key: tuple, record: SentRecord) -> None:
+        self.sent[key] = record
+        by_receiver = self.recorded.setdefault(record.token_name, {})
+        receiver = record.receiver_sc_id
+        by_receiver[receiver] = by_receiver.get(receiver, 0) + _units_of(record)
+
+    def _drop_record(self, key: tuple) -> None:
+        record = self.sent.pop(key)
+        _untally(self.recorded[record.token_name], record.receiver_sc_id, _units_of(record))
 
 
-def _record_units(book: dict, name: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for entry in book.get("s_sent", []):
-        if entry["token_name"] != name:
-            continue
-        out[entry["receiver_sc_id"]] = out.get(entry["receiver_sc_id"], 0) + _units(entry)
-    return out
+def _mirror(mine: dict, source: dict, drop, add) -> None:
+    """Make ``mine`` hold exactly ``source``'s entries, calling ``drop`` for
+    each key whose entry left or changed and ``add`` for each that arrived.
+    Both value types are frozen, so an entry that is the very object the
+    book holds is unchanged; the common case, nothing rebound in place, is
+    settled by one identity sweep that runs in C."""
+    for key in mine.keys() - source.keys():
+        drop(key)
+    if not all(map(is_, mine.values(), map(source.__getitem__, mine))):
+        for key in [key for key, value in mine.items() if source[key] is not value]:
+            drop(key)
+    for key in source.keys() - mine.keys():
+        add(key, source[key])
+
+
+def _untally(tallies: dict, key, units: int) -> None:
+    left = tallies[key] - units
+    if left:
+        tallies[key] = left
+    else:
+        del tallies[key]
+
+
+def _duplicate_holders(books: dict[str, _Book], name: str, crowded: set[int]) -> list[str]:
+    """One finding per consecutive pair of holders of a crowded id, books
+    in chain order and each book's entries in digest order."""
+    violations = []
+    seen: dict[int, str] = {}
+    for label, book in books.items():
+        for digest in sorted(book.tks):
+            instance = book.tks[digest]
+            token_id = instance.token_id
+            if instance.token_name != name or token_id not in crowded:
+                continue
+            if token_id in seen:
+                violations.append(
+                    f"{NFT_UNIQUENESS}: {name!r} id {token_id} live on both {seen[token_id]} and {label}"
+                )
+            seen[token_id] = label
+    return violations
+
+
+def _units_of(entry: TokenInstance | SentRecord) -> int:
+    return entry.amount if entry.fungibility else 1

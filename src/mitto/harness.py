@@ -8,7 +8,10 @@ is bracketed by write marks over all of them, proving no chain or
 settlement-chain state was written or rebound; every accepted redeem or
 withdrawal is immediately replayed to prove the replay defenses hold.
 Violations of either are reported the same way as accountant findings
-rather than silently trusted.
+rather than silently trusted. After each step the accountant is handed
+references to every ledger and brings its own shadow books up to date
+from the containers whose write counters moved, so neither check dumps
+the world.
 """
 from __future__ import annotations
 
@@ -168,7 +171,10 @@ class World:
                 return first
         total = sum(entry[0] for entry in candidates)
         if total >= amount and len(candidates) > 1:
-            merged = state.merge([entry[2] for entry in candidates])
+            try:
+                merged = state.merge([entry[2] for entry in candidates])
+            except ValueError as err:
+                raise HarnessError(f"chain {label}: cannot merge {name!r} to cover {amount}: {err}") from err
             if merged.amount == amount:
                 return merged
             first, _rest = state.split(canonical_digest(merged), amount)
@@ -176,17 +182,21 @@ class World:
         raise HarnessError(f"chain {label}: holds {total} of {name!r}, step needs {amount}")
 
     def snapshot_for_accountant(self) -> dict:
+        """Per chain, references to what the accountant audits: status, live
+        ledger, the ledger committed at the final epoch once ceased (else
+        None) and the settlement chain's used nullifiers. Copies nothing, so
+        it costs O(chains)."""
         out = {}
         for label, chain in self.chains.items():
             record = self.mainchain.record(chain.sc_id)
             frozen = None
             if record.status == STATUS_CEASED and record.last_epoch is not None:
-                frozen = chain.epochs[record.last_epoch].snapshots[MSG_TYPE_TOKEN_TRANSFER].dump()
+                frozen = chain.epochs[record.last_epoch].snapshots[MSG_TYPE_TOKEN_TRANSFER]
             out[label] = {
                 "status": record.status,
-                "live": self.states[label].dump(),
+                "live": self.states[label],
                 "frozen": frozen,
-                "used_nullifiers": {n.hex() for n in record.used_nullifiers},
+                "used_nullifiers": record.used_nullifiers,
             }
         return out
 

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .encoding import U64_MAX  # amounts and token ids are u64 on the wire
 from .tokens import (
     VARIANT_ISSUER_NOTIFICATION,
     VARIANT_NO_RECEIVER_TRACKING,
@@ -44,9 +45,6 @@ STEP_OPS = (
 )
 
 CSW_MODES = ("held", "foreign", "sent_record")
-
-# Amounts and token ids are encoded as u64 on the wire.
-U64_MAX = 2**64 - 1
 
 
 @dataclass(frozen=True)

@@ -327,19 +327,29 @@ class MittoState:
             return "send-3d"
         if message.payload_hash != canonical_digest(instance):
             return "send-3e"
+        if self._record_overflows(instance, message):
+            return "send-5"
         if not verify_sig(instance.owner, message_digest(message), signature):
             return "send-4"
         return None
+
+    def _counterparty(self, sc_id: int) -> int:
+        """Whom a sent record names for chain ``sc_id`` under this variant."""
+        return ANY_COUNTERPARTY if self.variant == VARIANT_NO_RECEIVER_TRACKING else sc_id
+
+    def _record_overflows(self, instance: TokenInstance, message: CscpMessage) -> bool:
+        """Would sending this own-issued fungible instance merge into a sent
+        record of more than u64 units (which no record can encode)?"""
+        if not instance.fungibility or instance.issuer_sc_id != self.sc_id or self.variant == VARIANT_NO_SENT_RECORDS:
+            return False
+        existing = self.s_sent.get(("f", self._counterparty(message.receiving_sc_id), instance.token_name))
+        return existing is not None and existing.amount + instance.amount > enc.U64_MAX
 
     def apply_send(self, instance: TokenInstance, message: CscpMessage) -> None:
         del self.s_tks[canonical_digest(instance)]
         if instance.issuer_sc_id != self.sc_id or self.variant == VARIANT_NO_SENT_RECORDS:
             return
-        counterparty = (
-            ANY_COUNTERPARTY
-            if self.variant == VARIANT_NO_RECEIVER_TRACKING
-            else message.receiving_sc_id
-        )
+        counterparty = self._counterparty(message.receiving_sc_id)
         if not instance.fungibility:
             record = SentRecord(
                 receiver_sc_id=counterparty,
@@ -365,11 +375,7 @@ class MittoState:
         if instance.issuer_sc_id != message.sending_sc_id and instance.issuer_sc_id != self.sc_id:
             return "redeem-1"
         if instance.issuer_sc_id == self.sc_id and self.variant != VARIANT_NO_SENT_RECORDS:
-            counterparty = (
-                ANY_COUNTERPARTY
-                if self.variant == VARIANT_NO_RECEIVER_TRACKING
-                else message.sending_sc_id
-            )
+            counterparty = self._counterparty(message.sending_sc_id)
             if instance.fungibility:
                 record = self.s_sent.get(("f", counterparty, instance.token_name))
                 if record is None or record.amount < instance.amount:
@@ -401,11 +407,7 @@ class MittoState:
         self.s_tks[canonical_digest(minted)] = minted
         if instance.issuer_sc_id != self.sc_id or self.variant == VARIANT_NO_SENT_RECORDS:
             return
-        counterparty = (
-            ANY_COUNTERPARTY
-            if self.variant == VARIANT_NO_RECEIVER_TRACKING
-            else message.sending_sc_id
-        )
+        counterparty = self._counterparty(message.sending_sc_id)
         if not instance.fungibility:
             del self.s_sent[("n", instance.token_name, instance.token_id)]
             return
@@ -433,14 +435,18 @@ class MittoState:
         if self.variant != VARIANT_ISSUER_NOTIFICATION:
             raise ValueError("notifications only apply to the issuer-notification variant")
         if amount is not None:
-            source = self.s_sent.get(("f", from_sc_id, token_name))
+            source_key = ("f", from_sc_id, token_name)
+            target_key = ("f", to_sc_id, token_name)
+            source = self.s_sent.get(source_key)
             if source is None or source.amount < amount:
                 return False
+            target = self.s_sent.get(target_key)
+            if target_key != source_key and target is not None and target.amount + amount > enc.U64_MAX:
+                return False
             if source.amount == amount:
-                del self.s_sent[("f", from_sc_id, token_name)]
+                del self.s_sent[source_key]
             else:
-                self.s_sent[("f", from_sc_id, token_name)] = replace(source, amount=source.amount - amount)
-            target_key = ("f", to_sc_id, token_name)
+                self.s_sent[source_key] = replace(source, amount=source.amount - amount)
             existing = self.s_sent.get(target_key)
             total = amount + (existing.amount if existing else 0)
             self.s_sent[target_key] = SentRecord(
@@ -494,8 +500,11 @@ class MittoState:
             for p in parents
         ):
             raise ValueError("merge needs fungible instances of one name and owner")
+        total = sum(p.amount for p in parents)
+        if total > enc.U64_MAX:
+            raise ValueError(f"merged amount {total} exceeds u64")
         merged_hash = hash_bytes(b"merge" + b"".join(sorted(bytes(d) for d in instance_digests)))
-        merged = replace(head, amount=sum(p.amount for p in parents), data_hash=merged_hash)
+        merged = replace(head, amount=total, data_hash=merged_hash)
         for digest in instance_digests:
             del self.s_tks[digest]
         self.s_tks[canonical_digest(merged)] = merged

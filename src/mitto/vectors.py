@@ -18,7 +18,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-from .encoding import canonical_digest
+from .encoding import U64_MAX, canonical_digest
 from .hashing import hash_bytes
 from .keys import KeyPair
 from .mainchain import STATUS_CEASED, Mainchain
@@ -192,6 +192,15 @@ def _send_3e() -> Verdict:
 def _send_4() -> Verdict:
     p = _pair()
     return _send_verdict(p.home, p.tok, _msg(p.tok, 1, 2, p.alice, p.bob), p.mallory)
+
+
+def _send_5() -> Verdict:
+    p = _pair()
+    first, second = (
+        p.home.issue("BIG", True, p.alice.public, hash_bytes(b"BIG%d" % i), amount=U64_MAX) for i in range(2)
+    )
+    p.home.apply_send(first, _msg(first, 1, 2, p.alice, p.bob))
+    return _send_verdict(p.home, second, _msg(second, 1, 2, p.alice, p.bob), p.alice)
 
 
 # -- state-layer redeem cases -------------------------------------------------------
@@ -628,6 +637,8 @@ CASES: tuple[VectorCase, ...] = (
                "payload hash does not commit to the instance", _rule("send-3e"), _send_3e),
     VectorCase("send-4-bad-owner-signature", "send", "state",
                "signature was not produced by the owner", _rule("send-4"), _send_4),
+    VectorCase("send-5-sent-record-overflow", "send", "state",
+               "merged sent record would exceed u64 units", _rule("send-5"), _send_5),
 
     VectorCase("redeem-accept-foreign", "redeem", "state",
                "committed arrival minted on the receiving chain", _accepted(), _redeem_accept_foreign),

@@ -114,6 +114,49 @@ def test_out_of_range_integer_exit_two(tmp_path, capsys, issuance):
     assert "parse error" in capsys.readouterr().err
 
 
+def _two_max_issuances(steps) -> dict:
+    """ROADMAP item 4's setup: two issuances of 2^64-1 units of one name."""
+    return {
+        "name": "u64_sent_record",
+        "seed": 2,
+        "chains": [
+            {"label": "alpha", "epoch_length": 2, "issuances": [
+                {"name": "G", "fungible": True, "amount": 2**64 - 1, "owner": "a", "data": data}
+                for data in ("one", "two")
+            ]},
+            {"label": "beta", "epoch_length": 2},
+        ],
+        "steps": steps,
+    }
+
+
+def test_sent_record_overflow_is_a_send_5_verdict(tmp_path, capsys):
+    send = {"op": "send", "from": "alpha", "to": "beta", "name": "G", "amount": 2**64 - 1,
+            "owner": "a", "receiver": "b"}
+    path = write_scenario(tmp_path, _two_max_issuances([
+        {**send, "expect": {"accepted": True}},
+        {**send, "expect": {"accepted": False, "reason": "HandlerRejected", "rule": "send-5"}},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch", "expect": {"accepted": True}},
+    ]))
+    report_path = tmp_path / "report.json"
+    assert main(["run", path, "--json-report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["violations"] == []
+    assert report["steps"][1]["outcome"]["rule"] == "send-5"
+
+
+def test_wallet_merge_overflow_exit_two(tmp_path, capsys):
+    obj = _two_max_issuances([
+        {"op": "send", "from": "alpha", "to": "beta", "name": "G", "amount": 2**64 - 1,
+         "owner": "a", "receiver": "b"},
+    ])
+    for issuance in obj["chains"][0]["issuances"]:
+        issuance["amount"] = 2**64 - 2
+    assert main(["run", write_scenario(tmp_path, obj)]) == 2
+    assert "cannot merge" in capsys.readouterr().err
+
+
 def test_fuzz_mode(capsys):
     assert main(["run", GOLDEN, "--fuzz", "3", "--seed", "11", "--json-report", "/dev/null"]) == 0
     out = capsys.readouterr().out

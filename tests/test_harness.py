@@ -1,10 +1,13 @@
 """Scenario runner behavior: determinism, atomicity, dumps, fault reporting."""
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from accountant_reference import ReferenceCheckRunner
 from dump_reference import DumpCheckRunner
+from mitto.accountant import Accountant
 from mitto.encoding import canonical_digest
 from mitto.fuzz import generate_trace
 from mitto.harness import Runner, diff_state, dump_state, render_report, run_scenario
@@ -14,6 +17,7 @@ from mitto.mainchain import Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
 from mitto.scenario import load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
+from mitto.tokens import MittoState
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FUZZ_SEED = 20260817  # the acceptance suite's fuzz corpus
@@ -419,3 +423,271 @@ def test_journal_matches_dump_reference_on_fuzz_corpus():
         if Runner(scenario).run() != DumpCheckRunner(scenario).run():
             mismatched.append(index)
     assert mismatched == []
+
+
+# -- accountant: incremental books against the dump reference ------------------
+
+
+def _nft_chain(label, name, owner, n):
+    return {"label": label, "epoch_length": 2,
+            "issuances": [{"name": name, "fungible": False, "token_id": i, "owner": owner} for i in range(n)]}
+
+
+def scale_nft_shape(n):
+    """``n`` NFTs sent alpha -> beta in one epoch, then redeemed in reverse."""
+    steps = [
+        {"op": "send", "id": f"s{i}", "from": "alpha", "to": "beta", "name": "ART",
+         "token_id": i, "owner": "alice", "receiver": "bob", "expect": {"accepted": True}}
+        for i in range(n)
+    ]
+    steps += [{"op": "advance_mainchain", "blocks": 2}, {"op": "close_epoch"},
+              {"op": "advance_mainchain", "blocks": 2}]
+    steps += [{"op": "redeem", "send": f"s{i}", "expect": {"accepted": True}} for i in reversed(range(n))]
+    chains = [_nft_chain("alpha", "ART", "alice", n), {"label": "beta", "epoch_length": 2}]
+    return {"name": "scale_nft_shape", "seed": 5, "chains": chains, "steps": steps}
+
+
+def ceased_recovery_shape(n):
+    """beta's NFTs arrive on alpha, alpha ceases, and every instance it held
+    at its final epoch is withdrawn and redeemed on beta."""
+    steps = [
+        {"op": "send", "id": f"in{i}", "from": "beta", "to": "alpha", "name": "BNFT",
+         "token_id": i, "owner": "bob", "receiver": "alice", "expect": {"accepted": True}}
+        for i in range(n)
+    ]
+    steps += [{"op": "advance_mainchain", "blocks": 2}, {"op": "close_epoch"},
+              {"op": "advance_mainchain", "blocks": 2}]
+    steps += [{"op": "redeem", "send": f"in{i}", "expect": {"accepted": True}} for i in range(n)]
+    steps += [{"op": "close_epoch"}, {"op": "advance_mainchain", "blocks": 2},
+              {"op": "close_epoch", "chains": ["beta"]}, {"op": "cease_by_silence", "chain": "alpha"}]
+    withdrawals = []
+    for i in range(n):
+        withdrawals += [
+            {"op": "csw", "id": f"h{i}", "mode": "held", "chain": "alpha", "name": "ANFT", "token_id": i,
+             "owner": "alice", "target": "beta", "receiver": "carol", "expect": {"accepted": True}},
+            {"op": "csw", "id": f"f{i}", "mode": "foreign", "chain": "alpha", "name": "BNFT", "token_id": i,
+             "owner": "alice", "receiver": "carol", "expect": {"accepted": True}},
+        ]
+    steps += withdrawals + [{"op": "advance_mainchain", "blocks": 1}]
+    steps += [{"op": "csw_redeem", "withdrawal": w["id"], "expect": {"accepted": True}} for w in withdrawals]
+    chains = [_nft_chain("alpha", "ANFT", "alice", n), _nft_chain("beta", "BNFT", "bob", n)]
+    return {"name": "ceased_recovery_shape", "seed": 6, "chains": chains, "steps": steps}
+
+
+def _checks_agree(runner: ReferenceCheckRunner) -> dict:
+    """Run, assert both checks found the same after every step, and return
+    the report."""
+    report = runner.run()
+    assert len(runner.checks) == len(report["steps"])
+    for index, (incremental, reference) in enumerate(runner.checks):
+        assert incremental == reference, f"step {index}"
+    return report
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_accountant_matches_reference_on_bundled_scenarios(path):
+    report = _checks_agree(ReferenceCheckRunner(load_scenario(path)))
+    expected = {"faulty_issuer_notification": 7, "faulty_no_receiver_tracking": 2, "faulty_no_sent_records": 3}
+    assert len(report["violations"]) == expected.get(path.stem, 0)
+
+
+def test_accountant_matches_reference_on_fuzz_corpus():
+    for index in range(200):
+        obj, _probes = generate_trace(FUZZ_SEED, index)
+        _checks_agree(ReferenceCheckRunner(parse_scenario(obj, source=obj["name"])))
+
+
+@pytest.mark.parametrize("shape", [scale_nft_shape, ceased_recovery_shape], ids=lambda f: f.__name__)
+def test_accountant_matches_reference_on_scale_shapes(shape):
+    assert _checks_agree(ReferenceCheckRunner(parse_scenario(shape(6))))["ok"] is True
+
+
+class _FaultAfterStep(ReferenceCheckRunner):
+    """Reference-checking runner that calls ``fault(world)`` right after the
+    handler of step ``index`` returns, before the accountant looks."""
+
+    def __init__(self, scenario, index, fault):
+        super().__init__(scenario)
+        op = scenario.steps[index]["op"]
+        handler = getattr(self, f"_op_{op}")
+
+        def faulty(i, step):
+            entry = handler(i, step)
+            if i == index:
+                fault(self.world)
+            return entry
+
+        setattr(self, f"_op_{op}", faulty)
+
+
+def _held(world, label):
+    state = world.states[label]
+    digest = min(state.s_tks)
+    return state, digest, state.s_tks[digest]
+
+
+def _inflate_in_place(world):
+    state, digest, instance = _held(world, "alpha")
+    state.s_tks[digest] = replace(instance, amount=instance.amount + 1)
+
+
+def _write_frozen(world):
+    frozen = world.chains["alpha"].finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
+    _, _, instance = _held(world, "beta")
+    extra = replace(instance, data_hash=hash_bytes(b"forged"))
+    frozen.s_tks[canonical_digest(extra)] = extra
+
+
+def _forget_nullifiers(world):
+    world.mainchain.record(world.chains["alpha"].sc_id).used_nullifiers.clear()
+
+
+def _rebind_tks(world):
+    state, _, instance = _held(world, "beta")
+    extra = replace(instance, data_hash=hash_bytes(b"forged"))
+    fresh = JournalDict(state.s_tks)
+    fresh[canonical_digest(extra)] = extra
+    fresh.writes = state.s_tks.writes  # only the rebinding itself can give it away
+    state.s_tks = fresh
+
+
+def _duplicate_nfts(world):
+    """A second live copy of ids 0-2 on alpha, and of id 3 on beta itself."""
+    for label, ids in (("alpha", (0, 1, 2)), ("beta", (3,))):
+        state = world.states[label]
+        for instance in list(world.states["beta"].s_tks.values()):
+            if instance.token_id in ids:
+                twin = replace(instance, data_hash=hash_bytes(b"twin"))
+                state.s_tks[canonical_digest(twin)] = twin
+
+
+def _mint_twice(original):
+    def apply_redeem(self, instance, message):
+        original(self, instance, message)
+        extra = replace(instance, owner=message.receiver_id, data_hash=hash_bytes(b"twin"))
+        self.s_tks[canonical_digest(extra)] = extra
+
+    return apply_redeem
+
+
+def _forget_record(original):
+    def apply_send(self, instance, message):
+        original(self, instance, message)
+        if instance.issuer_sc_id == self.sc_id:
+            self.s_sent.pop(("f", message.receiving_sc_id, instance.token_name), None)
+
+    return apply_send
+
+
+# REJECTIONS steps: 2 a block after the send alpha -> beta, 5 redeem on beta,
+# 7 beta's epoch close, 11 the block after alpha ceased and one of its
+# instances was withdrawn, 12 that instance redeemed on beta. Faults land on
+# steps that do not write the faulted container themselves, so only the
+# fault can move the books.
+OVER_ISSUER = "issuer-equality: 'GLD' issuer alpha holds {} and records {}, issued 50"
+OVER_RECORDS = "sent-record-coverage: chain beta holds 20 of 'GLD', issuer records allow 10"
+STEP_FAULTS = {
+    "value-rebound-in-place": (2, _inflate_in_place, OVER_ISSUER.format(41, 10)),
+    "frozen-snapshot-written": (11, _write_frozen, "conservation: 55 units of 'GLD' exist, issued 50"),
+    "s_tks-rebound": (7, _rebind_tks, OVER_RECORDS),
+    "nullifier-forgotten": (12, _forget_nullifiers, "conservation: 55 units of 'GLD' exist, issued 50"),
+}
+PROTOCOL_FAULTS = {
+    "extra-mint-on-redeem": (5, "apply_redeem", _mint_twice, OVER_RECORDS),
+    "sent-record-dropped-on-send": (0, "apply_send", _forget_record, OVER_ISSUER.format(40, 0)),
+}
+
+
+def _assert_flagged_by_both(runner, index, finding):
+    report = _checks_agree(runner)
+    incremental, reference = runner.checks[index]
+    assert finding in incremental and incremental == reference
+    assert f"step {index}: {finding}" in report["violations"]
+
+
+@pytest.mark.parametrize("fault", list(STEP_FAULTS))
+def test_injected_ledger_fault_flagged_by_both_checks(fault):
+    index, inject, finding = STEP_FAULTS[fault]
+    _assert_flagged_by_both(_FaultAfterStep(parse_scenario(REJECTIONS), index, inject), index, finding)
+
+
+def test_duplicate_nfts_flagged_by_both_checks_in_the_same_order():
+    scenario = parse_scenario(scale_nft_shape(4))
+    last = len(scenario.steps) - 1
+    runner = _FaultAfterStep(scenario, last, _duplicate_nfts)
+    _assert_flagged_by_both(runner, last, "nft-uniqueness: 'ART' id 0 live on both alpha and beta")
+    assert "nft-uniqueness: 'ART' id 3 live on both beta and beta" in runner.checks[last][0]
+
+
+def test_fungible_instance_under_nft_name_is_counted():
+    # A byzantine chain can get a fungible instance named like an honest
+    # chain's NFT redeemed elsewhere; the dump derivation assumed every
+    # entry under an NFT name carries a token id and raised KeyError here.
+    report = run_inline(
+        [
+            {"op": "fabricate_send", "id": "f", "from": "mal", "to": "beta", "name": "ART", "fungible": True,
+             "amount": 5, "issuer": "mal", "owner": "eve", "receiver": "bob"},
+            {"op": "advance_mainchain", "blocks": 2},
+            {"op": "close_epoch"},
+            {"op": "advance_mainchain", "blocks": 2},
+            {"op": "redeem", "send": "f", "expect": {"accepted": True}},
+        ],
+        chains=[
+            _nft_chain("alpha", "ART", "alice", 1),
+            {"label": "beta", "epoch_length": 2},
+            {"label": "mal", "epoch_length": 2, "byzantine": True},
+        ],
+    )
+    assert report["violations"] == [
+        "step 4: conservation: 6 units of 'ART' exist, issued 1",
+        "step 4: sent-record-coverage: chain beta holds 5 of 'ART', issuer records allow 0",
+    ]
+
+
+@pytest.mark.parametrize("fault", list(PROTOCOL_FAULTS))
+def test_injected_protocol_fault_flagged_by_both_checks(monkeypatch, fault):
+    index, method, wrap, finding = PROTOCOL_FAULTS[fault]
+    monkeypatch.setattr(MittoState, method, wrap(getattr(MittoState, method)))
+    _assert_flagged_by_both(ReferenceCheckRunner(parse_scenario(REJECTIONS)), index, finding)
+
+
+def test_runner_calls_accountant_check_once_per_completed_step():
+    """The benchmark's step clock wraps ``accountant.check`` on the instance
+    and ends each step's timer there, so the call must stay one per step,
+    with the snapshot as its only argument, looked up at call time."""
+    assert "check" in Accountant.__dict__
+    runner = Runner(parse_scenario(REJECTIONS))
+    world = runner.world
+    calls = []
+    snapshots = []
+    take_snapshot = world.snapshot_for_accountant
+
+    def snapshot():
+        snapshots.append(take_snapshot())
+        return snapshots[-1]
+
+    def check(*args, **kwargs):
+        calls.append((args, kwargs, len(runner.steps)))
+        return []
+
+    world.snapshot_for_accountant = snapshot
+    world.accountant.check = check
+    report = runner.run()
+    assert len(report["steps"]) == len(REJECTIONS["steps"])
+    # One call after each step completes, before the next begins.
+    assert [done for _, _, done in calls] == list(range(len(report["steps"])))
+    assert all(len(args) == 1 and not kwargs for args, kwargs, _ in calls)
+    assert len(snapshots) == len(calls)
+    assert all(args[0] is taken for (args, _, _), taken in zip(calls, snapshots))
+
+
+def test_runner_skips_accountant_check_after_failed_assert():
+    runner = Runner(parse_scenario(scenario_obj([
+        {"op": "advance_mainchain", "blocks": 1},
+        {"op": "assert", "chain": "alpha", "holdings": [{"name": "GLD", "owner": "alice", "amount": 1}]},
+    ])))
+    calls = []
+    runner.world.accountant.check = lambda snapshot: calls.append(snapshot) or []
+    report = runner.run()
+    assert report["failure"]["step"] == 1
+    assert len(calls) == 1

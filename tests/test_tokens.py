@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from mitto.encoding import canonical_digest
+from mitto.encoding import U64_MAX, canonical_digest
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair
 from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, message_digest
@@ -162,6 +162,30 @@ class TestSendRules:
         state, ti = self.setup_held()
         msg = send_message(ti)
         assert state.validate_send(ti, msg, signed(msg, BOB)) == "send-4"
+
+    def test_r5_sent_record_stays_within_u64(self):
+        state = fresh_state()
+        first, second = (
+            state.issue("WBT", True, ALICE.public, hash_bytes(data), amount=U64_MAX) for data in (b"g", b"h")
+        )
+        state.apply_send(first, send_message(first))
+        msg = send_message(second)
+        assert state.validate_send(second, msg, signed(msg)) == "send-5"
+        # checked before the signature; another counterparty has room
+        assert state.validate_send(second, msg, signed(msg, BOB)) == "send-5"
+        msg = send_message(second, receiving=ELSEWHERE)
+        assert state.validate_send(second, msg, signed(msg)) is None
+
+    def test_r5_follows_the_variant_counterparty(self):
+        untracked = fresh_state(variant=VARIANT_NO_RECEIVER_TRACKING)
+        none_kept = fresh_state(variant=VARIANT_NO_SENT_RECORDS)
+        for state, rule in ((untracked, "send-5"), (none_kept, None)):
+            first, second = (
+                state.issue("WBT", True, ALICE.public, hash_bytes(data), amount=U64_MAX) for data in (b"g", b"h")
+            )
+            state.apply_send(first, send_message(first))
+            msg = send_message(second, receiving=ELSEWHERE)
+            assert state.validate_send(second, msg, signed(msg)) == rule
 
     def test_rule_order_r1_before_r4(self):
         state, ti = self.setup_held()
@@ -376,6 +400,15 @@ class TestVariants:
         # forged notification corrupts accounting: that is the demonstrated flaw
         assert state.apply_notification(ELSEWHERE, HOME, "WBT", amount=4)
 
+    def test_notification_refuses_overflowing_record(self):
+        state = fresh_state(variant=VARIANT_ISSUER_NOTIFICATION)
+        for data in (b"g", b"h"):
+            ti = state.issue("WBT", True, ALICE.public, hash_bytes(data), amount=U64_MAX)
+            state.apply_send(ti, send_message(ti, receiving=AWAY if data == b"g" else ELSEWHERE))
+        before = dict(state.s_sent)
+        assert not state.apply_notification(AWAY, ELSEWHERE, "WBT", amount=1)
+        assert dict(state.s_sent) == before
+
     def test_standard_state_rejects_notifications(self):
         state = fresh_state()
         with pytest.raises(ValueError):
@@ -416,6 +449,15 @@ class TestSplitMerge:
         merged = state.merge([canonical_digest(a), canonical_digest(b)])
         assert merged.amount == 10
         assert len(state.s_tks) == 1
+
+    def test_merge_over_u64_raises_before_touching_parents(self):
+        state = fresh_state()
+        a = state.issue("WBT", True, ALICE.public, hash_bytes(b"g"), amount=U64_MAX)
+        b = state.issue("WBT", True, ALICE.public, hash_bytes(b"h"), amount=1)
+        before = dict(state.s_tks)
+        with pytest.raises(ValueError, match="exceeds u64"):
+            state.merge([canonical_digest(a), canonical_digest(b)])
+        assert dict(state.s_tks) == before
 
     def test_merge_requires_matching_name_and_owner(self):
         state = fresh_state()

@@ -6,7 +6,7 @@ import pytest
 from mitto import vectors
 
 RULE_IDS = (
-    "send-1", "send-2", "send-3a", "send-3b", "send-3c", "send-3d", "send-3e", "send-4",
+    "send-1", "send-2", "send-3a", "send-3b", "send-3c", "send-3d", "send-3e", "send-4", "send-5",
     "redeem-1", "redeem-2a", "redeem-2b", "redeem-3",
     "redeem-4a", "redeem-4b", "redeem-4c", "redeem-4d", "redeem-4e", "redeem-5",
     "redeem-6", "redeem-7",
