@@ -1,8 +1,9 @@
 """Command-line front end.
 
-``mitto run`` executes a scenario (or a fuzzed batch) and reports verdicts
-and invariant findings, ``mitto validate`` checks a scenario file without
-running it, and ``mitto vectors`` emits or re-checks the conformance
+``mitto run`` executes a scenario file, or every scenario in a directory,
+and reports verdicts and invariant findings; ``mitto fuzz`` runs generated
+adversarial traces; ``mitto validate`` checks a scenario file without
+running it; and ``mitto vectors`` emits or re-checks the conformance
 vector file in a directory.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
@@ -29,16 +30,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mitto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a scenario, or a fuzzed batch with --fuzz")
-    run.add_argument("scenario", help="path to a scenario JSON file")
-    run.add_argument("--fuzz", type=int, metavar="N", default=None,
-                     help="instead of the scenario's steps, run N generated adversarial traces")
+    run = sub.add_parser("run", help="execute a scenario file, or every *.json scenario in a directory")
+    run.add_argument("scenario", help="path to a scenario JSON file or a directory of them")
     run.add_argument("--seed", type=int, default=None,
                      help="override the scenario's seed")
     run.add_argument("--dump", metavar="DIR", default=None,
                      help="write the final world state dump into DIR")
     run.add_argument("--json-report", metavar="PATH", default=None,
-                     help="write the full JSON report to PATH instead of stdout")
+                     help="write the full JSON report to PATH instead of stdout (single file only)")
+
+    fuzz = sub.add_parser("fuzz", help="run generated adversarial traces")
+    fuzz.add_argument("--traces", type=int, default=1000, help="number of traces (default 1000)")
+    fuzz.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
 
     val = sub.add_parser("validate", help="parse and check a scenario file without running it")
     val.add_argument("scenario", help="path to a scenario JSON file")
@@ -58,46 +61,63 @@ def _emit_report(report: dict, path: str | None) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
+    target = Path(args.scenario)
+    if not target.is_dir():
+        return _run_file(target, args, prefix="")
+    if args.json_report is not None:
+        print("--json-report needs a single scenario file, not a directory", file=sys.stderr)
         return EXIT_USAGE
+    paths = sorted(target.glob("*.json"))
+    if not paths:
+        print(f"no scenarios in {target}", file=sys.stderr)
+        return EXIT_USAGE
+    codes = [_run_file(path, args, prefix=f"{path.name}: ") for path in paths]
+    print(f"{codes.count(EXIT_OK)}/{len(paths)} scenarios passed")
+    return max(codes)
 
-    if args.fuzz is not None:
-        if args.fuzz <= 0:
-            print("--fuzz needs a positive trace count", file=sys.stderr)
-            return EXIT_USAGE
-        if args.dump is not None:
-            print("note: --dump is ignored in fuzz mode", file=sys.stderr)
-        seed = scenario.seed if args.seed is None else args.seed
-        result = run_fuzz(seed, args.fuzz)
-        _emit_report(result, args.json_report)
-        print(
-            f"fuzz: {result['traces']} traces, {result['steps']} steps, "
-            f"{len(result['violations'])} violations, "
-            f"routing {result['routing']['rejected']}/{result['routing']['attempts']} rejected, "
-            f"over-return {result['over_return']['rejected']}/{result['over_return']['attempts']} rejected"
-        )
-        return EXIT_OK if result["ok"] else EXIT_VIOLATION
 
+def _run_file(path: Path, args: argparse.Namespace, prefix: str) -> int:
+    """Run one scenario file. Only a single-file run (empty ``prefix``)
+    emits the full report; a directory run prints its summary line."""
+    try:
+        scenario = load_scenario(path)
+    except ParseError as err:
+        print(f"{prefix}parse error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     runner = Runner(scenario)
     try:
         report = runner.run()
     except HarnessError as err:
-        print(f"scenario error: {err}", file=sys.stderr)
+        print(f"{prefix}scenario error: {err}", file=sys.stderr)
         return EXIT_USAGE
     if args.dump is not None:
         directory = Path(args.dump)
         directory.mkdir(parents=True, exist_ok=True)
         dump_state(runner.world, directory / f"{scenario.name}.state.json")
-    _emit_report(report, args.json_report)
+    if not prefix:
+        _emit_report(report, args.json_report)
     verdict = "ok" if report["ok"] else "FAILED"
     print(f"{scenario.name}: {len(report['steps'])} steps, "
           f"{len(report['violations'])} violations, {verdict}")
     return EXIT_OK if report["ok"] else EXIT_VIOLATION
+
+
+def _cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.traces <= 0:
+        print("--traces needs a positive trace count", file=sys.stderr)
+        return EXIT_USAGE
+    result = run_fuzz(args.seed, args.traces)
+    print(
+        f"fuzz seed {args.seed}: {result['traces']} traces, {result['steps']} steps, "
+        f"{len(result['violations'])} violations, "
+        f"routing {result['routing']['rejected']}/{result['routing']['attempts']} rejected, "
+        f"over-return {result['over_return']['rejected']}/{result['over_return']['attempts']} rejected"
+    )
+    for line in result["violations"][:20]:
+        print(f"  {line}")
+    return EXIT_OK if result["ok"] else EXIT_VIOLATION
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -143,6 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
+    if args.command == "fuzz":
+        return _cmd_fuzz(args)
     if args.command == "validate":
         return _cmd_validate(args)
     return _cmd_vectors(args)

@@ -1,14 +1,26 @@
-"""Canonical byte encoding primitives.
+"""Canonical byte encoding: primitives and the wire schema.
 
 Deterministic and injective per type: fixed-width big-endian integers,
 length-prefixed variable fields, one-byte tags for unions and optionals.
-Every protocol type's encode() starts with its registered type tag so no
+Every tagged type's encoding starts with its registered type tag so no
 two types can collide on the same byte string.
+
+Each wire type states its format once, as the field list it hands to
+``wire``: (attribute, codec) pairs in wire order. ``wire`` compiles that
+list when the class is defined into the type's ``encode()``, its
+``read(reader)`` and its strict top-level ``decode(data)``; runs of
+fixed-width fields pack and unpack through one precompiled
+``struct.Struct``. ``to_json`` is the one JSON rendering, for reports.
 """
 
 from __future__ import annotations
 
-from .hashing import Digest, hash_bytes
+import itertools
+import struct
+from dataclasses import dataclass, fields, is_dataclass
+
+from .hashing import Digest, MerklePath, Sibling, hash_bytes
+from .keys import PubKey
 
 U8_MAX = 0xFF
 U32_MAX = 0xFFFF_FFFF
@@ -54,10 +66,6 @@ def enc_u64(value: int) -> bytes:
     return value.to_bytes(8, "big")
 
 
-def enc_bool(value: bool) -> bytes:
-    return b"\x01" if value else b"\x00"
-
-
 def enc_bytes(value: bytes) -> bytes:
     """Length-prefixed opaque bytes."""
     return enc_u32(len(value)) + value
@@ -68,12 +76,14 @@ def enc_str(value: str) -> bytes:
 
 
 def enc_digest(value: Digest) -> bytes:
-    return bytes(Digest(value))
+    if len(value) != 32:
+        raise ValueError(f"digest must be 32 bytes, got {len(value)}")
+    return bytes(value)
 
 
 def enc_digest_list(values) -> bytes:
     values = list(values)
-    return enc_u32(len(values)) + b"".join(enc_digest(d) for d in values)
+    return enc_u32(len(values)) + b"".join(map(enc_digest, values))
 
 
 class ByteReader:
@@ -100,9 +110,6 @@ class ByteReader:
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
 
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
     def boolean(self) -> bool:
         b = self.u8()
         if b not in (0, 1):
@@ -121,13 +128,12 @@ class ByteReader:
     def digest(self) -> Digest:
         return Digest(self.take(32))
 
-    def digest_list(self) -> list[Digest]:
-        return [self.digest() for _ in range(self.u32())]
+    def digests(self, count: int) -> tuple[Digest, ...]:
+        data = self.take(32 * count)
+        return tuple([Digest(data[i : i + 32]) for i in range(0, len(data), 32)])
 
-    def expect_tag(self, tag: int) -> None:
-        got = self.u8()
-        if got != tag:
-            raise DecodeError(f"expected tag 0x{tag:02x}, got 0x{got:02x}")
+    def digest_list(self) -> tuple[Digest, ...]:
+        return self.digests(self.u32())
 
     def finish(self) -> None:
         if self._pos != len(self._data):
@@ -136,3 +142,239 @@ class ByteReader:
 
 def canonical_digest(entity) -> Digest:
     return hash_bytes(entity.encode())
+
+
+# ---------------------------------------------------------------------------
+# Wire schema
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Codec:
+    """One field's wire form, as code the schema compiler splices into
+    each type's encoder and decoder.
+
+    ``put`` lists what the field writes, in order: (struct code, expression)
+    for a fixed-width piece, ("", expression giving bytes) otherwise; ``{v}``
+    is the field's value (``{v[i]}`` the i-th attribute of a multi-attribute
+    field). ``get`` lists what it reads: (struct code, "") or ("", expression
+    over the reader ``r``), where ``{0}``, ``{1}``, ... name the pieces read
+    so far. ``check`` is a statement rejecting bad pieces, ``value`` builds
+    the attribute (one expression per attribute of a multi-attribute field).
+    ``kind`` and ``ref`` say what the codec is, for tests that walk the
+    schema.
+    """
+
+    kind: str
+    put: tuple[tuple[str, str], ...]
+    get: tuple[tuple[str, str], ...]
+    value: str | tuple[str, ...] = "{0}"
+    check: str = ""
+    ref: object = None
+
+
+_BAD_BOOL = "if {0} > 1: raise DecodeError('bad bool byte %d' % {0})"
+
+U8 = Codec("u8", put=(("B", "{v}"),), get=(("B", ""),))
+U32 = Codec("u32", put=(("I", "{v}"),), get=(("I", ""),))
+U64 = Codec("u64", put=(("Q", "{v}"),), get=(("Q", ""),))
+BOOL = Codec("bool", put=(("B", "1 if {v} else 0"),), get=(("B", ""),), value="{0} == 1", check=_BAD_BOOL)
+BYTES = Codec("bytes", put=(("I", "len({v})"), ("", "{v}")), get=(("I", ""), ("", "r.take({0})")), value="{1}")
+STR = Codec("str", put=(("", "enc_str({v})"),), get=(("", "r.string()"),))
+DIGEST = Codec("digest", put=(("", "enc_digest({v})"),), get=(("32s", ""),), value="Digest({0})")
+#: A raw 32-byte public key; encodes at its own length, as bytes(key).
+PUBKEY = Codec("pubkey", put=(("", "bytes({v})"),), get=(("32s", ""),), value="PubKey({0})")
+DIGEST_LIST = Codec(
+    "digest_list",
+    put=(("I", "len({v})"), ("", "b''.join(map(enc_digest, {v}))")),
+    get=(("I", ""), ("", "r.digests({0})")),
+    value="{1}",
+)
+BYTES_LIST = Codec(
+    "bytes_list",
+    put=(("I", "len({v})"), ("", "b''.join(map(enc_bytes, {v}))")),
+    get=(("I", ""), ("", "tuple([r.raw_bytes() for _ in range({0})])")),
+    value="{1}",
+)
+#: The amount-or-token-id union over (fungibility, amount, token_id): a
+#: fungibility byte, then the amount of a fungible or the id of an NFT.
+UNITS = Codec(
+    "units",
+    put=(("B", "1 if {v[0]} else 0"), ("Q", "{v[1]} if {v[0]} else {v[2]}")),
+    get=(("B", ""), ("Q", "")),
+    value=("{0} == 1", "{1} if {0} else None", "None if {0} else {1}"),
+    check=_BAD_BOOL,
+)
+#: A (u32 id, digest) 2-tuple.
+U32_DIGEST = Codec(
+    "u32_digest",
+    put=(("I", "{v}[0]"), ("", "enc_digest({v}[1])")),
+    get=(("I", ""), ("32s", "")),
+    value="({0}, Digest({1}))",
+)
+
+
+def nested(type_name: str) -> Codec:
+    """A field holding one value of the named wire type (looked up when
+    first decoded, so a type may name one declared in a later module)."""
+    return Codec("nested", put=(("", "{v}.encode()"),), get=(("", f"{type_name}.read(r)"),), ref=type_name)
+
+
+def list_of(type_name: str) -> Codec:
+    """A count-prefixed tuple of values of the named wire type."""
+    return Codec(
+        "list_of",
+        put=(("I", "len({v})"), ("", "b''.join([x.encode() for x in {v}])")),
+        get=(("I", ""), ("", f"tuple([{type_name}.read(r) for _ in range({{0}})])")),
+        value="{1}",
+        ref=type_name,
+    )
+
+
+def enum(enum_type) -> Codec:
+    """A one-byte IntEnum; an unknown value raises ValueError."""
+    _bind(enum_type.__name__, enum_type)
+    return Codec("enum", put=(("B", "{v}"),), get=(("B", ""),), value=f"{enum_type.__name__}({{0}})", ref=enum_type)
+
+
+#: Every declared wire type, by class name.
+WIRE_TYPES: dict[str, type] = {}
+
+# Globals of the generated codecs: helpers, structs, every wire type and enum.
+_NAMESPACE: dict = {
+    "DecodeError": DecodeError,
+    "Digest": Digest,
+    "PubKey": PubKey,
+    "StructError": struct.error,
+    "enc_bytes": enc_bytes,
+    "enc_digest": enc_digest,
+    "enc_str": enc_str,
+}
+
+
+def _bind(name: str, obj) -> None:
+    if _NAMESPACE.setdefault(name, obj) is not obj:
+        raise ValueError(f"wire schema name {name!r} bound twice")
+
+
+def _struct(fmt: str) -> str:
+    name = f"_S_{fmt}"
+    _NAMESPACE.setdefault(name, struct.Struct(">" + fmt))
+    return name
+
+
+def wire(tag: int | None, *field_list: tuple):
+    """Class decorator: give a dataclass the codecs its field list implies.
+
+    ``tag`` (None for untagged types) leads the encoding; each entry is
+    (attribute, codec), or (tuple of attributes, codec) for a codec that
+    spans several. Adds ``encode(self) -> bytes``, ``read(reader)`` and
+    ``decode(data)``, which also rejects trailing bytes.
+    """
+
+    def declare(cls):
+        name = cls.__name__
+        _bind(name, cls)
+        entries = list(field_list)
+        if tag is not None:
+            tag_check = f"if {{0}} != {tag}: raise DecodeError('expected tag 0x{tag:02x}, got 0x%02x' % {{0}})"
+            entries.insert(0, ((), Codec("tag", put=(("B", str(tag)),), get=(("B", ""),), value=(), check=tag_check)))
+        source = _encoder_source(name, entries) + _reader_source(name, entries)
+        local: dict = {}
+        exec(compile(source, f"<wire {name}>", "exec"), _NAMESPACE, local)
+        read = local["read"]
+
+        def decode(data: bytes):
+            reader = ByteReader(data)
+            value = read(reader)
+            reader.finish()
+            return value
+
+        cls.encode = local["encode"]
+        cls.read = staticmethod(read)
+        cls.decode = staticmethod(decode)
+        cls.WIRE_FIELDS = field_list
+        WIRE_TYPES[name] = cls
+        return cls
+
+    return declare
+
+
+def _encoder_source(name: str, entries: list) -> str:
+    pieces = []
+    for attrs, codec in entries:
+        v = f"self.{attrs}" if isinstance(attrs, str) else tuple(f"self.{a}" for a in attrs)
+        pieces += [(fmt, expr.format(v=v)) for fmt, expr in codec.put]
+    parts, run = [], []
+    for fmt, expr in pieces + [("", "")]:  # the empty last piece flushes the last run
+        if fmt:
+            run.append((fmt, expr))
+            continue
+        if run:
+            fmt = "".join(f for f, _ in run)
+            if all(e.isdigit() for _, e in run):
+                parts.append(repr(struct.pack(">" + fmt, *(int(e) for _, e in run))))
+            else:
+                parts.append(f"{_struct(fmt)}.pack({', '.join(e for _, e in run)})")
+            run = []
+        if expr:
+            parts.append(expr)
+    body = parts[0] if len(parts) == 1 else f"b''.join(({', '.join(parts)},))"
+    return (
+        "def encode(self):\n"
+        f"    try:\n        return {body}\n"
+        f"    except StructError as exc:\n        raise ValueError(f'{name}: {{exc}}') from None\n"
+    )
+
+
+def _reader_source(name: str, entries: list) -> str:
+    lines, checks, run, args = [], [], [], []
+    counter = itertools.count()
+
+    def flush():
+        if run:
+            fmt = "".join(f for f, _ in run)
+            targets = "".join(f"{t}, " for _, t in run)
+            lines.append(f"{targets}= {_struct(fmt)}.unpack(r.take({struct.calcsize('>' + fmt)}))")
+            run.clear()
+        lines.extend(checks)
+        checks.clear()
+
+    for attrs, codec in entries:
+        temps = []
+        for fmt, expr in codec.get:
+            temp = f"t{next(counter)}"
+            if fmt:
+                run.append((fmt, temp))
+            else:
+                flush()
+                lines.append(f"{temp} = {expr.format(*temps)}")
+            temps.append(temp)
+        if codec.check:
+            checks.append(codec.check.format(*temps))
+        if isinstance(attrs, str):
+            args.append(f"{attrs}={codec.value.format(*temps)}")
+        else:
+            args += [f"{a}={value.format(*temps)}" for a, value in zip(attrs, codec.value)]
+    flush()
+    lines.append(f"return {name}({', '.join(args)})")
+    return "def read(r):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def to_json(value):
+    """JSON form of a wire value for reports: bytes as hex, dataclasses as
+    objects in field order without their ``None`` fields."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if is_dataclass(value):
+        out = {}
+        for f in fields(value):
+            item = getattr(value, f.name)
+            if item is not None:
+                out[f.name] = to_json(item)
+        return out
+    return value
+
+
+# The Merkle path codec, shared by proof bundles and redeem evidence.
+wire(None, ("digest", DIGEST), ("on_left", BOOL))(Sibling)
+wire(None, ("leaf_index", U32), ("siblings", list_of("Sibling")))(MerklePath)

@@ -54,7 +54,8 @@ from .tokens import (
     NotOwner,
     TokenInstance,
     TokenNameRegistry,
-    TokenTransferHandler,
+    attach_token_ledger,
+    parse_payload,
     withdraw_foreign,
     withdraw_native_held,
     withdraw_native_sent,
@@ -91,19 +92,10 @@ class World:
 
         for spec in scenario.chains:
             cls = ByzantineSidechain if spec.byzantine else Sidechain
-            wcert = KeyPair.from_label("wcert", scenario.seed, spec.label)
-            csw = KeyPair.from_label("csw", scenario.seed, spec.label)
-            sc_id = self.mainchain.register_sidechain(
-                spec.epoch_length,
-                wcert_vk=_vk(wcert.public),
-                csw_vk=_vk(csw.public),
-            )
-            chain = cls(self.mainchain, sc_id, wcert, csw, label=spec.label)
-            state = MittoState(sc_id=sc_id, registry=self.registry, variant=spec.variant)
-            chain.register_handler(MSG_TYPE_TOKEN_TRANSFER, TokenTransferHandler(state))
+            chain = cls.create(self.mainchain, spec.epoch_length, spec.label, seed=scenario.seed)
             self.chains[spec.label] = chain
-            self.states[spec.label] = state
-            self.accountant.register_chain(spec.label, sc_id, spec.byzantine, spec.variant)
+            self.states[spec.label] = attach_token_ledger(chain, self.registry, spec.variant)
+            self.accountant.register_chain(spec.label, chain.sc_id, spec.byzantine, spec.variant)
         self.mainchain.advance_block()
 
         for spec in scenario.chains:
@@ -241,12 +233,6 @@ class World:
             },
             "chains": chains,
         }
-
-
-def _vk(public: PubKey):
-    from .proofs import sim_merkle_vk
-
-    return sim_merkle_vk(public)
 
 
 def dump_state(world: World, path: str | Path) -> None:
@@ -474,7 +460,7 @@ class Runner:
         pre = self.world.write_marks()
         verdict = chain.accept_redeem(tx)
         self._atomic(index, "redeem", pre, verdict.accepted)
-        instance = _decode_instance(record.payload)
+        instance = parse_payload(record.payload)
         if instance is not None:
             self._note(index, self.world.accountant.note_redeem(label, instance, record.message, verdict.accepted))
         result = {
@@ -572,7 +558,7 @@ class Runner:
         pre = self.world.write_marks()
         verdict = chain.accept_csw_redeem(tx)
         self._atomic(index, "csw_redeem", pre, verdict.accepted)
-        instance = _decode_instance(package.payload)
+        instance = parse_payload(package.payload)
         if instance is not None:
             self._note(
                 index, self.world.accountant.note_csw_redeem(label, instance, package.message, verdict.accepted)
@@ -731,13 +717,3 @@ def run_scenario(scenario: Scenario) -> dict:
 
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def _decode_instance(payload: bytes) -> TokenInstance | None:
-    from .encoding import DecodeError
-    from .tokens import decode_token_instance
-
-    try:
-        return decode_token_instance(payload)
-    except (DecodeError, ValueError):
-        return None

@@ -57,31 +57,14 @@ class Sibling:
     digest: Digest
     on_left: bool
 
-    def to_json(self) -> dict:
-        return {"digest": self.digest.hex(), "side": "L" if self.on_left else "R"}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Sibling":
-        return cls(Digest(bytes.fromhex(obj["digest"])), obj["side"] == "L")
-
 
 @dataclass(frozen=True)
 class MerklePath:
+    """Authentication path of one leaf; its wire form is declared in
+    ``encoding``, beside the codecs it is built from."""
+
     leaf_index: int
     siblings: tuple[Sibling, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "leaf_index": self.leaf_index,
-            "siblings": [s.to_json() for s in self.siblings],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MerklePath":
-        return cls(
-            int(obj["leaf_index"]),
-            tuple(Sibling.from_json(s) for s in obj["siblings"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import encoding as enc
 from . import verdict as v
-from .encoding import canonical_digest
+from .encoding import U32, canonical_digest, nested, wire
 from .hashing import Digest, EMPTY_ROOT, ScBlockEntries, StcTree, build_stc
 from .journal import JournalList, JournalSet
 from .messages import (
@@ -55,21 +55,19 @@ class InvalidParams(Exception):
     """Registration parameters outside the supported range."""
 
 
+@wire(
+    enc.TAG_REGISTRATION,
+    ("sc_id", U32),
+    ("epoch_length", U32),
+    ("wcert_vk", nested("VerificationKey")),
+    ("csw_vk", nested("VerificationKey")),
+)
 @dataclass(frozen=True)
 class SidechainRegistration:
     sc_id: int
     epoch_length: int
     wcert_vk: VerificationKey
     csw_vk: VerificationKey
-
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_REGISTRATION)
-            + enc.enc_u32(self.sc_id)
-            + enc.enc_u32(self.epoch_length)
-            + self.wcert_vk.encode()
-            + self.csw_vk.encode()
-        )
 
 
 @dataclass(frozen=True)
@@ -149,6 +147,8 @@ class Mainchain:
         """Queue a sidechain creation; it activates in the next sealed block."""
         if epoch_length < 2:
             raise InvalidParams(f"epoch length {epoch_length} is below the minimum of 2")
+        if epoch_length > enc.U32_MAX:
+            raise InvalidParams(f"epoch length {epoch_length} does not fit the registration's u32")
         sc_id = self._next_sc_id
         self._next_sc_id += 1
         registration = SidechainRegistration(

@@ -1,9 +1,10 @@
 """Wire types: cross-chain messages, certificates, withdrawals, transactions.
 
-Field order in every encode() follows the declaration order here; digests of
-entities are SHA-256 over those canonical bytes. Structural invariants that
-validation layers must be able to observe failing (a message sent to its own
-chain, say) are deliberately not enforced in constructors.
+Each type's ``wire`` field list is its canonical encoding, in order (see
+``encoding``); digests of entities are SHA-256 over those bytes. Structural
+invariants that validation layers must be able to observe failing (a
+message sent to its own chain, say) are deliberately not enforced in
+constructors.
 """
 
 from __future__ import annotations
@@ -12,7 +13,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import encoding as enc
-from .encoding import ByteReader
+from .encoding import (
+    BYTES,
+    BYTES_LIST,
+    DIGEST,
+    DIGEST_LIST,
+    PUBKEY,
+    U8,
+    U32,
+    U32_DIGEST,
+    U64,
+    nested,
+    wire,
+)
 from .hashing import Digest, hash_bytes
 from .keys import PubKey, Signature
 
@@ -27,6 +40,7 @@ MSG_TYPE_TOKEN_TRANSFER = 1
 SCHEME_SIM_MERKLE = 1
 
 
+@wire(enc.TAG_PROOF, ("scheme_id", U8), ("body", BYTES))
 @dataclass(frozen=True)
 class Proof:
     """Opaque proof carrier: a scheme id and that scheme's serialized evidence."""
@@ -34,17 +48,8 @@ class Proof:
     scheme_id: int
     body: bytes
 
-    def encode(self) -> bytes:
-        return enc.enc_u8(enc.TAG_PROOF) + enc.enc_u8(self.scheme_id) + enc.enc_bytes(self.body)
 
-    def to_json(self) -> dict:
-        return {"scheme_id": self.scheme_id, "body": self.body.hex()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Proof":
-        return cls(int(obj["scheme_id"]), bytes.fromhex(obj["body"]))
-
-
+@wire(enc.TAG_VERIFICATION_KEY, ("scheme_id", U8), ("params", BYTES))
 @dataclass(frozen=True)
 class VerificationKey:
     """Per-sidechain verification key registered on the mainchain at creation.
@@ -56,21 +61,16 @@ class VerificationKey:
     scheme_id: int
     params: bytes
 
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_VERIFICATION_KEY)
-            + enc.enc_u8(self.scheme_id)
-            + enc.enc_bytes(self.params)
-        )
 
-    def to_json(self) -> dict:
-        return {"scheme_id": self.scheme_id, "params": self.params.hex()}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "VerificationKey":
-        return cls(int(obj["scheme_id"]), bytes.fromhex(obj["params"]))
-
-
+@wire(
+    enc.TAG_MESSAGE,
+    ("sending_sc_id", U32),
+    ("receiving_sc_id", U32),
+    ("msg_type", U32),
+    ("sender_id", PUBKEY),
+    ("receiver_id", PUBKEY),
+    ("payload_hash", DIGEST),
+)
 @dataclass(frozen=True)
 class CscpMessage:
     """One cross-chain message. payload_hash commits to the payload carried
@@ -83,50 +83,6 @@ class CscpMessage:
     receiver_id: PubKey
     payload_hash: Digest
 
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_MESSAGE)
-            + enc.enc_u32(self.sending_sc_id)
-            + enc.enc_u32(self.receiving_sc_id)
-            + enc.enc_u32(self.msg_type)
-            + bytes(self.sender_id)
-            + bytes(self.receiver_id)
-            + enc.enc_digest(self.payload_hash)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "sending_sc_id": self.sending_sc_id,
-            "receiving_sc_id": self.receiving_sc_id,
-            "msg_type": self.msg_type,
-            "sender_id": self.sender_id.hex(),
-            "receiver_id": self.receiver_id.hex(),
-            "payload_hash": self.payload_hash.hex(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CscpMessage":
-        return cls(
-            sending_sc_id=int(obj["sending_sc_id"]),
-            receiving_sc_id=int(obj["receiving_sc_id"]),
-            msg_type=int(obj["msg_type"]),
-            sender_id=PubKey(bytes.fromhex(obj["sender_id"])),
-            receiver_id=PubKey(bytes.fromhex(obj["receiver_id"])),
-            payload_hash=Digest(bytes.fromhex(obj["payload_hash"])),
-        )
-
-
-def decode_message(reader: ByteReader) -> CscpMessage:
-    reader.expect_tag(enc.TAG_MESSAGE)
-    return CscpMessage(
-        sending_sc_id=reader.u32(),
-        receiving_sc_id=reader.u32(),
-        msg_type=reader.u32(),
-        sender_id=PubKey(reader.take(32)),
-        receiver_id=PubKey(reader.take(32)),
-        payload_hash=reader.digest(),
-    )
-
 
 def message_digest(message: CscpMessage) -> Digest:
     """Digest redeemed-sets and message trees key on."""
@@ -138,6 +94,15 @@ def redeem_auth_digest(message: CscpMessage, payload: bytes) -> Digest:
     return hash_bytes(message.encode() + payload)
 
 
+@wire(
+    enc.TAG_CERTIFICATE,
+    ("ledger_id", U32),
+    ("epoch_id", U64),
+    ("quality", U64),
+    ("bt_list", BYTES_LIST),
+    ("proofdata", DIGEST_LIST),
+    ("proof", nested("Proof")),
+)
 @dataclass(frozen=True)
 class WithdrawalCertificate:
     """Per-epoch sidechain commitment posted to the mainchain.
@@ -153,57 +118,20 @@ class WithdrawalCertificate:
     proofdata: tuple[Digest, ...]
     proof: Proof
 
-    def encode(self) -> bytes:
-        parts = [
-            enc.enc_u8(enc.TAG_CERTIFICATE),
-            enc.enc_u32(self.ledger_id),
-            enc.enc_u64(self.epoch_id),
-            enc.enc_u64(self.quality),
-            enc.enc_u32(len(self.bt_list)),
-        ]
-        parts.extend(enc.enc_bytes(bt) for bt in self.bt_list)
-        parts.append(enc.enc_digest_list(self.proofdata))
-        parts.append(self.proof.encode())
-        return b"".join(parts)
-
     @property
     def message_tree_root(self) -> Digest:
         return self.proofdata[0]
 
-    def to_json(self) -> dict:
-        return {
-            "ledger_id": self.ledger_id,
-            "epoch_id": self.epoch_id,
-            "quality": self.quality,
-            "bt_list": [bt.hex() for bt in self.bt_list],
-            "proofdata": [d.hex() for d in self.proofdata],
-            "proof": self.proof.to_json(),
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "WithdrawalCertificate":
-        return cls(
-            ledger_id=int(obj["ledger_id"]),
-            epoch_id=int(obj["epoch_id"]),
-            quality=int(obj["quality"]),
-            bt_list=tuple(bytes.fromhex(bt) for bt in obj["bt_list"]),
-            proofdata=tuple(Digest(bytes.fromhex(d)) for d in obj["proofdata"]),
-            proof=Proof.from_json(obj["proof"]),
-        )
-
-
-def decode_certificate(reader: ByteReader) -> WithdrawalCertificate:
-    reader.expect_tag(enc.TAG_CERTIFICATE)
-    ledger_id = reader.u32()
-    epoch_id = reader.u64()
-    quality = reader.u64()
-    bt_list = tuple(reader.raw_bytes() for _ in range(reader.u32()))
-    proofdata = tuple(reader.digest_list())
-    reader.expect_tag(enc.TAG_PROOF)
-    proof = Proof(scheme_id=reader.u8(), body=reader.raw_bytes())
-    return WithdrawalCertificate(ledger_id, epoch_id, quality, bt_list, proofdata, proof)
-
-
+@wire(
+    enc.TAG_CSW,
+    ("ledger_id", U32),
+    ("receiver", PUBKEY),
+    ("amount", U64),
+    ("nullifier", DIGEST),
+    ("proofdata", DIGEST_LIST),
+    ("proof", nested("Proof")),
+)
 @dataclass(frozen=True)
 class CeasedSidechainWithdrawal:
     """Withdrawal from a sidechain that stopped certifying.
@@ -220,51 +148,8 @@ class CeasedSidechainWithdrawal:
     proofdata: tuple[Digest, ...]
     proof: Proof
 
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_CSW)
-            + enc.enc_u32(self.ledger_id)
-            + bytes(self.receiver)
-            + enc.enc_u64(self.amount)
-            + enc.enc_digest(self.nullifier)
-            + enc.enc_digest_list(self.proofdata)
-            + self.proof.encode()
-        )
 
-    def to_json(self) -> dict:
-        return {
-            "ledger_id": self.ledger_id,
-            "receiver": self.receiver.hex(),
-            "amount": self.amount,
-            "nullifier": self.nullifier.hex(),
-            "proofdata": [d.hex() for d in self.proofdata],
-            "proof": self.proof.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CeasedSidechainWithdrawal":
-        return cls(
-            ledger_id=int(obj["ledger_id"]),
-            receiver=PubKey(bytes.fromhex(obj["receiver"])),
-            amount=int(obj["amount"]),
-            nullifier=Digest(bytes.fromhex(obj["nullifier"])),
-            proofdata=tuple(Digest(bytes.fromhex(d)) for d in obj["proofdata"]),
-            proof=Proof.from_json(obj["proof"]),
-        )
-
-
-def decode_csw(reader: ByteReader) -> CeasedSidechainWithdrawal:
-    reader.expect_tag(enc.TAG_CSW)
-    ledger_id = reader.u32()
-    receiver = PubKey(reader.take(32))
-    amount = reader.u64()
-    nullifier = reader.digest()
-    proofdata = tuple(reader.digest_list())
-    reader.expect_tag(enc.TAG_PROOF)
-    proof = Proof(scheme_id=reader.u8(), body=reader.raw_bytes())
-    return CeasedSidechainWithdrawal(ledger_id, receiver, amount, nullifier, proofdata, proof)
-
-
+@wire(enc.TAG_BLOCK_HEADER, ("height", U64), ("parent_hash", DIGEST), ("stc_root", DIGEST))
 @dataclass(frozen=True)
 class BlockHeader:
     """The hashed part of a mainchain block: height, parent link, and the
@@ -274,35 +159,8 @@ class BlockHeader:
     parent_hash: Digest
     stc_root: Digest
 
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_BLOCK_HEADER)
-            + enc.enc_u64(self.height)
-            + enc.enc_digest(self.parent_hash)
-            + enc.enc_digest(self.stc_root)
-        )
 
-    def to_json(self) -> dict:
-        return {
-            "height": self.height,
-            "parent_hash": self.parent_hash.hex(),
-            "stc_root": self.stc_root.hex(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BlockHeader":
-        return cls(
-            height=int(obj["height"]),
-            parent_hash=Digest(bytes.fromhex(obj["parent_hash"])),
-            stc_root=Digest(bytes.fromhex(obj["stc_root"])),
-        )
-
-
-def decode_block_header(reader: ByteReader) -> BlockHeader:
-    reader.expect_tag(enc.TAG_BLOCK_HEADER)
-    return BlockHeader(height=reader.u64(), parent_hash=reader.digest(), stc_root=reader.digest())
-
-
+@wire(enc.TAG_SEND_TX, ("message", nested("CscpMessage")), ("payload", BYTES), ("signature", BYTES))
 @dataclass(frozen=True)
 class SendTx:
     """Sidechain-local send: the message, its payload, and the sender's
@@ -312,30 +170,15 @@ class SendTx:
     payload: bytes
     signature: Signature
 
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_SEND_TX)
-            + self.message.encode()
-            + enc.enc_bytes(self.payload)
-            + enc.enc_bytes(self.signature)
-        )
 
-    def to_json(self) -> dict:
-        return {
-            "message": self.message.to_json(),
-            "payload": self.payload.hex(),
-            "signature": self.signature.hex(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SendTx":
-        return cls(
-            message=CscpMessage.from_json(obj["message"]),
-            payload=bytes.fromhex(obj["payload"]),
-            signature=bytes.fromhex(obj["signature"]),
-        )
-
-
+@wire(
+    enc.TAG_REDEEM_TX,
+    ("message", nested("CscpMessage")),
+    ("payload", BYTES),
+    ("proof", nested("RedeemProof")),
+    ("sender_sig", BYTES),
+    ("receiver_signature", BYTES),
+)
 @dataclass(frozen=True)
 class RedeemTx:
     """Claim of a committed message on its receiving chain.
@@ -352,38 +195,16 @@ class RedeemTx:
     sender_sig: Signature
     receiver_signature: Signature
 
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_REDEEM_TX)
-            + self.message.encode()
-            + enc.enc_bytes(self.payload)
-            + self.proof.encode()
-            + enc.enc_bytes(self.sender_sig)
-            + enc.enc_bytes(self.receiver_signature)
-        )
 
-    def to_json(self) -> dict:
-        return {
-            "message": self.message.to_json(),
-            "payload": self.payload.hex(),
-            "proof": self.proof.to_json(),
-            "sender_sig": self.sender_sig.hex(),
-            "receiver_signature": self.receiver_signature.hex(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RedeemTx":
-        from .proofs import RedeemProof
-
-        return cls(
-            message=CscpMessage.from_json(obj["message"]),
-            payload=bytes.fromhex(obj["payload"]),
-            proof=RedeemProof.from_json(obj["proof"]),
-            sender_sig=bytes.fromhex(obj["sender_sig"]),
-            receiver_signature=bytes.fromhex(obj["receiver_signature"]),
-        )
-
-
+@wire(
+    enc.TAG_CSW_REDEEM_TX,
+    ("message", nested("CscpMessage")),
+    ("payload", BYTES),
+    ("proof", nested("RedeemProof")),
+    ("sender_sig", BYTES),
+    ("receiver_signature", BYTES),
+    ("csw_ref", U32_DIGEST),
+)
 @dataclass(frozen=True)
 class CswRedeemTx:
     """Claim of a message that left its ceased chain inside a withdrawal.
@@ -398,39 +219,3 @@ class CswRedeemTx:
     sender_sig: Signature
     receiver_signature: Signature
     csw_ref: tuple[int, Digest]
-
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_CSW_REDEEM_TX)
-            + self.message.encode()
-            + enc.enc_bytes(self.payload)
-            + self.proof.encode()
-            + enc.enc_bytes(self.sender_sig)
-            + enc.enc_bytes(self.receiver_signature)
-            + enc.enc_u32(self.csw_ref[0])
-            + enc.enc_digest(self.csw_ref[1])
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "message": self.message.to_json(),
-            "payload": self.payload.hex(),
-            "proof": self.proof.to_json(),
-            "sender_sig": self.sender_sig.hex(),
-            "receiver_signature": self.receiver_signature.hex(),
-            "csw_ref": {"sc_id": self.csw_ref[0], "nullifier": self.csw_ref[1].hex()},
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CswRedeemTx":
-        from .proofs import RedeemProof
-
-        ref = obj["csw_ref"]
-        return cls(
-            message=CscpMessage.from_json(obj["message"]),
-            payload=bytes.fromhex(obj["payload"]),
-            proof=RedeemProof.from_json(obj["proof"]),
-            sender_sig=bytes.fromhex(obj["sender_sig"]),
-            receiver_signature=bytes.fromhex(obj["receiver_signature"]),
-            csw_ref=(int(ref["sc_id"]), Digest(bytes.fromhex(ref["nullifier"]))),
-        )

@@ -26,13 +26,12 @@ from enum import IntEnum
 from typing import Protocol
 
 from . import encoding as enc
-from .encoding import ByteReader, DecodeError, canonical_digest
+from .encoding import DIGEST, PUBKEY, U64, ByteReader, DecodeError, canonical_digest, enum, list_of, nested, wire
 from .hashing import (
     Digest,
     EMPTY_ROOT,
     MerklePath,
     MerkleTree,
-    Sibling,
     build_merkle,
     fold_path,
     hash_bytes,
@@ -48,9 +47,6 @@ from .messages import (
     SCHEME_SIM_MERKLE,
     VerificationKey,
     WithdrawalCertificate,
-    decode_block_header,
-    decode_certificate,
-    decode_message,
     message_digest,
 )
 
@@ -87,6 +83,13 @@ class CswNotFound(Exception):
 # Public inputs
 # ---------------------------------------------------------------------------
 
+@wire(
+    enc.TAG_WCERT_INPUT,
+    ("quality", U64),
+    ("bt_list_root", DIGEST),
+    ("last_block_hash", DIGEST),
+    ("proofdata_root", DIGEST),
+)
 @dataclass(frozen=True)
 class WcertPublicInput:
     """What the mainchain pins down before verifying a certificate proof."""
@@ -96,16 +99,15 @@ class WcertPublicInput:
     last_block_hash: Digest
     proofdata_root: Digest
 
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_WCERT_INPUT)
-            + enc.enc_u64(self.quality)
-            + enc.enc_digest(self.bt_list_root)
-            + enc.enc_digest(self.last_block_hash)
-            + enc.enc_digest(self.proofdata_root)
-        )
 
-
+@wire(
+    enc.TAG_CSW_INPUT,
+    ("last_cert_block_hash", DIGEST),
+    ("nullifier", DIGEST),
+    ("receiver", PUBKEY),
+    ("amount", U64),
+    ("proofdata_root", DIGEST),
+)
 @dataclass(frozen=True)
 class CswPublicInput:
     """What the mainchain pins down before verifying a withdrawal proof."""
@@ -115,16 +117,6 @@ class CswPublicInput:
     receiver: PubKey
     amount: int
     proofdata_root: Digest
-
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_CSW_INPUT)
-            + enc.enc_digest(self.last_cert_block_hash)
-            + enc.enc_digest(self.nullifier)
-            + bytes(self.receiver)
-            + enc.enc_u64(self.amount)
-            + enc.enc_digest(self.proofdata_root)
-        )
 
 
 def make_wcert_input(
@@ -157,27 +149,6 @@ def make_csw_input(
     )
 
 
-def decode_wcert_input(reader: ByteReader) -> WcertPublicInput:
-    reader.expect_tag(enc.TAG_WCERT_INPUT)
-    return WcertPublicInput(
-        quality=reader.u64(),
-        bt_list_root=reader.digest(),
-        last_block_hash=reader.digest(),
-        proofdata_root=reader.digest(),
-    )
-
-
-def decode_csw_input(reader: ByteReader) -> CswPublicInput:
-    reader.expect_tag(enc.TAG_CSW_INPUT)
-    return CswPublicInput(
-        last_cert_block_hash=reader.digest(),
-        nullifier=reader.digest(),
-        receiver=PubKey(reader.take(32)),
-        amount=reader.u64(),
-        proofdata_root=reader.digest(),
-    )
-
-
 def csw_nullifier(sc_id: int, entity_digest: Digest) -> Digest:
     """Replay tag for a ceased-sidechain claim: binds chain and entity, so a
     second withdrawal of the same entity collides no matter how the embedded
@@ -187,25 +158,6 @@ def csw_nullifier(sc_id: int, entity_digest: Digest) -> Digest:
 
 def sim_merkle_vk(signer_public: PubKey) -> VerificationKey:
     return VerificationKey(scheme_id=SCHEME_SIM_MERKLE, params=bytes(signer_public))
-
-
-# ---------------------------------------------------------------------------
-# Path serialization shared by bundles and redeem proofs
-# ---------------------------------------------------------------------------
-
-def encode_path(path: MerklePath) -> bytes:
-    parts = [enc.enc_u32(path.leaf_index), enc.enc_u32(len(path.siblings))]
-    for s in path.siblings:
-        parts.append(enc.enc_digest(s.digest))
-        parts.append(enc.enc_bool(s.on_left))
-    return b"".join(parts)
-
-
-def decode_path(reader: ByteReader) -> MerklePath:
-    leaf_index = reader.u32()
-    count = reader.u32()
-    sibs = tuple(Sibling(digest=reader.digest(), on_left=reader.boolean()) for _ in range(count))
-    return MerklePath(leaf_index=leaf_index, siblings=sibs)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +336,18 @@ def prove_csw(signer: KeyPair, sc_id: int, public_input: CswPublicInput, claim: 
     else:
         parts.append(enc.enc_u8(0))
     parts.append(enc.enc_digest_list(proofdata))
-    parts.append(encode_path(state_path))
+    parts.append(state_path.encode())
     parts.append(enc.enc_digest(claim.committed.root))
     parts.append(enc.enc_bytes(claim.anchor.cert.encode()))
-    parts.append(encode_path(claim.anchor.stc_path))
+    parts.append(claim.anchor.stc_path.encode())
     parts.append(claim.anchor.header.encode())
     if claim.return_evidence is not None:
         ev = claim.return_evidence
         parts.append(enc.enc_u8(1))
         parts.append(ev.return_message.encode())
-        parts.append(encode_path(ev.msg_path))
+        parts.append(ev.msg_path.encode())
         parts.append(enc.enc_bytes(ev.holder_cert.encode()))
-        parts.append(encode_path(ev.holder_stc_path))
+        parts.append(ev.holder_stc_path.encode())
         parts.append(ev.holder_header.encode())
         parts.append(enc.enc_bytes(ev.returned_instance_bytes))
     else:
@@ -424,22 +376,22 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
         sc_id = reader.u32()
         kind = ClaimKind(reader.u8())
         entity_bytes = reader.raw_bytes()
-        message = decode_message(reader) if reader.boolean() else None
+        message = CscpMessage.read(reader) if reader.boolean() else None
         proofdata = reader.digest_list()
-        state_path = decode_path(reader)
+        state_path = MerklePath.read(reader)
         state_root = reader.digest()
         cert_bytes = reader.raw_bytes()
-        cert = decode_certificate(ByteReader(cert_bytes))
-        stc_path = decode_path(reader)
-        header = decode_block_header(reader)
+        cert = WithdrawalCertificate.read(ByteReader(cert_bytes))
+        stc_path = MerklePath.read(reader)
+        header = BlockHeader.read(reader)
         evidence = None
         if reader.boolean():
-            ev_message = decode_message(reader)
-            ev_msg_path = decode_path(reader)
+            ev_message = CscpMessage.read(reader)
+            ev_msg_path = MerklePath.read(reader)
             holder_cert_bytes = reader.raw_bytes()
-            holder_cert = decode_certificate(ByteReader(holder_cert_bytes))
-            holder_stc_path = decode_path(reader)
-            holder_header = decode_block_header(reader)
+            holder_cert = WithdrawalCertificate.read(ByteReader(holder_cert_bytes))
+            holder_stc_path = MerklePath.read(reader)
+            holder_header = BlockHeader.read(reader)
             returned_bytes = reader.raw_bytes()
             evidence = (ev_message, ev_msg_path, holder_cert_bytes, holder_cert,
                         holder_stc_path, holder_header, returned_bytes)
@@ -497,13 +449,13 @@ def _check_return_evidence(
     evidence,
     holder_block_hash: Digest,
 ) -> bool:
-    from .tokens import decode_sent_record, decode_token_instance
+    from .tokens import SentRecord, TokenInstance
 
     (ev_message, ev_msg_path, holder_cert_bytes, holder_cert,
      holder_stc_path, holder_header, returned_bytes) = evidence
     try:
-        record = decode_sent_record(record_bytes)
-        instance = decode_token_instance(returned_bytes)
+        record = SentRecord.decode(record_bytes)
+        instance = TokenInstance.decode(returned_bytes)
     except (DecodeError, ValueError):
         return False
     if canonical_digest(holder_header) != holder_block_hash:
@@ -552,6 +504,7 @@ class SourceKind(IntEnum):
     CSW = 1
 
 
+@wire(None, ("posting_digest", DIGEST), ("segments", list_of("MerklePath")))
 @dataclass(frozen=True)
 class CommitmentChain:
     """Merkle-path chain from a mainchain posting into a block commitment.
@@ -565,25 +518,15 @@ class CommitmentChain:
     posting_digest: Digest
     segments: tuple[MerklePath, ...]
 
-    def encode(self) -> bytes:
-        parts = [enc.enc_digest(self.posting_digest), enc.enc_u32(len(self.segments))]
-        parts.extend(encode_path(p) for p in self.segments)
-        return b"".join(parts)
 
-    def to_json(self) -> dict:
-        return {
-            "posting_digest": self.posting_digest.hex(),
-            "segments": [p.to_json() for p in self.segments],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CommitmentChain":
-        return cls(
-            posting_digest=Digest(bytes.fromhex(obj["posting_digest"])),
-            segments=tuple(MerklePath.from_json(p) for p in obj["segments"]),
-        )
-
-
+@wire(
+    enc.TAG_REDEEM_PROOF,
+    ("source_kind", enum(SourceKind)),
+    ("msg_path", nested("MerklePath")),
+    ("msg_tree_root", DIGEST),
+    ("commitment_path", nested("CommitmentChain")),
+    ("block_hash", DIGEST),
+)
 @dataclass(frozen=True)
 class RedeemProof:
     """Evidence that a message was committed and mainchain-confirmed.
@@ -600,52 +543,6 @@ class RedeemProof:
     msg_tree_root: Digest
     commitment_path: CommitmentChain
     block_hash: Digest
-
-    def encode(self) -> bytes:
-        return (
-            enc.enc_u8(enc.TAG_REDEEM_PROOF)
-            + enc.enc_u8(int(self.source_kind))
-            + encode_path(self.msg_path)
-            + enc.enc_digest(self.msg_tree_root)
-            + self.commitment_path.encode()
-            + enc.enc_digest(self.block_hash)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "source_kind": "certificate" if self.source_kind is SourceKind.CERTIFICATE else "csw",
-            "msg_path": self.msg_path.to_json(),
-            "msg_tree_root": self.msg_tree_root.hex(),
-            "commitment_path": self.commitment_path.to_json(),
-            "block_hash": self.block_hash.hex(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RedeemProof":
-        return cls(
-            source_kind=SourceKind.CERTIFICATE if obj["source_kind"] == "certificate" else SourceKind.CSW,
-            msg_path=MerklePath.from_json(obj["msg_path"]),
-            msg_tree_root=Digest(bytes.fromhex(obj["msg_tree_root"])),
-            commitment_path=CommitmentChain.from_json(obj["commitment_path"]),
-            block_hash=Digest(bytes.fromhex(obj["block_hash"])),
-        )
-
-
-def decode_redeem_proof(reader: ByteReader) -> RedeemProof:
-    reader.expect_tag(enc.TAG_REDEEM_PROOF)
-    source = SourceKind(reader.u8())
-    msg_path = decode_path(reader)
-    msg_tree_root = reader.digest()
-    posting_digest = reader.digest()
-    segments = tuple(decode_path(reader) for _ in range(reader.u32()))
-    block_hash = reader.digest()
-    return RedeemProof(
-        source_kind=source,
-        msg_path=msg_path,
-        msg_tree_root=msg_tree_root,
-        commitment_path=CommitmentChain(posting_digest=posting_digest, segments=segments),
-        block_hash=block_hash,
-    )
 
 
 def build_redeem_proof(

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .encoding import U64_MAX  # amounts and token ids are u64 on the wire
+from .encoding import U32_MAX, U64_MAX  # epoch lengths are u32 on the wire, amounts and token ids u64
 from .tokens import (
     VARIANT_ISSUER_NOTIFICATION,
     VARIANT_NO_RECEIVER_TRACKING,
@@ -45,6 +45,10 @@ STEP_OPS = (
 )
 
 CSW_MODES = ("held", "foreign", "sent_record")
+
+#: Most blocks one advance_mainchain step may seal: each block costs real
+#: time (30 000 take about a second), and scenarios need only a few.
+MAX_ADVANCE_BLOCKS = 100_000
 
 
 @dataclass(frozen=True)
@@ -122,6 +126,8 @@ def _chain_spec(obj: dict, index: int) -> ChainSpec:
     epoch_length = _need(obj, "epoch_length", int, where)
     if epoch_length < 2:
         raise ParseError(f"{where}: field 'epoch_length' must be at least 2")
+    if epoch_length > U32_MAX:
+        raise ParseError(f"{where}: field 'epoch_length' must be at most 2^32-1")
     faulty = obj.get("faulty_mode")
     if faulty is not None and faulty not in FAULTY_MODES:
         raise ParseError(
@@ -213,6 +219,8 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
                     raise ParseError(f"{where}: field 'chains' references undeclared chain {label!r}")
     if op == "advance_mainchain" and step["blocks"] < 1:
         raise ParseError(f"{where}: field 'blocks' must be positive")
+    if op == "advance_mainchain" and step["blocks"] > MAX_ADVANCE_BLOCKS:
+        raise ParseError(f"{where}: field 'blocks' must be at most {MAX_ADVANCE_BLOCKS}")
     if op == "redeem" and step["send"] not in send_ids:
         raise ParseError(f"{where}: field 'send' references unknown send id {step['send']!r}")
     if op == "csw":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from . import verdict as v
-from .encoding import canonical_digest
+from .encoding import canonical_digest, to_json
 from .hashing import Digest, MerkleTree, build_merkle, hash_bytes
 from .journal import JournalDict, JournalList, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
@@ -356,7 +356,7 @@ class Sidechain:
             "label": self.label,
             "redeemed": sorted(d.hex() for d in self.redeemed),
             "outbox": [
-                {"message": m.to_json(), "payload": p.hex()} for m, p in self.outbox
+                {"message": to_json(m), "payload": p.hex()} for m, p in self.outbox
             ],
             "epochs_closed": len(self.epochs),
             "handlers": {str(t): h.dump() for t, h in sorted(self.handlers.items())},

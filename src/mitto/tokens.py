@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import encoding as enc
-from .encoding import ByteReader, DecodeError, canonical_digest
+from .encoding import DIGEST, PUBKEY, STR, U32, UNITS, DecodeError, canonical_digest, to_json, wire
 from .hashing import Digest, hash_bytes, merkle_path
 from .journal import JournalDict, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
@@ -69,6 +69,14 @@ class NotOwner(Exception):
     """Caller's key does not own the instance."""
 
 
+@wire(
+    enc.TAG_TOKEN_INSTANCE,
+    ("token_name", STR),
+    (("fungibility", "amount", "token_id"), UNITS),
+    ("issuer_sc_id", U32),
+    ("owner", PUBKEY),
+    ("data_hash", DIGEST),
+)
 @dataclass(frozen=True)
 class TokenInstance:
     """One non-fungible token or one parcel of fungible tokens."""
@@ -93,64 +101,13 @@ class TokenInstance:
             if self.token_id < 0:
                 raise ValueError("token id must be nonnegative")
 
-    def encode(self) -> bytes:
-        units = self.amount if self.fungibility else self.token_id
-        return (
-            enc.enc_u8(enc.TAG_TOKEN_INSTANCE)
-            + enc.enc_str(self.token_name)
-            + enc.enc_bool(self.fungibility)
-            + enc.enc_u64(units)
-            + enc.enc_u32(self.issuer_sc_id)
-            + bytes(self.owner)
-            + enc.enc_digest(self.data_hash)
-        )
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "token_name": self.token_name,
-            "fungibility": self.fungibility,
-            "issuer_sc_id": self.issuer_sc_id,
-            "owner": self.owner.hex(),
-            "data_hash": self.data_hash.hex(),
-        }
-        if self.fungibility:
-            out["amount"] = self.amount
-        else:
-            out["token_id"] = self.token_id
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TokenInstance":
-        return cls(
-            token_name=obj["token_name"],
-            fungibility=bool(obj["fungibility"]),
-            issuer_sc_id=int(obj["issuer_sc_id"]),
-            owner=PubKey(bytes.fromhex(obj["owner"])),
-            data_hash=Digest(bytes.fromhex(obj["data_hash"])),
-            amount=int(obj["amount"]) if obj.get("amount") is not None else None,
-            token_id=int(obj["token_id"]) if obj.get("token_id") is not None else None,
-        )
-
-
-def decode_token_instance(data: bytes) -> TokenInstance:
-    reader = ByteReader(data)
-    reader.expect_tag(enc.TAG_TOKEN_INSTANCE)
-    token_name = reader.string()
-    fungibility = reader.boolean()
-    units = reader.u64()
-    instance = TokenInstance(
-        token_name=token_name,
-        fungibility=fungibility,
-        issuer_sc_id=reader.u32(),
-        owner=PubKey(reader.take(32)),
-        data_hash=reader.digest(),
-        amount=units if fungibility else None,
-        token_id=None if fungibility else units,
-    )
-    reader.finish()
-    return instance
-
-
+@wire(
+    enc.TAG_SENT_RECORD,
+    ("receiver_sc_id", U32),
+    ("token_name", STR),
+    (("fungibility", "amount", "token_id"), UNITS),
+)
 @dataclass(frozen=True)
 class SentRecord:
     """Issuer-side account of own tokens sent to one counterparty chain."""
@@ -168,55 +125,14 @@ class SentRecord:
         elif self.token_id is None or self.amount is not None:
             raise ValueError("non-fungible sent record carries a token id only")
 
-    def encode(self) -> bytes:
-        units = self.amount if self.fungibility else self.token_id
-        return (
-            enc.enc_u8(enc.TAG_SENT_RECORD)
-            + enc.enc_u32(self.receiver_sc_id)
-            + enc.enc_str(self.token_name)
-            + enc.enc_bool(self.fungibility)
-            + enc.enc_u64(units)
-        )
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "receiver_sc_id": self.receiver_sc_id,
-            "token_name": self.token_name,
-            "fungibility": self.fungibility,
-        }
-        if self.fungibility:
-            out["amount"] = self.amount
-        else:
-            out["token_id"] = self.token_id
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SentRecord":
-        return cls(
-            receiver_sc_id=int(obj["receiver_sc_id"]),
-            token_name=obj["token_name"],
-            fungibility=bool(obj["fungibility"]),
-            amount=int(obj["amount"]) if obj.get("amount") is not None else None,
-            token_id=int(obj["token_id"]) if obj.get("token_id") is not None else None,
-        )
-
-
-def decode_sent_record(data: bytes) -> SentRecord:
-    reader = ByteReader(data)
-    reader.expect_tag(enc.TAG_SENT_RECORD)
-    receiver_sc_id = reader.u32()
-    token_name = reader.string()
-    fungibility = reader.boolean()
-    units = reader.u64()
-    record = SentRecord(
-        receiver_sc_id=receiver_sc_id,
-        token_name=token_name,
-        fungibility=fungibility,
-        amount=units if fungibility else None,
-        token_id=None if fungibility else units,
-    )
-    reader.finish()
-    return record
+def parse_payload(payload: bytes) -> TokenInstance | None:
+    """The token instance a message payload carries, or None when the
+    payload does not decode to one."""
+    try:
+        return TokenInstance.decode(payload)
+    except (DecodeError, ValueError):
+        return None
 
 
 class TokenNameRegistry:
@@ -531,39 +447,17 @@ class MittoState:
     def dump(self) -> dict:
         instances = []
         for digest in sorted(self.s_tks):
-            entry = self.s_tks[digest].to_json()
+            entry = to_json(self.s_tks[digest])
             entry["digest"] = digest.hex()
             instances.append(entry)
         return {
             "sc_id": self.sc_id,
             "variant": self.variant,
             "s_tks": instances,
-            "s_sent": [self.s_sent[key].to_json() for key in sorted(self.s_sent)],
+            "s_sent": [to_json(self.s_sent[key]) for key in sorted(self.s_sent)],
             "issued": dict(sorted(self.issued_totals.items())),
             "registry": self.registry.dump(),
         }
-
-    @classmethod
-    def from_dump(cls, obj: dict) -> "MittoState":
-        registry = TokenNameRegistry()
-        for name, entry in obj.get("registry", {}).items():
-            registry.register(name, bool(entry["fungibility"]), int(entry["issuer_sc_id"]))
-        state = cls(
-            sc_id=int(obj["sc_id"]),
-            registry=registry,
-            variant=obj.get("variant", VARIANT_STANDARD),
-        )
-        for entry in obj.get("s_tks", []):
-            instance = TokenInstance.from_json(entry)
-            state.s_tks[canonical_digest(instance)] = instance
-        for entry in obj.get("s_sent", []):
-            record = SentRecord.from_json(entry)
-            state.s_sent[_record_key(record)] = record
-        state.issued_totals.update((name, int(total)) for name, total in obj.get("issued", {}).items())
-        for entry in obj.get("s_tks", []):
-            if entry.get("token_id") is not None:
-                state.issued_token_ids.add((entry["token_name"], int(entry["token_id"])))
-        return state
 
 
 class TokenTransferHandler:
@@ -572,29 +466,23 @@ class TokenTransferHandler:
     def __init__(self, state: MittoState) -> None:
         self.state = state
 
-    def _decode(self, payload: bytes) -> TokenInstance | None:
-        try:
-            return decode_token_instance(payload)
-        except (DecodeError, ValueError):
-            return None
-
     def validate_send(self, message: CscpMessage, payload: bytes, signature: Signature) -> str | None:
-        instance = self._decode(payload)
+        instance = parse_payload(payload)
         if instance is None:
             return "malformed-payload"
         return self.state.validate_send(instance, message, signature)
 
     def apply_send(self, message: CscpMessage, payload: bytes) -> None:
-        self.state.apply_send(decode_token_instance(payload), message)
+        self.state.apply_send(TokenInstance.decode(payload), message)
 
     def validate_redeem(self, message: CscpMessage, payload: bytes, sender_sig: Signature) -> str | None:
-        instance = self._decode(payload)
+        instance = parse_payload(payload)
         if instance is None:
             return "malformed-payload"
         return self.state.validate_redeem(instance, message, sender_sig)
 
     def apply_redeem(self, message: CscpMessage, payload: bytes) -> None:
-        self.state.apply_redeem(decode_token_instance(payload), message)
+        self.state.apply_redeem(TokenInstance.decode(payload), message)
 
     def state_digests(self) -> list[Digest]:
         return self.state.entity_digests()
@@ -604,6 +492,14 @@ class TokenTransferHandler:
 
     def dump(self) -> dict:
         return self.state.dump()
+
+
+def attach_token_ledger(chain, registry: TokenNameRegistry, variant: str = VARIANT_STANDARD) -> MittoState:
+    """Give ``chain`` a token ledger on the shared name registry, registered
+    as its token-transfer handler, and return the ledger."""
+    state = MittoState(sc_id=chain.sc_id, registry=registry, variant=variant)
+    chain.register_handler(MSG_TYPE_TOKEN_TRANSFER, TokenTransferHandler(state))
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +598,7 @@ def withdraw_native_sent(
     the returned instance to the target chain.
     """
     mainchain = ceased.mainchain
-    instance = decode_token_instance(return_payload)
+    instance = TokenInstance.decode(return_payload)
     if instance.owner != owner.public:
         raise NotOwner(f"returned instance belongs to {instance.owner.hex()}")
 

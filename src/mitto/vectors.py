@@ -37,7 +37,7 @@ from .tokens import (
     MittoState,
     SentRecord,
     TokenNameRegistry,
-    TokenTransferHandler,
+    attach_token_ledger,
     withdraw_native_held,
 )
 from .verdict import Verdict
@@ -342,10 +342,8 @@ def _world() -> SimpleNamespace:
     w.states = {}
     for label in ("alpha", "beta", "gamma"):
         chain = Sidechain.create(w.mc, 2, label, seed=_SEED)
-        state = MittoState(sc_id=chain.sc_id, registry=w.registry)
-        chain.register_handler(MSG_TYPE_TOKEN_TRANSFER, TokenTransferHandler(state))
         w.chains[label] = chain
-        w.states[label] = state
+        w.states[label] = attach_token_ledger(chain, w.registry)
     w.mc.advance_block()
     w.alpha, w.beta, w.gamma = (w.chains[k] for k in ("alpha", "beta", "gamma"))
 
@@ -395,10 +393,8 @@ def _ceased() -> SimpleNamespace:
     w.states = {}
     for label in ("alpha", "beta"):
         chain = Sidechain.create(w.mc, 2, label, seed=_SEED)
-        state = MittoState(sc_id=chain.sc_id, registry=w.registry)
-        chain.register_handler(MSG_TYPE_TOKEN_TRANSFER, TokenTransferHandler(state))
         w.chains[label] = chain
-        w.states[label] = state
+        w.states[label] = attach_token_ledger(chain, w.registry)
     w.mc.advance_block()
     w.alpha, w.beta = w.chains["alpha"], w.chains["beta"]
     w.keep = w.states["alpha"].issue("KEEP", True, w.alice.public, hash_bytes(b"KEEP"), amount=50)

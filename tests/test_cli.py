@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, report files, dumps, vectors."""
+"""Command-line behavior: exit codes, report files, dumps, directory runs, fuzz, vectors."""
 import json
 from pathlib import Path
 
@@ -158,15 +158,50 @@ def test_wallet_merge_overflow_exit_two(tmp_path, capsys):
 
 
 def test_fuzz_mode(capsys):
-    assert main(["run", GOLDEN, "--fuzz", "3", "--seed", "11", "--json-report", "/dev/null"]) == 0
+    assert main(["fuzz", "--traces", "3", "--seed", "11"]) == 0
     out = capsys.readouterr().out
     assert "3 traces" in out
     assert "routing 3/3 rejected" in out
 
 
 def test_fuzz_count_must_be_positive(capsys):
-    assert main(["run", GOLDEN, "--fuzz", "0"]) == 2
+    assert main(["fuzz", "--traces", "0"]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+def test_run_directory_runs_every_scenario(capsys):
+    assert main(["run", str(SCENARIO_DIR)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
+    assert [line.split(":")[0] for line in lines[:-1]] == names
+    assert all(line.endswith(", ok") for line in lines[:-1])
+    assert lines[-1] == f"{len(names)}/{len(names)} scenarios passed"
+
+
+def test_run_directory_exit_code_is_the_worst(tmp_path, capsys):
+    (tmp_path / "a_golden.json").write_text(Path(GOLDEN).read_text())
+    assert main(["run", str(tmp_path)]) == 0
+    write_scenario(tmp_path, {"name": "x"}, name="b_broken.json")
+    assert main(["run", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "b_broken.json: parse error" in captured.err
+    assert "1/2 scenarios passed" in captured.out
+    assert main(["run", str(tmp_path), "--json-report", str(tmp_path / "r.json")]) == 2
+    (tmp_path / "empty").mkdir()
+    assert main(["run", str(tmp_path / "empty")]) == 2
+    assert "no scenarios" in capsys.readouterr().err
+
+
+def test_epoch_length_beyond_u32_exit_two(tmp_path, capsys):
+    path = write_scenario(tmp_path, {
+        "name": "long_epochs",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 99999999999}, {"label": "beta", "epoch_length": 2}],
+        "steps": [],
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert "at most 2^32-1" in capsys.readouterr().err
 
 
 def test_vectors_emit_then_check(tmp_path, capsys):

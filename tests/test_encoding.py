@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from mitto.encoding import (
     ByteReader,
     DecodeError,
-    enc_bool,
     enc_bytes,
     enc_digest_list,
     enc_str,
@@ -13,7 +12,8 @@ from mitto.encoding import (
     enc_u32,
     enc_u64,
 )
-from mitto.hashing import hash_bytes
+from mitto.hashing import Sibling, hash_bytes
+from mitto.messages import BlockHeader
 
 
 def test_fixed_width_big_endian():
@@ -35,10 +35,13 @@ def test_out_of_range_integers_rejected():
 
 
 def test_bool_is_single_strict_byte():
-    assert enc_bool(True) == b"\x01"
-    assert enc_bool(False) == b"\x00"
+    d = hash_bytes(b"x")
+    assert Sibling(d, True).encode() == d + b"\x01"
+    assert Sibling(d, False).encode() == d + b"\x00"
     with pytest.raises(DecodeError):
         ByteReader(b"\x02").boolean()
+    with pytest.raises(DecodeError):
+        Sibling.decode(d + b"\x02")
 
 
 def test_length_prefixed_bytes_and_str():
@@ -54,11 +57,10 @@ def test_digest_list_layout():
 
 def test_reader_roundtrip():
     d0 = hash_bytes(b"x")
-    blob = enc_u8(7) + enc_u32(9) + enc_u64(11) + enc_bool(True) + enc_bytes(b"pay") + enc_str("nm") + d0
+    blob = enc_u8(7) + enc_u32(9) + b"\x01" + enc_bytes(b"pay") + enc_str("nm") + d0
     r = ByteReader(blob)
     assert r.u8() == 7
     assert r.u32() == 9
-    assert r.u64() == 11
     assert r.boolean() is True
     assert r.raw_bytes() == b"pay"
     assert r.string() == "nm"
@@ -80,10 +82,11 @@ def test_reader_rejects_trailing_garbage():
 
 
 def test_expect_tag():
-    r = ByteReader(b"\x04rest")
-    r.expect_tag(0x04)
-    with pytest.raises(DecodeError):
-        ByteReader(b"\x05").expect_tag(0x04)
+    header = BlockHeader(height=1, parent_hash=hash_bytes(b"p"), stc_root=hash_bytes(b"s"))
+    encoded = header.encode()
+    assert BlockHeader.decode(encoded) == header
+    with pytest.raises(DecodeError, match="expected tag 0x07, got 0x04"):
+        BlockHeader.decode(b"\x04" + encoded[1:])
 
 
 def test_reading_past_end_raises():
@@ -94,9 +97,9 @@ def test_reading_past_end_raises():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_u64_roundtrip_property(n):
-    r = ByteReader(enc_u64(n))
-    assert r.u64() == n
-    r.finish()
+    assert int.from_bytes(enc_u64(n), "big") == n
+    header = BlockHeader(height=n, parent_hash=hash_bytes(b"p"), stc_root=hash_bytes(b"s"))
+    assert BlockHeader.decode(header.encode()).height == n
 
 
 @settings(max_examples=80, deadline=None)

@@ -50,6 +50,13 @@ class TestRegistration:
         with pytest.raises(InvalidParams):
             mc.register_sidechain(1, bare_vk("a"), bare_vk("b"))
 
+    def test_epoch_length_must_fit_u32(self):
+        mc = Mainchain()
+        with pytest.raises(InvalidParams):
+            mc.register_sidechain(2**32, bare_vk("a"), bare_vk("b"))
+        assert mc.register_sidechain(2**32 - 1, bare_vk("a"), bare_vk("b")) == 1
+        mc.advance_block()
+
     def test_pending_until_next_block(self):
         mc = Mainchain()
         sc = mc.register_sidechain(2, bare_vk("a"), bare_vk("b"))

@@ -12,7 +12,7 @@ import pytest
 from worlds import ceased_world, committed_world, make_send, two_chain_world
 
 from mitto.encoding import ByteReader, canonical_digest, enc_u32
-from mitto.hashing import EMPTY_ROOT, build_merkle, hash_bytes, merkle_path
+from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path
 from mitto.keys import KeyPair
 from mitto.messages import Proof, VerificationKey, message_digest
 from mitto.proofs import (
@@ -21,22 +21,20 @@ from mitto.proofs import (
     CommittedState,
     CswClaim,
     CswNotFound,
+    CswPublicInput,
     EntityNotInState,
     InconsistentWitness,
     MessageMismatch,
     MessageNotCommitted,
+    RedeemProof,
     SchemeMismatch,
     SourceKind,
     StateAnchor,
+    WcertPublicInput,
     build_csw_redeem_proof,
     build_redeem_proof,
     claim_proofdata,
     csw_nullifier,
-    decode_csw_input,
-    decode_path,
-    decode_redeem_proof,
-    decode_wcert_input,
-    encode_path,
     make_csw_input,
     make_wcert_input,
     prove_csw,
@@ -62,15 +60,15 @@ def test_nullifier_formula_matches_independent_recomputation():
 
 def test_public_input_encode_decode_roundtrip():
     wc = make_wcert_input(5, (b"bt",), hash_bytes(b"blk"), (hash_bytes(b"pd"),))
-    assert decode_wcert_input(ByteReader(wc.encode())) == wc
+    assert WcertPublicInput.read(ByteReader(wc.encode())) == wc
     csw = make_csw_input(hash_bytes(b"blk"), hash_bytes(b"nul"), SIGNER.public, 0, (hash_bytes(b"pd"),))
-    assert decode_csw_input(ByteReader(csw.encode())) == csw
+    assert CswPublicInput.read(ByteReader(csw.encode())) == csw
 
 
 def test_path_codec_roundtrip():
     tree = build_merkle([hash_bytes(bytes([i])) for i in range(5)])
     path = merkle_path(tree, 3)
-    decoded = decode_path(ByteReader(encode_path(path)))
+    decoded = MerklePath.read(ByteReader(path.encode()))
     assert decoded == path
 
 
@@ -240,9 +238,8 @@ class TestRedeemEvidence:
         alpha = w.chains["alpha"]
         proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
         assert verify_redeem(w.mc, w.message, w.send_tx.payload, proof)
-        decoded = decode_redeem_proof(ByteReader(proof.encode()))
+        decoded = RedeemProof.read(ByteReader(proof.encode()))
         assert decoded == proof
-        assert type(proof).from_json(proof.to_json()) == proof
 
     def test_uncommitted_message_cannot_be_proved(self):
         w = committed_world()
@@ -293,7 +290,7 @@ class TestRedeemEvidence:
         proof = build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
         assert proof.source_kind == SourceKind.CSW
         assert verify_redeem(w.mc, pkg.message, pkg.payload, proof)
-        assert decode_redeem_proof(ByteReader(proof.encode())) == proof
+        assert RedeemProof.read(ByteReader(proof.encode())) == proof
 
     def test_csw_lookup_failures_raise(self):
         w = ceased_world()

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mitto.scenario import ParseError, load_scenario, parse_scenario
+from mitto.scenario import MAX_ADVANCE_BLOCKS, ParseError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -173,6 +173,22 @@ def test_load_missing_file(tmp_path):
 def test_advance_mainchain_positive():
     with pytest.raises(ParseError, match="'blocks' must be positive"):
         parse_scenario(minimal(steps=[{"op": "advance_mainchain", "blocks": 0}]))
+
+
+def test_advance_mainchain_bounded():
+    parse_scenario(minimal(steps=[{"op": "advance_mainchain", "blocks": MAX_ADVANCE_BLOCKS}]))
+    for blocks in (MAX_ADVANCE_BLOCKS + 1, 2**64):
+        with pytest.raises(ParseError, match=rf"steps\[0\].*'blocks' must be at most {MAX_ADVANCE_BLOCKS}"):
+            parse_scenario(minimal(steps=[{"op": "advance_mainchain", "blocks": blocks}]))
+
+
+def test_epoch_length_bounded_to_u32():
+    obj = minimal()
+    obj["chains"][0]["epoch_length"] = 2**32 - 1
+    parse_scenario(obj)
+    obj["chains"][0]["epoch_length"] = 2**32
+    with pytest.raises(ParseError, match=r"chains\[0\].*'epoch_length' must be at most 2\^32-1"):
+        parse_scenario(obj)
 
 
 def test_close_epoch_chain_list():

@@ -27,8 +27,6 @@ from mitto.tokens import (
     TokenNameRegistry,
     TokenTransferHandler,
     ZeroAmount,
-    decode_sent_record,
-    decode_token_instance,
 )
 
 ALICE = KeyPair.from_label("actor", 0, "alice")
@@ -75,12 +73,10 @@ class TestInstanceTypes:
     def test_codec_roundtrips(self):
         fungible = TokenInstance("WBT", True, HOME, ALICE.public, hash_bytes(b"d"), amount=10)
         nft = TokenInstance("ART", False, HOME, ALICE.public, hash_bytes(b"d"), token_id=7)
-        assert decode_token_instance(fungible.encode()) == fungible
-        assert decode_token_instance(nft.encode()) == nft
-        assert TokenInstance.from_json(fungible.to_json()) == fungible
+        assert TokenInstance.decode(fungible.encode()) == fungible
+        assert TokenInstance.decode(nft.encode()) == nft
         record = SentRecord(AWAY, "WBT", True, amount=10)
-        assert decode_sent_record(record.encode()) == record
-        assert SentRecord.from_json(record.to_json()) == record
+        assert SentRecord.decode(record.encode()) == record
 
 
 class TestIssue:
@@ -487,16 +483,6 @@ class TestHandlerAdapter:
 
 
 class TestDump:
-    def test_dump_roundtrip(self):
-        state = fresh_state()
-        state.issue("WBT", True, ALICE.public, hash_bytes(b"g"), amount=10)
-        ti = state.issue("ART", False, ALICE.public, hash_bytes(b"a"), token_id=1)
-        state.apply_send(ti, send_message(ti))
-        dumped = state.dump()
-        restored = MittoState.from_dump(dumped)
-        assert restored.dump() == dumped
-        assert restored.s_sent == state.s_sent
-
     def test_dump_is_sorted_and_json_safe(self):
         import json
 

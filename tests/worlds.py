@@ -21,7 +21,7 @@ from mitto.messages import (
 )
 from mitto.proofs import build_csw_redeem_proof, build_redeem_proof
 from mitto.sidechain import Sidechain
-from mitto.tokens import MittoState, TokenNameRegistry, TokenTransferHandler
+from mitto.tokens import TokenNameRegistry, attach_token_ledger
 
 
 def two_chain_world(epoch_length=2, seed=1):
@@ -31,9 +31,7 @@ def two_chain_world(epoch_length=2, seed=1):
     chains, states = {}, {}
     for label in ("alpha", "beta"):
         sc = Sidechain.create(mc, epoch_length, label, seed=seed)
-        st = MittoState(sc_id=sc.sc_id, registry=registry)
-        sc.register_handler(MSG_TYPE_TOKEN_TRANSFER, TokenTransferHandler(st))
-        chains[label], states[label] = sc, st
+        chains[label], states[label] = sc, attach_token_ledger(sc, registry)
     mc.advance_block()
     return SimpleNamespace(
         mc=mc,
@@ -115,9 +113,7 @@ def ceased_world(seed=1):
     chains, states = {}, {}
     for label in ("alpha", "beta", "gamma"):
         sc = Sidechain.create(mc, 2, label, seed=seed)
-        st = MittoState(sc_id=sc.sc_id, registry=registry)
-        sc.register_handler(MSG_TYPE_TOKEN_TRANSFER, TokenTransferHandler(st))
-        chains[label], states[label] = sc, st
+        chains[label], states[label] = sc, attach_token_ledger(sc, registry)
     mc.advance_block()
     w = SimpleNamespace(
         mc=mc,
