@@ -81,11 +81,6 @@ def enc_digest(value: Digest) -> bytes:
     return bytes(value)
 
 
-def enc_digest_list(values) -> bytes:
-    values = list(values)
-    return enc_u32(len(values)) + b"".join(map(enc_digest, values))
-
-
 class ByteReader:
     """Strict cursor over an encoded byte string.
 
@@ -104,17 +99,8 @@ class ByteReader:
         self._pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
-
-    def boolean(self) -> bool:
-        b = self.u8()
-        if b not in (0, 1):
-            raise DecodeError(f"bad bool byte {b}")
-        return b == 1
 
     def raw_bytes(self) -> bytes:
         return self.take(self.u32())
@@ -125,15 +111,9 @@ class ByteReader:
         except UnicodeDecodeError as exc:
             raise DecodeError("invalid utf-8") from exc
 
-    def digest(self) -> Digest:
-        return Digest(self.take(32))
-
     def digests(self, count: int) -> tuple[Digest, ...]:
         data = self.take(32 * count)
         return tuple([Digest(data[i : i + 32]) for i in range(0, len(data), 32)])
-
-    def digest_list(self) -> tuple[Digest, ...]:
-        return self.digests(self.u32())
 
     def finish(self) -> None:
         if self._pos != len(self._data):
@@ -230,10 +210,39 @@ def list_of(type_name: str) -> Codec:
     )
 
 
+def optional(type_name: str) -> Codec:
+    """A flag byte, then one value of the named wire type when the flag is 1."""
+    return Codec(
+        "optional",
+        put=(("B", "0 if {v} is None else 1"), ("", "b'' if {v} is None else {v}.encode()")),
+        get=(("B", ""), ("", f"{type_name}.read(r) if _flag({{0}}) else None")),
+        value="{1}",
+        ref=type_name,
+    )
+
+
+def sized(type_name: str) -> Codec:
+    """One value of the named wire type inside a u32 length prefix, decoded
+    strictly: the value must fill its length exactly."""
+    return Codec(
+        "sized",
+        put=(("", "enc_bytes({v}.encode())"),),
+        get=(("", f"{type_name}.decode(r.raw_bytes())"),),
+        ref=type_name,
+    )
+
+
 def enum(enum_type) -> Codec:
     """A one-byte IntEnum; an unknown value raises ValueError."""
     _bind(enum_type.__name__, enum_type)
     return Codec("enum", put=(("B", "{v}"),), get=(("B", ""),), value=f"{enum_type.__name__}({{0}})", ref=enum_type)
+
+
+def _flag(byte: int) -> bool:
+    """An optional's presence flag; any byte but 0 or 1 is malformed."""
+    if byte > 1:
+        raise DecodeError(f"bad optional flag {byte}")
+    return byte == 1
 
 
 #: Every declared wire type, by class name.
@@ -245,6 +254,7 @@ _NAMESPACE: dict = {
     "Digest": Digest,
     "PubKey": PubKey,
     "StructError": struct.error,
+    "_flag": _flag,
     "enc_bytes": enc_bytes,
     "enc_digest": enc_digest,
     "enc_str": enc_str,

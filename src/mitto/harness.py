@@ -22,18 +22,15 @@ from pathlib import Path
 
 from .accountant import Accountant
 from .encoding import canonical_digest
-from .hashing import Digest, hash_bytes
+from .hashing import hash_bytes
 from .journal import WriteMarks
 from .keys import KeyPair, PubKey
 from .mainchain import Mainchain, STATUS_CEASED
 from .messages import (
     MSG_TYPE_TOKEN_TRANSFER,
     CscpMessage,
-    CswRedeemTx,
-    RedeemTx,
     SendTx,
     message_digest,
-    redeem_auth_digest,
 )
 from .proofs import (
     CertificateNotConfirmed,
@@ -41,8 +38,6 @@ from .proofs import (
     EntityNotInState,
     MessageMismatch,
     MessageNotCommitted,
-    build_csw_redeem_proof,
-    build_redeem_proof,
 )
 from .scenario import Scenario
 from .sidechain import ByzantineSidechain, Sidechain
@@ -55,12 +50,13 @@ from .tokens import (
     TokenInstance,
     TokenNameRegistry,
     attach_token_ledger,
+    make_csw_redeem_tx,
+    make_redeem_tx,
     parse_payload,
     withdraw_foreign,
     withdraw_native_held,
     withdraw_native_sent,
 )
-from .verdict import Verdict
 
 
 class HarnessError(Exception):
@@ -269,12 +265,6 @@ class Runner:
 
     # -- step helpers -----------------------------------------------------------
 
-    def _verdict_dict(self, verdict: Verdict) -> dict:
-        out = {"accepted": verdict.accepted, "reason": verdict.reason}
-        if verdict.rule is not None:
-            out["rule"] = verdict.rule
-        return out
-
     def _note(self, index: int, findings: list[str]) -> None:
         for finding in findings:
             self.violations.append(f"step {index}: {finding}")
@@ -310,36 +300,6 @@ class Runner:
                 if message_digest(record.message) in committed:
                     record.epoch_id = epoch_id
 
-    def _redeem_tx(self, record: _SendRecord) -> RedeemTx:
-        if record.epoch_id is None:
-            raise MessageNotCommitted("send was never committed by an epoch close")
-        chain = self.world.chains[record.from_label]
-        proof = build_redeem_proof(
-            self.world.mainchain, chain.sc_id, record.epoch_id, record.message, chain.epochs[record.epoch_id].tree
-        )
-        receiver = self.world.actor_for_key(record.message.receiver_id)
-        return RedeemTx(
-            message=record.message,
-            payload=record.payload,
-            proof=proof,
-            sender_sig=record.sender_sig,
-            receiver_signature=receiver.sign(redeem_auth_digest(record.message, record.payload)),
-        )
-
-    def _csw_redeem_tx(self, package: CswPackage) -> CswRedeemTx:
-        proof = build_csw_redeem_proof(
-            self.world.mainchain, package.csw.ledger_id, package.csw.nullifier, package.message
-        )
-        receiver = self.world.actor_for_key(package.message.receiver_id)
-        return CswRedeemTx(
-            message=package.message,
-            payload=package.payload,
-            proof=proof,
-            sender_sig=package.sender_sig,
-            receiver_signature=receiver.sign(redeem_auth_digest(package.message, package.payload)),
-            csw_ref=(package.csw.ledger_id, package.csw.nullifier),
-        )
-
     # -- step executors ----------------------------------------------------------
 
     def _op_issue(self, index: int, step: dict) -> dict:
@@ -365,7 +325,7 @@ class Runner:
         if verdict.accepted and "id" in step:
             self.sends[step["id"]] = _SendRecord(message, tx.payload, signature, step["from"])
         return {
-            "outcome": self._verdict_dict(verdict),
+            "outcome": verdict.to_json(),
             "summary": f"send {step['name']} {step['from']} -> {step['to']}",
         }
 
@@ -411,7 +371,7 @@ class Runner:
             _cert, verdict = chain.close_epoch(quality=step.get("quality", 1))
             if verdict.accepted:
                 self._assign_epochs(label)
-            parts.append({"chain": label, **self._verdict_dict(verdict)})
+            parts.append({"chain": label, **verdict.to_json()})
         accepted = all(part["accepted"] for part in parts)
         return {
             "outcome": {"accepted": accepted, "reason": "Accepted" if accepted else "PartialOrRejected"},
@@ -451,7 +411,13 @@ class Runner:
         label = self.world.label_by_sc_id(record.message.receiving_sc_id)
         chain = self.world.chains[label]
         try:
-            tx = self._redeem_tx(record)
+            if record.epoch_id is None:
+                raise MessageNotCommitted("send was never committed by an epoch close")
+            message, sender = record.message, self.world.chains[record.from_label]
+            receiver = self.world.actor_for_key(message.receiver_id)
+            tx = make_redeem_tx(
+                self.world.mainchain, sender, record.epoch_id, message, record.payload, record.sender_sig, receiver
+            )
         except (MessageNotCommitted, CertificateNotConfirmed) as err:
             return {
                 "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
@@ -464,12 +430,12 @@ class Runner:
         if instance is not None:
             self._note(index, self.world.accountant.note_redeem(label, instance, record.message, verdict.accepted))
         result = {
-            "outcome": self._verdict_dict(verdict),
+            "outcome": verdict.to_json(),
             "summary": f"redeem {step['send']!r} on {label}",
         }
         if verdict.accepted:
             replay = chain.accept_redeem(tx)
-            result["replay"] = self._verdict_dict(replay)
+            result["replay"] = replay.to_json()
             if replay.accepted:
                 self.violations.append(f"step {index}: replay-safety: duplicate redeem accepted on {label}")
         return result
@@ -491,13 +457,13 @@ class Runner:
         if verdict.accepted:
             self.withdrawals[step["id"]] = package
         result = {
-            "outcome": self._verdict_dict(verdict),
+            "outcome": verdict.to_json(),
             "summary": f"withdrawal {step['id']!r} ({step['mode']}) from {step['chain']}",
             "nullifier": package.csw.nullifier.hex(),
         }
         if verdict.accepted:
             replay = self.world.mainchain.submit_csw(package.csw)
-            result["replay"] = self._verdict_dict(replay)
+            result["replay"] = replay.to_json()
             if replay.accepted:
                 self.violations.append(f"step {index}: replay-safety: duplicate withdrawal accepted")
         return result
@@ -549,7 +515,9 @@ class Runner:
         label = self.world.label_by_sc_id(package.message.receiving_sc_id)
         chain = self.world.chains[label]
         try:
-            tx = self._csw_redeem_tx(package)
+            tx = make_csw_redeem_tx(
+                self.world.mainchain, package, self.world.actor_for_key(package.message.receiver_id)
+            )
         except (CswNotFound, MessageMismatch) as err:
             return {
                 "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
@@ -564,12 +532,12 @@ class Runner:
                 index, self.world.accountant.note_csw_redeem(label, instance, package.message, verdict.accepted)
             )
         result = {
-            "outcome": self._verdict_dict(verdict),
+            "outcome": verdict.to_json(),
             "summary": f"csw redeem {step['withdrawal']!r} on {label}",
         }
         if verdict.accepted:
             replay = chain.accept_csw_redeem(tx)
-            result["replay"] = self._verdict_dict(replay)
+            result["replay"] = replay.to_json()
             if replay.accepted:
                 self.violations.append(f"step {index}: replay-safety: duplicate csw redeem accepted on {label}")
         return result
@@ -654,23 +622,11 @@ class Runner:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> dict:
-        handlers = {
-            "issue": self._op_issue,
-            "send": self._op_send,
-            "fabricate_send": self._op_fabricate_send,
-            "close_epoch": self._op_close_epoch,
-            "advance_mainchain": self._op_advance_mainchain,
-            "cease_by_silence": self._op_cease_by_silence,
-            "redeem": self._op_redeem,
-            "csw": self._op_csw,
-            "csw_redeem": self._op_csw_redeem,
-            "notify": self._op_notify,
-            "assert": self._op_assert,
-        }
         for index, step in enumerate(self.scenario.steps):
             op = step["op"]
             try:
-                entry = handlers[op](index, step)
+                # Looked up on the instance, so a wrapper set there runs instead.
+                entry = getattr(self, f"_op_{op}")(index, step)
             except InvariantViolation as err:
                 self.failure = {"step": err.step, "invariant": err.invariant, "trace": err.trace}
                 self.steps.append(

@@ -346,9 +346,6 @@ class Mainchain:
             raise NotFound(f"unknown sidechain {sc_id}")
         return record
 
-    def sidechain_ids(self) -> list[int]:
-        return sorted(self._records)
-
     def csw_anchor_hash(self, sc_id: int) -> Digest:
         """Block hash a ceased sidechain's withdrawal proofs must anchor to."""
         record = self.record(sc_id)

@@ -118,10 +118,6 @@ class WithdrawalCertificate:
     proofdata: tuple[Digest, ...]
     proof: Proof
 
-    @property
-    def message_tree_root(self) -> Digest:
-        return self.proofdata[0]
-
 
 @wire(
     enc.TAG_CSW,

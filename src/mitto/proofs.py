@@ -3,11 +3,14 @@
 Stand-in for succinct proofs: a Proof body is a serialized witness bundle
 (entries, entity bytes, Merkle paths, anchoring headers) plus an Ed25519
 signature over the digest of the public input, made with the sidechain key
-whose public half was registered as the verification key. Verification
-reparses the bundle, refolds every path, recomputes every root named by the
-public input, and checks the signature. Verifier entry points see exactly
-(vk, public_input, proof) and nothing else, so a swapped-in scheme with the
-same signatures drops in unchanged.
+whose public half was registered as the verification key. Each bundle
+format is a wire type declared here (``WcertBundle``; ``CswBundle`` with
+its ``StateAnchor`` and ``ReturnEvidence``): the provers encode one, and the
+verifiers decode it strictly, refold every path, recompute every root named
+by the public input, and check the signature; a body that does not decode
+is a False. Verifier entry points see exactly (vk, public_input, proof) and
+nothing else, so a swapped-in scheme with the same signatures drops in
+unchanged.
 
 Ceased-sidechain claims anchor through the last finalized certificate: the
 claimed entity folds into the committed-state root the certificate carries
@@ -26,7 +29,8 @@ from enum import IntEnum
 from typing import Protocol
 
 from . import encoding as enc
-from .encoding import DIGEST, PUBKEY, U64, ByteReader, DecodeError, canonical_digest, enum, list_of, nested, wire
+from .encoding import BYTES, BYTES_LIST, DIGEST, DIGEST_LIST, PUBKEY, U32, U64, DecodeError, canonical_digest
+from .encoding import enum, list_of, nested, optional, sized, wire
 from .hashing import (
     Digest,
     EMPTY_ROOT,
@@ -180,6 +184,17 @@ class MainchainView(Protocol):
 # Withdrawal certificate proofs
 # ---------------------------------------------------------------------------
 
+@wire(None, ("bt_list", BYTES_LIST), ("proofdata", DIGEST_LIST), ("signature", BYTES))
+@dataclass(frozen=True)
+class WcertBundle:
+    """Body of a certificate proof: the epoch's backward transfers and
+    proofdata, and the signature over the public input digest."""
+
+    bt_list: tuple[bytes, ...]
+    proofdata: tuple[Digest, ...]
+    signature: bytes
+
+
 def prove_wcert(
     signer: KeyPair,
     public_input: WcertPublicInput,
@@ -195,12 +210,8 @@ def prove_wcert(
         raise InconsistentWitness("backward-transfer list does not match bt_list_root")
     if build_merkle(list(proofdata)).root != public_input.proofdata_root:
         raise InconsistentWitness("proofdata does not match proofdata_root")
-    signature = signer.sign(canonical_digest(public_input))
-    parts = [enc.enc_u32(len(bt_list))]
-    parts.extend(enc.enc_bytes(bt) for bt in bt_list)
-    parts.append(enc.enc_digest_list(proofdata))
-    parts.append(enc.enc_bytes(signature))
-    return Proof(scheme_id=SCHEME_SIM_MERKLE, body=b"".join(parts))
+    bundle = WcertBundle(bt_list=bt_list, proofdata=proofdata, signature=signer.sign(canonical_digest(public_input)))
+    return Proof(scheme_id=SCHEME_SIM_MERKLE, body=bundle.encode())
 
 
 def verify_wcert(vk: VerificationKey, public_input: WcertPublicInput, proof: Proof) -> bool:
@@ -209,19 +220,15 @@ def verify_wcert(vk: VerificationKey, public_input: WcertPublicInput, proof: Pro
     if proof.scheme_id != vk.scheme_id:
         raise SchemeMismatch(f"proof scheme {proof.scheme_id} vs vk scheme {vk.scheme_id}")
     try:
-        reader = ByteReader(proof.body)
-        bt_list = [reader.raw_bytes() for _ in range(reader.u32())]
-        proofdata = reader.digest_list()
-        signature = reader.raw_bytes()
-        reader.finish()
+        bundle = WcertBundle.decode(proof.body)
         key = PubKey(vk.params)
     except (DecodeError, ValueError):
         return False
-    if build_merkle([hash_bytes(bt) for bt in bt_list]).root != public_input.bt_list_root:
+    if build_merkle([hash_bytes(bt) for bt in bundle.bt_list]).root != public_input.bt_list_root:
         return False
-    if build_merkle(proofdata).root != public_input.proofdata_root:
+    if build_merkle(bundle.proofdata).root != public_input.proofdata_root:
         return False
-    return verify_sig(key, canonical_digest(public_input), signature)
+    return verify_sig(key, canonical_digest(public_input), bundle.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +262,12 @@ class CommittedState:
         return merkle_path(self.tree, self.leaves.index(entity_digest))
 
 
+@wire(
+    None,
+    ("cert", sized("WithdrawalCertificate")),
+    ("stc_path", nested("MerklePath")),
+    ("header", nested("BlockHeader")),
+)
 @dataclass(frozen=True)
 class StateAnchor:
     """Chains a committed-state root to a mainchain block hash: the final
@@ -266,6 +279,15 @@ class StateAnchor:
     header: BlockHeader
 
 
+@wire(
+    None,
+    ("return_message", nested("CscpMessage")),
+    ("msg_path", nested("MerklePath")),
+    ("holder_cert", sized("WithdrawalCertificate")),
+    ("holder_stc_path", nested("MerklePath")),
+    ("holder_header", nested("BlockHeader")),
+    ("returned_instance_bytes", BYTES),
+)
 @dataclass(frozen=True)
 class ReturnEvidence:
     """Evidence for a sent-record claim: the counterparty's return message,
@@ -289,6 +311,37 @@ class CswClaim:
     anchor: StateAnchor
     message: CscpMessage | None = None
     return_evidence: ReturnEvidence | None = None
+
+
+@wire(
+    None,
+    ("sc_id", U32),
+    ("kind", enum(ClaimKind)),
+    ("entity_bytes", BYTES),
+    ("message", optional("CscpMessage")),
+    ("proofdata", DIGEST_LIST),
+    ("state_path", nested("MerklePath")),
+    ("state_root", DIGEST),
+    ("anchor", nested("StateAnchor")),
+    ("return_evidence", optional("ReturnEvidence")),
+    ("signature", BYTES),
+)
+@dataclass(frozen=True)
+class CswBundle:
+    """Body of a withdrawal proof: the claim as the verifier refolds it,
+    with the entity's path to the committed-state root it names, and the
+    signature over the public input digest."""
+
+    sc_id: int
+    kind: ClaimKind
+    entity_bytes: bytes
+    message: CscpMessage | None
+    proofdata: tuple[Digest, ...]
+    state_path: MerklePath
+    state_root: Digest
+    anchor: StateAnchor
+    return_evidence: ReturnEvidence | None
+    signature: bytes
 
 
 def claim_proofdata(claim: CswClaim) -> tuple[Digest, ...]:
@@ -319,42 +372,22 @@ def prove_csw(signer: KeyPair, sc_id: int, public_input: CswPublicInput, claim: 
     if claim.kind is ClaimKind.PAYLOAD_ENTITY and claim.message is not None:
         if claim.message.payload_hash != entity_digest:
             raise MessageMismatch("message payload hash does not commit to the claimed entity")
-    # For sent-record claims this also pins the block that confirmed the
-    # return leg, binding every bit of the carried holder header through
-    # the proofdata root.
-    proofdata = claim_proofdata(claim)
-    state_path = claim.committed.path_for(entity_digest)
-
-    parts = [
-        enc.enc_u32(sc_id),
-        enc.enc_u8(int(claim.kind)),
-        enc.enc_bytes(claim.entity_bytes),
-    ]
-    if claim.message is not None:
-        parts.append(enc.enc_u8(1))
-        parts.append(claim.message.encode())
-    else:
-        parts.append(enc.enc_u8(0))
-    parts.append(enc.enc_digest_list(proofdata))
-    parts.append(state_path.encode())
-    parts.append(enc.enc_digest(claim.committed.root))
-    parts.append(enc.enc_bytes(claim.anchor.cert.encode()))
-    parts.append(claim.anchor.stc_path.encode())
-    parts.append(claim.anchor.header.encode())
-    if claim.return_evidence is not None:
-        ev = claim.return_evidence
-        parts.append(enc.enc_u8(1))
-        parts.append(ev.return_message.encode())
-        parts.append(ev.msg_path.encode())
-        parts.append(enc.enc_bytes(ev.holder_cert.encode()))
-        parts.append(ev.holder_stc_path.encode())
-        parts.append(ev.holder_header.encode())
-        parts.append(enc.enc_bytes(ev.returned_instance_bytes))
-    else:
-        parts.append(enc.enc_u8(0))
-    signature = signer.sign(canonical_digest(public_input))
-    parts.append(enc.enc_bytes(signature))
-    proof = Proof(scheme_id=SCHEME_SIM_MERKLE, body=b"".join(parts))
+    bundle = CswBundle(
+        sc_id=sc_id,
+        kind=claim.kind,
+        entity_bytes=claim.entity_bytes,
+        message=claim.message,
+        # For sent-record claims this also pins the block that confirmed the
+        # return leg, binding every bit of the carried holder header through
+        # the proofdata root.
+        proofdata=claim_proofdata(claim),
+        state_path=claim.committed.path_for(entity_digest),
+        state_root=claim.committed.root,
+        anchor=claim.anchor,
+        return_evidence=claim.return_evidence,
+        signature=signer.sign(canonical_digest(public_input)),
+    )
+    proof = Proof(scheme_id=SCHEME_SIM_MERKLE, body=bundle.encode())
 
     if not verify_csw(sim_merkle_vk(signer.public), public_input, proof):
         raise InconsistentWitness("claim does not bind the public input")
@@ -372,39 +405,16 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
     if proof.scheme_id != vk.scheme_id:
         raise SchemeMismatch(f"proof scheme {proof.scheme_id} vs vk scheme {vk.scheme_id}")
     try:
-        reader = ByteReader(proof.body)
-        sc_id = reader.u32()
-        kind = ClaimKind(reader.u8())
-        entity_bytes = reader.raw_bytes()
-        message = CscpMessage.read(reader) if reader.boolean() else None
-        proofdata = reader.digest_list()
-        state_path = MerklePath.read(reader)
-        state_root = reader.digest()
-        cert_bytes = reader.raw_bytes()
-        cert = WithdrawalCertificate.read(ByteReader(cert_bytes))
-        stc_path = MerklePath.read(reader)
-        header = BlockHeader.read(reader)
-        evidence = None
-        if reader.boolean():
-            ev_message = CscpMessage.read(reader)
-            ev_msg_path = MerklePath.read(reader)
-            holder_cert_bytes = reader.raw_bytes()
-            holder_cert = WithdrawalCertificate.read(ByteReader(holder_cert_bytes))
-            holder_stc_path = MerklePath.read(reader)
-            holder_header = BlockHeader.read(reader)
-            returned_bytes = reader.raw_bytes()
-            evidence = (ev_message, ev_msg_path, holder_cert_bytes, holder_cert,
-                        holder_stc_path, holder_header, returned_bytes)
-        signature = reader.raw_bytes()
-        reader.finish()
+        bundle = CswBundle.decode(proof.body)
         key = PubKey(vk.params)
     except (DecodeError, ValueError):
         return False
 
-    entity_digest = hash_bytes(entity_bytes)
+    sc_id, message, proofdata, anchor = bundle.sc_id, bundle.message, bundle.proofdata, bundle.anchor
+    entity_digest = hash_bytes(bundle.entity_bytes)
     if public_input.nullifier != csw_nullifier(sc_id, entity_digest):
         return False
-    expected_len = 2 if kind is ClaimKind.SENT_RECORD else 1
+    expected_len = 2 if bundle.kind is ClaimKind.SENT_RECORD else 1
     if len(proofdata) != expected_len:
         return False
     if message is not None:
@@ -420,45 +430,48 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
         return False
 
     # Entity -> committed state -> final certificate -> block hash.
-    if not verify_path(state_root, entity_digest, state_path):
+    if not verify_path(bundle.state_root, entity_digest, bundle.state_path):
         return False
-    if len(cert.proofdata) < 2 or cert.proofdata[1] != state_root:
+    cert = anchor.cert
+    if len(cert.proofdata) < 2 or cert.proofdata[1] != bundle.state_root:
         return False
     if cert.ledger_id != sc_id:
         return False
-    if not verify_path(header.stc_root, hash_bytes(cert_bytes), stc_path):
+    if not verify_path(anchor.header.stc_root, canonical_digest(cert), anchor.stc_path):
         return False
-    if canonical_digest(header) != public_input.last_cert_block_hash:
+    if canonical_digest(anchor.header) != public_input.last_cert_block_hash:
         return False
 
-    if kind is ClaimKind.SENT_RECORD:
+    evidence = bundle.return_evidence
+    if bundle.kind is ClaimKind.SENT_RECORD:
         if message is None or evidence is None:
             return False
-        if not _check_return_evidence(sc_id, entity_bytes, message, evidence, proofdata[1]):
+        if not _check_return_evidence(sc_id, bundle.entity_bytes, message, evidence, proofdata[1]):
             return False
     elif evidence is not None:
         return False
 
-    return verify_sig(key, canonical_digest(public_input), signature)
+    return verify_sig(key, canonical_digest(public_input), bundle.signature)
 
 
 def _check_return_evidence(
     sc_id: int,
     record_bytes: bytes,
     embedded: CscpMessage,
-    evidence,
+    evidence: ReturnEvidence,
     holder_block_hash: Digest,
 ) -> bool:
     from .tokens import SentRecord, TokenInstance
 
-    (ev_message, ev_msg_path, holder_cert_bytes, holder_cert,
-     holder_stc_path, holder_header, returned_bytes) = evidence
+    ev_message = evidence.return_message
+    holder_cert = evidence.holder_cert
+    returned_bytes = evidence.returned_instance_bytes
     try:
         record = SentRecord.decode(record_bytes)
         instance = TokenInstance.decode(returned_bytes)
     except (DecodeError, ValueError):
         return False
-    if canonical_digest(holder_header) != holder_block_hash:
+    if canonical_digest(evidence.holder_header) != holder_block_hash:
         return False
     # The return leg targets this chain, comes from the recorded counterparty,
     # and is committed through the counterparty's certificate.
@@ -468,11 +481,11 @@ def _check_return_evidence(
         return False
     if not holder_cert.proofdata:
         return False
-    if not verify_path(holder_cert.proofdata[0], message_digest(ev_message), ev_msg_path):
+    if not verify_path(holder_cert.proofdata[0], message_digest(ev_message), evidence.msg_path):
         return False
     if holder_cert.ledger_id != ev_message.sending_sc_id:
         return False
-    if not verify_path(holder_header.stc_root, hash_bytes(holder_cert_bytes), holder_stc_path):
+    if not verify_path(evidence.holder_header.stc_root, canonical_digest(holder_cert), evidence.holder_stc_path):
         return False
     # The returned instance is one this chain issued, covered by the record,
     # and the embedded onward message wraps exactly those bytes.

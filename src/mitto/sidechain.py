@@ -341,12 +341,12 @@ class Sidechain:
 
     def archived_message_evidence(self, epoch_id: int, message: CscpMessage) -> tuple[MerkleTree, int]:
         """Locate a message in an archived epoch tree, for evidence building."""
-        closed = self.epochs[epoch_id]
+        tree = self.epochs[epoch_id].tree
         digest = message_digest(message)
-        for index, (archived, _payload) in enumerate(closed.messages):
-            if message_digest(archived) == digest:
-                return closed.tree, index
-        raise EntityNotInState(f"message {digest.hex()} not in epoch {epoch_id}")
+        try:
+            return tree, tree.leaves.index(digest)
+        except ValueError:
+            raise EntityNotInState(f"message {digest.hex()} not in epoch {epoch_id}") from None
 
     # -- inspection -----------------------------------------------------------------
 

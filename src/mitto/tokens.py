@@ -25,10 +25,20 @@ from .keys import KeyPair, PubKey, Signature, verify_sig
 from .messages import (
     CeasedSidechainWithdrawal,
     CscpMessage,
+    CswRedeemTx,
     MSG_TYPE_TOKEN_TRANSFER,
+    RedeemTx,
     message_digest,
+    redeem_auth_digest,
 )
-from .proofs import CertificateNotConfirmed, ClaimKind, EntityNotInState, ReturnEvidence
+from .proofs import (
+    CertificateNotConfirmed,
+    ClaimKind,
+    EntityNotInState,
+    ReturnEvidence,
+    build_csw_redeem_proof,
+    build_redeem_proof,
+)
 
 VARIANT_STANDARD = "standard"
 VARIANT_NO_RECEIVER_TRACKING = "no_receiver_tracking"
@@ -152,9 +162,6 @@ class TokenNameRegistry:
                 f"token name {name!r} is already registered as "
                 f"fungibility={existing[0]} issuer={existing[1]}"
             )
-
-    def lookup(self, name: str) -> tuple[bool, int] | None:
-        return self._names.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._names)
@@ -652,4 +659,38 @@ def withdraw_native_sent(
         payload=return_payload,
         sender_sig=sender_sig,
         consumed_return=message_digest(return_message),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Redeem transactions
+# ---------------------------------------------------------------------------
+
+def make_redeem_tx(
+    mainchain, sender, epoch_id: int, message: CscpMessage, payload: bytes, sender_sig: Signature, receiver: KeyPair
+) -> RedeemTx:
+    """Redeem a message the sending chain committed in epoch ``epoch_id``:
+    certificate-sourced evidence from its archived epoch tree, authorized by
+    the message's receiver."""
+    proof = build_redeem_proof(mainchain, sender.sc_id, epoch_id, message, sender.epochs[epoch_id].tree)
+    return RedeemTx(
+        message=message,
+        payload=payload,
+        proof=proof,
+        sender_sig=sender_sig,
+        receiver_signature=receiver.sign(redeem_auth_digest(message, payload)),
+    )
+
+
+def make_csw_redeem_tx(mainchain, package: CswPackage, receiver: KeyPair) -> CswRedeemTx:
+    """Redeem the message embedded in an accepted, block-included withdrawal,
+    authorized by the message's receiver."""
+    csw = package.csw
+    return CswRedeemTx(
+        message=package.message,
+        payload=package.payload,
+        proof=build_csw_redeem_proof(mainchain, csw.ledger_id, csw.nullifier, package.message),
+        sender_sig=package.sender_sig,
+        receiver_signature=receiver.sign(redeem_auth_digest(package.message, package.payload)),
+        csw_ref=(csw.ledger_id, csw.nullifier),
     )

@@ -25,19 +25,19 @@ from .mainchain import STATUS_CEASED, Mainchain
 from .messages import (
     MSG_TYPE_TOKEN_TRANSFER,
     CscpMessage,
-    CswRedeemTx,
     RedeemTx,
     SendTx,
     message_digest,
     redeem_auth_digest,
 )
-from .proofs import build_csw_redeem_proof, build_redeem_proof
 from .sidechain import Sidechain
 from .tokens import (
     MittoState,
     SentRecord,
     TokenNameRegistry,
     attach_token_ledger,
+    make_csw_redeem_tx,
+    make_redeem_tx,
     withdraw_native_held,
 )
 from .verdict import Verdict
@@ -374,16 +374,9 @@ def _world_send(w: SimpleNamespace, amount: int) -> tuple:
     return message, part.encode(), tx.signature
 
 
-def _world_redeem_tx(w: SimpleNamespace, sent: tuple, epoch_id: int = 0) -> RedeemTx:
-    message, payload, sender_sig = sent
-    proof = build_redeem_proof(w.mc, w.alpha.sc_id, epoch_id, message, w.alpha.epochs[epoch_id].tree)
-    return RedeemTx(
-        message=message,
-        payload=payload,
-        proof=proof,
-        sender_sig=sender_sig,
-        receiver_signature=w.bob.sign(redeem_auth_digest(message, payload)),
-    )
+def _world_redeem_tx(w: SimpleNamespace, sent: tuple) -> RedeemTx:
+    """Bob's redeem of a send alpha committed in epoch 0."""
+    return make_redeem_tx(w.mc, w.alpha, 0, *sent, w.bob)
 
 
 def _ceased() -> SimpleNamespace:
@@ -600,16 +593,7 @@ def _w_csw_redeem_accept() -> Verdict:
     package = _held_package(w)
     assert w.mc.submit_csw(package.csw).accepted
     w.mc.advance_block()
-    proof = build_csw_redeem_proof(w.mc, package.csw.ledger_id, package.csw.nullifier, package.message)
-    tx = CswRedeemTx(
-        message=package.message,
-        payload=package.payload,
-        proof=proof,
-        sender_sig=package.sender_sig,
-        receiver_signature=w.alice.sign(redeem_auth_digest(package.message, package.payload)),
-        csw_ref=(package.csw.ledger_id, package.csw.nullifier),
-    )
-    return w.beta.accept_csw_redeem(tx)
+    return w.beta.accept_csw_redeem(make_csw_redeem_tx(w.mc, package, w.alice))
 
 
 CASES: tuple[VectorCase, ...] = (
@@ -736,15 +720,8 @@ CASES: tuple[VectorCase, ...] = (
 )
 
 
-def _verdict_dict(verdict: Verdict) -> dict:
-    out = {"accepted": verdict.accepted, "reason": verdict.reason}
-    if verdict.rule is not None:
-        out["rule"] = verdict.rule
-    return out
-
-
 def run_case(case: VectorCase) -> dict:
-    return _verdict_dict(case.run())
+    return case.run().to_json()
 
 
 def emit_vectors(directory: str | Path) -> Path:

@@ -31,8 +31,6 @@ class Verdict:
         return out
 
 
-ACCEPTED = "Accepted"
-
 # Settlement-layer rejections.
 SIDECHAIN_CEASED = "SidechainCeased"
 SIDECHAIN_PENDING = "SidechainPending"
@@ -53,4 +51,3 @@ WRONG_RECEIVING_CHAIN = "WrongReceivingChain"
 ALREADY_REDEEMED = "AlreadyRedeemed"
 BAD_RECEIVER_AUTH = "BadReceiverAuth"
 CSW_NOT_FOUND = "CswNotFound"
-UNKNOWN_MSG_TYPE = "UnknownMsgType"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from worlds import ceased_world, committed_world, make_csw_redeem_tx
+from worlds import ceased_world, committed_world
 
 from mitto import vectors
 from mitto.cli import main as cli_main
@@ -19,14 +19,7 @@ from mitto.fuzz import run_fuzz
 from mitto.harness import render_report, run_scenario
 from mitto.hashing import Digest, MerklePath, hash_bytes
 from mitto.keys import KeyPair, PubKey
-from mitto.messages import (
-    MSG_TYPE_TOKEN_TRANSFER,
-    CscpMessage,
-    CswRedeemTx,
-    Proof,
-    message_digest,
-    redeem_auth_digest,
-)
+from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, Proof, message_digest
 from mitto.proofs import (
     build_csw_redeem_proof,
     build_redeem_proof,
@@ -37,7 +30,7 @@ from mitto.proofs import (
     verify_wcert,
 )
 from mitto.scenario import load_scenario
-from mitto.tokens import withdraw_foreign
+from mitto.tokens import CswPackage, make_csw_redeem_tx, withdraw_foreign
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FUZZ_SEED = 20260817
@@ -182,7 +175,7 @@ def test_criterion_6_ceasing_suite():
     if not w.mc.submit_csw(pkg.csw).accepted:
         problems.append("honest foreign withdrawal not accepted")
     w.mc.advance_block()
-    on_issuer = beta.accept_csw_redeem(make_csw_redeem_tx(w, pkg, w.alice))
+    on_issuer = beta.accept_csw_redeem(make_csw_redeem_tx(w.mc, pkg, w.alice))
     if not on_issuer.accepted:
         problems.append(f"issuer rejected the foreign withdrawal: {on_issuer}")
 
@@ -203,14 +196,8 @@ def test_criterion_6_ceasing_suite():
     if not w2.mc.submit_csw(csw).accepted:
         problems.append("crafted third-chain withdrawal not accepted at settlement")
     w2.mc.advance_block()
-    proof = build_csw_redeem_proof(w2.mc, csw.ledger_id, csw.nullifier, message)
-    crafted = CswRedeemTx(
-        message=message,
-        payload=payload,
-        proof=proof,
-        sender_sig=w2.alice.sign(message_digest(message)),
-        receiver_signature=w2.alice.sign(redeem_auth_digest(message, payload)),
-        csw_ref=(csw.ledger_id, csw.nullifier),
+    crafted = make_csw_redeem_tx(
+        w2.mc, CswPackage(csw, message, payload, sender_sig=w2.alice.sign(message_digest(message))), w2.alice
     )
     elsewhere = gamma2.accept_csw_redeem(crafted)
     if elsewhere.accepted or elsewhere.rule != "redeem-1":

@@ -6,7 +6,6 @@ from mitto.encoding import (
     ByteReader,
     DecodeError,
     enc_bytes,
-    enc_digest_list,
     enc_str,
     enc_u8,
     enc_u32,
@@ -14,6 +13,7 @@ from mitto.encoding import (
 )
 from mitto.hashing import Sibling, hash_bytes
 from mitto.messages import BlockHeader
+from mitto.proofs import WcertBundle
 
 
 def test_fixed_width_big_endian():
@@ -39,8 +39,6 @@ def test_bool_is_single_strict_byte():
     assert Sibling(d, True).encode() == d + b"\x01"
     assert Sibling(d, False).encode() == d + b"\x00"
     with pytest.raises(DecodeError):
-        ByteReader(b"\x02").boolean()
-    with pytest.raises(DecodeError):
         Sibling.decode(d + b"\x02")
 
 
@@ -52,19 +50,19 @@ def test_length_prefixed_bytes_and_str():
 
 def test_digest_list_layout():
     d0, d1 = hash_bytes(b"0"), hash_bytes(b"1")
-    assert enc_digest_list([d0, d1]) == b"\x00\x00\x00\x02" + d0 + d1
+    bundle = WcertBundle(bt_list=(), proofdata=(d0, d1), signature=b"")
+    assert bundle.encode() == enc_u32(0) + b"\x00\x00\x00\x02" + d0 + d1 + enc_u32(0)
 
 
 def test_reader_roundtrip():
     d0 = hash_bytes(b"x")
-    blob = enc_u8(7) + enc_u32(9) + b"\x01" + enc_bytes(b"pay") + enc_str("nm") + d0
+    blob = enc_u8(7) + enc_u32(9) + enc_bytes(b"pay") + enc_str("nm") + d0
     r = ByteReader(blob)
-    assert r.u8() == 7
+    assert r.take(1) == b"\x07"
     assert r.u32() == 9
-    assert r.boolean() is True
     assert r.raw_bytes() == b"pay"
     assert r.string() == "nm"
-    assert r.digest() == d0
+    assert r.digests(1) == (d0,)
     r.finish()
 
 
@@ -76,7 +74,7 @@ def test_reader_rejects_truncation():
 
 def test_reader_rejects_trailing_garbage():
     r = ByteReader(enc_u8(1) + b"\x00")
-    r.u8()
+    r.take(1)
     with pytest.raises(DecodeError):
         r.finish()
 

@@ -15,7 +15,7 @@ from mitto.hashing import hash_bytes
 from mitto.journal import JournalDict, JournalList, JournalSet
 from mitto.mainchain import Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
-from mitto.scenario import load_scenario, parse_scenario
+from mitto.scenario import STEP_OPS, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
 from mitto.tokens import MittoState
 
@@ -208,6 +208,12 @@ def test_rejected_self_send_keeps_chain_state_clean():
     ])
     assert report["ok"] is True
     assert report["violations"] == []
+
+
+def test_every_step_op_has_a_handler():
+    # Runner.run dispatches each step to the method named after its op.
+    handlers = {name.removeprefix("_op_") for name in dir(Runner) if name.startswith("_op_")}
+    assert handlers == set(STEP_OPS)
 
 
 def test_cease_by_silence_step():

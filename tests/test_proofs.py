@@ -11,7 +11,7 @@ import pytest
 
 from worlds import ceased_world, committed_world, make_send, two_chain_world
 
-from mitto.encoding import ByteReader, canonical_digest, enc_u32
+from mitto.encoding import ByteReader, canonical_digest, enc_bytes, enc_u32
 from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path
 from mitto.keys import KeyPair
 from mitto.messages import Proof, VerificationKey, message_digest
@@ -19,6 +19,7 @@ from mitto.proofs import (
     CertificateNotConfirmed,
     ClaimKind,
     CommittedState,
+    CswBundle,
     CswClaim,
     CswNotFound,
     CswPublicInput,
@@ -185,6 +186,19 @@ class TestCswScheme:
         assert len(pkg.csw.proofdata) == 2
         assert pkg.csw.proofdata[0] == message_digest(pkg.message)
         assert not verify_csw(vk, replace(pub, proofdata_root=EMPTY_ROOT), pkg.csw.proof)
+
+    def test_embedded_certificate_with_trailing_bytes_is_rejected(self):
+        w = ceased_world()
+        alpha, pkg = held_withdrawal(w)
+        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        pub = make_csw_input(
+            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+        )
+        cert = CswBundle.decode(pkg.csw.proof.body).anchor.cert.encode()
+        body = pkg.csw.proof.body
+        assert body.count(enc_bytes(cert)) == 1
+        padded = body.replace(enc_bytes(cert), enc_bytes(cert + b"\x00"))
+        assert not verify_csw(vk, pub, Proof(scheme_id=pkg.csw.proof.scheme_id, body=padded))
 
     def test_single_bit_flips_never_verify(self):
         w = ceased_world()

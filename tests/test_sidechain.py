@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from worlds import committed_world, make_redeem_tx, make_send, two_chain_world
+from worlds import committed_world, make_send, two_chain_world
 
 from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes
@@ -18,7 +18,7 @@ from mitto.messages import (
 )
 from mitto.proofs import CertificateNotConfirmed, EntityNotInState
 from mitto.sidechain import ByzantineSidechain, Sidechain
-from mitto.tokens import MittoState, TokenNameRegistry, TokenTransferHandler
+from mitto.tokens import MittoState, TokenNameRegistry, TokenTransferHandler, make_redeem_tx
 from mitto.verdict import (
     ALREADY_REDEEMED,
     BAD_RECEIVER_AUTH,
@@ -146,7 +146,7 @@ class TestRedeemGating:
     def test_golden_redeem(self):
         w = committed_world()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w, beta, w.message, w.send_tx.payload, w.send_tx.signature, w.bob, 0, w.chains["alpha"])
+        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         assert beta.accept_redeem(tx).accepted
         minted = list(w.states["beta"].s_tks.values())
         assert len(minted) == 1
@@ -156,7 +156,7 @@ class TestRedeemGating:
     def test_replay_rejected(self):
         w = committed_world()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w, beta, w.message, w.send_tx.payload, w.send_tx.signature, w.bob, 0, w.chains["alpha"])
+        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         assert beta.accept_redeem(tx).accepted
         verdict = beta.accept_redeem(tx)
         assert verdict.reason == ALREADY_REDEEMED
@@ -164,13 +164,13 @@ class TestRedeemGating:
 
     def test_wrong_receiving_chain(self):
         w = committed_world()
-        tx = make_redeem_tx(w, None, w.message, w.send_tx.payload, w.send_tx.signature, w.bob, 0, w.chains["alpha"])
+        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         assert w.chains["alpha"].accept_redeem(tx).reason == WRONG_RECEIVING_CHAIN
 
     def test_receiver_auth_is_checked(self):
         w = committed_world()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w, beta, w.message, w.send_tx.payload, w.send_tx.signature, w.bob, 0, w.chains["alpha"])
+        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         forged = replace(tx, receiver_signature=w.alice.sign(redeem_auth_digest(w.message, tx.payload)))
         verdict = beta.accept_redeem(forged)
         assert verdict.reason == BAD_RECEIVER_AUTH
@@ -179,7 +179,7 @@ class TestRedeemGating:
     def test_tampered_proof_rejected(self):
         w = committed_world()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w, beta, w.message, w.send_tx.payload, w.send_tx.signature, w.bob, 0, w.chains["alpha"])
+        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         bad = replace(tx, proof=replace(tx.proof, msg_tree_root=hash_bytes(b"lie")))
         verdict = beta.accept_redeem(bad)
         assert verdict.reason == PROOF_INVALID
@@ -198,7 +198,7 @@ class TestRedeemGating:
 
         def try_redeem():
             return beta.accept_redeem(
-                make_redeem_tx(w, beta, message, tx.payload, tx.signature, w.bob, 0, alpha)
+                make_redeem_tx(w.mc, alpha, 0, message, tx.payload, tx.signature, w.bob)
             )
 
         # stage 1: epoch not closed, no archived tree to prove against

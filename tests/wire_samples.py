@@ -4,8 +4,14 @@ Built from constructors only, so the same samples encode under any version
 of the codecs; `tests/golden/wire_vectors.json` holds the hex each one
 encoded to when the pin was taken. Union-typed records get one sample per
 arm.
+
+Proof bundles are the exception: their samples are what the provers bundle
+for the honest witnesses of `bundle_witnesses()`, so every hash, path and
+signature in them is consistent, and their golden hex is the body that
+`prove_wcert`/`prove_csw` returned for those witnesses.
 """
-from mitto.hashing import MerklePath, Sibling, hash_bytes
+from mitto.encoding import canonical_digest
+from mitto.hashing import MerklePath, Sibling, build_merkle, hash_bytes, merkle_path
 from mitto.keys import KeyPair
 from mitto.mainchain import SidechainRegistration
 from mitto.messages import (
@@ -20,16 +26,162 @@ from mitto.messages import (
     SendTx,
     VerificationKey,
     WithdrawalCertificate,
+    message_digest,
 )
-from mitto.proofs import CommitmentChain, CswPublicInput, RedeemProof, SourceKind, WcertPublicInput
+from mitto.proofs import (
+    ClaimKind,
+    CommitmentChain,
+    CommittedState,
+    CswBundle,
+    CswClaim,
+    CswPublicInput,
+    RedeemProof,
+    ReturnEvidence,
+    SourceKind,
+    StateAnchor,
+    WcertBundle,
+    WcertPublicInput,
+    claim_proofdata,
+    csw_nullifier,
+    make_csw_input,
+    make_wcert_input,
+)
 from mitto.tokens import SentRecord, TokenInstance
 
 ALICE = KeyPair.from_label("actor", 0, "alice").public
 BOB = KeyPair.from_label("actor", 0, "bob").public
+WCERT_SIGNER = KeyPair.from_label("wcert", 0, "sample")
+CSW_SIGNER = KeyPair.from_label("csw", 0, "sample")
+CEASED, TARGET, HOLDER = 1, 2, 3
 
 
 def _h(label: str):
     return hash_bytes(label.encode())
+
+
+def _transfer(sending: int, receiving: int, payload: bytes, sender=ALICE, receiver=BOB) -> CscpMessage:
+    return CscpMessage(
+        sending_sc_id=sending,
+        receiving_sc_id=receiving,
+        msg_type=MSG_TYPE_TOKEN_TRANSFER,
+        sender_id=sender,
+        receiver_id=receiver,
+        payload_hash=hash_bytes(payload),
+    )
+
+
+def _anchored(sc_id: int, proofdata: tuple, height: int):
+    """A finalized certificate, its path in a block commitment, and the
+    block's header."""
+    cert = WithdrawalCertificate(
+        ledger_id=sc_id,
+        epoch_id=height // 2,
+        quality=1,
+        bt_list=(),
+        proofdata=proofdata,
+        proof=Proof(scheme_id=SCHEME_SIM_MERKLE, body=b"\x0c"),
+    )
+    stc = build_merkle([_h(f"posting-{height}"), canonical_digest(cert), _h(f"txs-{height}")])
+    header = BlockHeader(height=height, parent_hash=_h(f"block-{height - 1}"), stc_root=stc.root)
+    return cert, merkle_path(stc, 1), header
+
+
+def _state_anchor(entity_bytes: bytes, height: int):
+    committed = CommittedState.from_digests([hash_bytes(entity_bytes), _h("other-entity")])
+    cert, stc_path, header = _anchored(CEASED, (_h("epoch-tree"), committed.root), height)
+    return committed, StateAnchor(cert=cert, stc_path=stc_path, header=header)
+
+
+def _csw_witness(claim: CswClaim, amount: int) -> tuple:
+    public_input = make_csw_input(
+        canonical_digest(claim.anchor.header),
+        csw_nullifier(CEASED, hash_bytes(claim.entity_bytes)),
+        BOB,
+        amount,
+        claim_proofdata(claim),
+    )
+    return CEASED, public_input, claim
+
+
+def bundle_witnesses() -> dict:
+    """Name -> the prover arguments of one honest proof bundle:
+    (public input, bt_list, proofdata) for a certificate bundle,
+    (sc_id, public input, claim) for a withdrawal bundle."""
+    proofdata = (_h("msg-root"), _h("state-root"))
+    out = {
+        f"WcertBundle/{name}": (make_wcert_input(3, bt_list, _h("last-block"), proofdata), bt_list, proofdata)
+        for name, bt_list in (("empty", ()), ("transfers", (b"bt-1", b"")))
+    }
+
+    held = TokenInstance(
+        token_name="KEEP", fungibility=True, issuer_sc_id=CEASED, owner=ALICE, data_hash=_h("keep"), amount=50
+    ).encode()
+    committed, anchor = _state_anchor(held, 8)
+    for name, message, amount in (
+        ("payload", None, 50),
+        ("payload_message", _transfer(CEASED, TARGET, held), 0),
+    ):
+        claim = CswClaim(ClaimKind.PAYLOAD_ENTITY, held, committed, anchor, message=message)
+        out[f"CswBundle/{name}"] = _csw_witness(claim, amount)
+
+    # A sent record: GOLD went to the holder chain, which sent 30 back to
+    # the ceased issuer and committed that return leg in its certificate.
+    record = SentRecord(receiver_sc_id=HOLDER, token_name="GOLD", fungibility=True, amount=40).encode()
+    returned = TokenInstance(
+        token_name="GOLD", fungibility=True, issuer_sc_id=CEASED, owner=ALICE, data_hash=_h("gold"), amount=30
+    ).encode()
+    return_message = _transfer(HOLDER, CEASED, returned, sender=BOB, receiver=ALICE)
+    holder_tree = build_merkle([_h("holder-msg"), message_digest(return_message)])
+    holder_cert, holder_stc_path, holder_header = _anchored(HOLDER, (holder_tree.root, _h("holder-state")), 10)
+    evidence = ReturnEvidence(
+        return_message=return_message,
+        msg_path=merkle_path(holder_tree, 1),
+        holder_cert=holder_cert,
+        holder_stc_path=holder_stc_path,
+        holder_header=holder_header,
+        returned_instance_bytes=returned,
+    )
+    committed, anchor = _state_anchor(record, 12)
+    claim = CswClaim(
+        ClaimKind.SENT_RECORD,
+        record,
+        committed,
+        anchor,
+        message=_transfer(CEASED, TARGET, returned),
+        return_evidence=evidence,
+    )
+    out["CswBundle/sent_record"] = _csw_witness(claim, 0)
+    return out
+
+
+def _bundle_samples() -> dict:
+    """The bundles the provers build from `bundle_witnesses()`, and the
+    sent-record bundle's anchor and return evidence on their own."""
+    out = {}
+    for name, witness in bundle_witnesses().items():
+        if name.startswith("WcertBundle/"):
+            public_input, bt_list, proofdata = witness
+            out[name] = WcertBundle(
+                bt_list=bt_list, proofdata=proofdata, signature=WCERT_SIGNER.sign(canonical_digest(public_input))
+            )
+            continue
+        sc_id, public_input, claim = witness
+        entity_digest = hash_bytes(claim.entity_bytes)
+        out[name] = CswBundle(
+            sc_id=sc_id,
+            kind=claim.kind,
+            entity_bytes=claim.entity_bytes,
+            message=claim.message,
+            proofdata=claim_proofdata(claim),
+            state_path=claim.committed.path_for(entity_digest),
+            state_root=claim.committed.root,
+            anchor=claim.anchor,
+            return_evidence=claim.return_evidence,
+            signature=CSW_SIGNER.sign(canonical_digest(public_input)),
+        )
+    out["StateAnchor"] = out["CswBundle/sent_record"].anchor
+    out["ReturnEvidence"] = out["CswBundle/sent_record"].return_evidence
+    return out
 
 
 def wire_samples() -> dict:
@@ -133,4 +285,5 @@ def wire_samples() -> dict:
         "CommitmentChain": chain,
         "RedeemProof": redeem_proof,
         "MerklePath": path,
+        **_bundle_samples(),
     }

@@ -10,18 +10,9 @@ from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair
 from mitto.mainchain import Mainchain
-from mitto.messages import (
-    MSG_TYPE_TOKEN_TRANSFER,
-    CscpMessage,
-    CswRedeemTx,
-    RedeemTx,
-    SendTx,
-    message_digest,
-    redeem_auth_digest,
-)
-from mitto.proofs import build_csw_redeem_proof, build_redeem_proof
+from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, SendTx, message_digest
 from mitto.sidechain import Sidechain
-from mitto.tokens import TokenNameRegistry, attach_token_ledger
+from mitto.tokens import TokenNameRegistry, attach_token_ledger, make_redeem_tx
 
 
 def two_chain_world(epoch_length=2, seed=1):
@@ -55,29 +46,6 @@ def make_send(chain, owner: KeyPair, instance, to_chain, receiver: KeyPair):
     )
     tx = SendTx(message=message, payload=instance.encode(), signature=owner.sign(message_digest(message)))
     return message, tx, chain.accept_send(tx)
-
-
-def make_redeem_tx(world, to_chain, message, payload, sender_sig, receiver: KeyPair, epoch_id, from_chain):
-    proof = build_redeem_proof(world.mc, from_chain.sc_id, epoch_id, message, from_chain.epochs[epoch_id].tree)
-    return RedeemTx(
-        message=message,
-        payload=payload,
-        proof=proof,
-        sender_sig=sender_sig,
-        receiver_signature=receiver.sign(redeem_auth_digest(message, payload)),
-    )
-
-
-def make_csw_redeem_tx(world, package, receiver: KeyPair):
-    proof = build_csw_redeem_proof(world.mc, package.csw.ledger_id, package.csw.nullifier, package.message)
-    return CswRedeemTx(
-        message=package.message,
-        payload=package.payload,
-        proof=proof,
-        sender_sig=package.sender_sig,
-        receiver_signature=receiver.sign(redeem_auth_digest(package.message, package.payload)),
-        csw_ref=(package.csw.ledger_id, package.csw.nullifier),
-    )
 
 
 def committed_world():
@@ -138,8 +106,8 @@ def ceased_world(seed=1):
         assert sc.close_epoch()[1].accepted
     mc.advance_blocks(2)  # tip 5: epoch 0 finalized
 
-    assert gamma.accept_redeem(make_redeem_tx(w, gamma, m1, t1.payload, t1.signature, w.bob, 0, alpha)).accepted
-    assert alpha.accept_redeem(make_redeem_tx(w, alpha, m2, t2.payload, t2.signature, w.alice, 0, beta)).accepted
+    assert gamma.accept_redeem(make_redeem_tx(mc, alpha, 0, m1, t1.payload, t1.signature, w.bob)).accepted
+    assert alpha.accept_redeem(make_redeem_tx(mc, beta, 0, m2, t2.payload, t2.signature, w.alice)).accepted
     returned = next(iter(sg.s_tks.values()))
     w.return_message, w.return_tx, v3 = make_send(gamma, w.bob, returned, alpha, w.alice)
     assert v3.accepted
