@@ -4,10 +4,12 @@ step.
 
 The runner is deliberately paranoid about its own host: chain state lives
 in write-counting containers (``journal``), and every rejected transaction
-is bracketed by write marks over all of them, proving no chain or
-settlement-chain state was written or rebound; every accepted redeem or
-withdrawal is immediately replayed to prove the replay defenses hold.
-Violations of either are reported the same way as accountant findings
+or certificate is bracketed by write marks over all of them, proving no
+chain or settlement-chain state was written or rebound; every accepted
+redeem or withdrawal is immediately replayed to prove the replay defenses
+hold. A step carrying a ``tamper`` value submits a deliberately broken
+transaction through the same path, and its acceptance is a finding too.
+Violations of any of these are reported the same way as accountant findings
 rather than silently trusted. After each step the accountant is handed
 references to every ledger and brings its own shadow books up to date
 from the containers whose write counters moved, so neither check dumps
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .accountant import Accountant
@@ -30,7 +32,9 @@ from .messages import (
     MSG_TYPE_TOKEN_TRANSFER,
     CscpMessage,
     SendTx,
+    WithdrawalCertificate,
     message_digest,
+    redeem_auth_digest,
 )
 from .proofs import (
     CertificateNotConfirmed,
@@ -85,11 +89,13 @@ class World:
         self.accountant = Accountant()
         self._actors: dict[str, KeyPair] = {}
         self._actor_by_key: dict[PubKey, KeyPair] = {}
+        self._label_by_sc_id: dict[int, str] = {}
 
         for spec in scenario.chains:
             cls = ByzantineSidechain if spec.byzantine else Sidechain
             chain = cls.create(self.mainchain, spec.epoch_length, spec.label, seed=scenario.seed)
             self.chains[spec.label] = chain
+            self._label_by_sc_id[chain.sc_id] = spec.label
             self.states[spec.label] = attach_token_ledger(chain, self.registry, spec.variant)
             self.accountant.register_chain(spec.label, chain.sc_id, spec.byzantine, spec.variant)
         self.mainchain.advance_block()
@@ -104,6 +110,10 @@ class World:
             self._actors[name] = pair
             self._actor_by_key[pair.public] = pair
         return self._actors[name]
+
+    def forger(self) -> KeyPair:
+        """A key no scenario actor holds: tampered steps sign with it."""
+        return KeyPair.from_label("forger", self.scenario.seed, "forger")
 
     def actor_for_key(self, public: PubKey) -> KeyPair:
         pair = self._actor_by_key.get(public)
@@ -125,10 +135,10 @@ class World:
         return instance
 
     def label_by_sc_id(self, sc_id: int) -> str:
-        for label, chain in self.chains.items():
-            if chain.sc_id == sc_id:
-                return label
-        raise HarnessError(f"no declared chain has id {sc_id}")
+        label = self._label_by_sc_id.get(sc_id)
+        if label is None:
+            raise HarnessError(f"no declared chain has id {sc_id}")
+        return label
 
     def pick_instance(self, label: str, owner: PubKey, name: str, amount=None, token_id=None) -> TokenInstance:
         """Resolve a holding to one concrete instance, splitting or merging
@@ -279,6 +289,12 @@ class Runner:
         if not accepted and self.world.write_marks() != pre:
             self.violations.append(f"step {index}: atomicity: rejected {op} changed chain state")
 
+    def _check_tamper(self, index: int, step: dict, accepted: bool) -> None:
+        """A step carrying a ``tamper`` value submits a broken transaction,
+        so accepting it is a protocol failure."""
+        if accepted and "tamper" in step:
+            self.violations.append(f"step {index}: tamper: {step['op']} with tamper {step['tamper']!r} was accepted")
+
     def _build_message(self, step: dict, instance: TokenInstance) -> CscpMessage:
         return CscpMessage(
             sending_sc_id=self.world.chains[step["from"]].sc_id,
@@ -316,18 +332,35 @@ class Runner:
             step["from"], owner.public, step["name"], amount=step.get("amount"), token_id=step.get("token_id")
         )
         message = self._build_message(step, instance)
-        signature = owner.sign(message_digest(message))
-        tx = SendTx(message=message, payload=instance.encode(), signature=signature)
+        tx = SendTx(message=message, payload=instance.encode(), signature=owner.sign(message_digest(message)))
+        tamper = step.get("tamper")
+        label = step["to"] if tamper == "wrong_chain" else step["from"]
+        if tamper not in (None, "wrong_chain"):
+            tx = self._tampered_send(tamper, tx, owner, self.world.chains[label])
         pre = self.world.write_marks()
-        verdict = self.world.chains[step["from"]].accept_send(tx)
+        verdict = self.world.chains[label].accept_send(tx)
         self._atomic(index, "send", pre, verdict.accepted)
-        self._note(index, self.world.accountant.note_send(step["from"], instance, message, verdict.accepted))
+        self._note(index, self.world.accountant.note_send(label, instance, tx.message, verdict.accepted))
+        self._check_tamper(index, step, verdict.accepted)
         if verdict.accepted and "id" in step:
-            self.sends[step["id"]] = _SendRecord(message, tx.payload, signature, step["from"])
+            self.sends[step["id"]] = _SendRecord(tx.message, tx.payload, tx.signature, label)
         return {
             "outcome": verdict.to_json(),
             "summary": f"send {step['name']} {step['from']} -> {step['to']}",
         }
+
+    def _tampered_send(self, tamper: str, tx: SendTx, owner: KeyPair, chain: Sidechain) -> SendTx:
+        if tamper == "wrong_signer":
+            return replace(tx, signature=self.world.forger().sign(message_digest(tx.message)))
+        if tamper == "payload_mismatch":
+            return replace(tx, payload=tx.payload + b"\x00")
+        # The owner signs a message that is wrong in itself.
+        if tamper == "unregistered_type":
+            message, payload = replace(tx.message, msg_type=max(chain.handlers) + 1), tx.payload
+        else:  # malformed_payload
+            payload = b"not-a-token"
+            message = replace(tx.message, payload_hash=hash_bytes(payload))
+        return SendTx(message=message, payload=payload, signature=owner.sign(message_digest(message)))
 
     def _op_fabricate_send(self, index: int, step: dict) -> dict:
         chain = self.world.chains[step["from"]]
@@ -365,10 +398,18 @@ class Runner:
             ]
         else:
             labels = list(requested)
+        quality = step.get("quality", 1)
+        tamper = step.get("tamper")
         parts = []
         for label in labels:
             chain = self.world.chains[label]
-            _cert, verdict = chain.close_epoch(quality=step.get("quality", 1))
+            pre = self.world.write_marks()
+            if tamper is None:
+                _cert, verdict = chain.close_epoch(quality=quality)
+            else:
+                verdict = self.world.mainchain.submit_certificate(self._tampered_certificate(tamper, chain, quality))
+            self._atomic(index, "close_epoch", pre, verdict.accepted)
+            self._check_tamper(index, step, verdict.accepted)
             if verdict.accepted:
                 self._assign_epochs(label)
             parts.append({"chain": label, **verdict.to_json()})
@@ -378,6 +419,18 @@ class Runner:
             "parts": parts,
             "summary": f"close epoch on {', '.join(labels)}",
         }
+
+    def _tampered_certificate(self, tamper: str, chain: Sidechain, quality: int) -> WithdrawalCertificate:
+        epoch = chain.next_epoch_to_close()
+        if tamper == "wrong_epoch":
+            return chain.build_certificate(quality, epoch_id=epoch + 1)
+        if tamper == "altered_body":
+            cert = chain.build_certificate(quality)
+            return replace(cert, quality=cert.quality ^ 1)
+        # lower_quality: certify the epoch the chain last closed once more.
+        if epoch == 0:
+            raise HarnessError(f"chain {chain.label} has closed no epoch to certify again")
+        return chain.build_certificate(quality, epoch_id=epoch - 1)
 
     def _op_advance_mainchain(self, index: int, step: dict) -> dict:
         self.world.mainchain.advance_blocks(step["blocks"])
@@ -423,9 +476,18 @@ class Runner:
                 "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
                 "summary": f"redeem {step['send']!r} on {label}: {err}",
             }
+        tamper = step.get("tamper")
+        if tamper == "wrong_chain":
+            label = record.from_label
+            chain = self.world.chains[label]
+        elif tamper == "forged_receiver_auth":
+            tx = replace(tx, receiver_signature=self.world.forger().sign(redeem_auth_digest(tx.message, tx.payload)))
+        elif tamper == "wrong_block":
+            tx = replace(tx, proof=replace(tx.proof, block_hash=self.world.mainchain.get_block(0).hash))
         pre = self.world.write_marks()
         verdict = chain.accept_redeem(tx)
         self._atomic(index, "redeem", pre, verdict.accepted)
+        self._check_tamper(index, step, verdict.accepted)
         instance = parse_payload(record.payload)
         if instance is not None:
             self._note(index, self.world.accountant.note_redeem(label, instance, record.message, verdict.accepted))
@@ -451,9 +513,12 @@ class Runner:
                 "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
                 "summary": f"withdrawal {step['id']!r} from {step['chain']}: {err}",
             }
+        if step.get("tamper") == "forged_nullifier":
+            package = replace(package, csw=replace(package.csw, nullifier=hash_bytes(package.csw.nullifier)))
         pre = self.world.write_marks()
         verdict = self.world.mainchain.submit_csw(package.csw)
         self._atomic(index, "csw", pre, verdict.accepted)
+        self._check_tamper(index, step, verdict.accepted)
         if verdict.accepted:
             self.withdrawals[step["id"]] = package
         result = {

@@ -8,7 +8,7 @@ the offending step and field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .encoding import U32_MAX, U64_MAX  # epoch lengths are u32 on the wire, amounts and token ids u64
@@ -145,26 +145,51 @@ def _chain_spec(obj: dict, index: int) -> ChainSpec:
     )
 
 
+#: Per op: the required fields with their types, then the optional ones
+#: (``chains`` is "all" or a list, checked with its op). ``op`` and
+#: ``expect`` are allowed on every step; any other field is refused.
 _STEP_FIELDS = {
-    "issue": {"chain": str, "name": str, "fungible": bool, "owner": str},
-    "send": {"from": str, "to": str, "name": str, "owner": str, "receiver": str},
-    "fabricate_send": {
-        "from": str,
-        "to": str,
-        "name": str,
-        "fungible": bool,
-        "issuer": str,
-        "owner": str,
-        "receiver": str,
-    },
-    "close_epoch": {},
-    "advance_mainchain": {"blocks": int},
-    "cease_by_silence": {"chain": str},
-    "redeem": {"send": str},
-    "csw": {"id": str, "mode": str, "chain": str, "owner": str, "receiver": str},
-    "csw_redeem": {"withdrawal": str},
-    "notify": {"chain": str, "from": str, "to": str, "name": str},
-    "assert": {"chain": str},
+    "issue": (
+        {"chain": str, "name": str, "fungible": bool, "owner": str},
+        {"amount": int, "token_id": int, "data": str},
+    ),
+    "send": (
+        {"from": str, "to": str, "name": str, "owner": str, "receiver": str},
+        {"amount": int, "token_id": int, "id": str, "tamper": str},
+    ),
+    "fabricate_send": (
+        {"from": str, "to": str, "name": str, "fungible": bool, "issuer": str, "owner": str, "receiver": str},
+        {"amount": int, "token_id": int, "data": str, "id": str},
+    ),
+    "close_epoch": ({}, {"chains": object, "quality": int, "tamper": str}),
+    "advance_mainchain": ({"blocks": int}, {}),
+    "cease_by_silence": ({"chain": str}, {}),
+    "redeem": ({"send": str}, {"tamper": str}),
+    "csw": (
+        {"id": str, "mode": str, "chain": str, "owner": str, "receiver": str},
+        {
+            "name": str,
+            "amount": int,
+            "token_id": int,
+            "target": str,
+            "holder": str,
+            "return_send": str,
+            "tamper": str,
+        },
+    ),
+    "csw_redeem": ({"withdrawal": str}, {}),
+    "notify": ({"chain": str, "from": str, "to": str, "name": str}, {"amount": int, "token_id": int}),
+    "assert": ({"chain": str}, {"status": str, "holdings": list, "sent_records": list}),
+}
+
+#: Per op, the attacks a step may carry in its ``tamper`` field. Each value
+#: makes the runner submit a deliberately broken transaction instead of the
+#: honest one; the step must then be rejected.
+TAMPERS = {
+    "send": ("wrong_signer", "wrong_chain", "payload_mismatch", "unregistered_type", "malformed_payload"),
+    "redeem": ("wrong_chain", "forged_receiver_auth", "wrong_block"),
+    "close_epoch": ("wrong_epoch", "lower_quality", "altered_body"),
+    "csw": ("forged_nullifier",),
 }
 
 
@@ -175,33 +200,37 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
     op = _need(step, "op", str, where)
     if op not in STEP_OPS:
         raise ParseError(f"{where}: unknown op {op!r}, expected one of {', '.join(STEP_OPS)}")
-    for key, kind in _STEP_FIELDS[op].items():
+    required, optional = _STEP_FIELDS[op]
+    unknown = set(step) - {"op", "expect"} - required.keys() - optional.keys()
+    if unknown:
+        raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r} for op {op!r}")
+    for key, kind in required.items():
         _need(step, key, kind, where)
+    for key, kind in optional.items():
+        if key in step:
+            _need(step, key, kind, where)
     if op != "issue":
         if "amount" in step:
             _u64(step, "amount", where, 1)
         if "token_id" in step:
             _u64(step, "token_id", where, 0)
-    for key in ("chain", "from", "to", "issuer"):
-        if key in step and op != "notify":
-            if step[key] not in labels:
-                raise ParseError(f"{where}: field {key!r} references undeclared chain {step[key]!r}")
-    if op == "notify":
-        for key in ("chain", "from", "to"):
-            if step[key] not in labels:
-                raise ParseError(f"{where}: field {key!r} references undeclared chain {step[key]!r}")
+    if "quality" in step:
+        _u64(step, "quality", where, 0)
+    for key in ("chain", "from", "to", "issuer", "holder", "target"):
+        if key in step and step[key] not in labels:
+            raise ParseError(f"{where}: field {key!r} references undeclared chain {step[key]!r}")
+    if "tamper" in step and step["tamper"] not in TAMPERS[op]:
+        raise ParseError(
+            f"{where}: unknown tamper {step['tamper']!r} for op {op!r}, expected one of {', '.join(TAMPERS[op])}"
+        )
     if op == "issue":
         _issuance(step, where)
-        if step["chain"] not in labels:
-            raise ParseError(f"{where}: field 'chain' references undeclared chain {step['chain']!r}")
     if op in ("send", "fabricate_send"):
         if step["from"] == step["to"] and op == "send" and not step.get("expect"):
             raise ParseError(f"{where}: self-send must declare its expected rejection")
         if "amount" in step and "token_id" in step:
             raise ParseError(f"{where}: give either 'amount' or 'token_id', not both")
         if "id" in step:
-            if not isinstance(step["id"], str):
-                raise ParseError(f"{where}: field 'id' must be str")
             if step["id"] in send_ids:
                 raise ParseError(f"{where}: duplicate send id {step['id']!r}")
             send_ids.add(step["id"])
@@ -215,7 +244,7 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
             if not isinstance(chains, list) or not chains:
                 raise ParseError(f"{where}: field 'chains' must be \"all\" or a non-empty list")
             for label in chains:
-                if label not in labels:
+                if not isinstance(label, str) or label not in labels:
                     raise ParseError(f"{where}: field 'chains' references undeclared chain {label!r}")
     if op == "advance_mainchain" and step["blocks"] < 1:
         raise ParseError(f"{where}: field 'blocks' must be positive")

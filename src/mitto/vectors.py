@@ -6,9 +6,12 @@ verdicts are written out by hand in ``CASES`` rather than captured from a
 run, so regenerating the file can never silently bless a regression: the
 engine either reproduces the documented verdict or the check fails.
 
-State-layer cases call the token rules directly; world-layer cases drive
-full chains (settlement chain, certificates, evidence) so the gating that
-lives outside the token module is pinned too.
+State-layer cases call the token rules directly. World-layer cases are
+scenario fragments: an honest prefix shared by several cases, then the
+step under test, often carrying a ``tamper`` value. ``run_case`` runs the
+fragment through the scenario runner and reads the verdict of the pinned
+step, so these cases also pass the accountant, the atomicity check and the
+replay probes; any finding of theirs makes the case a mismatch.
 """
 from __future__ import annotations
 
@@ -19,27 +22,12 @@ from types import SimpleNamespace
 from typing import Callable
 
 from .encoding import U64_MAX, canonical_digest
+from .harness import Runner
 from .hashing import hash_bytes
 from .keys import KeyPair
-from .mainchain import STATUS_CEASED, Mainchain
-from .messages import (
-    MSG_TYPE_TOKEN_TRANSFER,
-    CscpMessage,
-    RedeemTx,
-    SendTx,
-    message_digest,
-    redeem_auth_digest,
-)
-from .sidechain import Sidechain
-from .tokens import (
-    MittoState,
-    SentRecord,
-    TokenNameRegistry,
-    attach_token_ledger,
-    make_csw_redeem_tx,
-    make_redeem_tx,
-    withdraw_native_held,
-)
+from .messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, message_digest
+from .scenario import parse_scenario
+from .tokens import MittoState, SentRecord, TokenNameRegistry
 from .verdict import Verdict
 
 FORMAT = 1
@@ -49,12 +37,17 @@ _SEED = 1405
 
 @dataclass(frozen=True)
 class VectorCase:
+    """One expectation. A state-layer case has ``run``; a world-layer case
+    has a ``scenario`` fragment and the index of the ``step`` it pins."""
+
     id: str
     op: str
     layer: str
     description: str
     expect: dict
-    run: Callable[[], Verdict]
+    run: Callable[[], Verdict] | None = None
+    scenario: dict | None = None
+    step: int | None = None
 
 
 def _actor(name: str) -> KeyPair:
@@ -325,275 +318,73 @@ def _redeem_5() -> Verdict:
     return _redeem_verdict(p.away, part, message, p.mallory)
 
 
-# -- world-layer scaffolding -----------------------------------------------------
+# -- world-layer fragments -------------------------------------------------------
+
+#: Three live chains; 60 WBT moved alpha -> beta and redeemed there, another
+#: 20 committed in the same epoch but left unredeemed for evidence cases.
+_WBT_WORLD = (
+    [
+        {"label": "alpha", "epoch_length": 2,
+         "issuances": [{"name": "WBT", "fungible": True, "amount": 100, "owner": "alice"}]},
+        {"label": "beta", "epoch_length": 2},
+        {"label": "gamma", "epoch_length": 2},
+    ],
+    [
+        {"op": "send", "id": "sent60", "from": "alpha", "to": "beta", "name": "WBT", "amount": 60,
+         "owner": "alice", "receiver": "bob"},
+        {"op": "send", "id": "sent20", "from": "alpha", "to": "beta", "name": "WBT", "amount": 20,
+         "owner": "alice", "receiver": "bob"},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch"},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "redeem", "send": "sent60"},
+    ],
+)
+
+#: Alpha holds 50 KEEP, certifies one epoch, then goes silent and ceases.
+_CEASED_WORLD = (
+    [
+        {"label": "alpha", "epoch_length": 2,
+         "issuances": [{"name": "KEEP", "fungible": True, "amount": 50, "owner": "alice"}]},
+        {"label": "beta", "epoch_length": 2},
+    ],
+    [
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch"},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch", "chains": ["beta"]},
+        {"op": "cease_by_silence", "chain": "alpha"},
+    ],
+)
+
+#: One chain whose first epoch is still open.
+_EARLY_WORLD = ([{"label": "early", "epoch_length": 4}], [])
 
 
-def _world() -> SimpleNamespace:
-    """Three live chains; 60 WBT moved and redeemed on beta, another 20
-    committed in the same epoch but left unredeemed for evidence cases."""
-    w = SimpleNamespace(
-        mc=Mainchain(),
-        registry=TokenNameRegistry(),
-        alice=_actor("alice"),
-        bob=_actor("bob"),
-        mallory=_actor("mallory"),
-    )
-    w.chains = {}
-    w.states = {}
-    for label in ("alpha", "beta", "gamma"):
-        chain = Sidechain.create(w.mc, 2, label, seed=_SEED)
-        w.chains[label] = chain
-        w.states[label] = attach_token_ledger(chain, w.registry)
-    w.mc.advance_block()
-    w.alpha, w.beta, w.gamma = (w.chains[k] for k in ("alpha", "beta", "gamma"))
-
-    w.states["alpha"].issue("WBT", True, w.alice.public, hash_bytes(b"WBT"), amount=100)
-    w.sent60 = _world_send(w, 60)
-    w.sent20 = _world_send(w, 20)
-    w.mc.advance_blocks(2)
-    for chain in w.chains.values():
-        cert, verdict = chain.close_epoch()
-        assert verdict.accepted, verdict
-    w.mc.advance_blocks(2)
-    verdict = w.beta.accept_redeem(_world_redeem_tx(w, w.sent60))
-    assert verdict.accepted, verdict
-    return w
+def _world_case(id: str, op: str, description: str, expect: dict, world: tuple, *steps: dict) -> VectorCase:
+    """A world-layer case pinning the verdict of the fragment's last step."""
+    chains, prefix = world
+    fragment = {"name": id, "seed": _SEED, "chains": chains, "steps": [*prefix, *steps]}
+    return VectorCase(id, op, "world", description, expect, scenario=fragment, step=len(fragment["steps"]) - 1)
 
 
-def _world_send(w: SimpleNamespace, amount: int) -> tuple:
-    state = w.states["alpha"]
-    digest = next(
-        d for d, ti in sorted(state.s_tks.items(), key=lambda kv: kv[0].hex())
-        if ti.token_name == "WBT" and ti.amount >= amount
-    )
-    part = state.s_tks[digest] if state.s_tks[digest].amount == amount else state.split(digest, amount)[0]
-    message = _msg(part, w.alpha.sc_id, w.beta.sc_id, w.alice, w.bob)
-    tx = SendTx(message=message, payload=part.encode(), signature=w.alice.sign(message_digest(message)))
-    verdict = w.alpha.accept_send(tx)
-    assert verdict.accepted, verdict
-    return message, part.encode(), tx.signature
+def _bob_send(to: str, **extra) -> dict:
+    """Bob moves the WBT he redeemed on beta."""
+    return {"op": "send", "from": "beta", "to": to, "name": "WBT", "owner": "bob", "receiver": "alice", **extra}
 
 
-def _world_redeem_tx(w: SimpleNamespace, sent: tuple) -> RedeemTx:
-    """Bob's redeem of a send alpha committed in epoch 0."""
-    return make_redeem_tx(w.mc, w.alpha, 0, *sent, w.bob)
+def _redeem20(**extra) -> dict:
+    return {"op": "redeem", "send": "sent20", **extra}
 
 
-def _ceased() -> SimpleNamespace:
-    """Alpha holds 50 KEEP, certifies one epoch, then goes silent and ceases."""
-    w = SimpleNamespace(mc=Mainchain(), registry=TokenNameRegistry(), alice=_actor("alice"))
-    w.chains = {}
-    w.states = {}
-    for label in ("alpha", "beta"):
-        chain = Sidechain.create(w.mc, 2, label, seed=_SEED)
-        w.chains[label] = chain
-        w.states[label] = attach_token_ledger(chain, w.registry)
-    w.mc.advance_block()
-    w.alpha, w.beta = w.chains["alpha"], w.chains["beta"]
-    w.keep = w.states["alpha"].issue("KEEP", True, w.alice.public, hash_bytes(b"KEEP"), amount=50)
-    w.mc.advance_blocks(2)
-    for chain in w.chains.values():
-        _, verdict = chain.close_epoch()
-        assert verdict.accepted
-    w.mc.advance_blocks(2)
-    _, verdict = w.beta.close_epoch()
-    assert verdict.accepted
-    w.mc.advance_blocks(2)
-    assert w.mc.record(w.alpha.sc_id).status == STATUS_CEASED
-    return w
+def _close(chain: str, **extra) -> dict:
+    return {"op": "close_epoch", "chains": [chain], **extra}
 
 
-def _held_package(w: SimpleNamespace):
-    return withdraw_native_held(
-        w.alpha, w.alice, canonical_digest(w.keep), w.beta.sc_id, w.alice.public
-    )
-
-
-# -- world-layer cases -------------------------------------------------------------
-
-
-def _w_send_accept() -> Verdict:
-    w = _world()
-    foreign = next(iter(w.states["beta"].s_tks.values()))
-    message = _msg(foreign, w.beta.sc_id, w.alpha.sc_id, w.bob, w.alice)
-    tx = SendTx(message=message, payload=foreign.encode(), signature=w.bob.sign(message_digest(message)))
-    return w.beta.accept_send(tx)
-
-
-def _w_send_bad_sig() -> Verdict:
-    w = _world()
-    foreign = next(iter(w.states["beta"].s_tks.values()))
-    message = _msg(foreign, w.beta.sc_id, w.alpha.sc_id, w.bob, w.alice)
-    tx = SendTx(message=message, payload=foreign.encode(), signature=w.mallory.sign(message_digest(message)))
-    return w.beta.accept_send(tx)
-
-
-def _w_send_wrong_sender() -> Verdict:
-    w = _world()
-    foreign = next(iter(w.states["beta"].s_tks.values()))
-    message = _msg(foreign, w.beta.sc_id, w.alpha.sc_id, w.bob, w.alice)
-    tx = SendTx(message=message, payload=foreign.encode(), signature=w.bob.sign(message_digest(message)))
-    return w.alpha.accept_send(tx)
-
-
-def _w_send_payload_mismatch() -> Verdict:
-    w = _world()
-    foreign = next(iter(w.states["beta"].s_tks.values()))
-    message = _msg(foreign, w.beta.sc_id, w.alpha.sc_id, w.bob, w.alice)
-    tx = SendTx(message=message, payload=b"other-bytes", signature=w.bob.sign(message_digest(message)))
-    return w.beta.accept_send(tx)
-
-
-def _w_send_self() -> Verdict:
-    w = _world()
-    foreign = next(iter(w.states["beta"].s_tks.values()))
-    message = _msg(foreign, w.beta.sc_id, w.beta.sc_id, w.bob, w.alice)
-    tx = SendTx(message=message, payload=foreign.encode(), signature=w.bob.sign(message_digest(message)))
-    return w.beta.accept_send(tx)
-
-
-def _w_send_unregistered_type() -> Verdict:
-    w = _world()
-    payload = b"opaque"
-    message = CscpMessage(
-        sending_sc_id=w.beta.sc_id,
-        receiving_sc_id=w.alpha.sc_id,
-        msg_type=9,
-        sender_id=w.bob.public,
-        receiver_id=w.alice.public,
-        payload_hash=hash_bytes(payload),
-    )
-    tx = SendTx(message=message, payload=payload, signature=w.bob.sign(message_digest(message)))
-    return w.beta.accept_send(tx)
-
-
-def _w_send_malformed_payload() -> Verdict:
-    w = _world()
-    payload = b"not-a-token"
-    message = CscpMessage(
-        sending_sc_id=w.beta.sc_id,
-        receiving_sc_id=w.alpha.sc_id,
-        msg_type=MSG_TYPE_TOKEN_TRANSFER,
-        sender_id=w.bob.public,
-        receiver_id=w.alice.public,
-        payload_hash=hash_bytes(payload),
-    )
-    tx = SendTx(message=message, payload=payload, signature=w.bob.sign(message_digest(message)))
-    return w.beta.accept_send(tx)
-
-
-def _w_send_foreign_to_third() -> Verdict:
-    w = _world()
-    foreign = next(iter(w.states["beta"].s_tks.values()))
-    message = _msg(foreign, w.beta.sc_id, w.gamma.sc_id, w.bob, w.mallory)
-    tx = SendTx(message=message, payload=foreign.encode(), signature=w.bob.sign(message_digest(message)))
-    return w.beta.accept_send(tx)
-
-
-def _w_redeem_accept() -> Verdict:
-    w = _world()
-    return w.beta.accept_redeem(_world_redeem_tx(w, w.sent20))
-
-
-def _w_redeem_replay() -> Verdict:
-    w = _world()
-    tx = _world_redeem_tx(w, w.sent20)
-    assert w.beta.accept_redeem(tx).accepted
-    return w.beta.accept_redeem(tx)
-
-
-def _w_redeem_wrong_chain() -> Verdict:
-    w = _world()
-    return w.gamma.accept_redeem(_world_redeem_tx(w, w.sent20))
-
-
-def _w_redeem_receiver_auth() -> Verdict:
-    w = _world()
-    tx = _world_redeem_tx(w, w.sent20)
-    message, payload, _ = w.sent20
-    forged = replace(tx, receiver_signature=w.mallory.sign(redeem_auth_digest(message, payload)))
-    return w.beta.accept_redeem(forged)
-
-
-def _w_redeem_tampered_proof() -> Verdict:
-    w = _world()
-    tx = _world_redeem_tx(w, w.sent20)
-    other = w.mc.get_block(1).hash
-    forged = replace(tx, proof=replace(tx.proof, block_hash=other))
-    return w.beta.accept_redeem(forged)
-
-
-def _w_wcert_accept() -> Verdict:
-    w = _world()
-    cert = w.gamma.build_certificate()
-    return w.mc.submit_certificate(cert)
-
-
-def _w_wcert_wrong_epoch() -> Verdict:
-    w = _world()
-    cert = w.gamma.build_certificate(epoch_id=3)
-    return w.mc.submit_certificate(cert)
-
-
-def _w_wcert_window_closed() -> Verdict:
-    mc = Mainchain()
-    chain = Sidechain.create(mc, 4, "early", seed=_SEED)
-    mc.advance_block()
-    cert = chain.build_certificate()
-    return mc.submit_certificate(cert)
-
-
-def _w_wcert_lower_quality() -> Verdict:
-    w = _world()
-    assert w.mc.submit_certificate(w.gamma.build_certificate(quality=2)).accepted
-    return w.mc.submit_certificate(w.gamma.build_certificate(quality=1))
-
-
-def _w_wcert_ceased() -> Verdict:
-    w = _ceased()
-    return w.mc.submit_certificate(w.alpha.build_certificate())
-
-
-def _w_wcert_bad_proof() -> Verdict:
-    w = _world()
-    cert = w.gamma.build_certificate(quality=1)
-    return w.mc.submit_certificate(replace(cert, quality=7))
-
-
-def _w_csw_accept() -> Verdict:
-    w = _ceased()
-    return w.mc.submit_csw(_held_package(w).csw)
-
-
-def _w_csw_active() -> Verdict:
-    w = _world()
-    keep = w.states["alpha"].issue("KEEP", True, w.alice.public, hash_bytes(b"KEEP"), amount=10)
-    _, verdict = w.alpha.close_epoch()
-    assert verdict.accepted
-    w.mc.advance_blocks(2)
-    package = withdraw_native_held(w.alpha, w.alice, canonical_digest(keep), w.beta.sc_id, w.alice.public)
-    return w.mc.submit_csw(package.csw)
-
-
-def _w_csw_replay() -> Verdict:
-    w = _ceased()
-    csw = _held_package(w).csw
-    assert w.mc.submit_csw(csw).accepted
-    return w.mc.submit_csw(csw)
-
-
-def _w_csw_bad_proof() -> Verdict:
-    w = _ceased()
-    csw = _held_package(w).csw
-    return w.mc.submit_csw(replace(csw, nullifier=hash_bytes(b"forged")))
-
-
-def _w_csw_redeem_accept() -> Verdict:
-    w = _ceased()
-    package = _held_package(w)
-    assert w.mc.submit_csw(package.csw).accepted
-    w.mc.advance_block()
-    return w.beta.accept_csw_redeem(make_csw_redeem_tx(w.mc, package, w.alice))
+def _keep_csw(id: str = "keep", **extra) -> dict:
+    """Alice withdraws her KEEP from ceased alpha towards beta."""
+    return {"op": "csw", "id": id, "mode": "held", "chain": "alpha", "name": "KEEP", "owner": "alice",
+            "target": "beta", "receiver": "alice", **extra}
 
 
 CASES: tuple[VectorCase, ...] = (
@@ -651,77 +442,76 @@ CASES: tuple[VectorCase, ...] = (
     VectorCase("redeem-5-bad-sender-signature", "redeem", "state",
                "sender signature fails verification", _rule("redeem-5"), _redeem_5),
 
-    VectorCase("world-send-accept", "send", "world",
-               "full-chain send accepted into the outbox", _accepted(), _w_send_accept),
-    VectorCase("world-send-bad-signature", "send", "world",
-               "message signature does not verify for the named sender",
-               _rejected("BadSignature"), _w_send_bad_sig),
-    VectorCase("world-send-wrong-sender", "send", "world",
-               "message submitted to a chain that is not its origin",
-               _rejected("WrongSender"), _w_send_wrong_sender),
-    VectorCase("world-send-payload-mismatch", "send", "world",
-               "attached payload does not hash to the committed value",
-               _rejected("PayloadMismatch"), _w_send_payload_mismatch),
-    VectorCase("world-send-self", "send", "world",
-               "send addressed to the origin chain itself", _rejected("SelfSend"), _w_send_self),
-    VectorCase("world-send-unregistered-type", "send", "world",
-               "no handler registered for the message type",
-               _rule("unregistered-msg-type"), _w_send_unregistered_type),
-    VectorCase("world-send-malformed-payload", "send", "world",
-               "payload bytes do not decode as a token instance",
-               _rule("malformed-payload"), _w_send_malformed_payload),
-    VectorCase("world-send-foreign-to-third", "send", "world",
-               "full-chain enforcement of the issuer-routing rule",
-               _rule("send-2"), _w_send_foreign_to_third),
+    _world_case("world-send-accept", "send", "full-chain send accepted into the outbox", _accepted(),
+                _WBT_WORLD, _bob_send("alpha")),
+    _world_case("world-send-bad-signature", "send", "message signature does not verify for the named sender",
+                _rejected("BadSignature"), _WBT_WORLD, _bob_send("alpha", tamper="wrong_signer")),
+    _world_case("world-send-wrong-sender", "send", "message submitted to a chain that is not its origin",
+                _rejected("WrongSender"), _WBT_WORLD, _bob_send("alpha", tamper="wrong_chain")),
+    _world_case("world-send-payload-mismatch", "send", "attached payload does not hash to the committed value",
+                _rejected("PayloadMismatch"), _WBT_WORLD, _bob_send("alpha", tamper="payload_mismatch")),
+    _world_case("world-send-self", "send", "send addressed to the origin chain itself", _rejected("SelfSend"),
+                _WBT_WORLD, _bob_send("beta", expect=_rejected("SelfSend"))),
+    _world_case("world-send-unregistered-type", "send", "no handler registered for the message type",
+                _rule("unregistered-msg-type"), _WBT_WORLD, _bob_send("alpha", tamper="unregistered_type")),
+    _world_case("world-send-malformed-payload", "send", "payload bytes do not decode as a token instance",
+                _rule("malformed-payload"), _WBT_WORLD, _bob_send("alpha", tamper="malformed_payload")),
+    _world_case("world-send-foreign-to-third", "send", "full-chain enforcement of the issuer-routing rule",
+                _rule("send-2"), _WBT_WORLD, _bob_send("gamma", receiver="mallory")),
 
-    VectorCase("world-redeem-accept", "redeem", "world",
-               "committed message redeemed with finalized evidence", _accepted(), _w_redeem_accept),
-    VectorCase("world-redeem-replay", "redeem", "world",
-               "second redemption of the same message", _rejected("AlreadyRedeemed"), _w_redeem_replay),
-    VectorCase("world-redeem-wrong-chain", "redeem", "world",
-               "message redeemed on a chain it was not addressed to",
-               _rejected("WrongReceivingChain"), _w_redeem_wrong_chain),
-    VectorCase("world-redeem-6-receiver-auth", "redeem", "world",
-               "receiver authorization signed by someone else",
-               _rejected("BadReceiverAuth", "redeem-6"), _w_redeem_receiver_auth),
-    VectorCase("world-redeem-7-tampered-proof", "redeem", "world",
-               "inclusion evidence anchored to the wrong block",
-               _rejected("ProofInvalid", "redeem-7"), _w_redeem_tampered_proof),
+    _world_case("world-redeem-accept", "redeem", "committed message redeemed with finalized evidence",
+                _accepted(), _WBT_WORLD, _redeem20()),
+    _world_case("world-redeem-replay", "redeem", "second redemption of the same message",
+                _rejected("AlreadyRedeemed"), _WBT_WORLD, _redeem20(), _redeem20()),
+    _world_case("world-redeem-wrong-chain", "redeem", "message redeemed on a chain it was not addressed to",
+                _rejected("WrongReceivingChain"), _WBT_WORLD, _redeem20(tamper="wrong_chain")),
+    _world_case("world-redeem-6-receiver-auth", "redeem", "receiver authorization signed by someone else",
+                _rejected("BadReceiverAuth", "redeem-6"), _WBT_WORLD, _redeem20(tamper="forged_receiver_auth")),
+    _world_case("world-redeem-7-tampered-proof", "redeem", "inclusion evidence anchored to the wrong block",
+                _rejected("ProofInvalid", "redeem-7"), _WBT_WORLD, _redeem20(tamper="wrong_block")),
 
-    VectorCase("wcert-accept", "wcert", "world",
-               "certificate lands inside its submission window", _accepted(), _w_wcert_accept),
-    VectorCase("wcert-wrong-epoch", "wcert", "world",
-               "certificate for an epoch that is not awaited", _rejected("WrongEpoch"), _w_wcert_wrong_epoch),
-    VectorCase("wcert-window-closed", "wcert", "world",
-               "certificate submitted before its window opens",
-               _rejected("WindowClosed"), _w_wcert_window_closed),
-    VectorCase("wcert-lower-quality", "wcert", "world",
-               "certificate of equal or lower quality than the pending one",
-               _rejected("LowerQuality"), _w_wcert_lower_quality),
-    VectorCase("wcert-ceased", "wcert", "world",
-               "certificate for a chain that already ceased",
-               _rejected("SidechainCeased"), _w_wcert_ceased),
-    VectorCase("wcert-bad-proof", "wcert", "world",
-               "certificate body altered after proving", _rejected("ProofInvalid"), _w_wcert_bad_proof),
+    _world_case("wcert-accept", "wcert", "certificate lands inside its submission window", _accepted(),
+                _WBT_WORLD, _close("gamma")),
+    _world_case("wcert-wrong-epoch", "wcert", "certificate for an epoch that is not awaited",
+                _rejected("WrongEpoch"), _WBT_WORLD, _close("gamma", tamper="wrong_epoch")),
+    _world_case("wcert-window-closed", "wcert", "certificate submitted before its window opens",
+                _rejected("WindowClosed"), _EARLY_WORLD, _close("early")),
+    _world_case("wcert-lower-quality", "wcert", "certificate of equal or lower quality than the pending one",
+                _rejected("LowerQuality"), _WBT_WORLD,
+                _close("gamma", quality=2), _close("gamma", quality=1, tamper="lower_quality")),
+    _world_case("wcert-ceased", "wcert", "certificate for a chain that already ceased",
+                _rejected("SidechainCeased"), _CEASED_WORLD, _close("alpha")),
+    _world_case("wcert-bad-proof", "wcert", "certificate body altered after proving", _rejected("ProofInvalid"),
+                _WBT_WORLD, _close("gamma", tamper="altered_body")),
 
-    VectorCase("csw-accept", "csw", "world",
-               "withdrawal from a ceased chain's final state", _accepted(), _w_csw_accept),
-    VectorCase("csw-active-chain", "csw", "world",
-               "withdrawal attempted while the chain is alive",
-               _rejected("SidechainActive"), _w_csw_active),
-    VectorCase("csw-replay", "csw", "world",
-               "second withdrawal with the same nullifier",
-               _rejected("NullifierReused"), _w_csw_replay),
-    VectorCase("csw-bad-proof", "csw", "world",
-               "withdrawal evidence altered after proving", _rejected("ProofInvalid"), _w_csw_bad_proof),
-    VectorCase("csw-redeem-accept", "csw_redeem", "world",
-               "withdrawn message redeemed on its destination chain",
-               _accepted(), _w_csw_redeem_accept),
+    _world_case("csw-accept", "csw", "withdrawal from a ceased chain's final state", _accepted(),
+                _CEASED_WORLD, _keep_csw()),
+    _world_case("csw-active-chain", "csw", "withdrawal attempted while the chain is alive",
+                _rejected("SidechainActive"), _WBT_WORLD,
+                {"op": "csw", "id": "early", "mode": "held", "chain": "alpha", "name": "WBT", "owner": "alice",
+                 "target": "beta", "receiver": "alice"}),
+    _world_case("csw-replay", "csw", "second withdrawal with the same nullifier", _rejected("NullifierReused"),
+                _CEASED_WORLD, _keep_csw("first"), _keep_csw("again")),
+    _world_case("csw-bad-proof", "csw", "withdrawal evidence altered after proving", _rejected("ProofInvalid"),
+                _CEASED_WORLD, _keep_csw(tamper="forged_nullifier")),
+    _world_case("csw-redeem-accept", "csw_redeem", "withdrawn message redeemed on its destination chain",
+                _accepted(), _CEASED_WORLD,
+                _keep_csw(), {"op": "advance_mainchain", "blocks": 1}, {"op": "csw_redeem", "withdrawal": "keep"}),
 )
 
 
 def run_case(case: VectorCase) -> dict:
-    return case.run().to_json()
+    """The verdict the engine gives a case. A world-layer case also carries
+    any runner finding, so a finding can never match an expectation."""
+    if case.scenario is None:
+        return case.run().to_json()
+    report = Runner(parse_scenario(case.scenario, case.id)).run()
+    entry = report["steps"][case.step]
+    observed = dict(entry["parts"][0] if entry["op"] == "close_epoch" else entry["outcome"])
+    observed.pop("chain", None)
+    if report["violations"] or report["failure"] is not None:
+        observed.update(violations=report["violations"], failure=report["failure"])
+    return observed
 
 
 def emit_vectors(directory: str | Path) -> Path:

@@ -5,7 +5,6 @@ fails with the collected problems if its criterion does not hold. Expected
 values are hand-derived and written out literally; nothing is captured from
 the implementation's own output.
 """
-import json
 from dataclasses import replace
 from pathlib import Path
 

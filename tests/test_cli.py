@@ -97,6 +97,21 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", bad]) == 2
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("tamper", "teleport", "unknown tamper 'teleport'"),
+    ("tampr", "wrong_epoch", "unknown field 'tampr'"),
+])
+def test_unknown_tamper_or_step_field_exit_two(tmp_path, capsys, field, value, message):
+    obj = {
+        "name": "t", "seed": 1, "chains": [{"label": "alpha", "epoch_length": 2}],
+        "steps": [{"op": "close_epoch", field: value}],
+    }
+    path = write_scenario(tmp_path, obj)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert f"steps[0]: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("issuance", [
     {"name": "BIG", "fungible": True, "amount": 2**64, "owner": "a"},
     {"name": "NEG", "fungible": False, "token_id": -1, "owner": "a"},

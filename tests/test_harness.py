@@ -10,7 +10,7 @@ from dump_reference import DumpCheckRunner
 from mitto.accountant import Accountant
 from mitto.encoding import canonical_digest
 from mitto.fuzz import generate_trace
-from mitto.harness import Runner, diff_state, dump_state, render_report, run_scenario
+from mitto.harness import HarnessError, Runner, diff_state, dump_state, render_report, run_scenario
 from mitto.hashing import hash_bytes
 from mitto.journal import JournalDict, JournalList, JournalSet
 from mitto.mainchain import Mainchain
@@ -216,6 +216,20 @@ def test_every_step_op_has_a_handler():
     assert handlers == set(STEP_OPS)
 
 
+def test_label_by_sc_id():
+    world = Runner(parse_scenario(scenario_obj([]))).world
+    for label, chain in world.chains.items():
+        assert world.label_by_sc_id(chain.sc_id) == label
+    with pytest.raises(HarnessError, match="^no declared chain has id 99$"):
+        world.label_by_sc_id(99)
+
+
+def test_lower_quality_tamper_needs_a_closed_epoch():
+    step = {"op": "close_epoch", "chains": ["alpha"], "tamper": "lower_quality"}
+    with pytest.raises(HarnessError, match="chain alpha has closed no epoch to certify again"):
+        run_inline([step])
+
+
 def test_cease_by_silence_step():
     report = run_inline([
         {"op": "close_epoch", "chains": ["beta"]},
@@ -266,6 +280,7 @@ REJECTIONS = {
         {"op": "csw_redeem", "withdrawal": "w1", "expect": {"accepted": True}},
         {"op": "csw_redeem", "withdrawal": "w1",
          "expect": {"accepted": False, "reason": "AlreadyRedeemed"}},
+        {"op": "close_epoch", "chains": ["alpha"], "expect": {"accepted": False}},
     ],
 }
 
@@ -288,8 +303,8 @@ def _append_epoch(chain, _tx):
     chain.epochs.append(chain.epochs[-1])
 
 
-def _add_nullifier(mainchain, csw):
-    used = mainchain.record(csw.ledger_id).used_nullifiers
+def _add_nullifier(mainchain, submission):
+    used = mainchain.record(submission.ledger_id).used_nullifiers
     used.add(hash_bytes(b"leak%d" % len(used)))
 
 
@@ -305,6 +320,7 @@ LEAKS = [
     ("csw", 10, Mainchain, "submit_csw", _add_nullifier, False),
     ("csw", 10, Mainchain, "submit_csw", _queue_csw, False),
     ("csw_redeem", 13, Sidechain, "accept_csw_redeem", _append_epoch, True),
+    ("close_epoch", 14, Mainchain, "submit_certificate", _add_nullifier, False),
 ]
 
 

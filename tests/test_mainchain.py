@@ -7,7 +7,7 @@ import pytest
 from worlds import ceased_world, committed_world, two_chain_world
 
 from mitto.encoding import canonical_digest
-from mitto.hashing import EMPTY_ROOT, ScBlockEntries, build_stc, fold_path, hash_bytes
+from mitto.hashing import EMPTY_ROOT, ScBlockEntries, build_stc, hash_bytes
 from mitto.keys import KeyPair
 from mitto.mainchain import (
     GENESIS_PARENT,
@@ -19,8 +19,7 @@ from mitto.mainchain import (
     NotFound,
 )
 from mitto.messages import Proof, SCHEME_SIM_MERKLE
-from mitto.proofs import csw_nullifier, make_csw_input, sim_merkle_vk
-from mitto.sidechain import Sidechain
+from mitto.proofs import csw_nullifier, sim_merkle_vk
 from mitto.tokens import withdraw_native_held
 from mitto.verdict import (
     LOWER_QUALITY,

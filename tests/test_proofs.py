@@ -30,7 +30,6 @@ from mitto.proofs import (
     RedeemProof,
     SchemeMismatch,
     SourceKind,
-    StateAnchor,
     WcertPublicInput,
     build_csw_redeem_proof,
     build_redeem_proof,

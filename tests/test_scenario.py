@@ -1,10 +1,9 @@
 """Scenario schema validation: every complaint must name the step and field."""
-import json
 from pathlib import Path
 
 import pytest
 
-from mitto.scenario import MAX_ADVANCE_BLOCKS, ParseError, load_scenario, parse_scenario
+from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, TAMPERS, ParseError, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -236,3 +235,64 @@ def test_u64_extremes_accepted():
     parse_scenario(_issuing(fungible=False, token_id=0))
     parse_scenario(_issuing(fungible=False, token_id=U64))
     parse_scenario(_stepping(op="send", amount=U64))
+
+
+# One valid step per op, in an order where every reference resolves.
+VALID_STEPS = {
+    "issue": {"op": "issue", "chain": "alpha", "name": "X", "fungible": True, "owner": "a", "amount": 1},
+    "send": {"op": "send", "id": "s", "from": "alpha", "to": "beta", "name": "X", "owner": "a", "receiver": "b"},
+    "fabricate_send": {"op": "fabricate_send", "from": "alpha", "to": "beta", "name": "X", "fungible": True,
+                       "issuer": "alpha", "owner": "a", "receiver": "b", "amount": 1},
+    "close_epoch": {"op": "close_epoch"},
+    "advance_mainchain": {"op": "advance_mainchain", "blocks": 1},
+    "cease_by_silence": {"op": "cease_by_silence", "chain": "alpha"},
+    "redeem": {"op": "redeem", "send": "s"},
+    "csw": {"op": "csw", "id": "w", "mode": "held", "chain": "alpha", "name": "X", "owner": "a",
+            "receiver": "a", "target": "beta"},
+    "csw_redeem": {"op": "csw_redeem", "withdrawal": "w"},
+    "notify": {"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "X"},
+    "assert": {"op": "assert", "chain": "alpha"},
+}
+
+
+def _with_step(op: str, **fields) -> dict:
+    steps = [dict(step, **fields) if name == op else step for name, step in VALID_STEPS.items()]
+    return minimal(steps=steps)
+
+
+def test_valid_steps_cover_every_op():
+    assert tuple(VALID_STEPS) == STEP_OPS
+    parse_scenario(minimal(steps=list(VALID_STEPS.values())))
+
+
+@pytest.mark.parametrize("op", STEP_OPS)
+def test_step_rejects_unknown_field(op):
+    index = STEP_OPS.index(op)
+    with pytest.raises(ParseError, match=rf"steps\[{index}\]: unknown field 'tampr' for op '{op}'"):
+        parse_scenario(_with_step(op, tampr="wrong_chain"))
+
+
+@pytest.mark.parametrize("op,value", [(op, value) for op, values in TAMPERS.items() for value in values])
+def test_tamper_values_parse_on_their_op(op, value):
+    step = parse_scenario(_with_step(op, tamper=value)).steps[STEP_OPS.index(op)]
+    assert step["tamper"] == value
+
+
+def test_tamper_values_are_closed_per_op():
+    with pytest.raises(ParseError, match=r"steps\[1\]: unknown tamper 'wrong_epoch' for op 'send'"):
+        parse_scenario(_with_step("send", tamper="wrong_epoch"))
+    with pytest.raises(ParseError, match=r"steps\[3\]: field 'tamper' must be str"):
+        parse_scenario(_with_step("close_epoch", tamper=1))
+    with pytest.raises(ParseError, match=r"steps\[8\]: unknown field 'tamper' for op 'csw_redeem'"):
+        parse_scenario(_with_step("csw_redeem", tamper="forged_nullifier"))
+
+
+def test_optional_step_fields_are_typed():
+    with pytest.raises(ParseError, match=r"steps\[3\].*'quality' must be at most 2\^64-1"):
+        parse_scenario(_with_step("close_epoch", quality=U64 + 1))
+    with pytest.raises(ParseError, match=r"steps\[7\].*'target' references undeclared chain 'gamma'"):
+        parse_scenario(_with_step("csw", target="gamma"))
+    with pytest.raises(ParseError, match=r"steps\[0\].*'data' must be str"):
+        parse_scenario(_with_step("issue", data=5))
+    with pytest.raises(ParseError, match=r"steps\[3\].*'chains' references undeclared chain \['alpha'\]"):
+        parse_scenario(_with_step("close_epoch", chains=[["alpha"]]))

@@ -8,7 +8,6 @@ from worlds import committed_world, make_send, two_chain_world
 
 from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes
-from mitto.keys import KeyPair
 from mitto.messages import (
     MSG_TYPE_TOKEN_TRANSFER,
     CscpMessage,
@@ -17,7 +16,7 @@ from mitto.messages import (
     redeem_auth_digest,
 )
 from mitto.proofs import CertificateNotConfirmed, EntityNotInState
-from mitto.sidechain import ByzantineSidechain, Sidechain
+from mitto.sidechain import ByzantineSidechain
 from mitto.tokens import MittoState, TokenNameRegistry, TokenTransferHandler, make_redeem_tx
 from mitto.verdict import (
     ALREADY_REDEEMED,

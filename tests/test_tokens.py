@@ -17,11 +17,9 @@ from mitto.tokens import (
     VARIANT_ISSUER_NOTIFICATION,
     VARIANT_NO_RECEIVER_TRACKING,
     VARIANT_NO_SENT_RECORDS,
-    AmountExceedsSent,
     DuplicateTokenId,
     MittoState,
     NameConflict,
-    NoSentRecord,
     SentRecord,
     TokenInstance,
     TokenNameRegistry,

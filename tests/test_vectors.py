@@ -1,9 +1,12 @@
 """Conformance vectors: engine agreement, coverage, and file integrity."""
+import importlib
 import json
 
 import pytest
 
 from mitto import vectors
+from mitto.harness import Runner
+from mitto.scenario import TAMPERS, parse_scenario
 
 RULE_IDS = (
     "send-1", "send-2", "send-3a", "send-3b", "send-3c", "send-3d", "send-3e", "send-4", "send-5",
@@ -21,9 +24,51 @@ GATE_REASONS = (
 )
 
 
+WORLD_CASES = [case for case in vectors.CASES if case.layer == "world"]
+
+
 @pytest.mark.parametrize("case", vectors.CASES, ids=lambda c: c.id)
 def test_engine_reproduces_table(case):
     assert vectors.run_case(case) == case.expect
+
+
+@pytest.mark.parametrize("case", WORLD_CASES, ids=lambda c: c.id)
+def test_world_case_is_a_clean_scenario_fragment(case):
+    assert case.run is None
+    assert case.step == len(case.scenario["steps"]) - 1
+    report = Runner(parse_scenario(case.scenario)).run()
+    assert report["violations"] == []
+    assert report["failure"] is None
+    assert len(report["steps"]) == len(case.scenario["steps"])
+
+
+def test_every_tamper_value_has_a_vector():
+    used = {
+        (step["op"], step["tamper"])
+        for case in WORLD_CASES
+        for step in case.scenario["steps"]
+        if "tamper" in step
+    }
+    assert used == {(op, value) for op, values in TAMPERS.items() for value in values}
+
+
+@pytest.mark.parametrize("module,gate,case_id", [
+    ("mitto.sidechain", "verify_redeem", "world-redeem-7-tampered-proof"),
+    ("mitto.mainchain", "verify_csw", "csw-bad-proof"),
+])
+def test_accepted_tampered_step_is_a_violation(monkeypatch, tmp_path, module, gate, case_id):
+    vectors.emit_vectors(tmp_path)
+    monkeypatch.setattr(importlib.import_module(module), gate, lambda *args: True)
+    case = next(case for case in WORLD_CASES if case.id == case_id)
+    step = case.scenario["steps"][case.step]
+    report = Runner(parse_scenario(case.scenario)).run()
+    finding = f"step {case.step}: tamper: {step['op']} with tamper {step['tamper']!r} was accepted"
+    assert finding in report["violations"]
+    assert report["ok"] is False
+    observed = vectors.run_case(case)
+    assert observed["accepted"] is True
+    assert observed["violations"] == report["violations"]
+    assert [p for p in vectors.check_vectors(tmp_path) if p.startswith(f"{case_id}:")]
 
 
 def test_case_ids_unique():
