@@ -7,13 +7,14 @@ never reading the token module's tallies. A disagreement between the two
 bookkeepers is exactly what it exists to catch.
 
 After every step the runner hands it references to each chain's ledgers
-(``World.snapshot_for_accountant``). A chain's book is resynced only from a
-container that was rebound or written since the last step, judged by the
-write counters of ``journal``; the resync compares entries by identity,
-which is sound because instances and sent records are frozen, and moves
-running tallies of held units, recorded units and NFT holders by what left
-and what arrived. The invariants are then read off the tallies, at a cost
-set by names times chains rather than by what the chains hold. The full
+(``World.snapshot_for_accountant``). A chain's book is resynced on the keys
+each of its containers recorded as written since the last step (see
+``journal``), and in full only from a container that was rebound; the
+resync compares entries by identity, which is sound because instances and
+sent records are frozen, and moves running tallies of held units, recorded
+units and NFT holders by what left and what arrived. The invariants are
+then read off the tallies, at a cost set by names times chains rather than
+by what the chains hold. The full
 re-derivation from JSON dumps that this replaces is kept as the reference
 in ``tests/accountant_reference.py``, and the tests hold both to the same
 findings.
@@ -29,7 +30,6 @@ still fire. That is the point of running those variants at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
 
 from .hashing import Digest
 from .journal import JournalDict
@@ -259,8 +259,8 @@ class _Book:
     """What one chain truly holds and records: its live ledger while it is
     not ceased, its final committed ledger minus already-withdrawn entities
     once it is. Keeps its own copy of the entries and running tallies of
-    them, and resyncs only from a source container that was rebound or
-    written since the last sync."""
+    them, and resyncs only the keys a source container wrote since the last
+    sync, or every key when the container was rebound."""
 
     def __init__(self, holders: _Holders) -> None:
         self.tks: dict[Digest, TokenInstance] = {}
@@ -277,40 +277,54 @@ class _Book:
         source = entry["frozen"] if ceased else entry["live"]
         tks = _NOTHING if source is None else source.s_tks
         sent = _NOTHING if source is None else source.s_sent
-        if self._moved("tks", tks, ceased):
-            # The one csw_nullifier pass, made when the chain ceases; _spend
-            # then drops whatever is already withdrawn.
+        keys = self._changes("tks", tks, ceased)
+        if keys is None or (ceased and keys):
+            # Rebound, just ceased, or a committed ledger written: rebuild.
+            # The one csw_nullifier pass is made here; _spend then drops
+            # whatever is already withdrawn.
             self._entity_of = {csw_nullifier(sc_id, digest): digest for digest in tks} if ceased else {}
             self._spent = set()
             self._seen.pop("used", None)
-            _mirror(self.tks, tks, self._drop_instance, self._add_instance)
-        if ceased and self._moved("used", entry["used_nullifiers"]):
-            self._spend(tks, entry["used_nullifiers"])
-        if self._moved("sent", sent):
-            _mirror(self.sent, sent, self._drop_record, self._add_record)
+            keys = self.tks.keys() | tks.keys()
+        _mirror(self.tks, tks, keys, self._drop_instance, self._add_instance)
+        if ceased:
+            used = entry["used_nullifiers"]
+            nullifiers = self._changes("used", used)
+            if nullifiers is None:
+                nullifiers = self._spent | used
+            self._spend(tks, used, nullifiers)
+        keys = self._changes("sent", sent)
+        if keys is None:
+            keys = self.sent.keys() | sent.keys()
+        _mirror(self.sent, sent, keys, self._drop_record, self._add_record)
 
-    def _moved(self, slot: str, box, *scalars) -> bool:
-        """Was ``box`` rebound, written or seen with other scalars since
-        this slot last looked? The container is held, not its id()."""
-        mark = (box.writes, *scalars)
+    def _changes(self, slot: str, box, *scalars):
+        """The keys of ``box`` to resync: none if it is the container this
+        slot last looked at, unwritten, and seen with the same ``scalars``;
+        the keys written since if only written; None, meaning every key,
+        otherwise. The container is held, not its id()."""
         seen = self._seen.get(slot)
-        if seen is not None and seen[0] is box and seen[1] == mark:
-            return False
-        self._seen[slot] = (box, mark)
-        return True
+        self._seen[slot] = (box, box.writes, scalars)
+        same = seen is not None and seen[0] is box and seen[2] == scalars
+        if same and seen[1] == box.writes:
+            return ()
+        return box.drain(seen[1] if same else None)
 
-    def _spend(self, tks: dict, used: set) -> None:
-        """Drop frozen entities whose nullifier is newly used; restore any
-        whose nullifier is no longer there."""
-        for nullifier in used - self._spent:
+    def _spend(self, tks: dict, used: set, nullifiers) -> None:
+        """Bring ``nullifiers`` up to date: drop the frozen entity of each
+        that is newly used, restore that of each no longer there."""
+        for nullifier in nullifiers:
+            if (nullifier in used) == (nullifier in self._spent):
+                continue
             digest = self._entity_of.get(nullifier)
-            if digest in self.tks:
-                self._drop_instance(digest)
-        for nullifier in self._spent - used:
-            digest = self._entity_of.get(nullifier)
-            if digest is not None and digest not in self.tks:
-                self._add_instance(digest, tks[digest])
-        self._spent = set(used)
+            if nullifier in used:
+                self._spent.add(nullifier)
+                if digest in self.tks:
+                    self._drop_instance(digest)
+            else:
+                self._spent.discard(nullifier)
+                if digest is not None and digest not in self.tks:
+                    self._add_instance(digest, tks[digest])
 
     def _add_instance(self, digest: Digest, instance: TokenInstance) -> None:
         self.tks[digest] = instance
@@ -337,19 +351,20 @@ class _Book:
         _untally(self.recorded[record.token_name], record.receiver_sc_id, _units_of(record))
 
 
-def _mirror(mine: dict, source: dict, drop, add) -> None:
-    """Make ``mine`` hold exactly ``source``'s entries, calling ``drop`` for
+def _mirror(mine: dict, source: dict, keys, drop, add) -> None:
+    """Make ``mine`` agree with ``source`` on ``keys``, calling ``drop`` for
     each key whose entry left or changed and ``add`` for each that arrived.
     Both value types are frozen, so an entry that is the very object the
-    book holds is unchanged; the common case, nothing rebound in place, is
-    settled by one identity sweep that runs in C."""
-    for key in mine.keys() - source.keys():
-        drop(key)
-    if not all(map(is_, mine.values(), map(source.__getitem__, mine))):
-        for key in [key for key, value in mine.items() if source[key] is not value]:
+    book holds is unchanged."""
+    for key in keys:
+        held = mine.get(key)
+        value = source.get(key)
+        if held is value:
+            continue
+        if held is not None:
             drop(key)
-    for key in source.keys() - mine.keys():
-        add(key, source[key])
+        if value is not None:
+            add(key, value)
 
 
 def _untally(tallies: dict, key, units: int) -> None:

@@ -26,7 +26,7 @@ from .accountant import Accountant
 from .encoding import canonical_digest
 from .hashing import hash_bytes
 from .journal import WriteMarks
-from .keys import KeyPair, PubKey
+from .keys import KeyPair, PubKey, forget_verified
 from .mainchain import Mainchain, STATUS_CEASED
 from .messages import (
     MSG_TYPE_TOKEN_TRANSFER,
@@ -81,6 +81,7 @@ class World:
     """Fresh mainchain plus the scenario's sidechains, keys, and accountant."""
 
     def __init__(self, scenario: Scenario):
+        forget_verified()  # signatures are remembered for one world at a time
         self.scenario = scenario
         self.mainchain = Mainchain()
         self.registry = TokenNameRegistry()
@@ -144,33 +145,23 @@ class World:
         """Resolve a holding to one concrete instance, splitting or merging
         as needed. Deterministic: candidates ordered by (amount, digest)."""
         state = self.states[label]
-        candidates = sorted(
-            (
-                (ti.amount or 0, digest.hex(), digest, ti)
-                for digest, ti in state.s_tks.items()
-                if ti.token_name == name and ti.owner == owner
-            ),
-        )
-        if token_id is not None:
-            for _, _, _, ti in candidates:
-                if ti.token_id == token_id:
-                    return ti
-            raise HarnessError(f"chain {label}: no instance of {name!r} id {token_id} held by that owner")
+        candidates = state.s_tks.owned(owner, name, token_id)
         if not candidates:
-            raise HarnessError(f"chain {label}: no instance of {name!r} held by that owner")
-        if amount is None:
-            return candidates[0][3]
-        for _, _, _, ti in candidates:
+            which = f"{name!r}" if token_id is None else f"{name!r} id {token_id}"
+            raise HarnessError(f"chain {label}: no instance of {which} held by that owner")
+        if amount is None or token_id is not None:
+            return candidates[0][2]
+        for _, _, ti in candidates:
             if ti.amount == amount:
                 return ti
-        for _, _, digest, ti in candidates:
+        for _, digest, ti in candidates:
             if ti.amount > amount:
                 first, _rest = state.split(digest, amount)
                 return first
         total = sum(entry[0] for entry in candidates)
         if total >= amount and len(candidates) > 1:
             try:
-                merged = state.merge([entry[2] for entry in candidates])
+                merged = state.merge([entry[1] for entry in candidates])
             except ValueError as err:
                 raise HarnessError(f"chain {label}: cannot merge {name!r} to cover {amount}: {err}") from err
             if merged.amount == amount:
@@ -553,17 +544,14 @@ class Runner:
                 receiver,
             )
         frozen = chain.finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
-        candidates = sorted(
-            (digest.hex(), digest)
-            for digest, ti in frozen.s_tks.items()
-            if ti.token_name == step["name"]
-            and ti.owner == owner.public
-            and (step.get("token_id") is None or ti.token_id == step.get("token_id"))
-            and (step.get("amount") is None or ti.amount == step.get("amount"))
-        )
-        if not candidates:
+        digests = [
+            digest
+            for _, digest, ti in frozen.s_tks.owned(owner.public, step["name"], step.get("token_id"))
+            if step.get("amount") is None or ti.amount == step["amount"]
+        ]
+        if not digests:
             raise EntityNotInState(f"no committed {step['name']!r} instance for that owner")
-        digest = candidates[0][1]
+        digest = min(digests)
         if mode == "held":
             return withdraw_native_held(
                 chain, owner, digest, self.world.chains[step["target"]].sc_id, receiver

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class Digest(bytes):
@@ -84,6 +85,17 @@ class MerkleTree:
     @property
     def height(self) -> int:
         return len(self.levels) - 1 if self.levels else 0
+
+    def index_of(self, leaf: Digest) -> int | None:
+        """Where ``leaf`` first occurs in ``leaves``, or None."""
+        return self._positions.get(leaf)
+
+    @cached_property
+    def _positions(self) -> dict[Digest, int]:
+        positions: dict[Digest, int] = {}
+        for index, leaf in enumerate(self.leaves):
+            positions.setdefault(leaf, index)
+        return positions
 
 
 def _padded_size(n: int) -> int:

@@ -4,6 +4,13 @@ Ed25519 is deterministic and its raw public keys are exactly 32 bytes, so
 one key type serves actor identities, receiver addresses, and the per-
 sidechain proving keys alike. Keys derive from 32-byte seeds, which keeps
 whole simulations reproducible from a single scenario seed.
+
+``verify_sig`` remembers each (key, digest, signature) it has checked. One
+signature is checked several times along a message's path (the sending
+chain's gate and rule send-4, then the receiving chain's rule redeem-5),
+and only the first check runs Ed25519. The memo holds one world's checks:
+``harness.World`` empties it when it is built, and it empties itself at
+``VERIFY_MEMO_MAX`` entries.
 """
 
 from __future__ import annotations
@@ -63,10 +70,32 @@ class KeyPair:
         return _private_from_seed(self.seed).sign(bytes(digest))
 
 
+#: Entries at which the verify memo starts over.
+VERIFY_MEMO_MAX = 1 << 14
+
+# (public, digest, signature) -> verify_sig's result. Keyed by the tuple of
+# the three byte strings, never their concatenation: the lengths are not
+# enforced, so two different triples can join to the same bytes.
+_verified: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+
+def forget_verified() -> None:
+    """Empty the verify memo."""
+    _verified.clear()
+
+
 def verify_sig(public: PubKey, digest: Digest, signature: Signature) -> bool:
     """True iff ``signature`` is a valid signature on ``digest`` under ``public``."""
+    triple = (bytes(public), bytes(digest), bytes(signature))
+    known = _verified.get(triple)
+    if known is not None:
+        return known
     try:
-        Ed25519PublicKey.from_public_bytes(bytes(public)).verify(bytes(signature), bytes(digest))
-        return True
+        Ed25519PublicKey.from_public_bytes(triple[0]).verify(triple[2], triple[1])
+        valid = True
     except (InvalidSignature, ValueError):
-        return False
+        valid = False
+    if len(_verified) >= VERIFY_MEMO_MAX:
+        _verified.clear()
+    _verified[triple] = valid
+    return valid

@@ -242,24 +242,23 @@ class ClaimKind(IntEnum):
 
 @dataclass(frozen=True)
 class CommittedState:
-    """Sorted entity digests a certificate committed to, with their tree."""
+    """The tree over the sorted entity digests a certificate committed to."""
 
-    leaves: tuple[Digest, ...]
     tree: MerkleTree
 
     @classmethod
     def from_digests(cls, digests) -> "CommittedState":
-        leaves = tuple(sorted(digests))
-        return cls(leaves=leaves, tree=build_merkle(list(leaves)))
+        return cls(tree=build_merkle(sorted(digests)))
 
     @property
     def root(self) -> Digest:
         return self.tree.root
 
     def path_for(self, entity_digest: Digest) -> MerklePath:
-        if entity_digest not in self.leaves:
+        index = self.tree.index_of(entity_digest)
+        if index is None:
             raise EntityNotInState(entity_digest.hex())
-        return merkle_path(self.tree, self.leaves.index(entity_digest))
+        return merkle_path(self.tree, index)
 
 
 @wire(
@@ -367,7 +366,7 @@ def prove_csw(signer: KeyPair, sc_id: int, public_input: CswPublicInput, claim: 
     bytes, and the finished bundle must survive its own verification.
     """
     entity_digest = hash_bytes(claim.entity_bytes)
-    if entity_digest not in claim.committed.leaves:
+    if claim.committed.tree.index_of(entity_digest) is None:
         raise EntityNotInState(f"entity {entity_digest.hex()} not in committed state")
     if claim.kind is ClaimKind.PAYLOAD_ENTITY and claim.message is not None:
         if claim.message.payload_hash != entity_digest:
@@ -568,7 +567,8 @@ def build_redeem_proof(
     """Assemble certificate-sourced redeem evidence from the sender's
     archived epoch tree and the mainchain's finalized certificate index."""
     md = message_digest(message)
-    if md not in message_tree.leaves:
+    index = message_tree.index_of(md)
+    if index is None:
         raise MessageNotCommitted(f"message {md.hex()} not in epoch {epoch_id} tree")
     confirmed = mainchain.finalized_cert(sender_sc_id, epoch_id)
     if confirmed is None:
@@ -579,7 +579,7 @@ def build_redeem_proof(
     stc = mainchain.stc_tree(block_hash)
     return RedeemProof(
         source_kind=SourceKind.CERTIFICATE,
-        msg_path=merkle_path(message_tree, message_tree.leaves.index(md)),
+        msg_path=merkle_path(message_tree, index),
         msg_tree_root=message_tree.root,
         commitment_path=CommitmentChain(
             posting_digest=canonical_digest(cert),
@@ -614,7 +614,7 @@ def build_csw_redeem_proof(
         commitment_path=CommitmentChain(
             posting_digest=csw_digest,
             segments=(
-                merkle_path(txs_tree, txs_tree.leaves.index(csw_digest)),
+                merkle_path(txs_tree, txs_tree.index_of(csw_digest)),
                 stc.txs_path(sc_id),
             ),
         ),

@@ -99,11 +99,47 @@ def _u64(obj: dict, key: str, where: str, low: int) -> int:
     return value
 
 
+def _fields(obj, required: dict, optional: dict, where: str, suffix: str = "") -> None:
+    """``obj`` is an object with no field outside ``required`` and
+    ``optional``, and each field present has its declared type."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: must be an object")
+    unknown = set(obj) - required.keys() - optional.keys()
+    if unknown:
+        raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r}{suffix}")
+    for key, kind in required.items():
+        _need(obj, key, kind, where)
+    for key, kind in optional.items():
+        if key in obj:
+            _need(obj, key, kind, where)
+
+
+def _quantity(obj: dict, where: str) -> None:
+    """Exactly one of a positive u64 ``amount`` or a u64 ``token_id``."""
+    if ("amount" in obj) == ("token_id" in obj):
+        raise ParseError(f"{where}: give exactly one of 'amount' or 'token_id'")
+    if "amount" in obj:
+        _u64(obj, "amount", where, 1)
+    else:
+        _u64(obj, "token_id", where, 0)
+
+
+#: A token issuance's required and optional fields, as a chain's
+#: ``issuances`` entry; an ``issue`` step adds the ``chain``.
+_ISSUANCE_FIELDS = (
+    {"name": str, "fungible": bool, "owner": str},
+    {"amount": int, "token_id": int, "data": str},
+)
+#: Entries of an ``assert`` step's ``holdings`` and ``sent_records``.
+_HOLDING_FIELDS = ({"name": str}, {"owner": str, "amount": int, "token_id": int})
+_SENT_RECORD_FIELDS = ({"name": str, "receiver": str}, {"amount": int, "token_id": int})
+
+
 def _issuance(obj: dict, where: str) -> dict:
-    name = _need(obj, "name", str, where)
-    fungible = _need(obj, "fungible", bool, where)
-    owner = _need(obj, "owner", str, where)
-    out = {"name": name, "fungible": fungible, "owner": owner, "data": obj.get("data", name)}
+    """An issuance whose fields ``_fields`` has checked, with its amount or
+    token id bounded and the other one refused."""
+    name, fungible = obj["name"], obj["fungible"]
+    out = {"name": name, "fungible": fungible, "owner": obj["owner"], "data": obj.get("data", name)}
     if fungible:
         out["amount"] = _u64(obj, "amount", where, 1)
         if "token_id" in obj:
@@ -133,15 +169,19 @@ def _chain_spec(obj: dict, index: int) -> ChainSpec:
         raise ParseError(
             f"{where}: unknown faulty_mode {faulty!r}, expected one of {', '.join(FAULTY_MODES)}"
         )
-    issuances = tuple(
-        _issuance(entry, f"{where}.issuances[{i}]") for i, entry in enumerate(obj.get("issuances", []))
-    )
+    raw_issuances = obj.get("issuances", [])
+    if not isinstance(raw_issuances, list):
+        raise ParseError(f"{where}: field 'issuances' must be list, got {type(raw_issuances).__name__}")
+    issuances = []
+    for i, entry in enumerate(raw_issuances):
+        _fields(entry, *_ISSUANCE_FIELDS, f"{where}.issuances[{i}]")
+        issuances.append(_issuance(entry, f"{where}.issuances[{i}]"))
     return ChainSpec(
         label=label,
         epoch_length=epoch_length,
         byzantine=bool(obj.get("byzantine", False)),
         faulty_mode=faulty,
-        issuances=issuances,
+        issuances=tuple(issuances),
     )
 
 
@@ -149,10 +189,7 @@ def _chain_spec(obj: dict, index: int) -> ChainSpec:
 #: (``chains`` is "all" or a list, checked with its op). ``op`` and
 #: ``expect`` are allowed on every step; any other field is refused.
 _STEP_FIELDS = {
-    "issue": (
-        {"chain": str, "name": str, "fungible": bool, "owner": str},
-        {"amount": int, "token_id": int, "data": str},
-    ),
+    "issue": ({"chain": str, **_ISSUANCE_FIELDS[0]}, _ISSUANCE_FIELDS[1]),
     "send": (
         {"from": str, "to": str, "name": str, "owner": str, "receiver": str},
         {"amount": int, "token_id": int, "id": str, "tamper": str},
@@ -181,6 +218,9 @@ _STEP_FIELDS = {
     "notify": ({"chain": str, "from": str, "to": str, "name": str}, {"amount": int, "token_id": int}),
     "assert": ({"chain": str}, {"status": str, "holdings": list, "sent_records": list}),
 }
+_STEP_SCHEMAS = {
+    op: (required, {"op": str, "expect": object, **optional}) for op, (required, optional) in _STEP_FIELDS.items()
+}
 
 #: Per op, the attacks a step may carry in its ``tamper`` field. Each value
 #: makes the runner submit a deliberately broken transaction instead of the
@@ -200,15 +240,7 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
     op = _need(step, "op", str, where)
     if op not in STEP_OPS:
         raise ParseError(f"{where}: unknown op {op!r}, expected one of {', '.join(STEP_OPS)}")
-    required, optional = _STEP_FIELDS[op]
-    unknown = set(step) - {"op", "expect"} - required.keys() - optional.keys()
-    if unknown:
-        raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r} for op {op!r}")
-    for key, kind in required.items():
-        _need(step, key, kind, where)
-    for key, kind in optional.items():
-        if key in step:
-            _need(step, key, kind, where)
+    _fields(step, *_STEP_SCHEMAS[op], where, f" for op {op!r}")
     if op != "issue":
         if "amount" in step:
             _u64(step, "amount", where, 1)
@@ -269,6 +301,17 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
             if step["return_send"] not in send_ids:
                 raise ParseError(
                     f"{where}: field 'return_send' references unknown send id {step['return_send']!r}"
+                )
+    if op == "assert":
+        for i, entry in enumerate(step.get("holdings", [])):
+            _fields(entry, *_HOLDING_FIELDS, f"{where}.holdings[{i}]")
+            _quantity(entry, f"{where}.holdings[{i}]")
+        for i, entry in enumerate(step.get("sent_records", [])):
+            _fields(entry, *_SENT_RECORD_FIELDS, f"{where}.sent_records[{i}]")
+            _quantity(entry, f"{where}.sent_records[{i}]")
+            if entry["receiver"] not in labels:
+                raise ParseError(
+                    f"{where}.sent_records[{i}]: field 'receiver' references undeclared chain {entry['receiver']!r}"
                 )
     if op == "csw_redeem" and step["withdrawal"] not in csw_ids:
         raise ParseError(f"{where}: field 'withdrawal' references unknown csw id {step['withdrawal']!r}")

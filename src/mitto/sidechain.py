@@ -343,10 +343,10 @@ class Sidechain:
         """Locate a message in an archived epoch tree, for evidence building."""
         tree = self.epochs[epoch_id].tree
         digest = message_digest(message)
-        try:
-            return tree, tree.leaves.index(digest)
-        except ValueError:
-            raise EntityNotInState(f"message {digest.hex()} not in epoch {epoch_id}") from None
+        index = tree.index_of(digest)
+        if index is None:
+            raise EntityNotInState(f"message {digest.hex()} not in epoch {epoch_id}")
+        return tree, index
 
     # -- inspection -----------------------------------------------------------------
 

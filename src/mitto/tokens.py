@@ -173,6 +173,60 @@ class TokenNameRegistry:
         }
 
 
+class Holdings(JournalDict):
+    """A chain's held instances by digest, with two indexes kept up to date
+    by the container's own writes: the digests of each NFT by (name,
+    token_id), and the digests of every instance by (owner, name). An NFT id
+    is held once on an honest chain, so its digests are a tuple, which
+    costs a quarter of a set's memory."""
+
+    __slots__ = ("by_id", "by_owner")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.by_id: dict[tuple[str, int], tuple[Digest, ...]] = {}
+        self.by_owner: dict[tuple[PubKey, str], set[Digest]] = {}
+        self._wrote(self)  # index the entries it starts with
+
+    def _write(self, keys) -> None:
+        super()._write(keys)
+        for digest in keys:
+            instance = self.get(digest)
+            if instance is None:
+                continue
+            key = (instance.owner, instance.token_name)
+            self.by_owner[key].discard(digest)
+            if not self.by_owner[key]:
+                del self.by_owner[key]
+            if not instance.fungibility:
+                key = (instance.token_name, instance.token_id)
+                rest = tuple(d for d in self.by_id[key] if d != digest)
+                if rest:
+                    self.by_id[key] = rest
+                else:
+                    del self.by_id[key]
+
+    def _wrote(self, keys) -> None:
+        for digest in keys:
+            instance = self.get(digest)
+            if instance is None:
+                continue
+            self.by_owner.setdefault((instance.owner, instance.token_name), set()).add(digest)
+            if not instance.fungibility:
+                key = (instance.token_name, instance.token_id)
+                self.by_id[key] = self.by_id.get(key, ()) + (digest,)
+
+    def owned(self, owner: PubKey, name: str, token_id: int | None = None) -> list[tuple[int, Digest, TokenInstance]]:
+        """``(amount, digest, instance)`` of each instance of ``name`` (only
+        id ``token_id`` when given) that ``owner`` holds, ordered by
+        (amount, digest); an NFT counts amount 0."""
+        if token_id is None:
+            digests = self.by_owner.get((owner, name), ())
+        else:
+            digests = [d for d in self.by_id.get((name, token_id), ()) if self[d].owner == owner]
+        return sorted((self[d].amount or 0, d, self[d]) for d in digests)
+
+
 def _record_key(record: SentRecord) -> tuple:
     if record.fungibility:
         return ("f", record.receiver_sc_id, record.token_name)
@@ -190,7 +244,7 @@ class MittoState:
     sc_id: int
     registry: TokenNameRegistry
     variant: str = VARIANT_STANDARD
-    s_tks: JournalDict[Digest, TokenInstance] = field(default_factory=JournalDict)
+    s_tks: Holdings = field(default_factory=Holdings)
     s_sent: JournalDict[tuple, SentRecord] = field(default_factory=JournalDict)
     issued_totals: JournalDict[str, int] = field(default_factory=JournalDict)
     issued_token_ids: JournalSet[tuple[str, int]] = field(default_factory=JournalSet)
@@ -307,10 +361,8 @@ class MittoState:
                 record = self.s_sent.get(("n", instance.token_name, instance.token_id))
                 if record is None or record.receiver_sc_id != counterparty:
                     return "redeem-2b"
-        if not instance.fungibility:
-            for held in self.s_tks.values():
-                if held.token_name == instance.token_name and held.token_id == instance.token_id:
-                    return "redeem-3"
+        if not instance.fungibility and (instance.token_name, instance.token_id) in self.s_tks.by_id:
+            return "redeem-3"
         if message.sending_sc_id == self.sc_id:
             return "redeem-4a"
         if message.receiving_sc_id != self.sc_id:
@@ -445,7 +497,7 @@ class MittoState:
             sc_id=self.sc_id,
             registry=self.registry,
             variant=self.variant,
-            s_tks=JournalDict(self.s_tks),
+            s_tks=Holdings(self.s_tks),
             s_sent=JournalDict(self.s_sent),
             issued_totals=JournalDict(self.issued_totals),
             issued_token_ids=JournalSet(self.issued_token_ids),

@@ -249,3 +249,39 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("issuance,message", [
+    ({"data": 5}, "chains[0].issuances[0]: field 'data' must be str"),
+    ({"colour": "red"}, "chains[0].issuances[0]: unknown field 'colour'"),
+])
+def test_bad_chain_issuance_exit_two(tmp_path, capsys, issuance, message):
+    path = write_scenario(tmp_path, {
+        "name": "issuance",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2,
+                    "issuances": [dict({"name": "X", "fungible": True, "amount": 1, "owner": "a"}, **issuance)]}],
+        "steps": [],
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"holdings": [{"name": "X"}]}, "steps[0].holdings[0]: give exactly one of 'amount' or 'token_id'"),
+    ({"sent_records": [{"name": "X", "receiver": "zeta", "amount": 1}]},
+     "steps[0].sent_records[0]: field 'receiver' references undeclared chain 'zeta'"),
+])
+def test_bad_assert_entry_exit_two(tmp_path, capsys, entry, message):
+    path = write_scenario(tmp_path, {
+        "name": "asserting",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2}],
+        "steps": [dict({"op": "assert", "chain": "alpha"}, **entry)],
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and message in err and "Traceback" not in err

@@ -7,6 +7,7 @@ import pytest
 
 from accountant_reference import ReferenceCheckRunner
 from dump_reference import DumpCheckRunner
+from mitto import accountant as accountant_module
 from mitto.accountant import Accountant
 from mitto.encoding import canonical_digest
 from mitto.fuzz import generate_trace
@@ -17,7 +18,7 @@ from mitto.mainchain import Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
 from mitto.scenario import STEP_OPS, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
-from mitto.tokens import MittoState
+from mitto.tokens import Holdings, MittoState
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FUZZ_SEED = 20260817  # the acceptance suite's fuzz corpus
@@ -419,16 +420,46 @@ def _mutators(base) -> set[str]:
     }
 
 
+def _changed_keys(before, after) -> set:
+    if isinstance(before, dict):
+        return {key for key in before.keys() | after.keys() if before.get(key, None) != after.get(key, None)}
+    return before ^ after
+
+
 @pytest.mark.parametrize("cls", list(MUTATIONS), ids=lambda cls: cls.__name__)
 def test_every_mutator_bumps_writes(cls):
+    """Every mutator bumps ``writes``, and a dict's or set's records every
+    key it changed."""
     base = cls.__bases__[-1]
     assert _mutators(base) == set(MUTATIONS[cls]), "a mutator of the base type is not journaled"
     for name, mutate in MUTATIONS[cls].items():
         assert name in cls.__dict__, f"{cls.__name__}.{name} is inherited, so it writes unseen"
         box = cls(SEEDS[cls])
         assert box.writes == 0
+        if cls is not JournalList:
+            box.drain(None)  # a reader mirrors it, so its writes are recorded from now on
+        before = base(box)
         mutate(box)
         assert box.writes == 1, name
+        if cls is not JournalList:
+            changed = _changed_keys(before, base(box))
+            assert changed and changed <= box.drain(0), name
+
+
+def test_drain_hands_each_written_key_to_one_reader():
+    box = JournalDict({"a": 0})
+    box["z"] = 9  # written before any reader drained: nothing is recorded
+    assert box.drain(0) is None
+    box["b"] = 1
+    assert box.drain(1) == {"b"}
+    assert box.drain(2) == set()
+    box["c"] = 2
+    other_reader = box.drain(2)
+    assert other_reader == {"c"}
+    box["d"] = 3
+    # The reader that last drained at 2 missed "c", so it is told nothing is known.
+    assert box.drain(2) is None
+    assert box.drain(4) == set()
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
@@ -496,13 +527,52 @@ def ceased_recovery_shape(n):
     return {"name": "ceased_recovery_shape", "seed": 6, "chains": chains, "steps": steps}
 
 
+def _rebuilt_index(holdings: Holdings) -> tuple[dict, dict]:
+    """The (by_id, by_owner) index of ``holdings``, built from scratch, with
+    each id's digests in sorted order."""
+    by_id, by_owner = {}, {}
+    for digest, instance in sorted(holdings.items()):
+        by_owner.setdefault((instance.owner, instance.token_name), set()).add(digest)
+        if not instance.fungibility:
+            key = (instance.token_name, instance.token_id)
+            by_id[key] = by_id.get(key, ()) + (digest,)
+    return by_id, by_owner
+
+
+def _index_agrees(holdings: Holdings) -> bool:
+    by_id = {key: tuple(sorted(digests)) for key, digests in holdings.by_id.items()}
+    return (by_id, holdings.by_owner) == _rebuilt_index(holdings)
+
+
+def _watch_indexes(runner: Runner) -> list[str]:
+    """After every step, compare the holdings index of each live ledger and
+    each archived epoch snapshot with one rebuilt from its contents; the
+    returned list fills with ``step N: <ledger>`` for each that disagrees."""
+    stale = []
+    check = runner.world.accountant.check
+
+    def check_and_compare(snapshot):
+        for label, chain in runner.world.chains.items():
+            ledgers = {"live": runner.world.states[label]}
+            ledgers.update((f"epoch {e.epoch_id}", e.snapshots[MSG_TYPE_TOKEN_TRANSFER]) for e in chain.epochs)
+            for where, ledger in ledgers.items():
+                if not _index_agrees(ledger.s_tks):
+                    stale.append(f"step {len(runner.steps)}: {label} {where}")
+        return check(snapshot)
+
+    runner.world.accountant.check = check_and_compare
+    return stale
+
+
 def _checks_agree(runner: ReferenceCheckRunner) -> dict:
-    """Run, assert both checks found the same after every step, and return
-    the report."""
+    """Run, assert both checks found the same after every step and every
+    holdings index matched its contents, and return the report."""
+    stale = _watch_indexes(runner)
     report = runner.run()
     assert len(runner.checks) == len(report["steps"])
     for index, (incremental, reference) in enumerate(runner.checks):
         assert incremental == reference, f"step {index}"
+    assert stale == []
     return report
 
 
@@ -522,6 +592,78 @@ def test_accountant_matches_reference_on_fuzz_corpus():
 @pytest.mark.parametrize("shape", [scale_nft_shape, ceased_recovery_shape], ids=lambda f: f.__name__)
 def test_accountant_matches_reference_on_scale_shapes(shape):
     assert _checks_agree(ReferenceCheckRunner(parse_scenario(shape(6))))["ok"] is True
+
+
+def test_index_bypass_is_caught(monkeypatch):
+    """A write to ``s_tks`` that skips the holdings index is exactly what
+    ``_checks_agree`` looks for after every step."""
+
+    def apply_redeem(self, instance, message):
+        minted = replace(instance, owner=message.receiver_id)
+        dict.__setitem__(self.s_tks, canonical_digest(minted), minted)
+
+    monkeypatch.setattr(MittoState, "apply_redeem", apply_redeem)
+    scenario = parse_scenario(scale_nft_shape(2))
+    runner = Runner(scenario)
+    stale = _watch_indexes(runner)
+    runner.run()
+    first_redeem = [step["op"] for step in scenario.steps].index("redeem")
+    assert stale[0] == f"step {first_redeem}: beta live"
+    with pytest.raises(AssertionError):
+        _checks_agree(ReferenceCheckRunner(scenario))
+
+
+def _per_step(runner: Runner, counter: list) -> list[int]:
+    """Run; return how far ``counter`` grew during each step."""
+    marks = [len(counter)]
+    check = runner.world.accountant.check
+
+    def mark(snapshot):
+        findings = check(snapshot)
+        marks.append(len(counter))
+        return findings
+
+    runner.world.accountant.check = mark
+    assert runner.run()["ok"] is True
+    return [after - before for before, after in zip(marks, marks[1:])]
+
+
+def _ops(n: int) -> list[str]:
+    return [step["op"] for step in scale_nft_shape(n)["steps"]]
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_one_ed25519_verify_per_accepted_send_and_redeem(real_verifies, n):
+    """The sending chain's gate and rule send-4 check one signature, and
+    the receiving chain's rule redeem-5 checks it again: Ed25519 runs once
+    for it, and once more for the redeem's receiver authorization."""
+    per_step = _per_step(Runner(parse_scenario(scale_nft_shape(n))), real_verifies)
+    by_op = {}
+    for op, count in zip(_ops(n), per_step):
+        by_op.setdefault(op, set()).add(count)
+    # close_epoch verifies one certificate per chain.
+    assert by_op == {"send": {1}, "advance_mainchain": {0}, "close_epoch": {2}, "redeem": {1}}
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_accountant_resyncs_only_written_keys(monkeypatch, n):
+    """After the first step builds the books, each step resyncs the few
+    ledger keys it wrote, however many the chains hold."""
+    resynced = []
+    mirror = accountant_module._mirror
+
+    def counting(mine, source, keys_, drop, add):
+        resynced.extend(keys_)
+        mirror(mine, source, keys_, drop, add)
+
+    monkeypatch.setattr(accountant_module, "_mirror", counting)
+    per_step = _per_step(Runner(parse_scenario(scale_nft_shape(n))), resynced)
+    assert per_step[0] == n  # the first look mirrors alpha's n issued instances
+    by_op = {}
+    for op, count in zip(_ops(n)[1:], per_step[1:]):
+        by_op.setdefault(op, set()).add(count)
+    # A send burns one instance and writes one sent record; a redeem mints one.
+    assert by_op == {"send": {2}, "advance_mainchain": {0}, "close_epoch": {0}, "redeem": {1}}
 
 
 class _FaultAfterStep(ReferenceCheckRunner):
@@ -567,7 +709,7 @@ def _forget_nullifiers(world):
 def _rebind_tks(world):
     state, _, instance = _held(world, "beta")
     extra = replace(instance, data_hash=hash_bytes(b"forged"))
-    fresh = JournalDict(state.s_tks)
+    fresh = Holdings(state.s_tks)
     fresh[canonical_digest(extra)] = extra
     fresh.writes = state.s_tks.writes  # only the rebinding itself can give it away
     state.s_tks = fresh
@@ -631,6 +773,20 @@ def _assert_flagged_by_both(runner, index, finding):
 def test_injected_ledger_fault_flagged_by_both_checks(fault):
     index, inject, finding = STEP_FAULTS[fault]
     _assert_flagged_by_both(_FaultAfterStep(parse_scenario(REJECTIONS), index, inject), index, finding)
+
+
+def _rewrite_frozen(world):
+    """Put an equal copy of every committed entry of ceased alpha back in
+    place, the withdrawn one included: nothing changes but identities."""
+    frozen = world.chains["alpha"].finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
+    for digest, instance in list(frozen.s_tks.items()):
+        frozen.s_tks[digest] = replace(instance)
+
+
+def test_rewritten_committed_ledger_keeps_withdrawals_spent():
+    clean = _checks_agree(ReferenceCheckRunner(parse_scenario(REJECTIONS)))
+    report = _checks_agree(_FaultAfterStep(parse_scenario(REJECTIONS), 12, _rewrite_frozen))
+    assert report["violations"] == clean["violations"]
 
 
 def test_duplicate_nfts_flagged_by_both_checks_in_the_same_order():

@@ -83,6 +83,12 @@ def test_every_path_verifies(n):
         assert verify_path(tree.root, leaf, path)
 
 
+def test_index_of_finds_the_first_occurrence():
+    tree = build_merkle([d(0), d(1), d(0)])
+    assert [tree.index_of(leaf) for leaf in (d(0), d(1), d(2))] == [0, 1, None]
+    assert build_merkle([]).index_of(d(0)) is None
+
+
 def test_path_beyond_real_leaves_raises():
     tree = build_merkle([d(0), d(1), d(2)])
     with pytest.raises(IndexOutOfRange):

@@ -296,3 +296,57 @@ def test_optional_step_fields_are_typed():
         parse_scenario(_with_step("issue", data=5))
     with pytest.raises(ParseError, match=r"steps\[3\].*'chains' references undeclared chain \['alpha'\]"):
         parse_scenario(_with_step("close_epoch", chains=[["alpha"]]))
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"colour": "red"}, "unknown field 'colour'"),
+    ({"dta": "x"}, "unknown field 'dta'"),
+    ({"data": 5}, "field 'data' must be str, got int"),
+])
+def test_chain_issuance_rejects_unknown_or_mistyped_field(fields, message):
+    with pytest.raises(ParseError, match=rf"chains\[0\]\.issuances\[0\]: {message}"):
+        parse_scenario(_issuing(fungible=True, amount=1, **fields))
+
+
+def test_chain_issuances_must_be_a_list_of_objects():
+    chain = {"label": "alpha", "epoch_length": 2}
+    with pytest.raises(ParseError, match=r"chains\[0\]: field 'issuances' must be list"):
+        parse_scenario(minimal(chains=[dict(chain, issuances=7)]))
+    with pytest.raises(ParseError, match=r"chains\[0\]\.issuances\[0\]: must be an object"):
+        parse_scenario(minimal(chains=[dict(chain, issuances=["X"])]))
+    assert parse_scenario(_issuing(fungible=True, amount=1, data="art")).chains[0].issuances[0]["data"] == "art"
+
+
+def _asserting(**fields) -> dict:
+    return minimal(steps=[dict({"op": "assert", "chain": "alpha"}, **fields)])
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"holdings": [{"name": "X"}]}, r"holdings\[0\]: give exactly one of 'amount' or 'token_id'"),
+    ({"holdings": [{"name": "X", "amount": 1, "token_id": 0}]}, r"holdings\[0\]: give exactly one of"),
+    ({"holdings": [{"amount": 1}]}, r"holdings\[0\]: missing field 'name'"),
+    ({"holdings": [{"name": 3, "amount": 1}]}, r"holdings\[0\]: field 'name' must be str"),
+    ({"holdings": [{"name": "X", "amount": 1, "owner": 4}]}, r"holdings\[0\]: field 'owner' must be str"),
+    ({"holdings": [{"name": "X", "amount": 2**64}]}, r"holdings\[0\]: field 'amount' must be at most 2\^64-1"),
+    ({"holdings": [{"name": "X", "token_id": -1}]}, r"holdings\[0\]: field 'token_id' must be nonnegative"),
+    ({"holdings": [{"name": "X", "amount": 1, "colour": "red"}]}, r"holdings\[0\]: unknown field 'colour'"),
+    ({"holdings": ["X"]}, r"holdings\[0\]: must be an object"),
+    ({"sent_records": [{"name": "X", "receiver": "zeta", "amount": 1}]},
+     r"sent_records\[0\]: field 'receiver' references undeclared chain 'zeta'"),
+    ({"sent_records": [{"name": "X", "amount": 1}]}, r"sent_records\[0\]: missing field 'receiver'"),
+    ({"sent_records": [{"name": "X", "receiver": "beta"}]}, r"sent_records\[0\]: give exactly one of"),
+    ({"sent_records": [{"name": "X", "receiver": "beta", "token_id": 2**64}]},
+     r"sent_records\[0\]: field 'token_id' must be at most 2\^64-1"),
+    ({"sent_records": [{"name": "X", "receiver": "beta", "amount": 1, "owner": "a"}]},
+     r"sent_records\[0\]: unknown field 'owner'"),
+])
+def test_assert_entries_are_checked(fields, message):
+    with pytest.raises(ParseError, match=rf"steps\[0\]\.{message}"):
+        parse_scenario(_asserting(**fields))
+
+
+def test_assert_entries_parse():
+    parse_scenario(_asserting(
+        holdings=[{"name": "X", "amount": 3, "owner": "a"}, {"name": "N", "token_id": 0}],
+        sent_records=[{"name": "X", "receiver": "beta", "amount": 2}, {"name": "N", "receiver": "beta", "token_id": 0}],
+    ))
