@@ -54,9 +54,11 @@ from .tokens import (
     TokenInstance,
     TokenNameRegistry,
     attach_token_ledger,
+    final_ledger,
     make_csw_redeem_tx,
     make_redeem_tx,
     parse_payload,
+    transfer_message,
     withdraw_foreign,
     withdraw_native_held,
     withdraw_native_sent,
@@ -242,14 +244,16 @@ def diff_state(a: dict, b: dict) -> str:
     return "".join(difflib.unified_diff(left, right, fromfile="a", tofile="b"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SendRecord:
+    """An accepted send. A message enters the outbox while ``epoch_id``
+    epochs are closed, so the next accepted close commits it under that id."""
+
     message: CscpMessage
     payload: bytes
     sender_sig: bytes
     from_label: str
-    fabricated: bool = False
-    epoch_id: int | None = None
+    epoch_id: int
 
 
 class Runner:
@@ -287,25 +291,13 @@ class Runner:
             self.violations.append(f"step {index}: tamper: {step['op']} with tamper {step['tamper']!r} was accepted")
 
     def _build_message(self, step: dict, instance: TokenInstance) -> CscpMessage:
-        return CscpMessage(
-            sending_sc_id=self.world.chains[step["from"]].sc_id,
-            receiving_sc_id=self.world.chains[step["to"]].sc_id,
-            msg_type=MSG_TYPE_TOKEN_TRANSFER,
-            sender_id=instance.owner,
-            receiver_id=self.world.actor(step["receiver"]).public,
-            payload_hash=canonical_digest(instance),
+        chains = self.world.chains
+        return transfer_message(
+            chains[step["from"]].sc_id, chains[step["to"]].sc_id, instance, self.world.actor(step["receiver"]).public
         )
 
-    def _assign_epochs(self, label: str) -> None:
-        chain = self.world.chains[label]
-        if not chain.epochs:
-            return
-        epoch_id = len(chain.epochs) - 1
-        committed = {message_digest(m) for m, _ in chain.epochs[epoch_id].messages}
-        for record in self.sends.values():
-            if record.from_label == label and record.epoch_id is None:
-                if message_digest(record.message) in committed:
-                    record.epoch_id = epoch_id
+    def _committed(self, record: _SendRecord) -> bool:
+        return record.epoch_id < len(self.world.chains[record.from_label].epochs)
 
     # -- step executors ----------------------------------------------------------
 
@@ -334,7 +326,9 @@ class Runner:
         self._note(index, self.world.accountant.note_send(label, instance, tx.message, verdict.accepted))
         self._check_tamper(index, step, verdict.accepted)
         if verdict.accepted and "id" in step:
-            self.sends[step["id"]] = _SendRecord(tx.message, tx.payload, tx.signature, label)
+            self.sends[step["id"]] = _SendRecord(
+                tx.message, tx.payload, tx.signature, label, len(self.world.chains[label].epochs)
+            )
         return {
             "outcome": verdict.to_json(),
             "summary": f"send {step['name']} {step['from']} -> {step['to']}",
@@ -371,9 +365,7 @@ class Runner:
         signature = owner.sign(message_digest(message))
         chain.fabricate_send(message, instance.encode())
         if "id" in step:
-            self.sends[step["id"]] = _SendRecord(
-                message, instance.encode(), signature, step["from"], fabricated=True
-            )
+            self.sends[step["id"]] = _SendRecord(message, instance.encode(), signature, step["from"], len(chain.epochs))
         return {
             "outcome": {"accepted": True, "reason": "Fabricated"},
             "summary": f"fabricated send of {step['name']} {step['from']} -> {step['to']}",
@@ -401,8 +393,6 @@ class Runner:
                 verdict = self.world.mainchain.submit_certificate(self._tampered_certificate(tamper, chain, quality))
             self._atomic(index, "close_epoch", pre, verdict.accepted)
             self._check_tamper(index, step, verdict.accepted)
-            if verdict.accepted:
-                self._assign_epochs(label)
             parts.append({"chain": label, **verdict.to_json()})
         accepted = all(part["accepted"] for part in parts)
         return {
@@ -455,7 +445,7 @@ class Runner:
         label = self.world.label_by_sc_id(record.message.receiving_sc_id)
         chain = self.world.chains[label]
         try:
-            if record.epoch_id is None:
+            if not self._committed(record):
                 raise MessageNotCommitted("send was never committed by an epoch close")
             message, sender = record.message, self.world.chains[record.from_label]
             receiver = self.world.actor_for_key(message.receiver_id)
@@ -531,7 +521,7 @@ class Runner:
             ret = self.sends.get(step["return_send"])
             if ret is None:
                 raise EntityNotInState("the referenced return send was never accepted")
-            if ret.epoch_id is None:
+            if not self._committed(ret):
                 raise CertificateNotConfirmed("the return send was never committed")
             return withdraw_native_sent(
                 chain,
@@ -543,10 +533,9 @@ class Runner:
                 self.world.chains[step["target"]].sc_id,
                 receiver,
             )
-        frozen = chain.finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
         digests = [
             digest
-            for _, digest, ti in frozen.s_tks.owned(owner.public, step["name"], step.get("token_id"))
+            for _, digest, ti in final_ledger(chain).s_tks.owned(owner.public, step["name"], step.get("token_id"))
             if step.get("amount") is None or ti.amount == step["amount"]
         ]
         if not digests:

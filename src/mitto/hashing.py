@@ -10,7 +10,7 @@ from ever being replayed as a leaf.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -173,12 +173,6 @@ class ScBlockEntries:
 
 
 @dataclass(frozen=True)
-class StcEntry:
-    wcert_hash: Digest | None
-    txs_hash: Digest
-
-
-@dataclass(frozen=True)
 class StcTree:
     """Commitment over all sidechain activity in one block.
 
@@ -190,16 +184,15 @@ class StcTree:
     commitment paths come straight from merkle_path.
     """
 
-    per_sidechain: dict[int, StcEntry]
     tree: MerkleTree
-    txs_trees: dict[int, MerkleTree] = field(default_factory=dict)
+    txs_trees: dict[int, MerkleTree]
 
     @property
     def root(self) -> Digest:
         return self.tree.root
 
     def ordered_ids(self) -> list[int]:
-        return sorted(self.per_sidechain)
+        return sorted(self.txs_trees)
 
     def cert_leaf_index(self, sc_id: int) -> int:
         return 2 * self.ordered_ids().index(sc_id)
@@ -220,7 +213,6 @@ def build_stc(entries: dict[int, ScBlockEntries]) -> StcTree:
     At most one certificate digest per sidechain; a second raises
     DuplicateCertificate. No entries at all commits to EMPTY_ROOT.
     """
-    per: dict[int, StcEntry] = {}
     txs_trees: dict[int, MerkleTree] = {}
     leaves: list[Digest] = []
     for sc_id in sorted(entries):
@@ -229,8 +221,7 @@ def build_stc(entries: dict[int, ScBlockEntries]) -> StcTree:
             raise DuplicateCertificate(f"sidechain {sc_id} supplied {len(e.cert_digests)} certificates")
         wcert = e.cert_digests[0] if e.cert_digests else None
         txs_tree = build_merkle(list(e.tx_digests))
-        per[sc_id] = StcEntry(wcert_hash=wcert, txs_hash=txs_tree.root)
         txs_trees[sc_id] = txs_tree
         leaves.append(wcert if wcert is not None else EMPTY_ROOT)
         leaves.append(txs_tree.root)
-    return StcTree(per_sidechain=per, tree=build_merkle(leaves), txs_trees=txs_trees)
+    return StcTree(tree=build_merkle(leaves), txs_trees=txs_trees)

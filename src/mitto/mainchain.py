@@ -290,9 +290,8 @@ class Mainchain:
             return Verdict.rejected(v.SIDECHAIN_ACTIVE)
         if csw.nullifier in record.used_nullifiers:
             return Verdict.rejected(v.NULLIFIER_REUSED)
-        anchor = record.last_cert_block_hash or record.registration_block_hash
         public_input = make_csw_input(
-            last_cert_block_hash=anchor,
+            last_cert_block_hash=self.csw_anchor_hash(csw.ledger_id),
             nullifier=csw.nullifier,
             receiver=csw.receiver,
             amount=csw.amount,

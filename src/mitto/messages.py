@@ -33,7 +33,6 @@ if TYPE_CHECKING:
     from .proofs import RedeemProof
 
 # msgType registry: 0 is reserved and never valid, token transfers are 1.
-MSG_TYPE_INVALID = 0
 MSG_TYPE_TOKEN_TRANSFER = 1
 
 # Proof scheme registry.

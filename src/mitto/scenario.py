@@ -133,6 +133,11 @@ _ISSUANCE_FIELDS = (
 #: Entries of an ``assert`` step's ``holdings`` and ``sent_records``.
 _HOLDING_FIELDS = ({"name": str}, {"owner": str, "amount": int, "token_id": int})
 _SENT_RECORD_FIELDS = ({"name": str, "receiver": str}, {"amount": int, "token_id": int})
+#: A chain declaration's required and optional fields.
+_CHAIN_FIELDS = (
+    {"label": str, "epoch_length": int},
+    {"byzantine": bool, "faulty_mode": str, "issuances": list},
+)
 
 
 def _issuance(obj: dict, where: str) -> dict:
@@ -153,13 +158,8 @@ def _issuance(obj: dict, where: str) -> dict:
 
 def _chain_spec(obj: dict, index: int) -> ChainSpec:
     where = f"chains[{index}]"
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: must be an object")
-    unknown = set(obj) - {"label", "epoch_length", "byzantine", "faulty_mode", "issuances"}
-    if unknown:
-        raise ParseError(f"{where}: unknown field(s) {', '.join(sorted(unknown))}")
-    label = _need(obj, "label", str, where)
-    epoch_length = _need(obj, "epoch_length", int, where)
+    _fields(obj, *_CHAIN_FIELDS, where)
+    epoch_length = obj["epoch_length"]
     if epoch_length < 2:
         raise ParseError(f"{where}: field 'epoch_length' must be at least 2")
     if epoch_length > U32_MAX:
@@ -169,17 +169,14 @@ def _chain_spec(obj: dict, index: int) -> ChainSpec:
         raise ParseError(
             f"{where}: unknown faulty_mode {faulty!r}, expected one of {', '.join(FAULTY_MODES)}"
         )
-    raw_issuances = obj.get("issuances", [])
-    if not isinstance(raw_issuances, list):
-        raise ParseError(f"{where}: field 'issuances' must be list, got {type(raw_issuances).__name__}")
     issuances = []
-    for i, entry in enumerate(raw_issuances):
+    for i, entry in enumerate(obj.get("issuances", [])):
         _fields(entry, *_ISSUANCE_FIELDS, f"{where}.issuances[{i}]")
         issuances.append(_issuance(entry, f"{where}.issuances[{i}]"))
     return ChainSpec(
-        label=label,
+        label=obj["label"],
         epoch_length=epoch_length,
-        byzantine=bool(obj.get("byzantine", False)),
+        byzantine=obj.get("byzantine", False),
         faulty_mode=faulty,
         issuances=tuple(issuances),
     )
@@ -346,12 +343,14 @@ def parse_scenario(obj, source: str = "<memory>") -> Scenario:
     unknown = set(obj) - {"name", "seed", "chains", "steps", "expect_violations"}
     if unknown:
         raise ParseError(f"{source}: unknown top-level field {sorted(unknown)[0]!r}")
+    if "expect_violations" in obj:
+        _need(obj, "expect_violations", bool, source)
     return Scenario(
         name=name,
         seed=seed,
         chains=chains,
         steps=tuple(raw_steps),
-        expect_violations=bool(obj.get("expect_violations", False)),
+        expect_violations=obj.get("expect_violations", False),
     )
 
 

@@ -227,10 +227,17 @@ class Holdings(JournalDict):
         return sorted((self[d].amount or 0, d, self[d]) for d in digests)
 
 
-def _record_key(record: SentRecord) -> tuple:
-    if record.fungibility:
-        return ("f", record.receiver_sc_id, record.token_name)
-    return ("n", record.token_name, record.token_id)
+def transfer_message(sending_sc_id: int, receiving_sc_id: int, instance: TokenInstance, receiver_id: PubKey) -> CscpMessage:
+    """The token-transfer message moving ``instance`` from its owner on
+    ``sending_sc_id`` to ``receiver_id`` on ``receiving_sc_id``."""
+    return CscpMessage(
+        sending_sc_id=sending_sc_id,
+        receiving_sc_id=receiving_sc_id,
+        msg_type=MSG_TYPE_TOKEN_TRANSFER,
+        sender_id=instance.owner,
+        receiver_id=receiver_id,
+        payload_hash=canonical_digest(instance),
+    )
 
 
 def _split_child_hash(parent: Digest, amount: int, index: int) -> Digest:
@@ -304,63 +311,85 @@ class MittoState:
             return "send-3d"
         if message.payload_hash != canonical_digest(instance):
             return "send-3e"
-        if self._record_overflows(instance, message):
+        if (
+            instance.fungibility
+            and self._keeps_record(instance)
+            and self._record_overflows(instance.token_name, self._counterparty(message.receiving_sc_id), instance.amount)
+        ):
             return "send-5"
         if not verify_sig(instance.owner, message_digest(message), signature):
             return "send-4"
         return None
 
+    def apply_send(self, instance: TokenInstance, message: CscpMessage) -> None:
+        del self.s_tks[canonical_digest(instance)]
+        if self._keeps_record(instance):
+            self._record_out(
+                instance.token_name, self._counterparty(message.receiving_sc_id), instance.amount, instance.token_id
+            )
+
+    # -- the sent-record book ----------------------------------------------------
+    # Keys are ("f", counterparty, name) for a fungible total and ("n", name,
+    # token_id) for an NFT; `dump` orders `s_sent` by them. Only these
+    # methods spell them.
+
+    def sent_record(self, name: str, counterparty: int, token_id: int | None = None) -> SentRecord | None:
+        """The fungible total of ``name`` recorded as sent to chain
+        ``counterparty`` or, given ``token_id``, that NFT's record when it
+        names ``counterparty``; None when there is no such record."""
+        if token_id is None:
+            return self.s_sent.get(("f", counterparty, name))
+        record = self.s_sent.get(("n", name, token_id))
+        return record if record is not None and record.receiver_sc_id == counterparty else None
+
+    def _record_out(self, name: str, counterparty: int, amount: int | None, token_id: int | None) -> None:
+        """Record ``amount`` more of fungible ``name``, or NFT ``token_id``,
+        as sent to ``counterparty``."""
+        if token_id is not None:
+            self.s_sent[("n", name, token_id)] = SentRecord(counterparty, name, False, token_id=token_id)
+            return
+        key = ("f", counterparty, name)
+        existing = self.s_sent.get(key)
+        total = amount + (existing.amount if existing else 0)
+        self.s_sent[key] = SentRecord(counterparty, name, True, amount=total)
+
+    def _record_back(self, name: str, counterparty: int, amount: int | None, token_id: int | None) -> None:
+        """Take ``amount`` of fungible ``name``, or NFT ``token_id``, off
+        what is recorded as sent to ``counterparty``; the caller has checked
+        that the record covers it."""
+        if token_id is not None:
+            del self.s_sent[("n", name, token_id)]
+            return
+        key = ("f", counterparty, name)
+        record = self.s_sent[key]
+        if record.amount == amount:
+            del self.s_sent[key]
+        else:
+            self.s_sent[key] = replace(record, amount=record.amount - amount)
+
+    def _record_overflows(self, name: str, counterparty: int, amount: int) -> bool:
+        """Would ``amount`` more of fungible ``name`` sent to ``counterparty``
+        make a record of more than u64 units (which no record can encode)?"""
+        record = self.sent_record(name, counterparty)
+        return record is not None and record.amount + amount > enc.U64_MAX
+
+    def _keeps_record(self, instance: TokenInstance) -> bool:
+        """Does this ledger account for ``instance`` in its sent records?"""
+        return instance.issuer_sc_id == self.sc_id and self.variant != VARIANT_NO_SENT_RECORDS
+
     def _counterparty(self, sc_id: int) -> int:
         """Whom a sent record names for chain ``sc_id`` under this variant."""
         return ANY_COUNTERPARTY if self.variant == VARIANT_NO_RECEIVER_TRACKING else sc_id
-
-    def _record_overflows(self, instance: TokenInstance, message: CscpMessage) -> bool:
-        """Would sending this own-issued fungible instance merge into a sent
-        record of more than u64 units (which no record can encode)?"""
-        if not instance.fungibility or instance.issuer_sc_id != self.sc_id or self.variant == VARIANT_NO_SENT_RECORDS:
-            return False
-        existing = self.s_sent.get(("f", self._counterparty(message.receiving_sc_id), instance.token_name))
-        return existing is not None and existing.amount + instance.amount > enc.U64_MAX
-
-    def apply_send(self, instance: TokenInstance, message: CscpMessage) -> None:
-        del self.s_tks[canonical_digest(instance)]
-        if instance.issuer_sc_id != self.sc_id or self.variant == VARIANT_NO_SENT_RECORDS:
-            return
-        counterparty = self._counterparty(message.receiving_sc_id)
-        if not instance.fungibility:
-            record = SentRecord(
-                receiver_sc_id=counterparty,
-                token_name=instance.token_name,
-                fungibility=False,
-                token_id=instance.token_id,
-            )
-            self.s_sent[_record_key(record)] = record
-            return
-        key = ("f", counterparty, instance.token_name)
-        existing = self.s_sent.get(key)
-        total = instance.amount + (existing.amount if existing else 0)
-        self.s_sent[key] = SentRecord(
-            receiver_sc_id=counterparty,
-            token_name=instance.token_name,
-            fungibility=True,
-            amount=total,
-        )
 
     # -- redeeming -------------------------------------------------------------
 
     def validate_redeem(self, instance: TokenInstance, message: CscpMessage, sender_sig: Signature) -> str | None:
         if instance.issuer_sc_id != message.sending_sc_id and instance.issuer_sc_id != self.sc_id:
             return "redeem-1"
-        if instance.issuer_sc_id == self.sc_id and self.variant != VARIANT_NO_SENT_RECORDS:
-            counterparty = self._counterparty(message.sending_sc_id)
-            if instance.fungibility:
-                record = self.s_sent.get(("f", counterparty, instance.token_name))
-                if record is None or record.amount < instance.amount:
-                    return "redeem-2a"
-            else:
-                record = self.s_sent.get(("n", instance.token_name, instance.token_id))
-                if record is None or record.receiver_sc_id != counterparty:
-                    return "redeem-2b"
+        if self._keeps_record(instance):
+            record = self.sent_record(instance.token_name, self._counterparty(message.sending_sc_id), instance.token_id)
+            if record is None or (instance.fungibility and record.amount < instance.amount):
+                return "redeem-2a" if instance.fungibility else "redeem-2b"
         if not instance.fungibility and (instance.token_name, instance.token_id) in self.s_tks.by_id:
             return "redeem-3"
         if message.sending_sc_id == self.sc_id:
@@ -380,19 +409,10 @@ class MittoState:
     def apply_redeem(self, instance: TokenInstance, message: CscpMessage) -> None:
         minted = replace(instance, owner=message.receiver_id)
         self.s_tks[canonical_digest(minted)] = minted
-        if instance.issuer_sc_id != self.sc_id or self.variant == VARIANT_NO_SENT_RECORDS:
-            return
-        counterparty = self._counterparty(message.sending_sc_id)
-        if not instance.fungibility:
-            del self.s_sent[("n", instance.token_name, instance.token_id)]
-            return
-        key = ("f", counterparty, instance.token_name)
-        record = self.s_sent[key]
-        remaining = record.amount - instance.amount
-        if remaining == 0:
-            del self.s_sent[key]
-        else:
-            self.s_sent[key] = replace(record, amount=remaining)
+        if self._keeps_record(instance):
+            self._record_back(
+                instance.token_name, self._counterparty(message.sending_sc_id), instance.amount, instance.token_id
+            )
 
     # -- issuer-notification variant -------------------------------------------
 
@@ -410,29 +430,19 @@ class MittoState:
         if self.variant != VARIANT_ISSUER_NOTIFICATION:
             raise ValueError("notifications only apply to the issuer-notification variant")
         if amount is not None:
-            source_key = ("f", from_sc_id, token_name)
-            target_key = ("f", to_sc_id, token_name)
-            source = self.s_sent.get(source_key)
-            if source is None or source.amount < amount:
-                return False
-            target = self.s_sent.get(target_key)
-            if target_key != source_key and target is not None and target.amount + amount > enc.U64_MAX:
-                return False
-            if source.amount == amount:
-                del self.s_sent[source_key]
-            else:
-                self.s_sent[source_key] = replace(source, amount=source.amount - amount)
-            existing = self.s_sent.get(target_key)
-            total = amount + (existing.amount if existing else 0)
-            self.s_sent[target_key] = SentRecord(
-                receiver_sc_id=to_sc_id, token_name=token_name, fungibility=True, amount=total
-            )
-            return True
-        key = ("n", token_name, token_id)
-        record = self.s_sent.get(key)
-        if record is None or record.receiver_sc_id != from_sc_id:
+            token_id = None  # an amount names a fungible total, whatever else is given
+        elif token_id is None:
             return False
-        self.s_sent[key] = replace(record, receiver_sc_id=to_sc_id)
+        record = self.sent_record(token_name, from_sc_id, token_id)
+        if record is None:
+            return False
+        if amount is not None and (
+            record.amount < amount
+            or (to_sc_id != from_sc_id and self._record_overflows(token_name, to_sc_id, amount))
+        ):
+            return False
+        self._record_back(token_name, from_sc_id, amount, token_id)
+        self._record_out(token_name, to_sc_id, amount, token_id)
         return True
 
     # -- local wallet plumbing ----------------------------------------------------
@@ -575,28 +585,43 @@ class CswPackage:
     message: CscpMessage
     payload: bytes
     sender_sig: Signature
-    consumed_return: Digest | None = None
 
 
-def _final_token_state(sidechain) -> MittoState:
+def final_ledger(sidechain) -> MittoState:
+    """The token ledger ``sidechain`` committed at its last finalized epoch,
+    which every withdrawal from it is proven against."""
     snapshot = sidechain.finalized_epoch().snapshots.get(MSG_TYPE_TOKEN_TRANSFER)
     if snapshot is None:
         raise EntityNotInState("sidechain has no token state in its final epoch")
     return snapshot
 
 
-def _withdraw_instance(sidechain, owner: KeyPair, instance: TokenInstance, target_sc_id: int, receiver_id: PubKey) -> CswPackage:
+def _final_holding(sidechain, owner: KeyPair, instance_digest: Digest) -> TokenInstance:
+    """The instance ``owner`` holds under ``instance_digest`` in the final ledger."""
+    instance = final_ledger(sidechain).s_tks.get(instance_digest)
+    if instance is None:
+        raise EntityNotInState(instance_digest.hex())
+    if instance.owner != owner.public:
+        raise NotOwner(f"instance belongs to {instance.owner.hex()}")
+    return instance
+
+
+def _withdraw_instance(
+    sidechain,
+    owner: KeyPair,
+    instance: TokenInstance,
+    target_sc_id: int,
+    receiver_id: PubKey,
+    entity_bytes: bytes | None = None,
+    **claim,
+) -> CswPackage:
+    """Withdraw ``entity_bytes`` (by default ``instance`` itself) from the
+    ceased chain, carrying the message that moves ``instance`` to
+    ``receiver_id`` on ``target_sc_id``; ``claim`` goes to the prover."""
     payload = instance.encode()
-    message = CscpMessage(
-        sending_sc_id=sidechain.sc_id,
-        receiving_sc_id=target_sc_id,
-        msg_type=MSG_TYPE_TOKEN_TRANSFER,
-        sender_id=instance.owner,
-        receiver_id=receiver_id,
-        payload_hash=hash_bytes(payload),
-    )
+    message = transfer_message(sidechain.sc_id, target_sc_id, instance, receiver_id)
     sender_sig = owner.sign(message_digest(message))
-    csw = sidechain.build_message_withdrawal(payload, message, receiver=owner.public)
+    csw = sidechain.build_message_withdrawal(entity_bytes or payload, message, receiver=owner.public, **claim)
     return CswPackage(csw=csw, message=message, payload=payload, sender_sig=sender_sig)
 
 
@@ -609,12 +634,7 @@ def withdraw_native_held(
 ) -> CswPackage:
     """Withdraw an own-issued instance held on the ceased chain at its final
     committed state, wrapping it in a message redeemable on the target."""
-    state = _final_token_state(sidechain)
-    instance = state.s_tks.get(instance_digest)
-    if instance is None:
-        raise EntityNotInState(instance_digest.hex())
-    if instance.owner != owner.public:
-        raise NotOwner(f"instance belongs to {instance.owner.hex()}")
+    instance = _final_holding(sidechain, owner, instance_digest)
     if instance.issuer_sc_id != sidechain.sc_id:
         raise ValueError("instance has a foreign issuer, withdraw it toward the issuer instead")
     return _withdraw_instance(sidechain, owner, instance, target_sc_id, receiver_id)
@@ -628,12 +648,7 @@ def withdraw_foreign(
 ) -> CswPackage:
     """Withdraw a foreign-issued instance from the ceased chain; the message
     is forced toward the issuer, the only chain that may accept it."""
-    state = _final_token_state(sidechain)
-    instance = state.s_tks.get(instance_digest)
-    if instance is None:
-        raise EntityNotInState(instance_digest.hex())
-    if instance.owner != owner.public:
-        raise NotOwner(f"instance belongs to {instance.owner.hex()}")
+    instance = _final_holding(sidechain, owner, instance_digest)
     if instance.issuer_sc_id == sidechain.sc_id:
         raise ValueError("instance is own-issued, use the native withdrawal")
     return _withdraw_instance(sidechain, owner, instance, instance.issuer_sc_id, receiver_id)
@@ -661,17 +676,14 @@ def withdraw_native_sent(
     if instance.owner != owner.public:
         raise NotOwner(f"returned instance belongs to {instance.owner.hex()}")
 
-    state = _final_token_state(ceased)
-    if instance.fungibility:
-        record = state.s_sent.get(("f", return_message.sending_sc_id, instance.token_name))
-        if record is None:
-            raise NoSentRecord(f"nothing of {instance.token_name!r} was sent to chain {return_message.sending_sc_id}")
-        if instance.amount > record.amount:
-            raise AmountExceedsSent(f"claimed {instance.amount}, sent record covers {record.amount}")
-    else:
-        record = state.s_sent.get(("n", instance.token_name, instance.token_id))
-        if record is None or record.receiver_sc_id != return_message.sending_sc_id:
-            raise NoSentRecord(f"{instance.token_name!r} id {instance.token_id} was not sent to chain {return_message.sending_sc_id}")
+    counterparty = return_message.sending_sc_id
+    record = final_ledger(ceased).sent_record(instance.token_name, counterparty, instance.token_id)
+    if record is None:
+        if instance.fungibility:
+            raise NoSentRecord(f"nothing of {instance.token_name!r} was sent to chain {counterparty}")
+        raise NoSentRecord(f"{instance.token_name!r} id {instance.token_id} was not sent to chain {counterparty}")
+    if instance.fungibility and instance.amount > record.amount:
+        raise AmountExceedsSent(f"claimed {instance.amount}, sent record covers {record.amount}")
 
     confirmed = mainchain.finalized_cert(holder.sc_id, holder_epoch_id)
     if confirmed is None:
@@ -688,29 +700,15 @@ def withdraw_native_sent(
         holder_header=mainchain.get_block(holder_block_hash).header,
         returned_instance_bytes=return_payload,
     )
-
-    message = CscpMessage(
-        sending_sc_id=ceased.sc_id,
-        receiving_sc_id=target_sc_id,
-        msg_type=MSG_TYPE_TOKEN_TRANSFER,
-        sender_id=instance.owner,
-        receiver_id=receiver_id,
-        payload_hash=hash_bytes(return_payload),
-    )
-    sender_sig = owner.sign(message_digest(message))
-    csw = ceased.build_message_withdrawal(
+    return _withdraw_instance(
+        ceased,
+        owner,
+        instance,
+        target_sc_id,
+        receiver_id,
         record.encode(),
-        message,
-        receiver=owner.public,
         claim_kind=ClaimKind.SENT_RECORD,
         return_evidence=evidence,
-    )
-    return CswPackage(
-        csw=csw,
-        message=message,
-        payload=return_payload,
-        sender_sig=sender_sig,
-        consumed_return=message_digest(return_message),
     )
 
 

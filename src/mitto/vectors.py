@@ -27,7 +27,7 @@ from .hashing import hash_bytes
 from .keys import KeyPair
 from .messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, message_digest
 from .scenario import parse_scenario
-from .tokens import MittoState, SentRecord, TokenNameRegistry
+from .tokens import MittoState, TokenNameRegistry
 from .verdict import Verdict
 
 FORMAT = 1
@@ -275,9 +275,7 @@ def _redeem_3() -> Verdict:
 
 def _redeem_4a() -> Verdict:
     p = _pair()
-    p.home.s_sent[("f", 1, "TOK")] = SentRecord(
-        token_name="TOK", fungibility=True, receiver_sc_id=1, amount=50
-    )
+    p.home._record_out("TOK", 1, 50, None)
     claimed = replace(p.tok, amount=50, owner=p.bob.public)
     message = _msg(claimed, 1, 2, p.bob, p.alice)
     return _redeem_verdict(p.home, claimed, message, p.bob)

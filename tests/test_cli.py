@@ -269,6 +269,25 @@ def test_bad_chain_issuance_exit_two(tmp_path, capsys, issuance, message):
     assert "parse error" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("chain,top,message", [
+    ({"byzantine": "no"}, {}, "chains[0]: field 'byzantine' must be bool, got str"),
+    ({"faulty_mode": None}, {}, "chains[0]: field 'faulty_mode' must be str, got NoneType"),
+    ({}, {"expect_violations": "no"}, "field 'expect_violations' must be bool, got str"),
+])
+def test_untyped_scenario_boolean_exit_two(tmp_path, capsys, chain, top, message):
+    path = write_scenario(tmp_path, {
+        "name": "booleans",
+        "seed": 2,
+        "chains": [dict({"label": "alpha", "epoch_length": 2}, **chain)],
+        "steps": [],
+        **top,
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "parse error" in err and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("entry,message", [
     ({"holdings": [{"name": "X"}]}, "steps[0].holdings[0]: give exactly one of 'amount' or 'token_id'"),
     ({"sent_records": [{"name": "X", "receiver": "zeta", "amount": 1}]},

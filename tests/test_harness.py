@@ -869,3 +869,49 @@ def test_runner_skips_accountant_check_after_failed_assert():
     report = runner.run()
     assert report["failure"]["step"] == 1
     assert len(calls) == 1
+
+
+def test_send_is_committed_by_the_next_accepted_close():
+    """A send enters the outbox while ``len(epochs)`` epochs are closed; a
+    rejected close commits nothing, so the send stays unredeemable until
+    the next accepted close."""
+    report = run_inline([
+        {"op": "send", "id": "s1", "from": "alpha", "to": "beta", "name": "GLD", "amount": 10,
+         "owner": "alice", "receiver": "bob", "expect": {"accepted": True}},
+        {"op": "close_epoch", "chains": ["alpha"], "expect": {"accepted": False}},
+        {"op": "redeem", "send": "s1", "expect": {"accepted": False, "reason": "EvidenceUnavailable"}},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch", "chains": ["alpha"], "expect": {"accepted": True}},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "redeem", "send": "s1", "expect": {"accepted": True}},
+    ])
+    assert report["steps"][1]["parts"] == [{"chain": "alpha", "accepted": False, "reason": "WindowClosed"}]
+    assert "never committed" in report["steps"][2]["summary"]
+    assert report["violations"] == [] and report["ok"] is True
+
+
+def test_notify_without_or_with_both_quantities():
+    """The parser lets a ``notify`` step carry neither ``amount`` nor
+    ``token_id``, or both: neither matches no record, and with both the
+    amount decides."""
+    chains = [
+        {"label": "alpha", "epoch_length": 2, "faulty_mode": "issuer_notification",
+         "issuances": [{"name": "GLD", "fungible": True, "amount": 100, "owner": "alice"}]},
+        {"label": "beta", "epoch_length": 2},
+        {"label": "gamma", "epoch_length": 2},
+    ]
+    notify = {"op": "notify", "chain": "alpha", "from": "beta", "to": "gamma", "name": "GLD"}
+    report = run_inline([
+        {"op": "send", "from": "alpha", "to": "beta", "name": "GLD", "amount": 10,
+         "owner": "alice", "receiver": "bob", "expect": {"accepted": True}},
+        notify,
+        dict(notify, amount=2, token_id=0),
+        {"op": "assert", "chain": "alpha", "sent_records": [
+            {"name": "GLD", "receiver": "beta", "amount": 8}, {"name": "GLD", "receiver": "gamma", "amount": 2},
+        ]},
+    ], chains=chains)
+    assert [step["outcome"] for step in report["steps"][1:3]] == [
+        {"accepted": False, "reason": "NoMatchingRecord"},
+        {"accepted": True, "reason": "Accepted"},
+    ]
+    assert report["failure"] is None

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the package
+loads every module.
 
 No linter ships with the project, so this walks the syntax tree of every
 package and test module instead. A top-level import counts as used when
@@ -6,6 +7,9 @@ its bound name appears anywhere in the module as a name, or is listed in
 ``__all__``; ``from __future__`` imports are exempt.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,12 @@ def test_detector_sees_unused_and_exempt_names():
         "print(os.path.sep)\n"
     )
     assert unused_imports(source) == ["line 2: json", "line 4: Fn"]
+
+
+def test_import_mitto_loads_every_module_but_the_cli():
+    """perfbench's tracer patches only the modules ``import mitto`` loaded."""
+    expected = sorted(path.stem for path in (ROOT / "src" / "mitto").glob("*.py") if path.stem not in ("__init__", "cli"))
+    code = "import sys, mitto; print(sorted(n[6:] for n in sys.modules if n.startswith('mitto.')))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(expected)

@@ -350,3 +350,43 @@ def test_assert_entries_parse():
         holdings=[{"name": "X", "amount": 3, "owner": "a"}, {"name": "N", "token_id": 0}],
         sent_records=[{"name": "X", "receiver": "beta", "amount": 2}, {"name": "N", "receiver": "beta", "token_id": 0}],
     ))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("label", 7, "field 'label' must be str, got int"),
+    ("epoch_length", "2", "field 'epoch_length' must be int, got str"),
+    ("epoch_length", True, "field 'epoch_length' must be an integer, got a boolean"),
+    ("byzantine", "no", "field 'byzantine' must be bool, got str"),
+    ("byzantine", 0, "field 'byzantine' must be bool, got int"),
+    ("faulty_mode", None, "field 'faulty_mode' must be str, got NoneType"),
+    ("issuances", {}, "field 'issuances' must be list, got dict"),
+    ("colour", "red", "unknown field 'colour'"),
+])
+def test_chain_fields_are_typed(field, value, message):
+    obj = minimal()
+    obj["chains"][0][field] = value
+    with pytest.raises(ParseError, match=rf"chains\[0\]: {message}"):
+        parse_scenario(obj)
+
+
+def test_chain_spec_needs_label_and_epoch_length():
+    for field in ("label", "epoch_length"):
+        obj = minimal()
+        del obj["chains"][1][field]
+        with pytest.raises(ParseError, match=rf"chains\[1\]: missing field '{field}'"):
+            parse_scenario(obj)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_expect_violations_must_be_bool(value):
+    with pytest.raises(ParseError, match="field 'expect_violations' must be bool"):
+        parse_scenario(minimal(expect_violations=value))
+
+
+def test_typed_booleans_parse_as_given():
+    obj = minimal(expect_violations=True)
+    obj["chains"][0]["byzantine"] = False
+    obj["chains"][1].update(byzantine=True, faulty_mode="no_sent_records")
+    scenario = parse_scenario(obj)
+    assert scenario.expect_violations is True
+    assert [(c.byzantine, c.variant) for c in scenario.chains] == [(False, "standard"), (True, "no_sent_records")]
