@@ -11,6 +11,7 @@ list when the class is defined into the type's ``encode()``, its
 ``read(reader)`` and its strict top-level ``decode(data)``; runs of
 fixed-width fields pack and unpack through one precompiled
 ``struct.Struct``. ``to_json`` is the one JSON rendering, for reports.
+``canonical_digest`` hashes each wire value once and keeps the digest on it.
 """
 
 from __future__ import annotations
@@ -120,8 +121,21 @@ class ByteReader:
             raise DecodeError(f"{len(self._data) - self._pos} trailing bytes")
 
 
+#: Instance ``__dict__`` key of a wire value's digest. It is no identifier,
+#: so it can never be a dataclass field: equality, hashing, ``repr``,
+#: ``replace`` and ``to_json`` never see it.
+_DIGEST_KEY = "@digest"
+
+
 def canonical_digest(entity) -> Digest:
-    return hash_bytes(entity.encode())
+    """SHA-256 of ``entity.encode()``, computed once per object. ``wire``
+    types are frozen dataclasses, so an object's bytes never change and its
+    digest is kept on it."""
+    memo = entity.__dict__
+    digest = memo.get(_DIGEST_KEY)
+    if digest is None:
+        digest = memo[_DIGEST_KEY] = hash_bytes(entity.encode())
+    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +292,16 @@ def wire(tag: int | None, *field_list: tuple):
     ``tag`` (None for untagged types) leads the encoding; each entry is
     (attribute, codec), or (tuple of attributes, codec) for a codec that
     spans several. Adds ``encode(self) -> bytes``, ``read(reader)`` and
-    ``decode(data)``, which also rejects trailing bytes.
+    ``decode(data)``, which also rejects trailing bytes. The class must be a
+    frozen dataclass with an instance ``__dict__``, where
+    ``canonical_digest`` keeps its digest.
     """
 
     def declare(cls):
         name = cls.__name__
+        params = getattr(cls, "__dataclass_params__", None)
+        if params is None or not params.frozen or "__slots__" in cls.__dict__:
+            raise TypeError(f"wire type {name} must be a frozen dataclass without __slots__")
         _bind(name, cls)
         entries = list(field_list)
         if tag is not None:

@@ -18,8 +18,8 @@ the world.
 from __future__ import annotations
 
 import difflib
-import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .accountant import Accountant
@@ -234,13 +234,66 @@ class World:
         }
 
 
+def render_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
+    the values reports are made of: dicts with str keys, lists, tuples, str,
+    int, bool and None. Anything else, a non-str key included, raises
+    TypeError. (On this indent, ``json.dumps`` runs its pure-Python encoder.)"""
+    parts: list[str] = []
+    _write(value, parts.append, "\n")
+    return "".join(parts)
+
+
+def _write(value, put, newline: str) -> None:
+    """Put the JSON text of ``value``, nested at ``newline`` (a line break and
+    the current indentation)."""
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            put(separator)
+            put(encode_basestring_ascii(key))
+            put(": ")
+            _write(value[key], put, inner)
+            separator = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            put(separator)
+            _write(item, put, inner)
+            separator = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dump_state(world: World, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(world.dump(), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(render_json(world.dump()) + "\n")
 
 
 def diff_state(a: dict, b: dict) -> str:
-    left = json.dumps(a, indent=2, sort_keys=True).splitlines(keepends=True)
-    right = json.dumps(b, indent=2, sort_keys=True).splitlines(keepends=True)
+    left = render_json(a).splitlines(keepends=True)
+    right = render_json(b).splitlines(keepends=True)
     return "".join(difflib.unified_diff(left, right, fromfile="a", tofile="b"))
 
 
@@ -652,9 +705,7 @@ class Runner:
             if expected != actual_rows:
                 problems.append(f"sent_records: expected {expected}, found {actual_rows}")
         if problems:
-            trace = json.dumps(
-                {"chain": label, "problems": problems, "state": state.dump()}, indent=2, sort_keys=True
-            )
+            trace = render_json({"chain": label, "problems": problems, "state": state.dump()})
             raise InvariantViolation(index, "assert", trace)
         return {
             "outcome": {"accepted": True, "reason": "Accepted"},
@@ -714,4 +765,4 @@ def run_scenario(scenario: Scenario) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return render_json(report) + "\n"

@@ -4,7 +4,8 @@ Every commitment in the simulator reduces to SHA-256. Trees pad their leaf
 list to a power of two (minimum two) with EMPTY_ROOT sentinels and use
 domain-separated node hashing: leaf-level nodes are hash(0x00 || leaf),
 internal nodes hash(0x01 || left || right), which keeps an internal node
-from ever being replayed as a leaf.
+from ever being replayed as a leaf. The node over an all-padding subtree
+depends only on its height, so it comes from a table, not from hashing.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from functools import cached_property
 
 
 class Digest(bytes):
-    """A 32-byte SHA-256 output. Construction rejects any other length."""
+    """A 32-byte SHA-256 output. Construction rejects any other length;
+    ``hash_bytes``, whose outputs have that length, skips the check."""
 
     def __new__(cls, value: bytes) -> "Digest":
         if len(value) != 32:
@@ -23,8 +25,12 @@ class Digest(bytes):
         return super().__new__(cls, value)
 
 
+_sha256 = hashlib.sha256
+_as_digest = bytes.__new__
+
+
 def hash_bytes(data: bytes) -> Digest:
-    return Digest(hashlib.sha256(data).digest())
+    return _as_digest(Digest, _sha256(data).digest())
 
 
 #: Root of an empty tree, also the padding sentinel: SHA-256 of the empty string.
@@ -41,6 +47,18 @@ def leaf_node(leaf: Digest) -> Digest:
 
 def inner_node(left: Digest, right: Digest) -> Digest:
     return hash_bytes(_NODE_PREFIX + left + right)
+
+
+def _padding_nodes(heights: int) -> tuple[Digest, ...]:
+    nodes = [leaf_node(EMPTY_ROOT)]
+    while len(nodes) < heights:
+        nodes.append(inner_node(nodes[-1], nodes[-1]))
+    return tuple(nodes)
+
+
+#: ``_PADDING[h]`` is the node over an all-padding subtree of height ``h``.
+#: 64 heights cover any tree a list can hold.
+_PADDING = _padding_nodes(64)
 
 
 class IndexOutOfRange(Exception):
@@ -113,11 +131,19 @@ def build_merkle(leaves: list[Digest]) -> MerkleTree:
     """
     if not leaves:
         return MerkleTree(leaves=(), levels=(), root=EMPTY_ROOT)
-    padded = list(leaves) + [EMPTY_ROOT] * (_padded_size(len(leaves)) - len(leaves))
-    levels: list[tuple[Digest, ...]] = [tuple(leaf_node(d) for d in padded)]
-    while len(levels[-1]) > 1:
-        prev = levels[-1]
-        levels.append(tuple(inner_node(prev[i], prev[i + 1]) for i in range(0, len(prev), 2)))
+    # ``nodes`` holds a level's nodes up to the last one over a real leaf;
+    # the rest of the level is padding, taken from the table.
+    nodes = [leaf_node(d) for d in leaves]
+    width = _padded_size(len(nodes))
+    levels: list[tuple[Digest, ...]] = []
+    for pad in _PADDING:
+        levels.append(tuple(nodes) + (pad,) * (width - len(nodes)))
+        if width == 1:
+            break
+        if len(nodes) % 2:
+            nodes.append(pad)
+        nodes = [inner_node(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)]
+        width //= 2
     return MerkleTree(leaves=tuple(leaves), levels=tuple(levels), root=levels[-1][0])
 
 

@@ -84,8 +84,9 @@ class CscpMessage:
 
 
 def message_digest(message: CscpMessage) -> Digest:
-    """Digest redeemed-sets and message trees key on."""
-    return hash_bytes(message.encode())
+    """Digest redeemed-sets and message trees key on: the message's
+    ``canonical_digest``, so each message object is hashed once."""
+    return enc.canonical_digest(message)
 
 
 def redeem_auth_digest(message: CscpMessage, payload: bytes) -> Digest:

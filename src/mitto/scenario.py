@@ -263,6 +263,8 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
             if step["id"] in send_ids:
                 raise ParseError(f"{where}: duplicate send id {step['id']!r}")
             send_ids.add(step["id"])
+    if op == "notify":
+        _quantity(step, where)
     if op == "fabricate_send" and step["fungible"] and "amount" not in step:
         raise ParseError(f"{where}: missing field 'amount'")
     if op == "fabricate_send" and not step["fungible"] and "token_id" not in step:

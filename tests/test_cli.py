@@ -304,3 +304,19 @@ def test_bad_assert_entry_exit_two(tmp_path, capsys, entry, message):
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert "parse error" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("quantity", [{}, {"amount": 2, "token_id": 0}], ids=["neither", "both"])
+def test_notify_needs_exactly_one_quantity_exit_two(tmp_path, capsys, quantity):
+    """A notify step with neither quantity, or with both, is a parse error."""
+    path = write_scenario(tmp_path, {
+        "name": "notifying",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2, "faulty_mode": "issuer_notification"},
+                   {"label": "beta", "epoch_length": 2}, {"label": "gamma", "epoch_length": 2}],
+        "steps": [{"op": "notify", "chain": "alpha", "from": "beta", "to": "gamma", "name": "GLD", **quantity}],
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "steps[0]: give exactly one of 'amount' or 'token_id'" in err and "Traceback" not in err

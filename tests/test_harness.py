@@ -4,12 +4,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from accountant_reference import ReferenceCheckRunner
 from dump_reference import DumpCheckRunner
-from mitto import accountant as accountant_module
+from mitto import accountant as accountant_module, hashing
 from mitto.accountant import Accountant
-from mitto.encoding import canonical_digest
+from mitto.encoding import DecodeError, canonical_digest
 from mitto.fuzz import generate_trace
 from mitto.harness import HarnessError, Runner, diff_state, dump_state, render_report, run_scenario
 from mitto.hashing import hash_bytes
@@ -65,6 +66,29 @@ def test_dump_reload_dump_identical(tmp_path):
     reloaded = json.loads(first.read_text())
     second.write_text(json.dumps(reloaded, indent=2, sort_keys=True) + "\n")
     assert first.read_bytes() == second.read_bytes()
+
+
+# Strings that exercise every escape: non-ASCII (inside and beyond the
+# basic plane), quotes, backslashes and control characters.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀'), st.characters()), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**64), 2**64 - 1) | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+@example({"": {}, "a": [], "b": [{}, [[]]], "é\"\\\x01": 2**64 - 1, "n": -1, "t": True, "f": False, "z": None})
+def test_render_report_is_json_dumps(value):
+    assert render_report(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 1}]}, {"a": {b"k": 1}}])
+def test_render_report_rejects_non_str_keys(value):
+    with pytest.raises(TypeError):
+        render_report(value)
 
 
 def test_rejected_tx_leaves_empty_diff():
@@ -242,7 +266,7 @@ def test_cease_by_silence_step():
 
 def test_notify_rejected_on_standard_chain():
     report = run_inline([
-        {"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "GLD",
+        {"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "GLD", "amount": 1,
          "expect": {"accepted": False, "reason": "NotSupported"}},
     ])
     assert report["ok"] is True, report["violations"]
@@ -613,19 +637,21 @@ def test_index_bypass_is_caught(monkeypatch):
         _checks_agree(ReferenceCheckRunner(scenario))
 
 
-def _per_step(runner: Runner, counter: list) -> list[int]:
-    """Run; return how far ``counter`` grew during each step."""
-    marks = [len(counter)]
+def _per_step(runner: Runner, *counters: list) -> list:
+    """Run; return how far each of ``counters`` grew during each step (a
+    count per step for one counter, a tuple of counts for several)."""
+    marks = [tuple(map(len, counters))]
     check = runner.world.accountant.check
 
     def mark(snapshot):
         findings = check(snapshot)
-        marks.append(len(counter))
+        marks.append(tuple(map(len, counters)))
         return findings
 
     runner.world.accountant.check = mark
     assert runner.run()["ok"] is True
-    return [after - before for before, after in zip(marks, marks[1:])]
+    grown = [tuple(a - b for a, b in zip(after, before)) for before, after in zip(marks, marks[1:])]
+    return [g[0] for g in grown] if len(counters) == 1 else grown
 
 
 def _ops(n: int) -> list[str]:
@@ -643,6 +669,32 @@ def test_one_ed25519_verify_per_accepted_send_and_redeem(real_verifies, n):
         by_op.setdefault(op, set()).add(count)
     # close_epoch verifies one certificate per chain.
     assert by_op == {"send": {1}, "advance_mainchain": {0}, "close_epoch": {2}, "redeem": {1}}
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_one_message_hash_per_send(real_verifies, monkeypatch, n):
+    """A message object keeps its digest: the send that builds it hashes
+    it once (for the owner's signature), and the gate, rule send-4, the
+    epoch's message tree, the redeem and its replay probe all read it back.
+    Ed25519 work stays as it was."""
+    message_hashes = []
+    sha256 = hashing._sha256
+
+    def counting(data):
+        try:
+            CscpMessage.decode(data)
+            message_hashes.append(data)
+        except (DecodeError, ValueError):
+            pass
+        return sha256(data)
+
+    monkeypatch.setattr(hashing, "_sha256", counting)
+    per_step = _per_step(Runner(parse_scenario(scale_nft_shape(n))), message_hashes, real_verifies)
+    by_op = {}
+    for op, counts in zip(_ops(n), per_step):
+        by_op.setdefault(op, set()).add(counts)
+    # (message hashes, Ed25519 verifications) per step.
+    assert by_op == {"send": {(1, 1)}, "advance_mainchain": {(0, 0)}, "close_epoch": {(0, 2)}, "redeem": {(0, 1)}}
 
 
 @pytest.mark.parametrize("n", [20, 200])
@@ -889,29 +941,3 @@ def test_send_is_committed_by_the_next_accepted_close():
     assert "never committed" in report["steps"][2]["summary"]
     assert report["violations"] == [] and report["ok"] is True
 
-
-def test_notify_without_or_with_both_quantities():
-    """The parser lets a ``notify`` step carry neither ``amount`` nor
-    ``token_id``, or both: neither matches no record, and with both the
-    amount decides."""
-    chains = [
-        {"label": "alpha", "epoch_length": 2, "faulty_mode": "issuer_notification",
-         "issuances": [{"name": "GLD", "fungible": True, "amount": 100, "owner": "alice"}]},
-        {"label": "beta", "epoch_length": 2},
-        {"label": "gamma", "epoch_length": 2},
-    ]
-    notify = {"op": "notify", "chain": "alpha", "from": "beta", "to": "gamma", "name": "GLD"}
-    report = run_inline([
-        {"op": "send", "from": "alpha", "to": "beta", "name": "GLD", "amount": 10,
-         "owner": "alice", "receiver": "bob", "expect": {"accepted": True}},
-        notify,
-        dict(notify, amount=2, token_id=0),
-        {"op": "assert", "chain": "alpha", "sent_records": [
-            {"name": "GLD", "receiver": "beta", "amount": 8}, {"name": "GLD", "receiver": "gamma", "amount": 2},
-        ]},
-    ], chains=chains)
-    assert [step["outcome"] for step in report["steps"][1:3]] == [
-        {"accepted": False, "reason": "NoMatchingRecord"},
-        {"accepted": True, "reason": "Accepted"},
-    ]
-    assert report["failure"] is None

@@ -4,6 +4,7 @@ The golden file was produced by a standalone hashlib-only script
 (scripts/make_golden_vectors.py) so these tests never trust the code
 under test to generate its own expectations.
 """
+import hashlib
 import json
 from pathlib import Path
 
@@ -190,3 +191,32 @@ class TestStcTree:
         inner = merkle_path(txs_tree, 1)
         assert fold_path(d(2), inner) == txs_tree.root
         assert fold_path(txs_tree.root, stc.txs_path(3)) == stc.tree.root
+
+
+def test_hash_bytes_returns_a_digest():
+    assert type(hash_bytes(b"")) is Digest
+    with pytest.raises(ValueError, match="digest must be 32 bytes"):
+        Digest(b"\x00" * 31)
+
+
+def _reference_levels(leaves: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree, padding with EMPTY_ROOT and hashing every
+    node, straight from hashlib."""
+    padded = list(leaves)
+    while len(padded) < 2 or len(padded) & (len(padded) - 1):
+        padded.append(hashlib.sha256(b"").digest())
+    levels = [[hashlib.sha256(b"\x00" + leaf).digest() for leaf in padded]]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([hashlib.sha256(b"\x01" + below[i] + below[i + 1]).digest() for i in range(0, len(below), 2)])
+    return levels
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_padding_table_matches_hashing_every_node(n):
+    leaves = [d(i) for i in range(n)]
+    tree = build_merkle(leaves)
+    levels = _reference_levels(leaves)
+    assert [list(level) for level in tree.levels] == levels
+    assert tree.root == levels[-1][0]
+    assert all(type(node) is Digest for level in tree.levels for node in level)

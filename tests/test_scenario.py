@@ -250,7 +250,7 @@ VALID_STEPS = {
     "csw": {"op": "csw", "id": "w", "mode": "held", "chain": "alpha", "name": "X", "owner": "a",
             "receiver": "a", "target": "beta"},
     "csw_redeem": {"op": "csw_redeem", "withdrawal": "w"},
-    "notify": {"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "X"},
+    "notify": {"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "X", "amount": 1},
     "assert": {"op": "assert", "chain": "alpha"},
 }
 
@@ -343,6 +343,13 @@ def _asserting(**fields) -> dict:
 def test_assert_entries_are_checked(fields, message):
     with pytest.raises(ParseError, match=rf"steps\[0\]\.{message}"):
         parse_scenario(_asserting(**fields))
+
+
+@pytest.mark.parametrize("quantity", [{}, {"amount": 2, "token_id": 0}], ids=["neither", "both"])
+def test_notify_needs_exactly_one_quantity(quantity):
+    notify = {"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "X", **quantity}
+    with pytest.raises(ParseError, match=r"steps\[0\]: give exactly one of 'amount' or 'token_id'"):
+        parse_scenario(minimal(steps=[notify]))
 
 
 def test_assert_entries_parse():

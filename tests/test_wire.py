@@ -6,6 +6,7 @@ every encoding byte for byte and must never be regenerated to make a codec
 change pass.
 """
 import json
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wire_samples import ALICE, BOB, CSW_SIGNER, WCERT_SIGNER, bundle_witnesses, wire_samples
 
-from mitto.encoding import U8_MAX, U32_MAX, U64_MAX, WIRE_TYPES, DecodeError, enc_bytes, to_json
+from mitto.encoding import (
+    U8,
+    U8_MAX,
+    U32_MAX,
+    U64_MAX,
+    WIRE_TYPES,
+    DecodeError,
+    canonical_digest,
+    enc_bytes,
+    to_json,
+    wire,
+)
+from mitto import hashing
 from mitto.hashing import Digest, hash_bytes
 from mitto.keys import PubKey
 from mitto.proofs import CswBundle, StateAnchor, prove_csw, prove_wcert, sim_merkle_vk, verify_csw, verify_wcert
@@ -178,9 +191,10 @@ def test_single_byte_mutations_decode_canonically_or_raise(name):
 
 def test_encode_rejects_out_of_range_integers():
     message = SAMPLES["CscpMessage"]
+    values = {f.name: getattr(message, f.name) for f in fields(message)}
     for bad in (-1, U32_MAX + 1):
         with pytest.raises(ValueError, match="CscpMessage"):
-            type(message)(**{**message.__dict__, "msg_type": bad}).encode()
+            type(message)(**{**values, "msg_type": bad}).encode()
 
 
 def test_to_json_renders_report_types():
@@ -202,3 +216,63 @@ def test_to_json_renders_report_types():
         "receiver_id": BOB.hex(),
         "payload_hash": hash_bytes(b"payload").hex(),
     }
+
+
+# -- the per-object digest memo -------------------------------------------------------
+
+
+class _Plain:
+    x: int
+
+
+@dataclass
+class _Mutable:
+    x: int
+
+
+@dataclass(frozen=True, slots=True)
+class _Slotted:
+    x: int
+
+
+@pytest.mark.parametrize("cls", [_Plain, _Mutable, _Slotted])
+def test_wire_rejects_all_but_frozen_dataclasses(cls):
+    """A digest kept on a mutable object could go stale; a slotted one has
+    no ``__dict__`` to keep it in."""
+    with pytest.raises(TypeError, match="must be a frozen dataclass"):
+        wire(None, ("x", U8))(cls)
+    assert cls.__name__ not in WIRE_TYPES
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_canonical_digest_is_the_hash_of_the_encoding(name):
+    sample = wire_samples()[name]
+    assert set(vars(sample)) == {f.name for f in fields(sample)}  # no digest yet
+    for _ in range(2):  # computing it, then reading it back
+        assert canonical_digest(sample) == hash_bytes(sample.encode())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_digest_memo_is_invisible(name):
+    digested = SAMPLES[name]
+    canonical_digest(digested)
+    fresh = type(digested).decode(digested.encode())
+    assert [f.name for f in fields(digested)] == list(vars(fresh))
+    assert to_json(digested) == to_json(fresh)
+    assert digested == fresh and hash(digested) == hash(fresh)
+    assert repr(digested) == repr(fresh)
+
+
+def test_copies_compute_their_own_digest(monkeypatch):
+    sha256_inputs = []
+    sha256 = hashing._sha256
+    monkeypatch.setattr(hashing, "_sha256", lambda data: sha256_inputs.append(data) or sha256(data))
+    message = SAMPLES["CscpMessage"]
+    digest = canonical_digest(message)
+    changed = replace(message, msg_type=message.msg_type + 1)
+    decoded = type(message).decode(message.encode())
+    sha256_inputs.clear()
+    assert canonical_digest(changed) != digest
+    assert canonical_digest(decoded) == digest
+    assert canonical_digest(message) == digest
+    assert sha256_inputs == [changed.encode(), message.encode()]
