@@ -57,7 +57,6 @@ from .tokens import (
     final_ledger,
     make_csw_redeem_tx,
     make_redeem_tx,
-    parse_payload,
     transfer_message,
     withdraw_foreign,
     withdraw_native_held,
@@ -83,7 +82,7 @@ class World:
     """Fresh mainchain plus the scenario's sidechains, keys, and accountant."""
 
     def __init__(self, scenario: Scenario):
-        forget_verified()  # signatures are remembered for one world at a time
+        forget_verified()  # signature and proof checks are remembered for one world at a time
         self.scenario = scenario
         self.mainchain = Mainchain()
         self.registry = TokenNameRegistry()
@@ -297,16 +296,18 @@ def diff_state(a: dict, b: dict) -> str:
     return "".join(difflib.unified_diff(left, right, fromfile="a", tofile="b"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _SendRecord:
-    """An accepted send. A message enters the outbox while ``epoch_id``
-    epochs are closed, so the next accepted close commits it under that id."""
+    """An accepted send and the token instance it moved. A message enters
+    the outbox while ``epoch_id`` epochs are closed, so the next accepted
+    close commits it under that id."""
 
     message: CscpMessage
     payload: bytes
     sender_sig: bytes
     from_label: str
     epoch_id: int
+    instance: TokenInstance
 
 
 class Runner:
@@ -380,7 +381,7 @@ class Runner:
         self._check_tamper(index, step, verdict.accepted)
         if verdict.accepted and "id" in step:
             self.sends[step["id"]] = _SendRecord(
-                tx.message, tx.payload, tx.signature, label, len(self.world.chains[label].epochs)
+                tx.message, tx.payload, tx.signature, label, len(self.world.chains[label].epochs), instance
             )
         return {
             "outcome": verdict.to_json(),
@@ -416,9 +417,10 @@ class Runner:
         )
         message = self._build_message(step, instance)
         signature = owner.sign(message_digest(message))
-        chain.fabricate_send(message, instance.encode())
+        payload = instance.encode()
+        chain.fabricate_send(message, payload)
         if "id" in step:
-            self.sends[step["id"]] = _SendRecord(message, instance.encode(), signature, step["from"], len(chain.epochs))
+            self.sends[step["id"]] = _SendRecord(message, payload, signature, step["from"], len(chain.epochs), instance)
         return {
             "outcome": {"accepted": True, "reason": "Fabricated"},
             "summary": f"fabricated send of {step['name']} {step['from']} -> {step['to']}",
@@ -522,9 +524,7 @@ class Runner:
         verdict = chain.accept_redeem(tx)
         self._atomic(index, "redeem", pre, verdict.accepted)
         self._check_tamper(index, step, verdict.accepted)
-        instance = parse_payload(record.payload)
-        if instance is not None:
-            self._note(index, self.world.accountant.note_redeem(label, instance, record.message, verdict.accepted))
+        self._note(index, self.world.accountant.note_redeem(label, record.instance, record.message, verdict.accepted))
         result = {
             "outcome": verdict.to_json(),
             "summary": f"redeem {step['send']!r} on {label}",
@@ -621,11 +621,9 @@ class Runner:
         pre = self.world.write_marks()
         verdict = chain.accept_csw_redeem(tx)
         self._atomic(index, "csw_redeem", pre, verdict.accepted)
-        instance = parse_payload(package.payload)
-        if instance is not None:
-            self._note(
-                index, self.world.accountant.note_csw_redeem(label, instance, package.message, verdict.accepted)
-            )
+        self._note(
+            index, self.world.accountant.note_csw_redeem(label, package.instance, package.message, verdict.accepted)
+        )
         result = {
             "outcome": verdict.to_json(),
             "summary": f"csw redeem {step['withdrawal']!r} on {label}",
@@ -720,6 +718,8 @@ class Runner:
             try:
                 # Looked up on the instance, so a wrapper set there runs instead.
                 entry = getattr(self, f"_op_{op}")(index, step)
+            except HarnessError as err:
+                raise HarnessError(f"step {index} ({op}): {err}") from err
             except InvariantViolation as err:
                 self.failure = {"step": err.step, "invariant": err.invariant, "trace": err.trace}
                 self.steps.append(

@@ -5,18 +5,21 @@ one key type serves actor identities, receiver addresses, and the per-
 sidechain proving keys alike. Keys derive from 32-byte seeds, which keeps
 whole simulations reproducible from a single scenario seed.
 
-``verify_sig`` remembers each (key, digest, signature) it has checked. One
-signature is checked several times along a message's path (the sending
-chain's gate and rule send-4, then the receiving chain's rule redeem-5),
-and only the first check runs Ed25519. The memo holds one world's checks:
-``harness.World`` empties it when it is built, and it empties itself at
-``VERIFY_MEMO_MAX`` entries.
+The verify memo keeps the result of each pure check made through a
+``remembered`` verifier, under the exact arguments it was given.
+``verify_sig`` is one: a signature is checked several times along a
+message's path (the sending chain's gate and rule send-4, then the
+receiving chain's rule redeem-5), and only the first check runs Ed25519.
+``proofs.verify_csw`` is the other: a withdrawal proof is verified by its
+prover and again by the settlement chain. The memo holds one world's
+checks: ``harness.World`` empties it when it is built, and it empties
+itself at ``VERIFY_MEMO_MAX`` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -73,10 +76,11 @@ class KeyPair:
 #: Entries at which the verify memo starts over.
 VERIFY_MEMO_MAX = 1 << 14
 
-# (public, digest, signature) -> verify_sig's result. Keyed by the tuple of
-# the three byte strings, never their concatenation: the lengths are not
-# enforced, so two different triples can join to the same bytes.
-_verified: dict[tuple[bytes, bytes, bytes], bool] = {}
+# (verifier, *arguments) -> the verifier's result. Keyed by the argument
+# values themselves, never a digest or a concatenation of them: byte string
+# lengths are not enforced, so two different triples can join to the same
+# bytes.
+_verified: dict[tuple, bool] = {}
 
 
 def forget_verified() -> None:
@@ -84,18 +88,31 @@ def forget_verified() -> None:
     _verified.clear()
 
 
+def remembered(verify):
+    """``verify`` with its results kept in the verify memo. Only for a pure
+    check, whose result depends on its (hashable) arguments alone; an
+    exception it raises is raised again on each call, never kept."""
+
+    @wraps(verify)
+    def check(*args) -> bool:
+        key = (verify, *args)
+        known = _verified.get(key)
+        if known is not None:
+            return known
+        valid = verify(*args)
+        if len(_verified) >= VERIFY_MEMO_MAX:
+            _verified.clear()
+        _verified[key] = valid
+        return valid
+
+    return check
+
+
+@remembered
 def verify_sig(public: PubKey, digest: Digest, signature: Signature) -> bool:
     """True iff ``signature`` is a valid signature on ``digest`` under ``public``."""
-    triple = (bytes(public), bytes(digest), bytes(signature))
-    known = _verified.get(triple)
-    if known is not None:
-        return known
     try:
-        Ed25519PublicKey.from_public_bytes(triple[0]).verify(triple[2], triple[1])
-        valid = True
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, digest)
     except (InvalidSignature, ValueError):
-        valid = False
-    if len(_verified) >= VERIFY_MEMO_MAX:
-        _verified.clear()
-    _verified[triple] = valid
-    return valid
+        return False
+    return True

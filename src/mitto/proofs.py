@@ -10,7 +10,10 @@ verifiers decode it strictly, refold every path, recompute every root named
 by the public input, and check the signature; a body that does not decode
 is a False. Verifier entry points see exactly (vk, public_input, proof) and
 nothing else, so a swapped-in scheme with the same signatures drops in
-unchanged.
+unchanged. That also makes them pure: ``verify_csw`` keeps its results in
+the verify memo (``keys.remembered``). ``verify_wcert`` is not remembered,
+as no certificate is verified twice, and neither is ``verify_redeem``,
+which reads the settlement chain's state.
 
 Ceased-sidechain claims anchor through the last finalized certificate: the
 claimed entity folds into the committed-state root the certificate carries
@@ -42,7 +45,7 @@ from .hashing import (
     merkle_path,
     verify_path,
 )
-from .keys import KeyPair, PubKey, verify_sig
+from .keys import KeyPair, PubKey, remembered, verify_sig
 from .messages import (
     BlockHeader,
     CeasedSidechainWithdrawal,
@@ -393,13 +396,16 @@ def prove_csw(signer: KeyPair, sc_id: int, public_input: CswPublicInput, claim: 
     return proof
 
 
+@remembered
 def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) -> bool:
     """Structural verification of a withdrawal claim, no side channels.
 
     Refolds entity -> committed-state root -> certificate -> block hash and
     compares against the public input, recomputes the nullifier from the
     claimed entity, re-derives the proofdata root, applies the sent-record
-    consistency rules when present, then checks the signature.
+    consistency rules when present, then checks the signature. The result
+    depends on the three arguments alone, so the verify memo keeps it: the
+    settlement chain's check of a proof its prover verified is a lookup.
     """
     if proof.scheme_id != vk.scheme_id:
         raise SchemeMismatch(f"proof scheme {proof.scheme_id} vs vk scheme {vk.scheme_id}")

@@ -133,6 +133,8 @@ _ISSUANCE_FIELDS = (
 #: Entries of an ``assert`` step's ``holdings`` and ``sent_records``.
 _HOLDING_FIELDS = ({"name": str}, {"owner": str, "amount": int, "token_id": int})
 _SENT_RECORD_FIELDS = ({"name": str, "receiver": str}, {"amount": int, "token_id": int})
+#: The fields a step's ``expect`` may pin, with their types.
+_EXPECT_FIELDS = {"accepted": bool, "reason": str, "rule": str}
 #: A chain declaration's required and optional fields.
 _CHAIN_FIELDS = (
     {"label": str, "epoch_length": int},
@@ -159,6 +161,8 @@ def _issuance(obj: dict, where: str) -> dict:
 def _chain_spec(obj: dict, index: int) -> ChainSpec:
     where = f"chains[{index}]"
     _fields(obj, *_CHAIN_FIELDS, where)
+    if not obj["label"]:
+        raise ParseError(f"{where}: field 'label' must not be empty")
     epoch_length = obj["epoch_length"]
     if epoch_length < 2:
         raise ParseError(f"{where}: field 'epoch_length' must be at least 2")
@@ -319,8 +323,9 @@ def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str],
         if not isinstance(expect, dict) or not expect:
             raise ParseError(f"{where}: field 'expect' must be a non-empty object")
         for key in expect:
-            if key not in ("accepted", "reason", "rule"):
+            if key not in _EXPECT_FIELDS:
                 raise ParseError(f"{where}: unknown expect field {key!r}")
+            _need(expect, key, _EXPECT_FIELDS[key], f"{where}.expect")
 
 
 def parse_scenario(obj, source: str = "<memory>") -> Scenario:

@@ -4,10 +4,20 @@ A sidechain buffers accepted sends in the current epoch's outbox. Closing an
 epoch builds the message tree, commits its root (plus the committed-state
 root) into a withdrawal certificate, and submits it to the settlement chain;
 the outbox and application snapshots are archived per epoch so redeem and
-withdrawal evidence can be built later. Redeems check evidence against the
-settlement chain, enforce replay protection through a persistent set of
-redeemed message digests, then hand type-specific validation to the handler
-registered for the message type. Validation and side effects are atomic: a
+withdrawal evidence can be built later.
+
+A redeem checks replay protection before anything else: a message whose
+digest is in the chain's persistent redeemed set is refused before its
+evidence is looked at, so a replay that also carries a broken proof gets
+``AlreadyRedeemed``. Then the evidence is verified against the settlement
+chain, the receiving chain and the receiver's authorization are checked,
+and type-specific validation goes to the handler registered for the
+message type.
+
+Handlers parse at the gate: on a send or a redeem the gate has the handler
+parse the payload once, refuses a payload it cannot parse with rule
+``malformed-payload``, and hands the parsed value to the handler's
+validate and apply hooks. Validation and side effects are atomic: a
 rejected transaction leaves no trace.
 """
 
@@ -52,6 +62,7 @@ from .proofs import (
 from .verdict import Verdict
 
 RULE_UNREGISTERED_TYPE = "unregistered-msg-type"
+RULE_MALFORMED_PAYLOAD = "malformed-payload"
 RULE_RECEIVER_AUTH = "redeem-6"
 RULE_PROOF = "redeem-7"
 
@@ -59,17 +70,22 @@ RULE_PROOF = "redeem-7"
 class MessageHandler(Protocol):
     """Type-specific validation and side effects, keyed by message type.
 
-    validate_* return None to accept or the id of the first failing rule;
-    apply_* are only called after the matching validate_* accepted.
+    parse returns the value a payload carries, or None when the payload is
+    malformed; the gate calls it once per transaction and hands its value
+    to the other hooks. validate_* return None to accept or the id of the
+    first failing rule; apply_* are only called after the matching
+    validate_* accepted.
     """
 
-    def validate_send(self, message: CscpMessage, payload: bytes, signature: Signature) -> str | None: ...
+    def parse(self, payload: bytes) -> object | None: ...
 
-    def apply_send(self, message: CscpMessage, payload: bytes) -> None: ...
+    def validate_send(self, message: CscpMessage, parsed, signature: Signature) -> str | None: ...
 
-    def validate_redeem(self, message: CscpMessage, payload: bytes, sender_sig: Signature) -> str | None: ...
+    def apply_send(self, message: CscpMessage, parsed) -> None: ...
 
-    def apply_redeem(self, message: CscpMessage, payload: bytes) -> None: ...
+    def validate_redeem(self, message: CscpMessage, parsed, sender_sig: Signature) -> str | None: ...
+
+    def apply_redeem(self, message: CscpMessage, parsed) -> None: ...
 
     def state_digests(self) -> list[Digest]: ...
 
@@ -143,10 +159,13 @@ class Sidechain:
         handler = self.handlers.get(message.msg_type)
         if handler is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_UNREGISTERED_TYPE)
-        rule = handler.validate_send(message, tx.payload, tx.signature)
+        parsed = handler.parse(tx.payload)
+        if parsed is None:
+            return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_MALFORMED_PAYLOAD)
+        rule = handler.validate_send(message, parsed, tx.signature)
         if rule is not None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=rule)
-        handler.apply_send(message, tx.payload)
+        handler.apply_send(message, parsed)
         self.outbox.append((message, tx.payload))
         return Verdict.ok()
 
@@ -256,22 +275,28 @@ class Sidechain:
         return self._redeem(tx.message, tx.payload, tx.proof, tx.sender_sig, tx.receiver_signature)
 
     def _redeem(self, message, payload, proof, sender_sig, receiver_signature) -> Verdict:
+        # A replay is refused before its proof is verified. The set holds
+        # only messages this chain accepted, all naming it as receiver, so
+        # the order changes no verdict but that of a replay with a bad proof.
+        digest = message_digest(message)
+        if digest in self.redeemed:
+            return Verdict.rejected(v.ALREADY_REDEEMED)
         if not verify_redeem(self.mainchain, message, payload, proof):
             return Verdict.rejected(v.PROOF_INVALID, rule=RULE_PROOF)
         if message.receiving_sc_id != self.sc_id:
             return Verdict.rejected(v.WRONG_RECEIVING_CHAIN)
-        digest = message_digest(message)
-        if digest in self.redeemed:
-            return Verdict.rejected(v.ALREADY_REDEEMED)
         if not verify_sig(message.receiver_id, redeem_auth_digest(message, payload), receiver_signature):
             return Verdict.rejected(v.BAD_RECEIVER_AUTH, rule=RULE_RECEIVER_AUTH)
         handler = self.handlers.get(message.msg_type)
         if handler is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_UNREGISTERED_TYPE)
-        rule = handler.validate_redeem(message, payload, sender_sig)
+        parsed = handler.parse(payload)
+        if parsed is None:
+            return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_MALFORMED_PAYLOAD)
+        rule = handler.validate_redeem(message, parsed, sender_sig)
         if rule is not None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=rule)
-        handler.apply_redeem(message, payload)
+        handler.apply_redeem(message, parsed)
         self.redeemed.add(digest)
         return Verdict.ok()
 

@@ -136,15 +136,6 @@ class SentRecord:
             raise ValueError("non-fungible sent record carries a token id only")
 
 
-def parse_payload(payload: bytes) -> TokenInstance | None:
-    """The token instance a message payload carries, or None when the
-    payload does not decode to one."""
-    try:
-        return TokenInstance.decode(payload)
-    except (DecodeError, ValueError):
-        return None
-
-
 class TokenNameRegistry:
     """Simulation-wide registry pinning each token name to one fungibility
     and one issuing sidechain."""
@@ -535,23 +526,23 @@ class TokenTransferHandler:
     def __init__(self, state: MittoState) -> None:
         self.state = state
 
-    def validate_send(self, message: CscpMessage, payload: bytes, signature: Signature) -> str | None:
-        instance = parse_payload(payload)
-        if instance is None:
-            return "malformed-payload"
+    def parse(self, payload: bytes) -> TokenInstance | None:
+        try:
+            return TokenInstance.decode(payload)
+        except (DecodeError, ValueError):
+            return None
+
+    def validate_send(self, message: CscpMessage, instance: TokenInstance, signature: Signature) -> str | None:
         return self.state.validate_send(instance, message, signature)
 
-    def apply_send(self, message: CscpMessage, payload: bytes) -> None:
-        self.state.apply_send(TokenInstance.decode(payload), message)
+    def apply_send(self, message: CscpMessage, instance: TokenInstance) -> None:
+        self.state.apply_send(instance, message)
 
-    def validate_redeem(self, message: CscpMessage, payload: bytes, sender_sig: Signature) -> str | None:
-        instance = parse_payload(payload)
-        if instance is None:
-            return "malformed-payload"
+    def validate_redeem(self, message: CscpMessage, instance: TokenInstance, sender_sig: Signature) -> str | None:
         return self.state.validate_redeem(instance, message, sender_sig)
 
-    def apply_redeem(self, message: CscpMessage, payload: bytes) -> None:
-        self.state.apply_redeem(TokenInstance.decode(payload), message)
+    def apply_redeem(self, message: CscpMessage, instance: TokenInstance) -> None:
+        self.state.apply_redeem(instance, message)
 
     def state_digests(self) -> list[Digest]:
         return self.state.entity_digests()
@@ -578,13 +569,15 @@ def attach_token_ledger(chain, registry: TokenNameRegistry, variant: str = VARIA
 @dataclass(frozen=True)
 class CswPackage:
     """Everything needed to submit a withdrawal and redeem its message:
-    the withdrawal itself, the embedded message with its payload, and the
-    owner's signature the receiving chain checks as the sender rule."""
+    the withdrawal itself, the embedded message with its payload, the
+    owner's signature the receiving chain checks as the sender rule, and
+    the token instance the payload encodes."""
 
     csw: CeasedSidechainWithdrawal
     message: CscpMessage
     payload: bytes
     sender_sig: Signature
+    instance: TokenInstance
 
 
 def final_ledger(sidechain) -> MittoState:
@@ -622,7 +615,7 @@ def _withdraw_instance(
     message = transfer_message(sidechain.sc_id, target_sc_id, instance, receiver_id)
     sender_sig = owner.sign(message_digest(message))
     csw = sidechain.build_message_withdrawal(entity_bytes or payload, message, receiver=owner.public, **claim)
-    return CswPackage(csw=csw, message=message, payload=payload, sender_sig=sender_sig)
+    return CswPackage(csw=csw, message=message, payload=payload, sender_sig=sender_sig, instance=instance)
 
 
 def withdraw_native_held(

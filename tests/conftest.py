@@ -1,4 +1,6 @@
 """Fixtures shared by several test files."""
+import inspect
+
 import pytest
 
 from mitto import keys
@@ -21,3 +23,24 @@ def real_verifies(monkeypatch):
     keys.forget_verified()
     yield counted
     keys.forget_verified()
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(owner, name)`` replaces ``owner.name`` (a function, or a
+    static method kept static) by a wrapper that notes each call, and
+    returns the list of notes."""
+
+    def count(owner, name: str) -> list:
+        calls = []
+        real = getattr(owner, name)
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        static = isinstance(inspect.getattr_static(owner, name), staticmethod)
+        monkeypatch.setattr(owner, name, staticmethod(counting) if static else counting)
+        return calls
+
+    return count

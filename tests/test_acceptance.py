@@ -196,7 +196,9 @@ def test_criterion_6_ceasing_suite():
         problems.append("crafted third-chain withdrawal not accepted at settlement")
     w2.mc.advance_block()
     crafted = make_csw_redeem_tx(
-        w2.mc, CswPackage(csw, message, payload, sender_sig=w2.alice.sign(message_digest(message))), w2.alice
+        w2.mc,
+        CswPackage(csw, message, payload, sender_sig=w2.alice.sign(message_digest(message)), instance=instance),
+        w2.alice,
     )
     elsewhere = gamma2.accept_csw_redeem(crafted)
     if elsewhere.accepted or elsewhere.rule != "redeem-1":

@@ -87,7 +87,32 @@ def test_run_scenario_error_exit_two(tmp_path, capsys):
         ],
     })
     assert main(["run", path]) == 2
-    assert "scenario error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "scenario error: step 0 (send): chain alpha: no instance of 'NOPE'" in err
+
+
+@pytest.mark.parametrize("expect,message", [
+    ({"accepted": "true"}, "steps[0].expect: field 'accepted' must be bool, got str"),
+    ({"accepted": True, "reason": 5}, "steps[0].expect: field 'reason' must be str, got int"),
+])
+def test_mistyped_expect_exit_two(tmp_path, capsys, expect, message):
+    path = write_scenario(tmp_path, {
+        "name": "t", "seed": 1, "chains": [{"label": "alpha", "epoch_length": 2}],
+        "steps": [{"op": "advance_mainchain", "blocks": 1, "expect": expect}],
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_empty_chain_label_exit_two(tmp_path, capsys):
+    path = write_scenario(tmp_path, {
+        "name": "t", "seed": 1, "chains": [{"label": "", "epoch_length": 2}, {"label": "sc0", "epoch_length": 2}],
+        "steps": [],
+    })
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    assert "chains[0]: field 'label' must not be empty" in capsys.readouterr().err
 
 
 def test_validate_exit_codes(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from accountant_reference import ReferenceCheckRunner
 from dump_reference import DumpCheckRunner
-from mitto import accountant as accountant_module, hashing
+from mitto import accountant as accountant_module, hashing, sidechain as sidechain_module
 from mitto.accountant import Accountant
 from mitto.encoding import DecodeError, canonical_digest
 from mitto.fuzz import generate_trace
@@ -17,9 +17,10 @@ from mitto.hashing import hash_bytes
 from mitto.journal import JournalDict, JournalList, JournalSet
 from mitto.mainchain import Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
+from mitto.proofs import CswBundle
 from mitto.scenario import STEP_OPS, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
-from mitto.tokens import Holdings, MittoState
+from mitto.tokens import Holdings, MittoState, TokenInstance
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 FUZZ_SEED = 20260817  # the acceptance suite's fuzz corpus
@@ -669,6 +670,42 @@ def test_one_ed25519_verify_per_accepted_send_and_redeem(real_verifies, n):
         by_op.setdefault(op, set()).add(count)
     # close_epoch verifies one certificate per chain.
     assert by_op == {"send": {1}, "advance_mainchain": {0}, "close_epoch": {2}, "redeem": {1}}
+
+
+@pytest.mark.parametrize("shape,n", [(scale_nft_shape, 20), (scale_nft_shape, 200), (ceased_recovery_shape, 6)],
+                         ids=["scale-20", "scale-200", "ceased-6"])
+def test_each_payload_decoded_and_each_proof_verified_once(real_verifies, counted, shape, n):
+    """Per step: the gate decodes a token payload once (a replay probe stops
+    at the redeemed set, before the payload or the proof is looked at), a
+    redeem verifies its evidence once, and a withdrawal proof's verifier
+    body runs once, for its prover; the settlement chain's check is a
+    memo lookup. Ed25519 work stays as it was."""
+    decodes = counted(TokenInstance, "decode")
+    redeem_proofs = counted(sidechain_module, "verify_redeem")
+    csw_bodies = counted(CswBundle, "decode")
+    scenario = parse_scenario(shape(n))
+    per_step = _per_step(Runner(scenario), decodes, redeem_proofs, csw_bodies, real_verifies)
+    by_op = {}
+    for step, counts in zip(scenario.steps, per_step):
+        by_op.setdefault(step["op"], set()).add(counts)
+    # (payload decodes, verify_redeem calls, verify_csw bodies, Ed25519
+    # verifications) per step. A close verifies one certificate per chain
+    # it closes. A withdrawal's message reaches its receiving chain without
+    # a send, so its csw_redeem checks the sender's signature afresh.
+    expected = {
+        "send": {(1, 0, 0, 1)},
+        "advance_mainchain": {(0, 0, 0, 0)},
+        "close_epoch": {(0, 0, 0, 2)},
+        "redeem": {(1, 1, 0, 1)},
+    }
+    if shape is ceased_recovery_shape:
+        expected["close_epoch"] = {(0, 0, 0, 2), (0, 0, 0, 1)}
+        expected.update({
+            "cease_by_silence": {(0, 0, 0, 0)},
+            "csw": {(0, 0, 1, 1)},
+            "csw_redeem": {(1, 1, 0, 2)},
+        })
+    assert by_op == expected
 
 
 @pytest.mark.parametrize("n", [20, 200])

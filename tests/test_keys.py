@@ -1,12 +1,19 @@
 """Signature layer: deterministic derivation, 32-byte keys, tamper rejection,
-and the verify memo."""
+and the verify memo, for signatures and for withdrawal proofs."""
+from dataclasses import replace
+
 import pytest
 
+from worlds import ceased_world
+
 from mitto import keys
+from mitto.encoding import canonical_digest
 from mitto.harness import World
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair, PubKey, verify_sig
+from mitto.proofs import CswBundle, SchemeMismatch, make_csw_input, verify_csw
 from mitto.scenario import parse_scenario
+from mitto.tokens import withdraw_native_held
 
 
 def test_public_keys_are_32_bytes():
@@ -137,3 +144,78 @@ def test_new_world_starts_with_an_empty_memo(real_verifies):
     assert keys._verified == {}
     assert verify_sig(kp.public, digest, kp.sign(digest))
     assert len(real_verifies) == 2
+
+
+class TestCswMemo:
+    """verify_csw results are remembered per exact (vk, input, proof) for
+    one world, under the lifecycle of the signature memo."""
+
+    @pytest.fixture
+    def bodies(self, counted, real_verifies):
+        """One entry per run of verify_csw's body (each starts by decoding
+        the bundle), counted from an empty memo."""
+        return counted(CswBundle, "decode")
+
+    def triple(self):
+        w = ceased_world()
+        alpha = w.chains["alpha"]
+        pkg = withdraw_native_held(alpha, w.alice, canonical_digest(w.kept), w.chains["beta"].sc_id, w.bob.public)
+        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        pub = make_csw_input(
+            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+        )
+        return vk, pub, pkg.csw.proof
+
+    def test_prover_check_makes_the_settlement_check_a_lookup(self, bodies):
+        vk, pub, proof = self.triple()
+        assert len(bodies) == 1  # prove_csw's own check
+        assert verify_csw(vk, pub, proof)
+        assert verify_csw(replace(vk), replace(pub), replace(proof))  # equal values, new objects
+        assert len(bodies) == 1
+
+    def test_every_flipped_bit_misses_the_memo(self, bodies):
+        vk, pub, proof = self.triple()
+        assert verify_csw(vk, pub, proof)
+        mutants = [(replace(vk, params=p), pub, proof) for p in _flips(vk.params)]
+        for name in ("last_cert_block_hash", "nullifier", "receiver", "proofdata_root"):
+            mutants += [(vk, replace(pub, **{name: type(getattr(pub, name))(f)}), proof)
+                        for f in _flips(getattr(pub, name))]
+        mutants += [(vk, replace(pub, amount=pub.amount ^ (1 << k)), proof) for k in range(64)]
+        mutants += [(vk, pub, replace(proof, body=b)) for b in _flips(proof.body)]
+        assert len(mutants) == 32 * 8 * 5 + 64 + len(proof.body) * 8
+        start = len(bodies)
+        for mutant in mutants:
+            before = len(bodies)
+            assert verify_csw(*mutant) is False
+            assert len(bodies) == before + 1
+        assert len(bodies) - start == len(mutants)
+        assert verify_csw(vk, pub, proof)
+        assert len(bodies) - start == len(mutants)
+
+    def test_new_world_starts_with_an_empty_memo(self, bodies):
+        vk, pub, proof = self.triple()
+        assert keys._verified
+        World(parse_scenario({"name": "w", "seed": 1, "chains": [{"label": "alpha", "epoch_length": 2}], "steps": []}))
+        assert keys._verified == {}
+        assert verify_csw(vk, pub, proof)
+        assert len(bodies) == 2
+
+    def test_memo_starts_over_when_full(self, bodies, monkeypatch):
+        vk, pub, proof = self.triple()
+        monkeypatch.setattr(keys, "VERIFY_MEMO_MAX", 4)
+        for k in range(6):
+            assert verify_csw(vk, replace(pub, amount=1 << k), proof) is False
+            assert len(keys._verified) <= 4
+        before = len(bodies)
+        assert verify_csw(vk, pub, proof)
+        assert len(bodies) == before + 1
+
+    def test_scheme_mismatch_is_raised_never_kept(self, bodies):
+        vk, pub, proof = self.triple()
+        kept = dict(keys._verified)
+        for _ in range(2):
+            with pytest.raises(SchemeMismatch):
+                verify_csw(vk, pub, replace(proof, scheme_id=proof.scheme_id + 1))
+            with pytest.raises(SchemeMismatch):
+                verify_csw(replace(vk, scheme_id=vk.scheme_id + 1), pub, proof)
+        assert keys._verified == kept

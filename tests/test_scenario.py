@@ -152,6 +152,25 @@ def test_expect_keys_restricted():
         parse_scenario(minimal(steps=[step]))
 
 
+@pytest.mark.parametrize("expect,message", [
+    ({"accepted": "true"}, "field 'accepted' must be bool, got str"),
+    ({"accepted": 1}, "field 'accepted' must be bool, got int"),
+    ({"accepted": None}, "field 'accepted' must be bool, got NoneType"),
+    ({"accepted": False, "reason": 5}, "field 'reason' must be str, got int"),
+    ({"accepted": False, "rule": ["send-1"]}, "field 'rule' must be str, got list"),
+    ({"rule": None}, "field 'rule' must be str, got NoneType"),
+])
+def test_expect_values_are_typed(expect, message):
+    step = {"op": "close_epoch", "expect": expect}
+    with pytest.raises(ParseError, match=rf"steps\[0\]\.expect: {message}"):
+        parse_scenario(minimal(steps=[step]))
+
+
+def test_typed_expect_parses():
+    step = {"op": "close_epoch", "expect": {"accepted": False, "reason": "HandlerRejected", "rule": "send-1"}}
+    assert parse_scenario(minimal(steps=[step])).steps[0]["expect"]["accepted"] is False
+
+
 def test_unknown_top_level_field():
     with pytest.raises(ParseError, match="unknown top-level field 'notes'"):
         parse_scenario(minimal(notes="hi"))
@@ -373,6 +392,15 @@ def test_chain_fields_are_typed(field, value, message):
     obj = minimal()
     obj["chains"][0][field] = value
     with pytest.raises(ParseError, match=rf"chains\[0\]: {message}"):
+        parse_scenario(obj)
+
+
+def test_chain_label_must_not_be_empty():
+    # A chain labelled "" would run under the label "sc<id>" and could
+    # clash with a chain declared under that name.
+    obj = minimal()
+    obj["chains"][1]["label"] = ""
+    with pytest.raises(ParseError, match=r"chains\[1\]: field 'label' must not be empty"):
         parse_scenario(obj)
 
 

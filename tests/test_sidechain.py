@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from worlds import committed_world, make_send, two_chain_world
+from worlds import ceased_world, committed_world, make_send, two_chain_world
 
 from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes
@@ -17,7 +17,14 @@ from mitto.messages import (
 )
 from mitto.proofs import CertificateNotConfirmed, EntityNotInState
 from mitto.sidechain import ByzantineSidechain
-from mitto.tokens import MittoState, TokenNameRegistry, TokenTransferHandler, make_redeem_tx
+from mitto.tokens import (
+    MittoState,
+    TokenNameRegistry,
+    TokenTransferHandler,
+    make_csw_redeem_tx,
+    make_redeem_tx,
+    withdraw_native_held,
+)
 from mitto.verdict import (
     ALREADY_REDEEMED,
     BAD_RECEIVER_AUTH,
@@ -184,6 +191,33 @@ class TestRedeemGating:
         assert verdict.reason == PROOF_INVALID
         assert verdict.rule == "redeem-7"
         assert w.states["beta"].s_tks == {}
+
+    def test_replay_with_broken_proof_is_already_redeemed(self):
+        # The redeemed set is checked before the proof: a replay is refused
+        # as a replay whatever evidence it carries, and the same broken
+        # evidence on a first redeem is still refused as a bad proof.
+        w = committed_world()
+        beta = w.chains["beta"]
+        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
+        wrong_block = replace(tx, proof=replace(tx.proof, block_hash=w.mc.get_block(0).hash))
+        first = beta.accept_redeem(wrong_block)
+        assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
+        assert beta.accept_redeem(tx).accepted
+        assert beta.accept_redeem(wrong_block).reason == ALREADY_REDEEMED
+        assert len(w.states["beta"].s_tks) == 1
+
+    def test_csw_replay_with_broken_proof_is_already_redeemed(self):
+        w = ceased_world()
+        alpha, beta = w.chains["alpha"], w.chains["beta"]
+        pkg = withdraw_native_held(alpha, w.alice, canonical_digest(w.kept), beta.sc_id, w.bob.public)
+        assert w.mc.submit_csw(pkg.csw).accepted
+        w.mc.advance_block()
+        tx = make_csw_redeem_tx(w.mc, pkg, w.bob)
+        wrong_block = replace(tx, proof=replace(tx.proof, block_hash=w.mc.get_block(0).hash))
+        first = beta.accept_csw_redeem(wrong_block)
+        assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
+        assert beta.accept_csw_redeem(tx).accepted
+        assert beta.accept_csw_redeem(wrong_block).reason == ALREADY_REDEEMED
 
     def test_no_delivery_before_confirmation(self):
         # At every stage before the source certificate is finalized, the

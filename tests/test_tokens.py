@@ -8,10 +8,13 @@ from dataclasses import replace
 
 import pytest
 
+from worlds import two_chain_world
+
 from mitto.encoding import U64_MAX, canonical_digest
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair
-from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, message_digest
+from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, SendTx, message_digest
+from mitto.sidechain import ByzantineSidechain
 from mitto.tokens import (
     ANY_COUNTERPARTY,
     VARIANT_ISSUER_NOTIFICATION,
@@ -25,7 +28,9 @@ from mitto.tokens import (
     TokenNameRegistry,
     TokenTransferHandler,
     ZeroAmount,
+    make_redeem_tx,
 )
+from mitto.verdict import HANDLER_REJECTED
 
 ALICE = KeyPair.from_label("actor", 0, "alice")
 BOB = KeyPair.from_label("actor", 0, "bob")
@@ -463,12 +468,35 @@ class TestSplitMerge:
 
 class TestHandlerAdapter:
     def test_malformed_payload_is_a_rule_violation(self):
-        handler = TokenTransferHandler(fresh_state())
-        ti = TokenInstance("WBT", True, HOME, ALICE.public, hash_bytes(b"g"), amount=10)
-        msg = send_message(ti)
-        rule = handler.validate_send(msg, b"\xff\xfe", signed(msg))
-        assert rule == "malformed-payload"
-        assert handler.validate_redeem(msg, b"\xff\xfe", signed(msg)) == "malformed-payload"
+        """The handler's parse refuses bytes that decode to no token
+        instance, and the gate turns that into rule malformed-payload on
+        the send and on the redeem path."""
+        w = two_chain_world()
+        alpha, beta = w.chains["alpha"], w.chains["beta"]
+        payload = b"\xff\xfe"
+        assert alpha.handlers[MSG_TYPE_TOKEN_TRANSFER].parse(payload) is None
+        message = CscpMessage(
+            sending_sc_id=alpha.sc_id,
+            receiving_sc_id=beta.sc_id,
+            msg_type=MSG_TYPE_TOKEN_TRANSFER,
+            sender_id=w.alice.public,
+            receiver_id=w.bob.public,
+            payload_hash=hash_bytes(payload),
+        )
+        signature = w.alice.sign(message_digest(message))
+        verdict = alpha.accept_send(SendTx(message=message, payload=payload, signature=signature))
+        assert (verdict.reason, verdict.rule) == (HANDLER_REJECTED, "malformed-payload")
+        assert alpha.outbox == []
+        # A byzantine operator of alpha commits the message anyway.
+        evil = ByzantineSidechain(w.mc, alpha.sc_id, alpha.wcert_signer, alpha.csw_signer, label="evil")
+        evil.handlers = alpha.handlers
+        evil.fabricate_send(message, payload)
+        w.mc.advance_blocks(2)
+        assert evil.close_epoch()[1].accepted
+        w.mc.advance_blocks(2)
+        verdict = beta.accept_redeem(make_redeem_tx(w.mc, evil, 0, message, payload, signature, w.bob))
+        assert (verdict.reason, verdict.rule) == (HANDLER_REJECTED, "malformed-payload")
+        assert beta.redeemed == set()
 
     def test_snapshot_is_independent_copy(self):
         state = fresh_state()
