@@ -125,6 +125,10 @@ def test_validate_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("field,value,message", [
     ("tamper", "teleport", "unknown tamper 'teleport'"),
     ("tampr", "wrong_epoch", "unknown field 'tampr'"),
+    ("op", "teleport", "unknown op 'teleport', expected one of issue, send, fabricate_send, close_epoch, "
+                       "advance_mainchain, cease_by_silence, redeem, csw, csw_redeem, notify, assert\n"),
+    ("chains", "some", "field 'chains' must be \"all\" or a non-empty list"),
+    ("expect", {}, "field 'expect' must be a non-empty object"),
 ])
 def test_unknown_tamper_or_step_field_exit_two(tmp_path, capsys, field, value, message):
     obj = {

@@ -243,6 +243,9 @@ def _stepping(**step) -> dict:
                  r"steps\[0\].*'amount' must be at most 2\^64-1", id="fabricate-amount-high"),
     pytest.param(_stepping(op="fabricate_send", fungible=False, issuer="alpha", token_id=U64 + 1),
                  r"steps\[0\].*'token_id' must be at most 2\^64-1", id="fabricate-id-high"),
+    pytest.param(minimal(steps=[{"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "X",
+                                 "token_id": U64 + 1}]),
+                 r"steps\[0\]: field 'token_id' must be at most 2\^64-1", id="notify-id-high"),
 ])
 def test_integers_bounded_to_u64(obj, message):
     with pytest.raises(ParseError, match=message):
@@ -369,6 +372,28 @@ def test_notify_needs_exactly_one_quantity(quantity):
     notify = {"op": "notify", "chain": "alpha", "from": "beta", "to": "alpha", "name": "X", **quantity}
     with pytest.raises(ParseError, match=r"steps\[0\]: give exactly one of 'amount' or 'token_id'"):
         parse_scenario(minimal(steps=[notify]))
+
+
+@pytest.mark.parametrize("obj,message", [
+    pytest.param(_stepping(op="send", amount=1, token_id=0),
+                 r"steps\[0\]: give either 'amount' or 'token_id', not both", id="send-both"),
+    pytest.param(_stepping(op="fabricate_send", fungible=True, issuer="alpha", token_id=0),
+                 r"steps\[0\]: missing field 'amount'", id="fabricate-fungible-no-amount"),
+    pytest.param(_stepping(op="fabricate_send", fungible=False, issuer="alpha", amount=1),
+                 r"steps\[0\]: missing field 'token_id'", id="fabricate-nft-no-id"),
+    pytest.param(_issuing(fungible=False, token_id=1, amount=1),
+                 r"chains\[0\]\.issuances\[0\]: non-fungible issuance cannot carry 'amount'", id="issuance-nft-amount"),
+    pytest.param(minimal(steps=[{"op": "issue", "chain": "alpha", "name": "ART", "fungible": False, "owner": "a",
+                                 "token_id": 1, "amount": 1}]),
+                 r"steps\[0\]: non-fungible issuance cannot carry 'amount'", id="issue-nft-amount"),
+    pytest.param(minimal(steps=[VALID_STEPS["csw"], VALID_STEPS["csw"]]),
+                 r"steps\[1\]: duplicate csw id 'w'", id="duplicate-csw-id"),
+    pytest.param(minimal(steps=[{"op": "close_epoch", "expect": [True]}]),
+                 r"steps\[0\]: field 'expect' must be a non-empty object", id="expect-list"),
+])
+def test_step_rules_named(obj, message):
+    with pytest.raises(ParseError, match=message):
+        parse_scenario(obj)
 
 
 def test_assert_entries_parse():
