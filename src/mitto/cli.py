@@ -86,8 +86,8 @@ def _run_file(path: Path, args: argparse.Namespace, prefix: str) -> int:
         return EXIT_USAGE
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    runner = Runner(scenario)
     try:
+        runner = Runner(scenario)
         report = runner.run()
     except HarnessError as err:
         print(f"{prefix}scenario error: {err}", file=sys.stderr)

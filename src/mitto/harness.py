@@ -22,9 +22,10 @@ from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from . import scenario as steps
 from .accountant import Accountant
 from .encoding import canonical_digest
-from .hashing import hash_bytes
+from .hashing import Digest, hash_bytes
 from .journal import WriteMarks
 from .keys import KeyPair, PubKey, forget_verified
 from .mainchain import Mainchain, STATUS_CEASED
@@ -48,7 +49,9 @@ from .sidechain import ByzantineSidechain, Sidechain
 from .tokens import (
     AmountExceedsSent,
     CswPackage,
+    DuplicateTokenId,
     MittoState,
+    NameConflict,
     NoSentRecord,
     NotOwner,
     TokenInstance,
@@ -90,7 +93,8 @@ class World:
         self.states: dict[str, MittoState] = {}
         self.accountant = Accountant()
         self._actors: dict[str, KeyPair] = {}
-        self._actor_by_key: dict[PubKey, KeyPair] = {}
+        #: The name of each actor key handed out so far.
+        self.actor_names: dict[PubKey, str] = {}
         self._label_by_sc_id: dict[int, str] = {}
 
         for spec in scenario.chains:
@@ -110,7 +114,7 @@ class World:
         if name not in self._actors:
             pair = KeyPair.from_label("actor", self.scenario.seed, name)
             self._actors[name] = pair
-            self._actor_by_key[pair.public] = pair
+            self.actor_names[pair.public] = name
         return self._actors[name]
 
     def forger(self) -> KeyPair:
@@ -118,21 +122,19 @@ class World:
         return KeyPair.from_label("forger", self.scenario.seed, "forger")
 
     def actor_for_key(self, public: PubKey) -> KeyPair:
-        pair = self._actor_by_key.get(public)
-        if pair is None:
+        name = self.actor_names.get(public)
+        if name is None:
             raise HarnessError(f"no known actor for key {public.hex()}")
-        return pair
+        return self._actors[name]
 
-    def issue(self, label: str, fields: dict) -> TokenInstance:
-        state = self.states[label]
-        instance = state.issue(
-            fields["name"],
-            fields["fungible"],
-            self.actor(fields["owner"]).public,
-            hash_bytes(fields.get("data", fields["name"]).encode()),
-            amount=fields.get("amount"),
-            token_id=fields.get("token_id"),
-        )
+    def issue(self, label: str, issuance: steps.Issuance) -> TokenInstance:
+        owner = self.actor(issuance.owner).public
+        try:
+            instance = self.states[label].issue(
+                issuance.name, issuance.fungible, owner, _data_hash(issuance), issuance.amount, issuance.token_id
+            )
+        except (DuplicateTokenId, NameConflict) as err:
+            raise HarnessError(f"chain {label}: {err}") from err
         self.accountant.note_issue(label, instance)
         return instance
 
@@ -233,6 +235,20 @@ class World:
         }
 
 
+def _data_hash(issuance: steps.Issuance) -> Digest:
+    return hash_bytes((issuance.name if issuance.data is None else issuance.data).encode())
+
+
+def _result(summary: str, accepted: bool = True, reason: str = "Accepted", **extra) -> dict:
+    """A step's report entry: its outcome, its summary line and ``extra``."""
+    return {"outcome": {"accepted": accepted, "reason": reason}, "summary": summary, **extra}
+
+
+def _unavailable(summary: str) -> dict:
+    """The entry of a step whose transaction lacks the evidence it needs."""
+    return _result(summary, False, "EvidenceUnavailable")
+
+
 def render_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     the values reports are made of: dicts with str keys, lists, tuples, str,
@@ -328,26 +344,34 @@ class Runner:
         for finding in findings:
             self.violations.append(f"step {index}: {finding}")
 
-    def _atomic(self, index: int, op: str, pre: WriteMarks, accepted: bool) -> None:
-        """A rejected submission must leave every chain's state untouched.
+    def _submit(self, index: int, step: steps.Step, submit, *args):
+        """The verdict of ``submit(*args)``. A rejected submission must leave
+        every chain's state untouched, and one carrying a ``tamper`` value is
+        a broken transaction, so accepting it is a protocol failure.
 
         The marks are taken after wallet-level instance resolution (split
         or merge to match the step's amount), which is the submitter's own
         bookkeeping, not part of the protocol operation under test.
         """
-        if not accepted and self.world.write_marks() != pre:
-            self.violations.append(f"step {index}: atomicity: rejected {op} changed chain state")
+        pre = self.world.write_marks()
+        verdict = submit(*args)
+        if not verdict.accepted and self.world.write_marks() != pre:
+            self.violations.append(f"step {index}: atomicity: rejected {step.op} changed chain state")
+        if verdict.accepted and step.tamper is not None:
+            self.violations.append(f"step {index}: tamper: {step.op} with tamper {step.tamper!r} was accepted")
+        return verdict
 
-    def _check_tamper(self, index: int, step: dict, accepted: bool) -> None:
-        """A step carrying a ``tamper`` value submits a broken transaction,
-        so accepting it is a protocol failure."""
-        if accepted and "tamper" in step:
-            self.violations.append(f"step {index}: tamper: {step['op']} with tamper {step['tamper']!r} was accepted")
+    def _replay(self, index: int, result: dict, submit, tx, what: str) -> None:
+        """Submit accepted ``tx`` again, into ``result``: accepting it breaks replay safety."""
+        replay = submit(tx)
+        result["replay"] = replay.to_json()
+        if replay.accepted:
+            self.violations.append(f"step {index}: replay-safety: duplicate {what}")
 
-    def _build_message(self, step: dict, instance: TokenInstance) -> CscpMessage:
+    def _build_message(self, step: steps.Send | steps.FabricateSend, instance: TokenInstance) -> CscpMessage:
         chains = self.world.chains
         return transfer_message(
-            chains[step["from"]].sc_id, chains[step["to"]].sc_id, instance, self.world.actor(step["receiver"]).public
+            chains[step.from_].sc_id, chains[step.to].sc_id, instance, self.world.actor(step.receiver).public
         )
 
     def _committed(self, record: _SendRecord) -> bool:
@@ -355,37 +379,28 @@ class Runner:
 
     # -- step executors ----------------------------------------------------------
 
-    def _op_issue(self, index: int, step: dict) -> dict:
-        instance = self.world.issue(step["chain"], step)
-        return {
-            "outcome": {"accepted": True, "reason": "Accepted"},
-            "summary": f"issued {step['name']} on {step['chain']}",
-            "digest": canonical_digest(instance).hex(),
-        }
+    def _op_issue(self, index: int, step: steps.Issue) -> dict:
+        instance = self.world.issue(step.chain, step)
+        return _result(f"issued {step.name} on {step.chain}", digest=canonical_digest(instance).hex())
 
-    def _op_send(self, index: int, step: dict) -> dict:
-        owner = self.world.actor(step["owner"])
-        instance = self.world.pick_instance(
-            step["from"], owner.public, step["name"], amount=step.get("amount"), token_id=step.get("token_id")
-        )
+    def _op_send(self, index: int, step: steps.Send) -> dict:
+        owner = self.world.actor(step.owner)
+        instance = self.world.pick_instance(step.from_, owner.public, step.name, step.amount, step.token_id)
         message = self._build_message(step, instance)
         tx = SendTx(message=message, payload=instance.encode(), signature=owner.sign(message_digest(message)))
-        tamper = step.get("tamper")
-        label = step["to"] if tamper == "wrong_chain" else step["from"]
+        tamper = step.tamper
+        label = step.to if tamper == "wrong_chain" else step.from_
         if tamper not in (None, "wrong_chain"):
             tx = self._tampered_send(tamper, tx, owner, self.world.chains[label])
-        pre = self.world.write_marks()
-        verdict = self.world.chains[label].accept_send(tx)
-        self._atomic(index, "send", pre, verdict.accepted)
+        verdict = self._submit(index, step, self.world.chains[label].accept_send, tx)
         self._note(index, self.world.accountant.note_send(label, instance, tx.message, verdict.accepted))
-        self._check_tamper(index, step, verdict.accepted)
-        if verdict.accepted and "id" in step:
-            self.sends[step["id"]] = _SendRecord(
+        if verdict.accepted and step.id is not None:
+            self.sends[step.id] = _SendRecord(
                 tx.message, tx.payload, tx.signature, label, len(self.world.chains[label].epochs), instance
             )
         return {
             "outcome": verdict.to_json(),
-            "summary": f"send {step['name']} {step['from']} -> {step['to']}",
+            "summary": f"send {step.name} {step.from_} -> {step.to}",
         }
 
     def _tampered_send(self, tamper: str, tx: SendTx, owner: KeyPair, chain: Sidechain) -> SendTx:
@@ -401,60 +416,45 @@ class Runner:
             message = replace(tx.message, payload_hash=hash_bytes(payload))
         return SendTx(message=message, payload=payload, signature=owner.sign(message_digest(message)))
 
-    def _op_fabricate_send(self, index: int, step: dict) -> dict:
-        chain = self.world.chains[step["from"]]
+    def _op_fabricate_send(self, index: int, step: steps.FabricateSend) -> dict:
+        chain = self.world.chains[step.from_]
         if not isinstance(chain, ByzantineSidechain):
-            raise HarnessError(f"chain {step['from']} is not byzantine, it cannot fabricate sends")
-        owner = self.world.actor(step["owner"])
+            raise HarnessError(f"chain {step.from_} is not byzantine, it cannot fabricate sends")
+        owner = self.world.actor(step.owner)
         instance = TokenInstance(
-            token_name=step["name"],
-            fungibility=step["fungible"],
-            issuer_sc_id=self.world.chains[step["issuer"]].sc_id,
+            token_name=step.name,
+            fungibility=step.fungible,
+            issuer_sc_id=self.world.chains[step.issuer].sc_id,
             owner=owner.public,
-            data_hash=hash_bytes(step.get("data", step["name"]).encode()),
-            amount=step.get("amount"),
-            token_id=step.get("token_id"),
+            data_hash=_data_hash(step),
+            amount=step.amount,
+            token_id=step.token_id,
         )
         message = self._build_message(step, instance)
         signature = owner.sign(message_digest(message))
         payload = instance.encode()
         chain.fabricate_send(message, payload)
-        if "id" in step:
-            self.sends[step["id"]] = _SendRecord(message, payload, signature, step["from"], len(chain.epochs), instance)
-        return {
-            "outcome": {"accepted": True, "reason": "Fabricated"},
-            "summary": f"fabricated send of {step['name']} {step['from']} -> {step['to']}",
-        }
+        if step.id is not None:
+            self.sends[step.id] = _SendRecord(message, payload, signature, step.from_, len(chain.epochs), instance)
+        return _result(f"fabricated send of {step.name} {step.from_} -> {step.to}", reason="Fabricated")
 
-    def _op_close_epoch(self, index: int, step: dict) -> dict:
-        requested = step.get("chains", "all")
-        if requested == "all":
-            labels = [
-                spec.label
-                for spec in self.scenario.chains
-                if self.world.mainchain.record(self.world.chains[spec.label].sc_id).status != STATUS_CEASED
-            ]
-        else:
-            labels = list(requested)
-        quality = step.get("quality", 1)
-        tamper = step.get("tamper")
+    def _op_close_epoch(self, index: int, step: steps.CloseEpoch) -> dict:
+        labels = step.chains
+        if labels == "all":
+            record = self.world.mainchain.record
+            labels = [label for label, sc in self.world.chains.items() if record(sc.sc_id).status != STATUS_CEASED]
         parts = []
         for label in labels:
             chain = self.world.chains[label]
-            pre = self.world.write_marks()
-            if tamper is None:
-                _cert, verdict = chain.close_epoch(quality=quality)
+            if step.tamper is None:
+                verdict = self._submit(index, step, lambda: chain.close_epoch(quality=step.quality)[1])
             else:
-                verdict = self.world.mainchain.submit_certificate(self._tampered_certificate(tamper, chain, quality))
-            self._atomic(index, "close_epoch", pre, verdict.accepted)
-            self._check_tamper(index, step, verdict.accepted)
+                cert = self._tampered_certificate(step.tamper, chain, step.quality)
+                verdict = self._submit(index, step, self.world.mainchain.submit_certificate, cert)
             parts.append({"chain": label, **verdict.to_json()})
         accepted = all(part["accepted"] for part in parts)
-        return {
-            "outcome": {"accepted": accepted, "reason": "Accepted" if accepted else "PartialOrRejected"},
-            "parts": parts,
-            "summary": f"close epoch on {', '.join(labels)}",
-        }
+        reason = "Accepted" if accepted else "PartialOrRejected"
+        return _result(f"close epoch on {', '.join(labels)}", accepted, reason, parts=parts)
 
     def _tampered_certificate(self, tamper: str, chain: Sidechain, quality: int) -> WithdrawalCertificate:
         epoch = chain.next_epoch_to_close()
@@ -468,35 +468,26 @@ class Runner:
             raise HarnessError(f"chain {chain.label} has closed no epoch to certify again")
         return chain.build_certificate(quality, epoch_id=epoch - 1)
 
-    def _op_advance_mainchain(self, index: int, step: dict) -> dict:
-        self.world.mainchain.advance_blocks(step["blocks"])
-        return {
-            "outcome": {"accepted": True, "reason": "Accepted"},
-            "summary": f"advanced {step['blocks']} block(s) to height {self.world.mainchain.tip_height}",
-        }
+    def _op_advance_mainchain(self, index: int, step: steps.AdvanceMainchain) -> dict:
+        self.world.mainchain.advance_blocks(step.blocks)
+        return _result(f"advanced {step.blocks} block(s) to height {self.world.mainchain.tip_height}")
 
-    def _op_cease_by_silence(self, index: int, step: dict) -> dict:
-        chain = self.world.chains[step["chain"]]
+    def _op_cease_by_silence(self, index: int, step: steps.CeaseBySilence) -> dict:
+        chain = self.world.chains[step.chain]
         record = self.world.mainchain.record(chain.sc_id)
         limit = 3 * record.epoch_length + 2
         advanced = 0
         while record.status != STATUS_CEASED:
             if advanced >= limit:
-                raise HarnessError(f"chain {step['chain']} did not cease within {limit} blocks")
+                raise HarnessError(f"chain {step.chain} did not cease within {limit} blocks")
             self.world.mainchain.advance_block()
             advanced += 1
-        return {
-            "outcome": {"accepted": True, "reason": "Accepted"},
-            "summary": f"{step['chain']} ceased after {advanced} silent block(s)",
-        }
+        return _result(f"{step.chain} ceased after {advanced} silent block(s)")
 
-    def _op_redeem(self, index: int, step: dict) -> dict:
-        record = self.sends.get(step["send"])
+    def _op_redeem(self, index: int, step: steps.Redeem) -> dict:
+        record = self.sends.get(step.send)
         if record is None:
-            return {
-                "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
-                "summary": f"redeem {step['send']!r}: the referenced send was never accepted",
-            }
+            return _unavailable(f"redeem {step.send!r}: the referenced send was never accepted")
         label = self.world.label_by_sc_id(record.message.receiving_sc_id)
         chain = self.world.chains[label]
         try:
@@ -508,70 +499,47 @@ class Runner:
                 self.world.mainchain, sender, record.epoch_id, message, record.payload, record.sender_sig, receiver
             )
         except (MessageNotCommitted, CertificateNotConfirmed) as err:
-            return {
-                "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
-                "summary": f"redeem {step['send']!r} on {label}: {err}",
-            }
-        tamper = step.get("tamper")
-        if tamper == "wrong_chain":
+            return _unavailable(f"redeem {step.send!r} on {label}: {err}")
+        if step.tamper == "wrong_chain":
             label = record.from_label
             chain = self.world.chains[label]
-        elif tamper == "forged_receiver_auth":
+        elif step.tamper == "forged_receiver_auth":
             tx = replace(tx, receiver_signature=self.world.forger().sign(redeem_auth_digest(tx.message, tx.payload)))
-        elif tamper == "wrong_block":
+        elif step.tamper == "wrong_block":
             tx = replace(tx, proof=replace(tx.proof, block_hash=self.world.mainchain.get_block(0).hash))
-        pre = self.world.write_marks()
-        verdict = chain.accept_redeem(tx)
-        self._atomic(index, "redeem", pre, verdict.accepted)
-        self._check_tamper(index, step, verdict.accepted)
+        verdict = self._submit(index, step, chain.accept_redeem, tx)
         self._note(index, self.world.accountant.note_redeem(label, record.instance, record.message, verdict.accepted))
-        result = {
-            "outcome": verdict.to_json(),
-            "summary": f"redeem {step['send']!r} on {label}",
-        }
+        result = {"outcome": verdict.to_json(), "summary": f"redeem {step.send!r} on {label}"}
         if verdict.accepted:
-            replay = chain.accept_redeem(tx)
-            result["replay"] = replay.to_json()
-            if replay.accepted:
-                self.violations.append(f"step {index}: replay-safety: duplicate redeem accepted on {label}")
+            self._replay(index, result, chain.accept_redeem, tx, f"redeem accepted on {label}")
         return result
 
-    def _op_csw(self, index: int, step: dict) -> dict:
-        chain = self.world.chains[step["chain"]]
-        owner = self.world.actor(step["owner"])
-        receiver = self.world.actor(step["receiver"]).public
+    def _op_csw(self, index: int, step: steps.Csw) -> dict:
+        chain = self.world.chains[step.chain]
+        owner = self.world.actor(step.owner)
+        receiver = self.world.actor(step.receiver).public
         try:
             package = self._build_withdrawal(step, chain, owner, receiver)
         except (EntityNotInState, NotOwner, NoSentRecord, AmountExceedsSent, CertificateNotConfirmed, ValueError) as err:
-            return {
-                "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
-                "summary": f"withdrawal {step['id']!r} from {step['chain']}: {err}",
-            }
-        if step.get("tamper") == "forged_nullifier":
+            return _unavailable(f"withdrawal {step.id!r} from {step.chain}: {err}")
+        if step.tamper == "forged_nullifier":
             package = replace(package, csw=replace(package.csw, nullifier=hash_bytes(package.csw.nullifier)))
-        pre = self.world.write_marks()
-        verdict = self.world.mainchain.submit_csw(package.csw)
-        self._atomic(index, "csw", pre, verdict.accepted)
-        self._check_tamper(index, step, verdict.accepted)
-        if verdict.accepted:
-            self.withdrawals[step["id"]] = package
+        verdict = self._submit(index, step, self.world.mainchain.submit_csw, package.csw)
         result = {
             "outcome": verdict.to_json(),
-            "summary": f"withdrawal {step['id']!r} ({step['mode']}) from {step['chain']}",
+            "summary": f"withdrawal {step.id!r} ({step.mode}) from {step.chain}",
             "nullifier": package.csw.nullifier.hex(),
         }
         if verdict.accepted:
-            replay = self.world.mainchain.submit_csw(package.csw)
-            result["replay"] = replay.to_json()
-            if replay.accepted:
-                self.violations.append(f"step {index}: replay-safety: duplicate withdrawal accepted")
+            self.withdrawals[step.id] = package
+            self._replay(index, result, self.world.mainchain.submit_csw, package.csw, "withdrawal accepted")
         return result
 
-    def _build_withdrawal(self, step: dict, chain: Sidechain, owner: KeyPair, receiver: PubKey) -> CswPackage:
-        mode = step["mode"]
+    def _build_withdrawal(self, step: steps.Csw, chain: Sidechain, owner: KeyPair, receiver: PubKey) -> CswPackage:
+        mode = step.mode
         if mode == "sent_record":
-            holder = self.world.chains[step["holder"]]
-            ret = self.sends.get(step["return_send"])
+            holder = self.world.chains[step.holder]
+            ret = self.sends.get(step.return_send)
             if ret is None:
                 raise EntityNotInState("the referenced return send was never accepted")
             if not self._committed(ret):
@@ -583,30 +551,25 @@ class Runner:
                 ret.payload,
                 ret.epoch_id,
                 owner,
-                self.world.chains[step["target"]].sc_id,
+                self.world.chains[step.target].sc_id,
                 receiver,
             )
         digests = [
             digest
-            for _, digest, ti in final_ledger(chain).s_tks.owned(owner.public, step["name"], step.get("token_id"))
-            if step.get("amount") is None or ti.amount == step["amount"]
+            for _, digest, ti in final_ledger(chain).s_tks.owned(owner.public, step.name, step.token_id)
+            if step.amount is None or ti.amount == step.amount
         ]
         if not digests:
-            raise EntityNotInState(f"no committed {step['name']!r} instance for that owner")
+            raise EntityNotInState(f"no committed {step.name!r} instance for that owner")
         digest = min(digests)
         if mode == "held":
-            return withdraw_native_held(
-                chain, owner, digest, self.world.chains[step["target"]].sc_id, receiver
-            )
+            return withdraw_native_held(chain, owner, digest, self.world.chains[step.target].sc_id, receiver)
         return withdraw_foreign(chain, owner, digest, receiver)
 
-    def _op_csw_redeem(self, index: int, step: dict) -> dict:
-        package = self.withdrawals.get(step["withdrawal"])
+    def _op_csw_redeem(self, index: int, step: steps.CswRedeem) -> dict:
+        package = self.withdrawals.get(step.withdrawal)
         if package is None:
-            return {
-                "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
-                "summary": f"csw redeem {step['withdrawal']!r}: the referenced withdrawal was never accepted",
-            }
+            return _unavailable(f"csw redeem {step.withdrawal!r}: the referenced withdrawal was never accepted")
         label = self.world.label_by_sc_id(package.message.receiving_sc_id)
         chain = self.world.chains[label]
         try:
@@ -614,62 +577,40 @@ class Runner:
                 self.world.mainchain, package, self.world.actor_for_key(package.message.receiver_id)
             )
         except (CswNotFound, MessageMismatch) as err:
-            return {
-                "outcome": {"accepted": False, "reason": "EvidenceUnavailable"},
-                "summary": f"csw redeem {step['withdrawal']!r} on {label}: {err}",
-            }
-        pre = self.world.write_marks()
-        verdict = chain.accept_csw_redeem(tx)
-        self._atomic(index, "csw_redeem", pre, verdict.accepted)
+            return _unavailable(f"csw redeem {step.withdrawal!r} on {label}: {err}")
+        verdict = self._submit(index, step, chain.accept_csw_redeem, tx)
         self._note(
             index, self.world.accountant.note_csw_redeem(label, package.instance, package.message, verdict.accepted)
         )
-        result = {
-            "outcome": verdict.to_json(),
-            "summary": f"csw redeem {step['withdrawal']!r} on {label}",
-        }
+        result = {"outcome": verdict.to_json(), "summary": f"csw redeem {step.withdrawal!r} on {label}"}
         if verdict.accepted:
-            replay = chain.accept_csw_redeem(tx)
-            result["replay"] = replay.to_json()
-            if replay.accepted:
-                self.violations.append(f"step {index}: replay-safety: duplicate csw redeem accepted on {label}")
+            self._replay(index, result, chain.accept_csw_redeem, tx, f"csw redeem accepted on {label}")
         return result
 
-    def _op_notify(self, index: int, step: dict) -> dict:
-        state = self.world.states[step["chain"]]
+    def _op_notify(self, index: int, step: steps.Notify) -> dict:
+        state = self.world.states[step.chain]
         try:
-            ok = self._apply_notification(state, step)
+            chains = self.world.chains
+            ok = state.apply_notification(
+                chains[step.from_].sc_id, chains[step.to].sc_id, step.name, amount=step.amount, token_id=step.token_id
+            )
         except ValueError as err:
-            return {
-                "outcome": {"accepted": False, "reason": "NotSupported"},
-                "summary": f"notify {step['chain']}: {err}",
-            }
-        return {
-            "outcome": {"accepted": ok, "reason": "Accepted" if ok else "NoMatchingRecord"},
-            "summary": f"notify {step['chain']} of {step['name']} move {step['from']} -> {step['to']}",
-        }
+            return _result(f"notify {step.chain}: {err}", False, "NotSupported")
+        summary = f"notify {step.chain} of {step.name} move {step.from_} -> {step.to}"
+        return _result(summary, ok, "Accepted" if ok else "NoMatchingRecord")
 
-    def _apply_notification(self, state: MittoState, step: dict) -> bool:
-        return state.apply_notification(
-            self.world.chains[step["from"]].sc_id,
-            self.world.chains[step["to"]].sc_id,
-            step["name"],
-            amount=step.get("amount"),
-            token_id=step.get("token_id"),
-        )
-
-    def _op_assert(self, index: int, step: dict) -> dict:
-        label = step["chain"]
+    def _op_assert(self, index: int, step: steps.Assert) -> dict:
+        label = step.chain
         chain = self.world.chains[label]
         state = self.world.states[label]
         problems = []
-        if "status" in step:
+        if step.status is not None:
             actual = self.world.mainchain.record(chain.sc_id).status
-            if actual != step["status"]:
-                problems.append(f"status: expected {step['status']!r}, found {actual!r}")
-        if "holdings" in step:
+            if actual != step.status:
+                problems.append(f"status: expected {step.status!r}, found {actual!r}")
+        if step.holdings is not None:
             expected: dict[tuple, int] = {}
-            for h in step["holdings"]:
+            for h in step.holdings:
                 if "token_id" in h:
                     key = (h["name"], h.get("owner", ""), "id", h["token_id"])
                     expected[key] = expected.get(key, 0) + 1
@@ -677,10 +618,9 @@ class Runner:
                     key = (h["name"], h.get("owner", ""), "amount")
                     expected[key] = expected.get(key, 0) + h["amount"]
             actual: dict[tuple, int] = {}
+            names = self.world.actor_names
             for ti in state.s_tks.values():
-                owner = next(
-                    (n for n, kp in self.world._actors.items() if kp.public == ti.owner), ti.owner.hex()
-                )
+                owner = names[ti.owner] if ti.owner in names else ti.owner.hex()
                 if ti.fungibility:
                     key = (ti.token_name, owner, "amount")
                     actual[key] = actual.get(key, 0) + ti.amount
@@ -691,10 +631,10 @@ class Runner:
                 problems.append(
                     f"holdings: expected {sorted(expected.items())}, found {sorted(actual.items())}"
                 )
-        if "sent_records" in step:
+        if step.sent_records is not None:
             expected = sorted(
                 (r["name"], self.world.chains[r["receiver"]].sc_id, r.get("amount", r.get("token_id")))
-                for r in step["sent_records"]
+                for r in step.sent_records
             )
             actual_rows = sorted(
                 (rec.token_name, rec.receiver_sc_id, rec.amount if rec.fungibility else rec.token_id)
@@ -705,16 +645,13 @@ class Runner:
         if problems:
             trace = render_json({"chain": label, "problems": problems, "state": state.dump()})
             raise InvariantViolation(index, "assert", trace)
-        return {
-            "outcome": {"accepted": True, "reason": "Accepted"},
-            "summary": f"assert on {label} held",
-        }
+        return _result(f"assert on {label} held")
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> dict:
         for index, step in enumerate(self.scenario.steps):
-            op = step["op"]
+            op = step.op
             try:
                 # Looked up on the instance, so a wrapper set there runs instead.
                 entry = getattr(self, f"_op_{op}")(index, step)
@@ -727,8 +664,8 @@ class Runner:
                 )
                 break
             entry.update({"index": index, "op": op})
-            if "expect" in step:
-                self._check_expectation(index, step["expect"], entry["outcome"])
+            if step.expect is not None:
+                self._check_expectation(index, step.expect, entry["outcome"])
             self._note(index, self.world.accountant.check(self.world.snapshot_for_accountant()))
             self.steps.append(entry)
         return self._report()

@@ -1,14 +1,15 @@
 """Scenario files: schema, validation, loading.
 
 A scenario is a JSON document declaring a chain roster and an ordered list
-of steps. Validation is strict and front-loaded so that a running scenario
-never trips over a missing field halfway through; every complaint names
-the offending step and field.
+of steps. Each op, like a chain and a token issuance, is declared once as a
+frozen dataclass whose fields are its JSON schema; one builder parses them
+all into the typed values the runner executes. Validation is strict and
+front-loaded, and every complaint names the offending step and field.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .encoding import U32_MAX, U64_MAX  # epoch lengths are u32 on the wire, amounts and token ids u64
@@ -30,53 +31,15 @@ FAULTY_MODES = (
     VARIANT_ISSUER_NOTIFICATION,
 )
 
-STEP_OPS = (
-    "issue",
-    "send",
-    "fabricate_send",
-    "close_epoch",
-    "advance_mainchain",
-    "cease_by_silence",
-    "redeem",
-    "csw",
-    "csw_redeem",
-    "notify",
-    "assert",
-)
-
-CSW_MODES = ("held", "foreign", "sent_record")
-
 #: Most blocks one advance_mainchain step may seal: each block costs real
 #: time (30 000 take about a second), and scenarios need only a few.
 MAX_ADVANCE_BLOCKS = 100_000
 
-
-@dataclass(frozen=True)
-class ChainSpec:
-    label: str
-    epoch_length: int
-    byzantine: bool = False
-    faulty_mode: str | None = None
-    issuances: tuple[dict, ...] = ()
-
-    @property
-    def variant(self) -> str:
-        return self.faulty_mode or VARIANT_STANDARD
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    seed: int
-    chains: tuple[ChainSpec, ...]
-    steps: tuple[dict, ...]
-    expect_violations: bool = False
-
-    def chain(self, label: str) -> ChainSpec:
-        for spec in self.chains:
-            if spec.label == label:
-                return spec
-        raise KeyError(label)
+# Field kinds: a field's annotation names one, and _KINDS says how it is
+# checked. Each alias is the Python type of the kind's checked value.
+Chain = SendId = CswId = SendRef = CswRef = str
+Amount = U64 = Blocks = EpochLength = int
+Chains, Expect, Issuances, Holdings, SentRecords = object, dict, tuple, tuple, tuple
 
 
 def _need(obj: dict, key: str, kind, where: str):
@@ -90,242 +53,349 @@ def _need(obj: dict, key: str, kind, where: str):
     return value
 
 
-def _u64(obj: dict, key: str, where: str, low: int) -> int:
-    value = _need(obj, key, int, where)
-    if value > U64_MAX:
-        raise ParseError(f"{where}: field {key!r} must be at most 2^64-1")
+#: How a bound reads in a complaint, where it is not the number itself.
+_BOUND_TEXT = {0: "nonnegative", 1: "positive", U32_MAX: "2^32-1", U64_MAX: "2^64-1"}
+
+
+def _bounded(value: int, key: str, where: str, low: int, high: int = U64_MAX) -> int:
     if value < low:
-        raise ParseError(f"{where}: field {key!r} must be {'positive' if low else 'nonnegative'}")
+        raise ParseError(f"{where}: field {key!r} must be {_BOUND_TEXT.get(low, f'at least {low}')}")
+    if value > high:
+        raise ParseError(f"{where}: field {key!r} must be at most {_BOUND_TEXT.get(high, high)}")
     return value
 
 
-def _fields(obj, required: dict, optional: dict, where: str, suffix: str = "") -> None:
-    """``obj`` is an object with no field outside ``required`` and
-    ``optional``, and each field present has its declared type."""
-    if not isinstance(obj, dict):
-        raise ParseError(f"{where}: must be an object")
-    unknown = set(obj) - required.keys() - optional.keys()
-    if unknown:
-        raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r}{suffix}")
-    for key, kind in required.items():
-        _need(obj, key, kind, where)
-    for key, kind in optional.items():
-        if key in obj:
-            _need(obj, key, kind, where)
+def _named(value: str, key: str, where: str, known: set[str], what: str, new: bool = False) -> str:
+    """A name in ``known``, or (``new``) one not yet in it, which it joins."""
+    if new:
+        if value in known:
+            raise ParseError(f"{where}: duplicate {what} {value!r}")
+        known.add(value)
+    elif value not in known:
+        raise ParseError(f"{where}: field {key!r} references {what} {value!r}")
+    return value
 
 
-def _quantity(obj: dict, where: str) -> None:
-    """Exactly one of a positive u64 ``amount`` or a u64 ``token_id``."""
-    if ("amount" in obj) == ("token_id" in obj):
-        raise ParseError(f"{where}: give exactly one of 'amount' or 'token_id'")
-    if "amount" in obj:
-        _u64(obj, "amount", where, 1)
-    else:
-        _u64(obj, "token_id", where, 0)
+def _chains(value, key: str, where: str, scope: dict):
+    if value != "all" and (not isinstance(value, list) or not value):
+        raise ParseError(f"{where}: field 'chains' must be \"all\" or a non-empty list")
+    for label in () if value == "all" else value:
+        if not isinstance(label, str) or label not in scope["chain"]:
+            raise ParseError(f"{where}: field 'chains' references undeclared chain {label!r}")
+    return value
 
 
-#: A token issuance's required and optional fields, as a chain's
-#: ``issuances`` entry; an ``issue`` step adds the ``chain``.
-_ISSUANCE_FIELDS = (
-    {"name": str, "fungible": bool, "owner": str},
-    {"amount": int, "token_id": int, "data": str},
-)
-#: Entries of an ``assert`` step's ``holdings`` and ``sent_records``.
-_HOLDING_FIELDS = ({"name": str}, {"owner": str, "amount": int, "token_id": int})
-_SENT_RECORD_FIELDS = ({"name": str, "receiver": str}, {"amount": int, "token_id": int})
 #: The fields a step's ``expect`` may pin, with their types.
 _EXPECT_FIELDS = {"accepted": bool, "reason": str, "rule": str}
-#: A chain declaration's required and optional fields.
-_CHAIN_FIELDS = (
-    {"label": str, "epoch_length": int},
-    {"byzantine": bool, "faulty_mode": str, "issuances": list},
-)
 
 
-def _issuance(obj: dict, where: str) -> dict:
-    """An issuance whose fields ``_fields`` has checked, with its amount or
-    token id bounded and the other one refused."""
-    name, fungible = obj["name"], obj["fungible"]
-    out = {"name": name, "fungible": fungible, "owner": obj["owner"], "data": obj.get("data", name)}
-    if fungible:
-        out["amount"] = _u64(obj, "amount", where, 1)
-        if "token_id" in obj:
-            raise ParseError(f"{where}: fungible issuance cannot carry 'token_id'")
-    else:
-        out["token_id"] = _u64(obj, "token_id", where, 0)
-        if "amount" in obj:
-            raise ParseError(f"{where}: non-fungible issuance cannot carry 'amount'")
-    return out
+def _expect(expect, key: str, where: str, scope: dict) -> dict:
+    if not isinstance(expect, dict) or not expect:
+        raise ParseError(f"{where}: field 'expect' must be a non-empty object")
+    for name in expect:
+        if name not in _EXPECT_FIELDS:
+            raise ParseError(f"{where}: unknown expect field {name!r}")
+        _need(expect, name, _EXPECT_FIELDS[name], f"{where}.expect")
+    return expect
 
 
-def _chain_spec(obj: dict, index: int) -> ChainSpec:
-    where = f"chains[{index}]"
-    _fields(obj, *_CHAIN_FIELDS, where)
-    if not obj["label"]:
-        raise ParseError(f"{where}: field 'label' must not be empty")
-    epoch_length = obj["epoch_length"]
-    if epoch_length < 2:
-        raise ParseError(f"{where}: field 'epoch_length' must be at least 2")
-    if epoch_length > U32_MAX:
-        raise ParseError(f"{where}: field 'epoch_length' must be at most 2^32-1")
-    faulty = obj.get("faulty_mode")
-    if faulty is not None and faulty not in FAULTY_MODES:
-        raise ParseError(
-            f"{where}: unknown faulty_mode {faulty!r}, expected one of {', '.join(FAULTY_MODES)}"
-        )
-    issuances = []
-    for i, entry in enumerate(obj.get("issuances", [])):
-        _fields(entry, *_ISSUANCE_FIELDS, f"{where}.issuances[{i}]")
-        issuances.append(_issuance(entry, f"{where}.issuances[{i}]"))
-    return ChainSpec(
-        label=obj["label"],
-        epoch_length=epoch_length,
-        byzantine=obj.get("byzantine", False),
-        faulty_mode=faulty,
-        issuances=tuple(issuances),
+def _list_of(read):
+    """A list read as a tuple of ``read(entry, where, scope)``, entry by entry."""
+    return lambda value, key, where, scope: tuple(
+        read(entry, f"{where}.{key}[{i}]", scope) for i, entry in enumerate(value)
     )
 
 
-#: Per op: the required fields with their types, then the optional ones
-#: (``chains`` is "all" or a list, checked with its op). ``op`` and
-#: ``expect`` are allowed on every step; any other field is refused.
-_STEP_FIELDS = {
-    "issue": ({"chain": str, **_ISSUANCE_FIELDS[0]}, _ISSUANCE_FIELDS[1]),
-    "send": (
-        {"from": str, "to": str, "name": str, "owner": str, "receiver": str},
-        {"amount": int, "token_id": int, "id": str, "tamper": str},
-    ),
-    "fabricate_send": (
-        {"from": str, "to": str, "name": str, "fungible": bool, "issuer": str, "owner": str, "receiver": str},
-        {"amount": int, "token_id": int, "data": str, "id": str},
-    ),
-    "close_epoch": ({}, {"chains": object, "quality": int, "tamper": str}),
-    "advance_mainchain": ({"blocks": int}, {}),
-    "cease_by_silence": ({"chain": str}, {}),
-    "redeem": ({"send": str}, {"tamper": str}),
-    "csw": (
-        {"id": str, "mode": str, "chain": str, "owner": str, "receiver": str},
-        {
-            "name": str,
-            "amount": int,
-            "token_id": int,
-            "target": str,
-            "holder": str,
-            "return_send": str,
-            "tamper": str,
-        },
-    ),
-    "csw_redeem": ({"withdrawal": str}, {}),
-    "notify": ({"chain": str, "from": str, "to": str, "name": str}, {"amount": int, "token_id": int}),
-    "assert": ({"chain": str}, {"status": str, "holdings": list, "sent_records": list}),
-}
-_STEP_SCHEMAS = {
-    op: (required, {"op": str, "expect": object, **optional}) for op, (required, optional) in _STEP_FIELDS.items()
-}
+def _entry(schema: tuple[dict, tuple], entry, where: str, scope: dict) -> dict:
+    """An ``assert`` entry's fields present, naming exactly one of ``amount`` or ``token_id``."""
+    values = _read(schema, entry, where, scope)
+    _one_quantity(values.get("amount"), values.get("token_id"), where)
+    return values
 
-#: Per op, the attacks a step may carry in its ``tamper`` field. Each value
-#: makes the runner submit a deliberately broken transaction instead of the
-#: honest one; the step must then be rejected.
-TAMPERS = {
-    "send": ("wrong_signer", "wrong_chain", "payload_mismatch", "unregistered_type", "malformed_payload"),
-    "redeem": ("wrong_chain", "forged_receiver_auth", "wrong_block"),
-    "close_epoch": ("wrong_epoch", "lower_quality", "altered_body"),
-    "csw": ("forged_nullifier",),
+
+def _one_quantity(amount: int | None, token_id: int | None, where: str) -> None:
+    if (amount is None) == (token_id is None):
+        raise ParseError(f"{where}: give exactly one of 'amount' or 'token_id'")
+
+
+#: Per kind: its value's JSON type (any, for ``object``), and the check of the value given its key, where
+#: it is and the scope (the declared chains, and the ids earlier steps declared), returning the field.
+_KINDS = {
+    "str": (str, None),
+    "bool": (bool, None),
+    "Amount": (int, lambda value, key, where, scope: _bounded(value, key, where, 1)),
+    "U64": (int, lambda value, key, where, scope: _bounded(value, key, where, 0)),
+    "Blocks": (int, lambda value, key, where, scope: _bounded(value, key, where, 1, MAX_ADVANCE_BLOCKS)),
+    "EpochLength": (int, lambda value, key, where, scope: _bounded(value, key, where, 2, U32_MAX)),
+    "Chain": (str, lambda value, key, where, scope: _named(value, key, where, scope["chain"], "undeclared chain")),
+    "SendRef": (str, lambda value, key, where, scope: _named(value, key, where, scope["send"], "unknown send id")),
+    "CswRef": (str, lambda value, key, where, scope: _named(value, key, where, scope["csw"], "unknown csw id")),
+    "SendId": (str, lambda value, key, where, scope: _named(value, key, where, scope["send"], "send id", new=True)),
+    "CswId": (str, lambda value, key, where, scope: _named(value, key, where, scope["csw"], "csw id", new=True)),
+    "Chains": (object, _chains),
+    "Expect": (object, _expect),
+    "Issuances": (list, _list_of(lambda entry, where, scope: _build(Issuance, entry, where, scope))),
+    "Holdings": (list, _list_of(lambda entry, where, scope: _entry(_HOLDING, entry, where, scope))),
+    "SentRecords": (list, _list_of(lambda entry, where, scope: _entry(_SENT_RECORD, entry, where, scope))),
 }
 
 
-def _validate_step(step: dict, index: int, labels: set[str], send_ids: set[str], csw_ids: set[str]):
-    where = f"steps[{index}]"
-    if not isinstance(step, dict):
+def _schema(declared) -> tuple[dict, tuple]:
+    """``{JSON key: (attribute, JSON type, check)}`` and the required keys,
+    from ``(attribute, kind, required)`` rows. A field's key is its attribute
+    less a trailing ``_`` (``from_`` reads ``from``)."""
+    rows = [(attr.rstrip("_"), attr, kind.removesuffix(" | None"), needed) for attr, kind, needed in declared]
+    return {key: (attr, *_KINDS[kind]) for key, attr, kind, _ in rows}, tuple(key for key, *_, needed in rows if needed)
+
+
+_QUANTITY = (("amount", "Amount", False), ("token_id", "U64", False))
+_HOLDING = _schema([("name", "str", True), ("owner", "str", False), *_QUANTITY])
+_SENT_RECORD = _schema([("name", "str", True), ("receiver", "Chain", True), *_QUANTITY])
+
+
+def _read(schema: tuple[dict, tuple], obj, where: str, scope: dict | None, suffix: str = "") -> dict:
+    """``obj``'s fields by attribute, each checked by its kind: ``obj`` is an
+    object with every required field of ``schema`` and no other."""
+    checks, required = schema
+    if not isinstance(obj, dict):
         raise ParseError(f"{where}: must be an object")
-    op = _need(step, "op", str, where)
-    if op not in STEP_OPS:
-        raise ParseError(f"{where}: unknown op {op!r}, expected one of {', '.join(STEP_OPS)}")
-    _fields(step, *_STEP_SCHEMAS[op], where, f" for op {op!r}")
-    if op != "issue":
-        if "amount" in step:
-            _u64(step, "amount", where, 1)
-        if "token_id" in step:
-            _u64(step, "token_id", where, 0)
-    if "quality" in step:
-        _u64(step, "quality", where, 0)
-    for key in ("chain", "from", "to", "issuer", "holder", "target"):
-        if key in step and step[key] not in labels:
-            raise ParseError(f"{where}: field {key!r} references undeclared chain {step[key]!r}")
-    if "tamper" in step and step["tamper"] not in TAMPERS[op]:
-        raise ParseError(
-            f"{where}: unknown tamper {step['tamper']!r} for op {op!r}, expected one of {', '.join(TAMPERS[op])}"
-        )
-    if op == "issue":
-        _issuance(step, where)
-    if op in ("send", "fabricate_send"):
-        if step["from"] == step["to"] and op == "send" and not step.get("expect"):
+    unknown = obj.keys() - checks.keys()
+    if unknown:
+        raise ParseError(f"{where}: unknown field {sorted(unknown)[0]!r}{suffix}")
+    for key in required:
+        if key not in obj:
+            raise ParseError(f"{where}: missing field {key!r}")
+    values = {}
+    for key, value in obj.items():
+        attr, kind, check = checks[key]
+        if type(value) is not kind and kind is not object:
+            _need(obj, key, kind, where)
+        values[attr] = value if check is None else check(value, key, where, scope)
+    return values
+
+
+def _build(cls, obj, where: str, scope: dict | None, suffix: str = ""):
+    value = cls(**_read(cls.schema, obj, where, scope, suffix))
+    value.check(where)
+    return value
+
+
+class _Declared:
+    """A subclass is a frozen, keyword-only dataclass whose fields, less
+    ``hidden``, are its JSON schema: a field's annotation names its kind in
+    ``_KINDS``, and a field with no default is required. Its ``check(where)``
+    refuses what no single field's kind sees: the rules between fields."""
+
+    hidden = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # No __eq__ or __repr__: nothing uses them, and each generated method costs import time.
+        dataclass(frozen=True, kw_only=True, eq=False, repr=False)(cls)
+        cls.schema = _schema((f.name, f.type, f.default is MISSING) for f in fields(cls) if f.name not in cls.hidden)
+
+
+class Issuance(_Declared):
+    """A token issued to ``owner``: ``amount`` units of a fungible name, or
+    the non-fungible ``token_id``; its data hash is over ``data``, else the name."""
+
+    name: str
+    fungible: bool
+    owner: str
+    amount: Amount | None = None
+    token_id: U64 | None = None
+    data: str | None = None
+
+    def check(self, where: str) -> None:
+        given, refused = ("amount", "token_id") if self.fungible else ("token_id", "amount")
+        if getattr(self, given) is None:
+            raise ParseError(f"{where}: missing field {given!r}")
+        if getattr(self, refused) is not None:
+            raise ParseError(f"{where}: {'' if self.fungible else 'non-'}fungible issuance cannot carry {refused!r}")
+
+
+class ChainSpec(_Declared):
+    label: str
+    epoch_length: EpochLength
+    byzantine: bool = False
+    faulty_mode: str | None = None
+    issuances: Issuances = ()
+
+    @property
+    def variant(self) -> str:
+        return self.faulty_mode or VARIANT_STANDARD
+
+    def check(self, where: str) -> None:
+        if not self.label:
+            raise ParseError(f"{where}: field 'label' must not be empty")
+        if self.faulty_mode is not None and self.faulty_mode not in FAULTY_MODES:
+            raise ParseError(
+                f"{where}: unknown faulty_mode {self.faulty_mode!r}, expected one of {', '.join(FAULTY_MODES)}"
+            )
+
+
+#: Each op's step type, in declaration order.
+STEP_TYPES: dict[str, type[Step]] = {}
+
+
+class Step(_Declared):
+    """What every step may carry. An op is a subclass naming its ``op`` and its
+    ``tampers``: the broken transactions its ``tamper`` field may ask the runner
+    to submit in place of the honest one. An op with no tampers refuses one."""
+
+    tampers = ()
+    expect: Expect | None = None
+    tamper: str | None = None
+
+    def __init_subclass__(cls, op: str, **kwargs):
+        cls.op, cls.hidden = op, () if cls.tampers else ("tamper",)
+        super().__init_subclass__(**kwargs)
+        STEP_TYPES[op] = cls
+
+    def check(self, where: str) -> None:
+        if self.tamper is not None and self.tamper not in self.tampers:
+            raise ParseError(
+                f"{where}: unknown tamper {self.tamper!r} for op {self.op!r}, "
+                f"expected one of {', '.join(self.tampers)}"
+            )
+
+
+class Issue(Issuance, Step, op="issue"):
+    chain: Chain
+
+
+class Send(Step, op="send"):
+    tampers = ("wrong_signer", "wrong_chain", "payload_mismatch", "unregistered_type", "malformed_payload")
+    from_: Chain
+    to: Chain
+    name: str
+    owner: str
+    receiver: str
+    amount: Amount | None = None
+    token_id: U64 | None = None
+    id: SendId | None = None
+
+    def check(self, where: str) -> None:
+        super().check(where)
+        if self.from_ == self.to and self.expect is None:
             raise ParseError(f"{where}: self-send must declare its expected rejection")
-        if "amount" in step and "token_id" in step:
+        if self.amount is not None and self.token_id is not None:
             raise ParseError(f"{where}: give either 'amount' or 'token_id', not both")
-        if "id" in step:
-            if step["id"] in send_ids:
-                raise ParseError(f"{where}: duplicate send id {step['id']!r}")
-            send_ids.add(step["id"])
-    if op == "notify":
-        _quantity(step, where)
-    if op == "fabricate_send" and step["fungible"] and "amount" not in step:
-        raise ParseError(f"{where}: missing field 'amount'")
-    if op == "fabricate_send" and not step["fungible"] and "token_id" not in step:
-        raise ParseError(f"{where}: missing field 'token_id'")
-    if op == "close_epoch":
-        chains = step.get("chains", "all")
-        if chains != "all":
-            if not isinstance(chains, list) or not chains:
-                raise ParseError(f"{where}: field 'chains' must be \"all\" or a non-empty list")
-            for label in chains:
-                if not isinstance(label, str) or label not in labels:
-                    raise ParseError(f"{where}: field 'chains' references undeclared chain {label!r}")
-    if op == "advance_mainchain" and step["blocks"] < 1:
-        raise ParseError(f"{where}: field 'blocks' must be positive")
-    if op == "advance_mainchain" and step["blocks"] > MAX_ADVANCE_BLOCKS:
-        raise ParseError(f"{where}: field 'blocks' must be at most {MAX_ADVANCE_BLOCKS}")
-    if op == "redeem" and step["send"] not in send_ids:
-        raise ParseError(f"{where}: field 'send' references unknown send id {step['send']!r}")
-    if op == "csw":
-        if step["mode"] not in CSW_MODES:
-            raise ParseError(f"{where}: unknown mode {step['mode']!r}, expected one of {', '.join(CSW_MODES)}")
-        if step["id"] in csw_ids:
-            raise ParseError(f"{where}: duplicate csw id {step['id']!r}")
-        csw_ids.add(step["id"])
-        if step["mode"] in ("held", "foreign") and "name" not in step:
-            raise ParseError(f"{where}: missing field 'name'")
-        if step["mode"] == "held" and "target" not in step:
-            raise ParseError(f"{where}: missing field 'target'")
-        if step["mode"] == "sent_record":
-            for key in ("holder", "return_send", "target"):
-                if key not in step:
-                    raise ParseError(f"{where}: missing field {key!r}")
-            if step["return_send"] not in send_ids:
-                raise ParseError(
-                    f"{where}: field 'return_send' references unknown send id {step['return_send']!r}"
-                )
-    if op == "assert":
-        for i, entry in enumerate(step.get("holdings", [])):
-            _fields(entry, *_HOLDING_FIELDS, f"{where}.holdings[{i}]")
-            _quantity(entry, f"{where}.holdings[{i}]")
-        for i, entry in enumerate(step.get("sent_records", [])):
-            _fields(entry, *_SENT_RECORD_FIELDS, f"{where}.sent_records[{i}]")
-            _quantity(entry, f"{where}.sent_records[{i}]")
-            if entry["receiver"] not in labels:
-                raise ParseError(
-                    f"{where}.sent_records[{i}]: field 'receiver' references undeclared chain {entry['receiver']!r}"
-                )
-    if op == "csw_redeem" and step["withdrawal"] not in csw_ids:
-        raise ParseError(f"{where}: field 'withdrawal' references unknown csw id {step['withdrawal']!r}")
-    if "expect" in step:
-        expect = step["expect"]
-        if not isinstance(expect, dict) or not expect:
-            raise ParseError(f"{where}: field 'expect' must be a non-empty object")
-        for key in expect:
-            if key not in _EXPECT_FIELDS:
-                raise ParseError(f"{where}: unknown expect field {key!r}")
-            _need(expect, key, _EXPECT_FIELDS[key], f"{where}.expect")
+
+
+class FabricateSend(Issuance, Step, op="fabricate_send"):
+    """A byzantine chain sends a token it makes up, as if ``issuer`` issued it."""
+
+    from_: Chain
+    to: Chain
+    issuer: Chain
+    receiver: str
+    id: SendId | None = None
+
+    def check(self, where: str) -> None:
+        if self.amount is not None and self.token_id is not None:
+            raise ParseError(f"{where}: give either 'amount' or 'token_id', not both")
+        super().check(where)
+
+
+class CloseEpoch(Step, op="close_epoch"):
+    tampers = ("wrong_epoch", "lower_quality", "altered_body")
+    chains: Chains = "all"
+    quality: U64 = 1
+
+
+class AdvanceMainchain(Step, op="advance_mainchain"):
+    blocks: Blocks
+
+
+class CeaseBySilence(Step, op="cease_by_silence"):
+    chain: Chain
+
+
+class Redeem(Step, op="redeem"):
+    tampers = ("wrong_chain", "forged_receiver_auth", "wrong_block")
+    send: SendRef
+
+
+class Csw(Step, op="csw"):
+    tampers = ("forged_nullifier",)
+    #: Per withdrawal mode, the optional fields it needs.
+    modes = {"held": ("name", "target"), "foreign": ("name",), "sent_record": ("holder", "return_send", "target")}
+    id: CswId
+    mode: str
+    chain: Chain
+    owner: str
+    receiver: str
+    name: str | None = None
+    amount: Amount | None = None
+    token_id: U64 | None = None
+    target: Chain | None = None
+    holder: Chain | None = None
+    return_send: SendRef | None = None
+
+    def check(self, where: str) -> None:
+        super().check(where)
+        if self.mode not in self.modes:
+            raise ParseError(f"{where}: unknown mode {self.mode!r}, expected one of {', '.join(self.modes)}")
+        for key in self.modes[self.mode]:
+            if getattr(self, key) is None:
+                raise ParseError(f"{where}: missing field {key!r}")
+
+
+class CswRedeem(Step, op="csw_redeem"):
+    withdrawal: CswRef
+
+
+class Notify(Step, op="notify"):
+    chain: Chain
+    from_: Chain
+    to: Chain
+    name: str
+    amount: Amount | None = None
+    token_id: U64 | None = None
+
+    def check(self, where: str) -> None:
+        _one_quantity(self.amount, self.token_id, where)
+
+
+class Assert(Step, op="assert"):
+    chain: Chain
+    status: str | None = None
+    holdings: Holdings | None = None
+    sent_records: SentRecords | None = None
+
+
+STEP_OPS = tuple(STEP_TYPES)
+TAMPERS = {op: cls.tampers for op, cls in STEP_TYPES.items() if cls.tampers}
+CSW_MODES = tuple(Csw.modes)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    seed: int
+    chains: tuple[ChainSpec, ...]
+    steps: tuple[Step, ...]
+    expect_violations: bool = False
+
+    def chain(self, label: str) -> ChainSpec:
+        for spec in self.chains:
+            if spec.label == label:
+                return spec
+        raise KeyError(label)
+
+
+def _step(obj, index: int, scope: dict) -> Step:
+    where = f"steps[{index}]"
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: must be an object")
+    op = _need(obj, "op", str, where)
+    cls = STEP_TYPES.get(op)
+    if cls is None:
+        raise ParseError(f"{where}: unknown op {op!r}, expected one of {', '.join(STEP_OPS)}")
+    body = dict(obj)
+    del body["op"]
+    return _build(cls, body, where, scope, f" for op {op!r}")
 
 
 def parse_scenario(obj, source: str = "<memory>") -> Scenario:
@@ -338,27 +408,19 @@ def parse_scenario(obj, source: str = "<memory>") -> Scenario:
     raw_chains = _need(obj, "chains", list, source)
     if not raw_chains:
         raise ParseError(f"{source}: field 'chains' must declare at least one chain")
-    chains = tuple(_chain_spec(entry, i) for i, entry in enumerate(raw_chains))
-    labels = [spec.label for spec in chains]
-    if len(set(labels)) != len(labels):
+    chains = tuple(_build(ChainSpec, entry, f"chains[{i}]", None) for i, entry in enumerate(raw_chains))
+    labels = {spec.label for spec in chains}
+    if len(labels) != len(chains):
         raise ParseError(f"{source}: duplicate chain labels in 'chains'")
     raw_steps = _need(obj, "steps", list, source)
-    send_ids: set[str] = set()
-    csw_ids: set[str] = set()
-    for i, step in enumerate(raw_steps):
-        _validate_step(step, i, set(labels), send_ids, csw_ids)
+    scope = {"chain": labels, "send": set(), "csw": set()}
+    steps = tuple(_step(step, i, scope) for i, step in enumerate(raw_steps))
     unknown = set(obj) - {"name", "seed", "chains", "steps", "expect_violations"}
     if unknown:
         raise ParseError(f"{source}: unknown top-level field {sorted(unknown)[0]!r}")
     if "expect_violations" in obj:
         _need(obj, "expect_violations", bool, source)
-    return Scenario(
-        name=name,
-        seed=seed,
-        chains=chains,
-        steps=tuple(raw_steps),
-        expect_violations=obj.get("expect_violations", False),
-    )
+    return Scenario(name, seed, chains, steps, obj.get("expect_violations", False))
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -91,6 +91,32 @@ def test_run_scenario_error_exit_two(tmp_path, capsys):
     assert "scenario error: step 0 (send): chain alpha: no instance of 'NOPE'" in err
 
 
+_ART = {"name": "ART", "fungible": False, "token_id": 1, "owner": "a"}
+
+
+@pytest.mark.parametrize("beta_issuances,steps,message", [
+    ([], [{"op": "issue", "chain": "alpha", **_ART}], "step 0 (issue): chain alpha: 'ART' id 1 was already issued"),
+    ([], [{"op": "issue", "chain": "beta", **dict(_ART, token_id=2)}],
+     "step 0 (issue): chain beta: token name 'ART' is already registered as fungibility=False issuer="),
+    ([dict(_ART, token_id=2)], [], "chain beta: token name 'ART' is already registered as fungibility=False"),
+    ([{"name": "ART", "fungible": True, "amount": 5, "owner": "a"}], [], "chain beta: token name 'ART'"),
+], ids=["step-duplicate-id", "step-other-issuer", "chain-other-issuer", "chain-other-fungibility"])
+def test_issuance_conflict_exit_two(tmp_path, capsys, beta_issuances, steps, message):
+    """An issuance the token name registry refuses is a scenario error,
+    whether a step or a chain's ``issuances`` makes it."""
+    path = write_scenario(tmp_path, {
+        "name": "conflict",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2, "issuances": [_ART]},
+                   {"label": "beta", "epoch_length": 2, "issuances": beta_issuances}],
+        "steps": steps,
+    })
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario error: {message}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("expect,message", [
     ({"accepted": "true"}, "steps[0].expect: field 'accepted' must be bool, got str"),
     ({"accepted": True, "reason": 5}, "steps[0].expect: field 'reason' must be str, got int"),

@@ -632,7 +632,7 @@ def test_index_bypass_is_caught(monkeypatch):
     runner = Runner(scenario)
     stale = _watch_indexes(runner)
     runner.run()
-    first_redeem = [step["op"] for step in scenario.steps].index("redeem")
+    first_redeem = [step.op for step in scenario.steps].index("redeem")
     assert stale[0] == f"step {first_redeem}: beta live"
     with pytest.raises(AssertionError):
         _checks_agree(ReferenceCheckRunner(scenario))
@@ -687,7 +687,7 @@ def test_each_payload_decoded_and_each_proof_verified_once(real_verifies, counte
     per_step = _per_step(Runner(scenario), decodes, redeem_proofs, csw_bodies, real_verifies)
     by_op = {}
     for step, counts in zip(scenario.steps, per_step):
-        by_op.setdefault(step["op"], set()).add(counts)
+        by_op.setdefault(step.op, set()).add(counts)
     # (payload decodes, verify_redeem calls, verify_csw bodies, Ed25519
     # verifications) per step. A close verifies one certificate per chain
     # it closes. A withdrawal's message reaches its receiving chain without
@@ -761,7 +761,7 @@ class _FaultAfterStep(ReferenceCheckRunner):
 
     def __init__(self, scenario, index, fault):
         super().__init__(scenario)
-        op = scenario.steps[index]["op"]
+        op = scenario.steps[index].op
         handler = getattr(self, f"_op_{op}")
 
         def faulty(i, step):

@@ -1,4 +1,5 @@
 """Scenario schema validation: every complaint must name the step and field."""
+import re
 from pathlib import Path
 
 import pytest
@@ -168,7 +169,7 @@ def test_expect_values_are_typed(expect, message):
 
 def test_typed_expect_parses():
     step = {"op": "close_epoch", "expect": {"accepted": False, "reason": "HandlerRejected", "rule": "send-1"}}
-    assert parse_scenario(minimal(steps=[step])).steps[0]["expect"]["accepted"] is False
+    assert parse_scenario(minimal(steps=[step])).steps[0].expect["accepted"] is False
 
 
 def test_unknown_top_level_field():
@@ -282,6 +283,16 @@ def _with_step(op: str, **fields) -> dict:
     return minimal(steps=steps)
 
 
+def test_readme_lists_every_op_and_tamper():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    op_list = re.search(r"a list of `steps` \(([^)]*)\)", readme).group(1)
+    assert tuple(re.findall(r"`(\w+)`", op_list)) == STEP_OPS
+    tampers: dict[str, tuple] = {}
+    for op, value in re.findall(r"^- `(\w+)` `(\w+)`:", readme, re.MULTILINE):
+        tampers[op] = tampers.get(op, ()) + (value,)
+    assert tampers == TAMPERS
+
+
 def test_valid_steps_cover_every_op():
     assert tuple(VALID_STEPS) == STEP_OPS
     parse_scenario(minimal(steps=list(VALID_STEPS.values())))
@@ -297,7 +308,7 @@ def test_step_rejects_unknown_field(op):
 @pytest.mark.parametrize("op,value", [(op, value) for op, values in TAMPERS.items() for value in values])
 def test_tamper_values_parse_on_their_op(op, value):
     step = parse_scenario(_with_step(op, tamper=value)).steps[STEP_OPS.index(op)]
-    assert step["tamper"] == value
+    assert step.tamper == value
 
 
 def test_tamper_values_are_closed_per_op():
@@ -336,7 +347,7 @@ def test_chain_issuances_must_be_a_list_of_objects():
         parse_scenario(minimal(chains=[dict(chain, issuances=7)]))
     with pytest.raises(ParseError, match=r"chains\[0\]\.issuances\[0\]: must be an object"):
         parse_scenario(minimal(chains=[dict(chain, issuances=["X"])]))
-    assert parse_scenario(_issuing(fungible=True, amount=1, data="art")).chains[0].issuances[0]["data"] == "art"
+    assert parse_scenario(_issuing(fungible=True, amount=1, data="art")).chains[0].issuances[0].data == "art"
 
 
 def _asserting(**fields) -> dict:
