@@ -399,6 +399,8 @@ def test_notify_needs_exactly_one_quantity(quantity):
                  r"steps\[0\]: non-fungible issuance cannot carry 'amount'", id="issue-nft-amount"),
     pytest.param(minimal(steps=[VALID_STEPS["csw"], VALID_STEPS["csw"]]),
                  r"steps\[1\]: duplicate csw id 'w'", id="duplicate-csw-id"),
+    pytest.param(minimal(steps=[dict(VALID_STEPS["csw"], return_send="ghost")]),
+                 r"steps\[0\]: field 'return_send' references unknown send id 'ghost'", id="held-csw-return-send"),
     pytest.param(minimal(steps=[{"op": "close_epoch", "expect": [True]}]),
                  r"steps\[0\]: field 'expect' must be a non-empty object", id="expect-list"),
 ])
