@@ -169,7 +169,7 @@ def _read(schema: tuple[dict, tuple], obj, where: str, scope: dict | None, suffi
     for key, value in obj.items():
         attr, kind, check = checks[key]
         if type(value) is not kind and kind is not object:
-            _need(obj, key, kind, where)  # raises unless the value's type subclasses kind (bool is no int here)
+            _need(obj, key, kind, where)  # the full check: names the type found, or passes a subclass of kind
         values[attr] = value if check is None else check(value, key, where, scope)
     return values
 
