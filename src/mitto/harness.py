@@ -30,30 +30,20 @@ from .journal import WriteMarks
 from .keys import KeyPair, PubKey, forget_verified
 from .mainchain import Mainchain, STATUS_CEASED
 from .messages import (
-    MSG_TYPE_TOKEN_TRANSFER,
     CscpMessage,
     SendTx,
     WithdrawalCertificate,
     message_digest,
     redeem_auth_digest,
 )
-from .proofs import (
-    CertificateNotConfirmed,
-    CswNotFound,
-    EntityNotInState,
-    MessageMismatch,
-    MessageNotCommitted,
-)
+from .proofs import CertificateNotConfirmed, EntityNotInState, EvidenceUnavailable, MessageNotCommitted
 from .scenario import Scenario
 from .sidechain import ByzantineSidechain, Sidechain
 from .tokens import (
-    AmountExceedsSent,
     CswPackage,
     DuplicateTokenId,
     MittoState,
     NameConflict,
-    NoSentRecord,
-    NotOwner,
     TokenInstance,
     TokenNameRegistry,
     attach_token_ledger,
@@ -154,6 +144,9 @@ class World:
             raise HarnessError(f"chain {label}: no instance of {which} held by that owner")
         if amount is None or token_id is not None:
             return candidates[0][2]
+        candidates = [entry for entry in candidates if entry[2].fungibility]
+        if not candidates:
+            raise HarnessError(f"chain {label}: that owner holds {name!r} only as NFTs, which carry no amount")
         for _, _, ti in candidates:
             if ti.amount == amount:
                 return ti
@@ -183,7 +176,7 @@ class World:
             record = self.mainchain.record(chain.sc_id)
             frozen = None
             if record.status == STATUS_CEASED and record.last_epoch is not None:
-                frozen = chain.epochs[record.last_epoch].snapshots[MSG_TYPE_TOKEN_TRANSFER]
+                frozen = final_ledger(chain)
             out[label] = {
                 "status": record.status,
                 "live": self.states[label],
@@ -197,14 +190,18 @@ class World:
         replay set, outbox, epoch archive and handler table, each token
         ledger and the name registry it points at, and the settlement
         chain's nullifier sets and pending withdrawals, plus the scalar
-        fields the chain dumps read. Costs O(chains), not O(held state)."""
+        fields the chain dumps read and each chain's settlement record.
+        Costs O(chains), not O(held state)."""
         boxes = [self.mainchain._pending_csws]
         scalars = []
         for chain in self.chains.values():
-            scalars.append((chain.sc_id, chain.label))
-            boxes += (chain.redeemed, chain.outbox, chain.epochs, chain.handlers)
-            for handler in chain.handlers.values():
-                state = handler.state
+            record = self.mainchain.record(chain.sc_id)
+            scalars.append(
+                (chain.sc_id, chain.label, record.status, record.pending_cert, record.last_epoch,
+                 record.last_cert_block_hash)
+            )
+            boxes += (chain.redeemed, chain.outbox, chain.epochs, chain.handlers, record.used_nullifiers)
+            for state in chain.handlers.values():
                 scalars.append((state.sc_id, state.variant))
                 boxes += (
                     state.s_tks,
@@ -213,7 +210,6 @@ class World:
                     state.issued_token_ids,
                     state.registry._names,
                 )
-            boxes.append(self.mainchain.record(chain.sc_id).used_nullifiers)
         return WriteMarks(boxes, tuple(scalars))
 
     def dump(self) -> dict:
@@ -498,7 +494,7 @@ class Runner:
             tx = make_redeem_tx(
                 self.world.mainchain, sender, record.epoch_id, message, record.payload, record.sender_sig, receiver
             )
-        except (MessageNotCommitted, CertificateNotConfirmed) as err:
+        except EvidenceUnavailable as err:
             return _unavailable(f"redeem {step.send!r} on {label}: {err}")
         if step.tamper == "wrong_chain":
             label = record.from_label
@@ -520,7 +516,7 @@ class Runner:
         receiver = self.world.actor(step.receiver).public
         try:
             package = self._build_withdrawal(step, chain, owner, receiver)
-        except (EntityNotInState, NotOwner, NoSentRecord, AmountExceedsSent, CertificateNotConfirmed, ValueError) as err:
+        except (EvidenceUnavailable, ValueError) as err:
             return _unavailable(f"withdrawal {step.id!r} from {step.chain}: {err}")
         if step.tamper == "forged_nullifier":
             package = replace(package, csw=replace(package.csw, nullifier=hash_bytes(package.csw.nullifier)))
@@ -576,7 +572,7 @@ class Runner:
             tx = make_csw_redeem_tx(
                 self.world.mainchain, package, self.world.actor_for_key(package.message.receiver_id)
             )
-        except (CswNotFound, MessageMismatch) as err:
+        except EvidenceUnavailable as err:
             return _unavailable(f"csw redeem {step.withdrawal!r} on {label}: {err}")
         verdict = self._submit(index, step, chain.accept_csw_redeem, tx)
         self._note(

@@ -66,23 +66,27 @@ class InconsistentWitness(Exception):
     """Prover witness does not reproduce the public input it was asked to bind."""
 
 
-class EntityNotInState(Exception):
+class EvidenceUnavailable(Exception):
+    """A prover refused: the evidence a transaction needs does not exist."""
+
+
+class EntityNotInState(EvidenceUnavailable):
     """Claimed entity is not part of the committed state being withdrawn from."""
 
 
-class MessageMismatch(Exception):
+class MessageMismatch(EvidenceUnavailable):
     """Embedded message does not commit to the claimed entity."""
 
 
-class MessageNotCommitted(Exception):
+class MessageNotCommitted(EvidenceUnavailable):
     """Message is not a leaf of the committed epoch tree."""
 
 
-class CertificateNotConfirmed(Exception):
+class CertificateNotConfirmed(EvidenceUnavailable):
     """No finalized certificate on the mainchain matches the evidence."""
 
 
-class CswNotFound(Exception):
+class CswNotFound(EvidenceUnavailable):
     """Referenced ceased-sidechain withdrawal is not on the mainchain."""
 
 

@@ -79,13 +79,13 @@ class MessageHandler(Protocol):
 
     def parse(self, payload: bytes) -> object | None: ...
 
-    def validate_send(self, message: CscpMessage, parsed, signature: Signature) -> str | None: ...
+    def validate_send(self, parsed, message: CscpMessage, signature: Signature) -> str | None: ...
 
-    def apply_send(self, message: CscpMessage, parsed) -> None: ...
+    def apply_send(self, parsed, message: CscpMessage) -> None: ...
 
-    def validate_redeem(self, message: CscpMessage, parsed, sender_sig: Signature) -> str | None: ...
+    def validate_redeem(self, parsed, message: CscpMessage, sender_sig: Signature) -> str | None: ...
 
-    def apply_redeem(self, message: CscpMessage, parsed) -> None: ...
+    def apply_redeem(self, parsed, message: CscpMessage) -> None: ...
 
     def state_digests(self) -> list[Digest]: ...
 
@@ -162,10 +162,10 @@ class Sidechain:
         parsed = handler.parse(tx.payload)
         if parsed is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_MALFORMED_PAYLOAD)
-        rule = handler.validate_send(message, parsed, tx.signature)
+        rule = handler.validate_send(parsed, message, tx.signature)
         if rule is not None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=rule)
-        handler.apply_send(message, parsed)
+        handler.apply_send(parsed, message)
         self.outbox.append((message, tx.payload))
         return Verdict.ok()
 
@@ -186,7 +186,6 @@ class Sidechain:
     def build_certificate(
         self,
         quality: int = 1,
-        bt_list: tuple[bytes, ...] = (),
         epoch_id: int | None = None,
         last_block_hash: Digest | None = None,
     ) -> WithdrawalCertificate:
@@ -194,7 +193,7 @@ class Sidechain:
         last_block_hash can be overridden to construct deliberately stale or
         early submissions for rejection tests."""
         return self._certify(
-            self.current_message_tree(), self.current_committed_state(), quality, bt_list, epoch_id, last_block_hash
+            self.current_message_tree(), self.current_committed_state(), quality, epoch_id, last_block_hash
         )
 
     def _certify(
@@ -202,10 +201,10 @@ class Sidechain:
         tree: MerkleTree,
         committed: CommittedState,
         quality: int,
-        bt_list: tuple[bytes, ...],
         epoch_id: int | None = None,
         last_block_hash: Digest | None = None,
     ) -> WithdrawalCertificate:
+        """Certificate with an empty backward-transfer list: tokens leave only in messages."""
         epoch = self.next_epoch_to_close() if epoch_id is None else epoch_id
         if last_block_hash is None:
             record = self.mainchain.record(self.sc_id)
@@ -218,20 +217,18 @@ class Sidechain:
             else:
                 last_block_hash = self.mainchain.get_block(end).hash
         proofdata = (tree.root, committed.root)
-        public_input = make_wcert_input(quality, bt_list, last_block_hash, proofdata)
-        proof = prove_wcert(self.wcert_signer, public_input, bt_list, proofdata)
+        public_input = make_wcert_input(quality, (), last_block_hash, proofdata)
+        proof = prove_wcert(self.wcert_signer, public_input, (), proofdata)
         return WithdrawalCertificate(
             ledger_id=self.sc_id,
             epoch_id=epoch,
             quality=quality,
-            bt_list=bt_list,
+            bt_list=(),
             proofdata=proofdata,
             proof=proof,
         )
 
-    def close_epoch(
-        self, quality: int = 1, bt_list: tuple[bytes, ...] = ()
-    ) -> tuple[WithdrawalCertificate, Verdict]:
+    def close_epoch(self, quality: int = 1) -> tuple[WithdrawalCertificate, Verdict]:
         """Build and submit the certificate for the next unclosed epoch.
 
         On acceptance the outbox and handler snapshots are archived and a new
@@ -239,7 +236,7 @@ class Sidechain:
         retry."""
         tree = self.current_message_tree()
         committed = self.current_committed_state()
-        cert = self._certify(tree, committed, quality, bt_list)
+        cert = self._certify(tree, committed, quality)
         verdict = self.mainchain.submit_certificate(cert)
         if verdict.accepted:
             self.epochs.append(
@@ -293,10 +290,10 @@ class Sidechain:
         parsed = handler.parse(payload)
         if parsed is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_MALFORMED_PAYLOAD)
-        rule = handler.validate_redeem(message, parsed, sender_sig)
+        rule = handler.validate_redeem(parsed, message, sender_sig)
         if rule is not None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=rule)
-        handler.apply_redeem(message, parsed)
+        handler.apply_redeem(parsed, message)
         self.redeemed.add(digest)
         return Verdict.ok()
 

@@ -35,6 +35,7 @@ from .proofs import (
     CertificateNotConfirmed,
     ClaimKind,
     EntityNotInState,
+    EvidenceUnavailable,
     ReturnEvidence,
     build_csw_redeem_proof,
     build_redeem_proof,
@@ -67,15 +68,15 @@ class ZeroAmount(Exception):
     """Fungible issuance or instance with a non-positive amount."""
 
 
-class NoSentRecord(Exception):
+class NoSentRecord(EvidenceUnavailable):
     """No sent record covers the claimed return."""
 
 
-class AmountExceedsSent(Exception):
+class AmountExceedsSent(EvidenceUnavailable):
     """Claimed return is larger than the recorded sent amount."""
 
 
-class NotOwner(Exception):
+class NotOwner(EvidenceUnavailable):
     """Caller's key does not own the instance."""
 
 
@@ -237,7 +238,8 @@ def _split_child_hash(parent: Digest, amount: int, index: int) -> Digest:
 
 @dataclass
 class MittoState:
-    """One sidechain's token ledger: held instances and issuer sent records."""
+    """One sidechain's token ledger: held instances and issuer sent records.
+    It is the chain's message handler for token transfers."""
 
     sc_id: int
     registry: TokenNameRegistry
@@ -285,6 +287,14 @@ class MittoState:
         return instance
 
     # -- sending -------------------------------------------------------------
+
+    @staticmethod
+    def parse(payload: bytes) -> TokenInstance | None:
+        """The instance ``payload`` encodes, or None when it is malformed."""
+        try:
+            return TokenInstance.decode(payload)
+        except (DecodeError, ValueError):
+            return None
 
     def validate_send(self, instance: TokenInstance, message: CscpMessage, signature: Signature) -> str | None:
         if canonical_digest(instance) not in self.s_tks:
@@ -488,12 +498,12 @@ class MittoState:
 
     # -- snapshots and dumps ---------------------------------------------------------
 
-    def entity_digests(self) -> list[Digest]:
+    def state_digests(self) -> list[Digest]:
         digests = list(self.s_tks.keys())
         digests.extend(canonical_digest(record) for record in self.s_sent.values())
         return digests
 
-    def clone(self) -> "MittoState":
+    def snapshot(self) -> "MittoState":
         return MittoState(
             sc_id=self.sc_id,
             registry=self.registry,
@@ -520,45 +530,11 @@ class MittoState:
         }
 
 
-class TokenTransferHandler:
-    """Adapter registering a MittoState under the token-transfer message type."""
-
-    def __init__(self, state: MittoState) -> None:
-        self.state = state
-
-    def parse(self, payload: bytes) -> TokenInstance | None:
-        try:
-            return TokenInstance.decode(payload)
-        except (DecodeError, ValueError):
-            return None
-
-    def validate_send(self, message: CscpMessage, instance: TokenInstance, signature: Signature) -> str | None:
-        return self.state.validate_send(instance, message, signature)
-
-    def apply_send(self, message: CscpMessage, instance: TokenInstance) -> None:
-        self.state.apply_send(instance, message)
-
-    def validate_redeem(self, message: CscpMessage, instance: TokenInstance, sender_sig: Signature) -> str | None:
-        return self.state.validate_redeem(instance, message, sender_sig)
-
-    def apply_redeem(self, message: CscpMessage, instance: TokenInstance) -> None:
-        self.state.apply_redeem(instance, message)
-
-    def state_digests(self) -> list[Digest]:
-        return self.state.entity_digests()
-
-    def snapshot(self) -> MittoState:
-        return self.state.clone()
-
-    def dump(self) -> dict:
-        return self.state.dump()
-
-
 def attach_token_ledger(chain, registry: TokenNameRegistry, variant: str = VARIANT_STANDARD) -> MittoState:
     """Give ``chain`` a token ledger on the shared name registry, registered
     as its token-transfer handler, and return the ledger."""
     state = MittoState(sc_id=chain.sc_id, registry=registry, variant=variant)
-    chain.register_handler(MSG_TYPE_TOKEN_TRANSFER, TokenTransferHandler(state))
+    chain.register_handler(MSG_TYPE_TOKEN_TRANSFER, state)
     return state
 
 

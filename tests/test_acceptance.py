@@ -3,8 +3,11 @@
 Each test prints a single verdict line (run with ``-s`` to see them all) and
 fails with the collected problems if its criterion does not hold. Expected
 values are hand-derived and written out literally; nothing is captured from
-the implementation's own output.
+the implementation's own output, except the frozen-output pins, which record
+bytes a change must not move.
 """
+import json
+import runpy
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,7 +34,10 @@ from mitto.proofs import (
 from mitto.scenario import load_scenario
 from mitto.tokens import CswPackage, make_csw_redeem_tx, withdraw_foreign
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
+FROZEN_PINS = ROOT / "tests" / "golden" / "frozen_outputs.json"
+PIN_SCRIPT = ROOT / "scripts" / "pin_frozen_outputs.py"
 FUZZ_SEED = 20260817
 FUZZ_COUNT = 1000
 
@@ -375,3 +381,19 @@ def test_criterion_8_determinism():
         if first != second:
             problems.append(f"{path.stem}: reports differ between runs")
     verdict(8, "byte-identical reports for every bundled scenario", problems)
+
+
+def test_frozen_outputs_match_their_pins():
+    """Every bundled report and dump and the emitted vector file hash to the
+    digests pinned in tests/golden/frozen_outputs.json. A change that moves
+    one on purpose re-pins with scripts/pin_frozen_outputs.py."""
+    pinned = json.loads(FROZEN_PINS.read_text())
+    produced = runpy.run_path(str(PIN_SCRIPT))["frozen_outputs"]()
+    problems = []
+    for name in sorted(set(pinned["scenarios"]) | set(produced["scenarios"])):
+        for output in ("report", "dump"):
+            if pinned["scenarios"].get(name, {}).get(output) != produced["scenarios"].get(name, {}).get(output):
+                problems.append(f"{name}: {output} differs from its pin")
+    if pinned[vectors.FILE_NAME] != produced[vectors.FILE_NAME]:
+        problems.append(f"{vectors.FILE_NAME} differs from its pin")
+    verdict(8, "reports, dumps and vector file match their pinned digests", problems)

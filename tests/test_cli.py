@@ -91,6 +91,27 @@ def test_run_scenario_error_exit_two(tmp_path, capsys):
     assert "scenario error: step 0 (send): chain alpha: no instance of 'NOPE'" in err
 
 
+def test_send_amount_of_nft_exit_two(tmp_path, capsys):
+    """A send that gives an amount for a name its owner holds only as NFTs
+    parses, but has no instance to pick: a scenario error, not a crash."""
+    path = write_scenario(tmp_path, {
+        "name": "nft-amount",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2,
+                    "issuances": [{"name": "N", "fungible": False, "token_id": 7, "owner": "a"}]},
+                   {"label": "beta", "epoch_length": 2}],
+        "steps": [
+            {"op": "send", "from": "alpha", "to": "beta", "name": "N", "amount": 3,
+             "owner": "a", "receiver": "b"},
+        ],
+    })
+    assert main(["validate", path]) == 0
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error: step 0 (send): chain alpha: that owner holds 'N' only as NFTs" in err
+    assert "Traceback" not in err
+
+
 _ART = {"name": "ART", "fungible": False, "token_id": 1, "owner": "a"}
 
 

@@ -312,12 +312,12 @@ REJECTIONS = {
 
 
 def _bump_issued(chain, _tx):
-    totals = chain.handlers[MSG_TYPE_TOKEN_TRANSFER].state.issued_totals
+    totals = chain.handlers[MSG_TYPE_TOKEN_TRANSFER].issued_totals
     totals["GHOST"] = totals.get("GHOST", 0) + 1
 
 
 def _rebind_sent(chain, _tx):
-    state = chain.handlers[MSG_TYPE_TOKEN_TRANSFER].state
+    state = chain.handlers[MSG_TYPE_TOKEN_TRANSFER]
     state.s_sent = JournalDict(state.s_sent)
 
 
@@ -338,6 +338,10 @@ def _queue_csw(mainchain, csw):
     mainchain._pending_csws.append((csw.ledger_id, csw))
 
 
+def _hold_certificate(mainchain, cert):
+    mainchain.record(cert.ledger_id).pending_cert = cert
+
+
 # (op, step index, class, method, injected write, whether the dump sees it)
 LEAKS = [
     ("send", 1, Sidechain, "accept_send", _bump_issued, True),
@@ -347,6 +351,7 @@ LEAKS = [
     ("csw", 10, Mainchain, "submit_csw", _queue_csw, False),
     ("csw_redeem", 13, Sidechain, "accept_csw_redeem", _append_epoch, True),
     ("close_epoch", 14, Mainchain, "submit_certificate", _add_nullifier, False),
+    ("close_epoch", 14, Mainchain, "submit_certificate", _hold_certificate, False),
 ]
 
 

@@ -20,7 +20,6 @@ from mitto.sidechain import ByzantineSidechain
 from mitto.tokens import (
     MittoState,
     TokenNameRegistry,
-    TokenTransferHandler,
     make_csw_redeem_tx,
     make_redeem_tx,
     withdraw_native_held,
@@ -272,6 +271,6 @@ class TestByzantineFabrication:
 
 def test_handler_registration_is_exclusive():
     w = two_chain_world()
-    extra = TokenTransferHandler(MittoState(sc_id=w.chains["alpha"].sc_id, registry=TokenNameRegistry()))
+    extra = MittoState(sc_id=w.chains["alpha"].sc_id, registry=TokenNameRegistry())
     with pytest.raises(ValueError):
         w.chains["alpha"].register_handler(MSG_TYPE_TOKEN_TRANSFER, extra)

@@ -26,7 +26,6 @@ from mitto.tokens import (
     SentRecord,
     TokenInstance,
     TokenNameRegistry,
-    TokenTransferHandler,
     ZeroAmount,
     make_redeem_tx,
 )
@@ -466,7 +465,7 @@ class TestSplitMerge:
             state.merge([canonical_digest(a), canonical_digest(b)])
 
 
-class TestHandlerAdapter:
+class TestLedgerAsHandler:
     def test_malformed_payload_is_a_rule_violation(self):
         """The handler's parse refuses bytes that decode to no token
         instance, and the gate turns that into rule malformed-payload on
@@ -500,9 +499,8 @@ class TestHandlerAdapter:
 
     def test_snapshot_is_independent_copy(self):
         state = fresh_state()
-        handler = TokenTransferHandler(state)
         state.issue("WBT", True, ALICE.public, hash_bytes(b"g"), amount=10)
-        snap = handler.snapshot()
+        snap = state.snapshot()
         state.issue("OTH", True, ALICE.public, hash_bytes(b"h"), amount=5)
         assert len(snap.s_tks) == 1
         assert len(state.s_tks) == 2
