@@ -138,6 +138,15 @@ def canonical_digest(entity) -> Digest:
     return digest
 
 
+def decode_hashed(cls, data: bytes, digest: Digest):
+    """``cls.decode(data)``, for a caller that has checked that ``digest``
+    is the SHA-256 of ``data``. Strict decoding makes the value's encoding
+    ``data`` itself, so ``digest`` is kept as its ``canonical_digest``."""
+    value = cls.decode(data)
+    value.__dict__[_DIGEST_KEY] = digest
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Wire schema
 # ---------------------------------------------------------------------------

@@ -140,11 +140,29 @@ def build_merkle(leaves: list[Digest]) -> MerkleTree:
         levels.append(tuple(nodes) + (pad,) * (width - len(nodes)))
         if width == 1:
             break
-        if len(nodes) % 2:
-            nodes.append(pad)
-        nodes = [inner_node(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)]
+        nodes = _parent_level(nodes, pad)
         width //= 2
     return MerkleTree(leaves=tuple(leaves), levels=tuple(levels), root=levels[-1][0])
+
+
+def merkle_root(leaves) -> Digest:
+    """``build_merkle(leaves).root``, computed level by level without
+    keeping the levels: for callers that read nothing but the root."""
+    if not leaves:
+        return EMPTY_ROOT
+    nodes = [leaf_node(d) for d in leaves]
+    for pad in _PADDING:
+        nodes = _parent_level(nodes, pad)
+        if len(nodes) == 1:
+            return nodes[0]
+
+
+def _parent_level(nodes: list[Digest], pad: Digest) -> list[Digest]:
+    """The nodes over ``nodes``, a level's nodes up to its last real one,
+    where ``pad`` is the padding node of that level."""
+    if len(nodes) % 2:
+        nodes.append(pad)
+    return [inner_node(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)]
 
 
 def merkle_path(tree: MerkleTree, index: int) -> MerklePath:

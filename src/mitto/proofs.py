@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Protocol
 
 from . import encoding as enc
@@ -43,6 +44,7 @@ from .hashing import (
     fold_path,
     hash_bytes,
     merkle_path,
+    merkle_root,
     verify_path,
 )
 from .keys import KeyPair, PubKey, remembered, verify_sig
@@ -138,9 +140,9 @@ def make_wcert_input(
 ) -> WcertPublicInput:
     return WcertPublicInput(
         quality=quality,
-        bt_list_root=build_merkle([hash_bytes(bt) for bt in bt_list]).root,
+        bt_list_root=merkle_root([hash_bytes(bt) for bt in bt_list]),
         last_block_hash=last_block_hash,
-        proofdata_root=build_merkle(list(proofdata)).root,
+        proofdata_root=merkle_root(proofdata),
     )
 
 
@@ -156,7 +158,7 @@ def make_csw_input(
         nullifier=nullifier,
         receiver=receiver,
         amount=amount,
-        proofdata_root=build_merkle(list(proofdata)).root,
+        proofdata_root=merkle_root(proofdata),
     )
 
 
@@ -213,9 +215,9 @@ def prove_wcert(
     Raises InconsistentWitness when the witness does not reproduce the roots
     the public input names.
     """
-    if build_merkle([hash_bytes(bt) for bt in bt_list]).root != public_input.bt_list_root:
+    if merkle_root([hash_bytes(bt) for bt in bt_list]) != public_input.bt_list_root:
         raise InconsistentWitness("backward-transfer list does not match bt_list_root")
-    if build_merkle(list(proofdata)).root != public_input.proofdata_root:
+    if merkle_root(proofdata) != public_input.proofdata_root:
         raise InconsistentWitness("proofdata does not match proofdata_root")
     bundle = WcertBundle(bt_list=bt_list, proofdata=proofdata, signature=signer.sign(canonical_digest(public_input)))
     return Proof(scheme_id=SCHEME_SIM_MERKLE, body=bundle.encode())
@@ -231,9 +233,9 @@ def verify_wcert(vk: VerificationKey, public_input: WcertPublicInput, proof: Pro
         key = PubKey(vk.params)
     except (DecodeError, ValueError):
         return False
-    if build_merkle([hash_bytes(bt) for bt in bundle.bt_list]).root != public_input.bt_list_root:
+    if merkle_root([hash_bytes(bt) for bt in bundle.bt_list]) != public_input.bt_list_root:
         return False
-    if build_merkle(bundle.proofdata).root != public_input.proofdata_root:
+    if merkle_root(bundle.proofdata) != public_input.proofdata_root:
         return False
     return verify_sig(key, canonical_digest(public_input), bundle.signature)
 
@@ -249,17 +251,21 @@ class ClaimKind(IntEnum):
 
 @dataclass(frozen=True)
 class CommittedState:
-    """The tree over the sorted entity digests a certificate committed to."""
+    """The sorted entity digests a certificate committed to, and their
+    root. Only a withdrawal's state path reads the tree's levels, so the
+    tree is built when a path is first asked for."""
 
-    tree: MerkleTree
+    digests: tuple[Digest, ...]
+    root: Digest
 
     @classmethod
     def from_digests(cls, digests) -> "CommittedState":
-        return cls(tree=build_merkle(sorted(digests)))
+        ordered = tuple(sorted(digests))
+        return cls(digests=ordered, root=merkle_root(ordered))
 
-    @property
-    def root(self) -> Digest:
-        return self.tree.root
+    @cached_property
+    def tree(self) -> MerkleTree:
+        return build_merkle(self.digests)
 
     def path_for(self, entity_digest: Digest) -> MerklePath:
         index = self.tree.index_of(entity_digest)
@@ -435,7 +441,7 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
             return False
     elif proofdata[0] != EMPTY_ROOT:
         return False
-    if build_merkle(proofdata).root != public_input.proofdata_root:
+    if merkle_root(proofdata) != public_input.proofdata_root:
         return False
 
     # Entity -> committed state -> final certificate -> block hash.

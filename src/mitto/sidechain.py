@@ -71,13 +71,13 @@ class MessageHandler(Protocol):
     """Type-specific validation and side effects, keyed by message type.
 
     parse returns the value a payload carries, or None when the payload is
-    malformed; the gate calls it once per transaction and hands its value
-    to the other hooks. validate_* return None to accept or the id of the
-    first failing rule; apply_* are only called after the matching
-    validate_* accepted.
+    malformed; the gate calls it once per transaction, with the payload
+    hash it has checked, and hands its value to the other hooks. validate_*
+    return None to accept or the id of the first failing rule; apply_* are
+    only called after the matching validate_* accepted.
     """
 
-    def parse(self, payload: bytes) -> object | None: ...
+    def parse(self, payload: bytes, payload_hash: Digest) -> object | None: ...
 
     def validate_send(self, parsed, message: CscpMessage, signature: Signature) -> str | None: ...
 
@@ -159,7 +159,7 @@ class Sidechain:
         handler = self.handlers.get(message.msg_type)
         if handler is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_UNREGISTERED_TYPE)
-        parsed = handler.parse(tx.payload)
+        parsed = handler.parse(tx.payload, message.payload_hash)
         if parsed is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_MALFORMED_PAYLOAD)
         rule = handler.validate_send(parsed, message, tx.signature)
@@ -287,7 +287,8 @@ class Sidechain:
         handler = self.handlers.get(message.msg_type)
         if handler is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_UNREGISTERED_TYPE)
-        parsed = handler.parse(payload)
+        # verify_redeem has checked the payload against its hash.
+        parsed = handler.parse(payload, message.payload_hash)
         if parsed is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_MALFORMED_PAYLOAD)
         rule = handler.validate_redeem(parsed, message, sender_sig)

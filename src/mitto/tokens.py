@@ -289,10 +289,12 @@ class MittoState:
     # -- sending -------------------------------------------------------------
 
     @staticmethod
-    def parse(payload: bytes) -> TokenInstance | None:
-        """The instance ``payload`` encodes, or None when it is malformed."""
+    def parse(payload: bytes, payload_hash: Digest) -> TokenInstance | None:
+        """The instance ``payload`` encodes, or None when it is malformed.
+        The instance keeps ``payload_hash``, the payload's checked hash, as
+        its digest."""
         try:
-            return TokenInstance.decode(payload)
+            return enc.decode_hashed(TokenInstance, payload, payload_hash)
         except (DecodeError, ValueError):
             return None
 

@@ -27,17 +27,17 @@ def real_verifies(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """``counted(owner, name)`` replaces ``owner.name`` (a function, or a
-    static method kept static) by a wrapper that notes each call, and
-    returns the list of notes."""
+    """``counted(owner, name)`` replaces ``owner.name`` (a function or a
+    class, or a static method kept static) by a wrapper that notes each
+    call, and returns the list of notes."""
 
     def count(owner, name: str) -> list:
         calls = []
         real = getattr(owner, name)
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(None)
-            return real(*args)
+            return real(*args, **kwargs)
 
         static = isinstance(inspect.getattr_static(owner, name), staticmethod)
         monkeypatch.setattr(owner, name, staticmethod(counting) if static else counting)

@@ -739,6 +739,64 @@ def test_one_message_hash_per_send(real_verifies, monkeypatch, n):
     assert by_op == {"send": {(1, 1)}, "advance_mainchain": {(0, 0)}, "close_epoch": {(0, 2)}, "redeem": {(0, 1)}}
 
 
+@pytest.mark.parametrize("shape,n", [(scale_nft_shape, 20), (ceased_recovery_shape, 6)], ids=["scale-20", "ceased-6"])
+def test_three_hashes_per_sent_payload(monkeypatch, shape, n):
+    """A sent payload is hashed when its instance is issued, at the
+    sending gate's payload check and at the redeem's payload check; the
+    ledger's rules read the gate's checked hash back as the instance's
+    digest instead of hashing its re-encoding."""
+    hashed = []
+    sha256 = hashing._sha256
+
+    def counting(data):
+        hashed.append(bytes(data))
+        return sha256(data)
+
+    monkeypatch.setattr(hashing, "_sha256", counting)
+    runner = Runner(parse_scenario(shape(n)))
+    assert runner.run()["ok"] is True
+    sent = [payload for chain in runner.world.chains.values() for epoch in chain.epochs for _, payload in epoch.messages]
+    assert len(sent) == n
+    assert [hashed.count(payload) for payload in sent] == [3] * n
+
+
+def test_close_path_builds_only_the_message_tree(counted):
+    """Roots that are only compared or signed are computed without a tree:
+    an accepted close builds one tree per chain it closes, its message
+    tree, which later redeems read paths from. Sends and redeems build
+    none, and a block builds its commitment trees."""
+    trees = counted(hashing, "MerkleTree")
+    by_op = {}
+    for op, count in zip(_ops(20), _per_step(Runner(parse_scenario(scale_nft_shape(20))), trees)):
+        by_op.setdefault(op, set()).add(count)
+    # Each close_epoch closes alpha and beta. Each advance_mainchain seals
+    # two blocks: a block with no postings has one (empty) commitment tree,
+    # and one that finalises two certificates adds each chain's empty
+    # transaction tree.
+    assert by_op == {"send": {0}, "advance_mainchain": {2, 4}, "close_epoch": {2}, "redeem": {0}}
+
+
+def test_committed_state_levels_are_built_once_per_ceased_chain(counted):
+    """The committed-state tree of a close is only its root until a
+    withdrawal asks for a path: the first withdrawal from the ceased chain
+    builds its final epoch's tree, and every later one reuses it."""
+    trees = counted(hashing, "MerkleTree")
+    scenario = parse_scenario(ceased_recovery_shape(6))
+    per_op = {}
+    for step, count in zip(scenario.steps, _per_step(Runner(scenario), trees)):
+        per_op.setdefault(step.op, []).append(count)
+    assert per_op.pop("csw") == [1] + [0] * 11
+    # The third close closes beta alone.
+    assert {op: set(counts) for op, counts in per_op.items()} == {
+        "send": {0},
+        "advance_mainchain": {2, 4},
+        "close_epoch": {2, 1},
+        "redeem": {0},
+        "cease_by_silence": {3},
+        "csw_redeem": {0},
+    }
+
+
 @pytest.mark.parametrize("n", [20, 200])
 def test_accountant_resyncs_only_written_keys(monkeypatch, n):
     """After the first step builds the books, each step resyncs the few

@@ -22,6 +22,7 @@ from mitto.hashing import (
     fold_path,
     hash_bytes,
     merkle_path,
+    merkle_root,
     verify_path,
 )
 
@@ -58,6 +59,21 @@ def test_merkle_roots_match_golden(n):
 
 def test_empty_tree_root_is_empty_root():
     assert build_merkle([]).root == EMPTY_ROOT
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_merkle_root_matches_golden(n):
+    expected = GOLDEN["empty_root"] if n == 0 else GOLDEN[f"root_{n}"]
+    assert merkle_root([d(i) for i in range(n)]).hex() == expected
+
+
+def test_merkle_root_is_the_tree_root_for_every_size_to_70():
+    for n in range(71):
+        leaves = [d(i) for i in range(n)]
+        root = merkle_root(leaves)
+        assert root == build_merkle(leaves).root, n
+        assert merkle_root(tuple(leaves)) == root, n
+        assert type(root) is Digest, n
 
 
 def test_single_leaf_has_path_of_length_one():
@@ -133,6 +149,12 @@ def test_path_roundtrip_property(leaves, data):
     idx = data.draw(st.integers(min_value=0, max_value=len(leaves) - 1))
     path = merkle_path(tree, idx)
     assert fold_path(leaves[idx], path) == tree.root
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(bytes32, max_size=16))
+def test_merkle_root_is_the_tree_root_property(leaves):
+    assert merkle_root(leaves) == build_merkle(leaves).root
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ import pytest
 from worlds import ceased_world, committed_world, make_send, two_chain_world
 
 from mitto.encoding import ByteReader, canonical_digest, enc_bytes, enc_u32
-from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path
+from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path, verify_path
 from mitto.keys import KeyPair
 from mitto.messages import Proof, VerificationKey, message_digest
 from mitto.proofs import (
@@ -130,6 +130,13 @@ class TestCommittedState:
         a = CommittedState.from_digests([hash_bytes(b"a"), hash_bytes(b"b")])
         b = CommittedState.from_digests([hash_bytes(b"b"), hash_bytes(b"a")])
         assert a.root == b.root
+
+    def test_root_is_the_root_of_the_tree_its_paths_come_from(self):
+        digests = [hash_bytes(bytes([i])) for i in range(5)]
+        state = CommittedState.from_digests(reversed(digests))
+        assert state.root == build_merkle(sorted(digests)).root
+        for digest in digests:
+            assert verify_path(state.root, digest, state.path_for(digest))
 
 
 def held_withdrawal(world):

@@ -473,7 +473,7 @@ class TestLedgerAsHandler:
         w = two_chain_world()
         alpha, beta = w.chains["alpha"], w.chains["beta"]
         payload = b"\xff\xfe"
-        assert alpha.handlers[MSG_TYPE_TOKEN_TRANSFER].parse(payload) is None
+        assert alpha.handlers[MSG_TYPE_TOKEN_TRANSFER].parse(payload, hash_bytes(payload)) is None
         message = CscpMessage(
             sending_sc_id=alpha.sc_id,
             receiving_sc_id=beta.sc_id,
