@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import vectors
+from .encoding import U64_MAX
 from .fuzz import run_fuzz
 from .harness import HarnessError, Runner, dump_state, render_report
 from .scenario import ParseError, load_scenario
@@ -26,13 +27,22 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
+def u64(text: str) -> int:
+    """A scenario seed from the command line, under the bound the scenario
+    parser puts on a file's ``seed``."""
+    value = int(text)
+    if not 0 <= value <= U64_MAX:
+        raise argparse.ArgumentTypeError(f"must fit in 64 bits (0 to 2^64-1), got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mitto", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute a scenario file, or every *.json scenario in a directory")
     run.add_argument("scenario", help="path to a scenario JSON file or a directory of them")
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--seed", type=u64, default=None,
                      help="override the scenario's seed")
     run.add_argument("--dump", metavar="DIR", default=None,
                      help="write the final world state dump into DIR")

@@ -83,6 +83,7 @@ class World:
         self.states: dict[str, MittoState] = {}
         self.accountant = Accountant()
         self._actors: dict[str, KeyPair] = {}
+        self._forger: KeyPair | None = None
         #: The name of each actor key handed out so far.
         self.actor_names: dict[PubKey, str] = {}
         self._label_by_sc_id: dict[int, str] = {}
@@ -109,7 +110,9 @@ class World:
 
     def forger(self) -> KeyPair:
         """A key no scenario actor holds: tampered steps sign with it."""
-        return KeyPair.from_label("forger", self.scenario.seed, "forger")
+        if self._forger is None:
+            self._forger = KeyPair.from_label("forger", self.scenario.seed, "forger")
+        return self._forger
 
     def actor_for_key(self, public: PubKey) -> KeyPair:
         name = self.actor_names.get(public)

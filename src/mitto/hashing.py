@@ -269,3 +269,8 @@ def build_stc(entries: dict[int, ScBlockEntries]) -> StcTree:
         leaves.append(wcert if wcert is not None else EMPTY_ROOT)
         leaves.append(txs_tree.root)
     return StcTree(tree=build_merkle(leaves), txs_trees=txs_trees)
+
+
+#: The commitment of a block that commits nothing: root EMPTY_ROOT and no
+#: sidechain subtrees. Every such block shares it; nothing writes to it.
+EMPTY_STC = build_stc({})

@@ -5,6 +5,13 @@ one key type serves actor identities, receiver addresses, and the per-
 sidechain proving keys alike. Keys derive from 32-byte seeds, which keeps
 whole simulations reproducible from a single scenario seed.
 
+A ``KeyPair`` derives its private key object once, when it is made, and
+keeps it: the key lives exactly as long as the pair. ``harness.World``
+holds its actors' pairs and its forger, and each ``Sidechain`` its two
+proving keys, so a world's keys die with the world. No cache outlives a
+world: each world has its own scenario seed, so no later world asks for
+the same keys.
+
 The verify memo keeps the result of each pure check made through a
 ``remembered`` verifier, under the exact arguments it was given.
 ``verify_sig`` is one: a signature is checked several times along a
@@ -19,7 +26,7 @@ itself at ``VERIFY_MEMO_MAX`` entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, wraps
+from functools import wraps
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -43,24 +50,18 @@ class PubKey(bytes):
 Signature = bytes
 
 
-@lru_cache(maxsize=4096)
-def _private_from_seed(seed: bytes) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(seed)
-
-
 @dataclass(frozen=True)
 class KeyPair:
     seed: bytes
     public: PubKey = field(init=False)
+    _private: Ed25519PrivateKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.seed) != 32:
             raise ValueError("key seed must be 32 bytes")
-        raw = (
-            _private_from_seed(self.seed)
-            .public_key()
-            .public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-        )
+        private = Ed25519PrivateKey.from_private_bytes(self.seed)
+        raw = private.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+        object.__setattr__(self, "_private", private)
         object.__setattr__(self, "public", PubKey(raw))
 
     @classmethod
@@ -70,7 +71,7 @@ class KeyPair:
         return cls(seed=bytes(material))
 
     def sign(self, digest: Digest) -> Signature:
-        return _private_from_seed(self.seed).sign(bytes(digest))
+        return self._private.sign(bytes(digest))
 
 
 #: Entries at which the verify memo starts over.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import encoding as enc
 from . import verdict as v
 from .encoding import U32, canonical_digest, nested, wire
-from .hashing import Digest, EMPTY_ROOT, ScBlockEntries, StcTree, build_stc
+from .hashing import Digest, EMPTY_ROOT, EMPTY_STC, ScBlockEntries, StcTree, build_stc
 from .journal import JournalList, JournalSet
 from .messages import (
     BlockHeader,
@@ -224,7 +224,7 @@ class Mainchain:
             )
             for sc_id in set(cert_lists) | set(tx_lists)
         }
-        stc = build_stc(entries)
+        stc = build_stc(entries) if entries else EMPTY_STC
         header = BlockHeader(height=height, parent_hash=self.tip.hash, stc_root=stc.root)
         block = Block(header=header, included=tuple(included))
         self._blocks.append(block)

@@ -403,7 +403,7 @@ def parse_scenario(obj, source: str = "<memory>") -> Scenario:
         raise ParseError(f"{source}: top level must be an object")
     name = _need(obj, "name", str, source)
     seed = _need(obj, "seed", int, source)
-    if not 0 <= seed < 2**64:
+    if not 0 <= seed <= U64_MAX:
         raise ParseError(f"{source}: field 'seed' must fit in 64 bits")
     raw_chains = _need(obj, "chains", list, source)
     if not raw_chains:

@@ -208,6 +208,15 @@ class Holdings(JournalDict):
                 key = (instance.token_name, instance.token_id)
                 self.by_id[key] = self.by_id.get(key, ()) + (digest,)
 
+    def copy(self) -> "Holdings":
+        """The same entries in a new container, its indexes copied from this
+        one's rather than derived again from every instance."""
+        twin = Holdings.__new__(Holdings)
+        JournalDict.__init__(twin, self)
+        twin.by_id = dict(self.by_id)
+        twin.by_owner = {key: set(digests) for key, digests in self.by_owner.items()}
+        return twin
+
     def owned(self, owner: PubKey, name: str, token_id: int | None = None) -> list[tuple[int, Digest, TokenInstance]]:
         """``(amount, digest, instance)`` of each instance of ``name`` (only
         id ``token_id`` when given) that ``owner`` holds, ordered by
@@ -510,7 +519,7 @@ class MittoState:
             sc_id=self.sc_id,
             registry=self.registry,
             variant=self.variant,
-            s_tks=Holdings(self.s_tks),
+            s_tks=self.s_tks.copy(),
             s_sent=JournalDict(self.s_sent),
             issued_totals=JournalDict(self.issued_totals),
             issued_token_ids=JournalSet(self.issued_token_ids),

@@ -260,6 +260,18 @@ def test_fuzz_count_must_be_positive(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_seed_beyond_u64_exit_two(capsys, seed):
+    """``--seed`` takes the bound the parser puts on a file's seed; a seed
+    outside it is a usage error, not a crash in key derivation."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", GOLDEN, "--seed", seed])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mitto run")
+    assert "--seed: must fit in 64 bits" in err
+
+
 def test_run_directory_runs_every_scenario(capsys):
     assert main(["run", str(SCENARIO_DIR)]) == 0
     lines = capsys.readouterr().out.splitlines()

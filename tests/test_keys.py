@@ -8,7 +8,7 @@ from worlds import ceased_world
 
 from mitto import keys
 from mitto.encoding import canonical_digest
-from mitto.harness import World
+from mitto.harness import Runner, World
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair, PubKey, verify_sig
 from mitto.proofs import CswBundle, SchemeMismatch, make_csw_input, verify_csw
@@ -70,6 +70,62 @@ def test_garbage_signature_is_false_not_exception():
     kp = KeyPair.from_label("actor", 0, "carol")
     assert not verify_sig(kp.public, hash_bytes(b"x"), b"short")
     assert not verify_sig(kp.public, hash_bytes(b"x"), b"\x00" * 64)
+
+
+# -- key lifetime --------------------------------------------------------------
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """The seeds of the Ed25519 private keys derived through ``mitto.keys``."""
+    derived = []
+    real = keys.Ed25519PrivateKey
+
+    class Counting:
+        @staticmethod
+        def from_private_bytes(data):
+            derived.append(bytes(data))
+            return real.from_private_bytes(data)
+
+    monkeypatch.setattr(keys, "Ed25519PrivateKey", Counting)
+    return derived
+
+
+def _two_chain_scenario(steps=()):
+    wbt = {"name": "WBT", "fungible": True, "amount": 100, "owner": "alice"}
+    chains = [{"label": "alpha", "epoch_length": 2, "issuances": [wbt]}, {"label": "beta", "epoch_length": 2}]
+    return parse_scenario({"name": "keys", "seed": 9, "chains": chains, "steps": list(steps)})
+
+
+def test_each_world_derives_its_own_keys(derivations):
+    """Keys belong to the world that made them: a second world of the same
+    scenario derives the same keys again rather than finding the first
+    world's."""
+    scenario = _two_chain_scenario()
+    first = World(scenario)
+    made_by_first = list(derivations)
+    second = World(scenario)
+    assert made_by_first  # two proving keys per chain and the issuer
+    assert derivations[len(made_by_first):] == made_by_first
+    assert [c.wcert_signer.public for c in first.chains.values()] == [c.wcert_signer.public for c in second.chains.values()]
+
+
+def test_a_world_derives_its_forger_once(derivations):
+    send = {"op": "send", "from": "alpha", "to": "beta", "name": "WBT", "amount": 10, "owner": "alice",
+            "receiver": "bob", "tamper": "wrong_signer", "expect": {"accepted": False}}
+    scenario = _two_chain_scenario([send, send, send])
+    forger_seed = KeyPair.from_label("forger", scenario.seed, "forger").seed
+    del derivations[:]
+    assert Runner(scenario).run()["ok"] is True
+    assert derivations.count(forger_seed) == 1
+
+
+def test_signing_derives_nothing(derivations):
+    kp = KeyPair.from_label("actor", 0, "carol")
+    assert derivations == [kp.seed]
+    for i in range(3):
+        assert verify_sig(kp.public, hash_bytes(bytes([i])), kp.sign(hash_bytes(bytes([i]))))
+    assert derivations == [kp.seed]
 
 
 # -- the verify memo -----------------------------------------------------------

@@ -90,8 +90,11 @@ class TestChain:
 
     def test_stc_root_recomputable_from_included_entries(self):
         # An external verifier regroups the block's entries and re-derives
-        # the commitment root with no access to simulator internals.
+        # the commitment root with no access to simulator internals. The
+        # chain answers for every block's commitment tree, a block that
+        # commits nothing included.
         w = committed_world()
+        empty_blocks = 0
         for height in range(1, w.mc.tip_height + 1):
             block = w.mc.get_block(height)
             certs: dict[int, list] = {}
@@ -105,6 +108,11 @@ class TestChain:
                 for sc_id in set(certs) | set(txs)
             }
             assert build_stc(entries).tree.root == block.stc_root
+            stc = w.mc.stc_tree(block.hash)
+            assert stc.root == block.stc_root
+            assert sorted(stc.txs_trees) == sorted(entries)
+            empty_blocks += not entries
+        assert empty_blocks > 0
 
 
 class TestCertificateWindows:
