@@ -59,10 +59,6 @@ class ChainInfo:
     byzantine: bool = False
     variant: str = VARIANT_STANDARD
 
-    @property
-    def honest(self) -> bool:
-        return not self.byzantine and self.variant == VARIANT_STANDARD
-
 
 @dataclass
 class IssueInfo:
@@ -79,7 +75,6 @@ class Accountant:
     returned_units: dict[tuple[str, int], int] = field(default_factory=dict)
     csw_credit: dict[tuple[int, str], int] = field(default_factory=dict)
     accepted_redeems: dict[str, set[Digest]] = field(default_factory=dict)
-    accepted_csw_redeems: dict[str, set[Digest]] = field(default_factory=dict)
     _books: dict[str, "_Book"] = field(default_factory=dict, repr=False)
     _holders: "_Holders" = field(default_factory=lambda: _Holders(), repr=False)
 
@@ -88,7 +83,6 @@ class Accountant:
     def register_chain(self, label: str, sc_id: int, byzantine: bool, variant: str) -> None:
         self.chains[label] = ChainInfo(sc_id=sc_id, byzantine=byzantine, variant=variant)
         self.accepted_redeems[label] = set()
-        self.accepted_csw_redeems[label] = set()
 
     def note_issue(self, label: str, instance: TokenInstance) -> None:
         info = self.issues.setdefault(
@@ -133,9 +127,8 @@ class Accountant:
         if not accepted:
             return violations
         digest = message_digest(message)
-        if digest in self.accepted_csw_redeems[label] or digest in self.accepted_redeems[label]:
+        if digest in self.accepted_redeems[label]:
             violations.append(f"{REPLAY}: chain {label} accepted withdrawn message {digest.hex()} twice")
-        self.accepted_csw_redeems[label].add(digest)
         self.accepted_redeems[label].add(digest)
         if self._tracked(instance.token_name):
             issuer_sc = self.chains[self.issues[instance.token_name].issuer_label].sc_id

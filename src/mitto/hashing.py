@@ -100,10 +100,6 @@ class MerkleTree:
     levels: tuple[tuple[Digest, ...], ...]
     root: Digest
 
-    @property
-    def height(self) -> int:
-        return len(self.levels) - 1 if self.levels else 0
-
     def index_of(self, leaf: Digest) -> int | None:
         """Where ``leaf`` first occurs in ``leaves``, or None."""
         return self._positions.get(leaf)

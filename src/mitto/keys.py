@@ -91,8 +91,7 @@ def forget_verified() -> None:
 
 def remembered(verify):
     """``verify`` with its results kept in the verify memo. Only for a pure
-    check, whose result depends on its (hashable) arguments alone; an
-    exception it raises is raised again on each call, never kept."""
+    check, whose result depends on its (hashable) arguments alone."""
 
     @wraps(verify)
     def check(*args) -> bool:

@@ -31,13 +31,7 @@ from .messages import (
     VerificationKey,
     WithdrawalCertificate,
 )
-from .proofs import (
-    SchemeMismatch,
-    make_csw_input,
-    make_wcert_input,
-    verify_csw,
-    verify_wcert,
-)
+from .proofs import make_csw_input, make_wcert_input, verify_csw, verify_wcert
 from .verdict import Verdict
 
 GENESIS_PARENT = Digest(bytes(32))
@@ -269,11 +263,7 @@ class Mainchain:
             last_block_hash=last_epoch_block.hash,
             proofdata=cert.proofdata,
         )
-        try:
-            valid = verify_wcert(record.registration.wcert_vk, public_input, cert.proof)
-        except SchemeMismatch:
-            valid = False
-        if not valid:
+        if not verify_wcert(record.registration.wcert_vk, public_input, cert.proof):
             return Verdict.rejected(v.PROOF_INVALID)
         if record.pending_cert is not None and cert.quality <= record.pending_cert.quality:
             return Verdict.rejected(v.LOWER_QUALITY)
@@ -297,11 +287,7 @@ class Mainchain:
             amount=csw.amount,
             proofdata=csw.proofdata,
         )
-        try:
-            valid = verify_csw(record.registration.csw_vk, public_input, csw.proof)
-        except SchemeMismatch:
-            valid = False
-        if not valid:
+        if not verify_csw(record.registration.csw_vk, public_input, csw.proof):
             return Verdict.rejected(v.PROOF_INVALID)
         record.used_nullifiers.add(csw.nullifier)
         self._pending_csws.append((csw.ledger_id, csw))

@@ -5,15 +5,16 @@ Stand-in for succinct proofs: a Proof body is a serialized witness bundle
 signature over the digest of the public input, made with the sidechain key
 whose public half was registered as the verification key. Each bundle
 format is a wire type declared here (``WcertBundle``; ``CswBundle`` with
-its ``StateAnchor`` and ``ReturnEvidence``): the provers encode one, and the
-verifiers decode it strictly, refold every path, recompute every root named
-by the public input, and check the signature; a body that does not decode
-is a False. Verifier entry points see exactly (vk, public_input, proof) and
-nothing else, so a swapped-in scheme with the same signatures drops in
-unchanged. That also makes them pure: ``verify_csw`` keeps its results in
-the verify memo (``keys.remembered``). ``verify_wcert`` is not remembered,
-as no certificate is verified twice, and neither is ``verify_redeem``,
-which reads the settlement chain's state.
+its ``StateAnchor`` and ``ReturnEvidence``, which carries its holder's
+``StateAnchor``): the provers encode one, and the verifiers decode it
+strictly, refold every path, recompute every root named by the public
+input, and check the signature. A proof whose scheme is not its key's, or
+whose body does not decode, is a False. Verifier entry points see exactly
+(vk, public_input, proof) and nothing else, so a swapped-in scheme with the
+same signatures drops in unchanged. That also makes them pure:
+``verify_csw`` keeps its results in the verify memo (``keys.remembered``).
+``verify_wcert`` is not remembered, as no certificate is verified twice,
+and neither is ``verify_redeem``, which reads the settlement chain's state.
 
 Ceased-sidechain claims anchor through the last finalized certificate: the
 claimed entity folds into the committed-state root the certificate carries
@@ -58,10 +59,6 @@ from .messages import (
     WithdrawalCertificate,
     message_digest,
 )
-
-
-class SchemeMismatch(Exception):
-    """Proof and verification key disagree on the proof scheme."""
 
 
 class InconsistentWitness(Exception):
@@ -224,10 +221,11 @@ def prove_wcert(
 
 
 def verify_wcert(vk: VerificationKey, public_input: WcertPublicInput, proof: Proof) -> bool:
-    """True iff the bundle reproduces the input's roots and the signature
-    over the input digest verifies under the registered key."""
+    """True iff proof and key name the same scheme, the bundle reproduces
+    the input's roots, and the signature over the input digest verifies
+    under the registered key."""
     if proof.scheme_id != vk.scheme_id:
-        raise SchemeMismatch(f"proof scheme {proof.scheme_id} vs vk scheme {vk.scheme_id}")
+        return False
     try:
         bundle = WcertBundle.decode(proof.body)
         key = PubKey(vk.params)
@@ -282,9 +280,9 @@ class CommittedState:
 )
 @dataclass(frozen=True)
 class StateAnchor:
-    """Chains a committed-state root to a mainchain block hash: the final
-    certificate carries the root at proofdata[1], its digest is a leaf of the
-    block's sidechain commitment, and the header reproduces the block hash."""
+    """Chains a finalized certificate, and the roots it carries, to a
+    mainchain block hash: its digest is a leaf of the block's sidechain
+    commitment, and the header reproduces the block hash."""
 
     cert: WithdrawalCertificate
     stc_path: MerklePath
@@ -295,21 +293,18 @@ class StateAnchor:
     None,
     ("return_message", nested("CscpMessage")),
     ("msg_path", nested("MerklePath")),
-    ("holder_cert", sized("WithdrawalCertificate")),
-    ("holder_stc_path", nested("MerklePath")),
-    ("holder_header", nested("BlockHeader")),
+    ("holder", nested("StateAnchor")),
     ("returned_instance_bytes", BYTES),
 )
 @dataclass(frozen=True)
 class ReturnEvidence:
     """Evidence for a sent-record claim: the counterparty's return message,
-    committed in its certificate, wrapping an instance this chain issued."""
+    committed in the certificate its holder anchor carries, wrapping an
+    instance this chain issued."""
 
     return_message: CscpMessage
     msg_path: MerklePath
-    holder_cert: WithdrawalCertificate
-    holder_stc_path: MerklePath
-    holder_header: BlockHeader
+    holder: StateAnchor
     returned_instance_bytes: bytes
 
 
@@ -364,7 +359,7 @@ def claim_proofdata(claim: CswClaim) -> tuple[Digest, ...]:
             raise InconsistentWitness("sent-record claim needs an embedded message and return evidence")
         return (
             message_digest(claim.message),
-            canonical_digest(claim.return_evidence.holder_header),
+            canonical_digest(claim.return_evidence.holder.header),
         )
     if claim.message is not None:
         return (message_digest(claim.message),)
@@ -418,7 +413,7 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
     settlement chain's check of a proof its prover verified is a lookup.
     """
     if proof.scheme_id != vk.scheme_id:
-        raise SchemeMismatch(f"proof scheme {proof.scheme_id} vs vk scheme {vk.scheme_id}")
+        return False
     try:
         bundle = CswBundle.decode(proof.body)
         key = PubKey(vk.params)
@@ -450,11 +445,7 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
     cert = anchor.cert
     if len(cert.proofdata) < 2 or cert.proofdata[1] != bundle.state_root:
         return False
-    if cert.ledger_id != sc_id:
-        return False
-    if not verify_path(anchor.header.stc_root, canonical_digest(cert), anchor.stc_path):
-        return False
-    if canonical_digest(anchor.header) != public_input.last_cert_block_hash:
+    if not _anchored(anchor, sc_id, public_input.last_cert_block_hash):
         return False
 
     evidence = bundle.return_evidence
@@ -479,14 +470,11 @@ def _check_return_evidence(
     from .tokens import SentRecord, TokenInstance
 
     ev_message = evidence.return_message
-    holder_cert = evidence.holder_cert
     returned_bytes = evidence.returned_instance_bytes
     try:
         record = SentRecord.decode(record_bytes)
         instance = TokenInstance.decode(returned_bytes)
     except (DecodeError, ValueError):
-        return False
-    if canonical_digest(evidence.holder_header) != holder_block_hash:
         return False
     # The return leg targets this chain, comes from the recorded counterparty,
     # and is committed through the counterparty's certificate.
@@ -494,13 +482,9 @@ def _check_return_evidence(
         return False
     if ev_message.sending_sc_id != record.receiver_sc_id:
         return False
-    if not holder_cert.proofdata:
+    if not _commits(evidence.holder.cert, ev_message, evidence.msg_path):
         return False
-    if not verify_path(holder_cert.proofdata[0], message_digest(ev_message), evidence.msg_path):
-        return False
-    if holder_cert.ledger_id != ev_message.sending_sc_id:
-        return False
-    if not verify_path(evidence.holder_header.stc_root, canonical_digest(holder_cert), evidence.holder_stc_path):
+    if not _anchored(evidence.holder, ev_message.sending_sc_id, holder_block_hash):
         return False
     # The returned instance is one this chain issued, covered by the record,
     # and the embedded onward message wraps exactly those bytes.
@@ -521,6 +505,56 @@ def _check_return_evidence(
         if instance.token_id != record.token_id:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# The two facts behind message evidence, each built and checked once here:
+# certificate C of chain S is finalized in block B (anchor_of, _anchored),
+# and message M is a leaf of the epoch tree C commits (message_path, _commits).
+# ---------------------------------------------------------------------------
+
+def anchor_of(mainchain: MainchainView, sc_id: int, epoch_id: int) -> StateAnchor:
+    """Chain ``sc_id``'s finalized certificate for ``epoch_id``, its path in
+    its block's commitment, and that block's header; CertificateNotConfirmed
+    when none is finalized."""
+    confirmed = mainchain.finalized_cert(sc_id, epoch_id)
+    if confirmed is None:
+        raise CertificateNotConfirmed(f"no finalized certificate for sidechain {sc_id} epoch {epoch_id}")
+    cert, block_hash = confirmed
+    return StateAnchor(
+        cert=cert,
+        stc_path=mainchain.stc_tree(block_hash).cert_path(sc_id),
+        header=mainchain.block_by_hash(block_hash).header,
+    )
+
+
+def message_path(tree: MerkleTree, message: CscpMessage, cert: WithdrawalCertificate) -> MerklePath:
+    """The path of ``message`` in ``tree``, the epoch tree ``cert`` commits;
+    MessageNotCommitted when it is not a leaf, CertificateNotConfirmed when
+    ``cert`` commits another tree."""
+    md = message_digest(message)
+    index = tree.index_of(md)
+    if index is None:
+        raise MessageNotCommitted(f"message {md.hex()} not in epoch {cert.epoch_id} tree")
+    if cert.proofdata[0] != tree.root:
+        raise CertificateNotConfirmed("finalized certificate commits a different epoch tree")
+    return merkle_path(tree, index)
+
+
+def _anchored(anchor: StateAnchor, ledger_id: int, block_hash: Digest) -> bool:
+    """True iff ``anchor.cert`` is chain ``ledger_id``'s certificate and is
+    committed in the block whose hash is ``block_hash``."""
+    return (
+        anchor.cert.ledger_id == ledger_id
+        and verify_path(anchor.header.stc_root, canonical_digest(anchor.cert), anchor.stc_path)
+        and canonical_digest(anchor.header) == block_hash
+    )
+
+
+def _commits(cert: WithdrawalCertificate, message: CscpMessage, path: MerklePath) -> bool:
+    """True iff ``path`` folds ``message`` into the epoch tree root that
+    ``cert`` carries at proofdata[0]."""
+    return bool(cert.proofdata) and verify_path(cert.proofdata[0], message_digest(message), path)
 
 
 # ---------------------------------------------------------------------------
@@ -582,26 +616,13 @@ def build_redeem_proof(
 ) -> RedeemProof:
     """Assemble certificate-sourced redeem evidence from the sender's
     archived epoch tree and the mainchain's finalized certificate index."""
-    md = message_digest(message)
-    index = message_tree.index_of(md)
-    if index is None:
-        raise MessageNotCommitted(f"message {md.hex()} not in epoch {epoch_id} tree")
-    confirmed = mainchain.finalized_cert(sender_sc_id, epoch_id)
-    if confirmed is None:
-        raise CertificateNotConfirmed(f"no finalized certificate for sidechain {sender_sc_id} epoch {epoch_id}")
-    cert, block_hash = confirmed
-    if cert.proofdata[0] != message_tree.root:
-        raise CertificateNotConfirmed("finalized certificate commits a different epoch tree")
-    stc = mainchain.stc_tree(block_hash)
+    anchor = anchor_of(mainchain, sender_sc_id, epoch_id)
     return RedeemProof(
         source_kind=SourceKind.CERTIFICATE,
-        msg_path=merkle_path(message_tree, index),
+        msg_path=message_path(message_tree, message, anchor.cert),
         msg_tree_root=message_tree.root,
-        commitment_path=CommitmentChain(
-            posting_digest=canonical_digest(cert),
-            segments=(stc.cert_path(sender_sc_id),),
-        ),
-        block_hash=block_hash,
+        commitment_path=CommitmentChain(posting_digest=canonical_digest(anchor.cert), segments=(anchor.stc_path,)),
+        block_hash=canonical_digest(anchor.header),
     )
 
 
@@ -655,15 +676,12 @@ def verify_redeem(
     if posting is None or canonical_digest(posting) != proof.commitment_path.posting_digest:
         return False
 
-    md = message_digest(message)
     if proof.source_kind is SourceKind.CERTIFICATE:
         if not isinstance(posting, WithdrawalCertificate):
             return False
         if len(proof.commitment_path.segments) != 1:
             return False
-        if not verify_path(proof.msg_tree_root, md, proof.msg_path):
-            return False
-        if not posting.proofdata or posting.proofdata[0] != proof.msg_tree_root:
+        if not _commits(posting, message, proof.msg_path) or posting.proofdata[0] != proof.msg_tree_root:
             return False
         if posting.ledger_id != message.sending_sc_id:
             return False
@@ -674,6 +692,7 @@ def verify_redeem(
             return False
         if proof.msg_path.siblings or proof.msg_path.leaf_index != 0:
             return False
+        md = message_digest(message)
         if proof.msg_tree_root != md:
             return False
         if not posting.proofdata or posting.proofdata[0] != md:

@@ -49,7 +49,7 @@ from .proofs import (
     EntityNotInState,
     ReturnEvidence,
     SourceKind,
-    StateAnchor,
+    anchor_of,
     claim_proofdata,
     csw_nullifier,
     make_csw_input,
@@ -308,38 +308,28 @@ class Sidechain:
             raise EntityNotInState("no epoch was ever finalized for this sidechain")
         return self.epochs[record.last_epoch]
 
-    def state_anchor(self) -> StateAnchor:
-        record = self.mainchain.record(self.sc_id)
-        confirmed = self.mainchain.finalized_cert(self.sc_id, record.last_epoch)
-        cert, block_hash = confirmed
-        stc = self.mainchain.stc_tree(block_hash)
-        header = self.mainchain.get_block(block_hash).header
-        return StateAnchor(cert=cert, stc_path=stc.cert_path(self.sc_id), header=header)
-
     def build_message_withdrawal(
         self,
         entity_bytes: bytes,
-        message: CscpMessage | None,
+        message: CscpMessage,
         receiver: PubKey,
-        amount: int = 0,
         claim_kind: ClaimKind = ClaimKind.PAYLOAD_ENTITY,
         return_evidence: ReturnEvidence | None = None,
     ) -> CeasedSidechainWithdrawal:
         """Withdrawal evidence for an entity of the final committed state,
-        optionally carrying a message redeemable on its receiving chain.
+        carrying a message redeemable on its receiving chain; the withdrawal
+        itself moves amount zero.
 
         Statement checks beyond the bundle's own folding (claimed entity in
         state, message commits to entity) are raised by the prover; the
         settlement chain independently re-verifies on submission.
         """
-        if message is not None and amount != 0:
-            raise ValueError("a message-carrying withdrawal must have amount zero")
         closed = self.finalized_epoch()
         claim = CswClaim(
             kind=claim_kind,
             entity_bytes=entity_bytes,
             committed=closed.committed,
-            anchor=self.state_anchor(),
+            anchor=anchor_of(self.mainchain, self.sc_id, closed.epoch_id),
             message=message,
             return_evidence=return_evidence,
         )
@@ -349,27 +339,18 @@ class Sidechain:
             last_cert_block_hash=self.mainchain.csw_anchor_hash(self.sc_id),
             nullifier=nullifier,
             receiver=receiver,
-            amount=amount,
+            amount=0,
             proofdata=proofdata,
         )
         proof = prove_csw(self.csw_signer, self.sc_id, public_input, claim)
         return CeasedSidechainWithdrawal(
             ledger_id=self.sc_id,
             receiver=receiver,
-            amount=amount,
+            amount=0,
             nullifier=nullifier,
             proofdata=proofdata,
             proof=proof,
         )
-
-    def archived_message_evidence(self, epoch_id: int, message: CscpMessage) -> tuple[MerkleTree, int]:
-        """Locate a message in an archived epoch tree, for evidence building."""
-        tree = self.epochs[epoch_id].tree
-        digest = message_digest(message)
-        index = tree.index_of(digest)
-        if index is None:
-            raise EntityNotInState(f"message {digest.hex()} not in epoch {epoch_id}")
-        return tree, index
 
     # -- inspection -----------------------------------------------------------------
 

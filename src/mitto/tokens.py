@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from . import encoding as enc
 from .encoding import DIGEST, PUBKEY, STR, U32, UNITS, DecodeError, canonical_digest, to_json, wire
-from .hashing import Digest, hash_bytes, merkle_path
+from .hashing import Digest, hash_bytes
 from .journal import JournalDict, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
 from .messages import (
@@ -32,13 +32,14 @@ from .messages import (
     redeem_auth_digest,
 )
 from .proofs import (
-    CertificateNotConfirmed,
     ClaimKind,
     EntityNotInState,
     EvidenceUnavailable,
     ReturnEvidence,
+    anchor_of,
     build_csw_redeem_proof,
     build_redeem_proof,
+    message_path,
 )
 
 VARIANT_STANDARD = "standard"
@@ -154,9 +155,6 @@ class TokenNameRegistry:
                 f"token name {name!r} is already registered as "
                 f"fungibility={existing[0]} issuer={existing[1]}"
             )
-
-    def names(self) -> list[str]:
-        return sorted(self._names)
 
     def dump(self) -> dict:
         return {
@@ -651,7 +649,6 @@ def withdraw_native_sent(
     consumes the issuer's whole sent record for those tokens and forwards
     the returned instance to the target chain.
     """
-    mainchain = ceased.mainchain
     instance = TokenInstance.decode(return_payload)
     if instance.owner != owner.public:
         raise NotOwner(f"returned instance belongs to {instance.owner.hex()}")
@@ -665,19 +662,11 @@ def withdraw_native_sent(
     if instance.fungibility and instance.amount > record.amount:
         raise AmountExceedsSent(f"claimed {instance.amount}, sent record covers {record.amount}")
 
-    confirmed = mainchain.finalized_cert(holder.sc_id, holder_epoch_id)
-    if confirmed is None:
-        raise CertificateNotConfirmed(f"holder epoch {holder_epoch_id} is not finalized")
-    holder_cert, holder_block_hash = confirmed
-    tree, index = holder.archived_message_evidence(holder_epoch_id, return_message)
-    if holder_cert.proofdata[0] != tree.root:
-        raise CertificateNotConfirmed("finalized holder certificate commits a different epoch tree")
+    anchor = anchor_of(ceased.mainchain, holder.sc_id, holder_epoch_id)
     evidence = ReturnEvidence(
         return_message=return_message,
-        msg_path=merkle_path(tree, index),
-        holder_cert=holder_cert,
-        holder_stc_path=mainchain.stc_tree(holder_block_hash).cert_path(holder.sc_id),
-        holder_header=mainchain.get_block(holder_block_hash).header,
+        msg_path=message_path(holder.epochs[holder_epoch_id].tree, return_message, anchor.cert),
+        holder=anchor,
         returned_instance_bytes=return_payload,
     )
     return _withdraw_instance(

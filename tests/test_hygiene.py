@@ -1,5 +1,5 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-loads every module.
+"""Source hygiene: no module imports a name it never uses, the package
+loads every module, and every function the benchmark traces exists.
 
 No linter ships with the project, so this walks the syntax tree of every
 package and test module instead. A top-level import counts as used when
@@ -7,6 +7,8 @@ its bound name appears anywhere in the module as a name, or is listed in
 ``__all__``; ``from __future__`` imports are exempt.
 """
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -64,3 +66,22 @@ def test_import_mitto_loads_every_module_but_the_cli():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == str(expected)
+
+
+def test_every_traced_target_resolves():
+    """Each (module, path) that perfbench's tracer wraps names a function or
+    method of the loaded package, defined where the tracer looks for it: a
+    method on its own class. The tracer is read from its file, unedited."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, path, _ in tracer.TARGETS:
+        *owners, attr = path.split(".")
+        owner = importlib.import_module(f"mitto.{module_name}")
+        for name in owners:
+            owner = getattr(owner, name, None)
+        if owner is None or attr not in vars(owner) or not callable(getattr(owner, attr)):
+            missing.append(f"mitto.{module_name}.{path}")
+    assert len(tracer.TARGETS) > 0
+    assert missing == []

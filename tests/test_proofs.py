@@ -18,6 +18,7 @@ from mitto.messages import Proof, VerificationKey, message_digest
 from mitto.proofs import (
     CertificateNotConfirmed,
     ClaimKind,
+    CommitmentChain,
     CommittedState,
     CswBundle,
     CswClaim,
@@ -28,9 +29,9 @@ from mitto.proofs import (
     MessageMismatch,
     MessageNotCommitted,
     RedeemProof,
-    SchemeMismatch,
     SourceKind,
     WcertPublicInput,
+    anchor_of,
     build_csw_redeem_proof,
     build_redeem_proof,
     claim_proofdata,
@@ -106,12 +107,11 @@ class TestWcertScheme:
         other = sim_merkle_vk(KeyPair.from_label("wcert", 0, "other").public)
         assert not verify_wcert(other, pub, proof)
 
-    def test_scheme_mismatch_raises(self):
+    def test_scheme_mismatch_verifies_false(self):
         pub, proof = self.make()
-        with pytest.raises(SchemeMismatch):
-            verify_wcert(VK, pub, replace(proof, scheme_id=2))
-        with pytest.raises(SchemeMismatch):
-            verify_wcert(VerificationKey(scheme_id=2, params=VK.params), pub, proof)
+        for _ in range(2):
+            assert verify_wcert(VK, pub, replace(proof, scheme_id=2)) is False
+            assert verify_wcert(VerificationKey(scheme_id=2, params=VK.params), pub, proof) is False
 
     def test_garbage_and_truncated_bodies_return_false(self):
         pub, proof = self.make()
@@ -143,6 +143,23 @@ def held_withdrawal(world):
     alpha = world.chains["alpha"]
     return alpha, withdraw_native_held(
         alpha, world.alice, canonical_digest(world.kept), world.chains["beta"].sc_id, world.bob.public
+    )
+
+
+def resigned(chain, csw, **changes) -> tuple:
+    """(public input, proof) for ``csw``'s bundle with ``changes`` applied:
+    the input is recomputed to name the new anchor's block and proofdata,
+    and signed again with ``chain``'s withdrawal key."""
+    bundle = replace(CswBundle.decode(csw.proof.body), **changes)
+    pub = make_csw_input(canonical_digest(bundle.anchor.header), csw.nullifier, csw.receiver, 0, bundle.proofdata)
+    bundle = replace(bundle, signature=chain.csw_signer.sign(canonical_digest(pub)))
+    return pub, Proof(scheme_id=csw.proof.scheme_id, body=bundle.encode())
+
+
+def sent_withdrawal(world, holder_epoch_id=1):
+    return withdraw_native_sent(
+        world.chains["alpha"], world.chains["gamma"], world.return_message, world.return_tx.payload,
+        holder_epoch_id, world.bob, world.chains["beta"].sc_id, world.bob.public,
     )
 
 
@@ -179,10 +196,7 @@ class TestCswScheme:
     def test_sent_record_proof_verifies_and_binds_evidence(self):
         w = ceased_world()
         alpha = w.chains["alpha"]
-        pkg = withdraw_native_sent(
-            alpha, w.chains["gamma"], w.return_message, w.return_tx.payload, 1, w.bob,
-            w.chains["beta"].sc_id, w.bob.public,
-        )
+        pkg = sent_withdrawal(w)
         vk = w.mc.record(alpha.sc_id).registration.csw_vk
         pub = make_csw_input(
             w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
@@ -192,6 +206,41 @@ class TestCswScheme:
         assert len(pkg.csw.proofdata) == 2
         assert pkg.csw.proofdata[0] == message_digest(pkg.message)
         assert not verify_csw(vk, replace(pub, proofdata_root=EMPTY_ROOT), pkg.csw.proof)
+
+    def test_another_finalized_state_anchor_never_verifies(self):
+        # Real anchors, finalized for another epoch or another chain, with
+        # the public input recomputed for them and signed again.
+        w = ceased_world()
+        alpha, pkg = held_withdrawal(w)
+        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        honest = anchor_of(w.mc, alpha.sc_id, alpha.finalized_epoch().epoch_id)
+        assert verify_csw(vk, *resigned(alpha, pkg.csw, anchor=honest))
+        for anchor in (anchor_of(w.mc, alpha.sc_id, 0), anchor_of(w.mc, w.chains["beta"].sc_id, 1)):
+            assert anchor != honest
+            assert verify_csw(vk, *resigned(alpha, pkg.csw, anchor=anchor)) is False
+
+    def test_another_finalized_holder_anchor_never_verifies(self):
+        w = ceased_world()
+        alpha, gamma = w.chains["alpha"], w.chains["gamma"]
+        pkg = sent_withdrawal(w)
+        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        bundle = CswBundle.decode(pkg.csw.proof.body)
+        evidence = bundle.return_evidence
+        assert evidence.holder == anchor_of(w.mc, gamma.sc_id, 1)
+        for holder in (evidence.holder, anchor_of(w.mc, gamma.sc_id, 0), anchor_of(w.mc, w.chains["beta"].sc_id, 1)):
+            # The second proofdata slot names the holder's block.
+            proofdata = (bundle.proofdata[0], canonical_digest(holder.header))
+            pub, proof = resigned(alpha, pkg.csw, proofdata=proofdata, return_evidence=replace(evidence, holder=holder))
+            assert verify_csw(vk, pub, proof) is (holder == evidence.holder)
+
+    def test_sent_record_needs_a_finalized_holder_epoch(self):
+        w = ceased_world()
+        gamma = w.chains["gamma"]
+        cert, verdict = gamma.close_epoch()  # tip 9: epoch 3 is closed, not yet finalized
+        assert verdict.accepted and cert.epoch_id == 3
+        assert w.mc.finalized_cert(gamma.sc_id, 3) is None
+        with pytest.raises(CertificateNotConfirmed, match=f"no finalized certificate for sidechain {gamma.sc_id} epoch 3"):
+            sent_withdrawal(w, holder_epoch_id=3)
 
     def test_embedded_certificate_with_trailing_bytes_is_rejected(self):
         w = ceased_world()
@@ -222,8 +271,9 @@ class TestCswScheme:
         w = ceased_world()
         alpha = w.chains["alpha"]
         ghost = replace(w.kept, amount=49)
-        committed = alpha.finalized_epoch().committed
-        anchor = alpha.state_anchor()
+        closed = alpha.finalized_epoch()
+        committed = closed.committed
+        anchor = anchor_of(w.mc, alpha.sc_id, closed.epoch_id)
         claim = CswClaim(kind=ClaimKind.PAYLOAD_ENTITY, entity_bytes=ghost.encode(), committed=committed, anchor=anchor)
         nullifier = csw_nullifier(alpha.sc_id, canonical_digest(ghost))
         pub = make_csw_input(
@@ -236,8 +286,9 @@ class TestCswScheme:
         # An input that disagrees with the claim must be caught at prove time.
         w = ceased_world()
         alpha = w.chains["alpha"]
-        committed = alpha.finalized_epoch().committed
-        anchor = alpha.state_anchor()
+        closed = alpha.finalized_epoch()
+        committed = closed.committed
+        anchor = anchor_of(w.mc, alpha.sc_id, closed.epoch_id)
         claim = CswClaim(
             kind=ClaimKind.PAYLOAD_ENTITY, entity_bytes=w.kept.encode(), committed=committed, anchor=anchor
         )
@@ -294,6 +345,20 @@ class TestRedeemEvidence:
         assert not verify_redeem(w.mc, w.message, payload, replace(proof, commitment_path=bad_chain))
         moved = replace(proof.msg_path, leaf_index=proof.msg_path.leaf_index + 1)
         assert not verify_redeem(w.mc, w.message, payload, replace(proof, msg_path=moved))
+
+    def test_another_finalized_anchor_never_verifies(self):
+        # beta's certificate, finalized in the same block, in place of alpha's.
+        w = committed_world()
+        alpha = w.chains["alpha"]
+        proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
+        anchor = anchor_of(w.mc, w.chains["beta"].sc_id, 0)
+        swapped = replace(
+            proof,
+            commitment_path=CommitmentChain(posting_digest=canonical_digest(anchor.cert), segments=(anchor.stc_path,)),
+            block_hash=canonical_digest(anchor.header),
+        )
+        assert verify_redeem(w.mc, w.message, w.send_tx.payload, proof)
+        assert verify_redeem(w.mc, w.message, w.send_tx.payload, swapped) is False
 
     def test_wrong_source_chain_fails(self):
         w = committed_world()

@@ -7,7 +7,7 @@ import pytest
 from worlds import ceased_world, committed_world, make_send, two_chain_world
 
 from mitto.encoding import canonical_digest
-from mitto.hashing import hash_bytes
+from mitto.hashing import hash_bytes, verify_path
 from mitto.messages import (
     MSG_TYPE_TOKEN_TRANSFER,
     CscpMessage,
@@ -15,7 +15,7 @@ from mitto.messages import (
     message_digest,
     redeem_auth_digest,
 )
-from mitto.proofs import CertificateNotConfirmed, EntityNotInState
+from mitto.proofs import CertificateNotConfirmed, MessageNotCommitted, anchor_of, message_path
 from mitto.sidechain import ByzantineSidechain
 from mitto.tokens import (
     MittoState,
@@ -137,14 +137,18 @@ class TestEpochArchive:
         assert len(alpha.outbox) == 1
         assert alpha.epochs == []
 
-    def test_archived_message_evidence_lookup(self):
+    def test_message_path_in_archived_epoch(self):
         w = committed_world()
         alpha = w.chains["alpha"]
-        tree, index = alpha.archived_message_evidence(0, w.message)
-        assert tree.leaves[index] == message_digest(w.message)
+        tree, cert = alpha.epochs[0].tree, anchor_of(w.mc, alpha.sc_id, 0).cert
+        path = message_path(tree, w.message, cert)
+        assert tree.leaves[path.leaf_index] == message_digest(w.message)
+        assert verify_path(cert.proofdata[0], message_digest(w.message), path)
         stranger = replace(w.message, payload_hash=hash_bytes(b"nope"))
-        with pytest.raises(EntityNotInState):
-            alpha.archived_message_evidence(0, stranger)
+        with pytest.raises(MessageNotCommitted):
+            message_path(tree, stranger, cert)
+        with pytest.raises(CertificateNotConfirmed):
+            message_path(tree, w.message, anchor_of(w.mc, w.chains["beta"].sc_id, 0).cert)
 
 
 class TestRedeemGating:

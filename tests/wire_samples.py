@@ -70,7 +70,7 @@ def _transfer(sending: int, receiving: int, payload: bytes, sender=ALICE, receiv
     )
 
 
-def _anchored(sc_id: int, proofdata: tuple, height: int):
+def _anchor(sc_id: int, proofdata: tuple, height: int) -> StateAnchor:
     """A finalized certificate, its path in a block commitment, and the
     block's header."""
     cert = WithdrawalCertificate(
@@ -83,13 +83,12 @@ def _anchored(sc_id: int, proofdata: tuple, height: int):
     )
     stc = build_merkle([_h(f"posting-{height}"), canonical_digest(cert), _h(f"txs-{height}")])
     header = BlockHeader(height=height, parent_hash=_h(f"block-{height - 1}"), stc_root=stc.root)
-    return cert, merkle_path(stc, 1), header
+    return StateAnchor(cert=cert, stc_path=merkle_path(stc, 1), header=header)
 
 
 def _state_anchor(entity_bytes: bytes, height: int):
     committed = CommittedState.from_digests([hash_bytes(entity_bytes), _h("other-entity")])
-    cert, stc_path, header = _anchored(CEASED, (_h("epoch-tree"), committed.root), height)
-    return committed, StateAnchor(cert=cert, stc_path=stc_path, header=header)
+    return committed, _anchor(CEASED, (_h("epoch-tree"), committed.root), height)
 
 
 def _csw_witness(claim: CswClaim, amount: int) -> tuple:
@@ -132,13 +131,10 @@ def bundle_witnesses() -> dict:
     ).encode()
     return_message = _transfer(HOLDER, CEASED, returned, sender=BOB, receiver=ALICE)
     holder_tree = build_merkle([_h("holder-msg"), message_digest(return_message)])
-    holder_cert, holder_stc_path, holder_header = _anchored(HOLDER, (holder_tree.root, _h("holder-state")), 10)
     evidence = ReturnEvidence(
         return_message=return_message,
         msg_path=merkle_path(holder_tree, 1),
-        holder_cert=holder_cert,
-        holder_stc_path=holder_stc_path,
-        holder_header=holder_header,
+        holder=_anchor(HOLDER, (holder_tree.root, _h("holder-state")), 10),
         returned_instance_bytes=returned,
     )
     committed, anchor = _state_anchor(record, 12)
