@@ -4,8 +4,10 @@ A mainchain accepts sidechain registrations, withdrawal certificates, and
 ceased-sidechain withdrawals; sidechains exchange messages whose epoch trees
 are committed through certificate proofdata; a token-transfer handler rides
 on top with burn-on-send / mint-on-redeem accounting. Proof objects are
-Merkle-evidence bundles standing in for succinct proofs, behind verifier
-interfaces that never see more than (vk, public input, proof).
+Merkle-evidence bundles standing in for succinct proofs. The certificate
+and withdrawal verifiers never see more than (vk, public input, proof);
+the redeem verifier still reads the settlement chain's blocks and postings
+(ROADMAP item 4).
 """
 
 # ``import mitto`` loads every module but the CLI: perfbench's tracer patches

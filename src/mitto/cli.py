@@ -6,7 +6,8 @@ adversarial traces; ``mitto validate`` checks a scenario file without
 running it; and ``mitto vectors`` emits or re-checks the conformance
 vector file in a directory.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage or parse error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage, parse or
+scenario error (a step that cannot run as written still gets its report).
 """
 from __future__ import annotations
 
@@ -98,16 +99,20 @@ def _run_file(path: Path, args: argparse.Namespace, prefix: str) -> int:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     try:
         runner = Runner(scenario)
-        report = runner.run()
     except HarnessError as err:
         print(f"{prefix}scenario error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    report = runner.run()
     if args.dump is not None:
         directory = Path(args.dump)
         directory.mkdir(parents=True, exist_ok=True)
         dump_state(runner.world, directory / f"{scenario.name}.state.json")
     if not prefix:
         _emit_report(report, args.json_report)
+    failure = report["failure"]
+    if failure is not None and failure["invariant"] == "scenario":
+        print(f"{prefix}scenario error: {failure['trace']}", file=sys.stderr)
+        return EXIT_USAGE
     verdict = "ok" if report["ok"] else "FAILED"
     print(f"{scenario.name}: {len(report['steps'])} steps, "
           f"{len(report['violations'])} violations, {verdict}")

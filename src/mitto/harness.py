@@ -58,7 +58,8 @@ from .tokens import (
 
 
 class HarnessError(Exception):
-    """A step could not be executed as written (not a protocol verdict)."""
+    """A step could not be executed as written (not a protocol verdict).
+    ``Runner.run`` ends the run there, with a ``scenario`` failure."""
 
 
 class InvariantViolation(Exception):
@@ -199,10 +200,7 @@ class World:
         scalars = []
         for chain in self.chains.values():
             record = self.mainchain.record(chain.sc_id)
-            scalars.append(
-                (chain.sc_id, chain.label, record.status, record.pending_cert, record.last_epoch,
-                 record.last_cert_block_hash)
-            )
+            scalars.append((chain.sc_id, chain.label, record.status, record.pending_cert, record.last_epoch))
             boxes += (chain.redeemed, chain.outbox, chain.epochs, chain.handlers, record.used_nullifiers)
             for state in chain.handlers.values():
                 scalars.append((state.sc_id, state.variant))
@@ -655,12 +653,10 @@ class Runner:
                 # Looked up on the instance, so a wrapper set there runs instead.
                 entry = getattr(self, f"_op_{op}")(index, step)
             except HarnessError as err:
-                raise HarnessError(f"step {index} ({op}): {err}") from err
+                self._stop(index, op, "ScenarioError", "scenario", f"step {index} ({op}): {err}")
+                break
             except InvariantViolation as err:
-                self.failure = {"step": err.step, "invariant": err.invariant, "trace": err.trace}
-                self.steps.append(
-                    {"index": index, "op": op, "outcome": {"accepted": False, "reason": "AssertFailed"}}
-                )
+                self._stop(index, op, "AssertFailed", err.invariant, err.trace)
                 break
             entry.update({"index": index, "op": op})
             if step.expect is not None:
@@ -668,6 +664,11 @@ class Runner:
             self._note(index, self.world.accountant.check(self.world.snapshot_for_accountant()))
             self.steps.append(entry)
         return self._report()
+
+    def _stop(self, index: int, op: str, reason: str, invariant: str, trace: str) -> None:
+        """End the run at step ``index``, which failed ``invariant``."""
+        self.failure = {"step": index, "invariant": invariant, "trace": trace}
+        self.steps.append({"index": index, "op": op, "outcome": {"accepted": False, "reason": reason}})
 
     def _check_expectation(self, index: int, expect: dict, outcome: dict) -> None:
         for key, wanted in expect.items():

@@ -65,10 +65,6 @@ class IndexOutOfRange(Exception):
     """Path requested for an index that is padding or beyond the leaf list."""
 
 
-class DuplicateCertificate(Exception):
-    """More than one certificate digest supplied for a single sidechain."""
-
-
 @dataclass(frozen=True)
 class Sibling:
     """One step of a Merkle path: the sibling node and which side it sits on."""
@@ -206,9 +202,10 @@ def verify_path(root: Digest, leaf: Digest, path: MerklePath) -> bool:
 
 @dataclass(frozen=True)
 class ScBlockEntries:
-    """Everything one sidechain contributed to a single mainchain block."""
+    """Everything one sidechain contributed to a single mainchain block:
+    at most one certificate digest, and its transaction digests in order."""
 
-    cert_digests: tuple[Digest, ...] = ()
+    cert_digest: Digest | None = None
     tx_digests: tuple[Digest, ...] = ()
 
 
@@ -248,21 +245,17 @@ class StcTree:
 
 
 def build_stc(entries: dict[int, ScBlockEntries]) -> StcTree:
-    """Build the block commitment from per-sidechain contributions.
-
-    At most one certificate digest per sidechain; a second raises
-    DuplicateCertificate. No entries at all commits to EMPTY_ROOT.
+    """Build the block commitment from per-sidechain contributions: per
+    sidechain, its certificate digest (EMPTY_ROOT when it has none) and the
+    root of its tx-digest tree. No entries at all commits to EMPTY_ROOT.
     """
     txs_trees: dict[int, MerkleTree] = {}
     leaves: list[Digest] = []
     for sc_id in sorted(entries):
         e = entries[sc_id]
-        if len(e.cert_digests) > 1:
-            raise DuplicateCertificate(f"sidechain {sc_id} supplied {len(e.cert_digests)} certificates")
-        wcert = e.cert_digests[0] if e.cert_digests else None
         txs_tree = build_merkle(list(e.tx_digests))
         txs_trees[sc_id] = txs_tree
-        leaves.append(wcert if wcert is not None else EMPTY_ROOT)
+        leaves.append(EMPTY_ROOT if e.cert_digest is None else e.cert_digest)
         leaves.append(txs_tree.root)
     return StcTree(tree=build_merkle(leaves), txs_trees=txs_trees)
 

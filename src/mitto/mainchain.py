@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import encoding as enc
 from . import verdict as v
 from .encoding import U32, canonical_digest, nested, wire
-from .hashing import Digest, EMPTY_ROOT, EMPTY_STC, ScBlockEntries, StcTree, build_stc
+from .hashing import Digest, EMPTY_STC, ScBlockEntries, StcTree, build_stc
 from .journal import JournalList, JournalSet
 from .messages import (
     BlockHeader,
@@ -66,11 +66,11 @@ class SidechainRegistration:
 
 @dataclass(frozen=True)
 class Block:
-    """Sealed block: header plus flat (kind, sc_id, digest) inclusion records,
-    enough to rebuild the block commitment from scratch."""
+    """Sealed block: its header and the commitment tree whose root the
+    header carries."""
 
     header: BlockHeader
-    included: tuple[tuple[str, int, Digest], ...]
+    stc: StcTree
 
     @property
     def height(self) -> int:
@@ -91,8 +91,6 @@ class ScRecord:
     status: str = STATUS_PENDING
     creation_height: int | None = None
     last_epoch: int | None = None
-    last_cert_block_hash: Digest | None = None
-    registration_block_hash: Digest | None = None
     pending_cert: WithdrawalCertificate | None = None
     used_nullifiers: JournalSet[Digest] = field(default_factory=JournalSet)
 
@@ -118,17 +116,15 @@ class Mainchain:
     """Single-writer settlement chain with deterministic sealing."""
 
     def __init__(self) -> None:
-        genesis = BlockHeader(height=0, parent_hash=GENESIS_PARENT, stc_root=EMPTY_ROOT)
-        self._blocks: list[Block] = [Block(header=genesis, included=())]
+        genesis = BlockHeader(height=0, parent_hash=GENESIS_PARENT, stc_root=EMPTY_STC.root)
+        self._blocks: list[Block] = [Block(header=genesis, stc=EMPTY_STC)]
         self._by_hash: dict[Digest, Block] = {self._blocks[0].hash: self._blocks[0]}
-        self._stc_trees: dict[Digest, StcTree] = {}
         self._postings: dict[Digest, object] = {}
         self._finalized: dict[tuple[int, int], tuple[WithdrawalCertificate, Digest]] = {}
-        self._csw_included: dict[tuple[int, Digest], tuple[CeasedSidechainWithdrawal, Digest]] = {}
+        self._csw_inclusions: dict[tuple[int, Digest], tuple[CeasedSidechainWithdrawal, Digest]] = {}
         self._records: dict[int, ScRecord] = {}
         self._pending_registrations: list[SidechainRegistration] = []
         self._pending_csws: JournalList[tuple[int, CeasedSidechainWithdrawal]] = JournalList()
-        self._next_sc_id = 1
 
     # -- registration -------------------------------------------------------
 
@@ -143,8 +139,7 @@ class Mainchain:
             raise InvalidParams(f"epoch length {epoch_length} is below the minimum of 2")
         if epoch_length > enc.U32_MAX:
             raise InvalidParams(f"epoch length {epoch_length} does not fit the registration's u32")
-        sc_id = self._next_sc_id
-        self._next_sc_id += 1
+        sc_id = len(self._records) + 1
         registration = SidechainRegistration(
             sc_id=sc_id, epoch_length=epoch_length, wcert_vk=wcert_vk, csw_vk=csw_vk
         )
@@ -165,24 +160,15 @@ class Mainchain:
     def advance_block(self) -> Block:
         """Seal one block from everything queued since the last one."""
         height = self.tip_height + 1
-        cert_lists: dict[int, list[Digest]] = {}
+        certs: dict[int, Digest] = {}
         tx_lists: dict[int, list[Digest]] = {}
-        included: list[tuple[str, int, Digest]] = []
 
-        def tx_entry(sc_id: int, digest: Digest) -> None:
-            tx_lists.setdefault(sc_id, []).append(digest)
-            included.append(("tx", sc_id, digest))
-
-        activated: list[ScRecord] = []
         activated_ids: set[int] = set()
         for registration in self._pending_registrations:
             record = self._records[registration.sc_id]
             record.creation_height = height
             record.status = STATUS_ALIVE
-            digest = canonical_digest(registration)
-            self._postings[digest] = registration
-            tx_entry(registration.sc_id, digest)
-            activated.append(record)
+            tx_lists.setdefault(registration.sc_id, []).append(canonical_digest(registration))
             activated_ids.add(registration.sc_id)
         self._pending_registrations.clear()
 
@@ -198,42 +184,33 @@ class Mainchain:
                 continue
             cert = record.pending_cert
             digest = canonical_digest(cert)
-            cert_lists.setdefault(cert.ledger_id, []).append(digest)
-            included.append(("cert", cert.ledger_id, digest))
+            certs[sc_id] = digest
             self._postings[digest] = cert
             finalizing.append((record, cert))
 
-        csw_batch: list[tuple[int, CeasedSidechainWithdrawal, Digest]] = []
-        for sc_id, csw in sorted(self._pending_csws, key=lambda pending: pending[0]):
+        csw_batch = sorted(self._pending_csws, key=lambda pending: pending[0])
+        self._pending_csws.clear()
+        for sc_id, csw in csw_batch:
             digest = canonical_digest(csw)
             self._postings[digest] = csw
-            tx_entry(sc_id, digest)
-            csw_batch.append((sc_id, csw, digest))
-        self._pending_csws.clear()
+            tx_lists.setdefault(sc_id, []).append(digest)
 
         entries = {
-            sc_id: ScBlockEntries(
-                cert_digests=tuple(cert_lists.get(sc_id, ())),
-                tx_digests=tuple(tx_lists.get(sc_id, ())),
-            )
-            for sc_id in set(cert_lists) | set(tx_lists)
+            sc_id: ScBlockEntries(cert_digest=certs.get(sc_id), tx_digests=tuple(tx_lists.get(sc_id, ())))
+            for sc_id in certs.keys() | tx_lists.keys()
         }
         stc = build_stc(entries) if entries else EMPTY_STC
         header = BlockHeader(height=height, parent_hash=self.tip.hash, stc_root=stc.root)
-        block = Block(header=header, included=tuple(included))
+        block = Block(header=header, stc=stc)
         self._blocks.append(block)
         self._by_hash[block.hash] = block
-        self._stc_trees[block.hash] = stc
 
-        for record in activated:
-            record.registration_block_hash = block.hash
         for record, cert in finalizing:
             record.last_epoch = cert.epoch_id
-            record.last_cert_block_hash = block.hash
             record.pending_cert = None
             self._finalized[(cert.ledger_id, cert.epoch_id)] = (cert, block.hash)
-        for sc_id, csw, _digest in csw_batch:
-            self._csw_included[(sc_id, csw.nullifier)] = (csw, block.hash)
+        for sc_id, csw in csw_batch:
+            self._csw_inclusions[(sc_id, csw.nullifier)] = (csw, block.hash)
         return block
 
     def advance_blocks(self, count: int) -> Block:
@@ -305,25 +282,20 @@ class Mainchain:
         return self._finalized.get((sc_id, epoch_id))
 
     def stc_tree(self, block_hash: Digest) -> StcTree:
-        tree = self._stc_trees.get(block_hash)
-        if tree is None:
+        block = self._by_hash.get(block_hash)
+        if block is None:
             raise NotFound(f"no commitment tree for block {block_hash.hex()}")
-        return tree
+        return block.stc
 
     def csw_inclusion(self, sc_id: int, nullifier: Digest):
-        return self._csw_included.get((sc_id, nullifier))
+        return self._csw_inclusions.get((sc_id, nullifier))
 
     # -- inspection ------------------------------------------------------------
 
-    def get_block(self, ref: int | Digest) -> Block:
-        if isinstance(ref, int):
-            if not 0 <= ref < len(self._blocks):
-                raise NotFound(f"no block at height {ref}")
-            return self._blocks[ref]
-        block = self._by_hash.get(ref)
-        if block is None:
-            raise NotFound(f"no block with hash {ref.hex()}")
-        return block
+    def get_block(self, height: int) -> Block:
+        if not 0 <= height < len(self._blocks):
+            raise NotFound(f"no block at height {height}")
+        return self._blocks[height]
 
     def record(self, sc_id: int) -> ScRecord:
         record = self._records.get(sc_id)
@@ -332,12 +304,15 @@ class Mainchain:
         return record
 
     def csw_anchor_hash(self, sc_id: int) -> Digest:
-        """Block hash a ceased sidechain's withdrawal proofs must anchor to."""
+        """Block hash a ceased sidechain's withdrawal proofs must anchor to:
+        the block that finalized its last certificate, else the block that
+        registered it."""
         record = self.record(sc_id)
-        anchor = record.last_cert_block_hash or record.registration_block_hash
-        if anchor is None:
+        if record.last_epoch is not None:
+            return self._finalized[(sc_id, record.last_epoch)][1]
+        if record.creation_height is None:
             raise NotFound(f"sidechain {sc_id} was never included in a block")
-        return anchor
+        return self._blocks[record.creation_height].hash
 
     def get_status(self, sc_id: int) -> dict:
         record = self.record(sc_id)

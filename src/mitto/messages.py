@@ -179,9 +179,9 @@ class SendTx:
 class RedeemTx:
     """Claim of a committed message on its receiving chain.
 
-    sender_sig is the original send signature, observed from the sender
-    chain's archived outbox; the receiving chain checks it under
-    message.sender_id. receiver_signature covers message and payload
+    sender_sig is the original send signature, which the submitter of the
+    send keeps (the sender chain's epoch archive holds only the message
+    digests); the receiving chain checks it under message.sender_id. receiver_signature covers message and payload
     together and must verify under message.receiver_id.
     """
 

@@ -9,12 +9,13 @@ its ``StateAnchor`` and ``ReturnEvidence``, which carries its holder's
 ``StateAnchor``): the provers encode one, and the verifiers decode it
 strictly, refold every path, recompute every root named by the public
 input, and check the signature. A proof whose scheme is not its key's, or
-whose body does not decode, is a False. Verifier entry points see exactly
-(vk, public_input, proof) and nothing else, so a swapped-in scheme with the
-same signatures drops in unchanged. That also makes them pure:
-``verify_csw`` keeps its results in the verify memo (``keys.remembered``).
-``verify_wcert`` is not remembered, as no certificate is verified twice,
-and neither is ``verify_redeem``, which reads the settlement chain's state.
+whose body does not decode, is a False. The certificate and withdrawal
+verifiers see exactly (vk, public_input, proof) and nothing else, so a
+swapped-in scheme with the same signatures drops in unchanged. That also
+makes them pure: ``verify_csw`` keeps its results in the verify memo
+(``keys.remembered``). ``verify_wcert`` is not remembered, as no
+certificate is verified twice, and neither is ``verify_redeem``, which
+reads the settlement chain's state.
 
 Ceased-sidechain claims anchor through the last finalized certificate: the
 claimed entity folds into the committed-state root the certificate carries

@@ -3,8 +3,8 @@
 A sidechain buffers accepted sends in the current epoch's outbox. Closing an
 epoch builds the message tree, commits its root (plus the committed-state
 root) into a withdrawal certificate, and submits it to the settlement chain;
-the outbox and application snapshots are archived per epoch so redeem and
-withdrawal evidence can be built later.
+the message tree and application snapshots are archived per epoch so redeem
+and withdrawal evidence can be built later.
 
 A redeem checks replay protection before anything else: a message whose
 digest is in the chain's persistent redeemed set is refused before its
@@ -96,15 +96,13 @@ class MessageHandler(Protocol):
 
 @dataclass(frozen=True)
 class ClosedEpoch:
-    """Archived epoch: its messages, their tree, the committed application
-    state, and per-handler snapshots taken at close."""
+    """Archived epoch, kept at its epoch id's index in ``Sidechain.epochs``:
+    the tree over its message digests, the committed application state, and
+    per-handler snapshots taken at close."""
 
-    epoch_id: int
-    messages: tuple[tuple[CscpMessage, bytes], ...]
     tree: MerkleTree
     committed: CommittedState
     snapshots: dict[int, object]
-    submitted_cert: WithdrawalCertificate
 
 
 class Sidechain:
@@ -231,9 +229,9 @@ class Sidechain:
     def close_epoch(self, quality: int = 1) -> tuple[WithdrawalCertificate, Verdict]:
         """Build and submit the certificate for the next unclosed epoch.
 
-        On acceptance the outbox and handler snapshots are archived and a new
-        empty epoch opens; on rejection nothing changes and the caller may
-        retry."""
+        On acceptance the message tree and handler snapshots are archived and
+        a new empty epoch opens; on rejection nothing changes and the caller
+        may retry."""
         tree = self.current_message_tree()
         committed = self.current_committed_state()
         cert = self._certify(tree, committed, quality)
@@ -241,12 +239,9 @@ class Sidechain:
         if verdict.accepted:
             self.epochs.append(
                 ClosedEpoch(
-                    epoch_id=cert.epoch_id,
-                    messages=tuple(self.outbox),
                     tree=tree,
                     committed=committed,
                     snapshots={t: h.snapshot() for t, h in sorted(self.handlers.items())},
-                    submitted_cert=cert,
                 )
             )
             self.outbox.clear()
@@ -329,7 +324,7 @@ class Sidechain:
             kind=claim_kind,
             entity_bytes=entity_bytes,
             committed=closed.committed,
-            anchor=anchor_of(self.mainchain, self.sc_id, closed.epoch_id),
+            anchor=anchor_of(self.mainchain, self.sc_id, self.mainchain.record(self.sc_id).last_epoch),
             message=message,
             return_evidence=return_evidence,
         )

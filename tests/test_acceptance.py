@@ -252,7 +252,7 @@ def test_criterion_7_commitment_soundness():
     cw = committed_world()
     alpha = cw.chains["alpha"]
     record = cw.mc.record(alpha.sc_id)
-    cert = alpha.epochs[0].submitted_cert
+    cert, _block_hash = cw.mc.finalized_cert(alpha.sc_id, 0)
     anchor = cw.mc.get_block(record.epoch_end(0)).hash
     w_vk = record.registration.wcert_vk
     w_input = make_wcert_input(cert.quality, cert.bt_list, anchor, cert.proofdata)

@@ -1,12 +1,16 @@
 """Command-line behavior: exit codes, report files, dumps, directory runs, fuzz, vectors."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from mitto.cli import main
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "golden_fungible_roundtrip.json")
 
 
@@ -89,6 +93,50 @@ def test_run_scenario_error_exit_two(tmp_path, capsys):
     assert main(["run", path]) == 2
     err = capsys.readouterr().err
     assert "scenario error: step 0 (send): chain alpha: no instance of 'NOPE'" in err
+
+
+def test_run_scenario_error_writes_its_report(tmp_path, capsys):
+    """The report of a run that stops at a step it cannot execute keeps the
+    verdicts given before that step."""
+    path = write_scenario(tmp_path, {
+        "name": "runtime",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2}, {"label": "beta", "epoch_length": 2}],
+        "steps": [
+            {"op": "advance_mainchain", "blocks": 1},
+            {"op": "send", "from": "alpha", "to": "beta", "name": "NOPE", "amount": 1,
+             "owner": "a", "receiver": "b"},
+            {"op": "advance_mainchain", "blocks": 1},
+        ],
+    })
+    target = tmp_path / "report.json"
+    assert main(["run", path, "--json-report", str(target)]) == 2
+    message = "step 1 (send): chain alpha: no instance of 'NOPE' held by that owner"
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
+    report = json.loads(target.read_text())
+    assert [step["outcome"] for step in report["steps"]] == [
+        {"accepted": True, "reason": "Accepted"},
+        {"accepted": False, "reason": "ScenarioError"},
+    ]
+    assert report["failure"] == {"step": 1, "invariant": "scenario", "trace": message}
+    assert report["ok"] is False
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """Two interpreters with different string-hash seeds write the same
+    report bytes for a scenario that walks sets and dicts of every kind."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    reports = []
+    for hash_seed in ("0", "1"):
+        target = tmp_path / f"report-{hash_seed}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "mitto.cli", "run", str(SCENARIO_DIR / "ceased_flows.json"),
+             "--json-report", str(target)],
+            env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append(target.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_send_amount_of_nft_exit_two(tmp_path, capsys):

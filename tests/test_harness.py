@@ -1,4 +1,5 @@
 """Scenario runner behavior: determinism, atomicity, dumps, fault reporting."""
+import copy
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ from accountant_reference import ReferenceCheckRunner
 from dump_reference import DumpCheckRunner
 from mitto import accountant as accountant_module, hashing, mainchain as mainchain_module, sidechain as sidechain_module
 from mitto.accountant import Accountant
-from mitto.encoding import DecodeError, canonical_digest
+from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
 from mitto.fuzz import generate_trace
 from mitto.harness import HarnessError, Runner, diff_state, dump_state, render_report, run_scenario
 from mitto.hashing import hash_bytes
@@ -18,7 +19,7 @@ from mitto.journal import JournalDict, JournalList, JournalSet
 from mitto.mainchain import Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
 from mitto.proofs import CswBundle
-from mitto.scenario import STEP_OPS, load_scenario, parse_scenario
+from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, ParseError, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
 from mitto.tokens import Holdings, MittoState, TokenInstance
 
@@ -251,9 +252,60 @@ def test_label_by_sc_id():
 
 
 def test_lower_quality_tamper_needs_a_closed_epoch():
+    # A step that cannot run as written ends the run with a report that
+    # keeps the verdicts given before it.
     step = {"op": "close_epoch", "chains": ["alpha"], "tamper": "lower_quality"}
-    with pytest.raises(HarnessError, match="chain alpha has closed no epoch to certify again"):
-        run_inline([step])
+    report = run_inline([{"op": "advance_mainchain", "blocks": 1, "expect": {"accepted": True}}, step, step])
+    assert report["failure"] == {
+        "step": 1,
+        "invariant": "scenario",
+        "trace": "step 1 (close_epoch): chain alpha has closed no epoch to certify again",
+    }
+    assert [entry["outcome"] for entry in report["steps"]] == [
+        {"accepted": True, "reason": "Accepted"},
+        {"accepted": False, "reason": "ScenarioError"},
+    ]
+    assert report["ok"] is False
+
+
+_BUNDLED = [json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))]
+#: Every value a bundled step gives any field, then the parser's integer
+#: bounds and their neighbours. MAX_ADVANCE_BLOCKS itself is left out, as
+#: sealing that many blocks takes seconds; one past it is refused.
+_MUTANT_VALUES = list(
+    {json.dumps(value, sort_keys=True): value for obj in _BUNDLED for step in obj["steps"] for value in step.values()}
+    .values()
+) + [-1, 0, 1, 2, U32_MAX, U32_MAX + 1, U64_MAX, U64_MAX + 1, MAX_ADVANCE_BLOCKS + 1]
+
+
+@st.composite
+def _step_mutants(draw):
+    """A bundled scenario with one step changed: a field set to another
+    value, the step deleted, or the step duplicated in place."""
+    obj = copy.deepcopy(draw(st.sampled_from(_BUNDLED)))
+    steps = obj["steps"]
+    index = draw(st.integers(0, len(steps) - 1))
+    kind = draw(st.sampled_from(("set", "delete", "duplicate")))
+    if kind == "set":
+        key = draw(st.sampled_from(sorted(steps[index])))
+        steps[index][key] = copy.deepcopy(draw(st.sampled_from(_MUTANT_VALUES)))
+    elif kind == "delete":
+        del steps[index]
+    else:
+        steps.insert(index, copy.deepcopy(steps[index]))
+    return obj
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(_step_mutants())
+def test_every_parsed_mutant_runs_to_a_repeatable_report(obj):
+    """A scenario the parser accepts runs to a report, the same bytes each
+    time; any other exception fails."""
+    try:
+        scenario = parse_scenario(obj)
+    except ParseError:
+        return
+    assert render_report(Runner(scenario).run()) == render_report(Runner(scenario).run())
 
 
 def test_cease_by_silence_step():
@@ -584,7 +636,7 @@ def _watch_indexes(runner: Runner) -> list[str]:
     def check_and_compare(snapshot):
         for label, chain in runner.world.chains.items():
             ledgers = {"live": runner.world.states[label]}
-            ledgers.update((f"epoch {e.epoch_id}", e.snapshots[MSG_TYPE_TOKEN_TRANSFER]) for e in chain.epochs)
+            ledgers.update((f"epoch {i}", e.snapshots[MSG_TYPE_TOKEN_TRANSFER]) for i, e in enumerate(chain.epochs))
             for where, ledger in ledgers.items():
                 if not _index_agrees(ledger.s_tks):
                     stale.append(f"step {len(runner.steps)}: {label} {where}")
@@ -755,7 +807,7 @@ def test_three_hashes_per_sent_payload(monkeypatch, shape, n):
     monkeypatch.setattr(hashing, "_sha256", counting)
     runner = Runner(parse_scenario(shape(n)))
     assert runner.run()["ok"] is True
-    sent = [payload for chain in runner.world.chains.values() for epoch in chain.epochs for _, payload in epoch.messages]
+    sent = [record.payload for record in runner.sends.values()]
     assert len(sent) == n
     assert [hashed.count(payload) for payload in sent] == [3] * n
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from mitto.hashing import (
     EMPTY_ROOT,
     Digest,
-    DuplicateCertificate,
     IndexOutOfRange,
     ScBlockEntries,
     build_merkle,
@@ -181,8 +180,8 @@ def test_leaf_order_changes_root(perm):
 class TestStcTree:
     def entries(self):
         return {
-            3: ScBlockEntries(cert_digests=(d(0),), tx_digests=(d(1), d(2))),
-            7: ScBlockEntries(cert_digests=(), tx_digests=(d(3),)),
+            3: ScBlockEntries(cert_digest=d(0), tx_digests=(d(1), d(2))),
+            7: ScBlockEntries(tx_digests=(d(3),)),
         }
 
     def test_deterministic(self):
@@ -202,10 +201,6 @@ class TestStcTree:
     def test_missing_cert_slot_is_empty_root(self):
         stc = build_stc(self.entries())
         assert fold_path(EMPTY_ROOT, stc.cert_path(7)) == stc.tree.root
-
-    def test_two_certs_for_one_chain_rejected(self):
-        with pytest.raises(DuplicateCertificate):
-            build_stc({3: ScBlockEntries(cert_digests=(d(0), d(1)), tx_digests=())})
 
     def test_tx_digest_provable_via_two_folds(self):
         stc = build_stc(self.entries())

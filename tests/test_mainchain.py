@@ -7,7 +7,7 @@ import pytest
 from worlds import ceased_world, committed_world, two_chain_world
 
 from mitto.encoding import canonical_digest
-from mitto.hashing import EMPTY_ROOT, ScBlockEntries, build_stc, hash_bytes
+from mitto.hashing import EMPTY_ROOT, EMPTY_STC, ScBlockEntries, build_stc, hash_bytes
 from mitto.keys import KeyPair
 from mitto.mainchain import (
     GENESIS_PARENT,
@@ -69,14 +69,17 @@ class TestRegistration:
         sc = mc.register_sidechain(2, bare_vk("a"), bare_vk("b"))
         block = mc.advance_block()
         reg_digest = canonical_digest(mc.record(sc).registration)
-        assert ("tx", sc, reg_digest) in block.included
+        assert mc.stc_tree(block.hash).txs_trees[sc].leaves == (reg_digest,)
 
     def test_unknown_sidechain_raises(self):
         mc = Mainchain()
         with pytest.raises(NotFound):
             mc.record(99)
         with pytest.raises(NotFound):
-            mc.get_block(hash_bytes(b"nope"))
+            mc.get_block(1)
+        with pytest.raises(NotFound):
+            mc.stc_tree(hash_bytes(b"nope"))
+        assert mc.block_by_hash(hash_bytes(b"nope")) is None
 
 
 class TestChain:
@@ -84,28 +87,47 @@ class TestChain:
         mc = Mainchain()
         genesis = mc.get_block(0)
         assert genesis.header.parent_hash == GENESIS_PARENT
+        assert mc.stc_tree(genesis.hash) is EMPTY_STC
         block = mc.advance_block()
         assert block.header.parent_hash == genesis.hash
-        assert mc.get_block(block.hash) is block
+        assert mc.block_by_hash(block.hash) is block
 
     def test_stc_root_recomputable_from_included_entries(self):
-        # An external verifier regroups the block's entries and re-derives
+        # An external verifier regroups each block's entries and re-derives
         # the commitment root with no access to simulator internals. The
-        # chain answers for every block's commitment tree, a block that
-        # commits nothing included.
-        w = committed_world()
+        # entries come from the chain's records, not from its commitment
+        # trees: registrations by creation height, certificates from the
+        # finalized index, withdrawals from the inclusion index. The chain
+        # answers for every block's commitment tree, genesis and blocks that
+        # commit nothing included.
+        w = ceased_world()
+        pkg = withdraw_native_held(
+            w.chains["alpha"], w.alice, canonical_digest(w.kept), w.chains["beta"].sc_id, w.bob.public
+        )
+        assert w.mc.submit_csw(pkg.csw).accepted
+        w.mc.advance_blocks(2)
+        certs: dict = {}
+        txs: dict = {}
+        for chain in w.chains.values():
+            sc_id = chain.sc_id
+            record = w.mc.record(sc_id)
+            created = w.mc.get_block(record.creation_height).hash
+            txs.setdefault((created, sc_id), []).append(canonical_digest(record.registration))
+            for epoch in range(record.next_epoch()):
+                cert, block_hash = w.mc.finalized_cert(sc_id, epoch)
+                certs[(block_hash, sc_id)] = canonical_digest(cert)
+            for nullifier in record.used_nullifiers:  # one withdrawal per block here, so order is moot
+                csw, block_hash = w.mc.csw_inclusion(sc_id, nullifier)
+                txs.setdefault((block_hash, sc_id), []).append(canonical_digest(csw))
         empty_blocks = 0
-        for height in range(1, w.mc.tip_height + 1):
+        for height in range(w.mc.tip_height + 1):
             block = w.mc.get_block(height)
-            certs: dict[int, list] = {}
-            txs: dict[int, list] = {}
-            for kind, sc_id, digest in block.included:
-                (certs if kind == "cert" else txs).setdefault(sc_id, []).append(digest)
             entries = {
                 sc_id: ScBlockEntries(
-                    cert_digests=tuple(certs.get(sc_id, ())), tx_digests=tuple(txs.get(sc_id, ()))
+                    cert_digest=certs.get((block_hash, sc_id)), tx_digests=tuple(txs.get((block_hash, sc_id), ()))
                 )
-                for sc_id in set(certs) | set(txs)
+                for block_hash, sc_id in certs.keys() | txs.keys()
+                if block_hash == block.hash
             }
             assert build_stc(entries).tree.root == block.stc_root
             stc = w.mc.stc_tree(block.hash)
@@ -161,7 +183,8 @@ class TestCertificateWindows:
         assert w.mc.finalized_cert(alpha.sc_id, 0) is None
         block = w.mc.advance_block()  # tip 5 seals the window
         assert block.height == 5
-        assert ("cert", alpha.sc_id, canonical_digest(cert)) in block.included
+        stc = w.mc.stc_tree(block.hash)
+        assert stc.tree.leaves[stc.cert_leaf_index(alpha.sc_id)] == canonical_digest(cert)
         finalized_cert, block_hash = w.mc.finalized_cert(alpha.sc_id, 0)
         assert finalized_cert == cert and block_hash == block.hash
 
@@ -248,7 +271,7 @@ class TestWithdrawalSubmission:
         assert w.mc.submit_csw(pkg.csw).accepted
         assert w.mc.submit_csw(pkg.csw).reason == NULLIFIER_REUSED
         block = w.mc.advance_block()
-        assert ("tx", alpha.sc_id, canonical_digest(pkg.csw)) in block.included
+        assert w.mc.stc_tree(block.hash).txs_trees[alpha.sc_id].leaves == (canonical_digest(pkg.csw),)
         found_csw, block_hash = w.mc.csw_inclusion(alpha.sc_id, pkg.csw.nullifier)
         assert found_csw == pkg.csw and block_hash == block.hash
 

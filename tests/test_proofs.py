@@ -213,7 +213,7 @@ class TestCswScheme:
         w = ceased_world()
         alpha, pkg = held_withdrawal(w)
         vk = w.mc.record(alpha.sc_id).registration.csw_vk
-        honest = anchor_of(w.mc, alpha.sc_id, alpha.finalized_epoch().epoch_id)
+        honest = anchor_of(w.mc, alpha.sc_id, w.mc.record(alpha.sc_id).last_epoch)
         assert verify_csw(vk, *resigned(alpha, pkg.csw, anchor=honest))
         for anchor in (anchor_of(w.mc, alpha.sc_id, 0), anchor_of(w.mc, w.chains["beta"].sc_id, 1)):
             assert anchor != honest
@@ -271,9 +271,8 @@ class TestCswScheme:
         w = ceased_world()
         alpha = w.chains["alpha"]
         ghost = replace(w.kept, amount=49)
-        closed = alpha.finalized_epoch()
-        committed = closed.committed
-        anchor = anchor_of(w.mc, alpha.sc_id, closed.epoch_id)
+        committed = alpha.finalized_epoch().committed
+        anchor = anchor_of(w.mc, alpha.sc_id, w.mc.record(alpha.sc_id).last_epoch)
         claim = CswClaim(kind=ClaimKind.PAYLOAD_ENTITY, entity_bytes=ghost.encode(), committed=committed, anchor=anchor)
         nullifier = csw_nullifier(alpha.sc_id, canonical_digest(ghost))
         pub = make_csw_input(
@@ -286,9 +285,8 @@ class TestCswScheme:
         # An input that disagrees with the claim must be caught at prove time.
         w = ceased_world()
         alpha = w.chains["alpha"]
-        closed = alpha.finalized_epoch()
-        committed = closed.committed
-        anchor = anchor_of(w.mc, alpha.sc_id, closed.epoch_id)
+        committed = alpha.finalized_epoch().committed
+        anchor = anchor_of(w.mc, alpha.sc_id, w.mc.record(alpha.sc_id).last_epoch)
         claim = CswClaim(
             kind=ClaimKind.PAYLOAD_ENTITY, entity_bytes=w.kept.encode(), committed=committed, anchor=anchor
         )

@@ -123,8 +123,9 @@ class TestEpochArchive:
         assert alpha.outbox == []
         assert len(alpha.epochs) == 1
         closed = alpha.epochs[0]
-        assert [message_digest(m) for m, _ in closed.messages] == [message_digest(w.message)]
-        assert closed.submitted_cert.proofdata[0] == closed.tree.root
+        assert closed.tree.leaves == (message_digest(w.message),)
+        cert, _block_hash = w.mc.finalized_cert(alpha.sc_id, 0)
+        assert cert.proofdata[0] == closed.tree.root
 
     def test_rejected_close_keeps_outbox(self):
         w = fresh()
