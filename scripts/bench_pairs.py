@@ -10,9 +10,11 @@ first pair, the change in the second, and so on. Runs are sequential.
 
 Every run's metrics are printed as it ends. Then, for each end-to-end
 metric, the table gives each side's median [q1, q3] over the pairs, the
-change's median relative to the parent's, and the pairs the change won in
+change's median relative to the parent's, the pairs the change won in
 the direction ``BENCHMARK.json`` gives the metric (ties count for neither
-side), followed by each side's failed operations against those attempted.
+side), the metric's bound from that file and the no-regression verdict
+(``regression_verdict``), followed by each side's failed operations
+against those attempted.
 
 Both checkouts must hold the same ``BENCHMARK.json``. A checkout of the
 parent commit can come from ``git worktree add`` or ``git archive``.
@@ -54,6 +56,25 @@ def _spread(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def regression_verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Whether the change regressed one metric beyond its relative ``bound``.
+
+    "within bound" when every change run beats every parent run, or when
+    the change's median is worse than the parent's by no more than
+    ``bound``; "worse" when it is worse by more; "unresolved" when neither
+    holds for lack of resolution: the parent's own quartile spread,
+    relative to its median, is wider than ``bound``."""
+    sign = 1 if better == "higher" else -1
+    if all(sign * (c - p) > 0 for c in change for p in parent):
+        return "within bound"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    median = statistics.median(parent)
+    if not median or (q3 - q1) / abs(median) > bound:
+        return "unresolved"
+    worse_by = sign * (median - statistics.median(change)) / abs(median)
+    return "worse" if worse_by > bound else "within bound"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -69,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = json.loads(benchmark)
     if args.workload not in {w["name"] for w in spec["workloads"]}:
         parser.error(f"BENCHMARK.json declares no workload {args.workload!r}")
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     for index, seed in enumerate(args.seeds):
@@ -83,15 +104,17 @@ def main(argv: list[str] | None = None) -> int:
 
     pairs = len(args.seeds)
     print(f"\n{args.workload}: {pairs} pairs, {spec['run_seconds']} s runs")
-    print(f"{'metric':<14} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} {'change':>8} {'wins':>6}")
-    for name, better in metrics.items():
+    print(f"{'metric':<14} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} {'change':>8} {'wins':>6}"
+          f" {'bound':>6}  verdict")
+    for name, (better, bound) in metrics.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         parent_median = statistics.median(values["parent"])
         moved = statistics.median(values["change"]) / parent_median - 1 if parent_median else float("nan")
         print(f"{name:<14} {_spread(values['parent']):<30} {_spread(values['change']):<30} "
-              f"{moved:>+8.2%} {wins:>3}/{pairs}")
+              f"{moved:>+8.2%} {wins:>3}/{pairs} {bound:>6.0%}  "
+              f"{regression_verdict(values['parent'], values['change'], better, bound)}")
     for side in SIDES:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])

@@ -5,9 +5,9 @@ ceased-sidechain withdrawals; sidechains exchange messages whose epoch trees
 are committed through certificate proofdata; a token-transfer handler rides
 on top with burn-on-send / mint-on-redeem accounting. Proof objects are
 Merkle-evidence bundles standing in for succinct proofs. The certificate
-and withdrawal verifiers never see more than (vk, public input, proof);
-the redeem verifier still reads the settlement chain's blocks and postings
-(ROADMAP item 4).
+and withdrawal verifiers never see more than (vk, public input, proof). The
+redeem verifier reads no chain either: it checks the evidence against the
+block root and the posting the receiving chain looked up for it.
 """
 
 # ``import mitto`` loads every module but the CLI: perfbench's tracer patches

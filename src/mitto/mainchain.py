@@ -42,7 +42,7 @@ STATUS_CEASED = "ceased"
 
 
 class NotFound(Exception):
-    """Unknown block, sidechain, or posting."""
+    """Unknown block or sidechain."""
 
 
 class InvalidParams(Exception):
@@ -119,7 +119,6 @@ class Mainchain:
         genesis = BlockHeader(height=0, parent_hash=GENESIS_PARENT, stc_root=EMPTY_STC.root)
         self._blocks: list[Block] = [Block(header=genesis, stc=EMPTY_STC)]
         self._by_hash: dict[Digest, Block] = {self._blocks[0].hash: self._blocks[0]}
-        self._postings: dict[Digest, object] = {}
         self._finalized: dict[tuple[int, int], tuple[WithdrawalCertificate, Digest]] = {}
         self._csw_inclusions: dict[tuple[int, Digest], tuple[CeasedSidechainWithdrawal, Digest]] = {}
         self._records: dict[int, ScRecord] = {}
@@ -183,17 +182,13 @@ class Mainchain:
                 record.status = STATUS_CEASED
                 continue
             cert = record.pending_cert
-            digest = canonical_digest(cert)
-            certs[sc_id] = digest
-            self._postings[digest] = cert
+            certs[sc_id] = canonical_digest(cert)
             finalizing.append((record, cert))
 
         csw_batch = sorted(self._pending_csws, key=lambda pending: pending[0])
         self._pending_csws.clear()
         for sc_id, csw in csw_batch:
-            digest = canonical_digest(csw)
-            self._postings[digest] = csw
-            tx_lists.setdefault(sc_id, []).append(digest)
+            tx_lists.setdefault(sc_id, []).append(canonical_digest(csw))
 
         entries = {
             sc_id: ScBlockEntries(cert_digest=certs.get(sc_id), tx_digests=tuple(tx_lists.get(sc_id, ())))
@@ -270,22 +265,21 @@ class Mainchain:
         self._pending_csws.append((csw.ledger_id, csw))
         return Verdict.ok()
 
-    # -- queries (MainchainView) ----------------------------------------------
+    # -- queries -----------------------------------------------------------------
 
     def block_by_hash(self, block_hash: Digest) -> Block | None:
         return self._by_hash.get(block_hash)
 
-    def posting(self, digest: Digest):
-        return self._postings.get(digest)
-
     def finalized_cert(self, sc_id: int, epoch_id: int):
         return self._finalized.get((sc_id, epoch_id))
 
-    def stc_tree(self, block_hash: Digest) -> StcTree:
-        block = self._by_hash.get(block_hash)
-        if block is None:
-            raise NotFound(f"no commitment tree for block {block_hash.hex()}")
-        return block.stc
+    def certificate_in(self, sc_id: int, block_hash: Digest) -> WithdrawalCertificate | None:
+        """The certificate chain ``sc_id`` finalized in block ``block_hash``, or None."""
+        block, record = self._by_hash.get(block_hash), self._records.get(sc_id)
+        epoch = None if block is None or record is None else record.current_epoch(block.height)
+        # Epoch e settles in the last block of epoch e + 1.
+        confirmed = None if epoch is None else self._finalized.get((sc_id, epoch - 1))
+        return confirmed[0] if confirmed is not None and confirmed[1] == block_hash else None
 
     def csw_inclusion(self, sc_id: int, nullifier: Digest):
         return self._csw_inclusions.get((sc_id, nullifier))

@@ -11,11 +11,14 @@ strictly, refold every path, recompute every root named by the public
 input, and check the signature. A proof whose scheme is not its key's, or
 whose body does not decode, is a False. The certificate and withdrawal
 verifiers see exactly (vk, public_input, proof) and nothing else, so a
-swapped-in scheme with the same signatures drops in unchanged. That also
-makes them pure: ``verify_csw`` keeps its results in the verify memo
+swapped-in scheme with the same signatures drops in unchanged. The redeem
+verifier reads no chain either: the receiving chain resolves the claimed
+block's commitment root and the posting the evidence starts from, and
+``verify_redeem`` checks the evidence against those values alone. All
+three are pure: ``verify_csw`` keeps its results in the verify memo
 (``keys.remembered``). ``verify_wcert`` is not remembered, as no
-certificate is verified twice, and neither is ``verify_redeem``, which
-reads the settlement chain's state.
+certificate is verified twice, and neither is ``verify_redeem``, as a
+replayed redeem stops at the redeemed set before its evidence is checked.
 
 Ceased-sidechain claims anchor through the last finalized certificate: the
 claimed entity folds into the committed-state root the certificate carries
@@ -172,17 +175,13 @@ def sim_merkle_vk(signer_public: PubKey) -> VerificationKey:
 
 
 # ---------------------------------------------------------------------------
-# Mainchain view protocol (what evidence builders and verify_redeem may read)
+# Mainchain view protocol (what the evidence builders read)
 # ---------------------------------------------------------------------------
 
 class MainchainView(Protocol):
     def block_by_hash(self, block_hash: Digest): ...
 
-    def posting(self, digest: Digest): ...
-
     def finalized_cert(self, sc_id: int, epoch_id: int): ...
-
-    def stc_tree(self, block_hash: Digest): ...
 
     def csw_inclusion(self, sc_id: int, nullifier: Digest): ...
 
@@ -522,11 +521,8 @@ def anchor_of(mainchain: MainchainView, sc_id: int, epoch_id: int) -> StateAncho
     if confirmed is None:
         raise CertificateNotConfirmed(f"no finalized certificate for sidechain {sc_id} epoch {epoch_id}")
     cert, block_hash = confirmed
-    return StateAnchor(
-        cert=cert,
-        stc_path=mainchain.stc_tree(block_hash).cert_path(sc_id),
-        header=mainchain.block_by_hash(block_hash).header,
-    )
+    block = mainchain.block_by_hash(block_hash)
+    return StateAnchor(cert=cert, stc_path=block.stc.cert_path(sc_id), header=block.header)
 
 
 def message_path(tree: MerkleTree, message: CscpMessage, cert: WithdrawalCertificate) -> MerklePath:
@@ -642,7 +638,7 @@ def build_csw_redeem_proof(
     md = message_digest(message)
     if not csw.proofdata or csw.proofdata[0] != md:
         raise MessageMismatch("withdrawal does not embed this message")
-    stc = mainchain.stc_tree(block_hash)
+    stc = mainchain.block_by_hash(block_hash).stc
     txs_tree = stc.txs_trees[sc_id]
     csw_digest = canonical_digest(csw)
     return RedeemProof(
@@ -661,20 +657,20 @@ def build_csw_redeem_proof(
 
 
 def verify_redeem(
-    mainchain: MainchainView,
+    stc_root: Digest | None,
+    posting: WithdrawalCertificate | CeasedSidechainWithdrawal | None,
     message: CscpMessage,
     payload: bytes,
     proof: RedeemProof,
 ) -> bool:
     """Check payload binding, tree membership, posting linkage, and block
-    confirmation for one redeem claim."""
+    commitment for one redeem claim against the named block's ``stc_root``
+    and the ``posting`` the evidence starts from (None when not found)."""
+    if stc_root is None or posting is None or posting.ledger_id != message.sending_sc_id:
+        return False
     if hash_bytes(payload) != message.payload_hash:
         return False
-    block = mainchain.block_by_hash(proof.block_hash)
-    if block is None:
-        return False
-    posting = mainchain.posting(proof.commitment_path.posting_digest)
-    if posting is None or canonical_digest(posting) != proof.commitment_path.posting_digest:
+    if canonical_digest(posting) != proof.commitment_path.posting_digest:
         return False
 
     if proof.source_kind is SourceKind.CERTIFICATE:
@@ -683,8 +679,6 @@ def verify_redeem(
         if len(proof.commitment_path.segments) != 1:
             return False
         if not _commits(posting, message, proof.msg_path) or posting.proofdata[0] != proof.msg_tree_root:
-            return False
-        if posting.ledger_id != message.sending_sc_id:
             return False
     else:
         if not isinstance(posting, CeasedSidechainWithdrawal):
@@ -700,8 +694,6 @@ def verify_redeem(
             return False
         if posting.amount != 0:
             return False
-        if posting.ledger_id != message.sending_sc_id:
-            return False
 
     node = proof.commitment_path.posting_digest
     for segment in proof.commitment_path.segments:
@@ -709,4 +701,4 @@ def verify_redeem(
         if folded is None:
             return False
         node = folded
-    return node == block.stc_root
+    return node == stc_root

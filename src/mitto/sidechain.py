@@ -9,10 +9,10 @@ and withdrawal evidence can be built later.
 A redeem checks replay protection before anything else: a message whose
 digest is in the chain's persistent redeemed set is refused before its
 evidence is looked at, so a replay that also carries a broken proof gets
-``AlreadyRedeemed``. Then the evidence is verified against the settlement
-chain, the receiving chain and the receiver's authorization are checked,
-and type-specific validation goes to the handler registered for the
-message type.
+``AlreadyRedeemed``. Then what the evidence names on the settlement chain
+is looked up by key and the evidence verified against it alone, the
+receiving chain and the receiver's authorization are checked, and
+type-specific validation goes to the handler for the message type.
 
 Handlers parse at the gate: on a send or a redeem the gate has the handler
 parse the payload once, refuses a payload it cannot parse with rule
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from . import verdict as v
-from .encoding import canonical_digest, to_json
+from .encoding import to_json
 from .hashing import Digest, MerkleTree, build_merkle, hash_bytes
 from .journal import JournalDict, JournalList, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
@@ -47,8 +47,8 @@ from .proofs import (
     CommittedState,
     CswClaim,
     EntityNotInState,
+    RedeemProof,
     ReturnEvidence,
-    SourceKind,
     anchor_of,
     claim_proofdata,
     csw_nullifier,
@@ -250,34 +250,37 @@ class Sidechain:
     # -- redeeming ----------------------------------------------------------------
 
     def accept_redeem(self, tx: RedeemTx) -> Verdict:
-        if tx.proof.source_kind is not SourceKind.CERTIFICATE:
-            return Verdict.rejected(v.PROOF_INVALID, rule=RULE_PROOF)
-        return self._redeem(tx.message, tx.payload, tx.proof, tx.sender_sig, tx.receiver_signature)
+        return self._redeem(tx)
 
     def accept_csw_redeem(self, tx: CswRedeemTx) -> Verdict:
-        ceased_sc_id, nullifier = tx.csw_ref
-        inclusion = self.mainchain.csw_inclusion(ceased_sc_id, nullifier)
+        inclusion = self.mainchain.csw_inclusion(*tx.csw_ref)
         if inclusion is None:
             return Verdict.rejected(v.CSW_NOT_FOUND)
-        csw, _block_hash = inclusion
-        if tx.proof.source_kind is not SourceKind.CSW:
-            return Verdict.rejected(v.PROOF_INVALID, rule=RULE_PROOF)
-        if tx.proof.commitment_path.posting_digest != canonical_digest(csw):
-            return Verdict.rejected(v.PROOF_INVALID, rule=RULE_PROOF)
-        return self._redeem(tx.message, tx.payload, tx.proof, tx.sender_sig, tx.receiver_signature)
+        return self._redeem(tx, withdrawal=inclusion[0])
 
-    def _redeem(self, message, payload, proof, sender_sig, receiver_signature) -> Verdict:
-        # A replay is refused before its proof is verified. The set holds
+    def resolve_redeem(self, message: CscpMessage, proof: RedeemProof, posting=None) -> tuple:
+        """The block root and the posting ``verify_redeem`` checks ``proof``
+        against, found by key: ``posting`` is the withdrawal a CSW redeem
+        names; else the certificate the sending chain finalized in the named
+        block. None where there is none."""
+        block = self.mainchain.block_by_hash(proof.block_hash)
+        if posting is None:
+            posting = self.mainchain.certificate_in(message.sending_sc_id, proof.block_hash)
+        return (None if block is None else block.stc_root), posting
+
+    def _redeem(self, tx: RedeemTx | CswRedeemTx, withdrawal: CeasedSidechainWithdrawal | None = None) -> Verdict:
+        # A replay is refused before its evidence is resolved. The set holds
         # only messages this chain accepted, all naming it as receiver, so
         # the order changes no verdict but that of a replay with a bad proof.
+        message, payload = tx.message, tx.payload
         digest = message_digest(message)
         if digest in self.redeemed:
             return Verdict.rejected(v.ALREADY_REDEEMED)
-        if not verify_redeem(self.mainchain, message, payload, proof):
+        if not verify_redeem(*self.resolve_redeem(message, tx.proof, withdrawal), message, payload, tx.proof):
             return Verdict.rejected(v.PROOF_INVALID, rule=RULE_PROOF)
         if message.receiving_sc_id != self.sc_id:
             return Verdict.rejected(v.WRONG_RECEIVING_CHAIN)
-        if not verify_sig(message.receiver_id, redeem_auth_digest(message, payload), receiver_signature):
+        if not verify_sig(message.receiver_id, redeem_auth_digest(message, payload), tx.receiver_signature):
             return Verdict.rejected(v.BAD_RECEIVER_AUTH, rule=RULE_RECEIVER_AUTH)
         handler = self.handlers.get(message.msg_type)
         if handler is None:
@@ -286,7 +289,7 @@ class Sidechain:
         parsed = handler.parse(payload, message.payload_hash)
         if parsed is None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=RULE_MALFORMED_PAYLOAD)
-        rule = handler.validate_redeem(parsed, message, sender_sig)
+        rule = handler.validate_redeem(parsed, message, tx.sender_sig)
         if rule is not None:
             return Verdict.rejected(v.HANDLER_REJECTED, rule=rule)
         handler.apply_redeem(parsed, message)

@@ -156,6 +156,10 @@ class TokenNameRegistry:
                 f"fungibility={existing[0]} issuer={existing[1]}"
             )
 
+    def holds(self, name: str, fungibility: bool, issuer_sc_id: int) -> bool:
+        """Is ``name`` registered with this fungibility and issuer?"""
+        return self._names.get(name) == (fungibility, issuer_sc_id)
+
     def dump(self) -> dict:
         return {
             name: {"fungibility": fung, "issuer_sc_id": issuer}
@@ -414,6 +418,8 @@ class MittoState:
             return "redeem-4e"
         if not verify_sig(message.sender_id, message_digest(message), sender_sig):
             return "redeem-5"
+        if not self.registry.holds(instance.token_name, instance.fungibility, instance.issuer_sc_id):
+            return "redeem-8"
         return None
 
     def apply_redeem(self, instance: TokenInstance, message: CscpMessage) -> None:

@@ -316,6 +316,14 @@ def _redeem_5() -> Verdict:
     return _redeem_verdict(p.away, part, message, p.mallory)
 
 
+def _redeem_8() -> Verdict:
+    p = _pair()
+    # A fungible ART of chain 3's own: ART is chain 1's NFT in the registry.
+    fabricated = replace(p.tok, token_name="ART", issuer_sc_id=3, owner=p.mallory.public, amount=5)
+    message = _msg(fabricated, 3, 2, p.mallory, p.bob)
+    return _redeem_verdict(p.away, fabricated, message, p.mallory)
+
+
 # -- world-layer fragments -------------------------------------------------------
 
 #: Three live chains; 60 WBT moved alpha -> beta and redeemed there, another
@@ -352,6 +360,24 @@ _CEASED_WORLD = (
         {"op": "advance_mainchain", "blocks": 2},
         {"op": "close_epoch", "chains": ["beta"]},
         {"op": "cease_by_silence", "chain": "alpha"},
+    ],
+)
+
+#: Alpha issues the NFT ART; byzantine mal commits a send of a fungible ART
+#: it claims to issue itself, addressed to bob on beta.
+_FABRICATED_WORLD = (
+    [
+        {"label": "alpha", "epoch_length": 2,
+         "issuances": [{"name": "ART", "fungible": False, "token_id": 0, "owner": "alice"}]},
+        {"label": "beta", "epoch_length": 2},
+        {"label": "mal", "epoch_length": 2, "byzantine": True},
+    ],
+    [
+        {"op": "fabricate_send", "id": "fake", "from": "mal", "to": "beta", "name": "ART", "fungible": True,
+         "amount": 5, "issuer": "mal", "owner": "eve", "receiver": "bob"},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch"},
+        {"op": "advance_mainchain", "blocks": 2},
     ],
 )
 
@@ -439,6 +465,8 @@ CASES: tuple[VectorCase, ...] = (
                "payload hash does not commit to the instance", _rule("redeem-4e"), _redeem_4e),
     VectorCase("redeem-5-bad-sender-signature", "redeem", "state",
                "sender signature fails verification", _rule("redeem-5"), _redeem_5),
+    VectorCase("redeem-8-name-registry", "redeem", "state",
+               "instance disagrees with its name's registry entry", _rule("redeem-8"), _redeem_8),
 
     _world_case("world-send-accept", "send", "full-chain send accepted into the outbox", _accepted(),
                 _WBT_WORLD, _bob_send("alpha")),
@@ -467,6 +495,9 @@ CASES: tuple[VectorCase, ...] = (
                 _rejected("BadReceiverAuth", "redeem-6"), _WBT_WORLD, _redeem20(tamper="forged_receiver_auth")),
     _world_case("world-redeem-7-tampered-proof", "redeem", "inclusion evidence anchored to the wrong block",
                 _rejected("ProofInvalid", "redeem-7"), _WBT_WORLD, _redeem20(tamper="wrong_block")),
+    _world_case("world-redeem-8-name-registry", "redeem",
+                "fabricated instance under another chain's registered name",
+                _rule("redeem-8"), _FABRICATED_WORLD, {"op": "redeem", "send": "fake"}),
 
     _world_case("wcert-accept", "wcert", "certificate lands inside its submission window", _accepted(),
                 _WBT_WORLD, _close("gamma")),

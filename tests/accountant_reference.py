@@ -80,7 +80,9 @@ def reference_check(accountant: Accountant, snapshot: dict[str, dict]) -> list[s
             seen: dict[int, str] = {}
             for label, book in books.items():
                 for entry in book.get("s_tks", []):
-                    if entry["token_name"] != name:
+                    # A fungible entry under an NFT's name is counted above
+                    # but has no id to be unique.
+                    if entry["token_name"] != name or entry["fungibility"]:
                         continue
                     token_id = entry["token_id"]
                     if token_id in seen:

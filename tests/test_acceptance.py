@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from worlds import ceased_world, committed_world
+from verifier_reference import watch_redeems
+from worlds import ceased_world, committed_world, redeem_verifies
 
 from mitto import vectors
 from mitto.cli import main as cli_main
@@ -28,7 +29,6 @@ from mitto.proofs import (
     make_csw_input,
     make_wcert_input,
     verify_csw,
-    verify_redeem,
     verify_wcert,
 )
 from mitto.scenario import load_scenario
@@ -45,7 +45,7 @@ RULE_IDS = (
     "send-1", "send-2", "send-3a", "send-3b", "send-3c", "send-3d", "send-3e", "send-4",
     "redeem-1", "redeem-2a", "redeem-2b", "redeem-3",
     "redeem-4a", "redeem-4b", "redeem-4c", "redeem-4d", "redeem-4e", "redeem-5",
-    "redeem-6", "redeem-7",
+    "redeem-6", "redeem-7", "redeem-8",
     "malformed-payload", "unregistered-msg-type",
 )
 
@@ -58,7 +58,12 @@ def verdict(number: int, description: str, problems: list[str]) -> None:
 
 @pytest.fixture(scope="module")
 def fuzz_corpus():
-    return run_fuzz(FUZZ_SEED, FUZZ_COUNT)
+    """The fuzz corpus, with every redeem verification in it held to the
+    reference verifier (``redeem_reference``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        watch = watch_redeems(patch)
+        corpus = run_fuzz(FUZZ_SEED, FUZZ_COUNT)
+    return {**corpus, "redeem_reference": watch}
 
 
 def test_criterion_1_golden_path():
@@ -278,21 +283,21 @@ def test_criterion_7_commitment_soundness():
     # Redeem evidence fixture: the committed in-flight send.
     payload = cw.send_tx.payload
     rp = build_redeem_proof(cw.mc, alpha.sc_id, 0, cw.message, alpha.epochs[0].tree)
-    if not verify_redeem(cw.mc, cw.message, payload, rp):
+    if not redeem_verifies(cw, cw.message, payload, rp):
         problems.append("honest redeem fixture does not verify")
     for field in ("msg_tree_root", "block_hash"):
         for note, digest in _digest_flips(getattr(rp, field)):
             sweep.expect_false(
                 f"redeem {field} {note}",
-                verify_redeem(cw.mc, cw.message, payload, replace(rp, **{field: digest})),
+                redeem_verifies(cw, cw.message, payload, replace(rp, **{field: digest})),
             )
     for note, digest in _digest_flips(rp.commitment_path.posting_digest):
         mutated = replace(rp, commitment_path=replace(rp.commitment_path, posting_digest=digest))
-        sweep.expect_false(f"redeem posting {note}", verify_redeem(cw.mc, cw.message, payload, mutated))
+        sweep.expect_false(f"redeem posting {note}", redeem_verifies(cw, cw.message, payload, mutated))
     for note, path in _path_flips(rp.msg_path):
         sweep.expect_false(
             f"redeem msg_path {note}",
-            verify_redeem(cw.mc, cw.message, payload, replace(rp, msg_path=path)),
+            redeem_verifies(cw, cw.message, payload, replace(rp, msg_path=path)),
         )
     for n, segment in enumerate(rp.commitment_path.segments):
         for note, path in _path_flips(segment):
@@ -300,12 +305,12 @@ def test_criterion_7_commitment_soundness():
             mutated = replace(rp, commitment_path=replace(rp.commitment_path, segments=segments))
             sweep.expect_false(
                 f"redeem segment {n} {note}",
-                verify_redeem(cw.mc, cw.message, payload, mutated),
+                redeem_verifies(cw, cw.message, payload, mutated),
             )
     for i, bit, raw in _flipped(payload):
         sweep.expect_false(
             f"redeem payload byte {i} bit {bit}",
-            verify_redeem(cw.mc, cw.message, raw, rp),
+            redeem_verifies(cw, cw.message, raw, rp),
         )
 
     # Withdrawal fixture: a foreign-token claim out of the ceased chain.
@@ -348,13 +353,14 @@ def test_criterion_7_commitment_soundness():
     assert zw.mc.submit_csw(pkg.csw).accepted
     zw.mc.advance_block()
     crp = build_csw_redeem_proof(zw.mc, pkg.csw.ledger_id, pkg.csw.nullifier, pkg.message)
-    if not verify_redeem(zw.mc, pkg.message, pkg.payload, crp):
+    withdrawal, _block_hash = zw.mc.csw_inclusion(pkg.csw.ledger_id, pkg.csw.nullifier)
+    if not redeem_verifies(zw, pkg.message, pkg.payload, crp, withdrawal):
         problems.append("honest withdrawal-redeem fixture does not verify")
     for field in ("msg_tree_root", "block_hash"):
         for note, digest in _digest_flips(getattr(crp, field)):
             sweep.expect_false(
                 f"csw-redeem {field} {note}",
-                verify_redeem(zw.mc, pkg.message, pkg.payload, replace(crp, **{field: digest})),
+                redeem_verifies(zw, pkg.message, pkg.payload, replace(crp, **{field: digest}), withdrawal),
             )
     for n, segment in enumerate(crp.commitment_path.segments):
         for note, path in _path_flips(segment):
@@ -362,7 +368,7 @@ def test_criterion_7_commitment_soundness():
             mutated = replace(crp, commitment_path=replace(crp.commitment_path, segments=segments))
             sweep.expect_false(
                 f"csw-redeem segment {n} {note}",
-                verify_redeem(zw.mc, pkg.message, pkg.payload, mutated),
+                redeem_verifies(zw, pkg.message, pkg.payload, mutated, withdrawal),
             )
 
     if sweep.total < 500:
@@ -370,6 +376,23 @@ def test_criterion_7_commitment_soundness():
     for survivor in sweep.survivors[:10]:
         problems.append(f"mutation still verifies: {survivor}")
     verdict(7, f"{sweep.total} single-bit mutations, all verify false", problems)
+
+
+def test_redeem_verifier_agrees_with_reference_on_scenarios_and_vectors(monkeypatch):
+    watch = watch_redeems(monkeypatch)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        run_scenario(load_scenario(path))
+    for case in vectors.CASES:
+        if case.layer == "world":
+            vectors.run_case(case)
+    assert watch.disagreements == []
+    assert True in watch.verdicts and False in watch.verdicts
+
+
+def test_redeem_verifier_agrees_with_reference_on_fuzz_corpus(fuzz_corpus):
+    watch = fuzz_corpus["redeem_reference"]
+    assert watch.disagreements == []
+    assert len(watch.verdicts) >= FUZZ_COUNT
 
 
 def test_criterion_8_determinism():

@@ -968,9 +968,38 @@ STEP_FAULTS = {
     "s_tks-rebound": (7, _rebind_tks, OVER_RECORDS),
     "nullifier-forgotten": (12, _forget_nullifiers, "conservation: 55 units of 'GLD' exist, issued 50"),
 }
+
+
+def _ignore_registry(original):
+    def validate_redeem(self, instance, message, sender_sig):
+        rule = original(self, instance, message, sender_sig)
+        return None if rule == "redeem-8" else rule
+
+    return validate_redeem
+
+
+# Step 4 redeems on beta a fungible 'ART' that byzantine mal fabricated,
+# while 'ART' is registered as alpha's NFT.
+NFT_NAME_FABRICATED = dict(
+    steps=[
+        {"op": "fabricate_send", "id": "f", "from": "mal", "to": "beta", "name": "ART", "fungible": True,
+         "amount": 5, "issuer": "mal", "owner": "eve", "receiver": "bob"},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "close_epoch"},
+        {"op": "advance_mainchain", "blocks": 2},
+        {"op": "redeem", "send": "f"},
+    ],
+    chains=[
+        _nft_chain("alpha", "ART", "alice", 1),
+        {"label": "beta", "epoch_length": 2},
+        {"label": "mal", "epoch_length": 2, "byzantine": True},
+    ],
+)
 PROTOCOL_FAULTS = {
-    "extra-mint-on-redeem": (5, "apply_redeem", _mint_twice, OVER_RECORDS),
-    "sent-record-dropped-on-send": (0, "apply_send", _forget_record, OVER_ISSUER.format(40, 0)),
+    "extra-mint-on-redeem": (REJECTIONS, 5, "apply_redeem", _mint_twice, OVER_RECORDS),
+    "sent-record-dropped-on-send": (REJECTIONS, 0, "apply_send", _forget_record, OVER_ISSUER.format(40, 0)),
+    "name-registry-ignored-on-redeem": (scenario_obj(**NFT_NAME_FABRICATED), 4, "validate_redeem", _ignore_registry,
+                                        "conservation: 6 units of 'ART' exist, issued 1"),
 }
 
 
@@ -1009,36 +1038,20 @@ def test_duplicate_nfts_flagged_by_both_checks_in_the_same_order():
     assert "nft-uniqueness: 'ART' id 3 live on both beta and beta" in runner.checks[last][0]
 
 
-def test_fungible_instance_under_nft_name_is_counted():
-    # A byzantine chain can get a fungible instance named like an honest
-    # chain's NFT redeemed elsewhere; the dump derivation assumed every
-    # entry under an NFT name carries a token id and raised KeyError here.
-    report = run_inline(
-        [
-            {"op": "fabricate_send", "id": "f", "from": "mal", "to": "beta", "name": "ART", "fungible": True,
-             "amount": 5, "issuer": "mal", "owner": "eve", "receiver": "bob"},
-            {"op": "advance_mainchain", "blocks": 2},
-            {"op": "close_epoch"},
-            {"op": "advance_mainchain", "blocks": 2},
-            {"op": "redeem", "send": "f", "expect": {"accepted": True}},
-        ],
-        chains=[
-            _nft_chain("alpha", "ART", "alice", 1),
-            {"label": "beta", "epoch_length": 2},
-            {"label": "mal", "epoch_length": 2, "byzantine": True},
-        ],
-    )
-    assert report["violations"] == [
-        "step 4: conservation: 6 units of 'ART' exist, issued 1",
-        "step 4: sent-record-coverage: chain beta holds 5 of 'ART', issuer records allow 0",
-    ]
+def test_fungible_instance_under_nft_name_is_rejected():
+    # A byzantine chain commits a fungible instance it claims to issue
+    # under the name of alpha's NFT; its arrival on beta is refused.
+    report = run_inline(**NFT_NAME_FABRICATED)
+    assert report["steps"][4]["outcome"] == {"accepted": False, "reason": "HandlerRejected", "rule": "redeem-8"}
+    assert report["violations"] == []
+    assert report["ok"] is True
 
 
 @pytest.mark.parametrize("fault", list(PROTOCOL_FAULTS))
 def test_injected_protocol_fault_flagged_by_both_checks(monkeypatch, fault):
-    index, method, wrap, finding = PROTOCOL_FAULTS[fault]
+    scenario, index, method, wrap, finding = PROTOCOL_FAULTS[fault]
     monkeypatch.setattr(MittoState, method, wrap(getattr(MittoState, method)))
-    _assert_flagged_by_both(ReferenceCheckRunner(parse_scenario(REJECTIONS)), index, finding)
+    _assert_flagged_by_both(ReferenceCheckRunner(parse_scenario(scenario)), index, finding)
 
 
 def test_runner_calls_accountant_check_once_per_completed_step():

@@ -69,7 +69,7 @@ class TestRegistration:
         sc = mc.register_sidechain(2, bare_vk("a"), bare_vk("b"))
         block = mc.advance_block()
         reg_digest = canonical_digest(mc.record(sc).registration)
-        assert mc.stc_tree(block.hash).txs_trees[sc].leaves == (reg_digest,)
+        assert mc.block_by_hash(block.hash).stc.txs_trees[sc].leaves == (reg_digest,)
 
     def test_unknown_sidechain_raises(self):
         mc = Mainchain()
@@ -77,8 +77,6 @@ class TestRegistration:
             mc.record(99)
         with pytest.raises(NotFound):
             mc.get_block(1)
-        with pytest.raises(NotFound):
-            mc.stc_tree(hash_bytes(b"nope"))
         assert mc.block_by_hash(hash_bytes(b"nope")) is None
 
 
@@ -87,7 +85,7 @@ class TestChain:
         mc = Mainchain()
         genesis = mc.get_block(0)
         assert genesis.header.parent_hash == GENESIS_PARENT
-        assert mc.stc_tree(genesis.hash) is EMPTY_STC
+        assert mc.block_by_hash(genesis.hash).stc is EMPTY_STC
         block = mc.advance_block()
         assert block.header.parent_hash == genesis.hash
         assert mc.block_by_hash(block.hash) is block
@@ -130,7 +128,7 @@ class TestChain:
                 if block_hash == block.hash
             }
             assert build_stc(entries).tree.root == block.stc_root
-            stc = w.mc.stc_tree(block.hash)
+            stc = w.mc.block_by_hash(block.hash).stc
             assert stc.root == block.stc_root
             assert sorted(stc.txs_trees) == sorted(entries)
             empty_blocks += not entries
@@ -183,7 +181,7 @@ class TestCertificateWindows:
         assert w.mc.finalized_cert(alpha.sc_id, 0) is None
         block = w.mc.advance_block()  # tip 5 seals the window
         assert block.height == 5
-        stc = w.mc.stc_tree(block.hash)
+        stc = w.mc.block_by_hash(block.hash).stc
         assert stc.tree.leaves[stc.cert_leaf_index(alpha.sc_id)] == canonical_digest(cert)
         finalized_cert, block_hash = w.mc.finalized_cert(alpha.sc_id, 0)
         assert finalized_cert == cert and block_hash == block.hash
@@ -271,7 +269,7 @@ class TestWithdrawalSubmission:
         assert w.mc.submit_csw(pkg.csw).accepted
         assert w.mc.submit_csw(pkg.csw).reason == NULLIFIER_REUSED
         block = w.mc.advance_block()
-        assert w.mc.stc_tree(block.hash).txs_trees[alpha.sc_id].leaves == (canonical_digest(pkg.csw),)
+        assert w.mc.block_by_hash(block.hash).stc.txs_trees[alpha.sc_id].leaves == (canonical_digest(pkg.csw),)
         found_csw, block_hash = w.mc.csw_inclusion(alpha.sc_id, pkg.csw.nullifier)
         assert found_csw == pkg.csw and block_hash == block.hash
 

@@ -5,12 +5,14 @@ prover committed to, and a verifier must answer False (never crash) for any
 malformed proof body.
 """
 import hashlib
+import inspect
 from dataclasses import replace
 
 import pytest
 
-from worlds import ceased_world, committed_world, make_send, two_chain_world
+from worlds import ceased_world, committed_world, make_send, redeem_verifies, two_chain_world
 
+from mitto import proofs
 from mitto.encoding import ByteReader, canonical_digest, enc_bytes, enc_u32
 from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path, verify_path
 from mitto.keys import KeyPair
@@ -306,7 +308,7 @@ class TestRedeemEvidence:
         w = committed_world()
         alpha = w.chains["alpha"]
         proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
-        assert verify_redeem(w.mc, w.message, w.send_tx.payload, proof)
+        assert redeem_verifies(w, w.message, w.send_tx.payload, proof)
         decoded = RedeemProof.read(ByteReader(proof.encode()))
         assert decoded == proof
 
@@ -336,13 +338,13 @@ class TestRedeemEvidence:
         alpha = w.chains["alpha"]
         proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
         payload = w.send_tx.payload
-        assert not verify_redeem(w.mc, w.message, payload + b"\x00", proof)
-        assert not verify_redeem(w.mc, w.message, payload, replace(proof, msg_tree_root=hash_bytes(b"r")))
-        assert not verify_redeem(w.mc, w.message, payload, replace(proof, block_hash=hash_bytes(b"b")))
+        assert not redeem_verifies(w, w.message, payload + b"\x00", proof)
+        assert not redeem_verifies(w, w.message, payload, replace(proof, msg_tree_root=hash_bytes(b"r")))
+        assert not redeem_verifies(w, w.message, payload, replace(proof, block_hash=hash_bytes(b"b")))
         bad_chain = replace(proof.commitment_path, posting_digest=hash_bytes(b"p"))
-        assert not verify_redeem(w.mc, w.message, payload, replace(proof, commitment_path=bad_chain))
+        assert not redeem_verifies(w, w.message, payload, replace(proof, commitment_path=bad_chain))
         moved = replace(proof.msg_path, leaf_index=proof.msg_path.leaf_index + 1)
-        assert not verify_redeem(w.mc, w.message, payload, replace(proof, msg_path=moved))
+        assert not redeem_verifies(w, w.message, payload, replace(proof, msg_path=moved))
 
     def test_another_finalized_anchor_never_verifies(self):
         # beta's certificate, finalized in the same block, in place of alpha's.
@@ -355,15 +357,15 @@ class TestRedeemEvidence:
             commitment_path=CommitmentChain(posting_digest=canonical_digest(anchor.cert), segments=(anchor.stc_path,)),
             block_hash=canonical_digest(anchor.header),
         )
-        assert verify_redeem(w.mc, w.message, w.send_tx.payload, proof)
-        assert verify_redeem(w.mc, w.message, w.send_tx.payload, swapped) is False
+        assert redeem_verifies(w, w.message, w.send_tx.payload, proof)
+        assert redeem_verifies(w, w.message, w.send_tx.payload, swapped) is False
 
     def test_wrong_source_chain_fails(self):
         w = committed_world()
         alpha = w.chains["alpha"]
         proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
         lying = replace(w.message, sending_sc_id=w.chains["beta"].sc_id)
-        assert not verify_redeem(w.mc, lying, w.send_tx.payload, proof)
+        assert not redeem_verifies(w, lying, w.send_tx.payload, proof)
 
     def test_csw_sourced_roundtrip(self):
         w = ceased_world()
@@ -372,7 +374,7 @@ class TestRedeemEvidence:
         w.mc.advance_block()
         proof = build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
         assert proof.source_kind == SourceKind.CSW
-        assert verify_redeem(w.mc, pkg.message, pkg.payload, proof)
+        assert redeem_verifies(w, pkg.message, pkg.payload, proof, pkg.csw)
         assert RedeemProof.read(ByteReader(proof.encode())) == proof
 
     def test_csw_lookup_failures_raise(self):
@@ -393,10 +395,38 @@ class TestRedeemEvidence:
         assert w.mc.submit_csw(pkg.csw).accepted
         w.mc.advance_block()
         proof = build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
-        assert not verify_redeem(w.mc, pkg.message, pkg.payload + b"!", proof)
-        assert not verify_redeem(w.mc, pkg.message, pkg.payload, replace(proof, msg_tree_root=EMPTY_ROOT))
+        assert not redeem_verifies(w, pkg.message, pkg.payload + b"!", proof, pkg.csw)
+        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, msg_tree_root=EMPTY_ROOT), pkg.csw)
         truncated = replace(proof.commitment_path, segments=proof.commitment_path.segments[:1])
-        assert not verify_redeem(w.mc, pkg.message, pkg.payload, replace(proof, commitment_path=truncated))
+        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, commitment_path=truncated), pkg.csw)
+
+
+class TestRedeemVerifierIsPure:
+    def test_same_arguments_give_the_same_result_after_the_chain_advances(self):
+        w = committed_world()
+        alpha, beta = w.chains["alpha"], w.chains["beta"]
+        proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
+        elsewhere = replace(proof, block_hash=w.mc.get_block(4).hash)
+        calls = [
+            (*beta.resolve_redeem(w.message, evidence), w.message, w.send_tx.payload, evidence)
+            for evidence in (proof, elsewhere)
+        ]
+        assert [verify_redeem(*args) for args in calls] == [True, False]
+        for sc in (alpha, beta):
+            assert sc.close_epoch()[1].accepted
+        w.mc.advance_blocks(5)
+        assert [verify_redeem(*args) for args in calls] == [True, False]
+
+    def test_no_verifier_takes_the_mainchain(self):
+        verifiers = {
+            name: fn for name, fn in vars(proofs).items()
+            if name.startswith("verify_") and getattr(fn, "__module__", None) == proofs.__name__
+        }
+        assert sorted(verifiers) == ["verify_csw", "verify_redeem", "verify_wcert"]
+        for name, fn in verifiers.items():
+            for param in inspect.signature(fn).parameters.values():
+                assert param.name != "mainchain", name
+                assert "Mainchain" not in str(param.annotation), name
 
 
 class TestForeignWithdrawal:

@@ -15,7 +15,7 @@ from mitto.messages import (
     message_digest,
     redeem_auth_digest,
 )
-from mitto.proofs import CertificateNotConfirmed, MessageNotCommitted, anchor_of, message_path
+from mitto.proofs import CertificateNotConfirmed, MessageNotCommitted, SourceKind, anchor_of, message_path
 from mitto.sidechain import ByzantineSidechain
 from mitto.tokens import (
     MittoState,
@@ -222,6 +222,59 @@ class TestRedeemGating:
         assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
         assert beta.accept_csw_redeem(tx).accepted
         assert beta.accept_csw_redeem(wrong_block).reason == ALREADY_REDEEMED
+
+    @pytest.mark.parametrize("evidence", [
+        "block:unknown", "block:registration", "block:finalizing-nothing",
+        "certificate:other-chain", "certificate:other-epoch", "anchor:other-chain", "anchor:other-epoch",
+        "kind:withdrawal",
+    ])
+    def test_unresolvable_evidence_is_a_bad_proof_until_redeemed(self, evidence):
+        # Epochs 0 and 1 of both chains are finalized, in blocks 5 and 7.
+        w = committed_world()
+        alpha, beta = w.chains["alpha"], w.chains["beta"]
+        for sc in (alpha, beta):
+            assert sc.close_epoch()[1].accepted
+        w.mc.advance_blocks(2)
+        tx = make_redeem_tx(w.mc, alpha, 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
+        kind, _, which = evidence.partition(":")
+        if kind == "kind":
+            proof = replace(tx.proof, source_kind=SourceKind.CSW)
+        elif kind == "block":
+            proof = replace(tx.proof, block_hash={
+                "unknown": hash_bytes(b"no such block"),
+                "registration": w.mc.get_block(1).hash,
+                "finalizing-nothing": w.mc.get_block(6).hash,
+            }[which])
+        else:
+            anchor = anchor_of(w.mc, beta.sc_id, 0) if which == "other-chain" else anchor_of(w.mc, alpha.sc_id, 1)
+            path = replace(tx.proof.commitment_path, posting_digest=canonical_digest(anchor.cert))
+            proof = replace(tx.proof, commitment_path=path)
+            if kind == "anchor":
+                path = replace(path, segments=(anchor.stc_path,))
+                proof = replace(proof, commitment_path=path, block_hash=canonical_digest(anchor.header))
+        bad = replace(tx, proof=proof)
+        first = beta.accept_redeem(bad)
+        assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
+        assert beta.accept_redeem(tx).accepted
+        assert beta.accept_redeem(bad).reason == ALREADY_REDEEMED
+
+    @pytest.mark.parametrize("evidence", ["kind:certificate", "posting:other"])
+    def test_csw_evidence_not_of_the_named_withdrawal_is_a_bad_proof_until_redeemed(self, evidence):
+        w = ceased_world()
+        alpha, beta = w.chains["alpha"], w.chains["beta"]
+        pkg = withdraw_native_held(alpha, w.alice, canonical_digest(w.kept), beta.sc_id, w.bob.public)
+        assert w.mc.submit_csw(pkg.csw).accepted
+        w.mc.advance_block()
+        tx = make_csw_redeem_tx(w.mc, pkg, w.bob)
+        if evidence == "kind:certificate":
+            proof = replace(tx.proof, source_kind=SourceKind.CERTIFICATE)
+        else:
+            proof = replace(tx.proof, commitment_path=replace(tx.proof.commitment_path, posting_digest=hash_bytes(b"x")))
+        bad = replace(tx, proof=proof)
+        first = beta.accept_csw_redeem(bad)
+        assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
+        assert beta.accept_csw_redeem(tx).accepted
+        assert beta.accept_csw_redeem(bad).reason == ALREADY_REDEEMED
 
     def test_no_delivery_before_confirmation(self):
         # At every stage before the source certificate is finalized, the

@@ -253,8 +253,9 @@ class TestSentRecordArithmetic:
 
 class TestRedeemRules:
     def foreign_arrival(self):
-        """BOB redeems a HOME-issued token onto AWAY."""
+        """BOB redeems a HOME-issued token onto AWAY; HOME registered its name."""
         state = fresh_state(sc_id=AWAY)
+        state.registry.register("WBT", True, HOME)
         ti = TokenInstance("WBT", True, HOME, BOB.public, hash_bytes(b"g"), amount=10)
         msg = send_message(ti, sending=HOME, receiving=AWAY, sender=BOB, receiver=ALICE)
         return state, ti, msg
@@ -349,8 +350,23 @@ class TestRedeemRules:
         minted = list(state.s_tks.values())
         assert len(minted) == 1 and minted[0].owner == ALICE.public
 
+    @pytest.mark.parametrize("registered", [None, (False, HOME), (True, ELSEWHERE)],
+                             ids=["unregistered", "other-fungibility", "other-issuer"])
+    def test_r8_arrival_matches_its_name_registration(self, registered):
+        state, ti, msg = self.foreign_arrival()
+        state.registry = TokenNameRegistry()
+        if registered is not None:
+            state.registry.register("WBT", *registered)
+        assert state.validate_redeem(ti, msg, signed(msg, BOB)) == "redeem-8"
+
+    def test_r8_is_checked_last(self):
+        state, ti, msg = self.foreign_arrival()
+        state.registry = TokenNameRegistry()
+        assert state.validate_redeem(ti, msg, signed(msg, ALICE)) == "redeem-5"
+
     def test_nft_return_removes_record(self):
         state = fresh_state(sc_id=HOME)
+        state.registry.register("ART", False, HOME)
         state.s_sent[("n", "ART", 3)] = SentRecord(AWAY, "ART", False, token_id=3)
         nft = TokenInstance("ART", False, HOME, BOB.public, hash_bytes(b"g"), token_id=3)
         msg = send_message(nft, sending=AWAY, receiving=HOME, sender=BOB, receiver=ALICE)

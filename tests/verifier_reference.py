@@ -1,0 +1,82 @@
+"""Reference redeem verifier: decides a redeem claim from ground truth.
+
+``proofs.verify_redeem`` checks Merkle evidence against the block root and
+the posting the receiving chain resolved. This reference reads no evidence.
+It asks the world whether the claim the proof makes is true:
+
+- the payload hashes to the message's ``payload_hash``;
+- certificate-sourced: the message is a leaf of one of the sending chain's
+  archived epochs, and the certificate that finalized that epoch sits in
+  the block the proof names;
+- withdrawal-sourced: a zero-amount withdrawal of the sending chain that
+  embeds the message sits in the block the proof names.
+
+``watch_redeems`` holds the live verifier to it on every call a receiving
+chain makes while a test runs scenarios.
+"""
+from dataclasses import dataclass, field
+
+from mitto import sidechain
+from mitto.hashing import hash_bytes
+from mitto.harness import World
+from mitto.messages import message_digest
+from mitto.proofs import SourceKind
+
+
+def redeem_claim_holds(world: World, message, payload: bytes, proof) -> bool:
+    """Does ``proof``'s claim about ``message`` hold in ``world``?"""
+    if hash_bytes(payload) != message.payload_hash:
+        return False
+    mainchain = world.mainchain
+    sender_id = message.sending_sc_id
+    md = message_digest(message)
+    if proof.source_kind is SourceKind.CERTIFICATE:
+        senders = [chain for chain in world.chains.values() if chain.sc_id == sender_id]
+        for chain in senders:
+            for epoch_id, closed in enumerate(chain.epochs):
+                confirmed = mainchain.finalized_cert(sender_id, epoch_id)
+                if md in closed.tree.leaves and confirmed is not None and confirmed[1] == proof.block_hash:
+                    return True
+        return False
+    # Every withdrawal the settlement chain included, with its block.
+    for (ledger_id, _nullifier), (csw, block_hash) in mainchain._csw_inclusions.items():
+        if ledger_id == sender_id and block_hash == proof.block_hash and csw.amount == 0 and csw.proofdata[:1] == (md,):
+            return True
+    return False
+
+
+@dataclass
+class RedeemWatch:
+    """What the watched verifier said, and where the reference disagreed."""
+
+    world: World | None = None
+    verdicts: list[bool] = field(default_factory=list)
+    disagreements: list[str] = field(default_factory=list)
+
+
+def watch_redeems(monkeypatch) -> RedeemWatch:
+    """While ``monkeypatch`` holds, compare every ``verify_redeem`` call a
+    receiving chain makes with the reference on the World it runs in (the
+    last one built)."""
+    watch = RedeemWatch()
+    build = World.__init__
+    verify = sidechain.verify_redeem
+
+    def init(world, *args, **kwargs):
+        build(world, *args, **kwargs)
+        watch.world = world
+
+    def checked(stc_root, posting, message, payload, proof):
+        verdict = verify(stc_root, posting, message, payload, proof)
+        expected = redeem_claim_holds(watch.world, message, payload, proof)
+        watch.verdicts.append(verdict)
+        if verdict != expected:
+            watch.disagreements.append(
+                f"{watch.world.scenario.name}: message {message_digest(message).hex()[:16]} "
+                f"({proof.source_kind.name}) verifier {verdict}, reference {expected}"
+            )
+        return verdict
+
+    monkeypatch.setattr(World, "__init__", init)
+    monkeypatch.setattr(sidechain, "verify_redeem", checked)
+    return watch

@@ -10,6 +10,7 @@ from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair
 from mitto.mainchain import Mainchain
+from mitto.proofs import verify_redeem
 from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, SendTx, message_digest
 from mitto.sidechain import Sidechain
 from mitto.tokens import TokenNameRegistry, attach_token_ledger, make_redeem_tx
@@ -32,6 +33,14 @@ def two_chain_world(epoch_length=2, seed=1):
         alice=KeyPair.from_label("actor", seed, "alice"),
         bob=KeyPair.from_label("actor", seed, "bob"),
     )
+
+
+def redeem_verifies(w, message, payload, proof, withdrawal=None) -> bool:
+    """``verify_redeem`` on what beta's gate resolves for the evidence, as
+    a redeem on beta runs it; ``withdrawal`` is the withdrawal a CSW redeem
+    names by its reference."""
+    resolved = w.chains["beta"].resolve_redeem(message, proof, withdrawal)
+    return verify_redeem(*resolved, message, payload, proof)
 
 
 def make_send(chain, owner: KeyPair, instance, to_chain, receiver: KeyPair):
