@@ -97,6 +97,10 @@ def _run_file(path: Path, args: argparse.Namespace, prefix: str) -> int:
         return EXIT_USAGE
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
+    dump_name = f"{scenario.name}.state.json"
+    if args.dump is not None and (Path(dump_name).name != dump_name or "\0" in dump_name):
+        print(f"{prefix}--dump: scenario name {scenario.name!r} is not a plain file name", file=sys.stderr)
+        return EXIT_USAGE
     try:
         runner = Runner(scenario)
     except HarnessError as err:
@@ -106,7 +110,7 @@ def _run_file(path: Path, args: argparse.Namespace, prefix: str) -> int:
     if args.dump is not None:
         directory = Path(args.dump)
         directory.mkdir(parents=True, exist_ok=True)
-        dump_state(runner.world, directory / f"{scenario.name}.state.json")
+        dump_state(runner.world, directory / dump_name)
     if not prefix:
         _emit_report(report, args.json_report)
     failure = report["failure"]

@@ -17,7 +17,6 @@ the world.
 """
 from __future__ import annotations
 
-import difflib
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -303,12 +302,6 @@ def dump_state(world: World, path: str | Path) -> None:
     Path(path).write_text(render_json(world.dump()) + "\n")
 
 
-def diff_state(a: dict, b: dict) -> str:
-    left = render_json(a).splitlines(keepends=True)
-    right = render_json(b).splitlines(keepends=True)
-    return "".join(difflib.unified_diff(left, right, fromfile="a", tofile="b"))
-
-
 @dataclass(frozen=True, slots=True)
 class _SendRecord:
     """An accepted send and the token instance it moved. A message enters
@@ -364,6 +357,17 @@ class Runner:
         result["replay"] = replay.to_json()
         if replay.accepted:
             self.violations.append(f"step {index}: replay-safety: duplicate {what}")
+
+    def _redeem(self, index: int, step: steps.Step, ref: str, label: str, submit, tx, note, instance) -> dict:
+        """Redeem ``tx`` (of send or withdrawal ``ref``) on chain ``label`` by
+        ``submit``, show the verdict to ``note`` and replay an accepted one."""
+        kind = step.op.replace("_", " ")
+        verdict = self._submit(index, step, submit, tx)
+        self._note(index, note(label, instance, tx.message, verdict.accepted))
+        result = {"outcome": verdict.to_json(), "summary": f"{kind} {ref!r} on {label}"}
+        if verdict.accepted:
+            self._replay(index, result, submit, tx, f"{kind} accepted on {label}")
+        return result
 
     def _build_message(self, step: steps.Send | steps.FabricateSend, instance: TokenInstance) -> CscpMessage:
         chains = self.world.chains
@@ -504,12 +508,8 @@ class Runner:
             tx = replace(tx, receiver_signature=self.world.forger().sign(redeem_auth_digest(tx.message, tx.payload)))
         elif step.tamper == "wrong_block":
             tx = replace(tx, proof=replace(tx.proof, block_hash=self.world.mainchain.get_block(0).hash))
-        verdict = self._submit(index, step, chain.accept_redeem, tx)
-        self._note(index, self.world.accountant.note_redeem(label, record.instance, record.message, verdict.accepted))
-        result = {"outcome": verdict.to_json(), "summary": f"redeem {step.send!r} on {label}"}
-        if verdict.accepted:
-            self._replay(index, result, chain.accept_redeem, tx, f"redeem accepted on {label}")
-        return result
+        note = self.world.accountant.note_redeem
+        return self._redeem(index, step, step.send, label, chain.accept_redeem, tx, note, record.instance)
 
     def _op_csw(self, index: int, step: steps.Csw) -> dict:
         chain = self.world.chains[step.chain]
@@ -575,14 +575,8 @@ class Runner:
             )
         except EvidenceUnavailable as err:
             return _unavailable(f"csw redeem {step.withdrawal!r} on {label}: {err}")
-        verdict = self._submit(index, step, chain.accept_csw_redeem, tx)
-        self._note(
-            index, self.world.accountant.note_csw_redeem(label, package.instance, package.message, verdict.accepted)
-        )
-        result = {"outcome": verdict.to_json(), "summary": f"csw redeem {step.withdrawal!r} on {label}"}
-        if verdict.accepted:
-            self._replay(index, result, chain.accept_csw_redeem, tx, f"csw redeem accepted on {label}")
-        return result
+        note = self.world.accountant.note_csw_redeem
+        return self._redeem(index, step, step.withdrawal, label, chain.accept_csw_redeem, tx, note, package.instance)
 
     def _op_notify(self, index: int, step: steps.Notify) -> dict:
         state = self.world.states[step.chain]
@@ -695,10 +689,6 @@ class Runner:
             "final": final,
             "ok": ok,
         }
-
-
-def run_scenario(scenario: Scenario) -> dict:
-    return Runner(scenario).run()
 
 
 def render_report(report: dict) -> str:

@@ -6,13 +6,16 @@ root) into a withdrawal certificate, and submits it to the settlement chain;
 the message tree and application snapshots are archived per epoch so redeem
 and withdrawal evidence can be built later.
 
-A redeem checks replay protection before anything else: a message whose
-digest is in the chain's persistent redeemed set is refused before its
-evidence is looked at, so a replay that also carries a broken proof gets
-``AlreadyRedeemed``. Then what the evidence names on the settlement chain
-is looked up by key and the evidence verified against it alone, the
-receiving chain and the receiver's authorization are checked, and
-type-specific validation goes to the handler for the message type.
+A redeem of either kind (of a message a certificate committed, or of one
+a ceased chain's withdrawal carries) passes one gate, which checks replay
+protection before anything else: a message whose digest is in the chain's
+persistent redeemed set is refused before its evidence is looked at, so a
+replay that also carries broken evidence gets ``AlreadyRedeemed``. Then the
+posting the transaction names (its withdrawal, or the certificate finalized
+in its block) is looked up by key and the evidence verified against it
+alone, a missing posting failing rule ``redeem-7``; then the receiving
+chain and the receiver's authorization are checked, and type-specific
+validation goes to the handler for the message type.
 
 Handlers parse at the gate: on a send or a redeem the gate has the handler
 parse the payload once, refuses a payload it cannot parse with rule
@@ -47,7 +50,6 @@ from .proofs import (
     CommittedState,
     CswClaim,
     EntityNotInState,
-    RedeemProof,
     ReturnEvidence,
     anchor_of,
     claim_proofdata,
@@ -253,30 +255,30 @@ class Sidechain:
         return self._redeem(tx)
 
     def accept_csw_redeem(self, tx: CswRedeemTx) -> Verdict:
-        inclusion = self.mainchain.csw_inclusion(*tx.csw_ref)
-        if inclusion is None:
-            return Verdict.rejected(v.CSW_NOT_FOUND)
-        return self._redeem(tx, withdrawal=inclusion[0])
+        return self._redeem(tx)
 
-    def resolve_redeem(self, message: CscpMessage, proof: RedeemProof, posting=None) -> tuple:
-        """The block root and the posting ``verify_redeem`` checks ``proof``
-        against, found by key: ``posting`` is the withdrawal a CSW redeem
-        names; else the certificate the sending chain finalized in the named
-        block. None where there is none."""
-        block = self.mainchain.block_by_hash(proof.block_hash)
-        if posting is None:
-            posting = self.mainchain.certificate_in(message.sending_sc_id, proof.block_hash)
+    def resolve_redeem(self, tx: RedeemTx | CswRedeemTx) -> tuple:
+        """The block root and the posting ``verify_redeem`` checks the
+        evidence of ``tx`` against, found by key: the withdrawal a CSW
+        redeem's csw_ref names, else the certificate the sending chain
+        finalized in the named block. None where there is none."""
+        block = self.mainchain.block_by_hash(tx.proof.block_hash)
+        if isinstance(tx, CswRedeemTx):
+            inclusion = self.mainchain.csw_inclusion(*tx.csw_ref)
+            posting = None if inclusion is None else inclusion[0]
+        else:
+            posting = self.mainchain.certificate_in(tx.message.sending_sc_id, tx.proof.block_hash)
         return (None if block is None else block.stc_root), posting
 
-    def _redeem(self, tx: RedeemTx | CswRedeemTx, withdrawal: CeasedSidechainWithdrawal | None = None) -> Verdict:
+    def _redeem(self, tx: RedeemTx | CswRedeemTx) -> Verdict:
         # A replay is refused before its evidence is resolved. The set holds
         # only messages this chain accepted, all naming it as receiver, so
-        # the order changes no verdict but that of a replay with a bad proof.
+        # the order changes no verdict but that of a replay with bad evidence.
         message, payload = tx.message, tx.payload
         digest = message_digest(message)
         if digest in self.redeemed:
             return Verdict.rejected(v.ALREADY_REDEEMED)
-        if not verify_redeem(*self.resolve_redeem(message, tx.proof, withdrawal), message, payload, tx.proof):
+        if not verify_redeem(*self.resolve_redeem(tx), message, payload, tx.proof):
             return Verdict.rejected(v.PROOF_INVALID, rule=RULE_PROOF)
         if message.receiving_sc_id != self.sc_id:
             return Verdict.rejected(v.WRONG_RECEIVING_CHAIN)

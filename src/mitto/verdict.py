@@ -50,4 +50,3 @@ HANDLER_REJECTED = "HandlerRejected"
 WRONG_RECEIVING_CHAIN = "WrongReceivingChain"
 ALREADY_REDEEMED = "AlreadyRedeemed"
 BAD_RECEIVER_AUTH = "BadReceiverAuth"
-CSW_NOT_FOUND = "CswNotFound"

@@ -19,7 +19,7 @@ from worlds import ceased_world, committed_world, redeem_verifies
 from mitto import vectors
 from mitto.cli import main as cli_main
 from mitto.fuzz import run_fuzz
-from mitto.harness import render_report, run_scenario
+from mitto.harness import Runner, render_report
 from mitto.hashing import Digest, MerklePath, hash_bytes
 from mitto.keys import KeyPair, PubKey
 from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, Proof, message_digest
@@ -68,7 +68,7 @@ def fuzz_corpus():
 
 def test_criterion_1_golden_path():
     problems = []
-    report = run_scenario(load_scenario(SCENARIO_DIR / "golden_fungible_roundtrip.json"))
+    report = Runner(load_scenario(SCENARIO_DIR / "golden_fungible_roundtrip.json")).run()
     if not report["ok"]:
         problems.append(f"golden run not ok: {report['violations']}")
     final = report["final"]
@@ -102,7 +102,7 @@ def test_criterion_2_replay_suite():
     problems = []
     probes = 0
     for path in sorted(SCENARIO_DIR.glob("*.json")):
-        report = run_scenario(load_scenario(path))
+        report = Runner(load_scenario(path)).run()
         for step in report["steps"]:
             if step["op"] in ("redeem", "csw_redeem") and step["outcome"]["accepted"]:
                 probes += 1
@@ -174,7 +174,7 @@ def test_criterion_6_ceasing_suite():
 
     # (b) The three withdrawal flows run end to end in a bundled scenario.
     for name in ("ceased_silence", "ceased_flows"):
-        report = run_scenario(load_scenario(SCENARIO_DIR / f"{name}.json"))
+        report = Runner(load_scenario(SCENARIO_DIR / f"{name}.json")).run()
         if not report["ok"]:
             problems.append(f"{name}: {report['violations'] or report['failure']}")
 
@@ -353,14 +353,14 @@ def test_criterion_7_commitment_soundness():
     assert zw.mc.submit_csw(pkg.csw).accepted
     zw.mc.advance_block()
     crp = build_csw_redeem_proof(zw.mc, pkg.csw.ledger_id, pkg.csw.nullifier, pkg.message)
-    withdrawal, _block_hash = zw.mc.csw_inclusion(pkg.csw.ledger_id, pkg.csw.nullifier)
-    if not redeem_verifies(zw, pkg.message, pkg.payload, crp, withdrawal):
+    csw_ref = (pkg.csw.ledger_id, pkg.csw.nullifier)
+    if not redeem_verifies(zw, pkg.message, pkg.payload, crp, csw_ref):
         problems.append("honest withdrawal-redeem fixture does not verify")
     for field in ("msg_tree_root", "block_hash"):
         for note, digest in _digest_flips(getattr(crp, field)):
             sweep.expect_false(
                 f"csw-redeem {field} {note}",
-                redeem_verifies(zw, pkg.message, pkg.payload, replace(crp, **{field: digest}), withdrawal),
+                redeem_verifies(zw, pkg.message, pkg.payload, replace(crp, **{field: digest}), csw_ref),
             )
     for n, segment in enumerate(crp.commitment_path.segments):
         for note, path in _path_flips(segment):
@@ -368,7 +368,7 @@ def test_criterion_7_commitment_soundness():
             mutated = replace(crp, commitment_path=replace(crp.commitment_path, segments=segments))
             sweep.expect_false(
                 f"csw-redeem segment {n} {note}",
-                redeem_verifies(zw, pkg.message, pkg.payload, mutated, withdrawal),
+                redeem_verifies(zw, pkg.message, pkg.payload, mutated, csw_ref),
             )
 
     if sweep.total < 500:
@@ -381,7 +381,7 @@ def test_criterion_7_commitment_soundness():
 def test_redeem_verifier_agrees_with_reference_on_scenarios_and_vectors(monkeypatch):
     watch = watch_redeems(monkeypatch)
     for path in sorted(SCENARIO_DIR.glob("*.json")):
-        run_scenario(load_scenario(path))
+        Runner(load_scenario(path)).run()
     for case in vectors.CASES:
         if case.layer == "world":
             vectors.run_case(case)
@@ -399,8 +399,8 @@ def test_criterion_8_determinism():
     problems = []
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         scenario = load_scenario(path)
-        first = render_report(run_scenario(scenario))
-        second = render_report(run_scenario(scenario))
+        first = render_report(Runner(scenario).run())
+        second = render_report(Runner(scenario).run())
         if first != second:
             problems.append(f"{path.stem}: reports differ between runs")
     verdict(8, "byte-identical reports for every bundled scenario", problems)

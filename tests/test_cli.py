@@ -51,6 +51,17 @@ def test_run_dump_written(tmp_path):
     assert set(state) == {"mainchain", "chains"}
 
 
+@pytest.mark.parametrize("name", ["sub/x", "../escaped", "nul\0byte"], ids=["subdir", "parent", "nul"])
+def test_run_dump_refuses_a_name_that_is_not_a_file_name(tmp_path, capsys, name):
+    scenario = json.loads((SCENARIO_DIR / "nft_roundtrip.json").read_text())
+    path = write_scenario(tmp_path, {**scenario, "name": name})
+    dump_dir = tmp_path / "dumps" / "inner"
+    report = tmp_path / "report.json"
+    assert main(["run", path, "--dump", str(dump_dir), "--json-report", str(report)]) == 2
+    assert "not a plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.json"]
+
+
 def test_run_expectation_failure_exit_one(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "name": "fails",

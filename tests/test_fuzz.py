@@ -1,6 +1,6 @@
 """Generated adversarial traces: determinism and guaranteed probes."""
 from mitto.fuzz import generate_trace, run_fuzz, run_trace
-from mitto.harness import run_scenario
+from mitto.harness import Runner
 from mitto.scenario import parse_scenario
 
 
@@ -43,8 +43,8 @@ def test_single_trace_clean_with_probes_rejected():
 
 def test_trace_reports_are_deterministic():
     obj, _ = generate_trace(21, 5)
-    first = run_scenario(parse_scenario(obj, source=obj["name"]))
-    second = run_scenario(parse_scenario(obj, source=obj["name"]))
+    first = Runner(parse_scenario(obj, source=obj["name"])).run()
+    second = Runner(parse_scenario(obj, source=obj["name"])).run()
     assert first == second
 
 

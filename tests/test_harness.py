@@ -13,7 +13,7 @@ from mitto import accountant as accountant_module, hashing, mainchain as maincha
 from mitto.accountant import Accountant
 from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
 from mitto.fuzz import generate_trace
-from mitto.harness import HarnessError, Runner, diff_state, dump_state, render_report, run_scenario
+from mitto.harness import HarnessError, Runner, dump_state, render_json, render_report
 from mitto.hashing import hash_bytes
 from mitto.journal import JournalDict, JournalList, JournalSet
 from mitto.mainchain import Mainchain
@@ -42,11 +42,11 @@ def scenario_obj(steps, chains=None, name="inline", seed=3, **extra) -> dict:
 
 
 def run_inline(steps, **kwargs) -> dict:
-    return run_scenario(parse_scenario(scenario_obj(steps, **kwargs)))
+    return Runner(parse_scenario(scenario_obj(steps, **kwargs))).run()
 
 
 def test_golden_scenario_passes():
-    report = run_scenario(load_scenario(SCENARIO_DIR / "golden_fungible_roundtrip.json"))
+    report = Runner(load_scenario(SCENARIO_DIR / "golden_fungible_roundtrip.json")).run()
     assert report["ok"] is True
     assert report["violations"] == []
     assert report["failure"] is None
@@ -54,8 +54,8 @@ def test_golden_scenario_passes():
 
 def test_report_byte_identical_across_runs():
     scenario = load_scenario(SCENARIO_DIR / "golden_fungible_roundtrip.json")
-    first = render_report(run_scenario(scenario))
-    second = render_report(run_scenario(scenario))
+    first = render_report(Runner(scenario).run())
+    second = render_report(Runner(scenario).run())
     assert first == second
 
 
@@ -114,7 +114,7 @@ def test_rejected_tx_leaves_empty_diff():
     pre = world.dump()
     verdict = alpha.accept_send(tx)
     assert not verdict.accepted
-    assert diff_state(pre, world.dump()) == ""
+    assert render_json(world.dump()) == render_json(pre)
 
 
 def test_accepted_send_diff_touches_exactly_ledger_fields():
@@ -183,7 +183,7 @@ def test_assert_failure_stops_with_trace():
 
 
 def test_faulty_mode_violations_reported_and_expected():
-    report = run_scenario(load_scenario(SCENARIO_DIR / "faulty_no_sent_records.json"))
+    report = Runner(load_scenario(SCENARIO_DIR / "faulty_no_sent_records.json")).run()
     assert report["expect_violations"] is True
     assert report["violations"], "the faulty build must trip the accountant"
     assert any("conservation" in v or "over-return" in v for v in report["violations"])
@@ -197,7 +197,7 @@ def test_clean_run_with_expected_violations_fails():
 
 
 def test_replay_probe_recorded_on_accepted_redeem():
-    report = run_scenario(load_scenario(SCENARIO_DIR / "golden_fungible_roundtrip.json"))
+    report = Runner(load_scenario(SCENARIO_DIR / "golden_fungible_roundtrip.json")).run()
     redeems = [s for s in report["steps"] if s["op"] == "redeem"]
     assert redeems and redeems[0]["outcome"]["accepted"]
     assert redeems[0]["replay"] == {"accepted": False, "reason": "AlreadyRedeemed"}
@@ -733,34 +733,37 @@ def test_one_ed25519_verify_per_accepted_send_and_redeem(real_verifies, n):
                          ids=["scale-20", "scale-200", "ceased-6"])
 def test_each_payload_decoded_and_each_proof_verified_once(real_verifies, counted, shape, n):
     """Per step: the gate decodes a token payload once (a replay probe stops
-    at the redeemed set, before the payload or the proof is looked at), a
-    redeem verifies its evidence once, and a withdrawal proof's verifier
-    body runs once, for its prover; the settlement chain's check is a
-    memo lookup. Ed25519 work stays as it was."""
+    at the redeemed set, before the payload, the proof or the withdrawal it
+    names is looked at), a redeem verifies its evidence once, and a
+    withdrawal proof's verifier body runs once, for its prover; the
+    settlement chain's check is a memo lookup. Ed25519 work stays as it was."""
     decodes = counted(TokenInstance, "decode")
     redeem_proofs = counted(sidechain_module, "verify_redeem")
     csw_bodies = counted(CswBundle, "decode")
+    inclusions = counted(Mainchain, "csw_inclusion")
     scenario = parse_scenario(shape(n))
-    per_step = _per_step(Runner(scenario), decodes, redeem_proofs, csw_bodies, real_verifies)
+    per_step = _per_step(Runner(scenario), decodes, redeem_proofs, csw_bodies, real_verifies, inclusions)
     by_op = {}
     for step, counts in zip(scenario.steps, per_step):
         by_op.setdefault(step.op, set()).add(counts)
     # (payload decodes, verify_redeem calls, verify_csw bodies, Ed25519
-    # verifications) per step. A close verifies one certificate per chain
-    # it closes. A withdrawal's message reaches its receiving chain without
-    # a send, so its csw_redeem checks the sender's signature afresh.
+    # verifications, withdrawal lookups) per step. A close verifies one
+    # certificate per chain it closes. A withdrawal's message reaches its
+    # receiving chain without a send, so its csw_redeem checks the sender's
+    # signature afresh; it looks its withdrawal up once for its prover and
+    # once at the gate, and its replay probe not at all.
     expected = {
-        "send": {(1, 0, 0, 1)},
-        "advance_mainchain": {(0, 0, 0, 0)},
-        "close_epoch": {(0, 0, 0, 2)},
-        "redeem": {(1, 1, 0, 1)},
+        "send": {(1, 0, 0, 1, 0)},
+        "advance_mainchain": {(0, 0, 0, 0, 0)},
+        "close_epoch": {(0, 0, 0, 2, 0)},
+        "redeem": {(1, 1, 0, 1, 0)},
     }
     if shape is ceased_recovery_shape:
-        expected["close_epoch"] = {(0, 0, 0, 2), (0, 0, 0, 1)}
+        expected["close_epoch"] = {(0, 0, 0, 2, 0), (0, 0, 0, 1, 0)}
         expected.update({
-            "cease_by_silence": {(0, 0, 0, 0)},
-            "csw": {(0, 0, 1, 1)},
-            "csw_redeem": {(1, 1, 0, 2)},
+            "cease_by_silence": {(0, 0, 0, 0, 0)},
+            "csw": {(0, 0, 1, 1, 0)},
+            "csw_redeem": {(1, 1, 0, 2, 2)},
         })
     assert by_op == expected
 

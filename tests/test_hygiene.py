@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name it never uses, the package
-loads every module, and every function the benchmark traces exists.
+loads every module, every function the benchmark traces exists, and the
+README's layout lists every package module.
 
 No linter ships with the project, so this walks the syntax tree of every
 package and test module instead. A top-level import counts as used when
@@ -10,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,3 +87,11 @@ def test_every_traced_target_resolves():
             missing.append(f"mitto.{module_name}.{path}")
     assert len(tracer.TARGETS) > 0
     assert missing == []
+
+
+def test_readme_layout_names_every_module():
+    """The README's layout block names each ``src/mitto`` module once and
+    no module that does not exist."""
+    block = (ROOT / "README.md").read_text().split("## Layout", 1)[1].split("```")[1]
+    named = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+    assert sorted(named) == sorted(path.name for path in (ROOT / "src" / "mitto").glob("*.py"))

@@ -47,7 +47,7 @@ from mitto.proofs import (
     verify_redeem,
     verify_wcert,
 )
-from mitto.tokens import withdraw_foreign, withdraw_native_held, withdraw_native_sent
+from mitto.tokens import make_redeem_tx, withdraw_foreign, withdraw_native_held, withdraw_native_sent
 
 
 SIGNER = KeyPair.from_label("wcert", 0, "prover")
@@ -374,7 +374,7 @@ class TestRedeemEvidence:
         w.mc.advance_block()
         proof = build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
         assert proof.source_kind == SourceKind.CSW
-        assert redeem_verifies(w, pkg.message, pkg.payload, proof, pkg.csw)
+        assert redeem_verifies(w, pkg.message, pkg.payload, proof, (alpha.sc_id, pkg.csw.nullifier))
         assert RedeemProof.read(ByteReader(proof.encode())) == proof
 
     def test_csw_lookup_failures_raise(self):
@@ -395,22 +395,20 @@ class TestRedeemEvidence:
         assert w.mc.submit_csw(pkg.csw).accepted
         w.mc.advance_block()
         proof = build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
-        assert not redeem_verifies(w, pkg.message, pkg.payload + b"!", proof, pkg.csw)
-        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, msg_tree_root=EMPTY_ROOT), pkg.csw)
+        csw_ref = (alpha.sc_id, pkg.csw.nullifier)
+        assert not redeem_verifies(w, pkg.message, pkg.payload + b"!", proof, csw_ref)
+        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, msg_tree_root=EMPTY_ROOT), csw_ref)
         truncated = replace(proof.commitment_path, segments=proof.commitment_path.segments[:1])
-        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, commitment_path=truncated), pkg.csw)
+        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, commitment_path=truncated), csw_ref)
 
 
 class TestRedeemVerifierIsPure:
     def test_same_arguments_give_the_same_result_after_the_chain_advances(self):
         w = committed_world()
         alpha, beta = w.chains["alpha"], w.chains["beta"]
-        proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
-        elsewhere = replace(proof, block_hash=w.mc.get_block(4).hash)
-        calls = [
-            (*beta.resolve_redeem(w.message, evidence), w.message, w.send_tx.payload, evidence)
-            for evidence in (proof, elsewhere)
-        ]
+        tx = make_redeem_tx(w.mc, alpha, 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
+        elsewhere = replace(tx, proof=replace(tx.proof, block_hash=w.mc.get_block(4).hash))
+        calls = [(*beta.resolve_redeem(t), t.message, t.payload, t.proof) for t in (tx, elsewhere)]
         assert [verify_redeem(*args) for args in calls] == [True, False]
         for sc in (alpha, beta):
             assert sc.close_epoch()[1].accepted

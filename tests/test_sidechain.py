@@ -1,12 +1,14 @@
 """Cross-chain messaging layer: send gating, epoch archives, redeem gating,
 replay protection, and the no-delivery-before-confirmation guarantee."""
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from worlds import ceased_world, committed_world, make_send, two_chain_world
 
 from mitto.encoding import canonical_digest
+from mitto.harness import World
 from mitto.hashing import hash_bytes, verify_path
 from mitto.messages import (
     MSG_TYPE_TOKEN_TRANSFER,
@@ -35,6 +37,11 @@ from mitto.verdict import (
     WRONG_RECEIVING_CHAIN,
     WRONG_SENDER,
 )
+
+
+def write_marks(w):
+    """The harness's atomicity marks over every chain of world ``w``."""
+    return World.write_marks(SimpleNamespace(mainchain=w.mc, chains=w.chains))
 
 
 def fresh():
@@ -258,8 +265,10 @@ class TestRedeemGating:
         assert beta.accept_redeem(tx).accepted
         assert beta.accept_redeem(bad).reason == ALREADY_REDEEMED
 
-    @pytest.mark.parametrize("evidence", ["kind:certificate", "posting:other"])
+    @pytest.mark.parametrize("evidence", ["kind:certificate", "posting:other", "csw_ref:unknown"])
     def test_csw_evidence_not_of_the_named_withdrawal_is_a_bad_proof_until_redeemed(self, evidence):
+        # A csw_ref that names no included withdrawal is a missing posting,
+        # looked up only after the replay check.
         w = ceased_world()
         alpha, beta = w.chains["alpha"], w.chains["beta"]
         pkg = withdraw_native_held(alpha, w.alice, canonical_digest(w.kept), beta.sc_id, w.bob.public)
@@ -267,12 +276,16 @@ class TestRedeemGating:
         w.mc.advance_block()
         tx = make_csw_redeem_tx(w.mc, pkg, w.bob)
         if evidence == "kind:certificate":
-            proof = replace(tx.proof, source_kind=SourceKind.CERTIFICATE)
+            bad = replace(tx, proof=replace(tx.proof, source_kind=SourceKind.CERTIFICATE))
+        elif evidence == "posting:other":
+            path = replace(tx.proof.commitment_path, posting_digest=hash_bytes(b"x"))
+            bad = replace(tx, proof=replace(tx.proof, commitment_path=path))
         else:
-            proof = replace(tx.proof, commitment_path=replace(tx.proof.commitment_path, posting_digest=hash_bytes(b"x")))
-        bad = replace(tx, proof=proof)
+            bad = replace(tx, csw_ref=(alpha.sc_id, hash_bytes(b"no such withdrawal")))
+        marks = write_marks(w)
         first = beta.accept_csw_redeem(bad)
         assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
+        assert write_marks(w) == marks
         assert beta.accept_csw_redeem(tx).accepted
         assert beta.accept_csw_redeem(bad).reason == ALREADY_REDEEMED
 

@@ -11,7 +11,7 @@ from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair
 from mitto.mainchain import Mainchain
 from mitto.proofs import verify_redeem
-from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, SendTx, message_digest
+from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, CswRedeemTx, RedeemTx, SendTx, message_digest
 from mitto.sidechain import Sidechain
 from mitto.tokens import TokenNameRegistry, attach_token_ledger, make_redeem_tx
 
@@ -35,12 +35,15 @@ def two_chain_world(epoch_length=2, seed=1):
     )
 
 
-def redeem_verifies(w, message, payload, proof, withdrawal=None) -> bool:
+def redeem_verifies(w, message, payload, proof, csw_ref=None) -> bool:
     """``verify_redeem`` on what beta's gate resolves for the evidence, as
-    a redeem on beta runs it; ``withdrawal`` is the withdrawal a CSW redeem
-    names by its reference."""
-    resolved = w.chains["beta"].resolve_redeem(message, proof, withdrawal)
-    return verify_redeem(*resolved, message, payload, proof)
+    a redeem on beta runs it; a CSW redeem names its withdrawal by
+    ``csw_ref``. The resolver reads no signature, so none is made."""
+    if csw_ref is None:
+        tx = RedeemTx(message, payload, proof, sender_sig=b"", receiver_signature=b"")
+    else:
+        tx = CswRedeemTx(message, payload, proof, sender_sig=b"", receiver_signature=b"", csw_ref=csw_ref)
+    return verify_redeem(*w.chains["beta"].resolve_redeem(tx), message, payload, proof)
 
 
 def make_send(chain, owner: KeyPair, instance, to_chain, receiver: KeyPair):
