@@ -12,9 +12,10 @@ Every run's metrics are printed as it ends. Then, for each end-to-end
 metric, the table gives each side's median [q1, q3] over the pairs, the
 change's median relative to the parent's, the pairs the change won in
 the direction ``BENCHMARK.json`` gives the metric (ties count for neither
-side), the metric's bound from that file and the no-regression verdict
-(``regression_verdict``), followed by each side's failed operations
-against those attempted.
+side), the metric's bound from that file, the no-regression verdict
+(``regression_verdict``) and whether a gain on the metric may be claimed
+(``gain_holds``), followed by each side's failed operations against those
+attempted.
 
 Both checkouts must hold the same ``BENCHMARK.json``. A checkout of the
 parent commit can come from ``git worktree add`` or ``git archive``.
@@ -54,6 +55,22 @@ def _run(checkout: Path, command: list[str], workload: str, seed: int, seconds: 
 def _spread(values: list[float]) -> str:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change beats the parent; ties count for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def gain_holds(parent: list[float], change: list[float], better: str) -> bool:
+    """Whether a gain on one metric may be claimed: the change wins at least
+    nine pairs in ten, and its median beats the parent's by more than the
+    parent's quartile spread, q3 - q1."""
+    sign = 1 if better == "higher" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gained = sign * (statistics.median(change) - statistics.median(parent))
+    return 10 * wins(parent, change, better) >= 9 * len(parent) and gained > q3 - q1
 
 
 def regression_verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
@@ -105,16 +122,15 @@ def main(argv: list[str] | None = None) -> int:
     pairs = len(args.seeds)
     print(f"\n{args.workload}: {pairs} pairs, {spec['run_seconds']} s runs")
     print(f"{'metric':<14} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} {'change':>8} {'wins':>6}"
-          f" {'bound':>6}  verdict")
+          f" {'bound':>6}  {'verdict':<12}  gain")
     for name, (better, bound) in metrics.items():
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        sign = 1 if better == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        parent_median = statistics.median(values["parent"])
-        moved = statistics.median(values["change"]) / parent_median - 1 if parent_median else float("nan")
-        print(f"{name:<14} {_spread(values['parent']):<30} {_spread(values['change']):<30} "
-              f"{moved:>+8.2%} {wins:>3}/{pairs} {bound:>6.0%}  "
-              f"{regression_verdict(values['parent'], values['change'], better, bound)}")
+        parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES)
+        parent_median = statistics.median(parent)
+        moved = statistics.median(change) / parent_median - 1 if parent_median else float("nan")
+        print(f"{name:<14} {_spread(parent):<30} {_spread(change):<30} "
+              f"{moved:>+8.2%} {wins(parent, change, better):>3}/{pairs} {bound:>6.0%}  "
+              f"{regression_verdict(parent, change, better, bound):<12}  "
+              f"{'holds' if gain_holds(parent, change, better) else 'no'}")
     for side in SIDES:
         failed = sum(r["failed"] for r in runs[side])
         attempted = sum(r["attempted"] for r in runs[side])

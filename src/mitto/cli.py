@@ -107,12 +107,17 @@ def _run_file(path: Path, args: argparse.Namespace, prefix: str) -> int:
         print(f"{prefix}scenario error: {err}", file=sys.stderr)
         return EXIT_USAGE
     report = runner.run()
-    if args.dump is not None:
-        directory = Path(args.dump)
-        directory.mkdir(parents=True, exist_ok=True)
-        dump_state(runner.world, directory / dump_name)
-    if not prefix:
-        _emit_report(report, args.json_report)
+    try:
+        if args.dump is not None:
+            target = Path(args.dump) / dump_name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            dump_state(runner.world, target)
+        if not prefix:
+            target = args.json_report or "<stdout>"
+            _emit_report(report, args.json_report)
+    except OSError as err:
+        print(f"{prefix}cannot write {target}: {err}", file=sys.stderr)
+        return EXIT_USAGE
     failure = report["failure"]
     if failure is not None and failure["invariant"] == "scenario":
         print(f"{prefix}scenario error: {failure['trace']}", file=sys.stderr)

@@ -21,7 +21,6 @@ import struct
 from dataclasses import dataclass, fields, is_dataclass
 
 from .hashing import Digest, MerklePath, Sibling, hash_bytes
-from .keys import PubKey
 
 U8_MAX = 0xFF
 U32_MAX = 0xFFFF_FFFF
@@ -76,10 +75,11 @@ def enc_str(value: str) -> bytes:
     return enc_bytes(value.encode("utf-8"))
 
 
-def enc_digest(value: Digest) -> bytes:
+def enc_digest(value: Digest, what: str = "digest") -> bytes:
+    """A 32-byte field (a digest or a public key) as itself."""
     if len(value) != 32:
-        raise ValueError(f"digest must be 32 bytes, got {len(value)}")
-    return bytes(value)
+        raise ValueError(f"{what} must be 32 bytes, got {len(value)}")
+    return value
 
 
 class ByteReader:
@@ -114,7 +114,7 @@ class ByteReader:
 
     def digests(self, count: int) -> tuple[Digest, ...]:
         data = self.take(32 * count)
-        return tuple([Digest(data[i : i + 32]) for i in range(0, len(data), 32)])
+        return tuple([data[i : i + 32] for i in range(0, len(data), 32)])
 
     def finish(self) -> None:
         if self._pos != len(self._data):
@@ -183,9 +183,10 @@ U64 = Codec("u64", put=(("Q", "{v}"),), get=(("Q", ""),))
 BOOL = Codec("bool", put=(("B", "1 if {v} else 0"),), get=(("B", ""),), value="{0} == 1", check=_BAD_BOOL)
 BYTES = Codec("bytes", put=(("I", "len({v})"), ("", "{v}")), get=(("I", ""), ("", "r.take({0})")), value="{1}")
 STR = Codec("str", put=(("", "enc_str({v})"),), get=(("", "r.string()"),))
-DIGEST = Codec("digest", put=(("", "enc_digest({v})"),), get=(("32s", ""),), value="Digest({0})")
-#: A raw 32-byte public key; encodes at its own length, as bytes(key).
-PUBKEY = Codec("pubkey", put=(("", "bytes({v})"),), get=(("32s", ""),), value="PubKey({0})")
+# A 32-byte field reads as the plain bytes the fixed-width struct unpacks
+# and writes only after ``enc_digest`` has checked its length.
+DIGEST = Codec("digest", put=(("", "enc_digest({v})"),), get=(("32s", ""),))
+PUBKEY = Codec("pubkey", put=(("", "enc_digest({v}, 'public key')"),), get=(("32s", ""),))
 DIGEST_LIST = Codec(
     "digest_list",
     put=(("I", "len({v})"), ("", "b''.join(map(enc_digest, {v}))")),
@@ -212,7 +213,7 @@ U32_DIGEST = Codec(
     "u32_digest",
     put=(("I", "{v}[0]"), ("", "enc_digest({v}[1])")),
     get=(("I", ""), ("32s", "")),
-    value="({0}, Digest({1}))",
+    value="({0}, {1})",
 )
 
 
@@ -274,8 +275,6 @@ WIRE_TYPES: dict[str, type] = {}
 # Globals of the generated codecs: helpers, structs, every wire type and enum.
 _NAMESPACE: dict = {
     "DecodeError": DecodeError,
-    "Digest": Digest,
-    "PubKey": PubKey,
     "StructError": struct.error,
     "_flag": _flag,
     "enc_bytes": enc_bytes,

@@ -6,6 +6,12 @@ domain-separated node hashing: leaf-level nodes are hash(0x00 || leaf),
 internal nodes hash(0x01 || left || right), which keeps an internal node
 from ever being replayed as a leaf. The node over an all-padding subtree
 depends only on its height, so it comes from a table, not from hashing.
+
+A digest is plain ``bytes``, which the cyclic garbage collector does not
+track. Nothing here checks its length: the wire codecs read exactly 32
+bytes for a digest and refuse to write one of any other length.
+``hash_bytes`` is the one SHA-256 call, once per tree node too, and it
+reads ``_sha256`` when called.
 """
 
 from __future__ import annotations
@@ -15,22 +21,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class Digest(bytes):
-    """A 32-byte SHA-256 output. Construction rejects any other length;
-    ``hash_bytes``, whose outputs have that length, skips the check."""
-
-    def __new__(cls, value: bytes) -> "Digest":
-        if len(value) != 32:
-            raise ValueError(f"digest must be 32 bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
+#: A 32-byte SHA-256 output.
+Digest = bytes
 
 _sha256 = hashlib.sha256
-_as_digest = bytes.__new__
 
 
 def hash_bytes(data: bytes) -> Digest:
-    return _as_digest(Digest, _sha256(data).digest())
+    return _sha256(data).digest()
 
 
 #: Root of an empty tree, also the padding sentinel: SHA-256 of the empty string.
@@ -40,19 +38,10 @@ _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
 
 
-def leaf_node(leaf: Digest) -> Digest:
-    """Level-0 tree node for a leaf digest."""
-    return hash_bytes(_LEAF_PREFIX + leaf)
-
-
-def inner_node(left: Digest, right: Digest) -> Digest:
-    return hash_bytes(_NODE_PREFIX + left + right)
-
-
 def _padding_nodes(heights: int) -> tuple[Digest, ...]:
-    nodes = [leaf_node(EMPTY_ROOT)]
+    nodes = [hash_bytes(_LEAF_PREFIX + EMPTY_ROOT)]
     while len(nodes) < heights:
-        nodes.append(inner_node(nodes[-1], nodes[-1]))
+        nodes.append(hash_bytes(_NODE_PREFIX + nodes[-1] + nodes[-1]))
     return tuple(nodes)
 
 
@@ -125,7 +114,7 @@ def build_merkle(leaves: list[Digest]) -> MerkleTree:
         return MerkleTree(leaves=(), levels=(), root=EMPTY_ROOT)
     # ``nodes`` holds a level's nodes up to the last one over a real leaf;
     # the rest of the level is padding, taken from the table.
-    nodes = [leaf_node(d) for d in leaves]
+    nodes = [hash_bytes(_LEAF_PREFIX + d) for d in leaves]
     width = _padded_size(len(nodes))
     levels: list[tuple[Digest, ...]] = []
     for pad in _PADDING:
@@ -142,7 +131,7 @@ def merkle_root(leaves) -> Digest:
     keeping the levels: for callers that read nothing but the root."""
     if not leaves:
         return EMPTY_ROOT
-    nodes = [leaf_node(d) for d in leaves]
+    nodes = [hash_bytes(_LEAF_PREFIX + d) for d in leaves]
     for pad in _PADDING:
         nodes = _parent_level(nodes, pad)
         if len(nodes) == 1:
@@ -154,7 +143,8 @@ def _parent_level(nodes: list[Digest], pad: Digest) -> list[Digest]:
     where ``pad`` is the padding node of that level."""
     if len(nodes) % 2:
         nodes.append(pad)
-    return [inner_node(nodes[i], nodes[i + 1]) for i in range(0, len(nodes), 2)]
+    pairs = iter(nodes)  # zipped with itself, it yields (nodes[0], nodes[1]), (nodes[2], nodes[3]), ...
+    return [hash_bytes(_NODE_PREFIX + left + right) for left, right in zip(pairs, pairs)]
 
 
 def merkle_path(tree: MerkleTree, index: int) -> MerklePath:
@@ -180,14 +170,15 @@ def fold_path(leaf: Digest, path: MerklePath) -> Digest | None:
     Returns None for a malformed path: side flags disagreeing with the leaf
     index, or an index wider than the path allows.
     """
-    if path.leaf_index < 0 or path.leaf_index >> len(path.siblings):
+    index = path.leaf_index
+    if index < 0 or index >> len(path.siblings):
         return None
-    node = leaf_node(leaf)
-    for level, sib in enumerate(path.siblings):
-        expect_left = bool((path.leaf_index >> level) & 1)
-        if sib.on_left != expect_left:
+    node = hash_bytes(_LEAF_PREFIX + leaf)
+    for sib in path.siblings:
+        if sib.on_left != bool(index & 1):
             return None
-        node = inner_node(sib.digest, node) if sib.on_left else inner_node(node, sib.digest)
+        node = hash_bytes(_NODE_PREFIX + sib.digest + node if sib.on_left else _NODE_PREFIX + node + sib.digest)
+        index >>= 1
     return node
 
 

@@ -3,7 +3,11 @@
 Ed25519 is deterministic and its raw public keys are exactly 32 bytes, so
 one key type serves actor identities, receiver addresses, and the per-
 sidechain proving keys alike. Keys derive from 32-byte seeds, which keeps
-whole simulations reproducible from a single scenario seed.
+whole simulations reproducible from a single scenario seed. A key is plain
+``bytes``, untracked by the cyclic garbage collector. Its 32-byte rule is
+kept where bytes cross a boundary: the wire codecs read and write exactly
+32 bytes for it, and a verifier checks a verification key's length before
+taking its params as a key.
 
 A ``KeyPair`` derives its private key object once, when it is made, and
 keeps it: the key lives exactly as long as the pair. ``harness.World``
@@ -29,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import wraps
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -38,16 +41,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 from .hashing import Digest, hash_bytes
 
 
-class PubKey(bytes):
-    """A raw 32-byte Ed25519 public key."""
-
-    def __new__(cls, value: bytes) -> "PubKey":
-        if len(value) != 32:
-            raise ValueError(f"public key must be 32 bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
-
-Signature = bytes
+#: A raw 32-byte Ed25519 public key, as plain ``bytes``, like a signature.
+PubKey = Signature = bytes
 
 
 @dataclass(frozen=True)
@@ -60,18 +55,17 @@ class KeyPair:
         if len(self.seed) != 32:
             raise ValueError("key seed must be 32 bytes")
         private = Ed25519PrivateKey.from_private_bytes(self.seed)
-        raw = private.public_key().public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
         object.__setattr__(self, "_private", private)
-        object.__setattr__(self, "public", PubKey(raw))
+        object.__setattr__(self, "public", private.public_key().public_bytes_raw())
 
     @classmethod
     def from_label(cls, namespace: str, seed: int, label: str) -> "KeyPair":
         """Derive a reproducible keypair from a scenario seed and a name."""
         material = hash_bytes(namespace.encode() + seed.to_bytes(8, "big") + label.encode())
-        return cls(seed=bytes(material))
+        return cls(seed=material)
 
     def sign(self, digest: Digest) -> Signature:
-        return self._private.sign(bytes(digest))
+        return self._private.sign(digest)
 
 
 #: Entries at which the verify memo starts over.

@@ -34,7 +34,7 @@ from .messages import (
 from .proofs import make_csw_input, make_wcert_input, verify_csw, verify_wcert
 from .verdict import Verdict
 
-GENESIS_PARENT = Digest(bytes(32))
+GENESIS_PARENT = bytes(32)
 
 STATUS_PENDING = "pending"
 STATUS_ALIVE = "alive"

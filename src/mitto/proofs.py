@@ -8,10 +8,11 @@ format is a wire type declared here (``WcertBundle``; ``CswBundle`` with
 its ``StateAnchor`` and ``ReturnEvidence``, which carries its holder's
 ``StateAnchor``): the provers encode one, and the verifiers decode it
 strictly, refold every path, recompute every root named by the public
-input, and check the signature. A proof whose scheme is not its key's, or
-whose body does not decode, is a False. The certificate and withdrawal
-verifiers see exactly (vk, public_input, proof) and nothing else, so a
-swapped-in scheme with the same signatures drops in unchanged. The redeem
+input, and check the signature. A proof whose scheme is not its key's,
+whose key's params are not a 32-byte public key, or whose body does not
+decode, is a False. The certificate and withdrawal verifiers see exactly
+(vk, public_input, proof) and nothing else, so a swapped-in scheme with
+the same signatures drops in unchanged. The redeem
 verifier reads no chain either: the receiving chain resolves the claimed
 block's commitment root and the posting the evidence starts from, and
 ``verify_redeem`` checks the evidence against those values alone. All
@@ -171,7 +172,7 @@ def csw_nullifier(sc_id: int, entity_digest: Digest) -> Digest:
 
 
 def sim_merkle_vk(signer_public: PubKey) -> VerificationKey:
-    return VerificationKey(scheme_id=SCHEME_SIM_MERKLE, params=bytes(signer_public))
+    return VerificationKey(scheme_id=SCHEME_SIM_MERKLE, params=signer_public)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +225,17 @@ def verify_wcert(vk: VerificationKey, public_input: WcertPublicInput, proof: Pro
     """True iff proof and key name the same scheme, the bundle reproduces
     the input's roots, and the signature over the input digest verifies
     under the registered key."""
-    if proof.scheme_id != vk.scheme_id:
+    if proof.scheme_id != vk.scheme_id or len(vk.params) != 32:
         return False
     try:
         bundle = WcertBundle.decode(proof.body)
-        key = PubKey(vk.params)
     except (DecodeError, ValueError):
         return False
     if merkle_root([hash_bytes(bt) for bt in bundle.bt_list]) != public_input.bt_list_root:
         return False
     if merkle_root(bundle.proofdata) != public_input.proofdata_root:
         return False
-    return verify_sig(key, canonical_digest(public_input), bundle.signature)
+    return verify_sig(vk.params, canonical_digest(public_input), bundle.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +412,10 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
     depends on the three arguments alone, so the verify memo keeps it: the
     settlement chain's check of a proof its prover verified is a lookup.
     """
-    if proof.scheme_id != vk.scheme_id:
+    if proof.scheme_id != vk.scheme_id or len(vk.params) != 32:
         return False
     try:
         bundle = CswBundle.decode(proof.body)
-        key = PubKey(vk.params)
     except (DecodeError, ValueError):
         return False
 
@@ -457,7 +456,7 @@ def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) 
     elif evidence is not None:
         return False
 
-    return verify_sig(key, canonical_digest(public_input), bundle.signature)
+    return verify_sig(vk.params, canonical_digest(public_input), bundle.signature)
 
 
 def _check_return_evidence(

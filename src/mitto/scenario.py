@@ -50,6 +50,11 @@ def _need(obj: dict, key: str, kind, where: str):
         raise ParseError(f"{where}: field {key!r} must be an integer, got a boolean")
     if not isinstance(value, kind):
         raise ParseError(f"{where}: field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(f"{where}: field {key!r} must be encodable as UTF-8, got a lone surrogate") from None
     return value
 
 
@@ -168,8 +173,8 @@ def _read(schema: tuple[dict, tuple], obj, where: str, scope: dict | None, suffi
     values = {}
     for key, value in obj.items():
         attr, kind, check = checks[key]
-        if type(value) is not kind and kind is not object:
-            _need(obj, key, kind, where)  # the full check: names the type found, or passes a subclass of kind
+        if kind is not object and (type(value) is not kind or (kind is str and not value.isascii())):
+            _need(obj, key, kind, where)  # the full check: names a wrong type, refuses text UTF-8 cannot hold
         values[attr] = value if check is None else check(value, key, where, scope)
     return values
 

@@ -504,7 +504,7 @@ class MittoState:
         total = sum(p.amount for p in parents)
         if total > enc.U64_MAX:
             raise ValueError(f"merged amount {total} exceeds u64")
-        merged_hash = hash_bytes(b"merge" + b"".join(sorted(bytes(d) for d in instance_digests)))
+        merged_hash = hash_bytes(b"merge" + b"".join(sorted(instance_digests)))
         merged = replace(head, amount=total, data_hash=merged_hash)
         for digest in instance_digests:
             del self.s_tks[digest]

@@ -1,4 +1,4 @@
-"""The pair runner's no-regression verdict, on synthetic run figures.
+"""The pair runner's no-regression verdict and gain rule, on synthetic run figures.
 
 ``scripts/bench_pairs.py`` is a script, not a package module, so it is
 loaded from its file.
@@ -46,3 +46,22 @@ def test_regression_verdict(parent, change, better, expected):
 
 def test_a_zero_parent_median_is_unresolved():
     assert bench_pairs.regression_verdict([0, 0, 0, 0], [1, 0, 0, 0], "lower", 0.2) == "unresolved"
+
+
+@pytest.mark.parametrize("parent,change,better,expected", [
+    (STEADY, _scaled(STEADY, 1.05), "higher", True),
+    (STEADY, _scaled(STEADY, 0.95), "lower", True),
+    (STEADY, _scaled(STEADY, 0.95), "higher", False),
+    (STEADY, STEADY, "higher", False),
+    # Every pair won, but by less than the parent's quartile spread.
+    (STEADY, [v + 0.5 for v in STEADY], "higher", False),
+    # The median moves well past the spread, but only 8 of 10 pairs are won.
+    (STEADY, _scaled(STEADY, 1.05)[:8] + [90, 90], "higher", False),
+    # 9 of 10 pairs won, by more than the spread.
+    (STEADY, _scaled(STEADY, 1.05)[:9] + [90], "higher", True),
+    (NOISY, _scaled(NOISY, 1.1), "higher", False),
+], ids=[
+    "5pct-more", "5pct-faster", "5pct-fewer", "same", "within-spread", "8-of-10", "9-of-10", "noisy-10pct-more",
+])
+def test_gain_holds(parent, change, better, expected):
+    assert bench_pairs.gain_holds(parent, change, better) is expected

@@ -62,6 +62,21 @@ def test_run_dump_refuses_a_name_that_is_not_a_file_name(tmp_path, capsys, name)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["s.json"]
 
 
+@pytest.mark.parametrize("what", ["dump", "json-report"])
+def test_run_exits_two_when_it_cannot_write_its_output(tmp_path, capsys, what):
+    scenario = json.loads((SCENARIO_DIR / "nft_roundtrip.json").read_text())
+    if what == "dump":
+        path = write_scenario(tmp_path, {**scenario, "name": "n" * 300})
+        args, target = ["--dump", str(tmp_path / "dumps"), "--json-report", "/dev/null"], tmp_path / "dumps"
+    else:
+        path = write_scenario(tmp_path, scenario)
+        target = tmp_path / "missing" / "report.json"
+        args = ["--json-report", str(target)]
+    assert main(["run", path, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write {target}") and "Traceback" not in err
+
+
 def test_run_expectation_failure_exit_one(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "name": "fails",

@@ -270,12 +270,13 @@ def test_lower_quality_tamper_needs_a_closed_epoch():
 
 _BUNDLED = [json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))]
 #: Every value a bundled step gives any field, then the parser's integer
-#: bounds and their neighbours. MAX_ADVANCE_BLOCKS itself is left out, as
-#: sealing that many blocks takes seconds; one past it is refused.
+#: bounds and their neighbours, and a string UTF-8 cannot encode (a lone
+#: surrogate). MAX_ADVANCE_BLOCKS itself is left out, as sealing that many
+#: blocks takes seconds; one past it is refused.
 _MUTANT_VALUES = list(
     {json.dumps(value, sort_keys=True): value for obj in _BUNDLED for step in obj["steps"] for value in step.values()}
     .values()
-) + [-1, 0, 1, 2, U32_MAX, U32_MAX + 1, U64_MAX, U64_MAX + 1, MAX_ADVANCE_BLOCKS + 1]
+) + [-1, 0, 1, 2, U32_MAX, U32_MAX + 1, U64_MAX, U64_MAX + 1, MAX_ADVANCE_BLOCKS + 1, "A\ud800T"]
 
 
 @st.composite

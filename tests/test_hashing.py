@@ -4,6 +4,7 @@ The golden file was produced by a standalone hashlib-only script
 (scripts/make_golden_vectors.py) so these tests never trust the code
 under test to generate its own expectations.
 """
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -212,8 +213,23 @@ class TestStcTree:
 
 def test_hash_bytes_returns_a_digest():
     assert type(hash_bytes(b"")) is Digest
-    with pytest.raises(ValueError, match="digest must be 32 bytes"):
-        Digest(b"\x00" * 31)
+
+
+def _plain(value) -> bool:
+    """Exact ``bytes``, which the cyclic garbage collector does not track."""
+    return type(value) is bytes and not gc.is_tracked(value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_hash_outputs_roots_and_nodes_are_plain_bytes(n):
+    leaves = [d(i) for i in range(n)]
+    tree = build_merkle(leaves)
+    path = merkle_path(tree, n - 1)
+    assert all(_plain(value) for value in (hash_bytes(b"x"), EMPTY_ROOT, tree.root, merkle_root(leaves)))
+    assert all(_plain(node) for level in tree.levels for node in level)
+    assert _plain(fold_path(leaves[-1], path))
+    stc = build_stc({3: ScBlockEntries(cert_digest=d(0), tx_digests=tuple(leaves))})
+    assert _plain(stc.root) and all(_plain(node) for level in stc.tree.levels for node in level)
 
 
 def _reference_levels(leaves: list[bytes]) -> list[list[bytes]]:

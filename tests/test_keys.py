@@ -1,5 +1,6 @@
 """Signature layer: deterministic derivation, 32-byte keys, tamper rejection,
 and the verify memo, for signatures and for withdrawal proofs."""
+import gc
 from dataclasses import replace
 
 import pytest
@@ -19,8 +20,12 @@ from mitto.tokens import withdraw_native_held
 def test_public_keys_are_32_bytes():
     kp = KeyPair.from_label("actor", 0, "alice")
     assert len(kp.public) == 32
-    with pytest.raises(ValueError):
-        PubKey(b"\x00" * 31)
+
+
+def test_public_keys_are_plain_bytes():
+    public = KeyPair.from_label("actor", 0, "alice").public
+    assert type(public) is PubKey is bytes
+    assert not gc.is_tracked(public)
 
 
 def test_derivation_is_deterministic():

@@ -1,4 +1,5 @@
 """Scenario schema validation: every complaint must name the step and field."""
+import json
 import re
 from pathlib import Path
 
@@ -71,6 +72,23 @@ def test_bool_is_not_an_integer():
 def test_seed_range():
     with pytest.raises(ParseError, match="64 bits"):
         parse_scenario(minimal(seed=2**64))
+
+
+@pytest.mark.parametrize("place,where", [
+    ("name", r"<memory>: field 'name'"),
+    ("label", r"chains\[1\]: field 'label'"),
+    ("token", r"chains\[0\]\.issuances\[0\]: field 'name'"),
+], ids=["name", "label", "token"])
+def test_text_utf8_cannot_encode_is_refused(place, where):
+    """A lone surrogate parses as JSON, but no report or file name can hold it."""
+    text = (SCENARIO_DIR / "nft_roundtrip.json").read_text()
+    obj = json.loads(text.replace('"ART"', r'"A\ud800T"') if place == "token" else text)
+    if place == "name":
+        obj["name"] = "A\ud800T"
+    elif place == "label":
+        obj["chains"][1]["label"] = "A\ud800T"
+    with pytest.raises(ParseError, match=where + " must be encodable as UTF-8"):
+        parse_scenario(obj)
 
 
 def test_duplicate_chain_labels():

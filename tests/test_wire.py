@@ -5,6 +5,7 @@ hand-written codecs and proof-bundle writers the schema replaced; it pins
 every encoding byte for byte and must never be regenerated to make a codec
 change pass.
 """
+import gc
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -49,10 +50,9 @@ def test_golden_encoding(name):
     assert type(sample).decode(data) == sample
 
 
-@pytest.mark.parametrize("name", sorted(bundle_witnesses()))
-def test_provers_write_the_golden_bundles(name):
-    """The golden bundle hex is the body the hand-written provers returned
-    for these witnesses; the schema-built provers must return it too."""
+def _proved(name: str):
+    """The bundle witness ``name`` proved by its prover: its verifier, its
+    signer's public key, the public input and the proof."""
     witness = bundle_witnesses()[name]
     if name.startswith("WcertBundle/"):
         signer, prove, verify = WCERT_SIGNER, prove_wcert, verify_wcert
@@ -60,9 +60,77 @@ def test_provers_write_the_golden_bundles(name):
     else:
         signer, prove, verify = CSW_SIGNER, prove_csw, verify_csw
         public_input = witness[1]
-    proof = prove(signer, *witness)
+    return verify, signer.public, public_input, prove(signer, *witness)
+
+
+@pytest.mark.parametrize("name", sorted(bundle_witnesses()))
+def test_provers_write_the_golden_bundles(name):
+    """The golden bundle hex is the body the hand-written provers returned
+    for these witnesses; the schema-built provers must return it too."""
+    verify, public, public_input, proof = _proved(name)
     assert proof.body.hex() == GOLDEN[name]
-    assert verify(sim_merkle_vk(signer.public), public_input, proof)
+    assert verify(sim_merkle_vk(public), public_input, proof)
+
+
+@pytest.mark.parametrize("name", sorted(bundle_witnesses()))
+@pytest.mark.parametrize("params_len", [0, 31, 33])
+def test_a_key_that_is_not_32_bytes_never_verifies(name, params_len):
+    verify, public, public_input, proof = _proved(name)
+    assert verify(sim_merkle_vk((public + b"\x00")[:params_len]), public_input, proof) is False
+
+
+#: The codecs of 32-byte fields: digests, public keys, and the lists and
+#: pairs that hold digests.
+_FIXED_WIDTH = ("digest", "pubkey", "digest_list", "u32_digest")
+
+
+def _fixed_width_values(value, where: str):
+    """(kind, place, value) for every digest or key ``value`` holds, in
+    nested wire values too."""
+    for attrs, codec in type(value).WIRE_FIELDS:
+        if not isinstance(attrs, str):
+            continue
+        item, place = getattr(value, attrs), f"{where}.{attrs}"
+        if codec.kind in ("digest", "pubkey"):
+            yield codec.kind, place, item
+        elif codec.kind == "digest_list":
+            yield from ((codec.kind, f"{place}[{i}]", x) for i, x in enumerate(item))
+        elif codec.kind == "u32_digest":
+            yield codec.kind, place, item[1]
+        elif codec.kind == "list_of":
+            for i, x in enumerate(item):
+                yield from _fixed_width_values(x, f"{place}[{i}]")
+        elif codec.kind in ("nested", "sized", "optional") and item is not None:
+            yield from _fixed_width_values(item, place)
+
+
+def test_decoded_digests_and_keys_are_plain_bytes():
+    found = [
+        found
+        for name, hexed in sorted(GOLDEN.items())
+        for found in _fixed_width_values(type(SAMPLES[name]).decode(bytes.fromhex(hexed)), name)
+    ]
+    assert {kind for kind, _, _ in found} == set(_FIXED_WIDTH)
+    for kind, place, value in found:
+        assert type(value) is bytes and len(value) == 32 and not gc.is_tracked(value), place
+
+
+_FIXED_WIDTH_FIELDS = sorted({
+    (type(sample).__name__, attrs, codec.kind): sample
+    for sample in SAMPLES.values()
+    for attrs, codec in type(sample).WIRE_FIELDS
+    if codec.kind in _FIXED_WIDTH
+}.items())
+
+
+@pytest.mark.parametrize("field,sample", _FIXED_WIDTH_FIELDS, ids=[f"{t}.{a}" for (t, a, _), _ in _FIXED_WIDTH_FIELDS])
+@pytest.mark.parametrize("length", [31, 33])
+def test_encode_rejects_a_digest_or_key_that_is_not_32_bytes(field, sample, length):
+    _, attr, kind = field
+    bad = bytes(length)
+    value = {"digest_list": (bad,), "u32_digest": (0, bad)}.get(kind, bad)
+    with pytest.raises(ValueError, match=f"must be 32 bytes, got {length}"):
+        replace(sample, **{attr: value}).encode()
 
 
 def test_optional_flag_is_a_strict_byte():
