@@ -20,7 +20,7 @@ import itertools
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 
-from .hashing import Digest, MerklePath, Sibling, hash_bytes
+from .hashing import Digest, MerklePath, hash_bytes
 
 U8_MAX = 0xFF
 U32_MAX = 0xFFFF_FFFF
@@ -180,7 +180,6 @@ _BAD_BOOL = "if {0} > 1: raise DecodeError('bad bool byte %d' % {0})"
 U8 = Codec("u8", put=(("B", "{v}"),), get=(("B", ""),))
 U32 = Codec("u32", put=(("I", "{v}"),), get=(("I", ""),))
 U64 = Codec("u64", put=(("Q", "{v}"),), get=(("Q", ""),))
-BOOL = Codec("bool", put=(("B", "1 if {v} else 0"),), get=(("B", ""),), value="{0} == 1", check=_BAD_BOOL)
 BYTES = Codec("bytes", put=(("I", "len({v})"), ("", "{v}")), get=(("I", ""), ("", "r.take({0})")), value="{1}")
 STR = Codec("str", put=(("", "enc_str({v})"),), get=(("", "r.string()"),))
 # A 32-byte field reads as the plain bytes the fixed-width struct unpacks
@@ -192,6 +191,15 @@ DIGEST_LIST = Codec(
     put=(("I", "len({v})"), ("", "b''.join(map(enc_digest, {v}))")),
     get=(("I", ""), ("", "r.digests({0})")),
     value="{1}",
+)
+#: A Merkle path's ``(digest, on_left)`` pairs: a count, then per pair its
+#: digest and a side byte (1: the sibling sits on the left), read in one take.
+SIBLING_LIST = Codec(
+    "sibling_list",
+    put=(("I", "len({v})"), ("", "b''.join([enc_digest(d) + (b'\\x01' if left else b'\\x00') for d, left in {v}])")),
+    get=(("I", ""), ("", "r.take(33 * {0})")),
+    value="tuple([({1}[i : i + 32], {1}[i + 32] == 1) for i in range(0, len({1}), 33)])",
+    check="if max({1}[32::33], default=0) > 1: raise DecodeError('bad side byte %d' % max({1}[32::33]))",
 )
 BYTES_LIST = Codec(
     "bytes_list",
@@ -413,5 +421,4 @@ def to_json(value):
 
 
 # The Merkle path codec, shared by proof bundles and redeem evidence.
-wire(None, ("digest", DIGEST), ("on_left", BOOL))(Sibling)
-wire(None, ("leaf_index", U32), ("siblings", list_of("Sibling")))(MerklePath)
+wire(None, ("leaf_index", U32), ("siblings", SIBLING_LIST))(MerklePath)

@@ -36,7 +36,7 @@ from .messages import (
     redeem_auth_digest,
 )
 from .proofs import CertificateNotConfirmed, EntityNotInState, EvidenceUnavailable, MessageNotCommitted
-from .scenario import Scenario
+from .scenario import MAX_ADVANCE_BLOCKS, Scenario
 from .sidechain import ByzantineSidechain, Sidechain
 from .tokens import (
     CswPackage,
@@ -474,16 +474,14 @@ class Runner:
         return _result(f"advanced {step.blocks} block(s) to height {self.world.mainchain.tip_height}")
 
     def _op_cease_by_silence(self, index: int, step: steps.CeaseBySilence) -> dict:
-        chain = self.world.chains[step.chain]
-        record = self.world.mainchain.record(chain.sc_id)
-        limit = 3 * record.epoch_length + 2
-        advanced = 0
-        while record.status != STATUS_CEASED:
-            if advanced >= limit:
-                raise HarnessError(f"chain {step.chain} did not cease within {limit} blocks")
-            self.world.mainchain.advance_block()
-            advanced += 1
-        return _result(f"{step.chain} ceased after {advanced} silent block(s)")
+        mainchain = self.world.mainchain
+        record = mainchain.record(self.world.chains[step.chain].sc_id)
+        blocks = record.silent_cease_height(mainchain.tip_height) - mainchain.tip_height
+        if blocks > MAX_ADVANCE_BLOCKS:
+            raise HarnessError(f"chain {step.chain} would cease only after {blocks} blocks, over {MAX_ADVANCE_BLOCKS}")
+        for _ in range(blocks):
+            mainchain.advance_block()
+        return _result(f"{step.chain} ceased after {blocks} silent block(s)")
 
     def _op_redeem(self, index: int, step: steps.Redeem) -> dict:
         record = self.sends.get(step.send)

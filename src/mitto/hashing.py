@@ -11,7 +11,8 @@ A digest is plain ``bytes``, which the cyclic garbage collector does not
 track. Nothing here checks its length: the wire codecs read exactly 32
 bytes for a digest and refuse to write one of any other length.
 ``hash_bytes`` is the one SHA-256 call, once per tree node too, and it
-reads ``_sha256`` when called.
+reads ``_sha256`` when called. A path step is a plain ``(digest, on_left)``
+tuple, not an object of its own.
 """
 
 from __future__ import annotations
@@ -55,20 +56,14 @@ class IndexOutOfRange(Exception):
 
 
 @dataclass(frozen=True)
-class Sibling:
-    """One step of a Merkle path: the sibling node and which side it sits on."""
-
-    digest: Digest
-    on_left: bool
-
-
-@dataclass(frozen=True)
 class MerklePath:
-    """Authentication path of one leaf; its wire form is declared in
-    ``encoding``, beside the codecs it is built from."""
+    """Authentication path of one leaf: per level, a plain ``(digest,
+    on_left)`` pair naming the sibling node and the side it sits on. Its
+    wire form is declared in ``encoding``, beside the codecs it is built
+    from."""
 
     leaf_index: int
-    siblings: tuple[Sibling, ...]
+    siblings: tuple[tuple[Digest, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def merkle_path(tree: MerkleTree, index: int) -> MerklePath:
     node = index
     for level in tree.levels[:-1]:
         sib = node ^ 1
-        sibs.append(Sibling(digest=level[sib], on_left=sib < node))
+        sibs.append((level[sib], sib < node))
         node //= 2
     return MerklePath(leaf_index=index, siblings=tuple(sibs))
 
@@ -174,10 +169,10 @@ def fold_path(leaf: Digest, path: MerklePath) -> Digest | None:
     if index < 0 or index >> len(path.siblings):
         return None
     node = hash_bytes(_LEAF_PREFIX + leaf)
-    for sib in path.siblings:
-        if sib.on_left != bool(index & 1):
+    for digest, on_left in path.siblings:
+        if on_left != bool(index & 1):
             return None
-        node = hash_bytes(_NODE_PREFIX + sib.digest + node if sib.on_left else _NODE_PREFIX + node + sib.digest)
+        node = hash_bytes(_NODE_PREFIX + digest + node if on_left else _NODE_PREFIX + node + digest)
         index >>= 1
     return node
 

@@ -10,10 +10,10 @@ submitted while the tip is anywhere in [end(e), end(e+1)-1], so it lands in a
 block of epoch e+1. While the window is open, submissions compete on quality:
 the first certificate at the top quality holds the slot, a strictly higher
 quality replaces it. The block sealed at height end(e+1) settles the epoch:
-it includes the winning certificate, or, when none arrived, marks the
-sidechain ceased. A ceased sidechain accepts withdrawals whose proofs verify
-against the enforced public input; each accepted withdrawal retires its
-nullifier forever.
+it includes the winning certificate, whose ``StateAnchor`` the finalized
+index keeps from then on, or, when none arrived, marks the sidechain ceased.
+A ceased sidechain accepts withdrawals whose proofs verify against the
+enforced public input; each accepted withdrawal retires its nullifier forever.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .messages import (
     VerificationKey,
     WithdrawalCertificate,
 )
-from .proofs import make_csw_input, make_wcert_input, verify_csw, verify_wcert
+from .proofs import StateAnchor, make_csw_input, make_wcert_input, verify_csw, verify_wcert
 from .verdict import Verdict
 
 GENESIS_PARENT = bytes(32)
@@ -105,6 +105,15 @@ class ScRecord:
     def next_epoch(self) -> int:
         return 0 if self.last_epoch is None else self.last_epoch + 1
 
+    def silent_cease_height(self, tip: int) -> int:
+        """Height of the block that ceases this chain if no certificate
+        arrives after ``tip``; a pending certificate settles one more epoch."""
+        if self.status == STATUS_CEASED:
+            return tip
+        if self.creation_height is None:  # activates at tip + 1; epoch 0 settles 2 epochs later
+            return tip + 1 + 2 * self.epoch_length
+        return self.epoch_end(self.next_epoch() + (1 if self.pending_cert is None else 2))
+
     def current_epoch(self, tip: int) -> int | None:
         """Epoch the tip height falls in, None before the first epoch opens."""
         if self.creation_height is None or tip <= self.creation_height:
@@ -119,7 +128,7 @@ class Mainchain:
         genesis = BlockHeader(height=0, parent_hash=GENESIS_PARENT, stc_root=EMPTY_STC.root)
         self._blocks: list[Block] = [Block(header=genesis, stc=EMPTY_STC)]
         self._by_hash: dict[Digest, Block] = {self._blocks[0].hash: self._blocks[0]}
-        self._finalized: dict[tuple[int, int], tuple[WithdrawalCertificate, Digest]] = {}
+        self._finalized: dict[tuple[int, int], StateAnchor] = {}
         self._csw_inclusions: dict[tuple[int, Digest], tuple[CeasedSidechainWithdrawal, Digest]] = {}
         self._records: dict[int, ScRecord] = {}
         self._pending_registrations: list[SidechainRegistration] = []
@@ -203,7 +212,8 @@ class Mainchain:
         for record, cert in finalizing:
             record.last_epoch = cert.epoch_id
             record.pending_cert = None
-            self._finalized[(cert.ledger_id, cert.epoch_id)] = (cert, block.hash)
+            anchor = StateAnchor(cert=cert, stc_path=stc.cert_path(cert.ledger_id), header=header)
+            self._finalized[(cert.ledger_id, cert.epoch_id)] = anchor
         for sc_id, csw in csw_batch:
             self._csw_inclusions[(sc_id, csw.nullifier)] = (csw, block.hash)
         return block
@@ -270,7 +280,8 @@ class Mainchain:
     def block_by_hash(self, block_hash: Digest) -> Block | None:
         return self._by_hash.get(block_hash)
 
-    def finalized_cert(self, sc_id: int, epoch_id: int):
+    def finalized_cert(self, sc_id: int, epoch_id: int) -> StateAnchor | None:
+        """The anchor of chain ``sc_id``'s finalized certificate for ``epoch_id``, or None."""
         return self._finalized.get((sc_id, epoch_id))
 
     def certificate_in(self, sc_id: int, block_hash: Digest) -> WithdrawalCertificate | None:
@@ -278,8 +289,8 @@ class Mainchain:
         block, record = self._by_hash.get(block_hash), self._records.get(sc_id)
         epoch = None if block is None or record is None else record.current_epoch(block.height)
         # Epoch e settles in the last block of epoch e + 1.
-        confirmed = None if epoch is None else self._finalized.get((sc_id, epoch - 1))
-        return confirmed[0] if confirmed is not None and confirmed[1] == block_hash else None
+        anchor = None if epoch is None else self._finalized.get((sc_id, epoch - 1))
+        return anchor.cert if anchor is not None and anchor.header == block.header else None
 
     def csw_inclusion(self, sc_id: int, nullifier: Digest):
         return self._csw_inclusions.get((sc_id, nullifier))
@@ -303,7 +314,7 @@ class Mainchain:
         registered it."""
         record = self.record(sc_id)
         if record.last_epoch is not None:
-            return self._finalized[(sc_id, record.last_epoch)][1]
+            return canonical_digest(self._finalized[(sc_id, record.last_epoch)].header)
         if record.creation_height is None:
             raise NotFound(f"sidechain {sc_id} was never included in a block")
         return self._blocks[record.creation_height].hash

@@ -21,6 +21,9 @@ three are pure: ``verify_csw`` keeps its results in the verify memo
 certificate is verified twice, and neither is ``verify_redeem``, as a
 replayed redeem stops at the redeemed set before its evidence is checked.
 
+The settlement chain builds one ``StateAnchor`` per finalized certificate;
+``anchor_of`` looks it up, so every proof of an epoch shares it.
+
 Ceased-sidechain claims anchor through the last finalized certificate: the
 claimed entity folds into the committed-state root the certificate carries
 at proofdata index 1, the certificate digest folds into the block commitment
@@ -514,14 +517,13 @@ def _check_return_evidence(
 
 def anchor_of(mainchain: MainchainView, sc_id: int, epoch_id: int) -> StateAnchor:
     """Chain ``sc_id``'s finalized certificate for ``epoch_id``, its path in
-    its block's commitment, and that block's header; CertificateNotConfirmed
+    its block's commitment, and that block's header: the one anchor the
+    settlement chain built when it sealed that block. CertificateNotConfirmed
     when none is finalized."""
-    confirmed = mainchain.finalized_cert(sc_id, epoch_id)
-    if confirmed is None:
+    anchor = mainchain.finalized_cert(sc_id, epoch_id)
+    if anchor is None:
         raise CertificateNotConfirmed(f"no finalized certificate for sidechain {sc_id} epoch {epoch_id}")
-    cert, block_hash = confirmed
-    block = mainchain.block_by_hash(block_hash)
-    return StateAnchor(cert=cert, stc_path=block.stc.cert_path(sc_id), header=block.header)
+    return anchor
 
 
 def message_path(tree: MerkleTree, message: CscpMessage, cert: WithdrawalCertificate) -> MerklePath:

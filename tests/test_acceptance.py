@@ -242,9 +242,9 @@ def _digest_flips(value: Digest):
 def _path_flips(path: MerklePath):
     for k in range(len(path.siblings)):
         yield f"leaf_index bit {k}", replace(path, leaf_index=path.leaf_index ^ (1 << k))
-    for n, sibling in enumerate(path.siblings):
-        for note, digest in _digest_flips(sibling.digest):
-            mutated = path.siblings[:n] + (replace(sibling, digest=digest),) + path.siblings[n + 1:]
+    for n, (sibling, on_left) in enumerate(path.siblings):
+        for note, digest in _digest_flips(sibling):
+            mutated = path.siblings[:n] + ((digest, on_left),) + path.siblings[n + 1:]
             yield f"sibling {n} {note}", replace(path, siblings=mutated)
 
 
@@ -257,7 +257,7 @@ def test_criterion_7_commitment_soundness():
     cw = committed_world()
     alpha = cw.chains["alpha"]
     record = cw.mc.record(alpha.sc_id)
-    cert, _block_hash = cw.mc.finalized_cert(alpha.sc_id, 0)
+    cert = cw.mc.finalized_cert(alpha.sc_id, 0).cert
     anchor = cw.mc.get_block(record.epoch_end(0)).hash
     w_vk = record.registration.wcert_vk
     w_input = make_wcert_input(cert.quality, cert.bt_list, anchor, cert.proofdata)

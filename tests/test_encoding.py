@@ -11,7 +11,7 @@ from mitto.encoding import (
     enc_u32,
     enc_u64,
 )
-from mitto.hashing import Sibling, hash_bytes
+from mitto.hashing import MerklePath, build_merkle, hash_bytes, merkle_path
 from mitto.messages import BlockHeader
 from mitto.proofs import WcertBundle
 
@@ -34,12 +34,33 @@ def test_out_of_range_integers_rejected():
         enc_u64(2**64)
 
 
-def test_bool_is_single_strict_byte():
-    d = hash_bytes(b"x")
-    assert Sibling(d, True).encode() == d + b"\x01"
-    assert Sibling(d, False).encode() == d + b"\x00"
-    with pytest.raises(DecodeError):
-        Sibling.decode(d + b"\x02")
+def test_sibling_side_is_a_strict_byte():
+    d0, d1, d2 = (hash_bytes(bytes([i])) for i in range(3))
+    path = MerklePath(leaf_index=5, siblings=((d0, True), (d1, False), (d2, True)))
+    data = enc_u32(5) + enc_u32(3) + d0 + b"\x01" + d1 + b"\x00" + d2 + b"\x01"
+    assert path.encode() == data
+    assert MerklePath.decode(data) == path
+    for side_at in (4 + 4 + 32, 4 + 4 + 33 + 32, len(data) - 1):
+        for side in (2, 0xFF):
+            bad = data[:side_at] + bytes([side]) + data[side_at + 1 :]
+            with pytest.raises(DecodeError, match=f"bad side byte {side}"):
+                MerklePath.decode(bad)
+
+
+def test_decoded_path_steps_are_exact_bytes_bool_pairs():
+    tree = build_merkle([hash_bytes(bytes([i])) for i in range(5)])
+    for index in range(5):
+        decoded = MerklePath.decode(merkle_path(tree, index).encode())
+        assert type(decoded.siblings) is tuple and decoded.siblings
+        for step in decoded.siblings:
+            assert type(step) is tuple and len(step) == 2
+            assert type(step[0]) is bytes and len(step[0]) == 32 and type(step[1]) is bool
+
+
+def test_sibling_list_is_read_in_one_bounded_take():
+    # A count far past the data is refused before any pair is built.
+    with pytest.raises(DecodeError, match="need 141733920735 bytes"):
+        MerklePath.decode(enc_u32(0) + enc_u32(0xFFFF_FFFF))
 
 
 def test_length_prefixed_bytes_and_str():

@@ -1,6 +1,7 @@
 """Scenario runner behavior: determinism, atomicity, dumps, fault reporting."""
 import copy
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from mitto.fuzz import generate_trace
 from mitto.harness import HarnessError, Runner, dump_state, render_json, render_report
 from mitto.hashing import hash_bytes
 from mitto.journal import JournalDict, JournalList, JournalSet
-from mitto.mainchain import Mainchain
+from mitto.mainchain import STATUS_CEASED, Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
 from mitto.proofs import CswBundle
 from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, ParseError, load_scenario, parse_scenario
@@ -269,36 +270,56 @@ def test_lower_quality_tamper_needs_a_closed_epoch():
 
 
 _BUNDLED = [json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))]
-#: Every value a bundled step gives any field, then the parser's integer
-#: bounds and their neighbours, and a string UTF-8 cannot encode (a lone
-#: surrogate). MAX_ADVANCE_BLOCKS itself is left out, as sealing that many
-#: blocks takes seconds; one past it is refused.
-_MUTANT_VALUES = list(
-    {json.dumps(value, sort_keys=True): value for obj in _BUNDLED for step in obj["steps"] for value in step.values()}
-    .values()
-) + [-1, 0, 1, 2, U32_MAX, U32_MAX + 1, U64_MAX, U64_MAX + 1, MAX_ADVANCE_BLOCKS + 1, "A\ud800T"]
+#: The fields a mutant may set on a chain and on an issuance.
+_CHAIN_KEYS = ("label", "epoch_length", "byzantine", "faulty_mode")
+_ISSUANCE_KEYS = ("name", "data", "fungible", "amount", "token_id", "owner")
+#: The values a mutant sets: every value a bundled step, chain or issuance
+#: gives any field; and, drawn as often as all of those, the parser's
+#: integer bounds and their neighbours and a string UTF-8 cannot encode (a
+#: lone surrogate). MAX_ADVANCE_BLOCKS itself is left out, as sealing that
+#: many blocks takes seconds; one past it is refused.
+_BUNDLED_VALUES = list(
+    {
+        json.dumps(value, sort_keys=True): value
+        for obj in _BUNDLED
+        for fields in [*obj["steps"], *obj["chains"], *(i for c in obj["chains"] for i in c.get("issuances", ()))]
+        for key, value in fields.items()
+        if key != "issuances"
+    }.values()
+)
+_EDGE_VALUES = [-1, 0, 1, 2, U32_MAX, U32_MAX + 1, U64_MAX, U64_MAX + 1, MAX_ADVANCE_BLOCKS + 1, "A\ud800T"]
+_MUTANT_VALUES = st.sampled_from(_BUNDLED_VALUES) | st.sampled_from(_EDGE_VALUES)
 
 
 @st.composite
-def _step_mutants(draw):
-    """A bundled scenario with one step changed: a field set to another
-    value, the step deleted, or the step duplicated in place."""
+def _mutants(draw):
+    """A bundled scenario with one thing changed: a step's field set to
+    another value, the step deleted, or the step duplicated in place; a
+    chain's or an issuance's field set; or the scenario's name set."""
     obj = copy.deepcopy(draw(st.sampled_from(_BUNDLED)))
-    steps = obj["steps"]
-    index = draw(st.integers(0, len(steps) - 1))
-    kind = draw(st.sampled_from(("set", "delete", "duplicate")))
-    if kind == "set":
-        key = draw(st.sampled_from(sorted(steps[index])))
-        steps[index][key] = copy.deepcopy(draw(st.sampled_from(_MUTANT_VALUES)))
-    elif kind == "delete":
-        del steps[index]
+    issuances = [issuance for chain in obj["chains"] for issuance in chain.get("issuances", ())]
+    kind = draw(st.sampled_from(("set", "delete", "duplicate", "chain", "name") + (("issuance",) if issuances else ())))
+    value = copy.deepcopy(draw(_MUTANT_VALUES))
+    if kind == "name":
+        obj["name"] = value
+    elif kind == "chain":
+        draw(st.sampled_from(obj["chains"]))[draw(st.sampled_from(_CHAIN_KEYS))] = value
+    elif kind == "issuance":
+        draw(st.sampled_from(issuances))[draw(st.sampled_from(_ISSUANCE_KEYS))] = value
     else:
-        steps.insert(index, copy.deepcopy(steps[index]))
+        steps = obj["steps"]
+        index = draw(st.integers(0, len(steps) - 1))
+        if kind == "set":
+            steps[index][draw(st.sampled_from(sorted(steps[index])))] = value
+        elif kind == "delete":
+            del steps[index]
+        else:
+            steps.insert(index, copy.deepcopy(steps[index]))
     return obj
 
 
-@settings(derandomize=True, database=None, max_examples=250, deadline=None)
-@given(_step_mutants())
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_mutants())
 def test_every_parsed_mutant_runs_to_a_repeatable_report(obj):
     """A scenario the parser accepts runs to a report, the same bytes each
     time; any other exception fails."""
@@ -309,6 +330,31 @@ def test_every_parsed_mutant_runs_to_a_repeatable_report(obj):
     assert render_report(Runner(scenario).run()) == render_report(Runner(scenario).run())
 
 
+@pytest.mark.parametrize("index", range(len(_BUNDLED)), ids=[obj["name"] for obj in _BUNDLED])
+def test_every_edge_value_in_a_chain_issuance_or_name_runs_to_a_report(index):
+    """Each edge value in each chain field, each issuance field and the
+    scenario name of a bundled scenario: a parse error or a report."""
+    base = _BUNDLED[index]
+    places = [("name",)] + [
+        place
+        for c, chain in enumerate(base["chains"])
+        for place in [("chains", c, key) for key in _CHAIN_KEYS]
+        + [("chains", c, "issuances", i, key) for i in range(len(chain.get("issuances", ()))) for key in _ISSUANCE_KEYS]
+    ]
+    for *path, key in places:
+        for value in _EDGE_VALUES:
+            obj = copy.deepcopy(base)
+            target = obj
+            for part in path:
+                target = target[part]
+            target[key] = value
+            try:
+                scenario = parse_scenario(obj)
+            except ParseError:
+                continue
+            assert render_report(Runner(scenario).run()), (path, key, value)
+
+
 def test_cease_by_silence_step():
     report = run_inline([
         {"op": "close_epoch", "chains": ["beta"]},
@@ -316,6 +362,44 @@ def test_cease_by_silence_step():
         {"op": "assert", "chain": "alpha", "status": "ceased"},
     ])
     assert report["ok"] is True, report["violations"]
+
+
+def test_cease_by_silence_beyond_the_block_cap_is_a_scenario_error():
+    """A chain that could cease only after more than MAX_ADVANCE_BLOCKS
+    blocks is refused before any block is sealed."""
+    chains = [{"label": "alpha", "epoch_length": U32_MAX}, {"label": "beta", "epoch_length": 2}]
+    runner = Runner(parse_scenario(scenario_obj([{"op": "cease_by_silence", "chain": "alpha"}], chains=chains)))
+    tip = runner.world.mainchain.tip_height
+    started = time.perf_counter()
+    report = runner.run()
+    assert time.perf_counter() - started < 1.0
+    assert report["steps"][0]["outcome"] == {"accepted": False, "reason": "ScenarioError"}
+    assert report["failure"]["trace"] == (
+        f"step 0 (cease_by_silence): chain alpha would cease only after {2 * U32_MAX} blocks, over {MAX_ADVANCE_BLOCKS}"
+    )
+    assert runner.world.mainchain.tip_height == tip
+
+
+@pytest.mark.parametrize("epoch_length", [2, 3, 5])
+@pytest.mark.parametrize("certified", [False, True])
+@pytest.mark.parametrize("lead", range(6))
+def test_silent_cease_height_is_where_the_chain_ceases(epoch_length, certified, lead):
+    """From any tip, with or without a pending certificate, and before the
+    chain's registration is sealed, the schedule names the ceasing block."""
+    mc = Mainchain()
+    chain = Sidechain.create(mc, epoch_length, "alpha")
+    record = mc.record(chain.sc_id)
+    unsealed = record.silent_cease_height(mc.tip_height)
+    mc.advance_blocks(1 + lead)
+    status = mc.get_status(chain.sc_id)
+    if certified and status["status"] == "alive" and status["window_open_at"] <= mc.tip_height:
+        assert chain.close_epoch()[1].accepted
+    predicted = record.silent_cease_height(mc.tip_height)
+    while record.status != STATUS_CEASED:
+        mc.advance_block()
+    assert mc.tip_height == predicted
+    if record.last_epoch is None:
+        assert predicted == max(unsealed, 1 + lead)
 
 
 def test_notify_rejected_on_standard_chain():

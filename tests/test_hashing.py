@@ -120,12 +120,23 @@ def test_tampered_leaf_fails_verification():
     assert not verify_path(tree.root, d(2), path)
 
 
+def test_merkle_path_steps_are_exact_bytes_bool_pairs():
+    tree = build_merkle([d(i) for i in range(5)])
+    for i in range(5):
+        steps = merkle_path(tree, i).siblings
+        assert type(steps) is tuple and len(steps) == 3
+        for index, step in enumerate(steps):
+            assert type(step) is tuple and len(step) == 2
+            assert type(step[0]) is bytes and type(step[1]) is bool
+            assert step[1] is bool(i >> index & 1)
+
+
 def test_tampered_sibling_fails_verification():
     from dataclasses import replace
 
     tree = build_merkle([d(0), d(1), d(2), d(3)])
     path = merkle_path(tree, 2)
-    bad = replace(path.siblings[0], digest=d(4))
+    bad = (d(4), path.siblings[0][1])
     tampered = replace(path, siblings=(bad,) + path.siblings[1:])
     assert not verify_path(tree.root, d(2), tampered)
 

@@ -112,8 +112,8 @@ class TestChain:
             created = w.mc.get_block(record.creation_height).hash
             txs.setdefault((created, sc_id), []).append(canonical_digest(record.registration))
             for epoch in range(record.next_epoch()):
-                cert, block_hash = w.mc.finalized_cert(sc_id, epoch)
-                certs[(block_hash, sc_id)] = canonical_digest(cert)
+                anchor = w.mc.finalized_cert(sc_id, epoch)
+                certs[(canonical_digest(anchor.header), sc_id)] = canonical_digest(anchor.cert)
             for nullifier in record.used_nullifiers:  # one withdrawal per block here, so order is moot
                 csw, block_hash = w.mc.csw_inclusion(sc_id, nullifier)
                 txs.setdefault((block_hash, sc_id), []).append(canonical_digest(csw))
@@ -183,8 +183,8 @@ class TestCertificateWindows:
         assert block.height == 5
         stc = w.mc.block_by_hash(block.hash).stc
         assert stc.tree.leaves[stc.cert_leaf_index(alpha.sc_id)] == canonical_digest(cert)
-        finalized_cert, block_hash = w.mc.finalized_cert(alpha.sc_id, 0)
-        assert finalized_cert == cert and block_hash == block.hash
+        anchor = w.mc.finalized_cert(alpha.sc_id, 0)
+        assert anchor.cert == cert and canonical_digest(anchor.header) == block.hash
 
 
 class TestQualityCompetition:
@@ -214,8 +214,7 @@ class TestQualityCompetition:
             for q in qualities:
                 w.mc.submit_certificate(alpha.build_certificate(quality=q))
             w.mc.advance_blocks(2)
-            cert, _ = w.mc.finalized_cert(alpha.sc_id, 0)
-            results.append(cert.quality)
+            results.append(w.mc.finalized_cert(alpha.sc_id, 0).cert.quality)
         assert results == [9, 9]
 
     def test_bad_proof_rejected_before_quality(self):

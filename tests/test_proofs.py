@@ -7,13 +7,15 @@ malformed proof body.
 import hashlib
 import inspect
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from worlds import ceased_world, committed_world, make_send, redeem_verifies, two_chain_world
 
-from mitto import proofs
+from mitto import mainchain as mainchain_module, proofs, sidechain as sidechain_module
 from mitto.encoding import ByteReader, canonical_digest, enc_bytes, enc_u32
+from mitto.harness import Runner
 from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path, verify_path
 from mitto.keys import KeyPair
 from mitto.messages import Proof, VerificationKey, message_digest
@@ -47,9 +49,11 @@ from mitto.proofs import (
     verify_redeem,
     verify_wcert,
 )
+from mitto.scenario import load_scenario
 from mitto.tokens import make_redeem_tx, withdraw_foreign, withdraw_native_held, withdraw_native_sent
 
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SIGNER = KeyPair.from_label("wcert", 0, "prover")
 VK = sim_merkle_vk(SIGNER.public)
 
@@ -438,3 +442,41 @@ class TestForeignWithdrawal:
             w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         assert verify_csw(vk, pub, pkg.csw.proof)
+
+
+class TestOneAnchorPerFinalizedCertificate:
+    """The settlement chain builds each finalized certificate's StateAnchor
+    once, when it seals the settling block; all evidence reads that object."""
+
+    def test_redeem_proofs_of_one_epoch_share_the_anchor(self):
+        w = committed_world()
+        alpha = w.chains["alpha"]
+        tree = alpha.epochs[0].tree
+        anchor = w.mc.finalized_cert(alpha.sc_id, 0)
+        assert anchor_of(w.mc, alpha.sc_id, 0) is anchor_of(w.mc, alpha.sc_id, 0) is anchor
+        first, second = (build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, tree) for _ in range(2))
+        assert first.commitment_path.segments[0] is second.commitment_path.segments[0] is anchor.stc_path
+
+    def test_every_withdrawal_of_a_ceased_chain_carries_the_same_anchor(self, monkeypatch):
+        claims = []
+        prove = sidechain_module.prove_csw
+        monkeypatch.setattr(sidechain_module, "prove_csw", lambda *args: claims.append(args[-1]) or prove(*args))
+        runner = Runner(load_scenario(SCENARIO_DIR / "ceased_flows.json"))
+        assert runner.run()["ok"]
+        mc, chains = runner.world.mainchain, runner.world.chains
+        alpha, gamma = chains["alpha"].sc_id, chains["gamma"].sc_id
+        assert [claim.kind for claim in claims] == [ClaimKind.PAYLOAD_ENTITY, ClaimKind.PAYLOAD_ENTITY, ClaimKind.SENT_RECORD]
+        last = mc.finalized_cert(alpha, mc.record(alpha).last_epoch)
+        assert all(claim.anchor is last for claim in claims)
+        assert claims[-1].return_evidence.holder is mc.finalized_cert(gamma, 1)
+
+    @pytest.mark.parametrize("name", ["ceased_flows.json", "golden_fungible_roundtrip.json", "replay_attack.json"])
+    def test_a_world_builds_one_anchor_per_finalized_certificate(self, monkeypatch, name):
+        built = []
+        make = mainchain_module.StateAnchor
+        monkeypatch.setattr(mainchain_module, "StateAnchor", lambda **fields: built.append(make(**fields)) or built[-1])
+        runner = Runner(load_scenario(SCENARIO_DIR / name))
+        runner.run()
+        finalized = list(runner.world.mainchain._finalized.values())
+        assert finalized and len(built) == len(finalized)
+        assert all(a is b for a, b in zip(built, finalized))

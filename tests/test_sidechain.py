@@ -131,8 +131,7 @@ class TestEpochArchive:
         assert len(alpha.epochs) == 1
         closed = alpha.epochs[0]
         assert closed.tree.leaves == (message_digest(w.message),)
-        cert, _block_hash = w.mc.finalized_cert(alpha.sc_id, 0)
-        assert cert.proofdata[0] == closed.tree.root
+        assert w.mc.finalized_cert(alpha.sc_id, 0).cert.proofdata[0] == closed.tree.root
 
     def test_rejected_close_keeps_outbox(self):
         w = fresh()

@@ -38,8 +38,7 @@ SAMPLES = wire_samples()
 
 def test_golden_pins_every_wire_type():
     assert sorted(GOLDEN) == sorted(SAMPLES)
-    # Sibling has no encoding of its own outside a MerklePath.
-    assert {name.split("/")[0] for name in GOLDEN} == set(WIRE_TYPES) - {"Sibling"}
+    assert {name.split("/")[0] for name in GOLDEN} == set(WIRE_TYPES)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -81,7 +80,7 @@ def test_a_key_that_is_not_32_bytes_never_verifies(name, params_len):
 
 #: The codecs of 32-byte fields: digests, public keys, and the lists and
 #: pairs that hold digests.
-_FIXED_WIDTH = ("digest", "pubkey", "digest_list", "u32_digest")
+_FIXED_WIDTH = ("digest", "pubkey", "digest_list", "sibling_list", "u32_digest")
 
 
 def _fixed_width_values(value, where: str):
@@ -95,6 +94,8 @@ def _fixed_width_values(value, where: str):
             yield codec.kind, place, item
         elif codec.kind == "digest_list":
             yield from ((codec.kind, f"{place}[{i}]", x) for i, x in enumerate(item))
+        elif codec.kind == "sibling_list":
+            yield from ((codec.kind, f"{place}[{i}]", x) for i, (x, _) in enumerate(item))
         elif codec.kind == "u32_digest":
             yield codec.kind, place, item[1]
         elif codec.kind == "list_of":
@@ -128,7 +129,7 @@ _FIXED_WIDTH_FIELDS = sorted({
 def test_encode_rejects_a_digest_or_key_that_is_not_32_bytes(field, sample, length):
     _, attr, kind = field
     bad = bytes(length)
-    value = {"digest_list": (bad,), "u32_digest": (0, bad)}.get(kind, bad)
+    value = {"digest_list": (bad,), "sibling_list": ((bad, False),), "u32_digest": (0, bad)}.get(kind, bad)
     with pytest.raises(ValueError, match=f"must be 32 bytes, got {length}"):
         replace(sample, **{attr: value}).encode()
 
@@ -159,12 +160,12 @@ _SCALARS = {
     "u8": st.integers(0, U8_MAX),
     "u32": st.integers(0, U32_MAX),
     "u64": st.integers(0, U64_MAX),
-    "bool": st.booleans(),
     "bytes": st.binary(max_size=40),
     "str": st.text(max_size=12),
     "digest": _digest,
     "pubkey": st.binary(min_size=32, max_size=32).map(PubKey),
     "digest_list": st.lists(_digest, max_size=3).map(tuple),
+    "sibling_list": st.lists(st.tuples(_digest, st.booleans()), max_size=3).map(tuple),
     "bytes_list": st.lists(st.binary(max_size=12), max_size=3).map(tuple),
     "units": st.one_of(
         st.tuples(st.just(True), st.integers(1, U64_MAX), st.none()),

@@ -17,6 +17,7 @@ chain makes while a test runs scenarios.
 from dataclasses import dataclass, field
 
 from mitto import sidechain
+from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes
 from mitto.harness import World
 from mitto.messages import message_digest
@@ -34,8 +35,8 @@ def redeem_claim_holds(world: World, message, payload: bytes, proof) -> bool:
         senders = [chain for chain in world.chains.values() if chain.sc_id == sender_id]
         for chain in senders:
             for epoch_id, closed in enumerate(chain.epochs):
-                confirmed = mainchain.finalized_cert(sender_id, epoch_id)
-                if md in closed.tree.leaves and confirmed is not None and confirmed[1] == proof.block_hash:
+                anchor = mainchain.finalized_cert(sender_id, epoch_id)
+                if md in closed.tree.leaves and anchor is not None and canonical_digest(anchor.header) == proof.block_hash:
                     return True
         return False
     # Every withdrawal the settlement chain included, with its block.

@@ -11,7 +11,7 @@ signature in them is consistent, and their golden hex is the body that
 `prove_wcert`/`prove_csw` returned for those witnesses.
 """
 from mitto.encoding import canonical_digest
-from mitto.hashing import MerklePath, Sibling, build_merkle, hash_bytes, merkle_path
+from mitto.hashing import MerklePath, build_merkle, hash_bytes, merkle_path
 from mitto.keys import KeyPair
 from mitto.mainchain import SidechainRegistration
 from mitto.messages import (
@@ -194,11 +194,11 @@ def wire_samples() -> dict:
     )
     path = MerklePath(
         leaf_index=5,
-        siblings=(Sibling(_h("s0"), True), Sibling(_h("s1"), False), Sibling(_h("s2"), True)),
+        siblings=((_h("s0"), True), (_h("s1"), False), (_h("s2"), True)),
     )
     chain = CommitmentChain(
         posting_digest=_h("posting"),
-        segments=(path, MerklePath(leaf_index=0, siblings=(Sibling(_h("t0"), False),))),
+        segments=(path, MerklePath(leaf_index=0, siblings=((_h("t0"), False),))),
     )
     redeem_proof = RedeemProof(
         source_kind=SourceKind.CSW,
