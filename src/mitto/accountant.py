@@ -16,8 +16,8 @@ units and NFT holders by what left and what arrived. The invariants are
 then read off the tallies, at a cost set by names times chains rather than
 by what the chains hold. The full
 re-derivation from JSON dumps that this replaces is kept as the reference
-in ``tests/accountant_reference.py``, and the tests hold both to the same
-findings.
+in ``tests/accountant_reference.py``; the test-side ``OracleRunner``
+(``tests/oracles.py``) holds both to the same findings after every step.
 
 Scope: tokens issued by non-byzantine chains. A byzantine issuer's books
 are garbage by construction, so nothing is promised about them. Chains

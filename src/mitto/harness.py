@@ -444,6 +444,8 @@ class Runner:
         if labels == "all":
             record = self.world.mainchain.record
             labels = [label for label, sc in self.world.chains.items() if record(sc.sc_id).status != STATUS_CEASED]
+            if not labels:
+                raise HarnessError("every chain has ceased, so there is no epoch to close")
         parts = []
         for label in labels:
             chain = self.world.chains[label]

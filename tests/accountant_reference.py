@@ -4,8 +4,8 @@ This is the check ``Accountant.check`` made before it kept shadow books:
 every step it dumps each ledger, drops from a ceased chain's final state
 every entity whose withdrawal nullifier is used, and recomputes held and
 recorded units from scratch. It costs O(world) per step, so the runner no
-longer uses it; tests run it beside the incremental check to show both
-report the same findings.
+longer uses it; ``oracles.OracleRunner`` runs it beside the incremental
+check after every step and holds both to the same findings.
 """
 from mitto.accountant import (
     CONSERVATION,
@@ -14,7 +14,6 @@ from mitto.accountant import (
     NFT_UNIQUENESS,
     Accountant,
 )
-from mitto.harness import Runner
 from mitto.proofs import csw_nullifier
 from mitto.tokens import VARIANT_NO_RECEIVER_TRACKING, VARIANT_NO_SENT_RECORDS
 
@@ -127,22 +126,3 @@ def _record_units(book: dict, name: str) -> dict[int, int]:
             continue
         out[entry["receiver_sc_id"]] = out.get(entry["receiver_sc_id"], 0) + _units(entry)
     return out
-
-
-class ReferenceCheckRunner(Runner):
-    """Runner that makes both accountant checks after every step, keeps
-    each step's pair of findings in ``checks`` (incremental, reference), and
-    reports the reference findings."""
-
-    def __init__(self, scenario):
-        super().__init__(scenario)
-        self.checks: list[tuple[list[str], list[str]]] = []
-        accountant = self.world.accountant
-        incremental = accountant.check
-
-        def both(snapshot):
-            pair = (incremental(snapshot), reference_check(accountant, snapshot))
-            self.checks.append(pair)
-            return pair[1]
-
-        accountant.check = both

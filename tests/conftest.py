@@ -3,7 +3,14 @@ import inspect
 
 import pytest
 
-from mitto import keys
+from oracles import Findings, OracleRunner
+
+from mitto import fuzz, keys
+
+FUZZ_SEED = 20260817
+FUZZ_COUNT = 1000
+#: The dump and accountant references check this prefix of the fuzz corpus.
+FULL_TRACES = 200
 
 
 @pytest.fixture
@@ -44,3 +51,15 @@ def counted(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture(scope="session")
+def fuzz_corpus():
+    """The acceptance suite's fuzz corpus, every trace run once under the
+    ``OracleRunner`` (the first ``FULL_TRACES`` with every oracle, the rest
+    with the light ones); what the oracles saw is under ``"oracles"``."""
+    findings = Findings()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fuzz, "Runner", lambda s: OracleRunner(s, findings, full=findings.full_runs < FULL_TRACES))
+        corpus = fuzz.run_fuzz(FUZZ_SEED, FUZZ_COUNT)
+    return {**corpus, "oracles": findings}

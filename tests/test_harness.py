@@ -8,12 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from accountant_reference import ReferenceCheckRunner
-from dump_reference import DumpCheckRunner
+from oracles import OracleRunner
 from mitto import accountant as accountant_module, hashing, mainchain as mainchain_module, sidechain as sidechain_module
 from mitto.accountant import Accountant
 from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
-from mitto.fuzz import generate_trace
 from mitto.harness import HarnessError, Runner, dump_state, render_json, render_report
 from mitto.hashing import hash_bytes
 from mitto.journal import JournalDict, JournalList, JournalSet
@@ -25,7 +23,6 @@ from mitto.sidechain import Sidechain
 from mitto.tokens import Holdings, MittoState, TokenInstance
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-FUZZ_SEED = 20260817  # the acceptance suite's fuzz corpus
 
 
 def scenario_obj(steps, chains=None, name="inline", seed=3, **extra) -> dict:
@@ -380,6 +377,21 @@ def test_cease_by_silence_beyond_the_block_cap_is_a_scenario_error():
     assert runner.world.mainchain.tip_height == tip
 
 
+def test_close_epoch_with_every_chain_ceased_is_a_scenario_error():
+    """``close_epoch`` on all chains when none is alive names no chain to
+    close, as an explicit ``chains: []`` (a parse error) would; it is refused
+    like ``lower_quality`` with no closed epoch, not accepted with no parts."""
+    chains = [{"label": "alpha", "epoch_length": 2}]
+    report = run_inline([{"op": "cease_by_silence", "chain": "alpha"}, {"op": "close_epoch"}], chains=chains)
+    assert report["steps"][1]["outcome"] == {"accepted": False, "reason": "ScenarioError"}
+    assert report["failure"] == {
+        "step": 1,
+        "invariant": "scenario",
+        "trace": "step 1 (close_epoch): every chain has ceased, so there is no epoch to close",
+    }
+    assert report["ok"] is False
+
+
 @pytest.mark.parametrize("epoch_length", [2, 3, 5])
 @pytest.mark.parametrize("certified", [False, True])
 @pytest.mark.parametrize("lead", range(6))
@@ -493,9 +505,9 @@ LEAKS = [
 
 
 def test_rejection_scenario_is_clean():
-    scenario = parse_scenario(REJECTIONS)
-    assert Runner(scenario).run()["violations"] == []
-    assert DumpCheckRunner(scenario).run()["violations"] == []
+    runner = OracleRunner(parse_scenario(REJECTIONS))
+    assert runner.run()["violations"] == []
+    assert runner.findings.dump_writes == [] and runner.findings.disagreements == {}
 
 
 @pytest.mark.parametrize(
@@ -513,12 +525,12 @@ def test_write_on_rejected_path_is_flagged(monkeypatch, op, index, cls, method, 
         return verdict
 
     monkeypatch.setattr(cls, method, leaky)
-    scenario = parse_scenario(REJECTIONS)
-    finding = f"step {index}: atomicity: rejected {op} changed chain state"
-    assert finding in Runner(scenario).run()["violations"]
+    runner = OracleRunner(parse_scenario(REJECTIONS))
+    assert f"step {index}: atomicity: rejected {op} changed chain state" in runner.run()["violations"]
     # The dump comparison never saw rebinding to equal contents, nor any
-    # settlement-chain state.
-    assert (finding in DumpCheckRunner(scenario).run()["violations"]) is dump_sees
+    # settlement-chain state; whatever it saw, the journal saw too.
+    assert (f"rejections step {index}" in runner.findings.dump_writes) is dump_sees
+    assert runner.findings.disagreements == {}
 
 
 # Methods of dict, set and list that only read.
@@ -629,20 +641,42 @@ def test_drain_hands_each_written_key_to_one_reader():
     assert box.drain(4) == set()
 
 
-@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
-def test_journal_matches_dump_reference_on_bundled_scenarios(path):
-    scenario = load_scenario(path)
-    assert render_report(Runner(scenario).run()) == render_report(DumpCheckRunner(scenario).run())
+# -- the oracle pass: journal against dumps, accountant against its reference --
+#
+# Each bundled scenario and each fuzz trace runs once under the
+# ``OracleRunner`` (fixtures ``bundled_pass`` and ``fuzz_corpus``), and the
+# tests below read that one pass.
 
 
-def test_journal_matches_dump_reference_on_fuzz_corpus():
-    mismatched = []
-    for index in range(200):
-        obj, _probes = generate_trace(FUZZ_SEED, index)
-        scenario = parse_scenario(obj, source=obj["name"])
-        if Runner(scenario).run() != DumpCheckRunner(scenario).run():
-            mismatched.append(index)
-    assert mismatched == []
+@pytest.fixture(scope="module", params=sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
+def bundled_pass(request):
+    """A bundled scenario's path, and its report and findings from one pass."""
+    runner = OracleRunner(load_scenario(request.param))
+    return request.param, runner.run(), runner.findings
+
+
+def test_journal_matches_dump_reference_on_bundled_scenarios(bundled_pass):
+    path, report, oracles = bundled_pass
+    assert render_report(report) == render_report(Runner(load_scenario(path)).run())
+    # The whole pass, the redeem oracle included, agrees on the scenario.
+    assert oracles.full_runs == 1 and oracles.disagreements == {}
+
+
+def test_journal_matches_dump_reference_on_fuzz_corpus(fuzz_corpus):
+    oracles = fuzz_corpus["oracles"]
+    assert oracles.full_runs == 200 and "dump" not in oracles.disagreements
+
+
+def test_accountant_matches_reference_on_bundled_scenarios(bundled_pass):
+    path, report, oracles = bundled_pass
+    assert {"accountant", "holdings index"}.isdisjoint(oracles.disagreements), oracles.disagreements
+    expected = {"faulty_issuer_notification": 7, "faulty_no_receiver_tracking": 2, "faulty_no_sent_records": 3}
+    assert len(report["violations"]) == expected.get(path.stem, 0)
+
+
+def test_accountant_matches_reference_on_fuzz_corpus(fuzz_corpus):
+    disagreements = fuzz_corpus["oracles"].disagreements
+    assert {"accountant", "holdings index"}.isdisjoint(disagreements), disagreements
 
 
 # -- accountant: incremental books against the dump reference ------------------
@@ -694,76 +728,21 @@ def ceased_recovery_shape(n):
     return {"name": "ceased_recovery_shape", "seed": 6, "chains": chains, "steps": steps}
 
 
-def _rebuilt_index(holdings: Holdings) -> tuple[dict, dict]:
-    """The (by_id, by_owner) index of ``holdings``, built from scratch, with
-    each id's digests in sorted order."""
-    by_id, by_owner = {}, {}
-    for digest, instance in sorted(holdings.items()):
-        by_owner.setdefault((instance.owner, instance.token_name), set()).add(digest)
-        if not instance.fungibility:
-            key = (instance.token_name, instance.token_id)
-            by_id[key] = by_id.get(key, ()) + (digest,)
-    return by_id, by_owner
-
-
-def _index_agrees(holdings: Holdings) -> bool:
-    by_id = {key: tuple(sorted(digests)) for key, digests in holdings.by_id.items()}
-    return (by_id, holdings.by_owner) == _rebuilt_index(holdings)
-
-
-def _watch_indexes(runner: Runner) -> list[str]:
-    """After every step, compare the holdings index of each live ledger and
-    each archived epoch snapshot with one rebuilt from its contents; the
-    returned list fills with ``step N: <ledger>`` for each that disagrees."""
-    stale = []
-    check = runner.world.accountant.check
-
-    def check_and_compare(snapshot):
-        for label, chain in runner.world.chains.items():
-            ledgers = {"live": runner.world.states[label]}
-            ledgers.update((f"epoch {i}", e.snapshots[MSG_TYPE_TOKEN_TRANSFER]) for i, e in enumerate(chain.epochs))
-            for where, ledger in ledgers.items():
-                if not _index_agrees(ledger.s_tks):
-                    stale.append(f"step {len(runner.steps)}: {label} {where}")
-        return check(snapshot)
-
-    runner.world.accountant.check = check_and_compare
-    return stale
-
-
-def _checks_agree(runner: ReferenceCheckRunner) -> dict:
-    """Run, assert both checks found the same after every step and every
-    holdings index matched its contents, and return the report."""
-    stale = _watch_indexes(runner)
+def _agreed(runner: OracleRunner) -> dict:
+    """Run; assert no oracle disagreed at any step, and return the report."""
     report = runner.run()
-    assert len(runner.checks) == len(report["steps"])
-    for index, (incremental, reference) in enumerate(runner.checks):
-        assert incremental == reference, f"step {index}"
-    assert stale == []
+    assert runner.findings.disagreements == {}
     return report
-
-
-@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
-def test_accountant_matches_reference_on_bundled_scenarios(path):
-    report = _checks_agree(ReferenceCheckRunner(load_scenario(path)))
-    expected = {"faulty_issuer_notification": 7, "faulty_no_receiver_tracking": 2, "faulty_no_sent_records": 3}
-    assert len(report["violations"]) == expected.get(path.stem, 0)
-
-
-def test_accountant_matches_reference_on_fuzz_corpus():
-    for index in range(200):
-        obj, _probes = generate_trace(FUZZ_SEED, index)
-        _checks_agree(ReferenceCheckRunner(parse_scenario(obj, source=obj["name"])))
 
 
 @pytest.mark.parametrize("shape", [scale_nft_shape, ceased_recovery_shape], ids=lambda f: f.__name__)
 def test_accountant_matches_reference_on_scale_shapes(shape):
-    assert _checks_agree(ReferenceCheckRunner(parse_scenario(shape(6))))["ok"] is True
+    assert _agreed(OracleRunner(parse_scenario(shape(6))))["ok"] is True
 
 
 def test_index_bypass_is_caught(monkeypatch):
-    """A write to ``s_tks`` that skips the holdings index is exactly what
-    ``_checks_agree`` looks for after every step."""
+    """A write to ``s_tks`` that skips the holdings index is what the
+    oracle pass's index rebuild looks for after every step."""
 
     def apply_redeem(self, instance, message):
         minted = replace(instance, owner=message.receiver_id)
@@ -771,13 +750,10 @@ def test_index_bypass_is_caught(monkeypatch):
 
     monkeypatch.setattr(MittoState, "apply_redeem", apply_redeem)
     scenario = parse_scenario(scale_nft_shape(2))
-    runner = Runner(scenario)
-    stale = _watch_indexes(runner)
+    runner = OracleRunner(scenario)
     runner.run()
     first_redeem = [step.op for step in scenario.steps].index("redeem")
-    assert stale[0] == f"step {first_redeem}: beta live"
-    with pytest.raises(AssertionError):
-        _checks_agree(ReferenceCheckRunner(scenario))
+    assert runner.findings.disagreements["holdings index"][0] == f"scale_nft_shape step {first_redeem}: beta live"
 
 
 def _per_step(runner: Runner, *counters: list) -> list:
@@ -966,9 +942,9 @@ def test_accountant_resyncs_only_written_keys(monkeypatch, n):
     assert by_op == {"send": {2}, "advance_mainchain": {0}, "close_epoch": {0}, "redeem": {1}}
 
 
-class _FaultAfterStep(ReferenceCheckRunner):
-    """Reference-checking runner that calls ``fault(world)`` right after the
-    handler of step ``index`` returns, before the accountant looks."""
+class _FaultAfterStep(OracleRunner):
+    """Oracle runner that calls ``fault(world)`` right after the handler of
+    step ``index`` returns, before the accountant looks."""
 
     def __init__(self, scenario, index, fault):
         super().__init__(scenario)
@@ -1091,11 +1067,12 @@ PROTOCOL_FAULTS = {
 }
 
 
-def _assert_flagged_by_both(runner, index, finding):
-    report = _checks_agree(runner)
-    incremental, reference = runner.checks[index]
-    assert finding in incremental and incremental == reference
+def _assert_flagged_by_both(runner, index, finding) -> dict:
+    """The incremental accountant reports ``finding`` at step ``index``, and
+    its reference agrees with it at every step."""
+    report = _agreed(runner)
     assert f"step {index}: {finding}" in report["violations"]
+    return report
 
 
 @pytest.mark.parametrize("fault", list(STEP_FAULTS))
@@ -1113,17 +1090,18 @@ def _rewrite_frozen(world):
 
 
 def test_rewritten_committed_ledger_keeps_withdrawals_spent():
-    clean = _checks_agree(ReferenceCheckRunner(parse_scenario(REJECTIONS)))
-    report = _checks_agree(_FaultAfterStep(parse_scenario(REJECTIONS), 12, _rewrite_frozen))
+    clean = _agreed(OracleRunner(parse_scenario(REJECTIONS)))
+    report = _agreed(_FaultAfterStep(parse_scenario(REJECTIONS), 12, _rewrite_frozen))
     assert report["violations"] == clean["violations"]
 
 
 def test_duplicate_nfts_flagged_by_both_checks_in_the_same_order():
     scenario = parse_scenario(scale_nft_shape(4))
     last = len(scenario.steps) - 1
-    runner = _FaultAfterStep(scenario, last, _duplicate_nfts)
-    _assert_flagged_by_both(runner, last, "nft-uniqueness: 'ART' id 0 live on both alpha and beta")
-    assert "nft-uniqueness: 'ART' id 3 live on both beta and beta" in runner.checks[last][0]
+    report = _assert_flagged_by_both(
+        _FaultAfterStep(scenario, last, _duplicate_nfts), last, "nft-uniqueness: 'ART' id 0 live on both alpha and beta"
+    )
+    assert f"step {last}: nft-uniqueness: 'ART' id 3 live on both beta and beta" in report["violations"]
 
 
 def test_fungible_instance_under_nft_name_is_rejected():
@@ -1139,7 +1117,7 @@ def test_fungible_instance_under_nft_name_is_rejected():
 def test_injected_protocol_fault_flagged_by_both_checks(monkeypatch, fault):
     scenario, index, method, wrap, finding = PROTOCOL_FAULTS[fault]
     monkeypatch.setattr(MittoState, method, wrap(getattr(MittoState, method)))
-    _assert_flagged_by_both(ReferenceCheckRunner(parse_scenario(scenario)), index, finding)
+    _assert_flagged_by_both(OracleRunner(parse_scenario(scenario)), index, finding)
 
 
 def test_runner_calls_accountant_check_once_per_completed_step():

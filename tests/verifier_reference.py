@@ -11,12 +11,9 @@ It asks the world whether the claim the proof makes is true:
 - withdrawal-sourced: a zero-amount withdrawal of the sending chain that
   embeds the message sits in the block the proof names.
 
-``watch_redeems`` holds the live verifier to it on every call a receiving
-chain makes while a test runs scenarios.
+``oracles.OracleRunner`` holds the live verifier to it on every call a
+receiving chain makes during a run.
 """
-from dataclasses import dataclass, field
-
-from mitto import sidechain
 from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes
 from mitto.harness import World
@@ -44,40 +41,3 @@ def redeem_claim_holds(world: World, message, payload: bytes, proof) -> bool:
         if ledger_id == sender_id and block_hash == proof.block_hash and csw.amount == 0 and csw.proofdata[:1] == (md,):
             return True
     return False
-
-
-@dataclass
-class RedeemWatch:
-    """What the watched verifier said, and where the reference disagreed."""
-
-    world: World | None = None
-    verdicts: list[bool] = field(default_factory=list)
-    disagreements: list[str] = field(default_factory=list)
-
-
-def watch_redeems(monkeypatch) -> RedeemWatch:
-    """While ``monkeypatch`` holds, compare every ``verify_redeem`` call a
-    receiving chain makes with the reference on the World it runs in (the
-    last one built)."""
-    watch = RedeemWatch()
-    build = World.__init__
-    verify = sidechain.verify_redeem
-
-    def init(world, *args, **kwargs):
-        build(world, *args, **kwargs)
-        watch.world = world
-
-    def checked(stc_root, posting, message, payload, proof):
-        verdict = verify(stc_root, posting, message, payload, proof)
-        expected = redeem_claim_holds(watch.world, message, payload, proof)
-        watch.verdicts.append(verdict)
-        if verdict != expected:
-            watch.disagreements.append(
-                f"{watch.world.scenario.name}: message {message_digest(message).hex()[:16]} "
-                f"({proof.source_kind.name}) verifier {verdict}, reference {expected}"
-            )
-        return verdict
-
-    monkeypatch.setattr(World, "__init__", init)
-    monkeypatch.setattr(sidechain, "verify_redeem", checked)
-    return watch
