@@ -127,12 +127,18 @@ def generate_trace(seed: int, index: int) -> tuple[dict, dict]:
 def run_trace(seed: int, index: int) -> dict:
     obj, probes = generate_trace(seed, index)
     report = Runner(parse_scenario(obj, source=obj["name"])).run()
+    result = {"index": index, "steps": len(report["steps"]), "violations": report["violations"]}
+    failure = report["failure"]
+    if failure is not None:
+        # A trace that stopped early may never have reached its probes, so
+        # none of them counts as rejected.
+        stopped = f"stopped at step {failure['step']} ({failure['invariant']})"
+        return {**result, "violations": [*report["violations"], stopped],
+                "routing_rejected": False, "over_return_rejected": False}
     routing = report["steps"][probes["routing"]]["outcome"]
     over = report["steps"][probes["over_return"]]["outcome"]
     return {
-        "index": index,
-        "steps": len(report["steps"]),
-        "violations": report["violations"],
+        **result,
         "routing_rejected": not routing["accepted"] and routing.get("rule") == "send-2",
         "over_return_rejected": not over["accepted"],
     }

@@ -12,10 +12,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from oracles import Findings, OracleRunner
-from worlds import ceased_world, committed_world, redeem_verifies
+from worlds import CEASED, COMMITTED, RULE_IDS, SCENARIO_DIR, held, redeem_verifies, run_stage
 
 from mitto import vectors
 from mitto.cli import main as cli_main
+from mitto.encoding import canonical_digest
 from mitto.harness import Runner, render_report
 from mitto.hashing import Digest, MerklePath, hash_bytes
 from mitto.keys import KeyPair, PubKey
@@ -29,21 +30,11 @@ from mitto.proofs import (
     verify_wcert,
 )
 from mitto.scenario import STEP_OPS, load_scenario
-from mitto.tokens import CswPackage, make_csw_redeem_tx, withdraw_foreign
+from mitto.tokens import CswPackage, final_ledger, make_csw_redeem_tx, withdraw_foreign
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIO_DIR = ROOT / "scenarios"
 FROZEN_PINS = ROOT / "tests" / "golden" / "frozen_outputs.json"
 PIN_SCRIPT = ROOT / "scripts" / "pin_frozen_outputs.py"
-
-RULE_IDS = (
-    "send-1", "send-2", "send-3a", "send-3b", "send-3c", "send-3d", "send-3e", "send-4",
-    "redeem-1", "redeem-2a", "redeem-2b", "redeem-3",
-    "redeem-4a", "redeem-4b", "redeem-4c", "redeem-4d", "redeem-4e", "redeem-5",
-    "redeem-6", "redeem-7", "redeem-8",
-    "malformed-payload", "unregistered-msg-type",
-)
-
 
 def verdict(number: int, description: str, problems: list[str]) -> None:
     state = "PASS" if not problems else "FAIL"
@@ -162,14 +153,14 @@ def test_criterion_6_ceasing_suite():
 
     # (a) Silence through a full window ceases the chain; certificates are
     # then rejected for good.
-    w = ceased_world()
+    w, _ = run_stage(CEASED)
     alpha, beta, gamma = (w.chains[k] for k in ("alpha", "beta", "gamma"))
-    if w.mc.get_status(alpha.sc_id)["status"] != "ceased":
+    if w.mainchain.get_status(alpha.sc_id)["status"] != "ceased":
         problems.append("silent chain did not cease")
     for label in ("beta", "gamma"):
-        if w.mc.get_status(w.chains[label].sc_id)["status"] != "alive":
+        if w.mainchain.get_status(w.chains[label].sc_id)["status"] != "alive":
             problems.append(f"{label} should be alive")
-    late = w.mc.submit_certificate(alpha.build_certificate())
+    late = w.mainchain.submit_certificate(alpha.build_certificate())
     if late.accepted or late.reason != "SidechainCeased":
         problems.append(f"post-cease certificate verdict {late}")
 
@@ -182,35 +173,36 @@ def test_criterion_6_ceasing_suite():
     # (c) A foreign token withdrawn from the ceased chain is redeemable on
     # its issuer and nowhere else; elsewhere the token rules end it at
     # redeem-1.
-    pkg = withdraw_foreign(alpha, w.alice, w.foreign_digest, w.alice.public)
-    if not w.mc.submit_csw(pkg.csw).accepted:
+    foreign = canonical_digest(held(final_ledger(alpha), "FOR"))
+    pkg = withdraw_foreign(alpha, w.actor("alice"), foreign, w.actor("alice").public)
+    if not w.mainchain.submit_csw(pkg.csw).accepted:
         problems.append("honest foreign withdrawal not accepted")
-    w.mc.advance_block()
-    on_issuer = beta.accept_csw_redeem(make_csw_redeem_tx(w.mc, pkg, w.alice))
+    w.mainchain.advance_block()
+    on_issuer = beta.accept_csw_redeem(make_csw_redeem_tx(w.mainchain, pkg, w.actor("alice")))
     if not on_issuer.accepted:
         problems.append(f"issuer rejected the foreign withdrawal: {on_issuer}")
 
-    w2 = ceased_world()
+    w2, _ = run_stage(CEASED)
     alpha2, gamma2 = w2.chains["alpha"], w2.chains["gamma"]
     state = alpha2.finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
-    instance = state.s_tks[w2.foreign_digest]
+    instance = held(state, "FOR")
     payload = instance.encode()
     message = CscpMessage(
         sending_sc_id=alpha2.sc_id,
         receiving_sc_id=gamma2.sc_id,
         msg_type=MSG_TYPE_TOKEN_TRANSFER,
         sender_id=instance.owner,
-        receiver_id=w2.alice.public,
+        receiver_id=w2.actor("alice").public,
         payload_hash=hash_bytes(payload),
     )
-    csw = alpha2.build_message_withdrawal(payload, message, receiver=w2.alice.public)
-    if not w2.mc.submit_csw(csw).accepted:
+    csw = alpha2.build_message_withdrawal(payload, message, receiver=w2.actor("alice").public)
+    if not w2.mainchain.submit_csw(csw).accepted:
         problems.append("crafted third-chain withdrawal not accepted at settlement")
-    w2.mc.advance_block()
+    w2.mainchain.advance_block()
     crafted = make_csw_redeem_tx(
-        w2.mc,
-        CswPackage(csw, message, payload, sender_sig=w2.alice.sign(message_digest(message)), instance=instance),
-        w2.alice,
+        w2.mainchain,
+        CswPackage(csw, message, payload, w2.actor("alice").sign(message_digest(message)), instance),
+        w2.actor("alice"),
     )
     elsewhere = gamma2.accept_csw_redeem(crafted)
     if elsewhere.accepted or elsewhere.rule != "redeem-1":
@@ -255,11 +247,11 @@ def test_criterion_7_commitment_soundness():
 
     # Certificate fixture: the finalized epoch-0 certificate and the exact
     # public input the settlement chain rebuilds for it.
-    cw = committed_world()
+    cw, sends = run_stage(COMMITTED)
     alpha = cw.chains["alpha"]
-    record = cw.mc.record(alpha.sc_id)
-    cert = cw.mc.finalized_cert(alpha.sc_id, 0).cert
-    anchor = cw.mc.get_block(record.epoch_end(0)).hash
+    record = cw.mainchain.record(alpha.sc_id)
+    cert = cw.mainchain.finalized_cert(alpha.sc_id, 0).cert
+    anchor = cw.mainchain.get_block(record.epoch_end(0)).hash
     w_vk = record.registration.wcert_vk
     w_input = make_wcert_input(cert.quality, cert.bt_list, anchor, cert.proofdata)
     if not verify_wcert(w_vk, w_input, cert.proof):
@@ -282,23 +274,24 @@ def test_criterion_7_commitment_soundness():
         )
 
     # Redeem evidence fixture: the committed in-flight send.
-    payload = cw.send_tx.payload
-    rp = build_redeem_proof(cw.mc, alpha.sc_id, 0, cw.message, alpha.epochs[0].tree)
-    if not redeem_verifies(cw, cw.message, payload, rp):
+    sent = sends["sent"]
+    payload = sent.payload
+    rp = build_redeem_proof(cw.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
+    if not redeem_verifies(cw, sent.message, payload, rp):
         problems.append("honest redeem fixture does not verify")
     for field in ("msg_tree_root", "block_hash"):
         for note, digest in _digest_flips(getattr(rp, field)):
             sweep.expect_false(
                 f"redeem {field} {note}",
-                redeem_verifies(cw, cw.message, payload, replace(rp, **{field: digest})),
+                redeem_verifies(cw, sent.message, payload, replace(rp, **{field: digest})),
             )
     for note, digest in _digest_flips(rp.commitment_path.posting_digest):
         mutated = replace(rp, commitment_path=replace(rp.commitment_path, posting_digest=digest))
-        sweep.expect_false(f"redeem posting {note}", redeem_verifies(cw, cw.message, payload, mutated))
+        sweep.expect_false(f"redeem posting {note}", redeem_verifies(cw, sent.message, payload, mutated))
     for note, path in _path_flips(rp.msg_path):
         sweep.expect_false(
             f"redeem msg_path {note}",
-            redeem_verifies(cw, cw.message, payload, replace(rp, msg_path=path)),
+            redeem_verifies(cw, sent.message, payload, replace(rp, msg_path=path)),
         )
     for n, segment in enumerate(rp.commitment_path.segments):
         for note, path in _path_flips(segment):
@@ -306,21 +299,22 @@ def test_criterion_7_commitment_soundness():
             mutated = replace(rp, commitment_path=replace(rp.commitment_path, segments=segments))
             sweep.expect_false(
                 f"redeem segment {n} {note}",
-                redeem_verifies(cw, cw.message, payload, mutated),
+                redeem_verifies(cw, sent.message, payload, mutated),
             )
     for i, bit, raw in _flipped(payload):
         sweep.expect_false(
             f"redeem payload byte {i} bit {bit}",
-            redeem_verifies(cw, cw.message, raw, rp),
+            redeem_verifies(cw, sent.message, raw, rp),
         )
 
     # Withdrawal fixture: a foreign-token claim out of the ceased chain.
-    zw = ceased_world()
+    zw, _ = run_stage(CEASED)
     z_alpha = zw.chains["alpha"]
-    pkg = withdraw_foreign(z_alpha, zw.alice, zw.foreign_digest, zw.alice.public)
-    c_vk = zw.mc.record(z_alpha.sc_id).registration.csw_vk
+    foreign = canonical_digest(held(final_ledger(z_alpha), "FOR"))
+    pkg = withdraw_foreign(z_alpha, zw.actor("alice"), foreign, zw.actor("alice").public)
+    c_vk = zw.mainchain.record(z_alpha.sc_id).registration.csw_vk
     c_input = make_csw_input(
-        last_cert_block_hash=zw.mc.csw_anchor_hash(z_alpha.sc_id),
+        last_cert_block_hash=zw.mainchain.csw_anchor_hash(z_alpha.sc_id),
         nullifier=pkg.csw.nullifier,
         receiver=pkg.csw.receiver,
         amount=pkg.csw.amount,
@@ -351,9 +345,9 @@ def test_criterion_7_commitment_soundness():
         )
 
     # Withdrawal-sourced redeem evidence for the same claim.
-    assert zw.mc.submit_csw(pkg.csw).accepted
-    zw.mc.advance_block()
-    crp = build_csw_redeem_proof(zw.mc, pkg.csw.ledger_id, pkg.csw.nullifier, pkg.message)
+    assert zw.mainchain.submit_csw(pkg.csw).accepted
+    zw.mainchain.advance_block()
+    crp = build_csw_redeem_proof(zw.mainchain, pkg.csw.ledger_id, pkg.csw.nullifier, pkg.message)
     csw_ref = (pkg.csw.ledger_id, pkg.csw.nullifier)
     if not redeem_verifies(zw, pkg.message, pkg.payload, crp, csw_ref):
         problems.append("honest withdrawal-redeem fixture does not verify")

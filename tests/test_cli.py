@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from worlds import SCENARIO_DIR
+
 from mitto.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
-SCENARIO_DIR = ROOT / "scenarios"
 GOLDEN = str(SCENARIO_DIR / "golden_fungible_roundtrip.json")
 
 

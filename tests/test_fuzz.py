@@ -1,4 +1,6 @@
 """Generated adversarial traces: determinism and guaranteed probes."""
+from mitto import fuzz
+from mitto.cli import main
 from mitto.fuzz import generate_trace, run_fuzz, run_trace
 from mitto.harness import Runner
 from mitto.scenario import parse_scenario
@@ -55,3 +57,21 @@ def test_small_batch_fully_clean():
     assert result["routing"] == {"attempts": 25, "rejected": 25}
     assert result["over_return"] == {"attempts": 25, "rejected": 25}
     assert result["steps"] > 25 * 10
+
+
+def test_a_trace_that_stops_early_is_reported_with_its_probes_not_rejected(monkeypatch, capsys):
+    def stopping(seed, index):
+        obj, probes = generate_trace(seed, index)
+        # Bob holds no GOLD on alpha, so the first step cannot run.
+        obj["steps"].insert(0, {"op": "send", "from": "alpha", "to": "beta", "name": "GOLD", "amount": 1,
+                                "owner": "bob", "receiver": "alice"})
+        return obj, probes
+
+    monkeypatch.setattr(fuzz, "generate_trace", stopping)
+    result = run_fuzz(seed=5, count=2)
+    assert result["violations"] == ["trace 0: stopped at step 0 (scenario)", "trace 1: stopped at step 0 (scenario)"]
+    assert result["routing"] == {"attempts": 2, "rejected": 0}
+    assert result["over_return"] == {"attempts": 2, "rejected": 0}
+    assert result["ok"] is False
+    assert main(["fuzz", "--traces", "2", "--seed", "5"]) == 1
+    assert "  trace 1: stopped at step 0 (scenario)" in capsys.readouterr().out.splitlines()

@@ -3,12 +3,13 @@ import copy
 import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import OracleRunner
+from worlds import SCENARIO_DIR
+
 from mitto import accountant as accountant_module, hashing, mainchain as mainchain_module, sidechain as sidechain_module
 from mitto.accountant import Accountant
 from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
@@ -21,8 +22,6 @@ from mitto.proofs import CswBundle
 from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, ParseError, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
 from mitto.tokens import Holdings, MittoState, TokenInstance
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def scenario_obj(steps, chains=None, name="inline", seed=3, **extra) -> dict:

@@ -95,3 +95,64 @@ def test_readme_layout_names_every_module():
     block = (ROOT / "README.md").read_text().split("## Layout", 1)[1].split("```")[1]
     named = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
     assert sorted(named) == sorted(path.name for path in (ROOT / "src" / "mitto").glob("*.py"))
+
+
+#: Calls that build a world by hand. Test worlds are scenarios run by
+#: ``harness.World`` and ``Runner`` (``tests/worlds.py``); only the bare
+#: settlement-chain unit tests build their own, and one schedule check that
+#: needs a registration the World would already have sealed.
+HAND_BUILDERS = ("Mainchain", "Sidechain.create", "ByzantineSidechain.create", "attach_token_ledger")
+
+
+def _dotted(node) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    return ""
+
+
+def hand_built_worlds(source: str) -> list[str]:
+    """``<owner>: <callee>`` for each hand-builder call, by the top-level
+    function or class it sits in."""
+    found = []
+    for node in ast.parse(source).body:
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = _dotted(call.func)
+            if any(callee == name or callee.endswith("." + name) for name in HAND_BUILDERS):
+                found.append(f"{getattr(node, 'name', '<module>')}: {callee}")
+    return found
+
+
+def test_builder_detector_sees_each_hand_builder():
+    source = (
+        "from mitto import mainchain as mm\n"
+        "def build():\n"
+        "    mc = mm.Mainchain()\n"
+        "    sc = Sidechain.create(mc, 2, 'a')\n"
+        "    ByzantineSidechain.create(mc, 2, 'b')\n"
+        "    attach_token_ledger(sc, None)\n"
+        "class TestWorld:\n"
+        "    def test_scenario(self):\n"
+        "        World(parse_scenario({})).mainchain.advance_block()\n"
+    )
+    assert hand_built_worlds(source) == [
+        "build: mm.Mainchain",
+        "build: Sidechain.create",
+        "build: ByzantineSidechain.create",
+        "build: attach_token_ledger",
+    ]
+
+
+def test_no_test_builds_a_world_by_hand():
+    found = [
+        f"{path.name} {call}"
+        for path in sorted((ROOT / "tests").glob("*.py")) if path.name != "test_mainchain.py"
+        for call in hand_built_worlds(path.read_text())
+    ]
+    assert found == [
+        "test_harness.py test_silent_cease_height_is_where_the_chain_ceases: Mainchain",
+        "test_harness.py test_silent_cease_height_is_where_the_chain_ceases: Sidechain.create",
+    ]

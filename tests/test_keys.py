@@ -5,16 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from worlds import ceased_world
+from worlds import CEASED, held_withdrawal, run_stage
 
 from mitto import keys
-from mitto.encoding import canonical_digest
 from mitto.harness import Runner, World
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair, PubKey, verify_sig
 from mitto.proofs import CswBundle, make_csw_input, verify_csw
 from mitto.scenario import parse_scenario
-from mitto.tokens import withdraw_native_held
 
 
 def test_public_keys_are_32_bytes():
@@ -218,12 +216,12 @@ class TestCswMemo:
         return counted(CswBundle, "decode")
 
     def triple(self):
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha = w.chains["alpha"]
-        pkg = withdraw_native_held(alpha, w.alice, canonical_digest(w.kept), w.chains["beta"].sc_id, w.bob.public)
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        pkg = held_withdrawal(w)
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         return vk, pub, pkg.csw.proof
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from worlds import ceased_world, committed_world, two_chain_world
+from worlds import CEASED, COMMITTED, held_withdrawal, run_stage, two_chain_world
 
 from mitto.encoding import canonical_digest
 from mitto.hashing import EMPTY_ROOT, EMPTY_STC, ScBlockEntries, build_stc, hash_bytes
@@ -20,7 +20,6 @@ from mitto.mainchain import (
 )
 from mitto.messages import Proof, SCHEME_SIM_MERKLE
 from mitto.proofs import csw_nullifier, sim_merkle_vk
-from mitto.tokens import withdraw_native_held
 from mitto.verdict import (
     LOWER_QUALITY,
     NULLIFIER_REUSED,
@@ -98,28 +97,26 @@ class TestChain:
         # finalized index, withdrawals from the inclusion index. The chain
         # answers for every block's commitment tree, genesis and blocks that
         # commit nothing included.
-        w = ceased_world()
-        pkg = withdraw_native_held(
-            w.chains["alpha"], w.alice, canonical_digest(w.kept), w.chains["beta"].sc_id, w.bob.public
-        )
-        assert w.mc.submit_csw(pkg.csw).accepted
-        w.mc.advance_blocks(2)
+        w, _ = run_stage(CEASED)
+        pkg = held_withdrawal(w)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        w.mainchain.advance_blocks(2)
         certs: dict = {}
         txs: dict = {}
         for chain in w.chains.values():
             sc_id = chain.sc_id
-            record = w.mc.record(sc_id)
-            created = w.mc.get_block(record.creation_height).hash
+            record = w.mainchain.record(sc_id)
+            created = w.mainchain.get_block(record.creation_height).hash
             txs.setdefault((created, sc_id), []).append(canonical_digest(record.registration))
             for epoch in range(record.next_epoch()):
-                anchor = w.mc.finalized_cert(sc_id, epoch)
+                anchor = w.mainchain.finalized_cert(sc_id, epoch)
                 certs[(canonical_digest(anchor.header), sc_id)] = canonical_digest(anchor.cert)
             for nullifier in record.used_nullifiers:  # one withdrawal per block here, so order is moot
-                csw, block_hash = w.mc.csw_inclusion(sc_id, nullifier)
+                csw, block_hash = w.mainchain.csw_inclusion(sc_id, nullifier)
                 txs.setdefault((block_hash, sc_id), []).append(canonical_digest(csw))
         empty_blocks = 0
-        for height in range(w.mc.tip_height + 1):
-            block = w.mc.get_block(height)
+        for height in range(w.mainchain.tip_height + 1):
+            block = w.mainchain.get_block(height)
             entries = {
                 sc_id: ScBlockEntries(
                     cert_digest=certs.get((block_hash, sc_id)), tx_digests=tuple(txs.get((block_hash, sc_id), ()))
@@ -128,7 +125,7 @@ class TestChain:
                 if block_hash == block.hash
             }
             assert build_stc(entries).tree.root == block.stc_root
-            stc = w.mc.block_by_hash(block.hash).stc
+            stc = w.mainchain.block_by_hash(block.hash).stc
             assert stc.root == block.stc_root
             assert sorted(stc.txs_trees) == sorted(entries)
             empty_blocks += not entries
@@ -145,16 +142,16 @@ class TestCertificateWindows:
         # tip 1: epoch 0 still running, window opens at tip 3. The honest
         # anchor block does not exist yet, so pin the current tip instead;
         # the window check fires before the proof is ever examined.
-        cert = alpha.build_certificate(last_block_hash=w.mc.tip.hash)
-        assert w.mc.submit_certificate(cert).reason == WINDOW_CLOSED
-        w.mc.advance_blocks(2)  # tip 3
-        assert w.mc.submit_certificate(alpha.build_certificate()).accepted
+        cert = alpha.build_certificate(last_block_hash=w.mainchain.tip.hash)
+        assert w.mainchain.submit_certificate(cert).reason == WINDOW_CLOSED
+        w.mainchain.advance_blocks(2)  # tip 3
+        assert w.mainchain.submit_certificate(alpha.build_certificate()).accepted
 
     def test_wrong_epoch(self):
         w, alpha = self.setup_world()
-        w.mc.advance_blocks(2)
-        stale = alpha.build_certificate(epoch_id=1, last_block_hash=w.mc.tip.hash)
-        assert w.mc.submit_certificate(stale).reason == WRONG_EPOCH
+        w.mainchain.advance_blocks(2)
+        stale = alpha.build_certificate(epoch_id=1, last_block_hash=w.mainchain.tip.hash)
+        assert w.mainchain.submit_certificate(stale).reason == WRONG_EPOCH
 
     def test_pending_sidechain_rejected(self):
         mc = Mainchain()
@@ -166,7 +163,7 @@ class TestCertificateWindows:
 
     def test_window_status_fields(self):
         w, alpha = self.setup_world()
-        status = w.mc.get_status(alpha.sc_id)
+        status = w.mainchain.get_status(alpha.sc_id)
         assert status["status"] == STATUS_ALIVE
         assert status["awaited_epoch"] == 0
         assert status["window_open_at"] == 3
@@ -174,16 +171,16 @@ class TestCertificateWindows:
 
     def test_finalization_lands_in_first_post_window_block(self):
         w, alpha = self.setup_world()
-        w.mc.advance_blocks(2)
+        w.mainchain.advance_blocks(2)
         cert, verdict = alpha.close_epoch()
         assert verdict.accepted
-        w.mc.advance_block()  # tip 4, still in window, not yet finalized
-        assert w.mc.finalized_cert(alpha.sc_id, 0) is None
-        block = w.mc.advance_block()  # tip 5 seals the window
+        w.mainchain.advance_block()  # tip 4, still in window, not yet finalized
+        assert w.mainchain.finalized_cert(alpha.sc_id, 0) is None
+        block = w.mainchain.advance_block()  # tip 5 seals the window
         assert block.height == 5
-        stc = w.mc.block_by_hash(block.hash).stc
+        stc = w.mainchain.block_by_hash(block.hash).stc
         assert stc.tree.leaves[stc.cert_leaf_index(alpha.sc_id)] == canonical_digest(cert)
-        anchor = w.mc.finalized_cert(alpha.sc_id, 0)
+        anchor = w.mainchain.finalized_cert(alpha.sc_id, 0)
         assert anchor.cert == cert and canonical_digest(anchor.header) == block.hash
 
 
@@ -191,97 +188,93 @@ class TestQualityCompetition:
     def build(self):
         w = two_chain_world()
         alpha = w.chains["alpha"]
-        w.mc.advance_blocks(2)
+        w.mainchain.advance_blocks(2)
         return w, alpha
 
     def test_higher_quality_replaces_pending(self):
         w, alpha = self.build()
-        assert w.mc.submit_certificate(alpha.build_certificate(quality=1)).accepted
-        assert w.mc.submit_certificate(alpha.build_certificate(quality=5)).accepted
-        assert w.mc.get_status(alpha.sc_id)["pending_cert_quality"] == 5
+        assert w.mainchain.submit_certificate(alpha.build_certificate(quality=1)).accepted
+        assert w.mainchain.submit_certificate(alpha.build_certificate(quality=5)).accepted
+        assert w.mainchain.get_status(alpha.sc_id)["pending_cert_quality"] == 5
 
     def test_lower_and_equal_quality_rejected(self):
         w, alpha = self.build()
-        assert w.mc.submit_certificate(alpha.build_certificate(quality=5)).accepted
-        assert w.mc.submit_certificate(alpha.build_certificate(quality=4)).reason == LOWER_QUALITY
-        assert w.mc.submit_certificate(alpha.build_certificate(quality=5)).reason == LOWER_QUALITY
-        assert w.mc.get_status(alpha.sc_id)["pending_cert_quality"] == 5
+        assert w.mainchain.submit_certificate(alpha.build_certificate(quality=5)).accepted
+        assert w.mainchain.submit_certificate(alpha.build_certificate(quality=4)).reason == LOWER_QUALITY
+        assert w.mainchain.submit_certificate(alpha.build_certificate(quality=5)).reason == LOWER_QUALITY
+        assert w.mainchain.get_status(alpha.sc_id)["pending_cert_quality"] == 5
 
     def test_order_does_not_matter_for_winner(self):
         results = []
         for qualities in ((1, 9), (9, 1)):
             w, alpha = self.build()
             for q in qualities:
-                w.mc.submit_certificate(alpha.build_certificate(quality=q))
-            w.mc.advance_blocks(2)
-            results.append(w.mc.finalized_cert(alpha.sc_id, 0).cert.quality)
+                w.mainchain.submit_certificate(alpha.build_certificate(quality=q))
+            w.mainchain.advance_blocks(2)
+            results.append(w.mainchain.finalized_cert(alpha.sc_id, 0).cert.quality)
         assert results == [9, 9]
 
     def test_bad_proof_rejected_before_quality(self):
         w, alpha = self.build()
-        assert w.mc.submit_certificate(alpha.build_certificate(quality=3)).accepted
+        assert w.mainchain.submit_certificate(alpha.build_certificate(quality=3)).accepted
         bad = alpha.build_certificate(quality=9)
         bad = replace(bad, proof=Proof(scheme_id=SCHEME_SIM_MERKLE, body=b"\x00" * 8))
-        assert w.mc.submit_certificate(bad).reason == PROOF_INVALID
+        assert w.mainchain.submit_certificate(bad).reason == PROOF_INVALID
 
     def test_wrong_anchor_block_is_proof_invalid(self):
         w, alpha = self.build()
         lying = alpha.build_certificate(last_block_hash=hash_bytes(b"fork"))
-        assert w.mc.submit_certificate(lying).reason == PROOF_INVALID
+        assert w.mainchain.submit_certificate(lying).reason == PROOF_INVALID
 
 
 class TestCeasing:
     def test_silent_window_ceases_at_first_post_window_seal(self):
         w = two_chain_world()
         alpha = w.chains["alpha"]
-        w.mc.advance_blocks(3)  # tip 4: window [3, 4] passes silently
-        assert w.mc.record(alpha.sc_id).status == STATUS_ALIVE
-        w.mc.advance_block()  # sealing height 5 runs finalize-or-cease
-        assert w.mc.record(alpha.sc_id).status == STATUS_CEASED
+        w.mainchain.advance_blocks(3)  # tip 4: window [3, 4] passes silently
+        assert w.mainchain.record(alpha.sc_id).status == STATUS_ALIVE
+        w.mainchain.advance_block()  # sealing height 5 runs finalize-or-cease
+        assert w.mainchain.record(alpha.sc_id).status == STATUS_CEASED
 
     def test_late_certificate_meets_ceased(self):
         w = two_chain_world()
         alpha = w.chains["alpha"]
-        w.mc.advance_blocks(4)  # tip 5: ceased
-        verdict = w.mc.submit_certificate(alpha.build_certificate())
+        w.mainchain.advance_blocks(4)  # tip 5: ceased
+        verdict = w.mainchain.submit_certificate(alpha.build_certificate())
         assert verdict.reason == SIDECHAIN_CEASED
 
     def test_certified_chain_survives(self):
-        w = committed_world()
-        assert w.mc.record(w.chains["alpha"].sc_id).status == STATUS_ALIVE
-        assert w.mc.record(w.chains["alpha"].sc_id).last_epoch == 0
+        w, _ = run_stage(COMMITTED)
+        assert w.mainchain.record(w.chains["alpha"].sc_id).status == STATUS_ALIVE
+        assert w.mainchain.record(w.chains["alpha"].sc_id).last_epoch == 0
 
 
 class TestWithdrawalSubmission:
     def test_active_chain_rejects_withdrawals(self):
-        w = committed_world()
+        w, _ = run_stage(COMMITTED)
         alpha = w.chains["alpha"]
         csw = _dummy_csw(alpha.sc_id, csw_nullifier(alpha.sc_id, hash_bytes(b"e")))
-        assert w.mc.submit_csw(csw).reason == SIDECHAIN_ACTIVE
+        assert w.mainchain.submit_csw(csw).reason == SIDECHAIN_ACTIVE
 
     def test_accept_then_reuse_then_include(self):
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha = w.chains["alpha"]
-        pkg = withdraw_native_held(
-            alpha, w.alice, canonical_digest(w.kept), w.chains["beta"].sc_id, w.bob.public
-        )
-        assert w.mc.submit_csw(pkg.csw).accepted
-        assert w.mc.submit_csw(pkg.csw).reason == NULLIFIER_REUSED
-        block = w.mc.advance_block()
-        assert w.mc.block_by_hash(block.hash).stc.txs_trees[alpha.sc_id].leaves == (canonical_digest(pkg.csw),)
-        found_csw, block_hash = w.mc.csw_inclusion(alpha.sc_id, pkg.csw.nullifier)
+        pkg = held_withdrawal(w)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        assert w.mainchain.submit_csw(pkg.csw).reason == NULLIFIER_REUSED
+        block = w.mainchain.advance_block()
+        assert w.mainchain.block_by_hash(block.hash).stc.txs_trees[alpha.sc_id].leaves == (canonical_digest(pkg.csw),)
+        found_csw, block_hash = w.mainchain.csw_inclusion(alpha.sc_id, pkg.csw.nullifier)
         assert found_csw == pkg.csw and block_hash == block.hash
 
     def test_bad_proof_rejected(self):
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha = w.chains["alpha"]
-        pkg = withdraw_native_held(
-            alpha, w.alice, canonical_digest(w.kept), w.chains["beta"].sc_id, w.bob.public
-        )
+        pkg = held_withdrawal(w)
         broken = replace(pkg.csw, proof=Proof(scheme_id=SCHEME_SIM_MERKLE, body=pkg.csw.proof.body[:-2]))
-        assert w.mc.submit_csw(broken).reason == PROOF_INVALID
+        assert w.mainchain.submit_csw(broken).reason == PROOF_INVALID
         tampered = replace(pkg.csw, amount=7)
-        assert w.mc.submit_csw(tampered).reason == PROOF_INVALID
+        assert w.mainchain.submit_csw(tampered).reason == PROOF_INVALID
 
 
 def _dummy_cert(sc_id: int):

@@ -7,11 +7,12 @@ malformed proof body.
 import hashlib
 import inspect
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from worlds import ceased_world, committed_world, make_send, redeem_verifies, two_chain_world
+from worlds import (
+    CEASED, COMMITTED, SCENARIO_DIR, held, held_withdrawal, make_send, redeem_verifies, run_stage, two_chain_world,
+)
 
 from mitto import mainchain as mainchain_module, proofs, sidechain as sidechain_module
 from mitto.encoding import ByteReader, canonical_digest, enc_bytes, enc_u32
@@ -50,10 +51,9 @@ from mitto.proofs import (
     verify_wcert,
 )
 from mitto.scenario import load_scenario
-from mitto.tokens import make_redeem_tx, withdraw_foreign, withdraw_native_held, withdraw_native_sent
+from mitto.tokens import final_ledger, make_redeem_tx, withdraw_foreign, withdraw_native_sent
 
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SIGNER = KeyPair.from_label("wcert", 0, "prover")
 VK = sim_merkle_vk(SIGNER.public)
 
@@ -145,13 +145,6 @@ class TestCommittedState:
             assert verify_path(state.root, digest, state.path_for(digest))
 
 
-def held_withdrawal(world):
-    alpha = world.chains["alpha"]
-    return alpha, withdraw_native_held(
-        alpha, world.alice, canonical_digest(world.kept), world.chains["beta"].sc_id, world.bob.public
-    )
-
-
 def resigned(chain, csw, **changes) -> tuple:
     """(public input, proof) for ``csw``'s bundle with ``changes`` applied:
     the input is recomputed to name the new anchor's block and proofdata,
@@ -162,30 +155,32 @@ def resigned(chain, csw, **changes) -> tuple:
     return pub, Proof(scheme_id=csw.proof.scheme_id, body=bundle.encode())
 
 
-def sent_withdrawal(world, holder_epoch_id=1):
+def sent_withdrawal(world, ret, holder_epoch_id=1):
+    """In the ceased stage: bob withdraws the SENT that gamma's return
+    ``ret`` stranded, for himself on beta."""
     return withdraw_native_sent(
-        world.chains["alpha"], world.chains["gamma"], world.return_message, world.return_tx.payload,
-        holder_epoch_id, world.bob, world.chains["beta"].sc_id, world.bob.public,
+        world.chains["alpha"], world.chains["gamma"], ret.message, ret.payload,
+        holder_epoch_id, world.actor("bob"), world.chains["beta"].sc_id, world.actor("bob").public,
     )
 
 
 class TestCswScheme:
     def test_native_held_proof_verifies(self):
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
-        record = w.mc.record(alpha.sc_id)
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
+        record = w.mainchain.record(alpha.sc_id)
         vk = record.registration.csw_vk
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         assert verify_csw(vk, pub, pkg.csw.proof)
 
     def test_every_input_field_is_binding(self):
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         stranger = KeyPair.from_label("actor", 9, "mallory").public
         assert stranger != pub.receiver
@@ -200,12 +195,12 @@ class TestCswScheme:
             assert not verify_csw(vk, mutant, pkg.csw.proof)
 
     def test_sent_record_proof_verifies_and_binds_evidence(self):
-        w = ceased_world()
+        w, sends = run_stage(CEASED)
         alpha = w.chains["alpha"]
-        pkg = sent_withdrawal(w)
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        pkg = sent_withdrawal(w, sends["ret"])
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         assert verify_csw(vk, pub, pkg.csw.proof)
         # the two proofdata slots pin the wrapped message and the holder anchor
@@ -216,44 +211,45 @@ class TestCswScheme:
     def test_another_finalized_state_anchor_never_verifies(self):
         # Real anchors, finalized for another epoch or another chain, with
         # the public input recomputed for them and signed again.
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
-        honest = anchor_of(w.mc, alpha.sc_id, w.mc.record(alpha.sc_id).last_epoch)
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
+        honest = anchor_of(w.mainchain, alpha.sc_id, w.mainchain.record(alpha.sc_id).last_epoch)
         assert verify_csw(vk, *resigned(alpha, pkg.csw, anchor=honest))
-        for anchor in (anchor_of(w.mc, alpha.sc_id, 0), anchor_of(w.mc, w.chains["beta"].sc_id, 1)):
+        for anchor in (anchor_of(w.mainchain, alpha.sc_id, 0), anchor_of(w.mainchain, w.chains["beta"].sc_id, 1)):
             assert anchor != honest
             assert verify_csw(vk, *resigned(alpha, pkg.csw, anchor=anchor)) is False
 
     def test_another_finalized_holder_anchor_never_verifies(self):
-        w = ceased_world()
+        w, sends = run_stage(CEASED)
         alpha, gamma = w.chains["alpha"], w.chains["gamma"]
-        pkg = sent_withdrawal(w)
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        pkg = sent_withdrawal(w, sends["ret"])
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
         bundle = CswBundle.decode(pkg.csw.proof.body)
         evidence = bundle.return_evidence
-        assert evidence.holder == anchor_of(w.mc, gamma.sc_id, 1)
-        for holder in (evidence.holder, anchor_of(w.mc, gamma.sc_id, 0), anchor_of(w.mc, w.chains["beta"].sc_id, 1)):
+        assert evidence.holder == anchor_of(w.mainchain, gamma.sc_id, 1)
+        mc = w.mainchain
+        for holder in (evidence.holder, anchor_of(mc, gamma.sc_id, 0), anchor_of(mc, w.chains["beta"].sc_id, 1)):
             # The second proofdata slot names the holder's block.
             proofdata = (bundle.proofdata[0], canonical_digest(holder.header))
             pub, proof = resigned(alpha, pkg.csw, proofdata=proofdata, return_evidence=replace(evidence, holder=holder))
             assert verify_csw(vk, pub, proof) is (holder == evidence.holder)
 
     def test_sent_record_needs_a_finalized_holder_epoch(self):
-        w = ceased_world()
+        w, sends = run_stage(CEASED)
         gamma = w.chains["gamma"]
         cert, verdict = gamma.close_epoch()  # tip 9: epoch 3 is closed, not yet finalized
         assert verdict.accepted and cert.epoch_id == 3
-        assert w.mc.finalized_cert(gamma.sc_id, 3) is None
+        assert w.mainchain.finalized_cert(gamma.sc_id, 3) is None
         with pytest.raises(CertificateNotConfirmed, match=f"no finalized certificate for sidechain {gamma.sc_id} epoch 3"):
-            sent_withdrawal(w, holder_epoch_id=3)
+            sent_withdrawal(w, sends["ret"], holder_epoch_id=3)
 
     def test_embedded_certificate_with_trailing_bytes_is_rejected(self):
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         cert = CswBundle.decode(pkg.csw.proof.body).anchor.cert.encode()
         body = pkg.csw.proof.body
@@ -262,11 +258,11 @@ class TestCswScheme:
         assert not verify_csw(vk, pub, Proof(scheme_id=pkg.csw.proof.scheme_id, body=padded))
 
     def test_single_bit_flips_never_verify(self):
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         body = pkg.csw.proof.body
         for pos in range(0, len(body), max(1, len(body) // 64)):
@@ -274,32 +270,34 @@ class TestCswScheme:
             assert not verify_csw(vk, pub, Proof(scheme_id=pkg.csw.proof.scheme_id, body=flipped))
 
     def test_prove_rejects_entity_outside_committed_state(self):
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha = w.chains["alpha"]
-        ghost = replace(w.kept, amount=49)
+        kept = held(w.states["alpha"], "KEEP")
+        ghost = replace(kept, amount=49)
         committed = alpha.finalized_epoch().committed
-        anchor = anchor_of(w.mc, alpha.sc_id, w.mc.record(alpha.sc_id).last_epoch)
+        anchor = anchor_of(w.mainchain, alpha.sc_id, w.mainchain.record(alpha.sc_id).last_epoch)
         claim = CswClaim(kind=ClaimKind.PAYLOAD_ENTITY, entity_bytes=ghost.encode(), committed=committed, anchor=anchor)
         nullifier = csw_nullifier(alpha.sc_id, canonical_digest(ghost))
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), nullifier, w.bob.public, 0, claim_proofdata(claim)
+            w.mainchain.csw_anchor_hash(alpha.sc_id), nullifier, w.actor("bob").public, 0, claim_proofdata(claim)
         )
         with pytest.raises(EntityNotInState):
             prove_csw(alpha.csw_signer, alpha.sc_id, pub, claim)
 
     def test_prove_self_checks_its_own_bundle(self):
         # An input that disagrees with the claim must be caught at prove time.
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha = w.chains["alpha"]
+        kept = held(w.states["alpha"], "KEEP")
         committed = alpha.finalized_epoch().committed
-        anchor = anchor_of(w.mc, alpha.sc_id, w.mc.record(alpha.sc_id).last_epoch)
+        anchor = anchor_of(w.mainchain, alpha.sc_id, w.mainchain.record(alpha.sc_id).last_epoch)
         claim = CswClaim(
-            kind=ClaimKind.PAYLOAD_ENTITY, entity_bytes=w.kept.encode(), committed=committed, anchor=anchor
+            kind=ClaimKind.PAYLOAD_ENTITY, entity_bytes=kept.encode(), committed=committed, anchor=anchor
         )
         pub = make_csw_input(
             hash_bytes(b"wrong-anchor"),
-            csw_nullifier(alpha.sc_id, canonical_digest(w.kept)),
-            w.bob.public,
+            csw_nullifier(alpha.sc_id, canonical_digest(kept)),
+            w.actor("bob").public,
             0,
             claim_proofdata(claim),
         )
@@ -309,96 +307,101 @@ class TestCswScheme:
 
 class TestRedeemEvidence:
     def test_certificate_sourced_roundtrip(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
-        proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
-        assert redeem_verifies(w, w.message, w.send_tx.payload, proof)
+        proof = build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
+        assert redeem_verifies(w, sent.message, sent.payload, proof)
         decoded = RedeemProof.read(ByteReader(proof.encode()))
         assert decoded == proof
 
     def test_uncommitted_message_cannot_be_proved(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
-        stranger = replace(w.message, payload_hash=hash_bytes(b"other"))
+        stranger = replace(sent.message, payload_hash=hash_bytes(b"other"))
         with pytest.raises(MessageNotCommitted):
-            build_redeem_proof(w.mc, alpha.sc_id, 0, stranger, alpha.epochs[0].tree)
+            build_redeem_proof(w.mainchain, alpha.sc_id, 0, stranger, alpha.epochs[0].tree)
 
     def test_unfinalized_epoch_cannot_be_proved(self):
         w = two_chain_world()
         alpha, beta = w.chains["alpha"], w.chains["beta"]
         sa = w.states["alpha"]
-        ti = sa.issue("TOK", True, w.alice.public, hash_bytes(b"t"), amount=5)
-        message, tx, verdict = make_send(alpha, w.alice, ti, beta, w.bob)
+        ti = sa.issue("TOK", True, w.actor("alice").public, hash_bytes(b"t"), amount=5)
+        message, tx, verdict = make_send(alpha, w.actor("alice"), ti, beta, w.actor("bob"))
         assert verdict.accepted
-        w.mc.advance_blocks(2)
+        w.mainchain.advance_blocks(2)
         cert, v = alpha.close_epoch()
         assert v.accepted
         # certificate submitted but the window has not rolled over yet
         with pytest.raises(CertificateNotConfirmed):
-            build_redeem_proof(w.mc, alpha.sc_id, 0, message, alpha.epochs[0].tree)
+            build_redeem_proof(w.mainchain, alpha.sc_id, 0, message, alpha.epochs[0].tree)
 
     def test_tampered_evidence_fails(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
-        proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
-        payload = w.send_tx.payload
-        assert not redeem_verifies(w, w.message, payload + b"\x00", proof)
-        assert not redeem_verifies(w, w.message, payload, replace(proof, msg_tree_root=hash_bytes(b"r")))
-        assert not redeem_verifies(w, w.message, payload, replace(proof, block_hash=hash_bytes(b"b")))
+        proof = build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
+        payload = sent.payload
+        assert not redeem_verifies(w, sent.message, payload + b"\x00", proof)
+        assert not redeem_verifies(w, sent.message, payload, replace(proof, msg_tree_root=hash_bytes(b"r")))
+        assert not redeem_verifies(w, sent.message, payload, replace(proof, block_hash=hash_bytes(b"b")))
         bad_chain = replace(proof.commitment_path, posting_digest=hash_bytes(b"p"))
-        assert not redeem_verifies(w, w.message, payload, replace(proof, commitment_path=bad_chain))
+        assert not redeem_verifies(w, sent.message, payload, replace(proof, commitment_path=bad_chain))
         moved = replace(proof.msg_path, leaf_index=proof.msg_path.leaf_index + 1)
-        assert not redeem_verifies(w, w.message, payload, replace(proof, msg_path=moved))
+        assert not redeem_verifies(w, sent.message, payload, replace(proof, msg_path=moved))
 
     def test_another_finalized_anchor_never_verifies(self):
         # beta's certificate, finalized in the same block, in place of alpha's.
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
-        proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
-        anchor = anchor_of(w.mc, w.chains["beta"].sc_id, 0)
+        proof = build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
+        anchor = anchor_of(w.mainchain, w.chains["beta"].sc_id, 0)
         swapped = replace(
             proof,
             commitment_path=CommitmentChain(posting_digest=canonical_digest(anchor.cert), segments=(anchor.stc_path,)),
             block_hash=canonical_digest(anchor.header),
         )
-        assert redeem_verifies(w, w.message, w.send_tx.payload, proof)
-        assert redeem_verifies(w, w.message, w.send_tx.payload, swapped) is False
+        assert redeem_verifies(w, sent.message, sent.payload, proof)
+        assert redeem_verifies(w, sent.message, sent.payload, swapped) is False
 
     def test_wrong_source_chain_fails(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
-        proof = build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, alpha.epochs[0].tree)
-        lying = replace(w.message, sending_sc_id=w.chains["beta"].sc_id)
-        assert not redeem_verifies(w, lying, w.send_tx.payload, proof)
+        proof = build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
+        lying = replace(sent.message, sending_sc_id=w.chains["beta"].sc_id)
+        assert not redeem_verifies(w, lying, sent.payload, proof)
 
     def test_csw_sourced_roundtrip(self):
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
-        assert w.mc.submit_csw(pkg.csw).accepted
-        w.mc.advance_block()
-        proof = build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        w.mainchain.advance_block()
+        proof = build_csw_redeem_proof(w.mainchain, alpha.sc_id, pkg.csw.nullifier, pkg.message)
         assert proof.source_kind == SourceKind.CSW
         assert redeem_verifies(w, pkg.message, pkg.payload, proof, (alpha.sc_id, pkg.csw.nullifier))
         assert RedeemProof.read(ByteReader(proof.encode())) == proof
 
     def test_csw_lookup_failures_raise(self):
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
         with pytest.raises(CswNotFound):
-            build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
-        assert w.mc.submit_csw(pkg.csw).accepted
-        w.mc.advance_block()
+            build_csw_redeem_proof(w.mainchain, alpha.sc_id, pkg.csw.nullifier, pkg.message)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        w.mainchain.advance_block()
         with pytest.raises(MessageMismatch):
             build_csw_redeem_proof(
-                w.mc, alpha.sc_id, pkg.csw.nullifier, replace(pkg.message, payload_hash=hash_bytes(b"no"))
+                w.mainchain, alpha.sc_id, pkg.csw.nullifier, replace(pkg.message, payload_hash=hash_bytes(b"no"))
             )
 
     def test_csw_sourced_tamper_fails(self):
-        w = ceased_world()
-        alpha, pkg = held_withdrawal(w)
-        assert w.mc.submit_csw(pkg.csw).accepted
-        w.mc.advance_block()
-        proof = build_csw_redeem_proof(w.mc, alpha.sc_id, pkg.csw.nullifier, pkg.message)
+        w, _ = run_stage(CEASED)
+        alpha, pkg = w.chains["alpha"], held_withdrawal(w)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        w.mainchain.advance_block()
+        proof = build_csw_redeem_proof(w.mainchain, alpha.sc_id, pkg.csw.nullifier, pkg.message)
         csw_ref = (alpha.sc_id, pkg.csw.nullifier)
         assert not redeem_verifies(w, pkg.message, pkg.payload + b"!", proof, csw_ref)
         assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, msg_tree_root=EMPTY_ROOT), csw_ref)
@@ -408,15 +411,16 @@ class TestRedeemEvidence:
 
 class TestRedeemVerifierIsPure:
     def test_same_arguments_give_the_same_result_after_the_chain_advances(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha, beta = w.chains["alpha"], w.chains["beta"]
-        tx = make_redeem_tx(w.mc, alpha, 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
-        elsewhere = replace(tx, proof=replace(tx.proof, block_hash=w.mc.get_block(4).hash))
+        tx = make_redeem_tx(w.mainchain, alpha, 0, sent.message, sent.payload, sent.sender_sig, w.actor("bob"))
+        elsewhere = replace(tx, proof=replace(tx.proof, block_hash=w.mainchain.get_block(4).hash))
         calls = [(*beta.resolve_redeem(t), t.message, t.payload, t.proof) for t in (tx, elsewhere)]
         assert [verify_redeem(*args) for args in calls] == [True, False]
         for sc in (alpha, beta):
             assert sc.close_epoch()[1].accepted
-        w.mc.advance_blocks(5)
+        w.mainchain.advance_blocks(5)
         assert [verify_redeem(*args) for args in calls] == [True, False]
 
     def test_no_verifier_takes_the_mainchain(self):
@@ -433,13 +437,14 @@ class TestRedeemVerifierIsPure:
 
 class TestForeignWithdrawal:
     def test_foreign_claim_forces_issuer_destination(self):
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha = w.chains["alpha"]
-        pkg = withdraw_foreign(alpha, w.alice, w.foreign_digest, w.bob.public)
+        foreign = canonical_digest(held(final_ledger(alpha), "FOR"))
+        pkg = withdraw_foreign(alpha, w.actor("alice"), foreign, w.actor("bob").public)
         assert pkg.message.receiving_sc_id == w.chains["beta"].sc_id
-        vk = w.mc.record(alpha.sc_id).registration.csw_vk
+        vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
         pub = make_csw_input(
-            w.mc.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
+            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
         )
         assert verify_csw(vk, pub, pkg.csw.proof)
 
@@ -449,12 +454,13 @@ class TestOneAnchorPerFinalizedCertificate:
     once, when it seals the settling block; all evidence reads that object."""
 
     def test_redeem_proofs_of_one_epoch_share_the_anchor(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
         tree = alpha.epochs[0].tree
-        anchor = w.mc.finalized_cert(alpha.sc_id, 0)
-        assert anchor_of(w.mc, alpha.sc_id, 0) is anchor_of(w.mc, alpha.sc_id, 0) is anchor
-        first, second = (build_redeem_proof(w.mc, alpha.sc_id, 0, w.message, tree) for _ in range(2))
+        anchor = w.mainchain.finalized_cert(alpha.sc_id, 0)
+        assert anchor_of(w.mainchain, alpha.sc_id, 0) is anchor_of(w.mainchain, alpha.sc_id, 0) is anchor
+        first, second = (build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, tree) for _ in range(2))
         assert first.commitment_path.segments[0] is second.commitment_path.segments[0] is anchor.stc_path
 
     def test_every_withdrawal_of_a_ceased_chain_carries_the_same_anchor(self, monkeypatch):

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, TAMPERS, ParseError, load_scenario, parse_scenario
+from worlds import SCENARIO_DIR
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, TAMPERS, ParseError, load_scenario, parse_scenario
 
 
 def minimal(**overrides) -> dict:

@@ -1,14 +1,12 @@
 """Cross-chain messaging layer: send gating, epoch archives, redeem gating,
 replay protection, and the no-delivery-before-confirmation guarantee."""
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
-from worlds import ceased_world, committed_world, make_send, two_chain_world
+from worlds import CEASED, COMMITTED, held_withdrawal, make_send, run_stage, two_chain_world
 
 from mitto.encoding import canonical_digest
-from mitto.harness import World
 from mitto.hashing import hash_bytes, verify_path
 from mitto.messages import (
     MSG_TYPE_TOKEN_TRANSFER,
@@ -24,7 +22,6 @@ from mitto.tokens import (
     TokenNameRegistry,
     make_csw_redeem_tx,
     make_redeem_tx,
-    withdraw_native_held,
 )
 from mitto.verdict import (
     ALREADY_REDEEMED,
@@ -39,75 +36,70 @@ from mitto.verdict import (
 )
 
 
-def write_marks(w):
-    """The harness's atomicity marks over every chain of world ``w``."""
-    return World.write_marks(SimpleNamespace(mainchain=w.mc, chains=w.chains))
-
-
 def fresh():
+    """Two chains, and the 10 TOK alice holds on alpha."""
     w = two_chain_world()
-    w.instance = w.states["alpha"].issue("TOK", True, w.alice.public, hash_bytes(b"g"), amount=10)
-    return w
+    return w, w.states["alpha"].issue("TOK", True, w.actor("alice").public, hash_bytes(b"g"), amount=10)
 
 
-def base_message(w, **overrides):
+def base_message(w, ti, **overrides):
     fields = dict(
         sending_sc_id=w.chains["alpha"].sc_id,
         receiving_sc_id=w.chains["beta"].sc_id,
         msg_type=MSG_TYPE_TOKEN_TRANSFER,
-        sender_id=w.alice.public,
-        receiver_id=w.bob.public,
-        payload_hash=canonical_digest(w.instance),
+        sender_id=w.actor("alice").public,
+        receiver_id=w.actor("bob").public,
+        payload_hash=canonical_digest(ti),
     )
     fields.update(overrides)
     return CscpMessage(**fields)
 
 
 class TestSendGating:
-    def submit(self, w, message, payload=None, signer=None):
-        payload = w.instance.encode() if payload is None else payload
-        signer = signer or w.alice
+    def submit(self, w, ti, message, payload=None, signer=None):
+        payload = ti.encode() if payload is None else payload
+        signer = signer or w.actor("alice")
         tx = SendTx(message=message, payload=payload, signature=signer.sign(message_digest(message)))
         return w.chains["alpha"].accept_send(tx)
 
     def test_happy_path_appends_to_outbox(self):
-        w = fresh()
-        verdict = self.submit(w, base_message(w))
+        w, ti = fresh()
+        verdict = self.submit(w, ti, base_message(w, ti))
         assert verdict.accepted
         assert len(w.chains["alpha"].outbox) == 1
         assert w.states["alpha"].s_tks == {}  # burned on send
 
     def test_bad_signature(self):
-        w = fresh()
-        verdict = self.submit(w, base_message(w), signer=w.bob)
+        w, ti = fresh()
+        verdict = self.submit(w, ti, base_message(w, ti), signer=w.actor("bob"))
         assert verdict.reason == BAD_SIGNATURE
 
     def test_wrong_sender_chain(self):
-        w = fresh()
-        msg = base_message(w, sending_sc_id=w.chains["beta"].sc_id, receiving_sc_id=w.chains["alpha"].sc_id)
-        assert self.submit(w, msg).reason == WRONG_SENDER
+        w, ti = fresh()
+        msg = base_message(w, ti, sending_sc_id=w.chains["beta"].sc_id, receiving_sc_id=w.chains["alpha"].sc_id)
+        assert self.submit(w, ti, msg).reason == WRONG_SENDER
 
     def test_payload_mismatch(self):
-        w = fresh()
-        assert self.submit(w, base_message(w), payload=b"not-the-token").reason == PAYLOAD_MISMATCH
+        w, ti = fresh()
+        assert self.submit(w, ti, base_message(w, ti), payload=b"not-the-token").reason == PAYLOAD_MISMATCH
 
     def test_self_send(self):
-        w = fresh()
-        msg = base_message(w, receiving_sc_id=w.chains["alpha"].sc_id)
-        assert self.submit(w, msg).reason == SELF_SEND
+        w, ti = fresh()
+        msg = base_message(w, ti, receiving_sc_id=w.chains["alpha"].sc_id)
+        assert self.submit(w, ti, msg).reason == SELF_SEND
 
     def test_unregistered_message_type(self):
-        w = fresh()
-        msg = base_message(w, msg_type=7)
-        verdict = self.submit(w, msg)
+        w, ti = fresh()
+        msg = base_message(w, ti, msg_type=7)
+        verdict = self.submit(w, ti, msg)
         assert verdict.reason == HANDLER_REJECTED
         assert verdict.rule == "unregistered-msg-type"
 
     def test_handler_rejection_leaves_no_trace(self):
-        w = fresh()
-        ghost = replace(w.instance, amount=99)
-        msg = base_message(w, payload_hash=canonical_digest(ghost))
-        verdict = self.submit(w, msg, payload=ghost.encode())
+        w, ti = fresh()
+        ghost = replace(ti, amount=99)
+        msg = base_message(w, ti, payload_hash=canonical_digest(ghost))
+        verdict = self.submit(w, ti, msg, payload=ghost.encode())
         assert verdict.reason == HANDLER_REJECTED
         assert verdict.rule == "send-1"
         assert w.chains["alpha"].outbox == []
@@ -115,28 +107,29 @@ class TestSendGating:
 
     def test_rejected_send_checks_run_in_declared_order(self):
         # A message failing several gates reports the earliest one.
-        w = fresh()
-        msg = base_message(w, receiving_sc_id=w.chains["alpha"].sc_id, payload_hash=hash_bytes(b"zzz"))
-        tx = SendTx(message=msg, payload=b"junk", signature=w.bob.sign(message_digest(msg)))
+        w, ti = fresh()
+        msg = base_message(w, ti, receiving_sc_id=w.chains["alpha"].sc_id, payload_hash=hash_bytes(b"zzz"))
+        tx = SendTx(message=msg, payload=b"junk", signature=w.actor("bob").sign(message_digest(msg)))
         assert w.chains["alpha"].accept_send(tx).reason == BAD_SIGNATURE
-        tx = SendTx(message=msg, payload=b"junk", signature=w.alice.sign(message_digest(msg)))
+        tx = SendTx(message=msg, payload=b"junk", signature=w.actor("alice").sign(message_digest(msg)))
         assert w.chains["alpha"].accept_send(tx).reason == PAYLOAD_MISMATCH
 
 
 class TestEpochArchive:
     def test_close_epoch_archives_and_resets(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
         assert alpha.outbox == []
         assert len(alpha.epochs) == 1
         closed = alpha.epochs[0]
-        assert closed.tree.leaves == (message_digest(w.message),)
-        assert w.mc.finalized_cert(alpha.sc_id, 0).cert.proofdata[0] == closed.tree.root
+        assert closed.tree.leaves == (message_digest(sent.message),)
+        assert w.mainchain.finalized_cert(alpha.sc_id, 0).cert.proofdata[0] == closed.tree.root
 
     def test_rejected_close_keeps_outbox(self):
-        w = fresh()
+        w, ti = fresh()
         alpha = w.chains["alpha"]
-        _, _, verdict = make_send(alpha, w.alice, w.instance, w.chains["beta"], w.bob)
+        _, _, verdict = make_send(alpha, w.actor("alice"), ti, w.chains["beta"], w.actor("bob"))
         assert verdict.accepted
         # tip is 1: epoch 0's submission window has not opened
         cert, close_verdict = alpha.close_epoch()
@@ -145,57 +138,61 @@ class TestEpochArchive:
         assert alpha.epochs == []
 
     def test_message_path_in_archived_epoch(self):
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha = w.chains["alpha"]
-        tree, cert = alpha.epochs[0].tree, anchor_of(w.mc, alpha.sc_id, 0).cert
-        path = message_path(tree, w.message, cert)
-        assert tree.leaves[path.leaf_index] == message_digest(w.message)
-        assert verify_path(cert.proofdata[0], message_digest(w.message), path)
-        stranger = replace(w.message, payload_hash=hash_bytes(b"nope"))
+        tree, cert = alpha.epochs[0].tree, anchor_of(w.mainchain, alpha.sc_id, 0).cert
+        path = message_path(tree, sent.message, cert)
+        assert tree.leaves[path.leaf_index] == message_digest(sent.message)
+        assert verify_path(cert.proofdata[0], message_digest(sent.message), path)
+        stranger = replace(sent.message, payload_hash=hash_bytes(b"nope"))
         with pytest.raises(MessageNotCommitted):
             message_path(tree, stranger, cert)
         with pytest.raises(CertificateNotConfirmed):
-            message_path(tree, w.message, anchor_of(w.mc, w.chains["beta"].sc_id, 0).cert)
+            message_path(tree, sent.message, anchor_of(w.mainchain, w.chains["beta"].sc_id, 0).cert)
+
+
+def committed_redeem():
+    """The committed stage, its in-flight send, and bob's redeem of it on beta."""
+    w, sends = run_stage(COMMITTED)
+    sent = sends["sent"]
+    return w, sent, make_redeem_tx(w.mainchain, w.chains["alpha"], 0, sent.message, sent.payload, sent.sender_sig,
+                                   w.actor("bob"))
 
 
 class TestRedeemGating:
     def test_golden_redeem(self):
-        w = committed_world()
+        w, _, tx = committed_redeem()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         assert beta.accept_redeem(tx).accepted
         minted = list(w.states["beta"].s_tks.values())
         assert len(minted) == 1
-        assert minted[0].owner == w.bob.public
+        assert minted[0].owner == w.actor("bob").public
         assert minted[0].amount == 60
 
     def test_replay_rejected(self):
-        w = committed_world()
+        w, _, tx = committed_redeem()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         assert beta.accept_redeem(tx).accepted
         verdict = beta.accept_redeem(tx)
         assert verdict.reason == ALREADY_REDEEMED
         assert len(w.states["beta"].s_tks) == 1
 
     def test_wrong_receiving_chain(self):
-        w = committed_world()
-        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
+        w, _, tx = committed_redeem()
         assert w.chains["alpha"].accept_redeem(tx).reason == WRONG_RECEIVING_CHAIN
 
     def test_receiver_auth_is_checked(self):
-        w = committed_world()
+        w, sent, tx = committed_redeem()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
-        forged = replace(tx, receiver_signature=w.alice.sign(redeem_auth_digest(w.message, tx.payload)))
+        forged = replace(tx, receiver_signature=w.actor("alice").sign(redeem_auth_digest(sent.message, tx.payload)))
         verdict = beta.accept_redeem(forged)
         assert verdict.reason == BAD_RECEIVER_AUTH
         assert verdict.rule == "redeem-6"
 
     def test_tampered_proof_rejected(self):
-        w = committed_world()
+        w, _, tx = committed_redeem()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
         bad = replace(tx, proof=replace(tx.proof, msg_tree_root=hash_bytes(b"lie")))
         verdict = beta.accept_redeem(bad)
         assert verdict.reason == PROOF_INVALID
@@ -206,10 +203,9 @@ class TestRedeemGating:
         # The redeemed set is checked before the proof: a replay is refused
         # as a replay whatever evidence it carries, and the same broken
         # evidence on a first redeem is still refused as a bad proof.
-        w = committed_world()
+        w, _, tx = committed_redeem()
         beta = w.chains["beta"]
-        tx = make_redeem_tx(w.mc, w.chains["alpha"], 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
-        wrong_block = replace(tx, proof=replace(tx.proof, block_hash=w.mc.get_block(0).hash))
+        wrong_block = replace(tx, proof=replace(tx.proof, block_hash=w.mainchain.get_block(0).hash))
         first = beta.accept_redeem(wrong_block)
         assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
         assert beta.accept_redeem(tx).accepted
@@ -217,13 +213,13 @@ class TestRedeemGating:
         assert len(w.states["beta"].s_tks) == 1
 
     def test_csw_replay_with_broken_proof_is_already_redeemed(self):
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha, beta = w.chains["alpha"], w.chains["beta"]
-        pkg = withdraw_native_held(alpha, w.alice, canonical_digest(w.kept), beta.sc_id, w.bob.public)
-        assert w.mc.submit_csw(pkg.csw).accepted
-        w.mc.advance_block()
-        tx = make_csw_redeem_tx(w.mc, pkg, w.bob)
-        wrong_block = replace(tx, proof=replace(tx.proof, block_hash=w.mc.get_block(0).hash))
+        pkg = held_withdrawal(w)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        w.mainchain.advance_block()
+        tx = make_csw_redeem_tx(w.mainchain, pkg, w.actor("bob"))
+        wrong_block = replace(tx, proof=replace(tx.proof, block_hash=w.mainchain.get_block(0).hash))
         first = beta.accept_csw_redeem(wrong_block)
         assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
         assert beta.accept_csw_redeem(tx).accepted
@@ -236,23 +232,25 @@ class TestRedeemGating:
     ])
     def test_unresolvable_evidence_is_a_bad_proof_until_redeemed(self, evidence):
         # Epochs 0 and 1 of both chains are finalized, in blocks 5 and 7.
-        w = committed_world()
+        w, sends = run_stage(COMMITTED)
+        sent = sends["sent"]
         alpha, beta = w.chains["alpha"], w.chains["beta"]
         for sc in (alpha, beta):
             assert sc.close_epoch()[1].accepted
-        w.mc.advance_blocks(2)
-        tx = make_redeem_tx(w.mc, alpha, 0, w.message, w.send_tx.payload, w.send_tx.signature, w.bob)
+        w.mainchain.advance_blocks(2)
+        tx = make_redeem_tx(w.mainchain, alpha, 0, sent.message, sent.payload, sent.sender_sig, w.actor("bob"))
         kind, _, which = evidence.partition(":")
         if kind == "kind":
             proof = replace(tx.proof, source_kind=SourceKind.CSW)
         elif kind == "block":
             proof = replace(tx.proof, block_hash={
                 "unknown": hash_bytes(b"no such block"),
-                "registration": w.mc.get_block(1).hash,
-                "finalizing-nothing": w.mc.get_block(6).hash,
+                "registration": w.mainchain.get_block(1).hash,
+                "finalizing-nothing": w.mainchain.get_block(6).hash,
             }[which])
         else:
-            anchor = anchor_of(w.mc, beta.sc_id, 0) if which == "other-chain" else anchor_of(w.mc, alpha.sc_id, 1)
+            sc_id, epoch = (beta.sc_id, 0) if which == "other-chain" else (alpha.sc_id, 1)
+            anchor = anchor_of(w.mainchain, sc_id, epoch)
             path = replace(tx.proof.commitment_path, posting_digest=canonical_digest(anchor.cert))
             proof = replace(tx.proof, commitment_path=path)
             if kind == "anchor":
@@ -268,12 +266,12 @@ class TestRedeemGating:
     def test_csw_evidence_not_of_the_named_withdrawal_is_a_bad_proof_until_redeemed(self, evidence):
         # A csw_ref that names no included withdrawal is a missing posting,
         # looked up only after the replay check.
-        w = ceased_world()
+        w, _ = run_stage(CEASED)
         alpha, beta = w.chains["alpha"], w.chains["beta"]
-        pkg = withdraw_native_held(alpha, w.alice, canonical_digest(w.kept), beta.sc_id, w.bob.public)
-        assert w.mc.submit_csw(pkg.csw).accepted
-        w.mc.advance_block()
-        tx = make_csw_redeem_tx(w.mc, pkg, w.bob)
+        pkg = held_withdrawal(w)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        w.mainchain.advance_block()
+        tx = make_csw_redeem_tx(w.mainchain, pkg, w.actor("bob"))
         if evidence == "kind:certificate":
             bad = replace(tx, proof=replace(tx.proof, source_kind=SourceKind.CERTIFICATE))
         elif evidence == "posting:other":
@@ -281,10 +279,10 @@ class TestRedeemGating:
             bad = replace(tx, proof=replace(tx.proof, commitment_path=path))
         else:
             bad = replace(tx, csw_ref=(alpha.sc_id, hash_bytes(b"no such withdrawal")))
-        marks = write_marks(w)
+        marks = w.write_marks()
         first = beta.accept_csw_redeem(bad)
         assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
-        assert write_marks(w) == marks
+        assert w.write_marks() == marks
         assert beta.accept_csw_redeem(tx).accepted
         assert beta.accept_csw_redeem(bad).reason == ALREADY_REDEEMED
 
@@ -294,28 +292,28 @@ class TestRedeemGating:
         w = two_chain_world()
         alpha, beta = w.chains["alpha"], w.chains["beta"]
         sa = w.states["alpha"]
-        ti = sa.issue("TOK", True, w.alice.public, hash_bytes(b"t"), amount=10)
-        message, tx, verdict = make_send(alpha, w.alice, ti, beta, w.bob)
+        ti = sa.issue("TOK", True, w.actor("alice").public, hash_bytes(b"t"), amount=10)
+        message, tx, verdict = make_send(alpha, w.actor("alice"), ti, beta, w.actor("bob"))
         assert verdict.accepted
 
         def try_redeem():
             return beta.accept_redeem(
-                make_redeem_tx(w.mc, alpha, 0, message, tx.payload, tx.signature, w.bob)
+                make_redeem_tx(w.mainchain, alpha, 0, message, tx.payload, tx.signature, w.actor("bob"))
             )
 
         # stage 1: epoch not closed, no archived tree to prove against
         with pytest.raises(IndexError):
             try_redeem()
-        w.mc.advance_blocks(2)
+        w.mainchain.advance_blocks(2)
         cert, close_verdict = alpha.close_epoch()
         assert close_verdict.accepted
         # stages 2 and 3: certificate pending, evidence cannot be assembled
         with pytest.raises(CertificateNotConfirmed):
             try_redeem()
-        w.mc.advance_block()  # tip 4: still inside the window
+        w.mainchain.advance_block()  # tip 4: still inside the window
         with pytest.raises(CertificateNotConfirmed):
             try_redeem()
-        w.mc.advance_block()  # tip 5: finalized, delivery becomes possible
+        w.mainchain.advance_block()  # tip 5: finalized, delivery becomes possible
         assert try_redeem().accepted
 
 
@@ -323,15 +321,15 @@ class TestByzantineFabrication:
     def test_fabricated_send_bypasses_local_rules_but_is_committed(self):
         w = two_chain_world()
         alpha, beta = w.chains["alpha"], w.chains["beta"]
-        evil = ByzantineSidechain(w.mc, alpha.sc_id, alpha.wcert_signer, alpha.csw_signer, label="evil")
+        evil = ByzantineSidechain(w.mainchain, alpha.sc_id, alpha.wcert_signer, alpha.csw_signer, label="evil")
         evil.handlers = alpha.handlers
-        fake = w.states["beta"].issue("GOLD", True, w.bob.public, hash_bytes(b"fake"), amount=1000)
+        fake = w.states["beta"].issue("GOLD", True, w.actor("bob").public, hash_bytes(b"fake"), amount=1000)
         message = CscpMessage(
             sending_sc_id=alpha.sc_id,
             receiving_sc_id=beta.sc_id,
             msg_type=MSG_TYPE_TOKEN_TRANSFER,
-            sender_id=w.alice.public,
-            receiver_id=w.bob.public,
+            sender_id=w.actor("alice").public,
+            receiver_id=w.actor("bob").public,
             payload_hash=canonical_digest(fake),
         )
         evil.fabricate_send(message, fake.encode())

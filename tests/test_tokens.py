@@ -494,22 +494,22 @@ class TestLedgerAsHandler:
             sending_sc_id=alpha.sc_id,
             receiving_sc_id=beta.sc_id,
             msg_type=MSG_TYPE_TOKEN_TRANSFER,
-            sender_id=w.alice.public,
-            receiver_id=w.bob.public,
+            sender_id=w.actor("alice").public,
+            receiver_id=w.actor("bob").public,
             payload_hash=hash_bytes(payload),
         )
-        signature = w.alice.sign(message_digest(message))
+        signature = w.actor("alice").sign(message_digest(message))
         verdict = alpha.accept_send(SendTx(message=message, payload=payload, signature=signature))
         assert (verdict.reason, verdict.rule) == (HANDLER_REJECTED, "malformed-payload")
         assert alpha.outbox == []
         # A byzantine operator of alpha commits the message anyway.
-        evil = ByzantineSidechain(w.mc, alpha.sc_id, alpha.wcert_signer, alpha.csw_signer, label="evil")
+        evil = ByzantineSidechain(w.mainchain, alpha.sc_id, alpha.wcert_signer, alpha.csw_signer, label="evil")
         evil.handlers = alpha.handlers
         evil.fabricate_send(message, payload)
-        w.mc.advance_blocks(2)
+        w.mainchain.advance_blocks(2)
         assert evil.close_epoch()[1].accepted
-        w.mc.advance_blocks(2)
-        verdict = beta.accept_redeem(make_redeem_tx(w.mc, evil, 0, message, payload, signature, w.bob))
+        w.mainchain.advance_blocks(2)
+        verdict = beta.accept_redeem(make_redeem_tx(w.mainchain, evil, 0, message, payload, signature, w.actor("bob")))
         assert (verdict.reason, verdict.rule) == (HANDLER_REJECTED, "malformed-payload")
         assert beta.redeemed == set()
 

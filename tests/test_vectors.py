@@ -4,17 +4,11 @@ import json
 
 import pytest
 
+from worlds import RULE_IDS
+
 from mitto import vectors
 from mitto.harness import Runner
 from mitto.scenario import TAMPERS, parse_scenario
-
-RULE_IDS = (
-    "send-1", "send-2", "send-3a", "send-3b", "send-3c", "send-3d", "send-3e", "send-4", "send-5",
-    "redeem-1", "redeem-2a", "redeem-2b", "redeem-3",
-    "redeem-4a", "redeem-4b", "redeem-4c", "redeem-4d", "redeem-4e", "redeem-5",
-    "redeem-6", "redeem-7", "redeem-8",
-    "malformed-payload", "unregistered-msg-type",
-)
 
 GATE_REASONS = (
     "BadSignature", "WrongSender", "PayloadMismatch", "SelfSend",

@@ -1,38 +1,111 @@
-"""Deterministic world builders shared by the integration-level test files.
+"""Test worlds, built the way a scenario builds them, and the constants the
+test files share.
 
-Each builder assembles a mainchain plus token sidechains, drives them to a
-named stage, and returns a namespace of the pieces tests poke at. Everything
-is seeded, so repeated calls give byte-identical worlds.
+Every test world is a scenario fragment: ``harness.World`` builds its
+chains, keys and issuances, and ``Runner`` drives it to a named stage
+through the step executors a bundled scenario uses, with the accountant
+sweep, replay probes and atomicity checks on every step. A stage's outputs
+come from the run itself: its accepted sends (``Runner.sends``) and its
+ledgers. Everything is seeded, so repeated runs give byte-identical worlds.
 """
-from types import SimpleNamespace
+from pathlib import Path
 
 from mitto.encoding import canonical_digest
-from mitto.hashing import hash_bytes
-from mitto.keys import KeyPair
-from mitto.mainchain import Mainchain
+from mitto.harness import Runner, World
+from mitto.messages import CswRedeemTx, RedeemTx, SendTx, message_digest
 from mitto.proofs import verify_redeem
-from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, CswRedeemTx, RedeemTx, SendTx, message_digest
-from mitto.sidechain import Sidechain
-from mitto.tokens import TokenNameRegistry, attach_token_ledger, make_redeem_tx
+from mitto.scenario import parse_scenario
+from mitto.tokens import transfer_message, withdraw_native_held
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+#: Every rule id a gate reports; each needs a rejected conformance vector.
+RULE_IDS = (
+    "send-1", "send-2", "send-3a", "send-3b", "send-3c", "send-3d", "send-3e", "send-4", "send-5",
+    "redeem-1", "redeem-2a", "redeem-2b", "redeem-3",
+    "redeem-4a", "redeem-4b", "redeem-4c", "redeem-4d", "redeem-4e", "redeem-5",
+    "redeem-6", "redeem-7", "redeem-8",
+    "malformed-payload", "unregistered-msg-type",
+)
+
+#: alpha and beta, freshly activated with epoch length 2, holding nothing.
+TWO_CHAINS = {
+    "name": "two_chains", "seed": 1, "steps": [],
+    "chains": [{"label": "alpha", "epoch_length": 2}, {"label": "beta", "epoch_length": 2}],
+}
+
+#: Epoch 0 closed on both chains and finalized, with one in-flight send:
+#: alpha issued 100 units of fungible WBT to alice, who sent 60 to bob on
+#: beta (send ``sent``); it is committed in alpha's finalized epoch-0
+#: certificate but not yet redeemed.
+COMMITTED = {"name": "committed", "seed": 1, "chains": [
+    {"label": "alpha", "epoch_length": 2,
+     "issuances": [{"name": "WBT", "fungible": True, "amount": 100, "owner": "alice", "data": "wbt-genesis"}]},
+    {"label": "beta", "epoch_length": 2},
+], "steps": [
+    {"op": "send", "id": "sent", "from": "alpha", "to": "beta", "name": "WBT", "amount": 60, "owner": "alice",
+     "receiver": "bob"},
+    {"op": "advance_mainchain", "blocks": 2},  # tip 3: inside epoch 0's submission window
+    {"op": "close_epoch"},
+    {"op": "advance_mainchain", "blocks": 2},  # tip 5: epoch 0 finalized for both chains
+]}
+
+#: Three chains; alpha ceases holding one native token (KEEP), one foreign
+#: token (FOR, redeemed from beta) and one sent away (SENT, to bob on
+#: gamma), with gamma's unredeemed return of SENT (send ``ret``) stranded
+#: in its epoch-1 certificate. Every ceased-flow test starts here: the
+#: Zendoo ceased-sidechain flow, which ``ceased_flows.json`` runs to its end.
+CEASED = {"name": "ceased", "seed": 1, "chains": [
+    {"label": "alpha", "epoch_length": 2,
+     "issuances": [{"name": "KEEP", "fungible": True, "amount": 50, "owner": "alice", "data": "keep"},
+                   {"name": "SENT", "fungible": True, "amount": 100, "owner": "alice", "data": "sent"}]},
+    {"label": "beta", "epoch_length": 2,
+     "issuances": [{"name": "FOR", "fungible": True, "amount": 30, "owner": "bob", "data": "for"}]},
+    {"label": "gamma", "epoch_length": 2},
+], "steps": [
+    {"op": "send", "id": "out", "from": "alpha", "to": "gamma", "name": "SENT", "amount": 100, "owner": "alice",
+     "receiver": "bob"},
+    {"op": "send", "id": "in", "from": "beta", "to": "alpha", "name": "FOR", "amount": 30, "owner": "bob",
+     "receiver": "alice"},
+    {"op": "advance_mainchain", "blocks": 2},  # tip 3
+    {"op": "close_epoch"},
+    {"op": "advance_mainchain", "blocks": 2},  # tip 5: epoch 0 finalized
+    {"op": "redeem", "send": "out"},
+    {"op": "redeem", "send": "in"},
+    {"op": "send", "id": "ret", "from": "gamma", "to": "alpha", "name": "SENT", "amount": 100, "owner": "bob",
+     "receiver": "alice"},
+    {"op": "close_epoch"},  # epoch-1 window is [5, 6]
+    {"op": "advance_mainchain", "blocks": 2},  # tip 7: epoch 1 finalized
+    {"op": "close_epoch", "chains": ["beta", "gamma"]},  # alpha stays silent for epoch 2
+    {"op": "advance_mainchain", "blocks": 2},  # tip 9: alpha ceased, beta and gamma alive
+    {"op": "assert", "chain": "alpha", "status": "ceased"},
+]}
 
 
-def two_chain_world(epoch_length=2, seed=1):
-    """Mainchain with two freshly activated token chains and two actors."""
-    mc = Mainchain()
-    registry = TokenNameRegistry()
-    chains, states = {}, {}
-    for label in ("alpha", "beta"):
-        sc = Sidechain.create(mc, epoch_length, label, seed=seed)
-        chains[label], states[label] = sc, attach_token_ledger(sc, registry)
-    mc.advance_block()
-    return SimpleNamespace(
-        mc=mc,
-        registry=registry,
-        chains=chains,
-        states=states,
-        alice=KeyPair.from_label("actor", seed, "alice"),
-        bob=KeyPair.from_label("actor", seed, "bob"),
-    )
+def two_chain_world() -> World:
+    return World(parse_scenario(TWO_CHAINS))
+
+
+def run_stage(fragment: dict) -> tuple[World, dict]:
+    """Run scenario ``fragment``, every step of which must be accepted with
+    no violation; returns its world and its accepted sends by id."""
+    runner = Runner(parse_scenario(fragment))
+    report = runner.run()
+    assert report["ok"] and all(step["outcome"]["accepted"] for step in report["steps"]), report
+    return runner.world, runner.sends
+
+
+def held(ledger, name: str):
+    """The one instance of token ``name`` in ``ledger``."""
+    (instance,) = [ti for ti in ledger.s_tks.values() if ti.token_name == name]
+    return instance
+
+
+def held_withdrawal(w):
+    """In the ceased stage: alice withdraws her KEEP from alpha, for bob on beta."""
+    kept = canonical_digest(held(w.states["alpha"], "KEEP"))
+    bob = w.actor("bob").public
+    return withdraw_native_held(w.chains["alpha"], w.actor("alice"), kept, w.chains["beta"].sc_id, bob)
 
 
 def redeem_verifies(w, message, payload, proof, csw_ref=None) -> bool:
@@ -46,91 +119,9 @@ def redeem_verifies(w, message, payload, proof, csw_ref=None) -> bool:
     return verify_redeem(*w.chains["beta"].resolve_redeem(tx), message, payload, proof)
 
 
-def make_send(chain, owner: KeyPair, instance, to_chain, receiver: KeyPair):
-    """Build and submit a token send; returns (message, tx, verdict)."""
-    message = CscpMessage(
-        sending_sc_id=chain.sc_id,
-        receiving_sc_id=to_chain.sc_id,
-        msg_type=MSG_TYPE_TOKEN_TRANSFER,
-        sender_id=owner.public,
-        receiver_id=receiver.public,
-        payload_hash=canonical_digest(instance),
-    )
+def make_send(chain, owner, instance, to_chain, receiver):
+    """Build and submit ``owner``'s send of ``instance`` to ``receiver`` on
+    ``to_chain``; returns (message, tx, verdict)."""
+    message = transfer_message(chain.sc_id, to_chain.sc_id, instance, receiver.public)
     tx = SendTx(message=message, payload=instance.encode(), signature=owner.sign(message_digest(message)))
     return message, tx, chain.accept_send(tx)
-
-
-def committed_world():
-    """Epoch 0 closed on both chains and finalized, with one in-flight send.
-
-    alpha issued 100 units of fungible WBT to alice and sent 60 to bob on
-    beta; the send is committed in alpha's finalized epoch-0 certificate but
-    not yet redeemed.
-    """
-    w = two_chain_world()
-    alpha, beta = w.chains["alpha"], w.chains["beta"]
-    sa = w.states["alpha"]
-    whole = sa.issue("WBT", True, w.alice.public, hash_bytes(b"wbt-genesis"), amount=100)
-    part, _rest = sa.split(canonical_digest(whole), 60)
-    w.message, w.send_tx, verdict = make_send(alpha, w.alice, part, beta, w.bob)
-    assert verdict.accepted
-    w.instance = part
-    w.mc.advance_blocks(2)  # tip 3: inside epoch 0's submission window
-    for sc in (alpha, beta):
-        cert, v = sc.close_epoch()
-        assert v.accepted, v.reason
-    w.mc.advance_blocks(2)  # tip 5: epoch 0 finalized for both chains
-    return w
-
-
-def ceased_world(seed=1):
-    """Three chains; alpha ceases holding one native, one foreign, and one
-    sent-away token, with gamma's unredeemed return stranded in its epoch-1
-    certificate. This is the stage every ceased-flow test starts from.
-    """
-    mc = Mainchain()
-    registry = TokenNameRegistry()
-    chains, states = {}, {}
-    for label in ("alpha", "beta", "gamma"):
-        sc = Sidechain.create(mc, 2, label, seed=seed)
-        chains[label], states[label] = sc, attach_token_ledger(sc, registry)
-    mc.advance_block()
-    w = SimpleNamespace(
-        mc=mc,
-        registry=registry,
-        chains=chains,
-        states=states,
-        alice=KeyPair.from_label("actor", seed, "alice"),
-        bob=KeyPair.from_label("actor", seed, "bob"),
-    )
-    alpha, beta, gamma = chains["alpha"], chains["beta"], chains["gamma"]
-    sa, sb, sg = states["alpha"], states["beta"], states["gamma"]
-
-    w.kept = sa.issue("KEEP", True, w.alice.public, hash_bytes(b"keep"), amount=50)
-    sent = sa.issue("SENT", True, w.alice.public, hash_bytes(b"sent"), amount=100)
-    foreign = sb.issue("FOR", True, w.bob.public, hash_bytes(b"for"), amount=30)
-
-    m1, t1, v1 = make_send(alpha, w.alice, sent, gamma, w.bob)
-    m2, t2, v2 = make_send(beta, w.bob, foreign, alpha, w.alice)
-    assert v1.accepted and v2.accepted
-    mc.advance_blocks(2)  # tip 3
-    for sc in (alpha, beta, gamma):
-        assert sc.close_epoch()[1].accepted
-    mc.advance_blocks(2)  # tip 5: epoch 0 finalized
-
-    assert gamma.accept_redeem(make_redeem_tx(mc, alpha, 0, m1, t1.payload, t1.signature, w.bob)).accepted
-    assert alpha.accept_redeem(make_redeem_tx(mc, beta, 0, m2, t2.payload, t2.signature, w.alice)).accepted
-    returned = next(iter(sg.s_tks.values()))
-    w.return_message, w.return_tx, v3 = make_send(gamma, w.bob, returned, alpha, w.alice)
-    assert v3.accepted
-    for sc in (alpha, beta, gamma):  # epoch-1 window is [5, 6]
-        assert sc.close_epoch()[1].accepted
-    mc.advance_blocks(2)  # tip 7: epoch 1 finalized
-    for sc in (beta, gamma):  # alpha stays silent for epoch 2
-        assert sc.close_epoch()[1].accepted
-    mc.advance_blocks(2)  # tip 9: alpha ceased, beta and gamma alive
-    assert mc.get_status(alpha.sc_id)["status"] == "ceased"
-    w.foreign_digest = next(
-        d for d, t in alpha.finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER].s_tks.items() if t.token_name == "FOR"
-    )
-    return w
