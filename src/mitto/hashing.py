@@ -116,7 +116,10 @@ def build_merkle(leaves: list[Digest]) -> MerkleTree:
         levels.append(tuple(nodes) + (pad,) * (width - len(nodes)))
         if width == 1:
             break
-        nodes = _parent_level(nodes, pad)
+        if len(nodes) % 2:
+            nodes.append(pad)
+        pairs = iter(nodes)  # zipped with itself: (nodes[0], nodes[1]), (nodes[2], nodes[3]), ...
+        nodes = [hash_bytes(_NODE_PREFIX + left + right) for left, right in zip(pairs, pairs)]
         width //= 2
     return MerkleTree(leaves=tuple(leaves), levels=tuple(levels), root=levels[-1][0])
 
@@ -128,18 +131,12 @@ def merkle_root(leaves) -> Digest:
         return EMPTY_ROOT
     nodes = [hash_bytes(_LEAF_PREFIX + d) for d in leaves]
     for pad in _PADDING:
-        nodes = _parent_level(nodes, pad)
+        if len(nodes) % 2:
+            nodes.append(pad)
+        pairs = iter(nodes)
+        nodes = [hash_bytes(_NODE_PREFIX + left + right) for left, right in zip(pairs, pairs)]
         if len(nodes) == 1:
             return nodes[0]
-
-
-def _parent_level(nodes: list[Digest], pad: Digest) -> list[Digest]:
-    """The nodes over ``nodes``, a level's nodes up to its last real one,
-    where ``pad`` is the padding node of that level."""
-    if len(nodes) % 2:
-        nodes.append(pad)
-    pairs = iter(nodes)  # zipped with itself, it yields (nodes[0], nodes[1]), (nodes[2], nodes[3]), ...
-    return [hash_bytes(_NODE_PREFIX + left + right) for left, right in zip(pairs, pairs)]
 
 
 def merkle_path(tree: MerkleTree, index: int) -> MerklePath:

@@ -2,9 +2,11 @@
 
 A sidechain buffers accepted sends in the current epoch's outbox. Closing an
 epoch builds the message tree, commits its root (plus the committed-state
-root) into a withdrawal certificate, and submits it to the settlement chain;
-the message tree and application snapshots are archived per epoch so redeem
-and withdrawal evidence can be built later.
+root) into a withdrawal certificate, and submits it to the settlement chain.
+Each epoch's message tree is archived, so redeem evidence can be built
+later. Its committed state and each handler's capture (plain copies of its
+entries) are kept only until a later epoch is finalized: withdrawals from a
+ceased chain are proven against its last finalized epoch alone.
 
 A redeem of either kind (of a message a certificate committed, or of one
 a ceased chain's withdrawal carries) passes one gate, which checks replay
@@ -76,7 +78,9 @@ class MessageHandler(Protocol):
     malformed; the gate calls it once per transaction, with the payload
     hash it has checked, and hands its value to the other hooks. validate_*
     return None to accept or the id of the first failing rule; apply_* are
-    only called after the matching validate_* accepted.
+    only called after the matching validate_* accepted. capture returns
+    what an accepted close archives of the handler's state: copies, which
+    later writes to the handler leave as they were.
     """
 
     def parse(self, payload: bytes, payload_hash: Digest) -> object | None: ...
@@ -91,7 +95,7 @@ class MessageHandler(Protocol):
 
     def state_digests(self) -> list[Digest]: ...
 
-    def snapshot(self): ...
+    def capture(self): ...
 
     def dump(self) -> dict: ...
 
@@ -99,12 +103,13 @@ class MessageHandler(Protocol):
 @dataclass(frozen=True)
 class ClosedEpoch:
     """Archived epoch, kept at its epoch id's index in ``Sidechain.epochs``:
-    the tree over its message digests, the committed application state, and
-    per-handler snapshots taken at close."""
+    the tree over its message digests, which redeem evidence reads, and,
+    while no later epoch is finalized, the committed application state and
+    per-handler captures taken at close, which withdrawals read."""
 
     tree: MerkleTree
-    committed: CommittedState
-    snapshots: dict[int, object]
+    committed: CommittedState | None = None
+    captures: dict[int, object] | None = None
 
 
 class Sidechain:
@@ -231,22 +236,22 @@ class Sidechain:
     def close_epoch(self, quality: int = 1) -> tuple[WithdrawalCertificate, Verdict]:
         """Build and submit the certificate for the next unclosed epoch.
 
-        On acceptance the message tree and handler snapshots are archived and
-        a new empty epoch opens; on rejection nothing changes and the caller
-        may retry."""
+        On acceptance the message tree, committed state and handler captures
+        are archived, the state of epochs below the last finalized one is
+        dropped, and a new empty epoch opens; on rejection nothing changes
+        and the caller may retry."""
         tree = self.current_message_tree()
         committed = self.current_committed_state()
         cert = self._certify(tree, committed, quality)
         verdict = self.mainchain.submit_certificate(cert)
         if verdict.accepted:
-            self.epochs.append(
-                ClosedEpoch(
-                    tree=tree,
-                    committed=committed,
-                    snapshots={t: h.snapshot() for t, h in sorted(self.handlers.items())},
-                )
-            )
+            self.epochs.append(ClosedEpoch(tree, committed, {t: h.capture() for t, h in sorted(self.handlers.items())}))
             self.outbox.clear()
+            # Only the last finalized epoch's state is read, and that epoch only moves up.
+            epoch_id = (self.mainchain.record(self.sc_id).last_epoch or 0) - 1
+            while epoch_id >= 0 and self.epochs[epoch_id].committed is not None:
+                self.epochs[epoch_id] = ClosedEpoch(self.epochs[epoch_id].tree)
+                epoch_id -= 1
         return cert, verdict
 
     # -- redeeming ----------------------------------------------------------------

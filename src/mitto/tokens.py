@@ -210,15 +210,6 @@ class Holdings(JournalDict):
                 key = (instance.token_name, instance.token_id)
                 self.by_id[key] = self.by_id.get(key, ()) + (digest,)
 
-    def copy(self) -> "Holdings":
-        """The same entries in a new container, its indexes copied from this
-        one's rather than derived again from every instance."""
-        twin = Holdings.__new__(Holdings)
-        JournalDict.__init__(twin, self)
-        twin.by_id = dict(self.by_id)
-        twin.by_owner = {key: set(digests) for key, digests in self.by_owner.items()}
-        return twin
-
     def owned(self, owner: PubKey, name: str, token_id: int | None = None) -> list[tuple[int, Digest, TokenInstance]]:
         """``(amount, digest, instance)`` of each instance of ``name`` (only
         id ``token_id`` when given) that ``owner`` holds, ordered by
@@ -511,23 +502,15 @@ class MittoState:
         self.s_tks[canonical_digest(merged)] = merged
         return merged
 
-    # -- snapshots and dumps ---------------------------------------------------------
+    # -- captures and dumps ----------------------------------------------------------
 
     def state_digests(self) -> list[Digest]:
         digests = list(self.s_tks.keys())
         digests.extend(canonical_digest(record) for record in self.s_sent.values())
         return digests
 
-    def snapshot(self) -> "MittoState":
-        return MittoState(
-            sc_id=self.sc_id,
-            registry=self.registry,
-            variant=self.variant,
-            s_tks=self.s_tks.copy(),
-            s_sent=JournalDict(self.s_sent),
-            issued_totals=JournalDict(self.issued_totals),
-            issued_token_ids=JournalSet(self.issued_token_ids),
-        )
+    def capture(self) -> "LedgerCapture":
+        return LedgerCapture(self)
 
     def dump(self) -> dict:
         instances = []
@@ -543,6 +526,32 @@ class MittoState:
             "issued": dict(sorted(self.issued_totals.items())),
             "registry": self.registry.dump(),
         }
+
+
+class LedgerCapture:
+    """A ledger's entries at an epoch close, as plain copies. The indexed
+    ledger is built from them when first read and is the same object at
+    every later read: the accountant takes a new container for a rebinding,
+    and would rebuild its book of a ceased chain on every step."""
+
+    __slots__ = ("state", "s_tks", "s_sent", "issued_totals", "issued_token_ids", "_ledger")
+
+    def __init__(self, state: MittoState) -> None:
+        self.state = state  # for its chain, registry and variant, which never change
+        self.s_tks, self.s_sent = dict(state.s_tks), dict(state.s_sent)
+        self.issued_totals, self.issued_token_ids = dict(state.issued_totals), set(state.issued_token_ids)
+        self._ledger: MittoState | None = None
+
+    def ledger(self) -> MittoState:
+        if self._ledger is None:
+            self._ledger = replace(
+                self.state,
+                s_tks=Holdings(self.s_tks),
+                s_sent=JournalDict(self.s_sent),
+                issued_totals=JournalDict(self.issued_totals),
+                issued_token_ids=JournalSet(self.issued_token_ids),
+            )
+        return self._ledger
 
 
 def attach_token_ledger(chain, registry: TokenNameRegistry, variant: str = VARIANT_STANDARD) -> MittoState:
@@ -573,11 +582,12 @@ class CswPackage:
 
 def final_ledger(sidechain) -> MittoState:
     """The token ledger ``sidechain`` committed at its last finalized epoch,
-    which every withdrawal from it is proven against."""
-    snapshot = sidechain.finalized_epoch().snapshots.get(MSG_TYPE_TOKEN_TRANSFER)
-    if snapshot is None:
+    which every withdrawal from it is proven against; the same object at
+    every call."""
+    capture = sidechain.finalized_epoch().captures.get(MSG_TYPE_TOKEN_TRANSFER)
+    if capture is None:
         raise EntityNotInState("sidechain has no token state in its final epoch")
-    return snapshot
+    return capture.ledger()
 
 
 def _final_holding(sidechain, owner: KeyPair, instance_digest: Digest) -> TokenInstance:

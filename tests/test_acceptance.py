@@ -184,7 +184,7 @@ def test_criterion_6_ceasing_suite():
 
     w2, _ = run_stage(CEASED)
     alpha2, gamma2 = w2.chains["alpha"], w2.chains["gamma"]
-    state = alpha2.finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
+    state = final_ledger(alpha2)
     instance = held(state, "FOR")
     payload = instance.encode()
     message = CscpMessage(

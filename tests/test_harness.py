@@ -21,7 +21,7 @@ from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message
 from mitto.proofs import CswBundle
 from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, ParseError, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
-from mitto.tokens import Holdings, MittoState, TokenInstance
+from mitto.tokens import Holdings, MittoState, TokenInstance, final_ledger
 
 
 def scenario_obj(steps, chains=None, name="inline", seed=3, **extra) -> dict:
@@ -920,6 +920,79 @@ def test_committed_state_levels_are_built_once_per_ceased_chain(counted):
     }
 
 
+def test_close_captures_and_a_ceased_ledger_is_built_once(counted):
+    """An accepted close on a live chain keeps plain copies of each
+    ledger's entries and builds no ledger. The ledger of ceased alpha is
+    built at the first step that reads it, the sweep after the cease, and
+    is the same object at every later step, so the accountant rebuilds its
+    book of alpha once: one nullifier per entity alpha held."""
+    states = counted(MittoState, "__init__")
+    holdings = counted(Holdings, "__init__")
+    nullifiers = counted(accountant_module, "csw_nullifier")
+    scenario = parse_scenario(ceased_recovery_shape(6))
+    runner = Runner(scenario)
+    frozen = []
+    check = runner.world.accountant.check
+
+    def noting(snapshot):
+        frozen.append(snapshot["alpha"]["frozen"])
+        return check(snapshot)
+
+    runner.world.accountant.check = noting
+    per_step = _per_step(runner, states, holdings, nullifiers)
+    ops = [step.op for step in scenario.steps]
+    ceased = ops.index("cease_by_silence")
+    assert frozen[:ceased] == [None] * ceased
+    assert frozen[ceased] is not None and all(ledger is frozen[ceased] for ledger in frozen[ceased:])
+    by_op = {}
+    for op, counts in zip(ops, per_step):
+        by_op.setdefault(op, set()).add(counts)
+    # (ledgers built, holdings built, nullifiers computed) per step; alpha
+    # holds its 6 own NFTs and beta's 6 when it ceases.
+    assert by_op == {
+        "send": {(0, 0, 0)},
+        "advance_mainchain": {(0, 0, 0)},
+        "close_epoch": {(0, 0, 0)},
+        "redeem": {(0, 0, 0)},
+        "cease_by_silence": {(1, 1, 12)},
+        "csw": {(0, 0, 0)},
+        "csw_redeem": {(0, 0, 0)},
+    }
+
+
+def held_nft_shape(n):
+    """alpha holds ``n`` NFTs and closes two epochs beside beta, sending
+    one NFT to beta in each; beta redeems the first between the closes."""
+    def send(i):
+        return {"op": "send", "id": f"s{i}", "from": "alpha", "to": "beta", "name": "ART", "token_id": i,
+                "owner": "alice", "receiver": "bob"}
+
+    steps = [send(0), {"op": "advance_mainchain", "blocks": 2}, {"op": "close_epoch"},
+             {"op": "advance_mainchain", "blocks": 2}, {"op": "redeem", "send": "s0"}, send(1),
+             {"op": "close_epoch"}, {"op": "advance_mainchain", "blocks": 2}]
+    chains = [_nft_chain("alpha", "ART", "alice", n), {"label": "beta", "epoch_length": 2}]
+    return {"name": "held_nft_shape", "seed": 7, "chains": chains, "steps": steps}
+
+
+@pytest.mark.parametrize("n,hashes", [(100, [233, 235]), (400, [833, 835])])
+def test_hashes_per_close_at_two_world_sizes(monkeypatch, n, hashes):
+    """SHA-256 calls of each accepted close of alpha and beta, pinned. Each
+    close hashes alpha's whole committed state, n entities, into its
+    root: about 2 calls per held NFT, which ROADMAP item 8's root from the
+    previous close would cut."""
+    hashed = []
+    sha256 = hashing._sha256
+
+    def counting(data):
+        hashed.append(None)
+        return sha256(data)
+
+    monkeypatch.setattr(hashing, "_sha256", counting)
+    scenario = parse_scenario(held_nft_shape(n))
+    per_step = _per_step(Runner(scenario), hashed)
+    assert [count for step, count in zip(scenario.steps, per_step) if step.op == "close_epoch"] == hashes
+
+
 @pytest.mark.parametrize("n", [20, 200])
 def test_accountant_resyncs_only_written_keys(monkeypatch, n):
     """After the first step builds the books, each step resyncs the few
@@ -971,7 +1044,7 @@ def _inflate_in_place(world):
 
 
 def _write_frozen(world):
-    frozen = world.chains["alpha"].finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
+    frozen = final_ledger(world.chains["alpha"])
     _, _, instance = _held(world, "beta")
     extra = replace(instance, data_hash=hash_bytes(b"forged"))
     frozen.s_tks[canonical_digest(extra)] = extra
@@ -1083,7 +1156,7 @@ def test_injected_ledger_fault_flagged_by_both_checks(fault):
 def _rewrite_frozen(world):
     """Put an equal copy of every committed entry of ceased alpha back in
     place, the withdrawn one included: nothing changes but identities."""
-    frozen = world.chains["alpha"].finalized_epoch().snapshots[MSG_TYPE_TOKEN_TRANSFER]
+    frozen = final_ledger(world.chains["alpha"])
     for digest, instance in list(frozen.s_tks.items()):
         frozen.s_tks[digest] = replace(instance)
 
@@ -1092,6 +1165,23 @@ def test_rewritten_committed_ledger_keeps_withdrawals_spent():
     clean = _agreed(OracleRunner(parse_scenario(REJECTIONS)))
     report = _agreed(_FaultAfterStep(parse_scenario(REJECTIONS), 12, _rewrite_frozen))
     assert report["violations"] == clean["violations"]
+
+
+def _bypass_frozen_index(world):
+    """Drop an entity of ceased alpha's committed ledger behind its index's back."""
+    frozen = final_ledger(world.chains["alpha"])
+    dict.__delitem__(frozen.s_tks, min(frozen.s_tks))
+
+
+def test_index_bypass_on_a_kept_archived_ledger_is_caught():
+    """The oracle pass's index rebuild also reads each archived ledger
+    still kept, once something has built it from its capture."""
+    scenario = parse_scenario(ceased_recovery_shape(2))
+    last = len(scenario.steps) - 1
+    runner = _FaultAfterStep(scenario, last, _bypass_frozen_index)
+    runner.run()
+    final = runner.world.mainchain.record(runner.world.chains["alpha"].sc_id).last_epoch
+    assert runner.findings.disagreements["holdings index"] == [f"ceased_recovery_shape step {last}: alpha epoch {final}"]
 
 
 def test_duplicate_nfts_flagged_by_both_checks_in_the_same_order():

@@ -4,7 +4,16 @@ from dataclasses import replace
 
 import pytest
 
-from worlds import CEASED, COMMITTED, held_withdrawal, make_send, run_stage, two_chain_world
+from worlds import (
+    CEASE_AFTER_LONG_LIFE,
+    CEASED,
+    COMMITTED,
+    held_withdrawal,
+    long_lived,
+    make_send,
+    run_stage,
+    two_chain_world,
+)
 
 from mitto.encoding import canonical_digest
 from mitto.hashing import hash_bytes, verify_path
@@ -150,6 +159,35 @@ class TestEpochArchive:
             message_path(tree, stranger, cert)
         with pytest.raises(CertificateNotConfirmed):
             message_path(tree, sent.message, anchor_of(w.mainchain, w.chains["beta"].sc_id, 0).cert)
+
+    def test_only_the_last_finalized_epochs_keep_their_state(self):
+        """Right after an accepted close, the epochs from the last finalized
+        one on keep their committed state and captures, however many closed
+        before; every epoch keeps the tree its certificate committed."""
+        kept = {}
+        for epochs in (4, 16):
+            w, sends = run_stage(long_lived(epochs))
+            for label, chain in w.chains.items():
+                last = w.mainchain.record(chain.sc_id).last_epoch
+                assert (last, len(chain.epochs)) == (epochs - 2, epochs)
+                kept[epochs, label] = [
+                    i for i, e in enumerate(chain.epochs) if e.committed is not None or e.captures is not None
+                ]
+                assert kept[epochs, label] == list(range(last, epochs))
+                for i, closed in enumerate(chain.epochs[: last + 1]):
+                    assert w.mainchain.finalized_cert(chain.sc_id, i).cert.proofdata[0] == closed.tree.root
+            assert w.chains["beta"].epochs[0].tree.leaves == (message_digest(sends["in"].message),)
+        assert {len(epochs) for epochs in kept.values()} == {2}
+
+    def test_pruned_archive_still_redeems_and_withdraws(self):
+        """After 16 closed and finalized epochs, a send committed in epoch 0
+        is redeemed; the receiving chain then ceases, and a held and a
+        foreign withdrawal from it are accepted and redeemed."""
+        stage = long_lived(16)
+        stage["steps"] += CEASE_AFTER_LONG_LIFE
+        w, _ = run_stage(stage)
+        assert w.mainchain.record(w.chains["alpha"].sc_id).status == "ceased"
+        assert {(ti.token_name, ti.amount) for ti in w.states["beta"].s_tks.values()} == {("KEEP", 50), ("FOR", 30)}
 
 
 def committed_redeem():

@@ -516,7 +516,7 @@ class TestLedgerAsHandler:
     def test_snapshot_is_independent_copy(self):
         state = fresh_state()
         state.issue("WBT", True, ALICE.public, hash_bytes(b"g"), amount=10)
-        snap = state.snapshot()
+        snap = state.capture()
         state.issue("OTH", True, ALICE.public, hash_bytes(b"h"), amount=5)
         assert len(snap.s_tks) == 1
         assert len(state.s_tks) == 2

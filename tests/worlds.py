@@ -82,6 +82,45 @@ CEASED = {"name": "ceased", "seed": 1, "chains": [
 ]}
 
 
+
+def long_lived(epochs: int) -> dict:
+    """alpha (alice holds 50 KEEP) and beta close ``epochs`` epochs, each
+    finalized before the next one closes, and the run stops right after
+    the last close. Bob's send of 30 FOR to alice on alpha (send ``in``) is
+    committed in beta's epoch 0 and not yet redeemed."""
+    steps = [{"op": "send", "id": "in", "from": "beta", "to": "alpha", "name": "FOR", "amount": 30, "owner": "bob",
+              "receiver": "alice"}]
+    for _ in range(epochs):
+        steps += [{"op": "advance_mainchain", "blocks": 2}, {"op": "close_epoch"}]
+    return {"name": "long_lived", "seed": 1, "chains": [
+        {"label": "alpha", "epoch_length": 2,
+         "issuances": [{"name": "KEEP", "fungible": True, "amount": 50, "owner": "alice", "data": "keep"}]},
+        {"label": "beta", "epoch_length": 2,
+         "issuances": [{"name": "FOR", "fungible": True, "amount": 30, "owner": "bob", "data": "for"}]},
+    ], "steps": steps}
+
+
+#: Steps that follow ``long_lived``: its last epoch is finalized, alice
+#: redeems send ``in`` from beta's epoch 0, alpha closes one more epoch and
+#: ceases, and alice withdraws KEEP (``held``) and FOR (``foreign``) from
+#: it; both withdrawals are redeemed on beta.
+CEASE_AFTER_LONG_LIFE = [
+    {"op": "advance_mainchain", "blocks": 2},
+    {"op": "redeem", "send": "in"},
+    {"op": "close_epoch"},
+    {"op": "advance_mainchain", "blocks": 2},
+    {"op": "close_epoch", "chains": ["beta"]},
+    {"op": "cease_by_silence", "chain": "alpha"},
+    {"op": "csw", "id": "held", "mode": "held", "chain": "alpha", "name": "KEEP", "owner": "alice", "target": "beta",
+     "receiver": "alice"},
+    {"op": "csw", "id": "foreign", "mode": "foreign", "chain": "alpha", "name": "FOR", "owner": "alice",
+     "receiver": "alice"},
+    {"op": "advance_mainchain", "blocks": 1},
+    {"op": "csw_redeem", "withdrawal": "held"},
+    {"op": "csw_redeem", "withdrawal": "foreign"},
+]
+
+
 def two_chain_world() -> World:
     return World(parse_scenario(TWO_CHAINS))
 
