@@ -1,9 +1,13 @@
 """Signature layer: deterministic derivation, 32-byte keys, tamper rejection,
 and the verify memo, for signatures and for withdrawal proofs."""
+import ctypes
 import gc
+import importlib.util
 from dataclasses import replace
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from worlds import CEASED, held_withdrawal, run_stage
 
@@ -75,22 +79,89 @@ def test_garbage_signature_is_false_not_exception():
     assert not verify_sig(kp.public, hash_bytes(b"x"), b"\x00" * 64)
 
 
+@pytest.mark.parametrize("extra", [b"\x00", b"\xff"], ids=["00", "ff"])
+def test_over_long_signature_or_key_never_verifies(extra):
+    """A valid signature or key with a byte appended is refused, though its
+    first 64 (or 32) bytes verify."""
+    kp = KeyPair.from_label("actor", 0, "carol")
+    digest = hash_bytes(b"payload")
+    sig = kp.sign(digest)
+    assert verify_sig(kp.public, digest, sig)
+    assert verify_sig(kp.public, digest, sig + extra) is False
+    assert verify_sig(kp.public + extra, digest, sig) is False
+
+
+@pytest.mark.parametrize("length", [31, 33])
+def test_seed_of_the_wrong_length_is_refused(length):
+    with pytest.raises(ValueError):
+        KeyPair(seed=bytes(range(length)))
+
+
+def test_missing_libsodium_is_an_import_error_naming_it(monkeypatch):
+    def missing(name, *args, **kwargs):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", missing)
+    spec = importlib.util.spec_from_file_location("mitto.keys_without_sodium", keys.__file__)
+    with pytest.raises(ImportError, match=r"libsodium\.so\.23"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+# -- the reference implementation ----------------------------------------------
+#
+# Ed25519 is deterministic (RFC 8032): OpenSSL, through ``cryptography``, must
+# give the same keys, signatures and verdicts as the backend ``mitto.keys`` uses.
+
+REFERENCE_SEEDS = [bytes(32), b"\xff" * 32, bytes(range(32))] + [hash_bytes(bytes([i])) for i in range(13)]
+
+
+def _reference_verdict(public: bytes, digest: bytes, signature: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature, digest)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("seed", REFERENCE_SEEDS, ids=lambda seed: seed[:4].hex())
+def test_keys_and_signatures_match_the_reference(seed):
+    kp = KeyPair(seed=seed)
+    reference = Ed25519PrivateKey.from_private_bytes(seed)
+    assert kp.public == reference.public_key().public_bytes_raw()
+    for digest in (hash_bytes(seed), bytes(32), b"", bytes(range(100))):
+        assert kp.sign(digest) == reference.sign(digest)
+
+
+def test_verdicts_match_the_reference_on_every_flipped_bit():
+    kp = KeyPair.from_label("actor", 0, "carol")
+    digest = hash_bytes(b"payload")
+    sig = kp.sign(digest)
+    triples = (
+        [(kp.public, digest, sig)]
+        + [(kp.public, digest, s) for s in _flips(sig)]
+        + [(kp.public, d, sig) for d in _flips(digest)]
+        + [(k, digest, sig) for k in _flips(kp.public)]
+    )
+    assert len(triples) == 1 + (64 + 32 + 32) * 8
+    verdicts = [verify_sig(*triple) for triple in triples]
+    assert verdicts == [_reference_verdict(*triple) for triple in triples]
+    assert verdicts == [True] + [False] * (len(triples) - 1)
+
+
 # -- key lifetime --------------------------------------------------------------
 
 
 @pytest.fixture
 def derivations(monkeypatch):
-    """The seeds of the Ed25519 private keys derived through ``mitto.keys``."""
+    """The seeds of the Ed25519 keys derived through ``mitto.keys``."""
     derived = []
-    real = keys.Ed25519PrivateKey
+    real = keys._seed_keypair
 
-    class Counting:
-        @staticmethod
-        def from_private_bytes(data):
-            derived.append(bytes(data))
-            return real.from_private_bytes(data)
+    def counting(public, secret, seed):
+        derived.append(bytes(seed))
+        return real(public, secret, seed)
 
-    monkeypatch.setattr(keys, "Ed25519PrivateKey", Counting)
+    monkeypatch.setattr(keys, "_seed_keypair", counting)
     return derived
 
 
