@@ -29,8 +29,8 @@ EXIT_USAGE = 2
 
 
 def u64(text: str) -> int:
-    """A scenario seed from the command line, under the bound the scenario
-    parser puts on a file's ``seed``."""
+    """A seed from the command line, under the bound the scenario parser
+    puts on a file's ``seed``."""
     value = int(text)
     if not 0 <= value <= U64_MAX:
         raise argparse.ArgumentTypeError(f"must fit in 64 bits (0 to 2^64-1), got {value}")
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="run generated adversarial traces")
     fuzz.add_argument("--traces", type=int, default=1000, help="number of traces (default 1000)")
-    fuzz.add_argument("--seed", type=int, default=0, help="corpus seed (default 0)")
+    fuzz.add_argument("--seed", type=u64, default=0, help="corpus seed (default 0)")
 
     val = sub.add_parser("validate", help="parse and check a scenario file without running it")
     val.add_argument("scenario", help="path to a scenario JSON file")
@@ -170,7 +170,7 @@ def _cmd_vectors(args: argparse.Namespace) -> int:
         return EXIT_OK
     try:
         problems = vectors.check_vectors(directory)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         print(f"cannot check {target}: {err}", file=sys.stderr)
         return EXIT_USAGE
     if problems:

@@ -215,10 +215,10 @@ class World:
     def dump(self) -> dict:
         chains = {}
         for label, chain in self.chains.items():
-            status = self.mainchain.get_status(chain.sc_id)
+            record = self.mainchain.record(chain.sc_id)
             chains[label] = {
-                "status": status["status"],
-                "last_finalized_epoch": status["last_finalized_epoch"],
+                "status": record.status,
+                "last_finalized_epoch": record.last_epoch,
                 "state_root": chain.current_committed_state().root.hex(),
                 "state": chain.dump_state(),
             }
@@ -481,8 +481,7 @@ class Runner:
         blocks = record.silent_cease_height(mainchain.tip_height) - mainchain.tip_height
         if blocks > MAX_ADVANCE_BLOCKS:
             raise HarnessError(f"chain {step.chain} would cease only after {blocks} blocks, over {MAX_ADVANCE_BLOCKS}")
-        for _ in range(blocks):
-            mainchain.advance_block()
+        mainchain.advance_blocks(blocks)
         return _result(f"{step.chain} ceased after {blocks} silent block(s)")
 
     def _op_redeem(self, index: int, step: steps.Redeem) -> dict:

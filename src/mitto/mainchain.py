@@ -31,7 +31,8 @@ from .messages import (
     VerificationKey,
     WithdrawalCertificate,
 )
-from .proofs import StateAnchor, make_csw_input, make_wcert_input, verify_csw, verify_wcert
+from .proofs import CswPublicInput, StateAnchor, WcertPublicInput, make_csw_input, make_wcert_input
+from .proofs import verify_csw, verify_wcert
 from .verdict import Verdict
 
 GENESIS_PARENT = bytes(32)
@@ -218,10 +219,9 @@ class Mainchain:
             self._csw_inclusions[(sc_id, csw.nullifier)] = (csw, block.hash)
         return block
 
-    def advance_blocks(self, count: int) -> Block:
+    def advance_blocks(self, count: int) -> None:
         for _ in range(count):
-            block = self.advance_block()
-        return block
+            self.advance_block()
 
     # -- certificate submission ----------------------------------------------
 
@@ -238,14 +238,7 @@ class Mainchain:
         tip = self.tip_height
         if not (record.epoch_end(cert.epoch_id) <= tip <= record.epoch_end(cert.epoch_id + 1) - 1):
             return Verdict.rejected(v.WINDOW_CLOSED)
-        last_epoch_block = self._blocks[record.epoch_end(cert.epoch_id)]
-        public_input = make_wcert_input(
-            quality=cert.quality,
-            bt_list=cert.bt_list,
-            last_block_hash=last_epoch_block.hash,
-            proofdata=cert.proofdata,
-        )
-        if not verify_wcert(record.registration.wcert_vk, public_input, cert.proof):
+        if not verify_wcert(record.registration.wcert_vk, self.wcert_input(cert), cert.proof):
             return Verdict.rejected(v.PROOF_INVALID)
         if record.pending_cert is not None and cert.quality <= record.pending_cert.quality:
             return Verdict.rejected(v.LOWER_QUALITY)
@@ -262,14 +255,7 @@ class Mainchain:
             return Verdict.rejected(v.SIDECHAIN_ACTIVE)
         if csw.nullifier in record.used_nullifiers:
             return Verdict.rejected(v.NULLIFIER_REUSED)
-        public_input = make_csw_input(
-            last_cert_block_hash=self.csw_anchor_hash(csw.ledger_id),
-            nullifier=csw.nullifier,
-            receiver=csw.receiver,
-            amount=csw.amount,
-            proofdata=csw.proofdata,
-        )
-        if not verify_csw(record.registration.csw_vk, public_input, csw.proof):
+        if not verify_csw(record.registration.csw_vk, self.csw_input(csw), csw.proof):
             return Verdict.rejected(v.PROOF_INVALID)
         record.used_nullifiers.add(csw.nullifier)
         self._pending_csws.append((csw.ledger_id, csw))
@@ -308,6 +294,14 @@ class Mainchain:
             raise NotFound(f"unknown sidechain {sc_id}")
         return record
 
+    def wcert_anchor_hash(self, sc_id: int, epoch_id: int) -> Digest:
+        """Block hash a certificate for ``epoch_id`` must anchor to: the last
+        block of that epoch, or the tip while that block is not sealed. A
+        certificate that early is refused as out-of-window before its proof
+        is read, so any hash serves."""
+        height = self.record(sc_id).epoch_end(epoch_id)
+        return (self.tip if height > self.tip_height else self.get_block(height)).hash
+
     def csw_anchor_hash(self, sc_id: int) -> Digest:
         """Block hash a ceased sidechain's withdrawal proofs must anchor to:
         the block that finalized its last certificate, else the block that
@@ -319,24 +313,12 @@ class Mainchain:
             raise NotFound(f"sidechain {sc_id} was never included in a block")
         return self._blocks[record.creation_height].hash
 
-    def get_status(self, sc_id: int) -> dict:
-        record = self.record(sc_id)
-        tip = self.tip_height
-        status: dict = {
-            "sc_id": sc_id,
-            "status": record.status,
-            "epoch_length": record.epoch_length,
-            "creation_height": record.creation_height,
-            "last_finalized_epoch": record.last_epoch,
-            "tip_height": tip,
-        }
-        if record.status == STATUS_ALIVE:
-            epoch = record.next_epoch()
-            status["awaited_epoch"] = epoch
-            status["window_open_at"] = record.epoch_end(epoch)
-            status["window_closed_after"] = record.epoch_end(epoch + 1) - 1
-            status["current_epoch"] = record.current_epoch(tip)
-            status["pending_cert_quality"] = (
-                record.pending_cert.quality if record.pending_cert else None
-            )
-        return status
+    def wcert_input(self, cert: WithdrawalCertificate) -> WcertPublicInput:
+        """The public input this chain checks ``cert``'s proof against."""
+        anchor = self.wcert_anchor_hash(cert.ledger_id, cert.epoch_id)
+        return make_wcert_input(cert.quality, cert.bt_list, anchor, cert.proofdata)
+
+    def csw_input(self, csw: CeasedSidechainWithdrawal) -> CswPublicInput:
+        """The public input this chain checks ``csw``'s proof against."""
+        anchor = self.csw_anchor_hash(csw.ledger_id)
+        return make_csw_input(anchor, csw.nullifier, csw.receiver, csw.amount, csw.proofdata)

@@ -431,11 +431,13 @@ def parse_scenario(obj, source: str = "<memory>") -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        obj = json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:
         raise ParseError(f"{path}: {err.strerror or err}") from err
-    try:
-        obj = json.loads(text)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text, byte {err.start} cannot be decoded") from err
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}:{err.lineno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ParseError(f"{path}: JSON nested too deeply to decode") from err
     return parse_scenario(obj, source=str(path))

@@ -212,15 +212,7 @@ class Sidechain:
         """Certificate with an empty backward-transfer list: tokens leave only in messages."""
         epoch = self.next_epoch_to_close() if epoch_id is None else epoch_id
         if last_block_hash is None:
-            record = self.mainchain.record(self.sc_id)
-            end = record.epoch_end(epoch)
-            if end > self.mainchain.tip_height:
-                # The epoch has not ended, so its anchor block does not exist
-                # yet. Pin the tip instead: the settlement chain rejects the
-                # submission as out-of-window before examining the proof.
-                last_block_hash = self.mainchain.tip.hash
-            else:
-                last_block_hash = self.mainchain.get_block(end).hash
+            last_block_hash = self.mainchain.wcert_anchor_hash(self.sc_id, epoch)
         proofdata = (tree.root, committed.root)
         public_input = make_wcert_input(quality, (), last_block_hash, proofdata)
         proof = prove_wcert(self.wcert_signer, public_input, (), proofdata)

@@ -577,14 +577,19 @@ def check_vectors(directory: str | Path) -> list[str]:
     """Re-run every case in the file and compare verdicts. Returns the list
     of mismatches; empty means the file is fully reproduced."""
     path = Path(directory) / FILE_NAME
-    data = json.loads(path.read_text())
+    data = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        return [f"{path}: top level must be an object, got {type(data).__name__}"]
     if data.get("format") != FORMAT:
         return [f"{path}: unsupported format {data.get('format')!r}"]
+    entries = data.get("cases", [])
+    if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
+        return [f"{path}: 'cases' must be a list of objects"]
     by_id = {case.id: case for case in CASES}
     problems = []
     seen = set()
-    for entry in data.get("cases", []):
-        case = by_id.get(entry.get("id"))
+    for entry in entries:
+        case = by_id.get(entry.get("id")) if isinstance(entry.get("id"), str) else None
         if case is None:
             problems.append(f"{entry.get('id')}: no such case in this build")
             continue

@@ -24,8 +24,6 @@ from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, Proof, message_
 from mitto.proofs import (
     build_csw_redeem_proof,
     build_redeem_proof,
-    make_csw_input,
-    make_wcert_input,
     verify_csw,
     verify_wcert,
 )
@@ -155,10 +153,10 @@ def test_criterion_6_ceasing_suite():
     # then rejected for good.
     w, _ = run_stage(CEASED)
     alpha, beta, gamma = (w.chains[k] for k in ("alpha", "beta", "gamma"))
-    if w.mainchain.get_status(alpha.sc_id)["status"] != "ceased":
+    if w.mainchain.record(alpha.sc_id).status != "ceased":
         problems.append("silent chain did not cease")
     for label in ("beta", "gamma"):
-        if w.mainchain.get_status(w.chains[label].sc_id)["status"] != "alive":
+        if w.mainchain.record(w.chains[label].sc_id).status != "alive":
             problems.append(f"{label} should be alive")
     late = w.mainchain.submit_certificate(alpha.build_certificate())
     if late.accepted or late.reason != "SidechainCeased":
@@ -246,14 +244,12 @@ def test_criterion_7_commitment_soundness():
     sweep = _Sweep()
 
     # Certificate fixture: the finalized epoch-0 certificate and the exact
-    # public input the settlement chain rebuilds for it.
+    # public input the settlement chain checks it against.
     cw, sends = run_stage(COMMITTED)
     alpha = cw.chains["alpha"]
-    record = cw.mainchain.record(alpha.sc_id)
     cert = cw.mainchain.finalized_cert(alpha.sc_id, 0).cert
-    anchor = cw.mainchain.get_block(record.epoch_end(0)).hash
-    w_vk = record.registration.wcert_vk
-    w_input = make_wcert_input(cert.quality, cert.bt_list, anchor, cert.proofdata)
+    w_vk = cw.mainchain.record(alpha.sc_id).registration.wcert_vk
+    w_input = cw.mainchain.wcert_input(cert)
     if not verify_wcert(w_vk, w_input, cert.proof):
         problems.append("honest certificate fixture does not verify")
     for k in range(8):
@@ -313,13 +309,7 @@ def test_criterion_7_commitment_soundness():
     foreign = canonical_digest(held(final_ledger(z_alpha), "FOR"))
     pkg = withdraw_foreign(z_alpha, zw.actor("alice"), foreign, zw.actor("alice").public)
     c_vk = zw.mainchain.record(z_alpha.sc_id).registration.csw_vk
-    c_input = make_csw_input(
-        last_cert_block_hash=zw.mainchain.csw_anchor_hash(z_alpha.sc_id),
-        nullifier=pkg.csw.nullifier,
-        receiver=pkg.csw.receiver,
-        amount=pkg.csw.amount,
-        proofdata=pkg.csw.proofdata,
-    )
+    c_input = zw.mainchain.csw_input(pkg.csw)
     if not verify_csw(c_vk, c_input, pkg.csw.proof):
         problems.append("honest withdrawal fixture does not verify")
     for field in ("last_cert_block_hash", "nullifier", "proofdata_root"):

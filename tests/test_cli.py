@@ -107,6 +107,32 @@ def test_run_missing_file_exit_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+UNDECODABLE = {
+    "not_utf8": b'{"name": "\xff"}',
+    "too_deep": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_undecodable_scenario_is_a_parse_error(tmp_path, capsys, kind):
+    path = tmp_path / "s.json"
+    path.write_bytes(UNDECODABLE[kind])
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"parse error: {path}: ") == 2 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", sorted(UNDECODABLE))
+def test_undecodable_scenario_does_not_stop_a_directory_run(tmp_path, capsys, kind):
+    (tmp_path / "a_golden.json").write_text(Path(GOLDEN).read_text())
+    (tmp_path / "b_bad.json").write_bytes(UNDECODABLE[kind])
+    assert main(["run", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "b_bad.json: parse error" in captured.err
+    assert "golden_fungible_roundtrip: " in captured.out and "1/2 scenarios passed" in captured.out
+
+
 def test_run_scenario_error_exit_two(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "name": "runtime",
@@ -335,6 +361,14 @@ def test_fuzz_count_must_be_positive(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**70)])
+def test_fuzz_seed_beyond_u64_exit_two(capsys, seed):
+    with pytest.raises(SystemExit) as exit_:
+        main(["fuzz", "--traces", "1", "--seed", seed])
+    assert exit_.value.code == 2
+    assert "--seed: must fit in 64 bits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_run_seed_beyond_u64_exit_two(capsys, seed):
     """``--seed`` takes the bound the parser puts on a file's seed; a seed
@@ -406,6 +440,24 @@ def test_vectors_unreadable_file_exit_two(tmp_path, capsys):
     (tmp_path / "vectors.json").write_text("{not json")
     assert main(["vectors", str(tmp_path)]) == 2
     assert "cannot check" in capsys.readouterr().err
+
+
+def test_vectors_file_not_utf8_exit_two(tmp_path, capsys):
+    (tmp_path / "vectors.json").write_bytes(b'{"format": "\xff"}')
+    assert main(["vectors", str(tmp_path)]) == 2
+    assert "cannot check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data,problem", [
+    ([1], "top level must be an object, got list"),
+    ({"format": 1, "cases": 5}, "'cases' must be a list of objects"),
+    ({"format": 1, "cases": [{"id": "x"}, 1]}, "'cases' must be a list of objects"),
+])
+def test_vectors_malformed_file_exit_one(tmp_path, capsys, data, problem):
+    (tmp_path / "vectors.json").write_text(json.dumps(data))
+    assert main(["vectors", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert problem in captured.err and "vectors: 1 mismatches" in captured.out
 
 
 def test_usage_error_exit_two():

@@ -402,8 +402,7 @@ def test_silent_cease_height_is_where_the_chain_ceases(epoch_length, certified, 
     record = mc.record(chain.sc_id)
     unsealed = record.silent_cease_height(mc.tip_height)
     mc.advance_blocks(1 + lead)
-    status = mc.get_status(chain.sc_id)
-    if certified and status["status"] == "alive" and status["window_open_at"] <= mc.tip_height:
+    if certified and record.status == "alive" and record.epoch_end(record.next_epoch()) <= mc.tip_height:
         assert chain.close_epoch()[1].accepted
     predicted = record.silent_cease_height(mc.tip_height)
     while record.status != STATUS_CEASED:

@@ -15,7 +15,7 @@ from mitto import keys
 from mitto.harness import Runner, World
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair, PubKey, verify_sig
-from mitto.proofs import CswBundle, make_csw_input, verify_csw
+from mitto.proofs import CswBundle, verify_csw
 from mitto.scenario import parse_scenario
 
 
@@ -291,9 +291,7 @@ class TestCswMemo:
         alpha = w.chains["alpha"]
         pkg = held_withdrawal(w)
         vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
-        pub = make_csw_input(
-            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
-        )
+        pub = w.mainchain.csw_input(pkg.csw)
         return vk, pub, pkg.csw.proof
 
     def test_prover_check_makes_the_settlement_check_a_lookup(self, bodies):

@@ -19,7 +19,7 @@ from mitto.mainchain import (
     NotFound,
 )
 from mitto.messages import Proof, SCHEME_SIM_MERKLE
-from mitto.proofs import csw_nullifier, sim_merkle_vk
+from mitto.proofs import csw_nullifier, make_csw_input, make_wcert_input, sim_merkle_vk
 from mitto.verdict import (
     LOWER_QUALITY,
     NULLIFIER_REUSED,
@@ -89,6 +89,14 @@ class TestChain:
         assert block.header.parent_hash == genesis.hash
         assert mc.block_by_hash(block.hash) is block
 
+    def test_advancing_zero_blocks_seals_nothing(self):
+        mc = Mainchain()
+        genesis = mc.tip
+        assert mc.advance_blocks(0) is None
+        assert mc.tip is genesis
+        mc.advance_blocks(3)
+        assert mc.tip_height == 3
+
     def test_stc_root_recomputable_from_included_entries(self):
         # An external verifier regroups each block's entries and re-derives
         # the commitment root with no access to simulator internals. The
@@ -147,6 +155,29 @@ class TestCertificateWindows:
         w.mainchain.advance_blocks(2)  # tip 3
         assert w.mainchain.submit_certificate(alpha.build_certificate()).accepted
 
+    def test_anchor_is_the_tip_until_the_epochs_last_block_is_sealed(self):
+        # The anchor rule stated by hand: epoch e ends at creation height
+        # 1 + (e + 1) * 2, and until that block exists the tip stands in.
+        w, alpha = self.setup_world()
+        mc = w.mainchain
+        while mc.tip_height < 8:
+            for epoch in range(3):
+                end = 1 + (epoch + 1) * 2
+                expected = mc.get_block(end).hash if end <= mc.tip_height else mc.tip.hash
+                assert mc.wcert_anchor_hash(alpha.sc_id, epoch) == expected
+            mc.advance_block()
+
+    def test_posting_inputs_are_the_posting_over_its_anchor(self):
+        w, _ = run_stage(COMMITTED)
+        mc, sc_id = w.mainchain, w.chains["alpha"].sc_id
+        cert = mc.finalized_cert(sc_id, 0).cert
+        anchor = mc.get_block(mc.record(sc_id).epoch_end(0)).hash
+        assert mc.wcert_input(cert) == make_wcert_input(cert.quality, cert.bt_list, anchor, cert.proofdata)
+        w, _ = run_stage(CEASED)
+        mc, csw = w.mainchain, held_withdrawal(w).csw
+        by_hand = make_csw_input(mc.csw_anchor_hash(csw.ledger_id), csw.nullifier, csw.receiver, csw.amount, csw.proofdata)
+        assert mc.csw_input(csw) == by_hand
+
     def test_wrong_epoch(self):
         w, alpha = self.setup_world()
         w.mainchain.advance_blocks(2)
@@ -163,11 +194,11 @@ class TestCertificateWindows:
 
     def test_window_status_fields(self):
         w, alpha = self.setup_world()
-        status = w.mainchain.get_status(alpha.sc_id)
-        assert status["status"] == STATUS_ALIVE
-        assert status["awaited_epoch"] == 0
-        assert status["window_open_at"] == 3
-        assert status["window_closed_after"] == 4
+        record = w.mainchain.record(alpha.sc_id)
+        assert record.status == STATUS_ALIVE
+        assert record.next_epoch() == 0
+        assert record.epoch_end(0) == 3
+        assert record.epoch_end(1) - 1 == 4
 
     def test_finalization_lands_in_first_post_window_block(self):
         w, alpha = self.setup_world()
@@ -195,14 +226,14 @@ class TestQualityCompetition:
         w, alpha = self.build()
         assert w.mainchain.submit_certificate(alpha.build_certificate(quality=1)).accepted
         assert w.mainchain.submit_certificate(alpha.build_certificate(quality=5)).accepted
-        assert w.mainchain.get_status(alpha.sc_id)["pending_cert_quality"] == 5
+        assert w.mainchain.record(alpha.sc_id).pending_cert.quality == 5
 
     def test_lower_and_equal_quality_rejected(self):
         w, alpha = self.build()
         assert w.mainchain.submit_certificate(alpha.build_certificate(quality=5)).accepted
         assert w.mainchain.submit_certificate(alpha.build_certificate(quality=4)).reason == LOWER_QUALITY
         assert w.mainchain.submit_certificate(alpha.build_certificate(quality=5)).reason == LOWER_QUALITY
-        assert w.mainchain.get_status(alpha.sc_id)["pending_cert_quality"] == 5
+        assert w.mainchain.record(alpha.sc_id).pending_cert.quality == 5
 
     def test_order_does_not_matter_for_winner(self):
         results = []

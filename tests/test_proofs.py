@@ -170,18 +170,14 @@ class TestCswScheme:
         alpha, pkg = w.chains["alpha"], held_withdrawal(w)
         record = w.mainchain.record(alpha.sc_id)
         vk = record.registration.csw_vk
-        pub = make_csw_input(
-            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
-        )
+        pub = w.mainchain.csw_input(pkg.csw)
         assert verify_csw(vk, pub, pkg.csw.proof)
 
     def test_every_input_field_is_binding(self):
         w, _ = run_stage(CEASED)
         alpha, pkg = w.chains["alpha"], held_withdrawal(w)
         vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
-        pub = make_csw_input(
-            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
-        )
+        pub = w.mainchain.csw_input(pkg.csw)
         stranger = KeyPair.from_label("actor", 9, "mallory").public
         assert stranger != pub.receiver
         mutants = [
@@ -199,9 +195,7 @@ class TestCswScheme:
         alpha = w.chains["alpha"]
         pkg = sent_withdrawal(w, sends["ret"])
         vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
-        pub = make_csw_input(
-            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
-        )
+        pub = w.mainchain.csw_input(pkg.csw)
         assert verify_csw(vk, pub, pkg.csw.proof)
         # the two proofdata slots pin the wrapped message and the holder anchor
         assert len(pkg.csw.proofdata) == 2
@@ -248,9 +242,7 @@ class TestCswScheme:
         w, _ = run_stage(CEASED)
         alpha, pkg = w.chains["alpha"], held_withdrawal(w)
         vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
-        pub = make_csw_input(
-            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
-        )
+        pub = w.mainchain.csw_input(pkg.csw)
         cert = CswBundle.decode(pkg.csw.proof.body).anchor.cert.encode()
         body = pkg.csw.proof.body
         assert body.count(enc_bytes(cert)) == 1
@@ -261,9 +253,7 @@ class TestCswScheme:
         w, _ = run_stage(CEASED)
         alpha, pkg = w.chains["alpha"], held_withdrawal(w)
         vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
-        pub = make_csw_input(
-            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
-        )
+        pub = w.mainchain.csw_input(pkg.csw)
         body = pkg.csw.proof.body
         for pos in range(0, len(body), max(1, len(body) // 64)):
             flipped = bytes(body[:pos]) + bytes([body[pos] ^ 0x01]) + bytes(body[pos + 1 :])
@@ -443,9 +433,7 @@ class TestForeignWithdrawal:
         pkg = withdraw_foreign(alpha, w.actor("alice"), foreign, w.actor("bob").public)
         assert pkg.message.receiving_sc_id == w.chains["beta"].sc_id
         vk = w.mainchain.record(alpha.sc_id).registration.csw_vk
-        pub = make_csw_input(
-            w.mainchain.csw_anchor_hash(alpha.sc_id), pkg.csw.nullifier, pkg.csw.receiver, 0, pkg.csw.proofdata
-        )
+        pub = w.mainchain.csw_input(pkg.csw)
         assert verify_csw(vk, pub, pkg.csw.proof)
 
 

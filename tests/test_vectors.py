@@ -124,6 +124,14 @@ def test_check_rejects_wrong_format(tmp_path):
     assert problems and "format" in problems[0]
 
 
+def test_check_reports_an_unhashable_case_id(tmp_path):
+    path = vectors.emit_vectors(tmp_path)
+    data = json.loads(path.read_text())
+    data["cases"][0]["id"] = [data["cases"][0]["id"]]
+    path.write_text(json.dumps(data))
+    assert any("no such case" in p for p in vectors.check_vectors(tmp_path))
+
+
 def test_emitted_file_is_deterministic(tmp_path):
     a = vectors.emit_vectors(tmp_path / "a").read_bytes()
     b = vectors.emit_vectors(tmp_path / "b").read_bytes()
