@@ -21,6 +21,8 @@ from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import orjson
+
 from . import scenario as steps
 from .accountant import Accountant
 from .encoding import canonical_digest
@@ -245,11 +247,33 @@ def _unavailable(summary: str) -> dict:
     return _result(summary, False, "EvidenceUnavailable")
 
 
+#: ``json.dumps(indent=2, sort_keys=True)``'s layout; a dataclass or a
+#: datetime goes to orjson's refusal, as ``json.dumps`` refuses it.
+_ORJSON_OPTIONS = (
+    orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_PASSTHROUGH_DATETIME
+)
+
+
 def render_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     the values reports are made of: dicts with str keys, lists, tuples, str,
-    int, bool and None. Anything else, a non-str key included, raises
-    TypeError. (On this indent, ``json.dumps`` runs its pure-Python encoder.)"""
+    int, bool and None. A non-str key or a value of another type raises
+    TypeError, except that orjson renders a float, an enum member and a
+    UUID, where ``_write`` raises. No report holds one, and the frozen
+    output pins would show one.
+
+    orjson writes the text. ``_write`` writes it only where orjson cannot
+    give those bytes: a value orjson refuses (an int outside 64 bits, a
+    lone surrogate, nesting deeper than 255, a non-str key, an unsupported
+    type), or a text holding a character ``ensure_ascii`` escapes (any
+    non-ASCII character, or U+007F)."""
+    try:
+        text = orjson.dumps(value, option=_ORJSON_OPTIONS)
+    except TypeError:
+        pass
+    else:
+        if text.isascii() and b"\x7f" not in text:
+            return text.decode()
     parts: list[str] = []
     _write(value, parts.append, "\n")
     return "".join(parts)

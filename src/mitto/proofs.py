@@ -207,19 +207,13 @@ class WcertBundle:
 
 def prove_wcert(
     signer: KeyPair,
-    public_input: WcertPublicInput,
+    quality: int,
     bt_list: tuple[bytes, ...],
+    last_block_hash: Digest,
     proofdata: tuple[Digest, ...],
 ) -> Proof:
-    """Bundle the epoch witness and sign the public input.
-
-    Raises InconsistentWitness when the witness does not reproduce the roots
-    the public input names.
-    """
-    if merkle_root([hash_bytes(bt) for bt in bt_list]) != public_input.bt_list_root:
-        raise InconsistentWitness("backward-transfer list does not match bt_list_root")
-    if merkle_root(proofdata) != public_input.proofdata_root:
-        raise InconsistentWitness("proofdata does not match proofdata_root")
+    """Bundle the epoch witness and sign the public input it states."""
+    public_input = make_wcert_input(quality, bt_list, last_block_hash, proofdata)
     bundle = WcertBundle(bt_list=bt_list, proofdata=proofdata, signature=signer.sign(canonical_digest(public_input)))
     return Proof(scheme_id=SCHEME_SIM_MERKLE, body=bundle.encode())
 

@@ -372,7 +372,6 @@ class Assert(Step, op="assert"):
 
 STEP_OPS = tuple(STEP_TYPES)
 TAMPERS = {op: cls.tampers for op, cls in STEP_TYPES.items() if cls.tampers}
-CSW_MODES = tuple(Csw.modes)
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,6 @@ from .proofs import (
     claim_proofdata,
     csw_nullifier,
     make_csw_input,
-    make_wcert_input,
     prove_csw,
     prove_wcert,
     sim_merkle_vk,
@@ -214,8 +213,7 @@ class Sidechain:
         if last_block_hash is None:
             last_block_hash = self.mainchain.wcert_anchor_hash(self.sc_id, epoch)
         proofdata = (tree.root, committed.root)
-        public_input = make_wcert_input(quality, (), last_block_hash, proofdata)
-        proof = prove_wcert(self.wcert_signer, public_input, (), proofdata)
+        proof = prove_wcert(self.wcert_signer, quality, (), last_block_hash, proofdata)
         return WithdrawalCertificate(
             ledger_id=self.sc_id,
             epoch_id=epoch,

@@ -580,8 +580,9 @@ def check_vectors(directory: str | Path) -> list[str]:
     data = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         return [f"{path}: top level must be an object, got {type(data).__name__}"]
-    if data.get("format") != FORMAT:
-        return [f"{path}: unsupported format {data.get('format')!r}"]
+    format_ = data.get("format")
+    if type(format_) is not int or format_ != FORMAT:  # true and 1.0 equal 1
+        return [f"{path}: unsupported format {format_!r}"]
     entries = data.get("cases", [])
     if not isinstance(entries, list) or not all(isinstance(entry, dict) for entry in entries):
         return [f"{path}: 'cases' must be a list of objects"]

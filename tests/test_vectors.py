@@ -119,9 +119,11 @@ def test_check_flags_missing_and_unknown_cases(tmp_path):
 
 
 def test_check_rejects_wrong_format(tmp_path):
-    (tmp_path / vectors.FILE_NAME).write_text(json.dumps({"format": 9, "cases": []}))
-    problems = vectors.check_vectors(tmp_path)
-    assert problems and "format" in problems[0]
+    # ``true`` and ``1.0`` equal 1 in Python, and are still not format 1.
+    for format_ in (9, True, 1.0, "1", None):
+        (tmp_path / vectors.FILE_NAME).write_text(json.dumps({"format": format_, "cases": []}))
+        problems = vectors.check_vectors(tmp_path)
+        assert problems and "format" in problems[0], format_
 
 
 def test_check_reports_an_unhashable_case_id(tmp_path):

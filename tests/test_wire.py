@@ -30,7 +30,16 @@ from mitto.encoding import (
 from mitto import hashing
 from mitto.hashing import Digest, hash_bytes
 from mitto.keys import PubKey
-from mitto.proofs import CswBundle, StateAnchor, prove_csw, prove_wcert, sim_merkle_vk, verify_csw, verify_wcert
+from mitto.proofs import (
+    CswBundle,
+    StateAnchor,
+    make_wcert_input,
+    prove_csw,
+    prove_wcert,
+    sim_merkle_vk,
+    verify_csw,
+    verify_wcert,
+)
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "wire_vectors.json").read_text())
 SAMPLES = wire_samples()
@@ -55,7 +64,7 @@ def _proved(name: str):
     witness = bundle_witnesses()[name]
     if name.startswith("WcertBundle/"):
         signer, prove, verify = WCERT_SIGNER, prove_wcert, verify_wcert
-        public_input = witness[0]
+        public_input = make_wcert_input(*witness)
     else:
         signer, prove, verify = CSW_SIGNER, prove_csw, verify_csw
         public_input = witness[1]

@@ -104,11 +104,11 @@ def _csw_witness(claim: CswClaim, amount: int) -> tuple:
 
 def bundle_witnesses() -> dict:
     """Name -> the prover arguments of one honest proof bundle:
-    (public input, bt_list, proofdata) for a certificate bundle,
+    (quality, bt_list, last block hash, proofdata) for a certificate bundle,
     (sc_id, public input, claim) for a withdrawal bundle."""
     proofdata = (_h("msg-root"), _h("state-root"))
     out = {
-        f"WcertBundle/{name}": (make_wcert_input(3, bt_list, _h("last-block"), proofdata), bt_list, proofdata)
+        f"WcertBundle/{name}": (3, bt_list, _h("last-block"), proofdata)
         for name, bt_list in (("empty", ()), ("transfers", (b"bt-1", b"")))
     }
 
@@ -156,10 +156,9 @@ def _bundle_samples() -> dict:
     out = {}
     for name, witness in bundle_witnesses().items():
         if name.startswith("WcertBundle/"):
-            public_input, bt_list, proofdata = witness
-            out[name] = WcertBundle(
-                bt_list=bt_list, proofdata=proofdata, signature=WCERT_SIGNER.sign(canonical_digest(public_input))
-            )
+            _, bt_list, _, proofdata = witness
+            signature = WCERT_SIGNER.sign(canonical_digest(make_wcert_input(*witness)))
+            out[name] = WcertBundle(bt_list=bt_list, proofdata=proofdata, signature=signature)
             continue
         sc_id, public_input, claim = witness
         entity_digest = hash_bytes(claim.entity_bytes)
