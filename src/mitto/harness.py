@@ -171,23 +171,20 @@ class World:
             return first
         raise HarnessError(f"chain {label}: holds {total} of {name!r}, step needs {amount}")
 
-    def snapshot_for_accountant(self) -> dict:
-        """Per chain, references to what the accountant audits: status, live
-        ledger, the ledger committed at the final epoch once ceased (else
-        None) and the settlement chain's used nullifiers. Copies nothing, so
-        it costs O(chains)."""
+    def snapshot_for_accountant(self) -> dict[str, tuple]:
+        """Per chain, references to what the accountant audits: ``(status,
+        live ledger, the ledger committed at the final epoch once ceased
+        (else None), the settlement chain's used nullifiers)``. Copies
+        nothing, so it costs O(chains)."""
+        record_of = self.mainchain.record
         out = {}
         for label, chain in self.chains.items():
-            record = self.mainchain.record(chain.sc_id)
+            record = record_of(chain.sc_id)
+            status = record.status
             frozen = None
-            if record.status == STATUS_CEASED and record.last_epoch is not None:
+            if status == STATUS_CEASED and record.last_epoch is not None:
                 frozen = final_ledger(chain)
-            out[label] = {
-                "status": record.status,
-                "live": self.states[label],
-                "frozen": frozen,
-                "used_nullifiers": record.used_nullifiers,
-            }
+            out[label] = (status, self.states[label], frozen, record.used_nullifiers)
         return out
 
     def write_marks(self) -> WriteMarks:
@@ -197,22 +194,18 @@ class World:
         chain's nullifier sets and pending withdrawals, plus the scalar
         fields the chain dumps read and each chain's settlement record.
         Costs O(chains), not O(held state)."""
-        boxes = [self.mainchain._pending_csws]
+        mainchain = self.mainchain
+        record_of = mainchain.record
+        boxes = [mainchain._pending_csws]
         scalars = []
         for chain in self.chains.values():
-            record = self.mainchain.record(chain.sc_id)
-            scalars.append((chain.sc_id, chain.label, record.status, record.pending_cert, record.last_epoch))
+            record = record_of(chain.sc_id)
             boxes += (chain.redeemed, chain.outbox, chain.epochs, chain.handlers, record.used_nullifiers)
+            scalars += (chain.sc_id, chain.label, record.status, record.pending_cert, record.last_epoch)
             for state in chain.handlers.values():
-                scalars.append((state.sc_id, state.variant))
-                boxes += (
-                    state.s_tks,
-                    state.s_sent,
-                    state.issued_totals,
-                    state.issued_token_ids,
-                    state.registry._names,
-                )
-        return WriteMarks(boxes, tuple(scalars))
+                boxes += (state.s_tks, state.s_sent, state.issued_totals, state.issued_token_ids, state.registry._names)
+                scalars += (state.sc_id, state.variant)
+        return WriteMarks(boxes, scalars)
 
     def dump(self) -> dict:
         chains = {}

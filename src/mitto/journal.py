@@ -2,9 +2,10 @@
 
 Each container is a plain ``dict``, ``set`` or ``list`` whose mutating
 methods also bump a per-container ``writes`` counter; reads stay the
-inherited C methods. A ``WriteMarks`` records where a group of containers
-stood at one moment (each held by identity, with its counter) together
-with plain scalar fields, so comparing two marks tells whether anything was
+inherited C methods, and every write also bumps one count shared by all
+containers. A ``WriteMarks`` records where a group of containers stood at
+one moment (each held by identity) together with plain scalar fields and
+the shared count, so comparing two marks tells whether anything was
 written or rebound in between without looking at the contents. That is how
 the scenario runner proves a rejected transaction left no trace, at a cost
 set by the number of containers rather than by what they hold.
@@ -20,6 +21,13 @@ every write through ``_write`` (runs before the write, with the keys it
 touches) and ``_wrote`` (runs after).
 """
 from __future__ import annotations
+
+from operator import is_
+
+# Writes made so far to every journaled container of the process. The
+# simulator runs in one thread, so two marks taken around a stretch of code
+# differ here exactly when that code wrote a journaled container.
+_clock = 0
 
 
 def _recording(method, keys_of):
@@ -75,6 +83,8 @@ class _Journal:
         self.writes = 0
 
     def _write(self, keys) -> None:
+        global _clock
+        _clock += 1
         self.writes += 1
 
     def _wrote(self, keys) -> None:
@@ -90,6 +100,8 @@ class _KeyedJournal(_Journal):
         self.drained_at = 0
 
     def _write(self, keys) -> None:
+        global _clock
+        _clock += 1
         self.writes += 1
         if self.written is not None:
             self.written.update(keys)
@@ -174,16 +186,18 @@ class JournalList(_Journal, list):
 
 
 class WriteMarks:
-    """Containers held by identity with their write counts, plus scalar
-    fields compared by value. Two marks are equal only if the same
-    containers were seen, none of them was written in between, and every
-    scalar is unchanged."""
+    """Containers held by identity and scalar fields compared by value, with
+    the count of writes made to every journaled container so far. Two marks
+    are equal only if no journaled container was written in between (these
+    or any other), the same containers were seen in the same order, and
+    every scalar is unchanged. Taking a mark reads no container, only the
+    fields that hold them."""
 
     __slots__ = ("_boxes", "_writes", "_scalars")
 
-    def __init__(self, boxes: list, scalars: tuple) -> None:
+    def __init__(self, boxes: list, scalars: list) -> None:
         self._boxes = boxes
-        self._writes = [box.writes for box in boxes]
+        self._writes = _clock
         self._scalars = scalars
 
     def __eq__(self, other) -> bool:
@@ -193,5 +207,6 @@ class WriteMarks:
             self._writes == other._writes
             and self._scalars == other._scalars
             and len(self._boxes) == len(other._boxes)
-            and all(a is b for a, b in zip(self._boxes, other._boxes))
+            and all(map(is_, self._boxes, other._boxes))
         )
+

@@ -18,7 +18,9 @@ class Verdict:
 
     @classmethod
     def ok(cls) -> "Verdict":
-        return cls(accepted=True)
+        """The one accepted verdict, shared: verdicts are frozen and never
+        compared by identity."""
+        return _ACCEPTED
 
     @classmethod
     def rejected(cls, reason: str, rule: str | None = None) -> "Verdict":
@@ -30,6 +32,8 @@ class Verdict:
             out["rule"] = self.rule
         return out
 
+
+_ACCEPTED = Verdict(accepted=True)
 
 # Settlement-layer rejections.
 SIDECHAIN_CEASED = "SidechainCeased"

@@ -18,20 +18,20 @@ from mitto.proofs import csw_nullifier
 from mitto.tokens import VARIANT_NO_RECEIVER_TRACKING, VARIANT_NO_SENT_RECORDS
 
 
-def dump_snapshot(snapshot: dict[str, dict]) -> dict[str, dict]:
+def dump_snapshot(snapshot: dict[str, tuple]) -> dict[str, dict]:
     """The JSON form of ``World.snapshot_for_accountant``'s references."""
     return {
         label: {
-            "status": entry["status"],
-            "live": entry["live"].dump(),
-            "frozen": None if entry["frozen"] is None else entry["frozen"].dump(),
-            "used_nullifiers": {n.hex() for n in entry["used_nullifiers"]},
+            "status": status,
+            "live": live.dump(),
+            "frozen": None if frozen is None else frozen.dump(),
+            "used_nullifiers": {n.hex() for n in used},
         }
-        for label, entry in snapshot.items()
+        for label, (status, live, frozen, used) in snapshot.items()
     }
 
 
-def reference_check(accountant: Accountant, snapshot: dict[str, dict]) -> list[str]:
+def reference_check(accountant: Accountant, snapshot: dict[str, tuple]) -> list[str]:
     """The standing invariants, re-derived from full dumps of ``snapshot``."""
     dumps = dump_snapshot(snapshot)
     violations = []
@@ -91,6 +91,34 @@ def reference_check(accountant: Accountant, snapshot: dict[str, dict]) -> list[s
                         )
                     seen[token_id] = label
     return violations
+
+
+def reference_tallies(accountant: Accountant, snapshot: dict[str, tuple]) -> tuple[dict, dict]:
+    """What the incremental books should hold, re-derived from full dumps
+    of ``snapshot``: per honest chain, its held units by name and its
+    recorded units by name and receiver; and per name, the NFT ids that more
+    than one instance of the honest books holds."""
+    books = {}
+    holders: dict[tuple[str, int], int] = {}
+    for label, entry in dump_snapshot(snapshot).items():
+        if accountant.chains[label].byzantine:
+            continue
+        book = _effective_book(accountant, label, entry)
+        names = {e["token_name"] for e in book.get("s_tks", [])}
+        recorded = {e["token_name"] for e in book.get("s_sent", [])}
+        books[label] = (
+            {name: _held_units(book, name) for name in names},
+            {name: _record_units(book, name) for name in recorded},
+        )
+        for e in book.get("s_tks", []):
+            if not e["fungibility"]:
+                key = (e["token_name"], e["token_id"])
+                holders[key] = holders.get(key, 0) + 1
+    crowded: dict[str, set[int]] = {}
+    for (name, token_id), count in holders.items():
+        if count > 1:
+            crowded.setdefault(name, set()).add(token_id)
+    return books, crowded
 
 
 def _effective_book(accountant: Accountant, label: str, entry: dict) -> dict:

@@ -7,6 +7,7 @@ from dataclasses import dataclass, replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from accountant_reference import reference_check, reference_tallies
 from oracles import OracleRunner
 from worlds import SCENARIO_DIR
 
@@ -17,12 +18,12 @@ from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
 from mitto.harness import HarnessError, Runner, dump_state, render_json, render_report
 from mitto.hashing import hash_bytes
 from mitto.journal import JournalDict, JournalList, JournalSet
-from mitto.mainchain import STATUS_CEASED, Mainchain
+from mitto.mainchain import STATUS_ALIVE, STATUS_CEASED, Mainchain
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
-from mitto.proofs import CswBundle
+from mitto.proofs import CswBundle, csw_nullifier
 from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, ParseError, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
-from mitto.tokens import Holdings, MittoState, TokenInstance, final_ledger
+from mitto.tokens import Holdings, MittoState, SentRecord, TokenInstance, final_ledger
 
 
 def scenario_obj(steps, chains=None, name="inline", seed=3, **extra) -> dict:
@@ -508,12 +509,35 @@ def _rebind_sent(chain, _tx):
     state.s_sent = JournalDict(state.s_sent)
 
 
+def _append_outbox(chain, tx):
+    chain.outbox.append((tx.message, tx.payload))
+
+
+def _drop_held(chain, _tx):
+    held = chain.handlers[MSG_TYPE_TOKEN_TRANSFER].s_tks
+    del held[min(held)]
+
+
+def _register_name(chain, _tx):
+    chain.handlers[MSG_TYPE_TOKEN_TRANSFER].registry._names["GHOST"] = (True, chain.sc_id)
+
+
+def _rebind_redeemed(chain, _tx):
+    chain.redeemed = JournalSet(chain.redeemed)
+
+
 def _add_redeemed(chain, _tx):
     chain.redeemed.add(hash_bytes(b"leak%d" % len(chain.redeemed)))
 
 
 def _append_epoch(chain, _tx):
     chain.epochs.append(chain.epochs[-1])
+
+
+def _write_archived(chain, _tx):
+    """An archived ledger is none of the containers a mark holds; only the
+    write count all journaled containers share sees this write."""
+    final_ledger(chain).issued_totals["GHOST"] = 1
 
 
 def _add_nullifier(mainchain, submission):
@@ -533,10 +557,15 @@ def _hold_certificate(mainchain, cert):
 LEAKS = [
     ("send", 1, Sidechain, "accept_send", _bump_issued, True),
     ("send", 1, Sidechain, "accept_send", _rebind_sent, False),
+    ("send", 1, Sidechain, "accept_send", _append_outbox, True),
+    ("send", 1, Sidechain, "accept_send", _drop_held, True),
+    ("send", 1, Sidechain, "accept_send", _register_name, True),
     ("redeem", 6, Sidechain, "accept_redeem", _add_redeemed, True),
+    ("redeem", 6, Sidechain, "accept_redeem", _rebind_redeemed, False),
     ("csw", 10, Mainchain, "submit_csw", _add_nullifier, False),
     ("csw", 10, Mainchain, "submit_csw", _queue_csw, False),
     ("csw_redeem", 13, Sidechain, "accept_csw_redeem", _append_epoch, True),
+    ("csw_redeem", 13, Sidechain, "accept_csw_redeem", _write_archived, False),
     ("close_epoch", 14, Mainchain, "submit_certificate", _add_nullifier, False),
     ("close_epoch", 14, Mainchain, "submit_certificate", _hold_certificate, False),
 ]
@@ -974,7 +1003,8 @@ def test_close_captures_and_a_ceased_ledger_is_built_once(counted):
     check = runner.world.accountant.check
 
     def noting(snapshot):
-        frozen.append(snapshot["alpha"]["frozen"])
+        _status, _live, ledger, _used = snapshot["alpha"]
+        frozen.append(ledger)
         return check(snapshot)
 
     runner.world.accountant.check = noting
@@ -1032,18 +1062,26 @@ def test_hashes_per_close_at_two_world_sizes(monkeypatch, n, hashes):
     assert [count for step, count in zip(scenario.steps, per_step) if step.op == "close_epoch"] == hashes
 
 
+def _count_mirrored(monkeypatch, mirrored: list) -> None:
+    """Append ``(sc_id, container, key)`` to ``mirrored`` for each key a
+    shadow book mirrors, held instances and sent records alike."""
+    for container in ("held", "sent"):
+        original = getattr(accountant_module._Book, f"_mirror_{container}")
+
+        def counting(book, source, keys, moved, _original=original, _container=container):
+            keys = list(keys)
+            mirrored.extend((book.sc_id, _container, key) for key in keys)
+            _original(book, source, keys, moved)
+
+        monkeypatch.setattr(accountant_module._Book, f"_mirror_{container}", counting)
+
+
 @pytest.mark.parametrize("n", [20, 200])
 def test_accountant_resyncs_only_written_keys(monkeypatch, n):
     """After the first step builds the books, each step resyncs the few
     ledger keys it wrote, however many the chains hold."""
     resynced = []
-    mirror = accountant_module._mirror
-
-    def counting(mine, source, keys_, drop, add):
-        resynced.extend(keys_)
-        mirror(mine, source, keys_, drop, add)
-
-    monkeypatch.setattr(accountant_module, "_mirror", counting)
+    _count_mirrored(monkeypatch, resynced)
     per_step = _per_step(Runner(parse_scenario(scale_nft_shape(n))), resynced)
     assert per_step[0] == n  # the first look mirrors alpha's n issued instances
     by_op = {}
@@ -1051,6 +1089,201 @@ def test_accountant_resyncs_only_written_keys(monkeypatch, n):
         by_op.setdefault(op, set()).add(count)
     # A send burns one instance and writes one sent record; a redeem mints one.
     assert by_op == {"send": {2}, "advance_mainchain": {0}, "close_epoch": {0}, "redeem": {1}}
+
+
+def test_sweep_reads_only_what_each_step_changed(monkeypatch):
+    """After the first sweep, each sweep mirrors exactly the ledger keys
+    whose entries the step changed, and re-derives the invariants of the
+    names that moved and no other: an advance_mainchain (two empty blocks,
+    then two that finalize certificates) or a close writes no ledger, so
+    its sweep mirrors no key and re-derives nothing."""
+    mirrored, derived = [], []
+    _count_mirrored(monkeypatch, mirrored)
+    derive = Accountant._derive
+
+    def deriving(accountant, name):
+        derived.append(name)
+        return derive(accountant, name)
+
+    monkeypatch.setattr(Accountant, "_derive", deriving)
+    scenario = parse_scenario(scale_nft_shape(20))
+    runner = Runner(scenario)
+    states = runner.world.states.values()
+
+    def ledgers() -> dict:
+        return {
+            **{(state.sc_id, "held"): dict(state.s_tks) for state in states},
+            **{(state.sc_id, "sent"): dict(state.s_sent) for state in states},
+        }
+
+    before = [ledgers()]
+    swept = []
+    check = runner.world.accountant.check
+
+    def sweep(snapshot):
+        mirrored.clear()
+        derived.clear()
+        findings = check(snapshot)
+        after = ledgers()
+        changed = {
+            (*where, key)
+            for where, entries in after.items()
+            for key in entries.keys() | before[0][where].keys()
+            if entries.get(key) is not before[0][where].get(key)
+        }
+        before[0] = after
+        swept.append((sorted(mirrored), sorted(changed), list(derived)))
+        return findings
+
+    runner.world.accountant.check = sweep
+    assert runner.run()["ok"] is True
+    assert len(swept[0][0]) == 19 + 1  # the first look: the instances the first send left, and its record
+    by_op = {}
+    for step, (keys, changed, names) in zip(scenario.steps[1:], swept[1:]):
+        assert keys == changed, step.op
+        by_op.setdefault(step.op, set()).add((len(keys), tuple(names)))
+    assert by_op == {
+        "send": {(2, ("ART",))},
+        "advance_mainchain": {(0, ())},
+        "close_epoch": {(0, ())},
+        "redeem": {(1, ("ART",))},
+    }
+
+
+# -- accountant: the sweep against its reference under arbitrary ledger writes --
+#
+# A two-chain world with one finalized epoch each, so each has a committed
+# ledger to fall back on once its status says ceased. Writes reach the live
+# and the committed ledgers, their rebindings, each chain's status and its
+# used nullifiers, between sweeps drawn anywhere in the sequence.
+
+SWEPT_WORLD = scenario_obj(
+    [{"op": "advance_mainchain", "blocks": 2}, {"op": "close_epoch"}, {"op": "advance_mainchain", "blocks": 2}],
+    chains=[
+        {"label": "alpha", "epoch_length": 2, "issuances": [
+            {"name": "GLD", "fungible": True, "amount": 50, "owner": "alice"},
+            *({"name": "ART", "fungible": False, "token_id": i, "owner": "alice"} for i in range(2))]},
+        {"label": "beta", "epoch_length": 2,
+         "issuances": [{"name": "SLV", "fungible": True, "amount": 20, "owner": "bob"}]},
+    ],
+)
+_SWEPT_CHAINS = ("alpha", "beta")
+_SWEPT_LEDGERS = ("live", "frozen")
+
+
+def _swept_world():
+    """The world, and its pools: keys (alpha's issued digests, beta's and
+    two fresh ones), instances (the issued ones, an NFT twin of alpha's
+    id 0, a fungible parcel of each name) and sent records by key."""
+    runner = Runner(parse_scenario(SWEPT_WORLD))
+    assert runner.run()["ok"] is True
+    world = runner.world
+    issued = [instance for state in world.states.values() for instance in state.s_tks.values()]
+    keys = [canonical_digest(instance) for instance in issued] + [hash_bytes(b"fresh0"), hash_bytes(b"fresh1")]
+    gld, art0 = issued[0], next(i for i in issued if i.token_id == 0)
+    instances = issued + [
+        replace(art0, data_hash=hash_bytes(b"twin")),
+        replace(gld, amount=30, data_hash=hash_bytes(b"parcel")),
+        replace(issued[-1], amount=5, data_hash=hash_bytes(b"parcel")),
+    ]
+    beta = world.chains["beta"].sc_id
+    records = {
+        ("f", beta, "GLD"): [SentRecord(beta, "GLD", True, amount=20), SentRecord(beta, "GLD", True, amount=5)],
+        ("n", "ART", 0): [SentRecord(beta, "ART", False, token_id=0)],
+    }
+    return world, keys, instances, records
+
+
+_SWEEP_OPS = st.one_of(
+    st.just(("sweep",)),
+    st.tuples(st.just("put"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS),
+              st.integers(0, 5), st.integers(0, 6)),
+    st.tuples(st.just("delete"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS), st.integers(0, 5)),
+    st.tuples(st.just("record"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS),
+              st.integers(0, 1), st.integers(0, 1)),
+    st.tuples(st.just("unrecord"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS), st.integers(0, 1)),
+    st.tuples(st.just("rebind"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS),
+              st.sampled_from(("s_tks", "s_sent"))),
+    st.tuples(st.just("status"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from((STATUS_ALIVE, STATUS_CEASED))),
+    st.tuples(st.sampled_from(("use", "unuse")), st.sampled_from(_SWEPT_CHAINS), st.integers(0, 5)),
+)
+
+
+def _sweeps(ops) -> list[list[str]]:
+    """Apply ``ops`` to a fresh swept world; at each ``sweep`` and at the
+    end, hold ``Accountant.check`` and its books' tallies to the reference
+    on one snapshot. Return the findings of each sweep."""
+    world, keys, instances, records = _swept_world()
+    accountant = world.accountant
+    found = []
+    for op in [*ops, ("sweep",)]:
+        kind, args = op[0], op[1:]
+        if kind == "sweep":
+            snapshot = world.snapshot_for_accountant()
+            found.append(accountant.check(snapshot))
+            assert found[-1] == reference_check(accountant, snapshot), ops
+            books = {
+                label: (book.held, {name: units for name, units in book.recorded.items() if units})
+                for label, book in accountant._books.items()
+            }
+            crowded = {name: ids for name, ids in accountant._crowded.items() if ids}
+            assert (books, crowded) == reference_tallies(accountant, snapshot), ops
+            continue
+        chain = world.chains[args[0]]
+        record = world.mainchain.record(chain.sc_id)
+        if kind == "status":
+            record.status = args[1]
+        elif kind in ("use", "unuse"):
+            nullifier = csw_nullifier(chain.sc_id, keys[args[1]])
+            record.used_nullifiers.add(nullifier) if kind == "use" else record.used_nullifiers.discard(nullifier)
+        else:
+            ledger = world.states[args[0]] if args[1] == "live" else final_ledger(chain)
+            rest = args[2:]
+            if kind == "put":
+                ledger.s_tks[keys[rest[0]]] = instances[rest[1]]
+            elif kind == "delete":
+                ledger.s_tks.pop(keys[rest[0]], None)
+            elif kind == "record":
+                key = list(records)[rest[0]]
+                ledger.s_sent[key] = records[key][rest[1] % len(records[key])]
+            elif kind == "unrecord":
+                ledger.s_sent.pop(list(records)[rest[0]], None)
+            elif rest[0] == "s_tks":
+                ledger.s_tks = Holdings(ledger.s_tks)
+            else:
+                ledger.s_sent = JournalDict(ledger.s_sent)
+    return found
+
+
+SWEEP = ("sweep",)
+# Keys 0-2 are alpha's GLD, ART 0 and ART 1, key 3 beta's SLV; instance 4
+# is the twin of ART 0 and 5 a GLD parcel.
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@example([SWEEP, ("put", "alpha", "live", 0, 5), SWEEP])  # overwritten with another instance
+@example([SWEEP, ("delete", "alpha", "live", 1), ("put", "alpha", "live", 1, 1), SWEEP,
+          ("delete", "beta", "live", 3), ("put", "beta", "live", 3, 5), SWEEP])  # deleted, reinserted
+@example([SWEEP, ("rebind", "alpha", "live", "s_tks"), ("put", "alpha", "live", 4, 5), SWEEP,
+          ("rebind", "alpha", "live", "s_sent"), ("record", "alpha", "live", 0, 0), SWEEP])
+@example([SWEEP, ("status", "alpha", STATUS_CEASED), SWEEP, ("put", "alpha", "frozen", 4, 4), SWEEP,
+          ("rebind", "alpha", "frozen", "s_tks"), SWEEP, ("status", "alpha", STATUS_ALIVE), SWEEP])
+@example([("status", "beta", STATUS_CEASED), SWEEP, ("use", "beta", 3), SWEEP, ("unuse", "beta", 3), SWEEP,
+          ("use", "beta", 3), SWEEP, ("put", "beta", "frozen", 5, 5), SWEEP])  # nullifiers used, then removed
+@example([("put", "alpha", "live", 5, 5), ("put", "alpha", "frozen", 5, 5), SWEEP,
+          ("status", "alpha", STATUS_CEASED), SWEEP])  # a finding that only the issuer's status ends
+@example([("record", "alpha", "live", 0, 0), ("put", "beta", "live", 5, 5), SWEEP,
+          ("unrecord", "alpha", "live", 0), SWEEP])  # a finding that only a sent record moves
+@given(st.lists(_SWEEP_OPS, max_size=14))
+def test_sweep_agrees_with_reference_under_arbitrary_writes(ops):
+    _sweeps(ops)
+
+
+def test_sweep_uniqueness_finding_appears_and_clears():
+    """ART id 0 held on both chains is a finding while it lasts."""
+    found = _sweeps([SWEEP, ("put", "beta", "live", 4, 4), SWEEP, ("delete", "beta", "live", 4)])
+    assert found[0] == found[2] == []
+    assert "nft-uniqueness: 'ART' id 0 live on both alpha and beta" in found[1]
 
 
 class _FaultAfterStep(OracleRunner):
