@@ -4,24 +4,28 @@
 The file pins the SHA-256 of every output a change must leave byte-identical
 unless it moves it on purpose: each bundled scenario's report (as
 ``mitto run --json-report`` writes it) and final-state dump (as ``mitto run
---dump`` writes it), and the vector file ``mitto vectors`` emits. The
+--dump`` writes it), the vector file ``mitto vectors`` emits, and what
+``mitto fuzz --traces 200 --seed 7`` prints. The
 acceptance tests compare the engine against these pins, so rerun this script
 only when a change is meant to move one of those outputs, and say so.
 
 Run from the repository root: ``PYTHONPATH=src python3 scripts/pin_frozen_outputs.py``.
 """
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
 
-from mitto import vectors
+from mitto import cli, vectors
 from mitto.harness import Runner, render_json, render_report
 from mitto.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
 OUT = ROOT / "tests" / "golden" / "frozen_outputs.json"
+FUZZ_ARGS = ["fuzz", "--traces", "200", "--seed", "7"]
 
 
 def _sha256(text: str) -> str:
@@ -30,7 +34,7 @@ def _sha256(text: str) -> str:
 
 def frozen_outputs() -> dict:
     """Per bundled scenario file, the digests of its report and dump, and
-    the digest of the emitted vector file."""
+    the digests of the emitted vector file and of the fuzz run's output."""
     scenarios = {}
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         runner = Runner(load_scenario(path))
@@ -41,7 +45,13 @@ def frozen_outputs() -> dict:
         }
     with tempfile.TemporaryDirectory() as directory:
         emitted = vectors.emit_vectors(directory).read_text()
-    return {"scenarios": scenarios, vectors.FILE_NAME: _sha256(emitted)}
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        cli.main(FUZZ_ARGS)
+    return {
+        "scenarios": scenarios,
+        vectors.FILE_NAME: _sha256(emitted),
+        " ".join(["mitto", *FUZZ_ARGS]): _sha256(printed.getvalue()),
+    }
 
 
 def main() -> None:

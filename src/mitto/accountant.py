@@ -264,12 +264,12 @@ class _Book:
     """What one chain truly holds and records: its live ledger while it is
     not ceased, its final committed ledger minus already-withdrawn entities
     once it is. Keeps its own copy of the entries and running tallies of
-    them, and remembers which containers it mirrored and at what write
-    count, so a sync reads only what moved since the last one."""
+    them, and remembers which container it last read for each source, so a
+    sync reads only the keys written since (see ``_unread``)."""
 
     __slots__ = (
         "sc_id", "status", "tks", "sent", "held", "recorded", "_holders", "_crowded",
-        "_tks", "_tks_at", "_sent", "_sent_at", "_used", "_used_at", "_entity_of", "_spent",
+        "_tks", "_sent", "_used", "_entity_of", "_spent",
     )
 
     def __init__(self, sc_id: int, holders: dict, crowded: dict) -> None:
@@ -284,12 +284,10 @@ class _Book:
         # only where it can fail.
         self._holders: dict[tuple[str, int], int] = holders
         self._crowded: dict[str, set[int]] = crowded
-        # Each source container last mirrored, and its write count then. A
-        # committed ledger is never the live one, so a chain that ceases or
-        # comes back alive always changes its source.
-        self._tks, self._tks_at = None, 0
-        self._sent, self._sent_at = None, 0
-        self._used, self._used_at = None, 0
+        # The container last read for each source. A committed ledger is
+        # never the live one, so a chain that ceases or comes back alive
+        # always changes its source.
+        self._tks = self._sent = self._used = None
         self._entity_of: dict[Digest, Digest] = {}  # csw nullifier -> frozen entity digest
         self._spent: set[Digest] = set()
 
@@ -299,7 +297,9 @@ class _Book:
         ledger = frozen if ceased else live
         tks = _NOTHING if ledger is None else ledger.s_tks
         sent = _NOTHING if ledger is None else ledger.s_sent
-        if tks is not self._tks or tks.writes != self._tks_at:
+        keys = _unread(tks, self._tks)
+        if keys is None or keys:
+            self._tks = tks
             if ceased:
                 # Just ceased, rebound, or a committed ledger written: rebuild,
                 # with the one csw_nullifier pass; _spend then drops whatever
@@ -308,17 +308,15 @@ class _Book:
                 self._entity_of = {csw_nullifier(self.sc_id, digest): digest for digest in tks}
                 self._spent = set()
                 self._used = None
-            else:
-                keys = tks.drain(self._tks_at if tks is self._tks else None)
-            self._tks, self._tks_at = tks, tks.writes
             self._mirror_held(tks, self.tks.keys() | tks.keys() if keys is None else keys, moved)
-        if ceased and (used is not self._used or used.writes != self._used_at):
-            nullifiers = used.drain(self._used_at if used is self._used else None)
-            self._used, self._used_at = used, used.writes
-            self._spend(tks, used, self._spent | used if nullifiers is None else nullifiers, moved)
-        if sent is not self._sent or sent.writes != self._sent_at:
-            keys = sent.drain(self._sent_at if sent is self._sent else None)
-            self._sent, self._sent_at = sent, sent.writes
+        if ceased:
+            nullifiers = _unread(used, self._used)
+            if nullifiers is None or nullifiers:
+                self._used = used
+                self._spend(tks, used, self._spent | used if nullifiers is None else nullifiers, moved)
+        keys = _unread(sent, self._sent)
+        if keys is None or keys:
+            self._sent = sent
             self._mirror_sent(sent, self.sent.keys() | sent.keys() if keys is None else keys, moved)
 
     def _spend(self, tks: dict, used: set, nullifiers, moved: set) -> None:
@@ -416,6 +414,16 @@ class _Book:
                     by_receiver = recorded[name] = {}
                 receiver = new.receiver_sc_id
                 by_receiver[receiver] = by_receiver.get(receiver, 0) + (new.amount if new.fungibility else 1)
+
+
+def _unread(box, last) -> set | None:
+    """The keys written to ``box`` since the book last read it, where
+    ``last`` is what the book last read for that source: None (every key)
+    if ``box`` is not ``last``. Either way ``box`` records its later writes."""
+    if box is last:
+        return box.drain() if box.written else box.written
+    box.drain()
+    return None
 
 
 def _duplicate_holders(books: dict[str, _Book], name: str, crowded: set[int]) -> list[str]:

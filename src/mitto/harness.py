@@ -12,7 +12,7 @@ transaction through the same path, and its acceptance is a finding too.
 Violations of any of these are reported the same way as accountant findings
 rather than silently trusted. After each step the accountant is handed
 references to every ledger and brings its own shadow books up to date
-from the containers whose write counters moved, so neither check dumps
+from the keys each container recorded as written, so neither check dumps
 the world.
 """
 from __future__ import annotations

@@ -1,32 +1,31 @@
 """Write-counting containers for chain state.
 
 Each container is a plain ``dict``, ``set`` or ``list`` whose mutating
-methods also bump a per-container ``writes`` counter; reads stay the
-inherited C methods, and every write also bumps one count shared by all
-containers. A ``WriteMarks`` records where a group of containers stood at
-one moment (each held by identity) together with plain scalar fields and
-the shared count, so comparing two marks tells whether anything was
-written or rebound in between without looking at the contents. That is how
-the scenario runner proves a rejected transaction left no trace, at a cost
-set by the number of containers rather than by what they hold.
+methods also bump one write count shared by all containers; reads stay the
+inherited C methods. A ``WriteMarks`` records where a group of containers
+stood at one moment (each held by identity) together with plain scalar
+fields and the shared count, so comparing two marks tells whether anything
+was written or rebound in between without looking at the contents. That is
+how the scenario runner proves a rejected transaction left no trace, at a
+cost set by the number of containers rather than by what they hold.
 
-A ``JournalDict`` or ``JournalSet`` also records which keys (dict keys, set
-elements) its writes touched since a reader last drained it, so a reader
-that mirrors the container (the accountant's shadow books) resyncs only
-those keys. A write may record a key it did not change (``clear`` records
-every key), never the other way round. Recording starts at the first
-drain: until a reader has mirrored the container once, no reader needs it.
-A ``JournalDict`` subclass can keep an index of its values in step with
-every write through ``_write`` (runs before the write, with the keys it
-touches) and ``_wrote`` (runs after).
+A ``JournalDict`` or ``JournalSet`` also records the keys (dict keys, set
+elements) written after its one reader, the accountant's shadow book that
+mirrors it, last drained it, so the book resyncs only those keys. A write
+may record a key it did not change (``clear`` records every key), never the
+other way round. Recording starts at the first drain. A ``JournalDict``
+subclass can keep an index of its values in step with every write through
+``_write`` (runs before the write, with the keys it touches) and ``_wrote``
+(runs after).
 """
 from __future__ import annotations
 
 from operator import is_
 
-# Writes made so far to every journaled container of the process. The
-# simulator runs in one thread, so two marks taken around a stretch of code
-# differ here exactly when that code wrote a journaled container.
+# The shared write count: every write to any journaled container of the
+# process so far. The simulator runs in one thread, so two marks taken
+# around a stretch of code differ here exactly when that code wrote a
+# journaled container.
 _clock = 0
 
 
@@ -78,14 +77,9 @@ def _other(box, other):
 class _Journal:
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.writes = 0
-
     def _write(self, keys) -> None:
         global _clock
         _clock += 1
-        self.writes += 1
 
     def _wrote(self, keys) -> None:
         pass
@@ -97,23 +91,18 @@ class _KeyedJournal(_Journal):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.written: set | None = None
-        self.drained_at = 0
 
     def _write(self, keys) -> None:
         global _clock
         _clock += 1
-        self.writes += 1
         if self.written is not None:
             self.written.update(keys)
 
-    def drain(self, since: int | None) -> set | None:
-        """Start a new record of written keys. Return the old record if it
-        began when the container stood at ``since`` writes, else None (this
-        is the first drain, a different reader drained in between, or
-        ``since`` is None)."""
-        keys = self.written if since is not None and since == self.drained_at else None
+    def drain(self) -> set | None:
+        """Return the keys written after the last drain (None before the
+        first) and start a new record."""
+        keys = self.written
         self.written = set()
-        self.drained_at = self.writes
         return keys
 
 
@@ -126,7 +115,7 @@ class _KeyedJournal(_Journal):
     clear=_every,
 )
 class JournalDict(_KeyedJournal, dict):
-    __slots__ = ("writes", "written", "drained_at")
+    __slots__ = ("written",)
 
     def update(self, *args, **kwargs) -> None:
         items = dict(*args, **kwargs)
@@ -151,7 +140,7 @@ class JournalDict(_KeyedJournal, dict):
     __ixor__=_other,
 )
 class JournalSet(_KeyedJournal, set):
-    __slots__ = ("writes", "written", "drained_at")
+    __slots__ = ("written",)
 
     def pop(self):
         self._write(())
@@ -182,29 +171,28 @@ class JournalSet(_KeyedJournal, set):
     _none,
 ))
 class JournalList(_Journal, list):
-    __slots__ = ("writes",)
+    __slots__ = ()
 
 
 class WriteMarks:
     """Containers held by identity and scalar fields compared by value, with
-    the count of writes made to every journaled container so far. Two marks
-    are equal only if no journaled container was written in between (these
-    or any other), the same containers were seen in the same order, and
-    every scalar is unchanged. Taking a mark reads no container, only the
-    fields that hold them."""
+    the shared write count. Two marks are equal only if no journaled
+    container was written in between (these or any other), the same
+    containers were seen in the same order, and every scalar is unchanged.
+    Taking a mark reads no container, only the fields that hold them."""
 
-    __slots__ = ("_boxes", "_writes", "_scalars")
+    __slots__ = ("_boxes", "_clock", "_scalars")
 
     def __init__(self, boxes: list, scalars: list) -> None:
         self._boxes = boxes
-        self._writes = _clock
+        self._clock = _clock
         self._scalars = scalars
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WriteMarks):
             return NotImplemented
         return (
-            self._writes == other._writes
+            self._clock == other._clock
             and self._scalars == other._scalars
             and len(self._boxes) == len(other._boxes)
             and all(map(is_, self._boxes, other._boxes))

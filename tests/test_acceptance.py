@@ -395,9 +395,10 @@ def test_criterion_8_determinism():
 
 
 def test_frozen_outputs_match_their_pins():
-    """Every bundled report and dump and the emitted vector file hash to the
-    digests pinned in tests/golden/frozen_outputs.json. A change that moves
-    one on purpose re-pins with scripts/pin_frozen_outputs.py."""
+    """Every bundled report and dump, the emitted vector file and the
+    ``mitto fuzz --traces 200 --seed 7`` output hash to the digests pinned
+    in tests/golden/frozen_outputs.json. A change that moves one on purpose
+    re-pins with scripts/pin_frozen_outputs.py."""
     pinned = json.loads(FROZEN_PINS.read_text())
     produced = runpy.run_path(str(PIN_SCRIPT))["frozen_outputs"]()
     problems = []
@@ -405,6 +406,7 @@ def test_frozen_outputs_match_their_pins():
         for output in ("report", "dump"):
             if pinned["scenarios"].get(name, {}).get(output) != produced["scenarios"].get(name, {}).get(output):
                 problems.append(f"{name}: {output} differs from its pin")
-    if pinned[vectors.FILE_NAME] != produced[vectors.FILE_NAME]:
-        problems.append(f"{vectors.FILE_NAME} differs from its pin")
-    verdict(8, "reports, dumps and vector file match their pinned digests", problems)
+    for name in sorted((set(pinned) | set(produced)) - {"scenarios"}):
+        if pinned.get(name) != produced.get(name):
+            problems.append(f"{name} differs from its pin")
+    verdict(8, "reports, dumps, vector file and fuzz output match their pinned digests", problems)

@@ -12,7 +12,7 @@ from oracles import OracleRunner
 from worlds import SCENARIO_DIR
 
 from mitto import accountant as accountant_module, hashing, mainchain as mainchain_module, sidechain as sidechain_module
-from mitto import harness as harness_module
+from mitto import harness as harness_module, journal as journal_module
 from mitto.accountant import Accountant
 from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
 from mitto.harness import HarnessError, Runner, dump_state, render_json, render_report
@@ -674,38 +674,30 @@ def _changed_keys(before, after) -> set:
 
 @pytest.mark.parametrize("cls", list(MUTATIONS), ids=lambda cls: cls.__name__)
 def test_every_mutator_bumps_writes(cls):
-    """Every mutator bumps ``writes``, and a dict's or set's records every
-    key it changed."""
+    """Every mutator bumps the shared write count once, and a dict's or
+    set's record holds every key it changed."""
     base = cls.__bases__[-1]
     assert _mutators(base) == set(MUTATIONS[cls]), "a mutator of the base type is not journaled"
     for name, mutate in MUTATIONS[cls].items():
         assert name in cls.__dict__, f"{cls.__name__}.{name} is inherited, so it writes unseen"
         box = cls(SEEDS[cls])
-        assert box.writes == 0
         if cls is not JournalList:
-            box.drain(None)  # a reader mirrors it, so its writes are recorded from now on
-        before = base(box)
+            box.drain()  # a reader mirrors it, so its writes are recorded from now on
+        before, clock = base(box), journal_module._clock
         mutate(box)
-        assert box.writes == 1, name
+        assert journal_module._clock == clock + 1, name
         if cls is not JournalList:
             changed = _changed_keys(before, base(box))
-            assert changed and changed <= box.drain(0), name
+            assert changed and changed <= box.drain(), name
 
 
 def test_drain_hands_each_written_key_to_one_reader():
     box = JournalDict({"a": 0})
     box["z"] = 9  # written before any reader drained: nothing is recorded
-    assert box.drain(0) is None
+    assert box.drain() is None
     box["b"] = 1
-    assert box.drain(1) == {"b"}
-    assert box.drain(2) == set()
-    box["c"] = 2
-    other_reader = box.drain(2)
-    assert other_reader == {"c"}
-    box["d"] = 3
-    # The reader that last drained at 2 missed "c", so it is told nothing is known.
-    assert box.drain(2) is None
-    assert box.drain(4) == set()
+    assert box.drain() == {"b"}
+    assert box.drain() == set()
 
 
 # -- the oracle pass: journal against dumps, accountant against its reference --
@@ -1204,6 +1196,9 @@ _SWEEP_OPS = st.one_of(
     st.tuples(st.just("unrecord"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS), st.integers(0, 1)),
     st.tuples(st.just("rebind"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS),
               st.sampled_from(("s_tks", "s_sent"))),
+    st.tuples(st.just("restore"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from(_SWEPT_LEDGERS),
+              st.integers(0, 5), st.integers(0, 6)),
+    st.tuples(st.just("rebind_used"), st.sampled_from(_SWEPT_CHAINS)),
     st.tuples(st.just("status"), st.sampled_from(_SWEPT_CHAINS), st.sampled_from((STATUS_ALIVE, STATUS_CEASED))),
     st.tuples(st.sampled_from(("use", "unuse")), st.sampled_from(_SWEPT_CHAINS), st.integers(0, 5)),
 )
@@ -1215,6 +1210,7 @@ def _sweeps(ops) -> list[list[str]]:
     on one snapshot. Return the findings of each sweep."""
     world, keys, instances, records = _swept_world()
     accountant = world.accountant
+    detached = {}  # per (chain, ledger), the s_tks containers rebinding left behind, latest last
     found = []
     for op in [*ops, ("sweep",)]:
         kind, args = op[0], op[1:]
@@ -1236,6 +1232,8 @@ def _sweeps(ops) -> list[list[str]]:
         elif kind in ("use", "unuse"):
             nullifier = csw_nullifier(chain.sc_id, keys[args[1]])
             record.used_nullifiers.add(nullifier) if kind == "use" else record.used_nullifiers.discard(nullifier)
+        elif kind == "rebind_used":
+            record.used_nullifiers = JournalSet(record.used_nullifiers)
         else:
             ledger = world.states[args[0]] if args[1] == "live" else final_ledger(chain)
             rest = args[2:]
@@ -1248,7 +1246,16 @@ def _sweeps(ops) -> list[list[str]]:
                 ledger.s_sent[key] = records[key][rest[1] % len(records[key])]
             elif kind == "unrecord":
                 ledger.s_sent.pop(list(records)[rest[0]], None)
+            elif kind == "restore":
+                # Written while detached, then bound again: a container the
+                # book read before, whose record runs from its last drain.
+                earlier = detached.get(args[:2])
+                if earlier:
+                    box = earlier.pop()
+                    box[keys[rest[0]]] = instances[rest[1]]
+                    ledger.s_tks = box
             elif rest[0] == "s_tks":
+                detached.setdefault(args[:2], []).append(ledger.s_tks)
                 ledger.s_tks = Holdings(ledger.s_tks)
             else:
                 ledger.s_sent = JournalDict(ledger.s_sent)
@@ -1274,6 +1281,11 @@ SWEEP = ("sweep",)
           ("status", "alpha", STATUS_CEASED), SWEEP])  # a finding that only the issuer's status ends
 @example([("record", "alpha", "live", 0, 0), ("put", "beta", "live", 5, 5), SWEEP,
           ("unrecord", "alpha", "live", 0), SWEEP])  # a finding that only a sent record moves
+@example([SWEEP, ("rebind", "alpha", "live", "s_tks"), ("put", "alpha", "live", 4, 4), SWEEP,
+          ("restore", "alpha", "live", 5, 5), SWEEP, ("status", "alpha", STATUS_CEASED), SWEEP,
+          ("rebind", "alpha", "frozen", "s_tks"), SWEEP, ("restore", "alpha", "frozen", 1, 4), SWEEP])
+@example([("status", "beta", STATUS_CEASED), ("use", "beta", 3), SWEEP, ("rebind_used", "beta"),
+          ("unuse", "beta", 3), SWEEP])  # the settlement chain's nullifier set rebound
 @given(st.lists(_SWEEP_OPS, max_size=14))
 def test_sweep_agrees_with_reference_under_arbitrary_writes(ops):
     _sweeps(ops)
@@ -1331,7 +1343,6 @@ def _rebind_tks(world):
     extra = replace(instance, data_hash=hash_bytes(b"forged"))
     fresh = Holdings(state.s_tks)
     fresh[canonical_digest(extra)] = extra
-    fresh.writes = state.s_tks.writes  # only the rebinding itself can give it away
     state.s_tks = fresh
 
 

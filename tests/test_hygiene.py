@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
-loads every module, every function the benchmark traces exists, and the
-README's layout lists every package module.
+loads every module, every function the benchmark traces exists, the
+README's layout lists every package module, and only the accountant drains
+a journal's key record.
 
 No linter ships with the project, so this walks the syntax tree of every
 package and test module instead. A top-level import counts as used when
@@ -156,3 +157,18 @@ def test_no_test_builds_a_world_by_hand():
         "test_harness.py test_silent_cease_height_is_where_the_chain_ceases: Mainchain",
         "test_harness.py test_silent_cease_height_is_where_the_chain_ceases: Sidechain.create",
     ]
+
+
+def calls_drain(source: str) -> bool:
+    """Whether the source makes any ``<anything>.drain(...)`` call."""
+    return any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "drain"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_only_the_accountant_drains_a_journal():
+    """A journal's key record has one reader: a drain hands the keys written
+    since the last one to its caller, and no other reader would see them."""
+    draining = [path.name for path in sorted((ROOT / "src" / "mitto").glob("*.py")) if calls_drain(path.read_text())]
+    assert draining == ["accountant.py"]
