@@ -3,17 +3,17 @@ automatic replay probes, and the invariant accountant wired in after every
 step.
 
 The runner is deliberately paranoid about its own host: chain state lives
-in write-counting containers (``journal``), and every rejected transaction
-or certificate is bracketed by write marks over all of them, proving no
-chain or settlement-chain state was written or rebound; every accepted
-redeem or withdrawal is immediately replayed to prove the replay defenses
-hold. A step carrying a ``tamper`` value submits a deliberately broken
-transaction through the same path, and its acceptance is a finding too.
-Violations of any of these are reported the same way as accountant findings
-rather than silently trusted. After each step the accountant is handed
-references to every ledger and brings its own shadow books up to date
-from the keys each container recorded as written, so neither check dumps
-the world.
+in write-counting containers and objects (``journal``), which share one
+write count, and every rejected transaction or certificate must leave that
+count where it found it, proving no chain or settlement-chain state was
+written or rebound; every accepted redeem or withdrawal is immediately
+replayed to prove the replay defenses hold. A step carrying a ``tamper``
+value submits a deliberately broken transaction through the same path, and
+its acceptance is a finding too. Violations of any of these are reported
+the same way as accountant findings rather than silently trusted. After
+each step the accountant is handed references to every ledger and brings
+its own shadow books up to date from the keys each container recorded as
+written, so neither check dumps the world.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from . import scenario as steps
 from .accountant import Accountant
 from .encoding import canonical_digest
 from .hashing import Digest, hash_bytes
-from .journal import WriteMarks
+from .journal import writes
 from .keys import KeyPair, PubKey, forget_verified
 from .mainchain import Mainchain, STATUS_CEASED
 from .messages import (
@@ -187,26 +187,6 @@ class World:
             out[label] = (status, self.states[label], frozen, record.used_nullifiers)
         return out
 
-    def write_marks(self) -> WriteMarks:
-        """Where all journaled chain state stands now: each sidechain's
-        replay set, outbox, epoch archive and handler table, each token
-        ledger and the name registry it points at, and the settlement
-        chain's nullifier sets and pending withdrawals, plus the scalar
-        fields the chain dumps read and each chain's settlement record.
-        Costs O(chains), not O(held state)."""
-        mainchain = self.mainchain
-        record_of = mainchain.record
-        boxes = [mainchain._pending_csws]
-        scalars = []
-        for chain in self.chains.values():
-            record = record_of(chain.sc_id)
-            boxes += (chain.redeemed, chain.outbox, chain.epochs, chain.handlers, record.used_nullifiers)
-            scalars += (chain.sc_id, chain.label, record.status, record.pending_cert, record.last_epoch)
-            for state in chain.handlers.values():
-                boxes += (state.s_tks, state.s_sent, state.issued_totals, state.issued_token_ids, state.registry._names)
-                scalars += (state.sc_id, state.variant)
-        return WriteMarks(boxes, scalars)
-
     def dump(self) -> dict:
         chains = {}
         for label, chain in self.chains.items():
@@ -356,13 +336,16 @@ class Runner:
         every chain's state untouched, and one carrying a ``tamper`` value is
         a broken transaction, so accepting it is a protocol failure.
 
-        The marks are taken after wallet-level instance resolution (split
-        or merge to match the step's amount), which is the submitter's own
+        Untouched means the shared write count of ``journal`` did not move:
+        no journaled container was written, and no attribute of a chain,
+        settlement record, token ledger or name registry was assigned. The
+        count is read after wallet-level instance resolution (split or
+        merge to match the step's amount), which is the submitter's own
         bookkeeping, not part of the protocol operation under test.
         """
-        pre = self.world.write_marks()
+        pre = writes()
         verdict = submit(*args)
-        if not verdict.accepted and self.world.write_marks() != pre:
+        if not verdict.accepted and writes() != pre:
             self.violations.append(f"step {index}: atomicity: rejected {step.op} changed chain state")
         if verdict.accepted and step.tamper is not None:
             self.violations.append(f"step {index}: tamper: {step.op} with tamper {step.tamper!r} was accepted")

@@ -1,13 +1,13 @@
-"""Write-counting containers for chain state.
+"""Write-counting chain state: containers and the objects that hold them.
 
 Each container is a plain ``dict``, ``set`` or ``list`` whose mutating
 methods also bump one write count shared by all containers; reads stay the
-inherited C methods. A ``WriteMarks`` records where a group of containers
-stood at one moment (each held by identity) together with plain scalar
-fields and the shared count, so comparing two marks tells whether anything
-was written or rebound in between without looking at the contents. That is
-how the scenario runner proves a rejected transaction left no trace, at a
-cost set by the number of containers rather than by what they hold.
+inherited C methods. A ``Journaled`` object (each chain, settlement record,
+token ledger and name registry) bumps the same count on every attribute
+assignment, so rebinding a container or changing a scalar counts too. Two
+reads of ``writes()`` around a stretch of code differ exactly when it wrote
+chain state. That is how the scenario runner proves a rejected transaction
+left no trace, at the cost of two calls whatever the world holds.
 
 A ``JournalDict`` or ``JournalSet`` also records the keys (dict keys, set
 elements) written after its one reader, the accountant's shadow book that
@@ -20,13 +20,29 @@ subclass can keep an index of its values in step with every write through
 """
 from __future__ import annotations
 
-from operator import is_
-
-# The shared write count: every write to any journaled container of the
-# process so far. The simulator runs in one thread, so two marks taken
-# around a stretch of code differ here exactly when that code wrote a
-# journaled container.
+# The shared write count: every write to any journaled container, and every
+# attribute assignment on any ``Journaled`` object, of the process so far.
+# The simulator runs in one thread, so two reads taken around a stretch of
+# code differ exactly when that code wrote one.
 _clock = 0
+
+
+def writes() -> int:
+    """The shared write count now."""
+    return _clock
+
+
+class Journaled:
+    """Chain state held in attributes: each assignment bumps the shared
+    write count, even one that stores the value already there, and so does
+    each assignment ``__init__`` makes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        global _clock
+        _clock += 1
+        object.__setattr__(self, name, value)
 
 
 def _recording(method, keys_of):
@@ -172,29 +188,4 @@ class JournalSet(_KeyedJournal, set):
 ))
 class JournalList(_Journal, list):
     __slots__ = ()
-
-
-class WriteMarks:
-    """Containers held by identity and scalar fields compared by value, with
-    the shared write count. Two marks are equal only if no journaled
-    container was written in between (these or any other), the same
-    containers were seen in the same order, and every scalar is unchanged.
-    Taking a mark reads no container, only the fields that hold them."""
-
-    __slots__ = ("_boxes", "_clock", "_scalars")
-
-    def __init__(self, boxes: list, scalars: list) -> None:
-        self._boxes = boxes
-        self._clock = _clock
-        self._scalars = scalars
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WriteMarks):
-            return NotImplemented
-        return (
-            self._clock == other._clock
-            and self._scalars == other._scalars
-            and len(self._boxes) == len(other._boxes)
-            and all(map(is_, self._boxes, other._boxes))
-        )
 

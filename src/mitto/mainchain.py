@@ -24,7 +24,7 @@ from . import encoding as enc
 from . import verdict as v
 from .encoding import U32, canonical_digest, nested, wire
 from .hashing import Digest, EMPTY_STC, ScBlockEntries, StcTree, build_stc
-from .journal import JournalList, JournalSet
+from .journal import Journaled, JournalList, JournalSet
 from .messages import (
     BlockHeader,
     CeasedSidechainWithdrawal,
@@ -87,7 +87,7 @@ class Block:
 
 
 @dataclass
-class ScRecord:
+class ScRecord(Journaled):
     registration: SidechainRegistration
     status: str = STATUS_PENDING
     creation_height: int | None = None
@@ -122,7 +122,7 @@ class ScRecord:
         return (tip - self.creation_height - 1) // self.epoch_length
 
 
-class Mainchain:
+class Mainchain(Journaled):
     """Single-writer settlement chain with deterministic sealing."""
 
     def __init__(self) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 
 from .encoding import U32_MAX, U64_MAX  # epoch lengths are u32 on the wire, amounts and token ids u64
@@ -32,8 +33,13 @@ FAULTY_MODES = (
 )
 
 #: Most blocks one advance_mainchain step may seal: each block costs real
-#: time (30 000 take about a second), and scenarios need only a few.
+#: time (100 000 take about 0.9 s), and scenarios need only a few.
 MAX_ADVANCE_BLOCKS = 100_000
+
+#: Most blocks one scenario's steps may seal, counting each cease_by_silence
+#: at its cap: each sealed block stays alive at about 390 B, so this bounds a
+#: run at about 200 MB of blocks and a few seconds of sealing.
+MAX_SCENARIO_BLOCKS = 5 * MAX_ADVANCE_BLOCKS
 
 # Field kinds: a field's annotation names one, and _KINDS says how it is
 # checked. Each alias is the Python type of the kind's checked value.
@@ -382,11 +388,12 @@ class Scenario:
     steps: tuple[Step, ...]
     expect_violations: bool = False
 
-    def chain(self, label: str) -> ChainSpec:
-        for spec in self.chains:
-            if spec.label == label:
-                return spec
-        raise KeyError(label)
+
+def _sealable(step: Step) -> int:
+    """Most blocks ``step`` can seal."""
+    if isinstance(step, AdvanceMainchain):
+        return step.blocks
+    return MAX_ADVANCE_BLOCKS if isinstance(step, CeaseBySilence) else 0
 
 
 def _step(obj, index: int, scope: dict) -> Step:
@@ -419,6 +426,9 @@ def parse_scenario(obj, source: str = "<memory>") -> Scenario:
     raw_steps = _need(obj, "steps", list, source)
     scope = {"chain": labels, "send": set(), "csw": set()}
     steps = tuple(_step(step, i, scope) for i, step in enumerate(raw_steps))
+    for index, sealed in enumerate(accumulate(map(_sealable, steps))):
+        if sealed > MAX_SCENARIO_BLOCKS:
+            raise ParseError(f"steps[{index}]: the steps so far may seal {sealed} blocks, over {MAX_SCENARIO_BLOCKS}")
     unknown = set(obj) - {"name", "seed", "chains", "steps", "expect_violations"}
     if unknown:
         raise ParseError(f"{source}: unknown top-level field {sorted(unknown)[0]!r}")

@@ -34,7 +34,7 @@ from typing import Protocol
 from . import verdict as v
 from .encoding import to_json
 from .hashing import Digest, MerkleTree, build_merkle, hash_bytes
-from .journal import JournalDict, JournalList, JournalSet
+from .journal import JournalDict, Journaled, JournalList, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
 from .mainchain import Mainchain
 from .messages import (
@@ -111,18 +111,18 @@ class ClosedEpoch:
     captures: dict[int, object] | None = None
 
 
-class Sidechain:
+class Sidechain(Journaled):
     def __init__(
         self,
         mainchain: Mainchain,
         sc_id: int,
         wcert_signer: KeyPair,
         csw_signer: KeyPair,
-        label: str = "",
+        label: str,
     ) -> None:
         self.mainchain = mainchain
         self.sc_id = sc_id
-        self.label = label or f"sc{sc_id}"
+        self.label = label
         self.wcert_signer = wcert_signer
         self.csw_signer = csw_signer
         self.handlers: JournalDict[int, MessageHandler] = JournalDict()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from . import encoding as enc
 from .encoding import DIGEST, PUBKEY, STR, U32, UNITS, DecodeError, canonical_digest, to_json, wire
 from .hashing import Digest, hash_bytes
-from .journal import JournalDict, JournalSet
+from .journal import JournalDict, Journaled, JournalSet
 from .keys import KeyPair, PubKey, Signature, verify_sig
 from .messages import (
     CeasedSidechainWithdrawal,
@@ -138,7 +138,7 @@ class SentRecord:
             raise ValueError("non-fungible sent record carries a token id only")
 
 
-class TokenNameRegistry:
+class TokenNameRegistry(Journaled):
     """Simulation-wide registry pinning each token name to one fungibility
     and one issuing sidechain."""
 
@@ -239,7 +239,7 @@ def _split_child_hash(parent: Digest, amount: int, index: int) -> Digest:
 
 
 @dataclass
-class MittoState:
+class MittoState(Journaled):
     """One sidechain's token ledger: held instances and issuer sent records.
     It is the chain's message handler for token transfers."""
 

@@ -4,8 +4,8 @@ transaction and compare the text.
 This is the check the scenario runner made before chain state lived in
 write-counting containers. It costs O(world) per step, so the runner no
 longer uses it; ``oracles.OracleRunner`` takes these dumps around every
-submission beside the journal marks, and holds the journal to seeing every
-write the dumps see.
+submission beside the journal's write count, and holds the count to seeing
+every write the dumps see.
 """
 import json
 

@@ -10,6 +10,8 @@ import pytest
 from worlds import SCENARIO_DIR
 
 from mitto.cli import main
+from mitto.mainchain import Mainchain
+from mitto.scenario import MAX_ADVANCE_BLOCKS, MAX_SCENARIO_BLOCKS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = str(SCENARIO_DIR / "golden_fungible_roundtrip.json")
@@ -105,6 +107,41 @@ def test_run_parse_error_exit_two(tmp_path, capsys):
 def test_run_missing_file_exit_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def _sealing_scenario(extra_blocks: int) -> dict:
+    """A scenario whose steps may seal ``MAX_SCENARIO_BLOCKS`` blocks, a
+    cease_by_silence counted at its cap, then ``extra_blocks`` more and a
+    step that seals none."""
+    full, rest = divmod(MAX_SCENARIO_BLOCKS - MAX_ADVANCE_BLOCKS, MAX_ADVANCE_BLOCKS)
+    advances = [MAX_ADVANCE_BLOCKS] * full + [blocks for blocks in (rest, extra_blocks) if blocks]
+    return {
+        "name": "sealing",
+        "seed": 2,
+        "chains": [{"label": "alpha", "epoch_length": 2}],
+        "steps": [{"op": "cease_by_silence", "chain": "alpha"}]
+        + [{"op": "advance_mainchain", "blocks": blocks} for blocks in advances]
+        + [{"op": "assert", "chain": "alpha"}],
+    }
+
+
+def test_scenario_over_the_block_budget_exit_two_before_any_block(tmp_path, capsys, monkeypatch):
+    """One block over the budget is a parse error naming the step that
+    crosses it; a scenario at the budget validates."""
+    path = write_scenario(tmp_path, _sealing_scenario(0), "at.json")
+    assert main(["validate", path]) == 0
+    over = _sealing_scenario(1)
+    path = write_scenario(tmp_path, over, "over.json")
+
+    def seal(self):
+        raise AssertionError("a block was sealed")
+
+    monkeypatch.setattr(Mainchain, "advance_block", seal)
+    assert main(["validate", path]) == 2
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    message = f"steps[{len(over['steps']) - 2}]: the steps so far may seal {MAX_SCENARIO_BLOCKS + 1} blocks,"
+    assert err.count("parse error") == 2 and err.count(message) == 2 and "Traceback" not in err
 
 
 UNDECODABLE = {

@@ -23,7 +23,7 @@ def test_generated_traces_parse():
     for index in range(10):
         obj, probes = generate_trace(7, index)
         scenario = parse_scenario(obj, source=obj["name"])
-        assert scenario.chain("mal").byzantine
+        assert next(spec for spec in scenario.chains if spec.label == "mal").byzantine
         assert 0 <= probes["routing"] < len(scenario.steps)
         assert 0 <= probes["over_return"] < len(scenario.steps)
 

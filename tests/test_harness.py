@@ -2,7 +2,7 @@
 import copy
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,13 +17,13 @@ from mitto.accountant import Accountant
 from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
 from mitto.harness import HarnessError, Runner, dump_state, render_json, render_report
 from mitto.hashing import hash_bytes
-from mitto.journal import JournalDict, JournalList, JournalSet
-from mitto.mainchain import STATUS_ALIVE, STATUS_CEASED, Mainchain
+from mitto.journal import JournalDict, Journaled, JournalList, JournalSet
+from mitto.mainchain import STATUS_ALIVE, STATUS_CEASED, Mainchain, ScRecord
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
 from mitto.proofs import CswBundle, csw_nullifier
 from mitto.scenario import MAX_ADVANCE_BLOCKS, STEP_OPS, ParseError, load_scenario, parse_scenario
 from mitto.sidechain import Sidechain
-from mitto.tokens import Holdings, MittoState, SentRecord, TokenInstance, final_ledger
+from mitto.tokens import Holdings, MittoState, SentRecord, TokenInstance, TokenNameRegistry, final_ledger
 
 
 def scenario_obj(steps, chains=None, name="inline", seed=3, **extra) -> dict:
@@ -535,8 +535,8 @@ def _append_epoch(chain, _tx):
 
 
 def _write_archived(chain, _tx):
-    """An archived ledger is none of the containers a mark holds; only the
-    write count all journaled containers share sees this write."""
+    """An archived ledger is no live chain state, and the dump never sees
+    it; the shared write count does."""
     final_ledger(chain).issued_totals["GHOST"] = 1
 
 
@@ -553,6 +553,18 @@ def _hold_certificate(mainchain, cert):
     mainchain.record(cert.ledger_id).pending_cert = cert
 
 
+def _swap_signer(chain, _tx):
+    chain.wcert_signer = chain.csw_signer
+
+
+def _rebind_finalized(mainchain, _csw):
+    mainchain._finalized = dict(mainchain._finalized)
+
+
+def _move_creation(mainchain, cert):
+    mainchain.record(cert.ledger_id).creation_height += 1
+
+
 # (op, step index, class, method, injected write, whether the dump sees it)
 LEAKS = [
     ("send", 1, Sidechain, "accept_send", _bump_issued, True),
@@ -560,14 +572,17 @@ LEAKS = [
     ("send", 1, Sidechain, "accept_send", _append_outbox, True),
     ("send", 1, Sidechain, "accept_send", _drop_held, True),
     ("send", 1, Sidechain, "accept_send", _register_name, True),
+    ("send", 1, Sidechain, "accept_send", _swap_signer, False),
     ("redeem", 6, Sidechain, "accept_redeem", _add_redeemed, True),
     ("redeem", 6, Sidechain, "accept_redeem", _rebind_redeemed, False),
     ("csw", 10, Mainchain, "submit_csw", _add_nullifier, False),
     ("csw", 10, Mainchain, "submit_csw", _queue_csw, False),
+    ("csw", 10, Mainchain, "submit_csw", _rebind_finalized, False),
     ("csw_redeem", 13, Sidechain, "accept_csw_redeem", _append_epoch, True),
     ("csw_redeem", 13, Sidechain, "accept_csw_redeem", _write_archived, False),
     ("close_epoch", 14, Mainchain, "submit_certificate", _add_nullifier, False),
     ("close_epoch", 14, Mainchain, "submit_certificate", _hold_certificate, False),
+    ("close_epoch", 14, Mainchain, "submit_certificate", _move_creation, False),
 ]
 
 
@@ -594,10 +609,48 @@ def test_write_on_rejected_path_is_flagged(monkeypatch, op, index, cls, method, 
     monkeypatch.setattr(cls, method, leaky)
     runner = OracleRunner(parse_scenario(REJECTIONS))
     assert f"step {index}: atomicity: rejected {op} changed chain state" in runner.run()["violations"]
-    # The dump comparison never saw rebinding to equal contents, nor any
-    # settlement-chain state; whatever it saw, the journal saw too.
+    # The dump comparison never saw rebinding to equal contents, a chain's
+    # keys, nor any settlement-chain state; whatever it saw, the count saw too.
     assert (f"rejections step {index}" in runner.findings.dump_writes) is dump_sees
     assert runner.findings.disagreements == {}
+
+
+#: The settlement chain's tables, whose contents the write count does not
+#: see (rebinding one counts): they are written only while a block is sealed
+#: or a chain registered, never by a submission.
+UNCOUNTED = {"_blocks", "_by_hash", "_finalized", "_csw_inclusions", "_records", "_pending_registrations"}
+CHAIN_OBJECTS = (Mainchain, ScRecord, Sidechain, MittoState, TokenNameRegistry)
+
+
+def _counted(value) -> bool:
+    """Is every write to ``value`` counted, or is there none to make?"""
+    return (
+        value is None
+        or isinstance(value, (int, str, bytes, JournalDict, JournalSet, JournalList, Journaled))
+        or (is_dataclass(value) and type(value).__dataclass_params__.frozen)
+    )
+
+
+def test_every_attribute_of_a_chain_object_is_counted():
+    """After a ceased scenario, each attribute of each chain object (the live
+    ones and each ceased chain's final ledger) is immutable, a journaled
+    container or itself a chain object, so a new plain field cannot hold
+    state the write count misses."""
+    assert all(issubclass(cls, Journaled) for cls in CHAIN_OBJECTS)
+    runner = Runner(load_scenario(SCENARIO_DIR / "ceased_flows.json"))
+    runner.run()
+    world = runner.world
+    objects = [world.mainchain, world.registry, *world.mainchain._records.values(), *world.chains.values()]
+    for chain in world.chains.values():
+        objects += chain.handlers.values()
+        objects += [epoch.captures[MSG_TYPE_TOKEN_TRANSFER]._ledger for epoch in chain.epochs if epoch.captures]
+    objects = [obj for obj in objects if obj is not None]
+    assert {type(obj) for obj in objects} == set(CHAIN_OBJECTS)
+    assert sum(type(obj) is MittoState for obj in objects) > len(world.states)  # a final ledger too
+    for obj in objects:
+        for name, value in vars(obj).items():
+            if not (type(obj) is Mainchain and name in UNCOUNTED):
+                assert _counted(value), f"{type(obj).__name__}.{name} holds a {type(value).__name__}"
 
 
 # Methods of dict, set and list that only read.
