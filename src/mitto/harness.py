@@ -17,7 +17,7 @@ written, so neither check dumps the world.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -30,15 +30,9 @@ from .hashing import Digest, hash_bytes
 from .journal import writes
 from .keys import KeyPair, PubKey, forget_verified
 from .mainchain import Mainchain, STATUS_CEASED
-from .messages import (
-    CscpMessage,
-    SendTx,
-    WithdrawalCertificate,
-    message_digest,
-    redeem_auth_digest,
-)
+from .messages import CscpMessage, SendTx, message_digest
 from .proofs import CertificateNotConfirmed, EntityNotInState, EvidenceUnavailable, MessageNotCommitted
-from .scenario import MAX_ADVANCE_BLOCKS, Scenario
+from .scenario import MAX_ADVANCE_BLOCKS, HarnessError, Scenario
 from .sidechain import ByzantineSidechain, Sidechain
 from .tokens import (
     CswPackage,
@@ -56,11 +50,6 @@ from .tokens import (
     withdraw_native_held,
     withdraw_native_sent,
 )
-
-
-class HarnessError(Exception):
-    """A step could not be executed as written (not a protocol verdict).
-    ``Runner.run`` ends the run there, with a ``scenario`` failure."""
 
 
 class InvariantViolation(Exception):
@@ -388,11 +377,10 @@ class Runner:
         owner = self.world.actor(step.owner)
         instance = self.world.pick_instance(step.from_, owner.public, step.name, step.amount, step.token_id)
         message = self._build_message(step, instance)
+        label = step.from_
         tx = SendTx(message=message, payload=instance.encode(), signature=owner.sign(message_digest(message)))
-        tamper = step.tamper
-        label = step.to if tamper == "wrong_chain" else step.from_
-        if tamper not in (None, "wrong_chain"):
-            tx = self._tampered_send(tamper, tx, owner, self.world.chains[label])
+        if step.tamper is not None:
+            label, tx = step.tampers[step.tamper](self.world, label, tx)
         verdict = self._submit(index, step, self.world.chains[label].accept_send, tx)
         self._note(index, self.world.accountant.note_send(label, instance, tx.message, verdict.accepted))
         if verdict.accepted and step.id is not None:
@@ -403,19 +391,6 @@ class Runner:
             "outcome": verdict.to_json(),
             "summary": f"send {step.name} {step.from_} -> {step.to}",
         }
-
-    def _tampered_send(self, tamper: str, tx: SendTx, owner: KeyPair, chain: Sidechain) -> SendTx:
-        if tamper == "wrong_signer":
-            return replace(tx, signature=self.world.forger().sign(message_digest(tx.message)))
-        if tamper == "payload_mismatch":
-            return replace(tx, payload=tx.payload + b"\x00")
-        # The owner signs a message that is wrong in itself.
-        if tamper == "unregistered_type":
-            message, payload = replace(tx.message, msg_type=max(chain.handlers) + 1), tx.payload
-        else:  # malformed_payload
-            payload = b"not-a-token"
-            message = replace(tx.message, payload_hash=hash_bytes(payload))
-        return SendTx(message=message, payload=payload, signature=owner.sign(message_digest(message)))
 
     def _op_fabricate_send(self, index: int, step: steps.FabricateSend) -> dict:
         chain = self.world.chains[step.from_]
@@ -452,24 +427,12 @@ class Runner:
             if step.tamper is None:
                 verdict = self._submit(index, step, lambda: chain.close_epoch(quality=step.quality)[1])
             else:
-                cert = self._tampered_certificate(step.tamper, chain, step.quality)
+                _, cert = step.tampers[step.tamper](self.world, label, chain.build_certificate(step.quality))
                 verdict = self._submit(index, step, self.world.mainchain.submit_certificate, cert)
             parts.append({"chain": label, **verdict.to_json()})
         accepted = all(part["accepted"] for part in parts)
         reason = "Accepted" if accepted else "PartialOrRejected"
         return _result(f"close epoch on {', '.join(labels)}", accepted, reason, parts=parts)
-
-    def _tampered_certificate(self, tamper: str, chain: Sidechain, quality: int) -> WithdrawalCertificate:
-        epoch = chain.next_epoch_to_close()
-        if tamper == "wrong_epoch":
-            return chain.build_certificate(quality, epoch_id=epoch + 1)
-        if tamper == "altered_body":
-            cert = chain.build_certificate(quality)
-            return replace(cert, quality=cert.quality ^ 1)
-        # lower_quality: certify the epoch the chain last closed once more.
-        if epoch == 0:
-            raise HarnessError(f"chain {chain.label} has closed no epoch to certify again")
-        return chain.build_certificate(quality, epoch_id=epoch - 1)
 
     def _op_advance_mainchain(self, index: int, step: steps.AdvanceMainchain) -> dict:
         self.world.mainchain.advance_blocks(step.blocks)
@@ -489,7 +452,6 @@ class Runner:
         if record is None:
             return _unavailable(f"redeem {step.send!r}: the referenced send was never accepted")
         label = self.world.label_by_sc_id(record.message.receiving_sc_id)
-        chain = self.world.chains[label]
         try:
             if not self._committed(record):
                 raise MessageNotCommitted("send was never committed by an epoch close")
@@ -500,15 +462,11 @@ class Runner:
             )
         except EvidenceUnavailable as err:
             return _unavailable(f"redeem {step.send!r} on {label}: {err}")
-        if step.tamper == "wrong_chain":
-            label = record.from_label
-            chain = self.world.chains[label]
-        elif step.tamper == "forged_receiver_auth":
-            tx = replace(tx, receiver_signature=self.world.forger().sign(redeem_auth_digest(tx.message, tx.payload)))
-        elif step.tamper == "wrong_block":
-            tx = replace(tx, proof=replace(tx.proof, block_hash=self.world.mainchain.get_block(0).hash))
+        if step.tamper is not None:
+            label, tx = step.tampers[step.tamper](self.world, label, tx)
         note = self.world.accountant.note_redeem
-        return self._redeem(index, step, step.send, label, chain.accept_redeem, tx, note, record.instance)
+        accept = self.world.chains[label].accept_redeem
+        return self._redeem(index, step, step.send, label, accept, tx, note, record.instance)
 
     def _op_csw(self, index: int, step: steps.Csw) -> dict:
         chain = self.world.chains[step.chain]
@@ -518,8 +476,8 @@ class Runner:
             package = self._build_withdrawal(step, chain, owner, receiver)
         except (EvidenceUnavailable, ValueError) as err:
             return _unavailable(f"withdrawal {step.id!r} from {step.chain}: {err}")
-        if step.tamper == "forged_nullifier":
-            package = replace(package, csw=replace(package.csw, nullifier=hash_bytes(package.csw.nullifier)))
+        if step.tamper is not None:
+            _, package = step.tampers[step.tamper](self.world, step.chain, package)
         verdict = self._submit(index, step, self.world.mainchain.submit_csw, package.csw)
         result = {
             "outcome": verdict.to_json(),

@@ -4,26 +4,35 @@ A scenario is a JSON document declaring a chain roster and an ordered list
 of steps. Each op, like a chain and a token issuance, is declared once as a
 frozen dataclass whose fields are its JSON schema; one builder parses them
 all into the typed values the runner executes. Validation is strict and
-front-loaded, and every complaint names the offending step and field.
+front-loaded, and every complaint names the offending step and field. An op
+also declares its tampers, each the one definition of a broken transaction.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import accumulate
 from pathlib import Path
 
 from .encoding import U32_MAX, U64_MAX  # epoch lengths are u32 on the wire, amounts and token ids u64
+from .hashing import hash_bytes
+from .messages import SendTx, message_digest, redeem_auth_digest
 from .tokens import (
     VARIANT_ISSUER_NOTIFICATION,
     VARIANT_NO_RECEIVER_TRACKING,
     VARIANT_NO_SENT_RECORDS,
     VARIANT_STANDARD,
+    TokenInstance,
 )
 
 
 class ParseError(Exception):
     """Scenario file rejected; the message names the field at fault."""
+
+
+class HarnessError(Exception):
+    """A step could not be executed as written (not a protocol verdict).
+    ``Runner.run`` ends the run there, with a ``scenario`` failure."""
 
 
 FAULTY_MODES = (
@@ -251,10 +260,13 @@ STEP_TYPES: dict[str, type[Step]] = {}
 
 class Step(_Declared):
     """What every step may carry. An op is a subclass naming its ``op`` and its
-    ``tampers``: the broken transactions its ``tamper`` field may ask the runner
-    to submit in place of the honest one. An op with no tampers refuses one."""
+    ``tampers``, the values its ``tamper`` field may take. Each maps to a
+    function ``(world, label, tx) -> (label, tx)``: given the runner's
+    ``harness.World``, the honest transaction and the label of the chain it
+    goes to, it returns the broken transaction the runner submits in its place
+    and the chain that gets it. An op with no tampers refuses a ``tamper``."""
 
-    tampers = ()
+    tampers = {}
     expect: Expect | None = None
     tamper: str | None = None
 
@@ -275,8 +287,37 @@ class Issue(Issuance, Step, op="issue"):
     chain: Chain
 
 
+def _signed(label: str, signer, message, payload: bytes) -> tuple[str, SendTx]:
+    return label, SendTx(message=message, payload=payload, signature=signer.sign(message_digest(message)))
+
+
+def _owner_signed(world, label: str, message, payload: bytes) -> tuple[str, SendTx]:
+    """The owner's send of ``payload`` under ``message``, which it commits to:
+    a message wrong in itself, not in its signature."""
+    message = replace(message, payload_hash=hash_bytes(payload))
+    return _signed(label, world.actor_for_key(message.sender_id), message, payload)
+
+
+def _unheld(world, label: str, tx: SendTx) -> tuple[str, SendTx]:
+    """The owner's send of the held instance with its data hash changed."""
+    instance = TokenInstance.decode(tx.payload)
+    return _owner_signed(world, label, tx.message, replace(instance, data_hash=hash_bytes(instance.data_hash)).encode())
+
+
 class Send(Step, op="send"):
-    tampers = ("wrong_signer", "wrong_chain", "payload_mismatch", "unregistered_type", "malformed_payload")
+    tampers = {
+        "wrong_signer": lambda world, label, tx: _signed(label, world.forger(), tx.message, tx.payload),
+        "wrong_chain": lambda world, label, tx: (world.label_by_sc_id(tx.message.receiving_sc_id), tx),
+        "payload_mismatch": lambda world, label, tx: (label, replace(tx, payload=tx.payload + b"\x00")),
+        "unregistered_type": lambda world, label, tx: _owner_signed(
+            world, label, replace(tx.message, msg_type=max(world.chains[label].handlers) + 1), tx.payload
+        ),
+        "malformed_payload": lambda world, label, tx: _owner_signed(world, label, tx.message, b"not-a-token"),
+        "sender_not_owner": lambda world, label, tx: _signed(
+            label, world.forger(), replace(tx.message, sender_id=world.forger().public), tx.payload
+        ),
+        "unheld_instance": _unheld,
+    }
     from_: Chain
     to: Chain
     name: str
@@ -309,8 +350,21 @@ class FabricateSend(Issuance, Step, op="fabricate_send"):
         super().check(where)
 
 
+def _certified_again(world, label: str, cert) -> tuple:
+    """The certificate, at ``cert``'s quality, of the epoch the chain closed last."""
+    if cert.epoch_id == 0:
+        raise HarnessError(f"chain {label} has closed no epoch to certify again")
+    return label, world.chains[label].build_certificate(cert.quality, epoch_id=cert.epoch_id - 1)
+
+
 class CloseEpoch(Step, op="close_epoch"):
-    tampers = ("wrong_epoch", "lower_quality", "altered_body")
+    tampers = {
+        "wrong_epoch": lambda world, label, cert: (
+            label, world.chains[label].build_certificate(cert.quality, epoch_id=cert.epoch_id + 1)
+        ),
+        "lower_quality": _certified_again,
+        "altered_body": lambda world, label, cert: (label, replace(cert, quality=cert.quality ^ 1)),
+    }
     chains: Chains = "all"
     quality: U64 = 1
 
@@ -324,12 +378,27 @@ class CeaseBySilence(Step, op="cease_by_silence"):
 
 
 class Redeem(Step, op="redeem"):
-    tampers = ("wrong_chain", "forged_receiver_auth", "wrong_block")
+    tampers = {
+        "wrong_chain": lambda world, label, tx: (world.label_by_sc_id(tx.message.sending_sc_id), tx),
+        "forged_receiver_auth": lambda world, label, tx: (
+            label, replace(tx, receiver_signature=world.forger().sign(redeem_auth_digest(tx.message, tx.payload)))
+        ),
+        "wrong_block": lambda world, label, tx: (
+            label, replace(tx, proof=replace(tx.proof, block_hash=world.mainchain.get_block(0).hash))
+        ),
+        "forged_sender_sig": lambda world, label, tx: (
+            label, replace(tx, sender_sig=world.forger().sign(message_digest(tx.message)))
+        ),
+    }
     send: SendRef
 
 
 class Csw(Step, op="csw"):
-    tampers = ("forged_nullifier",)
+    tampers = {
+        "forged_nullifier": lambda world, label, package: (
+            label, replace(package, csw=replace(package.csw, nullifier=hash_bytes(package.csw.nullifier)))
+        ),
+    }
     #: Per withdrawal mode, the optional fields it needs.
     modes = {"held": ("name", "target"), "foreign": ("name",), "sent_record": ("holder", "return_send", "target")}
     id: CswId
@@ -377,7 +446,7 @@ class Assert(Step, op="assert"):
 
 
 STEP_OPS = tuple(STEP_TYPES)
-TAMPERS = {op: cls.tampers for op, cls in STEP_TYPES.items() if cls.tampers}
+TAMPERS = {op: tuple(cls.tampers) for op, cls in STEP_TYPES.items() if cls.tampers}
 
 
 @dataclass(frozen=True)

@@ -363,15 +363,17 @@ _CEASED_WORLD = (
     ],
 )
 
+#: A byzantine chain: it commits sends that no check has seen.
+_MAL = {"label": "mal", "epoch_length": 2, "byzantine": True}
+
+#: Alice holds the NFT ART 0 on alpha.
+_ART_ALPHA = {"label": "alpha", "epoch_length": 2,
+              "issuances": [{"name": "ART", "fungible": False, "token_id": 0, "owner": "alice"}]}
+
 #: Alpha issues the NFT ART; byzantine mal commits a send of a fungible ART
 #: it claims to issue itself, addressed to bob on beta.
 _FABRICATED_WORLD = (
-    [
-        {"label": "alpha", "epoch_length": 2,
-         "issuances": [{"name": "ART", "fungible": False, "token_id": 0, "owner": "alice"}]},
-        {"label": "beta", "epoch_length": 2},
-        {"label": "mal", "epoch_length": 2, "byzantine": True},
-    ],
+    [_ART_ALPHA, {"label": "beta", "epoch_length": 2}, _MAL],
     [
         {"op": "fabricate_send", "id": "fake", "from": "mal", "to": "beta", "name": "ART", "fungible": True,
          "amount": 5, "issuer": "mal", "owner": "eve", "receiver": "bob"},
@@ -384,12 +386,43 @@ _FABRICATED_WORLD = (
 #: One chain whose first epoch is still open.
 _EARLY_WORLD = ([{"label": "early", "epoch_length": 4}], [])
 
+#: Alice holds fungible BIG on alpha as two parcels, of 2^64-1 units and of 1.
+_BIG_WORLD = (
+    [
+        {"label": "alpha", "epoch_length": 2,
+         "issuances": [{"name": "BIG", "fungible": True, "amount": amount, "owner": "alice"}
+                       for amount in (U64_MAX, 1)]},
+        {"label": "beta", "epoch_length": 2},
+    ],
+    [],
+)
+
+#: The chains of ``_WBT_WORLD``, and mal.
+_WBT_AND_MAL = [*_WBT_WORLD[0], _MAL]
+_FAKE_WBT = {"name": "WBT", "fungible": True, "amount": 5, "issuer": "alpha"}
+_FAKE_ART = {"name": "ART", "fungible": False, "issuer": "alpha"}
+
 
 def _world_case(id: str, op: str, description: str, expect: dict, world: tuple, *steps: dict) -> VectorCase:
     """A world-layer case pinning the verdict of the fragment's last step."""
     chains, prefix = world
     fragment = {"name": id, "seed": _SEED, "chains": chains, "steps": [*prefix, *steps]}
     return VectorCase(id, op, "world", description, expect, scenario=fragment, step=len(fragment["steps"]) - 1)
+
+
+def _forged(chains: list, **fabricated) -> tuple:
+    """A world of ``chains`` in which byzantine mal commits, in a finalized
+    epoch, the send ``fake`` of a token it makes up, from eve to bob."""
+    step = {"op": "fabricate_send", "id": "fake", "from": "mal", "owner": "eve", "receiver": "bob", **fabricated}
+    return chains, [step, *_FABRICATED_WORLD[1][1:]]
+
+
+_REDEEM_FAKE = {"op": "redeem", "send": "fake"}
+
+
+def _big_send(amount: int) -> dict:
+    return {"op": "send", "from": "alpha", "to": "beta", "name": "BIG", "amount": amount, "owner": "alice",
+            "receiver": "bob"}
 
 
 def _bob_send(to: str, **extra) -> dict:
@@ -484,6 +517,12 @@ CASES: tuple[VectorCase, ...] = (
                 _rule("malformed-payload"), _WBT_WORLD, _bob_send("alpha", tamper="malformed_payload")),
     _world_case("world-send-foreign-to-third", "send", "full-chain enforcement of the issuer-routing rule",
                 _rule("send-2"), _WBT_WORLD, _bob_send("gamma", receiver="mallory")),
+    _world_case("world-send-1-unheld-instance", "send", "owner-signed send of an instance the chain does not hold",
+                _rule("send-1"), _WBT_WORLD, _bob_send("alpha", tamper="unheld_instance")),
+    _world_case("world-send-3d-sender-not-owner", "send", "message names and is signed by a sender not the owner",
+                _rule("send-3d"), _WBT_WORLD, _bob_send("alpha", tamper="sender_not_owner")),
+    _world_case("world-send-5-sent-record-overflow", "send", "sent record would exceed u64 units",
+                _rule("send-5"), _BIG_WORLD, _big_send(U64_MAX), _big_send(1)),
 
     _world_case("world-redeem-accept", "redeem", "committed message redeemed with finalized evidence",
                 _accepted(), _WBT_WORLD, _redeem20()),
@@ -497,7 +536,24 @@ CASES: tuple[VectorCase, ...] = (
                 _rejected("ProofInvalid", "redeem-7"), _WBT_WORLD, _redeem20(tamper="wrong_block")),
     _world_case("world-redeem-8-name-registry", "redeem",
                 "fabricated instance under another chain's registered name",
-                _rule("redeem-8"), _FABRICATED_WORLD, {"op": "redeem", "send": "fake"}),
+                _rule("redeem-8"), _FABRICATED_WORLD, _REDEEM_FAKE),
+    _world_case("world-redeem-1-unknown-issuer", "redeem", "fabricated instance issued by a third chain",
+                _rule("redeem-1"), _forged(_WBT_AND_MAL, to="beta", **_FAKE_WBT), _REDEEM_FAKE),
+    _world_case("world-redeem-2a-no-record", "redeem", "fabricated return of fungible tokens never sent",
+                _rule("redeem-2a"), _forged(_WBT_AND_MAL, to="alpha", **_FAKE_WBT), _REDEEM_FAKE),
+    _world_case("world-redeem-2b-no-record", "redeem", "fabricated return of an NFT never sent",
+                _rule("redeem-2b"), _forged(_WBT_AND_MAL, to="alpha", token_id=7, **_FAKE_ART), _REDEEM_FAKE),
+    _world_case("world-redeem-3-already-live", "redeem", "fabricated return of an NFT the issuer still holds",
+                _rule("redeem-3"),
+                _forged([{**_ART_ALPHA, "faulty_mode": "no_sent_records"}, _MAL], to="alpha", token_id=0, **_FAKE_ART),
+                _REDEEM_FAKE),
+    _world_case("world-redeem-4a-self-origin", "redeem", "message a chain committed to itself",
+                _rule("redeem-4a"),
+                _forged([{**_MAL, "faulty_mode": "no_sent_records"}],
+                        to="mal", name="OWN", fungible=False, token_id=1, issuer="mal"),
+                _REDEEM_FAKE),
+    _world_case("world-redeem-5-forged-sender-sig", "redeem", "send signature replaced by one the sender never made",
+                _rule("redeem-5"), _WBT_WORLD, _redeem20(tamper="forged_sender_sig")),
 
     _world_case("wcert-accept", "wcert", "certificate lands inside its submission window", _accepted(),
                 _WBT_WORLD, _close("gamma")),

@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from oracles import Findings, OracleRunner
-from worlds import CEASED, COMMITTED, RULE_IDS, SCENARIO_DIR, held, redeem_verifies, run_stage
+from worlds import CEASED, COMMITTED, RULE_IDS, SCENARIO_DIR, SHADOWED, UNREACHED, held, redeem_verifies, run_stage
 
 from mitto import vectors
 from mitto.cli import main as cli_main
@@ -137,13 +137,19 @@ def test_criterion_5_vector_coverage(tmp_path):
     rejected_rules = {
         case.expect.get("rule") for case in vectors.CASES if not case.expect["accepted"]
     }
+    world_rules = {case.expect.get("rule") for case in vectors.CASES if case.layer == "world"}
     for rule in RULE_IDS:
         if rule not in rejected_rules:
             problems.append(f"no rejected vector for {rule}")
+        out_of_reach = rule in SHADOWED or rule in UNREACHED
+        if out_of_reach and rule in world_rules:
+            problems.append(f"{rule} is listed as out of a world's reach, yet a world-layer vector fires it")
+        if not out_of_reach and rule not in world_rules:
+            problems.append(f"{rule} fires in no world-layer vector")
     accepted_ops = {case.op for case in vectors.CASES if case.expect["accepted"]}
     if accepted_ops != {"send", "redeem", "wcert", "csw", "csw_redeem"}:
         problems.append(f"accepted vectors cover only {sorted(accepted_ops)}")
-    verdict(5, f"{len(vectors.CASES)} vectors reproduce exactly, all rule ids covered", problems)
+    verdict(5, f"{len(vectors.CASES)} vectors reproduce exactly, every rule id covered where it can fire", problems)
 
 
 def test_criterion_6_ceasing_suite():

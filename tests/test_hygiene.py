@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
 loads every module, every function the benchmark traces exists, the
-README's layout lists every package module, and only the accountant drains
-a journal's key record.
+README's layout lists every package module, only the accountant drains
+a journal's key record, and the runner names no tamper.
 
 No linter ships with the project, so this walks the syntax tree of every
 package and test module instead. A top-level import counts as used when
@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mitto.scenario import TAMPERS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "mitto").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -172,3 +174,13 @@ def test_only_the_accountant_drains_a_journal():
     since the last one to its caller, and no other reader would see them."""
     draining = [path.name for path in sorted((ROOT / "src" / "mitto").glob("*.py")) if calls_drain(path.read_text())]
     assert draining == ["accountant.py"]
+
+
+def test_the_runner_names_no_tamper():
+    """Each tamper is one entry of its op's table in ``scenario``: the runner
+    looks a step's tamper up there, so a tamper's name in ``harness`` would be
+    a second definition of it."""
+    names = {name for values in TAMPERS.values() for name in values}
+    tree = ast.parse((ROOT / "src" / "mitto" / "harness.py").read_text())
+    found = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in names}
+    assert sorted(found) == []

@@ -4,11 +4,14 @@ import json
 
 import pytest
 
-from worlds import RULE_IDS
+from worlds import RULE_IDS, SHADOWED
 
 from mitto import vectors
 from mitto.harness import Runner
+from mitto.messages import SendTx, message_digest
 from mitto.scenario import TAMPERS, parse_scenario
+from mitto.tokens import make_redeem_tx
+from mitto.verdict import Verdict
 
 GATE_REASONS = (
     "BadSignature", "WrongSender", "PayloadMismatch", "SelfSend",
@@ -63,6 +66,45 @@ def test_accepted_tampered_step_is_a_violation(monkeypatch, tmp_path, module, ga
     assert observed["accepted"] is True
     assert observed["violations"] == report["violations"]
     assert [p for p in vectors.check_vectors(tmp_path) if p.startswith(f"{case_id}:")]
+
+
+#: alpha, byzantine, and beta are the chains of sc ids 1 and 2, which the
+#: state-layer vectors name; epoch 0 is closed and finalized on both.
+SC_IDS_1_AND_2 = {"name": "sc_ids_1_and_2", "seed": 1, "chains": [
+    {"label": "alpha", "epoch_length": 2, "byzantine": True},
+    {"label": "beta", "epoch_length": 2},
+], "steps": [
+    {"op": "advance_mainchain", "blocks": 2},
+    {"op": "close_epoch"},
+    {"op": "advance_mainchain", "blocks": 2},
+]}
+
+
+@pytest.mark.parametrize("rule", sorted(SHADOWED))
+def test_shadowed_rule_input_is_refused_by_the_gate(monkeypatch, rule):
+    """The state-layer vector's input, submitted through a world's gate, gets
+    the verdict of the gate check that shadows the rule. Alpha commits a
+    redeem's message, so its evidence is real and the gate reads past it."""
+    (case,) = [case for case in vectors.CASES if case.layer == "state" and case.expect.get("rule") == rule]
+    validated = []
+    for name in ("_send_verdict", "_redeem_verdict"):
+        monkeypatch.setattr(vectors, name, lambda *args: validated.append(args) or Verdict.ok())
+    case.run()
+    ((ledger, instance, message, signer),) = validated
+    payload, signature = instance.encode(), signer.sign(message_digest(message))
+    runner = Runner(parse_scenario(SC_IDS_1_AND_2))
+    alpha = runner.world.chains["alpha"]
+    if case.op == "redeem":
+        alpha.fabricate_send(message, payload)
+    assert runner.run()["ok"]
+    world = runner.world
+    gate = world.chains[world.label_by_sc_id(ledger.sc_id)]
+    if case.op == "send":
+        verdict = gate.accept_send(SendTx(message, payload, signature))
+    else:
+        receiver = vectors._actor("bob")
+        verdict = gate.accept_redeem(make_redeem_tx(world.mainchain, alpha, 0, message, payload, signature, receiver))
+    assert verdict.to_json() == SHADOWED[rule]
 
 
 def test_case_ids_unique():

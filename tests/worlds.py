@@ -28,6 +28,26 @@ RULE_IDS = (
     "malformed-payload", "unregistered-msg-type",
 )
 
+#: Each rule id that no world can fire, with the verdict of the gate check on
+#: the same field, which runs first and refuses the rule's input.
+SHADOWED = {
+    "send-3a": {"accepted": False, "reason": "WrongSender"},
+    "send-3b": {"accepted": False, "reason": "SelfSend"},
+    # The ledger is registered under the token-transfer type only.
+    "send-3c": {"accepted": False, "reason": "HandlerRejected", "rule": "unregistered-msg-type"},
+    # The handler keeps the payload hash the gate checked as the instance digest.
+    "send-3e": {"accepted": False, "reason": "PayloadMismatch"},
+    # Once send-3d passes, the same key, message and signature the gate verified.
+    "send-4": {"accepted": False, "reason": "BadSignature"},
+    "redeem-4b": {"accepted": False, "reason": "WrongReceivingChain"},
+    "redeem-4c": {"accepted": False, "reason": "HandlerRejected", "rule": "unregistered-msg-type"},
+    # verify_redeem checks the payload against the committed message's hash.
+    "redeem-4e": {"accepted": False, "reason": "ProofInvalid", "rule": "redeem-7"},
+}
+
+#: The rule id a world could fire but no op reaches, and why.
+UNREACHED = {"redeem-4d": "no op commits a message whose sender is not its instance's owner"}
+
 #: alpha and beta, freshly activated with epoch length 2, holding nothing.
 TWO_CHAINS = {
     "name": "two_chains", "seed": 1, "steps": [],
