@@ -8,18 +8,25 @@ format is a wire type declared here (``WcertBundle``; ``CswBundle`` with
 its ``StateAnchor`` and ``ReturnEvidence``, which carries its holder's
 ``StateAnchor``): the provers encode one, and the verifiers decode it
 strictly, refold every path, recompute every root named by the public
-input, and check the signature. A proof whose scheme is not its key's,
-whose key's params are not a 32-byte public key, or whose body does not
-decode, is a False. The certificate and withdrawal verifiers see exactly
-(vk, public_input, proof) and nothing else, so a swapped-in scheme with
-the same signatures drops in unchanged. The redeem
-verifier reads no chain either: the receiving chain resolves the claimed
-block's commitment root and the posting the evidence starts from, and
-``verify_redeem`` checks the evidence against those values alone. All
-three are pure: ``verify_csw`` keeps its results in the verify memo
-(``keys.remembered``). ``verify_wcert`` is not remembered, as no
-certificate is verified twice, and neither is ``verify_redeem``, as a
-replayed redeem stops at the redeemed set before its evidence is checked.
+input, and check the signature.
+
+Each verifier is one ordered sequence of named checks, a generator of
+(check id, passed) pairs (``csw.decode``, ``redeem.posting-linkage``, ...)
+built from the shared sub-sequences ``_anchored``, ``_commits`` and
+``_check_return_evidence``: ``verify_*`` is True iff every check passes,
+and ``explain_*`` names the first that fails (None when the proof verifies).
+
+The certificate and withdrawal verifiers see exactly (vk, public_input,
+proof) and nothing else, so a swapped-in scheme with the same signatures
+drops in unchanged. The redeem verifier reads no chain either: the
+receiving chain resolves the claimed block's commitment root and the
+posting the evidence starts from, and ``verify_redeem`` checks the evidence
+against those values alone. All three are pure: ``verify_csw`` keeps its
+results in the verify memo (``keys.remembered``), so the settlement
+chain's check of a proof its prover verified is a lookup. ``verify_wcert``
+is not remembered, as no certificate is verified twice, and neither is
+``verify_redeem``, as a replayed redeem stops at the redeemed set before
+its evidence is checked.
 
 The settlement chain builds one ``StateAnchor`` per finalized certificate;
 ``anchor_of`` looks it up, so every proof of an epoch shares it.
@@ -36,6 +43,7 @@ block-ancestry proof.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -191,6 +199,30 @@ class MainchainView(Protocol):
 
 
 # ---------------------------------------------------------------------------
+# Named checks
+# ---------------------------------------------------------------------------
+
+#: A verifier's checks in order; a check runs only when the one before it passed.
+Checks = Iterator[tuple[str, bool]]
+
+
+def _first_failure(checks: Checks) -> str | None:
+    """The id of the first check that fails, None when every check passes."""
+    for check_id, passed in checks:
+        if not passed:
+            return check_id
+    return None
+
+
+def _decoded(wire_type, data: bytes):
+    """``data`` decoded strictly as ``wire_type``, or None when it does not decode."""
+    try:
+        return wire_type.decode(data)
+    except (DecodeError, ValueError):
+        return None
+
+
+# ---------------------------------------------------------------------------
 # Withdrawal certificate proofs
 # ---------------------------------------------------------------------------
 
@@ -218,21 +250,24 @@ def prove_wcert(
     return Proof(scheme_id=SCHEME_SIM_MERKLE, body=bundle.encode())
 
 
+def _wcert_checks(vk: VerificationKey, public_input: WcertPublicInput, proof: Proof) -> Checks:
+    """Proof and key name one scheme, the bundle reproduces the input's roots,
+    and the signature over the input digest verifies under the key."""
+    yield "wcert.scheme", proof.scheme_id == vk.scheme_id and len(vk.params) == 32
+    bundle = _decoded(WcertBundle, proof.body)
+    yield "wcert.decode", bundle is not None
+    yield "wcert.bt-list-root", merkle_root([hash_bytes(bt) for bt in bundle.bt_list]) == public_input.bt_list_root
+    yield "wcert.proofdata-root", merkle_root(bundle.proofdata) == public_input.proofdata_root
+    yield "wcert.signature", verify_sig(vk.params, canonical_digest(public_input), bundle.signature)
+
+
+def explain_wcert(vk: VerificationKey, public_input: WcertPublicInput, proof: Proof) -> str | None:
+    """The id of the first certificate check the proof fails, None when it verifies."""
+    return _first_failure(_wcert_checks(vk, public_input, proof))
+
+
 def verify_wcert(vk: VerificationKey, public_input: WcertPublicInput, proof: Proof) -> bool:
-    """True iff proof and key name the same scheme, the bundle reproduces
-    the input's roots, and the signature over the input digest verifies
-    under the registered key."""
-    if proof.scheme_id != vk.scheme_id or len(vk.params) != 32:
-        return False
-    try:
-        bundle = WcertBundle.decode(proof.body)
-    except (DecodeError, ValueError):
-        return False
-    if merkle_root([hash_bytes(bt) for bt in bundle.bt_list]) != public_input.bt_list_root:
-        return False
-    if merkle_root(bundle.proofdata) != public_input.proofdata_root:
-        return False
-    return verify_sig(vk.params, canonical_digest(public_input), bundle.signature)
+    return explain_wcert(vk, public_input, proof) is None
 
 
 # ---------------------------------------------------------------------------
@@ -398,109 +433,73 @@ def prove_csw(signer: KeyPair, sc_id: int, public_input: CswPublicInput, claim: 
     return proof
 
 
-@remembered
-def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) -> bool:
-    """Structural verification of a withdrawal claim, no side channels.
-
-    Refolds entity -> committed-state root -> certificate -> block hash and
-    compares against the public input, recomputes the nullifier from the
-    claimed entity, re-derives the proofdata root, applies the sent-record
-    consistency rules when present, then checks the signature. The result
-    depends on the three arguments alone, so the verify memo keeps it: the
-    settlement chain's check of a proof its prover verified is a lookup.
-    """
-    if proof.scheme_id != vk.scheme_id or len(vk.params) != 32:
-        return False
-    try:
-        bundle = CswBundle.decode(proof.body)
-    except (DecodeError, ValueError):
-        return False
-
+def _csw_checks(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) -> Checks:
+    """A withdrawal claim's nullifier, proofdata root and refold of entity ->
+    committed-state root -> certificate -> block hash against the public
+    input, the sent-record rules when present, then the signature."""
+    yield "csw.scheme", proof.scheme_id == vk.scheme_id and len(vk.params) == 32
+    bundle = _decoded(CswBundle, proof.body)
+    yield "csw.decode", bundle is not None
     sc_id, message, proofdata, anchor = bundle.sc_id, bundle.message, bundle.proofdata, bundle.anchor
     entity_digest = hash_bytes(bundle.entity_bytes)
-    if public_input.nullifier != csw_nullifier(sc_id, entity_digest):
-        return False
-    expected_len = 2 if bundle.kind is ClaimKind.SENT_RECORD else 1
-    if len(proofdata) != expected_len:
-        return False
+    yield "csw.nullifier", public_input.nullifier == csw_nullifier(sc_id, entity_digest)
+    yield "csw.proofdata-length", len(proofdata) == (2 if bundle.kind is ClaimKind.SENT_RECORD else 1)
     if message is not None:
-        if proofdata[0] != message_digest(message):
-            return False
-        if public_input.amount != 0:
-            return False
-        if message.sending_sc_id != sc_id:
-            return False
-    elif proofdata[0] != EMPTY_ROOT:
-        return False
-    if merkle_root(proofdata) != public_input.proofdata_root:
-        return False
-
+        yield "csw.message-digest", proofdata[0] == message_digest(message)
+        yield "csw.amount", public_input.amount == 0
+        yield "csw.message-sender", message.sending_sc_id == sc_id
+    else:
+        yield "csw.empty-message-slot", proofdata[0] == EMPTY_ROOT
+    yield "csw.proofdata-root", merkle_root(proofdata) == public_input.proofdata_root
     # Entity -> committed state -> final certificate -> block hash.
-    if not verify_path(bundle.state_root, entity_digest, bundle.state_path):
-        return False
-    cert = anchor.cert
-    if len(cert.proofdata) < 2 or cert.proofdata[1] != bundle.state_root:
-        return False
-    if not _anchored(anchor, sc_id, public_input.last_cert_block_hash):
-        return False
-
+    yield "csw.state-path", verify_path(bundle.state_root, entity_digest, bundle.state_path)
+    yield "csw.state-root", len(anchor.cert.proofdata) >= 2 and anchor.cert.proofdata[1] == bundle.state_root
+    yield from _anchored(anchor, sc_id, public_input.last_cert_block_hash)
     evidence = bundle.return_evidence
     if bundle.kind is ClaimKind.SENT_RECORD:
-        if message is None or evidence is None:
-            return False
-        if not _check_return_evidence(sc_id, bundle.entity_bytes, message, evidence, proofdata[1]):
-            return False
-    elif evidence is not None:
-        return False
+        yield "csw.return-evidence", message is not None and evidence is not None
+        yield from _check_return_evidence(sc_id, bundle.entity_bytes, message, evidence, proofdata[1])
+    else:
+        yield "csw.no-return-evidence", evidence is None
+    yield "csw.signature", verify_sig(vk.params, canonical_digest(public_input), bundle.signature)
 
-    return verify_sig(vk.params, canonical_digest(public_input), bundle.signature)
+
+def explain_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) -> str | None:
+    """The id of the first withdrawal check the proof fails, None when it verifies."""
+    return _first_failure(_csw_checks(vk, public_input, proof))
+
+
+@remembered
+def verify_csw(vk: VerificationKey, public_input: CswPublicInput, proof: Proof) -> bool:
+    return explain_csw(vk, public_input, proof) is None
 
 
 def _check_return_evidence(
-    sc_id: int,
-    record_bytes: bytes,
-    embedded: CscpMessage,
-    evidence: ReturnEvidence,
-    holder_block_hash: Digest,
-) -> bool:
+    sc_id: int, record_bytes: bytes, embedded: CscpMessage, evidence: ReturnEvidence, holder_block_hash: Digest
+) -> Checks:
     from .tokens import SentRecord, TokenInstance
 
-    ev_message = evidence.return_message
-    returned_bytes = evidence.returned_instance_bytes
-    try:
-        record = SentRecord.decode(record_bytes)
-        instance = TokenInstance.decode(returned_bytes)
-    except (DecodeError, ValueError):
-        return False
+    ev_message, returned_bytes = evidence.return_message, evidence.returned_instance_bytes
+    record, instance = _decoded(SentRecord, record_bytes), _decoded(TokenInstance, returned_bytes)
+    yield "return.decode", record is not None and instance is not None
     # The return leg targets this chain, comes from the recorded counterparty,
     # and is committed through the counterparty's certificate.
-    if ev_message.receiving_sc_id != sc_id:
-        return False
-    if ev_message.sending_sc_id != record.receiver_sc_id:
-        return False
-    if not _commits(evidence.holder.cert, ev_message, evidence.msg_path):
-        return False
-    if not _anchored(evidence.holder, ev_message.sending_sc_id, holder_block_hash):
-        return False
+    yield "return.receiving-chain", ev_message.receiving_sc_id == sc_id
+    yield "return.sending-chain", ev_message.sending_sc_id == record.receiver_sc_id
+    yield from _commits(evidence.holder.cert, ev_message, evidence.msg_path)
+    yield from _anchored(evidence.holder, ev_message.sending_sc_id, holder_block_hash)
     # The returned instance is one this chain issued, covered by the record,
-    # and the embedded onward message wraps exactly those bytes.
-    if ev_message.payload_hash != hash_bytes(returned_bytes):
-        return False
-    if embedded.payload_hash != hash_bytes(returned_bytes):
-        return False
-    if instance.issuer_sc_id != sc_id:
-        return False
-    if instance.token_name != record.token_name:
-        return False
-    if instance.fungibility != record.fungibility:
-        return False
+    # and the embedded onward message wraps exactly those bytes. Both decoded
+    # with the same fungibility, a fungible record and instance carry amounts.
+    yield "return.payload", ev_message.payload_hash == hash_bytes(returned_bytes)
+    yield "return.embedded-payload", embedded.payload_hash == hash_bytes(returned_bytes)
+    yield "return.issuer", instance.issuer_sc_id == sc_id
+    yield "return.token-name", instance.token_name == record.token_name
+    yield "return.fungibility", instance.fungibility == record.fungibility
     if record.fungibility:
-        if instance.amount is None or record.amount is None or instance.amount > record.amount:
-            return False
+        yield "return.amount", instance.amount <= record.amount
     else:
-        if instance.token_id != record.token_id:
-            return False
-    return True
+        yield "return.token-id", instance.token_id == record.token_id
 
 
 # ---------------------------------------------------------------------------
@@ -533,20 +532,18 @@ def message_path(tree: MerkleTree, message: CscpMessage, cert: WithdrawalCertifi
     return merkle_path(tree, index)
 
 
-def _anchored(anchor: StateAnchor, ledger_id: int, block_hash: Digest) -> bool:
-    """True iff ``anchor.cert`` is chain ``ledger_id``'s certificate and is
-    committed in the block whose hash is ``block_hash``."""
-    return (
-        anchor.cert.ledger_id == ledger_id
-        and verify_path(anchor.header.stc_root, canonical_digest(anchor.cert), anchor.stc_path)
-        and canonical_digest(anchor.header) == block_hash
-    )
+def _anchored(anchor: StateAnchor, ledger_id: int, block_hash: Digest) -> Checks:
+    """``anchor.cert`` is chain ``ledger_id``'s certificate and is committed
+    in the block whose hash is ``block_hash``."""
+    yield "anchor.ledger", anchor.cert.ledger_id == ledger_id
+    yield "anchor.stc-path", verify_path(anchor.header.stc_root, canonical_digest(anchor.cert), anchor.stc_path)
+    yield "anchor.block-hash", canonical_digest(anchor.header) == block_hash
 
 
-def _commits(cert: WithdrawalCertificate, message: CscpMessage, path: MerklePath) -> bool:
-    """True iff ``path`` folds ``message`` into the epoch tree root that
-    ``cert`` carries at proofdata[0]."""
-    return bool(cert.proofdata) and verify_path(cert.proofdata[0], message_digest(message), path)
+def _commits(cert: WithdrawalCertificate, message: CscpMessage, path: MerklePath) -> Checks:
+    """``path`` folds ``message`` into the epoch tree root that ``cert``
+    carries at proofdata[0]."""
+    yield "commits.msg-path", bool(cert.proofdata) and verify_path(cert.proofdata[0], message_digest(message), path)
 
 
 # ---------------------------------------------------------------------------
@@ -651,49 +648,49 @@ def build_csw_redeem_proof(
     )
 
 
-def verify_redeem(
-    stc_root: Digest | None,
-    posting: WithdrawalCertificate | CeasedSidechainWithdrawal | None,
-    message: CscpMessage,
-    payload: bytes,
-    proof: RedeemProof,
-) -> bool:
-    """Check payload binding, tree membership, posting linkage, and block
+Posting = WithdrawalCertificate | CeasedSidechainWithdrawal
+
+
+def _redeem_checks(
+    stc_root: Digest | None, posting: Posting | None, message: CscpMessage, payload: bytes, proof: RedeemProof
+) -> Checks:
+    """Payload binding, tree membership, posting linkage, and block
     commitment for one redeem claim against the named block's ``stc_root``
     and the ``posting`` the evidence starts from (None when not found)."""
-    if stc_root is None or posting is None or posting.ledger_id != message.sending_sc_id:
-        return False
-    if hash_bytes(payload) != message.payload_hash:
-        return False
-    if canonical_digest(posting) != proof.commitment_path.posting_digest:
-        return False
-
+    chain = proof.commitment_path
+    yield "redeem.block", stc_root is not None
+    yield "redeem.posting", posting is not None
+    yield "redeem.posting-sender", posting.ledger_id == message.sending_sc_id
+    yield "redeem.payload", hash_bytes(payload) == message.payload_hash
+    yield "redeem.posting-linkage", canonical_digest(posting) == chain.posting_digest
     if proof.source_kind is SourceKind.CERTIFICATE:
-        if not isinstance(posting, WithdrawalCertificate):
-            return False
-        if len(proof.commitment_path.segments) != 1:
-            return False
-        if not _commits(posting, message, proof.msg_path) or posting.proofdata[0] != proof.msg_tree_root:
-            return False
+        yield "redeem.posting-kind", isinstance(posting, WithdrawalCertificate)
+        yield "redeem.segments", len(chain.segments) == 1
+        yield from _commits(posting, message, proof.msg_path)
+        yield "redeem.msg-tree-root", posting.proofdata[0] == proof.msg_tree_root
     else:
-        if not isinstance(posting, CeasedSidechainWithdrawal):
-            return False
-        if len(proof.commitment_path.segments) != 2:
-            return False
-        if proof.msg_path.siblings or proof.msg_path.leaf_index != 0:
-            return False
+        yield "redeem.posting-kind", isinstance(posting, CeasedSidechainWithdrawal)
+        yield "redeem.segments", len(chain.segments) == 2
+        yield "redeem.msg-path", not proof.msg_path.siblings and proof.msg_path.leaf_index == 0
         md = message_digest(message)
-        if proof.msg_tree_root != md:
-            return False
-        if not posting.proofdata or posting.proofdata[0] != md:
-            return False
-        if posting.amount != 0:
-            return False
+        yield "redeem.msg-tree-root", proof.msg_tree_root == md
+        yield "redeem.posting-message", bool(posting.proofdata) and posting.proofdata[0] == md
+        yield "redeem.posting-amount", posting.amount == 0
+    node = chain.posting_digest
+    for segment in chain.segments:
+        node = fold_path(node, segment)
+        yield "redeem.segment-fold", node is not None
+    yield "redeem.block-commitment", node == stc_root
 
-    node = proof.commitment_path.posting_digest
-    for segment in proof.commitment_path.segments:
-        folded = fold_path(node, segment)
-        if folded is None:
-            return False
-        node = folded
-    return node == stc_root
+
+def explain_redeem(
+    stc_root: Digest | None, posting: Posting | None, message: CscpMessage, payload: bytes, proof: RedeemProof
+) -> str | None:
+    """The id of the first redeem check the evidence fails, None when it verifies."""
+    return _first_failure(_redeem_checks(stc_root, posting, message, payload, proof))
+
+
+def verify_redeem(
+    stc_root: Digest | None, posting: Posting | None, message: CscpMessage, payload: bytes, proof: RedeemProof
+) -> bool:
+    return explain_redeem(stc_root, posting, message, payload, proof) is None

@@ -187,31 +187,17 @@ class Sidechain(Journaled):
             digests.extend(self.handlers[msg_type].state_digests())
         return CommittedState.from_digests(digests)
 
-    def build_certificate(
-        self,
-        quality: int = 1,
-        epoch_id: int | None = None,
-        last_block_hash: Digest | None = None,
-    ) -> WithdrawalCertificate:
-        """Certificate over the current outbox and state. epoch_id and
-        last_block_hash can be overridden to construct deliberately stale or
-        early submissions for rejection tests."""
-        return self._certify(
-            self.current_message_tree(), self.current_committed_state(), quality, epoch_id, last_block_hash
-        )
+    def build_certificate(self, quality: int = 1, epoch_id: int | None = None) -> WithdrawalCertificate:
+        """Certificate over the current outbox and state. epoch_id can be
+        overridden to construct a stale or early submission."""
+        return self._certify(self.current_message_tree(), self.current_committed_state(), quality, epoch_id)
 
     def _certify(
-        self,
-        tree: MerkleTree,
-        committed: CommittedState,
-        quality: int,
-        epoch_id: int | None = None,
-        last_block_hash: Digest | None = None,
+        self, tree: MerkleTree, committed: CommittedState, quality: int, epoch_id: int | None = None
     ) -> WithdrawalCertificate:
         """Certificate with an empty backward-transfer list: tokens leave only in messages."""
         epoch = self.next_epoch_to_close() if epoch_id is None else epoch_id
-        if last_block_hash is None:
-            last_block_hash = self.mainchain.wcert_anchor_hash(self.sc_id, epoch)
+        last_block_hash = self.mainchain.wcert_anchor_hash(self.sc_id, epoch)
         proofdata = (tree.root, committed.root)
         proof = prove_wcert(self.wcert_signer, quality, (), last_block_hash, proofdata)
         return WithdrawalCertificate(

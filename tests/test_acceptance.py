@@ -12,7 +12,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from oracles import Findings, OracleRunner
-from worlds import CEASED, COMMITTED, RULE_IDS, SCENARIO_DIR, SHADOWED, UNREACHED, held, redeem_verifies, run_stage
+from verifier_checks import CSW_BODY, WCERT_BODY, body_checks, declared_check_ids
+from worlds import (
+    CEASED, COMMITTED, RULE_IDS, SCENARIO_DIR, SHADOWED, UNREACHED, held, redeem_refusal, redeem_verifies, run_stage,
+)
 
 from mitto import vectors
 from mitto.cli import main as cli_main
@@ -22,8 +25,12 @@ from mitto.hashing import Digest, MerklePath, hash_bytes
 from mitto.keys import KeyPair, PubKey
 from mitto.messages import MSG_TYPE_TOKEN_TRANSFER, CscpMessage, Proof, message_digest
 from mitto.proofs import (
+    CswBundle,
+    WcertBundle,
     build_csw_redeem_proof,
     build_redeem_proof,
+    explain_csw,
+    explain_wcert,
     verify_csw,
     verify_wcert,
 )
@@ -215,14 +222,23 @@ def test_criterion_6_ceasing_suite():
 
 
 class _Sweep:
+    """Single-bit mutations: each must verify False, and the first check
+    that refuses it must be one its group names."""
+
     def __init__(self):
         self.total = 0
         self.survivors: list[str] = []
+        self.misattributed: list[str] = []
+        self.named: set[str] = set()
 
-    def expect_false(self, name: str, result: bool) -> None:
+    def expect_refused(self, name: str, by: set[str], verify, explain, *args) -> None:
         self.total += 1
-        if result:
+        self.named |= by
+        refused_by = explain(*args)
+        if verify(*args) or refused_by is None:
             self.survivors.append(name)
+        elif refused_by not in by:
+            self.misattributed.append(f"{name} refused by {refused_by}, not {' or '.join(sorted(by))}")
 
 
 def _flipped(value: bytes):
@@ -236,13 +252,16 @@ def _digest_flips(value: Digest):
         yield f"byte {i} bit {bit}", Digest(raw)
 
 
-def _path_flips(path: MerklePath):
+def _path_flips(path: MerklePath, index_checks: set[str], sibling_checks: set[str]):
+    """Each one-bit change of ``path``, with the checks that refuse it: a
+    flipped leaf-index bit disagrees with that level's side flag, a flipped
+    sibling folds to another root."""
     for k in range(len(path.siblings)):
-        yield f"leaf_index bit {k}", replace(path, leaf_index=path.leaf_index ^ (1 << k))
+        yield f"leaf_index bit {k}", replace(path, leaf_index=path.leaf_index ^ (1 << k)), index_checks
     for n, (sibling, on_left) in enumerate(path.siblings):
         for note, digest in _digest_flips(sibling):
             mutated = path.siblings[:n] + ((digest, on_left),) + path.siblings[n + 1:]
-            yield f"sibling {n} {note}", replace(path, siblings=mutated)
+            yield f"sibling {n} {note}", replace(path, siblings=mutated), sibling_checks
 
 
 def test_criterion_7_commitment_soundness():
@@ -258,21 +277,24 @@ def test_criterion_7_commitment_soundness():
     w_input = cw.mainchain.wcert_input(cert)
     if not verify_wcert(w_vk, w_input, cert.proof):
         problems.append("honest certificate fixture does not verify")
+    wcert = (verify_wcert, explain_wcert, w_vk)
     for k in range(8):
-        sweep.expect_false(
-            f"wcert quality bit {k}",
-            verify_wcert(w_vk, replace(w_input, quality=w_input.quality ^ (1 << k)), cert.proof),
-        )
-    for field in ("bt_list_root", "last_block_hash", "proofdata_root"):
+        mutated = replace(w_input, quality=w_input.quality ^ (1 << k))
+        sweep.expect_refused(f"wcert quality bit {k}", {"wcert.signature"}, *wcert, mutated, cert.proof)
+    wcert_input_checks = {
+        "bt_list_root": {"wcert.bt-list-root"},
+        "last_block_hash": {"wcert.signature"},
+        "proofdata_root": {"wcert.proofdata-root"},
+    }
+    for field, by in wcert_input_checks.items():
         for note, digest in _digest_flips(getattr(w_input, field)):
-            sweep.expect_false(
-                f"wcert input {field} {note}",
-                verify_wcert(w_vk, replace(w_input, **{field: digest}), cert.proof),
-            )
+            mutated = replace(w_input, **{field: digest})
+            sweep.expect_refused(f"wcert input {field} {note}", by, *wcert, mutated, cert.proof)
     for i, bit, body in _flipped(cert.proof.body):
-        sweep.expect_false(
+        sweep.expect_refused(
             f"wcert proof body byte {i} bit {bit}",
-            verify_wcert(w_vk, w_input, Proof(scheme_id=cert.proof.scheme_id, body=body)),
+            body_checks(WcertBundle, WCERT_BODY, cert.proof.body, body),
+            *wcert, w_input, Proof(scheme_id=cert.proof.scheme_id, body=body),
         )
 
     # Redeem evidence fixture: the committed in-flight send.
@@ -281,33 +303,28 @@ def test_criterion_7_commitment_soundness():
     rp = build_redeem_proof(cw.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
     if not redeem_verifies(cw, sent.message, payload, rp):
         problems.append("honest redeem fixture does not verify")
-    for field in ("msg_tree_root", "block_hash"):
+    redeem = (redeem_verifies, redeem_refusal, cw)
+    # A block hash no block has resolves to no commitment root.
+    redeem_field_checks = {"msg_tree_root": {"redeem.msg-tree-root"}, "block_hash": {"redeem.block"}}
+    for field, by in redeem_field_checks.items():
         for note, digest in _digest_flips(getattr(rp, field)):
-            sweep.expect_false(
-                f"redeem {field} {note}",
-                redeem_verifies(cw, sent.message, payload, replace(rp, **{field: digest})),
-            )
+            mutated = replace(rp, **{field: digest})
+            sweep.expect_refused(f"redeem {field} {note}", by, *redeem, sent.message, payload, mutated)
     for note, digest in _digest_flips(rp.commitment_path.posting_digest):
         mutated = replace(rp, commitment_path=replace(rp.commitment_path, posting_digest=digest))
-        sweep.expect_false(f"redeem posting {note}", redeem_verifies(cw, sent.message, payload, mutated))
-    for note, path in _path_flips(rp.msg_path):
-        sweep.expect_false(
-            f"redeem msg_path {note}",
-            redeem_verifies(cw, sent.message, payload, replace(rp, msg_path=path)),
-        )
+        by = {"redeem.posting-linkage"}
+        sweep.expect_refused(f"redeem posting {note}", by, *redeem, sent.message, payload, mutated)
+    for note, path, by in _path_flips(rp.msg_path, {"commits.msg-path"}, {"commits.msg-path"}):
+        mutated = replace(rp, msg_path=path)
+        sweep.expect_refused(f"redeem msg_path {note}", by, *redeem, sent.message, payload, mutated)
+    segment_checks = ({"redeem.segment-fold"}, {"redeem.block-commitment"})
     for n, segment in enumerate(rp.commitment_path.segments):
-        for note, path in _path_flips(segment):
+        for note, path, by in _path_flips(segment, *segment_checks):
             segments = rp.commitment_path.segments[:n] + (path,) + rp.commitment_path.segments[n + 1:]
             mutated = replace(rp, commitment_path=replace(rp.commitment_path, segments=segments))
-            sweep.expect_false(
-                f"redeem segment {n} {note}",
-                redeem_verifies(cw, sent.message, payload, mutated),
-            )
+            sweep.expect_refused(f"redeem segment {n} {note}", by, *redeem, sent.message, payload, mutated)
     for i, bit, raw in _flipped(payload):
-        sweep.expect_false(
-            f"redeem payload byte {i} bit {bit}",
-            redeem_verifies(cw, sent.message, raw, rp),
-        )
+        sweep.expect_refused(f"redeem payload byte {i} bit {bit}", {"redeem.payload"}, *redeem, sent.message, raw, rp)
 
     # Withdrawal fixture: a foreign-token claim out of the ceased chain.
     zw, _ = run_stage(CEASED)
@@ -318,26 +335,27 @@ def test_criterion_7_commitment_soundness():
     c_input = zw.mainchain.csw_input(pkg.csw)
     if not verify_csw(c_vk, c_input, pkg.csw.proof):
         problems.append("honest withdrawal fixture does not verify")
-    for field in ("last_cert_block_hash", "nullifier", "proofdata_root"):
+    csw = (verify_csw, explain_csw, c_vk)
+    csw_input_checks = {
+        "last_cert_block_hash": {"anchor.block-hash"},
+        "nullifier": {"csw.nullifier"},
+        "proofdata_root": {"csw.proofdata-root"},
+    }
+    for field, by in csw_input_checks.items():
         for note, digest in _digest_flips(getattr(c_input, field)):
-            sweep.expect_false(
-                f"csw input {field} {note}",
-                verify_csw(c_vk, replace(c_input, **{field: digest}), pkg.csw.proof),
-            )
+            mutated = replace(c_input, **{field: digest})
+            sweep.expect_refused(f"csw input {field} {note}", by, *csw, mutated, pkg.csw.proof)
     for i, bit, raw in _flipped(c_input.receiver):
-        sweep.expect_false(
-            f"csw input receiver byte {i} bit {bit}",
-            verify_csw(c_vk, replace(c_input, receiver=PubKey(raw)), pkg.csw.proof),
-        )
+        mutated = replace(c_input, receiver=PubKey(raw))
+        sweep.expect_refused(f"csw input receiver byte {i} bit {bit}", {"csw.signature"}, *csw, mutated, pkg.csw.proof)
     for k in range(8):
-        sweep.expect_false(
-            f"csw amount bit {k}",
-            verify_csw(c_vk, replace(c_input, amount=c_input.amount ^ (1 << k)), pkg.csw.proof),
-        )
+        mutated = replace(c_input, amount=c_input.amount ^ (1 << k))
+        sweep.expect_refused(f"csw amount bit {k}", {"csw.amount"}, *csw, mutated, pkg.csw.proof)
     for i, bit, body in _flipped(pkg.csw.proof.body):
-        sweep.expect_false(
+        sweep.expect_refused(
             f"csw proof body byte {i} bit {bit}",
-            verify_csw(c_vk, c_input, Proof(scheme_id=pkg.csw.proof.scheme_id, body=body)),
+            body_checks(CswBundle, CSW_BODY, pkg.csw.proof.body, body),
+            *csw, c_input, Proof(scheme_id=pkg.csw.proof.scheme_id, body=body),
         )
 
     # Withdrawal-sourced redeem evidence for the same claim.
@@ -347,26 +365,25 @@ def test_criterion_7_commitment_soundness():
     csw_ref = (pkg.csw.ledger_id, pkg.csw.nullifier)
     if not redeem_verifies(zw, pkg.message, pkg.payload, crp, csw_ref):
         problems.append("honest withdrawal-redeem fixture does not verify")
-    for field in ("msg_tree_root", "block_hash"):
+    csw_redeem = (redeem_verifies, redeem_refusal, zw, pkg.message, pkg.payload)
+    for field, by in redeem_field_checks.items():
         for note, digest in _digest_flips(getattr(crp, field)):
-            sweep.expect_false(
-                f"csw-redeem {field} {note}",
-                redeem_verifies(zw, pkg.message, pkg.payload, replace(crp, **{field: digest}), csw_ref),
-            )
+            mutated = replace(crp, **{field: digest})
+            sweep.expect_refused(f"csw-redeem {field} {note}", by, *csw_redeem, mutated, csw_ref)
     for n, segment in enumerate(crp.commitment_path.segments):
-        for note, path in _path_flips(segment):
+        for note, path, by in _path_flips(segment, *segment_checks):
             segments = crp.commitment_path.segments[:n] + (path,) + crp.commitment_path.segments[n + 1:]
             mutated = replace(crp, commitment_path=replace(crp.commitment_path, segments=segments))
-            sweep.expect_false(
-                f"csw-redeem segment {n} {note}",
-                redeem_verifies(zw, pkg.message, pkg.payload, mutated, csw_ref),
-            )
+            sweep.expect_refused(f"csw-redeem segment {n} {note}", by, *csw_redeem, mutated, csw_ref)
 
     if sweep.total < 500:
         problems.append(f"only {sweep.total} mutations swept, need at least 500")
     for survivor in sweep.survivors[:10]:
         problems.append(f"mutation still verifies: {survivor}")
-    verdict(7, f"{sweep.total} single-bit mutations, all verify false", problems)
+    problems += sweep.misattributed[:10]
+    if sweep.named - set(declared_check_ids()):
+        problems.append(f"expected checks no verifier declares: {sorted(sweep.named - set(declared_check_ids()))}")
+    verdict(7, f"{sweep.total} single-bit mutations, all verify false, each refused by its field's check", problems)
 
 
 def test_redeem_verifier_agrees_with_reference_on_scenarios_and_vectors(monkeypatch):

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
 loads every module, every function the benchmark traces exists, the
 README's layout lists every package module, only the accountant drains
-a journal's key record, and the runner names no tamper.
+a journal's key record, the runner names no tamper, and no verifier check
+returns a bare False.
 
 No linter ships with the project, so this walks the syntax tree of every
 package and test module instead. A top-level import counts as used when
@@ -184,3 +185,18 @@ def test_the_runner_names_no_tamper():
     tree = ast.parse((ROOT / "src" / "mitto" / "harness.py").read_text())
     found = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and node.value in names}
     assert sorted(found) == []
+
+
+def bare_false_returns(source: str) -> list[int]:
+    """The line of each ``return False`` in the source."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value is False
+    ]
+
+
+def test_no_verifier_check_returns_a_bare_false():
+    """Each verifier in ``proofs`` is one sequence of named checks, which its
+    ``explain_*`` reads; a ``return False`` would refuse a proof under no id."""
+    assert bare_false_returns("def f(x):\n    if x:\n        return False\n    return x\n") == [3]
+    assert bare_false_returns((ROOT / "src" / "mitto" / "proofs.py").read_text()) == []

@@ -19,7 +19,7 @@ from mitto.mainchain import (
     NotFound,
 )
 from mitto.messages import Proof, SCHEME_SIM_MERKLE
-from mitto.proofs import csw_nullifier, make_csw_input, make_wcert_input, sim_merkle_vk
+from mitto.proofs import csw_nullifier, make_csw_input, make_wcert_input, prove_wcert, sim_merkle_vk
 from mitto.verdict import (
     LOWER_QUALITY,
     NULLIFIER_REUSED,
@@ -34,6 +34,11 @@ from mitto.verdict import (
 
 def bare_vk(label: str):
     return sim_merkle_vk(KeyPair.from_label("wcert", 0, label).public)
+
+
+def proved_over(chain, cert, anchor):
+    """``cert``, proved again by ``chain`` over the block hash ``anchor``."""
+    return replace(cert, proof=prove_wcert(chain.wcert_signer, cert.quality, cert.bt_list, anchor, cert.proofdata))
 
 
 class TestRegistration:
@@ -150,7 +155,7 @@ class TestCertificateWindows:
         # tip 1: epoch 0 still running, window opens at tip 3. The honest
         # anchor block does not exist yet, so pin the current tip instead;
         # the window check fires before the proof is ever examined.
-        cert = alpha.build_certificate(last_block_hash=w.mainchain.tip.hash)
+        cert = proved_over(alpha, alpha.build_certificate(), w.mainchain.tip.hash)
         assert w.mainchain.submit_certificate(cert).reason == WINDOW_CLOSED
         w.mainchain.advance_blocks(2)  # tip 3
         assert w.mainchain.submit_certificate(alpha.build_certificate()).accepted
@@ -181,7 +186,7 @@ class TestCertificateWindows:
     def test_wrong_epoch(self):
         w, alpha = self.setup_world()
         w.mainchain.advance_blocks(2)
-        stale = alpha.build_certificate(epoch_id=1, last_block_hash=w.mainchain.tip.hash)
+        stale = proved_over(alpha, alpha.build_certificate(epoch_id=1), w.mainchain.tip.hash)
         assert w.mainchain.submit_certificate(stale).reason == WRONG_EPOCH
 
     def test_pending_sidechain_rejected(self):
@@ -254,7 +259,7 @@ class TestQualityCompetition:
 
     def test_wrong_anchor_block_is_proof_invalid(self):
         w, alpha = self.build()
-        lying = alpha.build_certificate(last_block_hash=hash_bytes(b"fork"))
+        lying = proved_over(alpha, alpha.build_certificate(), hash_bytes(b"fork"))
         assert w.mainchain.submit_certificate(lying).reason == PROOF_INVALID
 
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+from verifier_checks import CSW_BODY, body_checks, declared_check_ids
 from worlds import (
     CEASED, COMMITTED, SCENARIO_DIR, held, held_withdrawal, make_send, redeem_verifies, run_stage, two_chain_world,
 )
@@ -19,7 +20,17 @@ from mitto.encoding import ByteReader, canonical_digest, enc_bytes, enc_u32
 from mitto.harness import Runner
 from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path, verify_path
 from mitto.keys import KeyPair
-from mitto.messages import Proof, VerificationKey, message_digest
+from mitto.messages import (
+    MSG_TYPE_TOKEN_TRANSFER,
+    SCHEME_SIM_MERKLE,
+    BlockHeader,
+    CeasedSidechainWithdrawal,
+    CscpMessage,
+    Proof,
+    VerificationKey,
+    WithdrawalCertificate,
+    message_digest,
+)
 from mitto.proofs import (
     CertificateNotConfirmed,
     ClaimKind,
@@ -34,13 +45,18 @@ from mitto.proofs import (
     MessageMismatch,
     MessageNotCommitted,
     RedeemProof,
+    ReturnEvidence,
     SourceKind,
+    StateAnchor,
     WcertPublicInput,
     anchor_of,
     build_csw_redeem_proof,
     build_redeem_proof,
     claim_proofdata,
     csw_nullifier,
+    explain_csw,
+    explain_redeem,
+    explain_wcert,
     make_csw_input,
     make_wcert_input,
     prove_csw,
@@ -51,7 +67,7 @@ from mitto.proofs import (
     verify_wcert,
 )
 from mitto.scenario import load_scenario
-from mitto.tokens import final_ledger, make_redeem_tx, withdraw_foreign, withdraw_native_sent
+from mitto.tokens import SentRecord, TokenInstance, final_ledger, make_redeem_tx, withdraw_foreign, withdraw_native_sent
 
 
 SIGNER = KeyPair.from_label("wcert", 0, "prover")
@@ -250,7 +266,9 @@ class TestCswScheme:
         body = pkg.csw.proof.body
         for pos in range(0, len(body), max(1, len(body) // 64)):
             flipped = bytes(body[:pos]) + bytes([body[pos] ^ 0x01]) + bytes(body[pos + 1 :])
-            assert not verify_csw(vk, pub, Proof(scheme_id=pkg.csw.proof.scheme_id, body=flipped))
+            proof = Proof(scheme_id=pkg.csw.proof.scheme_id, body=flipped)
+            assert not verify_csw(vk, pub, proof)
+            assert explain_csw(vk, pub, proof) in body_checks(CswBundle, CSW_BODY, body, flipped), pos
 
     def test_prove_rejects_entity_outside_committed_state(self):
         w, _ = run_stage(CEASED)
@@ -467,3 +485,208 @@ class TestOneAnchorPerFinalizedCertificate:
         finalized = list(runner.world.mainchain._finalized.values())
         assert finalized and len(built) == len(finalized)
         assert all(a is b for a, b in zip(built, finalized))
+
+
+# Crafted inputs, one per named check. The verifiers read no chain, so each
+# input is built from its parts alone, every root and path derived from them.
+
+ALPHA, BETA, GAMMA = 1, 2, 3
+ALICE = KeyPair.from_label("actor", 0, "alice").public
+BOB = KeyPair.from_label("actor", 0, "bob").public
+RECORD = SentRecord(receiver_sc_id=GAMMA, token_name="SENT", fungibility=True, amount=100)
+RETURNED = TokenInstance("SENT", True, ALPHA, ALICE, hash_bytes(b"sent"), amount=100)
+PAYLOAD = RETURNED.encode()
+MESSAGE = CscpMessage(ALPHA, BETA, MSG_TYPE_TOKEN_TRANSFER, ALICE, BOB, hash_bytes(PAYLOAD))
+
+
+def transfer(sending: int, receiving: int, payload: bytes) -> CscpMessage:
+    return replace(MESSAGE, sending_sc_id=sending, receiving_sc_id=receiving, payload_hash=hash_bytes(payload))
+
+
+def certificate(ledger_id: int, proofdata: tuple) -> WithdrawalCertificate:
+    return WithdrawalCertificate(ledger_id, 0, 1, (), proofdata, Proof(scheme_id=SCHEME_SIM_MERKLE, body=b""))
+
+
+def anchored(cert: WithdrawalCertificate) -> StateAnchor:
+    """``cert`` as the one leaf of a block's sidechain commitment."""
+    stc = build_merkle([canonical_digest(cert)])
+    return StateAnchor(cert, merkle_path(stc, 0), BlockHeader(height=1, parent_hash=EMPTY_ROOT, stc_root=stc.root))
+
+
+def reanchored(bundle: CswBundle, **cert_changes) -> CswBundle:
+    return replace(bundle, anchor=anchored(replace(bundle.anchor.cert, **cert_changes)))
+
+
+def sent_record_bundle(record=RECORD, returned=PAYLOAD, ret=None, committed=None, embedded=None) -> CswBundle:
+    """alpha's withdrawal of ``record``: gamma's return ``ret`` of the
+    ``returned`` instance, which gamma's certificate commits (or commits
+    ``committed`` in its place), and alpha's onward ``embedded`` message."""
+    ret = ret or transfer(GAMMA, ALPHA, returned)
+    embedded = embedded or transfer(ALPHA, BETA, returned)
+    epoch = build_merkle([message_digest(committed or ret)])
+    holder = anchored(certificate(GAMMA, (epoch.root, EMPTY_ROOT)))
+    entity = hash_bytes(record.encode())
+    state = CommittedState.from_digests([entity])
+    return CswBundle(
+        sc_id=ALPHA,
+        kind=ClaimKind.SENT_RECORD,
+        entity_bytes=record.encode(),
+        message=embedded,
+        proofdata=(message_digest(embedded), canonical_digest(holder.header)),
+        state_path=state.path_for(entity),
+        state_root=state.root,
+        anchor=anchored(certificate(ALPHA, (EMPTY_ROOT, state.root))),
+        return_evidence=ReturnEvidence(ret, merkle_path(epoch, 0), holder, returned),
+        signature=b"",
+    )
+
+
+def withdrawal(bundle: CswBundle, **input_changes) -> dict:
+    """``explain_csw``'s arguments for ``bundle``, signed over the input its
+    anchor, entity and proofdata imply, that input then changed by
+    ``input_changes``."""
+    nullifier = csw_nullifier(bundle.sc_id, hash_bytes(bundle.entity_bytes))
+    pub = make_csw_input(canonical_digest(bundle.anchor.header), nullifier, BOB, 0, bundle.proofdata)
+    body = replace(bundle, signature=SIGNER.sign(canonical_digest(pub))).encode()
+    return {"vk": VK, "public_input": replace(pub, **input_changes), "proof": Proof(SCHEME_SIM_MERKLE, body)}
+
+
+def certificate_redeem() -> dict:
+    """``explain_redeem``'s arguments for MESSAGE, leaf 0 of alpha's epoch
+    tree, whose certificate is its block's one commitment leaf."""
+    epoch = build_merkle([message_digest(MESSAGE), hash_bytes(b"another message")])
+    cert = certificate(ALPHA, (epoch.root, EMPTY_ROOT))
+    stc = build_merkle([canonical_digest(cert)])
+    chain = CommitmentChain(canonical_digest(cert), (merkle_path(stc, 0),))
+    proof = RedeemProof(SourceKind.CERTIFICATE, merkle_path(epoch, 0), epoch.root, chain, EMPTY_ROOT)
+    return {"stc_root": stc.root, "posting": cert, "message": MESSAGE, "payload": PAYLOAD, "proof": proof}
+
+
+def withdrawal_redeem(**posting_changes) -> dict:
+    """``explain_redeem``'s arguments for MESSAGE embedded in alpha's
+    withdrawal (changed by ``posting_changes``), its block's one transaction."""
+    csw = CeasedSidechainWithdrawal(
+        ALPHA, BOB, 0, EMPTY_ROOT, (message_digest(MESSAGE),), Proof(scheme_id=SCHEME_SIM_MERKLE, body=b"")
+    )
+    csw = replace(csw, **posting_changes)
+    txs = build_merkle([canonical_digest(csw)])
+    stc = build_merkle([EMPTY_ROOT, txs.root])
+    chain = CommitmentChain(canonical_digest(csw), (merkle_path(txs, 0), merkle_path(stc, 1)))
+    empty_path = MerklePath(leaf_index=0, siblings=())
+    proof = RedeemProof(SourceKind.CSW, empty_path, message_digest(MESSAGE), chain, EMPTY_ROOT)
+    return {"stc_root": stc.root, "posting": csw, "message": MESSAGE, "payload": PAYLOAD, "proof": proof}
+
+
+def changed(arguments: dict, name: str, **changes) -> dict:
+    """``arguments`` with the value of ``name`` changed by ``changes``."""
+    return {**arguments, name: replace(arguments[name], **changes)}
+
+
+def honest_inputs() -> dict:
+    witness = (5, (b"bt",), hash_bytes(b"block"), (hash_bytes(b"pd"),))
+    wcert = {"vk": VK, "public_input": make_wcert_input(*witness), "proof": prove_wcert(SIGNER, *witness)}
+    return {
+        "wcert": (explain_wcert, wcert),
+        "csw": (explain_csw, withdrawal(sent_record_bundle())),
+        "redeem": (explain_redeem, certificate_redeem()),
+        "csw-redeem": (explain_redeem, withdrawal_redeem()),
+    }
+
+
+def check_cases() -> dict:
+    """Each check id -> the explainer and arguments of an input that it is
+    the first check to refuse."""
+    wcert = honest_inputs()["wcert"][1]
+    sent = sent_record_bundle()
+    cert, csw = certificate_redeem(), withdrawal_redeem()
+    chain = cert["proof"].commitment_path
+    another = b"another payload"
+    cases = {
+        "wcert.scheme": {**wcert, "vk": replace(VK, scheme_id=2)},
+        "wcert.decode": changed(wcert, "proof", body=b""),
+        "wcert.bt-list-root": changed(wcert, "public_input", bt_list_root=EMPTY_ROOT),
+        "wcert.proofdata-root": changed(wcert, "public_input", proofdata_root=EMPTY_ROOT),
+        "wcert.signature": changed(wcert, "public_input", quality=6),
+    }
+    cases = {check_id: (explain_wcert, arguments) for check_id, arguments in cases.items()}
+    withdrawals = {
+        "csw.scheme": {**withdrawal(sent), "vk": replace(VK, scheme_id=2)},
+        "csw.decode": changed(withdrawal(sent), "proof", body=b""),
+        "csw.nullifier": withdrawal(sent, nullifier=EMPTY_ROOT),
+        "csw.proofdata-length": withdrawal(replace(sent, kind=ClaimKind.PAYLOAD_ENTITY)),
+        "csw.message-digest": withdrawal(replace(sent, message=transfer(ALPHA, BETA, another))),
+        "csw.amount": withdrawal(sent, amount=1),
+        "csw.message-sender": withdrawal(sent_record_bundle(embedded=transfer(GAMMA, BETA, PAYLOAD))),
+        "csw.empty-message-slot": withdrawal(replace(
+            sent, kind=ClaimKind.PAYLOAD_ENTITY, message=None, proofdata=(hash_bytes(b"slot"),), return_evidence=None
+        )),
+        "csw.proofdata-root": withdrawal(sent, proofdata_root=EMPTY_ROOT),
+        "csw.state-path": withdrawal(replace(sent, state_root=EMPTY_ROOT)),
+        "csw.state-root": withdrawal(reanchored(sent, proofdata=(EMPTY_ROOT, EMPTY_ROOT))),
+        "anchor.ledger": withdrawal(reanchored(sent, ledger_id=GAMMA)),
+        "anchor.stc-path": withdrawal(
+            replace(sent, anchor=replace(sent.anchor, header=replace(sent.anchor.header, stc_root=EMPTY_ROOT)))
+        ),
+        "anchor.block-hash": withdrawal(sent, last_cert_block_hash=EMPTY_ROOT),
+        "csw.return-evidence": withdrawal(replace(sent, return_evidence=None)),
+        "csw.no-return-evidence": withdrawal(
+            replace(sent, kind=ClaimKind.PAYLOAD_ENTITY, proofdata=sent.proofdata[:1])
+        ),
+        "csw.signature": withdrawal(sent, receiver=ALICE),
+        "return.decode": withdrawal(sent_record_bundle(returned=b"not an instance")),
+        "return.receiving-chain": withdrawal(sent_record_bundle(ret=transfer(GAMMA, BETA, PAYLOAD))),
+        "return.sending-chain": withdrawal(sent_record_bundle(ret=transfer(BETA, ALPHA, PAYLOAD))),
+        "commits.msg-path": withdrawal(sent_record_bundle(committed=transfer(GAMMA, ALPHA, another))),
+        "return.payload": withdrawal(sent_record_bundle(ret=transfer(GAMMA, ALPHA, another))),
+        "return.embedded-payload": withdrawal(sent_record_bundle(embedded=transfer(ALPHA, BETA, another))),
+        "return.issuer": withdrawal(sent_record_bundle(returned=replace(RETURNED, issuer_sc_id=GAMMA).encode())),
+        "return.token-name": withdrawal(sent_record_bundle(returned=replace(RETURNED, token_name="OTHER").encode())),
+        "return.fungibility": withdrawal(sent_record_bundle(
+            returned=replace(RETURNED, fungibility=False, amount=None, token_id=1).encode()
+        )),
+        "return.amount": withdrawal(sent_record_bundle(returned=replace(RETURNED, amount=101).encode())),
+        "return.token-id": withdrawal(sent_record_bundle(
+            record=SentRecord(receiver_sc_id=GAMMA, token_name="SENT", fungibility=False, token_id=1),
+            returned=replace(RETURNED, fungibility=False, amount=None, token_id=2).encode(),
+        )),
+    }
+    cases |= {check_id: (explain_csw, arguments) for check_id, arguments in withdrawals.items()}
+    redeems = {
+        "redeem.block": {**cert, "stc_root": None},
+        "redeem.posting": {**cert, "posting": None},
+        "redeem.posting-sender": changed(cert, "message", sending_sc_id=GAMMA),
+        "redeem.payload": {**cert, "payload": another},
+        "redeem.posting-linkage": changed(cert, "proof", commitment_path=replace(chain, posting_digest=EMPTY_ROOT)),
+        "redeem.posting-kind": changed(csw, "proof", source_kind=SourceKind.CERTIFICATE),
+        "redeem.segments": changed(cert, "proof", commitment_path=replace(chain, segments=chain.segments * 2)),
+        "redeem.msg-tree-root": changed(cert, "proof", msg_tree_root=EMPTY_ROOT),
+        "redeem.msg-path": changed(csw, "proof", msg_path=MerklePath(leaf_index=1, siblings=())),
+        "redeem.posting-message": withdrawal_redeem(proofdata=(EMPTY_ROOT,)),
+        "redeem.posting-amount": withdrawal_redeem(amount=1),
+        "redeem.segment-fold": changed(
+            cert, "proof", commitment_path=replace(chain, segments=(MerklePath(leaf_index=1, siblings=()),))
+        ),
+        "redeem.block-commitment": {**cert, "stc_root": EMPTY_ROOT},
+    }
+    return cases | {check_id: (explain_redeem, arguments) for check_id, arguments in redeems.items()}
+
+
+#: Each explainer's verifier. Arguments are kept in parameter order, so a
+#: verifier takes them positionally, as the verify memo's wrapper needs.
+VERIFIERS = {explain_wcert: verify_wcert, explain_csw: verify_csw, explain_redeem: verify_redeem}
+
+
+class TestNamedChecks:
+    def test_the_crafted_inputs_verify_as_built(self):
+        for name, (explain, arguments) in honest_inputs().items():
+            assert explain(**arguments) is None, name
+            assert VERIFIERS[explain](*arguments.values()) is True, name
+
+    def test_every_declared_check_is_the_first_to_refuse_an_input(self):
+        """A check that no input reaches, or that an earlier check always
+        pre-empts, fails here: no crafted input names it."""
+        cases = check_cases()
+        refused_by = {check_id: explain(**arguments) for check_id, (explain, arguments) in cases.items()}
+        assert refused_by == {check_id: check_id for check_id in declared_check_ids()}
+        verified = [check_id for check_id, (explain, args) in cases.items() if VERIFIERS[explain](*args.values())]
+        assert verified == []

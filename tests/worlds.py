@@ -13,7 +13,7 @@ from pathlib import Path
 from mitto.encoding import canonical_digest
 from mitto.harness import Runner, World
 from mitto.messages import CswRedeemTx, RedeemTx, SendTx, message_digest
-from mitto.proofs import verify_redeem
+from mitto.proofs import explain_redeem, verify_redeem
 from mitto.scenario import parse_scenario
 from mitto.tokens import transfer_message, withdraw_native_held
 
@@ -167,15 +167,27 @@ def held_withdrawal(w):
     return withdraw_native_held(w.chains["alpha"], w.actor("alice"), kept, w.chains["beta"].sc_id, bob)
 
 
-def redeem_verifies(w, message, payload, proof, csw_ref=None) -> bool:
-    """``verify_redeem`` on what beta's gate resolves for the evidence, as
-    a redeem on beta runs it; a CSW redeem names its withdrawal by
-    ``csw_ref``. The resolver reads no signature, so none is made."""
+def redeem_arguments(w, message, payload, proof, csw_ref=None) -> tuple:
+    """The redeem verifier's arguments for the evidence, resolved by beta's
+    gate as a redeem on beta resolves them; a CSW redeem names its
+    withdrawal by ``csw_ref``. The resolver reads no signature, so none is
+    made."""
     if csw_ref is None:
         tx = RedeemTx(message, payload, proof, sender_sig=b"", receiver_signature=b"")
     else:
         tx = CswRedeemTx(message, payload, proof, sender_sig=b"", receiver_signature=b"", csw_ref=csw_ref)
-    return verify_redeem(*w.chains["beta"].resolve_redeem(tx), message, payload, proof)
+    return (*w.chains["beta"].resolve_redeem(tx), message, payload, proof)
+
+
+def redeem_verifies(w, *evidence) -> bool:
+    """``verify_redeem`` on ``redeem_arguments(w, *evidence)``."""
+    return verify_redeem(*redeem_arguments(w, *evidence))
+
+
+def redeem_refusal(w, *evidence) -> str | None:
+    """``explain_redeem`` on ``redeem_arguments(w, *evidence)``: the id of
+    the first check that refuses the evidence."""
+    return explain_redeem(*redeem_arguments(w, *evidence))
 
 
 def make_send(chain, owner, instance, to_chain, receiver):
