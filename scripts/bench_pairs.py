@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark in alternating pairs on two checkouts and compare them.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload fuzz --seeds 9201-9210
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload fuzz --seeds 9201-9210 [--out BENCH.json]
 
 Each seed in the inclusive range makes one pair: the benchmark command of
 ``BENCHMARK.json`` (``perfbench/run.py``) runs once in each checkout, with
@@ -16,6 +16,12 @@ side), the metric's bound from that file, the no-regression verdict
 (``regression_verdict``) and whether a gain on the metric may be claimed
 (``gain_holds``), followed by each side's failed operations against those
 attempted.
+
+With ``--out FILE`` the same figures are also written to FILE as JSON,
+under the workload's name: every run's row (seed, side, metrics, failed,
+attempted) and, per metric, each side's median and quartiles, the wins,
+the bound, the verdict and ``gain_holds``. Other workloads already in
+FILE are kept, so one file can hold the pairs of every workload.
 
 Both checkouts must hold the same ``BENCHMARK.json``. A checkout of the
 parent commit can come from ``git worktree add`` or ``git archive``.
@@ -52,9 +58,9 @@ def _run(checkout: Path, command: list[str], workload: str, seed: int, seconds: 
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def _spread(values: list[float]) -> str:
+def _spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
-    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def wins(parent: list[float], change: list[float], better: str) -> int:
@@ -92,6 +98,31 @@ def regression_verdict(parent: list[float], change: list[float], better: str, bo
     return "worse" if worse_by > bound else "within bound"
 
 
+def summary(runs: dict[str, list[dict]], metrics: dict[str, tuple[str, float]]) -> dict:
+    """Per end-to-end metric, both sides' spreads and the pair verdicts;
+    ``runs`` maps each side to its runs' result lines, in pair order."""
+    out = {}
+    for name, (better, bound) in metrics.items():
+        parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES)
+        parent_median = statistics.median(parent)
+        out[name] = {
+            "better": better,
+            "parent": _spread(parent),
+            "change": _spread(change),
+            "moved": statistics.median(change) / parent_median - 1 if parent_median else None,
+            "wins": wins(parent, change, better),
+            "pairs": len(parent),
+            "bound": bound,
+            "verdict": regression_verdict(parent, change, better, bound),
+            "gain_holds": gain_holds(parent, change, better),
+        }
+    return out
+
+
+def _spread_text(spread: dict) -> str:
+    return f"{spread['median']:.4g} [{spread['q1']:.4g}, {spread['q3']:.4g}]"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -99,6 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=_seed_range, metavar="A-B",
                         help="inclusive seed range, one pair per seed")
+    parser.add_argument("--out", type=Path, metavar="FILE", help="also write the runs and the table to FILE as JSON")
     args = parser.parse_args(argv)
 
     benchmark = (args.change / "BENCHMARK.json").read_text()
@@ -110,31 +142,42 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+    rows = []
     for index, seed in enumerate(args.seeds):
         order = SIDES if index % 2 == 0 else SIDES[::-1]
         for side in order:
             checkout = args.parent if side == "parent" else args.change
             result = _run(checkout, spec["command"], args.workload, seed, spec["run_seconds"])
             runs[side].append(result)
-            figures = "  ".join(f"{name} {result['metrics'][name]['value']:.4g}" for name in metrics)
-            print(f"seed {seed} {side:<6}  {figures}  failed {result['failed']}/{result['attempted']}", flush=True)
+            figures = {name: result["metrics"][name]["value"] for name in metrics}
+            rows.append({"seed": seed, "side": side, "metrics": figures,
+                         "failed": result["failed"], "attempted": result["attempted"]})
+            shown = "  ".join(f"{name} {value:.4g}" for name, value in figures.items())
+            print(f"seed {seed} {side:<6}  {shown}  failed {result['failed']}/{result['attempted']}", flush=True)
 
     pairs = len(args.seeds)
     print(f"\n{args.workload}: {pairs} pairs, {spec['run_seconds']} s runs")
     print(f"{'metric':<14} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} {'change':>8} {'wins':>6}"
           f" {'bound':>6}  {'verdict':<12}  gain")
-    for name, (better, bound) in metrics.items():
-        parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES)
-        parent_median = statistics.median(parent)
-        moved = statistics.median(change) / parent_median - 1 if parent_median else float("nan")
-        print(f"{name:<14} {_spread(parent):<30} {_spread(change):<30} "
-              f"{moved:>+8.2%} {wins(parent, change, better):>3}/{pairs} {bound:>6.0%}  "
-              f"{regression_verdict(parent, change, better, bound):<12}  "
-              f"{'holds' if gain_holds(parent, change, better) else 'no'}")
-    for side in SIDES:
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        print(f"{side} failed {failed}/{attempted}")
+    table = summary(runs, metrics)
+    for name, row in table.items():
+        moved = float("nan") if row["moved"] is None else row["moved"]
+        print(f"{name:<14} {_spread_text(row['parent']):<30} {_spread_text(row['change']):<30} "
+              f"{moved:>+8.2%} {row['wins']:>3}/{pairs} {row['bound']:>6.0%}  "
+              f"{row['verdict']:<12}  {'holds' if row['gain_holds'] else 'no'}")
+    failed = {side: [sum(r[key] for r in runs[side]) for key in ("failed", "attempted")] for side in SIDES}
+    for side, (count, attempted) in failed.items():
+        print(f"{side} failed {count}/{attempted}")
+    if args.out is not None:
+        kept = json.loads(args.out.read_text()) if args.out.exists() else {}
+        kept[args.workload] = {
+            "seeds": [args.seeds[0], args.seeds[-1]],
+            "run_seconds": spec["run_seconds"],
+            "runs": rows,
+            "metrics": table,
+            "failed": failed,
+        }
+        args.out.write_text(json.dumps(kept, indent=1, sort_keys=True) + "\n")
     return 0
 
 

@@ -216,13 +216,6 @@ UNITS = Codec(
     value=("{0} == 1", "{1} if {0} else None", "None if {0} else {1}"),
     check=_BAD_BOOL,
 )
-#: A (u32 id, digest) 2-tuple.
-U32_DIGEST = Codec(
-    "u32_digest",
-    put=(("I", "{v}[0]"), ("", "enc_digest({v}[1])")),
-    get=(("I", ""), ("32s", "")),
-    value="({0}, {1})",
-)
 
 
 def nested(type_name: str) -> Codec:

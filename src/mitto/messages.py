@@ -21,7 +21,6 @@ from .encoding import (
     PUBKEY,
     U8,
     U32,
-    U32_DIGEST,
     U64,
     nested,
     wire,
@@ -199,14 +198,15 @@ class RedeemTx:
     ("proof", nested("RedeemProof")),
     ("sender_sig", BYTES),
     ("receiver_signature", BYTES),
-    ("csw_ref", U32_DIGEST),
+    ("csw_nullifier", DIGEST),
 )
 @dataclass(frozen=True)
 class CswRedeemTx:
     """Claim of a message that left its ceased chain inside a withdrawal.
 
-    csw_ref names the accepted withdrawal (ledger id and nullifier) the
-    evidence must chain into.
+    csw_nullifier names the accepted withdrawal the evidence must chain
+    into, among those of the message's sending chain: a withdrawal embeds
+    only a message its own chain sends.
     """
 
     message: CscpMessage
@@ -214,4 +214,4 @@ class CswRedeemTx:
     proof: "RedeemProof"
     sender_sig: Signature
     receiver_signature: Signature
-    csw_ref: tuple[int, Digest]
+    csw_nullifier: Digest

@@ -11,7 +11,7 @@ strictly, refold every path, recompute every root named by the public
 input, and check the signature.
 
 Each verifier is one ordered sequence of named checks, a generator of
-(check id, passed) pairs (``csw.decode``, ``redeem.posting-linkage``, ...)
+(check id, passed) pairs (``csw.decode``, ``redeem.block-commitment``, ...)
 built from the shared sub-sequences ``_anchored``, ``_commits`` and
 ``_check_return_evidence``: ``verify_*`` is True iff every check passes,
 and ``explain_*`` names the first that fails (None when the proof verifies).
@@ -491,8 +491,9 @@ def _check_return_evidence(
     # The returned instance is one this chain issued, covered by the record,
     # and the embedded onward message wraps exactly those bytes. Both decoded
     # with the same fungibility, a fungible record and instance carry amounts.
-    yield "return.payload", ev_message.payload_hash == hash_bytes(returned_bytes)
-    yield "return.embedded-payload", embedded.payload_hash == hash_bytes(returned_bytes)
+    returned_hash = hash_bytes(returned_bytes)
+    yield "return.payload", ev_message.payload_hash == returned_hash
+    yield "return.embedded-payload", embedded.payload_hash == returned_hash
     yield "return.issuer", instance.issuer_sc_id == sc_id
     yield "return.token-name", instance.token_name == record.token_name
     yield "return.fungibility", instance.fungibility == record.fungibility
@@ -550,49 +551,29 @@ def _commits(cert: WithdrawalCertificate, message: CscpMessage, path: MerklePath
 # Redeem evidence
 # ---------------------------------------------------------------------------
 
-class SourceKind(IntEnum):
-    CERTIFICATE = 0
-    CSW = 1
-
-
-@wire(None, ("posting_digest", DIGEST), ("segments", list_of("MerklePath")))
-@dataclass(frozen=True)
-class CommitmentChain:
-    """Merkle-path chain from a mainchain posting into a block commitment.
-
-    posting_digest is the chain's leaf; each segment's fold result is the
-    next segment's leaf; the last fold must equal the block's stc_root.
-    Certificates take one segment (certificate leaf in the block
-    commitment); withdrawals take two (tx-tree leaf, then tx root leaf).
-    """
-
-    posting_digest: Digest
-    segments: tuple[MerklePath, ...]
-
-
 @wire(
     enc.TAG_REDEEM_PROOF,
-    ("source_kind", enum(SourceKind)),
     ("msg_path", nested("MerklePath")),
-    ("msg_tree_root", DIGEST),
-    ("commitment_path", nested("CommitmentChain")),
+    ("segments", list_of("MerklePath")),
     ("block_hash", DIGEST),
 )
 @dataclass(frozen=True)
 class RedeemProof:
     """Evidence that a message was committed and mainchain-confirmed.
 
-    For certificate-sourced messages msg_path folds the message digest into
-    the epoch tree root at the certificate's proofdata[0]. For withdrawal-
-    sourced messages the message digest sits directly at the withdrawal's
-    proofdata[0], so msg_path is empty and msg_tree_root must equal the
-    message digest itself.
+    The receiving chain resolves the posting the evidence starts from, a
+    certificate or a withdrawal, and the segments chain its digest into the
+    commitment of the block named by block_hash: each segment's fold result
+    is the next segment's leaf, and the last fold must equal the block's
+    stc_root. A certificate takes one segment (its leaf in the block
+    commitment), and msg_path folds the message digest into the epoch tree
+    root at its proofdata[0]. A withdrawal takes two (its tx-tree leaf, then
+    the tx root's leaf) and embeds the message digest at its proofdata[0]
+    itself, so msg_path is empty.
     """
 
-    source_kind: SourceKind
     msg_path: MerklePath
-    msg_tree_root: Digest
-    commitment_path: CommitmentChain
+    segments: tuple[MerklePath, ...]
     block_hash: Digest
 
 
@@ -607,10 +588,8 @@ def build_redeem_proof(
     archived epoch tree and the mainchain's finalized certificate index."""
     anchor = anchor_of(mainchain, sender_sc_id, epoch_id)
     return RedeemProof(
-        source_kind=SourceKind.CERTIFICATE,
         msg_path=message_path(message_tree, message, anchor.cert),
-        msg_tree_root=message_tree.root,
-        commitment_path=CommitmentChain(posting_digest=canonical_digest(anchor.cert), segments=(anchor.stc_path,)),
+        segments=(anchor.stc_path,),
         block_hash=canonical_digest(anchor.header),
     )
 
@@ -627,23 +606,13 @@ def build_csw_redeem_proof(
     if inclusion is None:
         raise CswNotFound(f"no included withdrawal for sidechain {sc_id} nullifier {nullifier.hex()}")
     csw, block_hash = inclusion
-    md = message_digest(message)
-    if not csw.proofdata or csw.proofdata[0] != md:
+    if not csw.proofdata or csw.proofdata[0] != message_digest(message):
         raise MessageMismatch("withdrawal does not embed this message")
     stc = mainchain.block_by_hash(block_hash).stc
     txs_tree = stc.txs_trees[sc_id]
-    csw_digest = canonical_digest(csw)
     return RedeemProof(
-        source_kind=SourceKind.CSW,
         msg_path=MerklePath(leaf_index=0, siblings=()),
-        msg_tree_root=md,
-        commitment_path=CommitmentChain(
-            posting_digest=csw_digest,
-            segments=(
-                merkle_path(txs_tree, txs_tree.index_of(csw_digest)),
-                stc.txs_path(sc_id),
-            ),
-        ),
+        segments=(merkle_path(txs_tree, txs_tree.index_of(canonical_digest(csw))), stc.txs_path(sc_id)),
         block_hash=block_hash,
     )
 
@@ -654,30 +623,25 @@ Posting = WithdrawalCertificate | CeasedSidechainWithdrawal
 def _redeem_checks(
     stc_root: Digest | None, posting: Posting | None, message: CscpMessage, payload: bytes, proof: RedeemProof
 ) -> Checks:
-    """Payload binding, tree membership, posting linkage, and block
-    commitment for one redeem claim against the named block's ``stc_root``
-    and the ``posting`` the evidence starts from (None when not found)."""
-    chain = proof.commitment_path
+    """Payload binding, tree membership, and block commitment for one
+    redeem claim against the named block's ``stc_root`` and the ``posting``
+    the evidence starts from (None when not found), whose type says which
+    evidence it takes."""
+    segments = proof.segments
     yield "redeem.block", stc_root is not None
     yield "redeem.posting", posting is not None
     yield "redeem.posting-sender", posting.ledger_id == message.sending_sc_id
     yield "redeem.payload", hash_bytes(payload) == message.payload_hash
-    yield "redeem.posting-linkage", canonical_digest(posting) == chain.posting_digest
-    if proof.source_kind is SourceKind.CERTIFICATE:
-        yield "redeem.posting-kind", isinstance(posting, WithdrawalCertificate)
-        yield "redeem.segments", len(chain.segments) == 1
+    if isinstance(posting, WithdrawalCertificate):
+        yield "redeem.segments", len(segments) == 1
         yield from _commits(posting, message, proof.msg_path)
-        yield "redeem.msg-tree-root", posting.proofdata[0] == proof.msg_tree_root
     else:
-        yield "redeem.posting-kind", isinstance(posting, CeasedSidechainWithdrawal)
-        yield "redeem.segments", len(chain.segments) == 2
+        yield "redeem.segments", len(segments) == 2
         yield "redeem.msg-path", not proof.msg_path.siblings and proof.msg_path.leaf_index == 0
-        md = message_digest(message)
-        yield "redeem.msg-tree-root", proof.msg_tree_root == md
-        yield "redeem.posting-message", bool(posting.proofdata) and posting.proofdata[0] == md
+        yield "redeem.posting-message", bool(posting.proofdata) and posting.proofdata[0] == message_digest(message)
         yield "redeem.posting-amount", posting.amount == 0
-    node = chain.posting_digest
-    for segment in chain.segments:
+    node = canonical_digest(posting)
+    for segment in segments:
         node = fold_path(node, segment)
         yield "redeem.segment-fold", node is not None
     yield "redeem.block-commitment", node == stc_root

@@ -240,12 +240,13 @@ class Sidechain(Journaled):
 
     def resolve_redeem(self, tx: RedeemTx | CswRedeemTx) -> tuple:
         """The block root and the posting ``verify_redeem`` checks the
-        evidence of ``tx`` against, found by key: the withdrawal a CSW
-        redeem's csw_ref names, else the certificate the sending chain
-        finalized in the named block. None where there is none."""
+        evidence of ``tx`` against, found by key: the sending chain's
+        withdrawal a CSW redeem's csw_nullifier names, else the certificate
+        the sending chain finalized in the named block. None where there is
+        none."""
         block = self.mainchain.block_by_hash(tx.proof.block_hash)
         if isinstance(tx, CswRedeemTx):
-            inclusion = self.mainchain.csw_inclusion(*tx.csw_ref)
+            inclusion = self.mainchain.csw_inclusion(tx.message.sending_sc_id, tx.csw_nullifier)
             posting = None if inclusion is None else inclusion[0]
         else:
             posting = self.mainchain.certificate_in(tx.message.sending_sc_id, tx.proof.block_hash)

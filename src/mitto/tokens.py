@@ -727,5 +727,5 @@ def make_csw_redeem_tx(mainchain, package: CswPackage, receiver: KeyPair) -> Csw
         proof=build_csw_redeem_proof(mainchain, csw.ledger_id, csw.nullifier, package.message),
         sender_sig=package.sender_sig,
         receiver_signature=receiver.sign(redeem_auth_digest(package.message, package.payload)),
-        csw_ref=(csw.ledger_id, csw.nullifier),
+        csw_nullifier=csw.nullifier,
     )

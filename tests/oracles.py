@@ -85,7 +85,7 @@ class OracleRunner(Runner):
         verdict = self._verify_redeem(stc_root, posting, message, payload, proof)
         expected = redeem_claim_holds(self.world, message, payload, proof)
         if verdict != expected:
-            self._disagree("redeem", f"{proof.source_kind.name} proof: verifier {verdict}, reference {expected}")
+            self._disagree("redeem", f"{type(posting).__name__} posting: verifier {verdict}, reference {expected}")
         return verdict
 
     def run(self) -> dict:

@@ -305,23 +305,16 @@ def test_criterion_7_commitment_soundness():
         problems.append("honest redeem fixture does not verify")
     redeem = (redeem_verifies, redeem_refusal, cw)
     # A block hash no block has resolves to no commitment root.
-    redeem_field_checks = {"msg_tree_root": {"redeem.msg-tree-root"}, "block_hash": {"redeem.block"}}
-    for field, by in redeem_field_checks.items():
-        for note, digest in _digest_flips(getattr(rp, field)):
-            mutated = replace(rp, **{field: digest})
-            sweep.expect_refused(f"redeem {field} {note}", by, *redeem, sent.message, payload, mutated)
-    for note, digest in _digest_flips(rp.commitment_path.posting_digest):
-        mutated = replace(rp, commitment_path=replace(rp.commitment_path, posting_digest=digest))
-        by = {"redeem.posting-linkage"}
-        sweep.expect_refused(f"redeem posting {note}", by, *redeem, sent.message, payload, mutated)
+    for note, digest in _digest_flips(rp.block_hash):
+        mutated = replace(rp, block_hash=digest)
+        sweep.expect_refused(f"redeem block_hash {note}", {"redeem.block"}, *redeem, sent.message, payload, mutated)
     for note, path, by in _path_flips(rp.msg_path, {"commits.msg-path"}, {"commits.msg-path"}):
         mutated = replace(rp, msg_path=path)
         sweep.expect_refused(f"redeem msg_path {note}", by, *redeem, sent.message, payload, mutated)
     segment_checks = ({"redeem.segment-fold"}, {"redeem.block-commitment"})
-    for n, segment in enumerate(rp.commitment_path.segments):
+    for n, segment in enumerate(rp.segments):
         for note, path, by in _path_flips(segment, *segment_checks):
-            segments = rp.commitment_path.segments[:n] + (path,) + rp.commitment_path.segments[n + 1:]
-            mutated = replace(rp, commitment_path=replace(rp.commitment_path, segments=segments))
+            mutated = replace(rp, segments=rp.segments[:n] + (path,) + rp.segments[n + 1:])
             sweep.expect_refused(f"redeem segment {n} {note}", by, *redeem, sent.message, payload, mutated)
     for i, bit, raw in _flipped(payload):
         sweep.expect_refused(f"redeem payload byte {i} bit {bit}", {"redeem.payload"}, *redeem, sent.message, raw, rp)
@@ -362,19 +355,24 @@ def test_criterion_7_commitment_soundness():
     assert zw.mainchain.submit_csw(pkg.csw).accepted
     zw.mainchain.advance_block()
     crp = build_csw_redeem_proof(zw.mainchain, pkg.csw.ledger_id, pkg.csw.nullifier, pkg.message)
-    csw_ref = (pkg.csw.ledger_id, pkg.csw.nullifier)
-    if not redeem_verifies(zw, pkg.message, pkg.payload, crp, csw_ref):
+    nullifier = pkg.csw.nullifier
+    if not redeem_verifies(zw, pkg.message, pkg.payload, crp, nullifier):
         problems.append("honest withdrawal-redeem fixture does not verify")
-    csw_redeem = (redeem_verifies, redeem_refusal, zw, pkg.message, pkg.payload)
-    for field, by in redeem_field_checks.items():
-        for note, digest in _digest_flips(getattr(crp, field)):
-            mutated = replace(crp, **{field: digest})
-            sweep.expect_refused(f"csw-redeem {field} {note}", by, *csw_redeem, mutated, csw_ref)
-    for n, segment in enumerate(crp.commitment_path.segments):
+    csw_redeem = (redeem_verifies, redeem_refusal, zw, pkg.message)
+    for note, digest in _digest_flips(crp.block_hash):
+        mutated = replace(crp, block_hash=digest)
+        by = {"redeem.block"}
+        sweep.expect_refused(f"csw-redeem block_hash {note}", by, *csw_redeem, pkg.payload, mutated, nullifier)
+    for n, segment in enumerate(crp.segments):
         for note, path, by in _path_flips(segment, *segment_checks):
-            segments = crp.commitment_path.segments[:n] + (path,) + crp.commitment_path.segments[n + 1:]
-            mutated = replace(crp, commitment_path=replace(crp.commitment_path, segments=segments))
-            sweep.expect_refused(f"csw-redeem segment {n} {note}", by, *csw_redeem, mutated, csw_ref)
+            mutated = replace(crp, segments=crp.segments[:n] + (path,) + crp.segments[n + 1:])
+            sweep.expect_refused(f"csw-redeem segment {n} {note}", by, *csw_redeem, pkg.payload, mutated, nullifier)
+    # A nullifier no included withdrawal of the sending chain has resolves to no posting.
+    for note, digest in _digest_flips(nullifier):
+        sweep.expect_refused(f"csw-redeem nullifier {note}", {"redeem.posting"}, *csw_redeem, pkg.payload, crp, digest)
+    for i, bit, raw in _flipped(pkg.payload):
+        by = {"redeem.payload"}
+        sweep.expect_refused(f"csw-redeem payload byte {i} bit {bit}", by, *csw_redeem, raw, crp, nullifier)
 
     if sweep.total < 500:
         problems.append(f"only {sweep.total} mutations swept, need at least 500")

@@ -1,9 +1,10 @@
-"""The pair runner's no-regression verdict and gain rule, on synthetic run figures.
+"""The pair runner's no-regression verdict, gain rule and JSON file, on synthetic run figures.
 
 ``scripts/bench_pairs.py`` is a script, not a package module, so it is
 loaded from its file.
 """
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,48 @@ def test_a_zero_parent_median_is_unresolved():
 ])
 def test_gain_holds(parent, change, better, expected):
     assert bench_pairs.gain_holds(parent, change, better) is expected
+
+
+def _checkouts(tmp_path):
+    """Two checkouts holding the repository's BENCHMARK.json."""
+    benchmark = (ROOT / "BENCHMARK.json").read_text()
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(benchmark)
+    return [str(tmp_path / side) for side in bench_pairs.SIDES]
+
+
+def _fake_run(factor):
+    """A stand-in for one benchmark run: the parent's figures follow STEADY
+    by seed, the change's are the parent's times ``factor``."""
+    def run(checkout, command, workload, seed, seconds):
+        value = STEADY[seed % len(STEADY)] * (factor if Path(checkout).name == "change" else 1)
+        metrics = {m["name"]: {"value": value} for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        return {"metrics": metrics, "failed": 1 if Path(checkout).name == "change" else 0, "attempted": 10}
+    return run
+
+
+def test_out_writes_every_run_and_the_table_per_workload(tmp_path, monkeypatch, capsys):
+    out, checkouts = tmp_path / "BENCH.json", _checkouts(tmp_path)
+    monkeypatch.setattr(bench_pairs, "_run", _fake_run(1.05))
+    for workload, seeds in (("fuzz", "0-9"), ("scale_nft", "3-6")):
+        assert bench_pairs.main([*checkouts, "--workload", workload, "--seeds", seeds, "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert sorted(written) == ["fuzz", "scale_nft"]
+    fuzz = written["fuzz"]
+    assert fuzz["seeds"] == [0, 9] and len(fuzz["runs"]) == 20
+    assert [(row["seed"], row["side"]) for row in fuzz["runs"][:4]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent"),
+    ]
+    assert fuzz["failed"] == {"parent": [0, 100], "change": [10, 100]}
+    parent = [STEADY[seed] for seed in range(10)]
+    change = [v * 1.05 for v in parent]
+    for name, row in fuzz["metrics"].items():
+        better = row["better"]
+        assert row["parent"]["median"] == pytest.approx(100)
+        assert row["wins"] == bench_pairs.wins(parent, change, better) and row["pairs"] == 10
+        assert row["verdict"] == bench_pairs.regression_verdict(parent, change, better, row["bound"])
+        assert row["gain_holds"] is bench_pairs.gain_holds(parent, change, better)
+        assert row["gain_holds"] is (better == "higher")
+    assert len(written["scale_nft"]["runs"]) == 8
+    assert "steps_per_s" in capsys.readouterr().out

@@ -93,12 +93,20 @@ def test_every_traced_target_resolves():
     assert missing == []
 
 
+def _layout_modules(doc: str) -> list[str]:
+    """The modules the layout block of ``doc`` names, in order."""
+    block = (ROOT / doc).read_text().split("## Layout", 1)[1].split("```")[1]
+    return re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
+
+
 def test_readme_layout_names_every_module():
     """The README's layout block names each ``src/mitto`` module once and
     no module that does not exist."""
-    block = (ROOT / "README.md").read_text().split("## Layout", 1)[1].split("```")[1]
-    named = re.findall(r"^  (\w+\.py) ", block, re.MULTILINE)
-    assert sorted(named) == sorted(path.name for path in (ROOT / "src" / "mitto").glob("*.py"))
+    assert sorted(_layout_modules("README.md")) == sorted(path.name for path in (ROOT / "src" / "mitto").glob("*.py"))
+
+
+def test_paper_layout_names_every_module():
+    assert sorted(_layout_modules("PAPER.md")) == sorted(_layout_modules("README.md"))
 
 
 #: Calls that build a world by hand. Test worlds are scenarios run by

@@ -12,7 +12,17 @@ import pytest
 
 from verifier_checks import CSW_BODY, body_checks, declared_check_ids
 from worlds import (
-    CEASED, COMMITTED, SCENARIO_DIR, held, held_withdrawal, make_send, redeem_verifies, run_stage, two_chain_world,
+    CEASED,
+    COMMITTED,
+    SCENARIO_DIR,
+    held,
+    held_withdrawal,
+    make_send,
+    redeem_refusal,
+    redeem_verifies,
+    run_stage,
+    two_chain_world,
+    withdrawals_in_one_block,
 )
 
 from mitto import mainchain as mainchain_module, proofs, sidechain as sidechain_module
@@ -34,7 +44,6 @@ from mitto.messages import (
 from mitto.proofs import (
     CertificateNotConfirmed,
     ClaimKind,
-    CommitmentChain,
     CommittedState,
     CswBundle,
     CswClaim,
@@ -46,7 +55,6 @@ from mitto.proofs import (
     MessageNotCommitted,
     RedeemProof,
     ReturnEvidence,
-    SourceKind,
     StateAnchor,
     WcertPublicInput,
     anchor_of,
@@ -345,27 +353,40 @@ class TestRedeemEvidence:
         proof = build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
         payload = sent.payload
         assert not redeem_verifies(w, sent.message, payload + b"\x00", proof)
-        assert not redeem_verifies(w, sent.message, payload, replace(proof, msg_tree_root=hash_bytes(b"r")))
         assert not redeem_verifies(w, sent.message, payload, replace(proof, block_hash=hash_bytes(b"b")))
-        bad_chain = replace(proof.commitment_path, posting_digest=hash_bytes(b"p"))
-        assert not redeem_verifies(w, sent.message, payload, replace(proof, commitment_path=bad_chain))
+        assert not redeem_verifies(w, sent.message, payload, replace(proof, segments=proof.segments * 2))
         moved = replace(proof.msg_path, leaf_index=proof.msg_path.leaf_index + 1)
         assert not redeem_verifies(w, sent.message, payload, replace(proof, msg_path=moved))
 
     def test_another_finalized_anchor_never_verifies(self):
-        # beta's certificate, finalized in the same block, in place of alpha's.
+        # The path of beta's certificate, finalized in the same block, in
+        # place of alpha's: the fold starts from alpha's certificate.
         w, sends = run_stage(COMMITTED)
         sent = sends["sent"]
         alpha = w.chains["alpha"]
         proof = build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
         anchor = anchor_of(w.mainchain, w.chains["beta"].sc_id, 0)
-        swapped = replace(
-            proof,
-            commitment_path=CommitmentChain(posting_digest=canonical_digest(anchor.cert), segments=(anchor.stc_path,)),
-            block_hash=canonical_digest(anchor.header),
-        )
+        assert canonical_digest(anchor.header) == proof.block_hash
+        swapped = replace(proof, segments=(anchor.stc_path,))
         assert redeem_verifies(w, sent.message, sent.payload, proof)
         assert redeem_verifies(w, sent.message, sent.payload, swapped) is False
+        assert redeem_refusal(w, sent.message, sent.payload, swapped) == "redeem.block-commitment"
+
+    def test_another_included_withdrawal_never_verifies(self):
+        # The paths of alpha's other withdrawal, included in the same block,
+        # in place of this one's: the fold starts from the named withdrawal.
+        w, _ = run_stage(CEASED)
+        kept, other = withdrawals_in_one_block(w)
+        proof, elsewhere = (
+            build_csw_redeem_proof(w.mainchain, pkg.csw.ledger_id, pkg.csw.nullifier, pkg.message)
+            for pkg in (kept, other)
+        )
+        assert elsewhere.block_hash == proof.block_hash and elsewhere.segments != proof.segments
+        swapped = replace(proof, segments=elsewhere.segments)
+        claim = (kept.message, kept.payload)
+        assert redeem_verifies(w, *claim, proof, kept.csw.nullifier)
+        assert redeem_verifies(w, *claim, swapped, kept.csw.nullifier) is False
+        assert redeem_refusal(w, *claim, swapped, kept.csw.nullifier) == "redeem.block-commitment"
 
     def test_wrong_source_chain_fails(self):
         w, sends = run_stage(COMMITTED)
@@ -381,8 +402,8 @@ class TestRedeemEvidence:
         assert w.mainchain.submit_csw(pkg.csw).accepted
         w.mainchain.advance_block()
         proof = build_csw_redeem_proof(w.mainchain, alpha.sc_id, pkg.csw.nullifier, pkg.message)
-        assert proof.source_kind == SourceKind.CSW
-        assert redeem_verifies(w, pkg.message, pkg.payload, proof, (alpha.sc_id, pkg.csw.nullifier))
+        assert len(proof.segments) == 2 and proof.msg_path == MerklePath(leaf_index=0, siblings=())
+        assert redeem_verifies(w, pkg.message, pkg.payload, proof, pkg.csw.nullifier)
         assert RedeemProof.read(ByteReader(proof.encode())) == proof
 
     def test_csw_lookup_failures_raise(self):
@@ -403,11 +424,12 @@ class TestRedeemEvidence:
         assert w.mainchain.submit_csw(pkg.csw).accepted
         w.mainchain.advance_block()
         proof = build_csw_redeem_proof(w.mainchain, alpha.sc_id, pkg.csw.nullifier, pkg.message)
-        csw_ref = (alpha.sc_id, pkg.csw.nullifier)
-        assert not redeem_verifies(w, pkg.message, pkg.payload + b"!", proof, csw_ref)
-        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, msg_tree_root=EMPTY_ROOT), csw_ref)
-        truncated = replace(proof.commitment_path, segments=proof.commitment_path.segments[:1])
-        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, commitment_path=truncated), csw_ref)
+        nullifier = pkg.csw.nullifier
+        assert not redeem_verifies(w, pkg.message, pkg.payload + b"!", proof, nullifier)
+        moved = MerklePath(leaf_index=1, siblings=())
+        assert not redeem_verifies(w, pkg.message, pkg.payload, replace(proof, msg_path=moved), nullifier)
+        truncated = replace(proof, segments=proof.segments[:1])
+        assert not redeem_verifies(w, pkg.message, pkg.payload, truncated, nullifier)
 
 
 class TestRedeemVerifierIsPure:
@@ -460,7 +482,7 @@ class TestOneAnchorPerFinalizedCertificate:
         anchor = w.mainchain.finalized_cert(alpha.sc_id, 0)
         assert anchor_of(w.mainchain, alpha.sc_id, 0) is anchor_of(w.mainchain, alpha.sc_id, 0) is anchor
         first, second = (build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, tree) for _ in range(2))
-        assert first.commitment_path.segments[0] is second.commitment_path.segments[0] is anchor.stc_path
+        assert first.segments[0] is second.segments[0] is anchor.stc_path
 
     def test_every_withdrawal_of_a_ceased_chain_carries_the_same_anchor(self, monkeypatch):
         claims = []
@@ -557,8 +579,7 @@ def certificate_redeem() -> dict:
     epoch = build_merkle([message_digest(MESSAGE), hash_bytes(b"another message")])
     cert = certificate(ALPHA, (epoch.root, EMPTY_ROOT))
     stc = build_merkle([canonical_digest(cert)])
-    chain = CommitmentChain(canonical_digest(cert), (merkle_path(stc, 0),))
-    proof = RedeemProof(SourceKind.CERTIFICATE, merkle_path(epoch, 0), epoch.root, chain, EMPTY_ROOT)
+    proof = RedeemProof(merkle_path(epoch, 0), (merkle_path(stc, 0),), EMPTY_ROOT)
     return {"stc_root": stc.root, "posting": cert, "message": MESSAGE, "payload": PAYLOAD, "proof": proof}
 
 
@@ -571,9 +592,8 @@ def withdrawal_redeem(**posting_changes) -> dict:
     csw = replace(csw, **posting_changes)
     txs = build_merkle([canonical_digest(csw)])
     stc = build_merkle([EMPTY_ROOT, txs.root])
-    chain = CommitmentChain(canonical_digest(csw), (merkle_path(txs, 0), merkle_path(stc, 1)))
     empty_path = MerklePath(leaf_index=0, siblings=())
-    proof = RedeemProof(SourceKind.CSW, empty_path, message_digest(MESSAGE), chain, EMPTY_ROOT)
+    proof = RedeemProof(empty_path, (merkle_path(txs, 0), merkle_path(stc, 1)), EMPTY_ROOT)
     return {"stc_root": stc.root, "posting": csw, "message": MESSAGE, "payload": PAYLOAD, "proof": proof}
 
 
@@ -599,7 +619,7 @@ def check_cases() -> dict:
     wcert = honest_inputs()["wcert"][1]
     sent = sent_record_bundle()
     cert, csw = certificate_redeem(), withdrawal_redeem()
-    chain = cert["proof"].commitment_path
+    segments = cert["proof"].segments
     another = b"another payload"
     cases = {
         "wcert.scheme": {**wcert, "vk": replace(VK, scheme_id=2)},
@@ -656,16 +676,11 @@ def check_cases() -> dict:
         "redeem.posting": {**cert, "posting": None},
         "redeem.posting-sender": changed(cert, "message", sending_sc_id=GAMMA),
         "redeem.payload": {**cert, "payload": another},
-        "redeem.posting-linkage": changed(cert, "proof", commitment_path=replace(chain, posting_digest=EMPTY_ROOT)),
-        "redeem.posting-kind": changed(csw, "proof", source_kind=SourceKind.CERTIFICATE),
-        "redeem.segments": changed(cert, "proof", commitment_path=replace(chain, segments=chain.segments * 2)),
-        "redeem.msg-tree-root": changed(cert, "proof", msg_tree_root=EMPTY_ROOT),
+        "redeem.segments": changed(cert, "proof", segments=segments * 2),
         "redeem.msg-path": changed(csw, "proof", msg_path=MerklePath(leaf_index=1, siblings=())),
         "redeem.posting-message": withdrawal_redeem(proofdata=(EMPTY_ROOT,)),
         "redeem.posting-amount": withdrawal_redeem(amount=1),
-        "redeem.segment-fold": changed(
-            cert, "proof", commitment_path=replace(chain, segments=(MerklePath(leaf_index=1, siblings=()),))
-        ),
+        "redeem.segment-fold": changed(cert, "proof", segments=(MerklePath(leaf_index=1, siblings=()),)),
         "redeem.block-commitment": {**cert, "stc_root": EMPTY_ROOT},
     }
     return cases | {check_id: (explain_redeem, arguments) for check_id, arguments in redeems.items()}
@@ -681,6 +696,15 @@ class TestNamedChecks:
         for name, (explain, arguments) in honest_inputs().items():
             assert explain(**arguments) is None, name
             assert VERIFIERS[explain](*arguments.values()) is True, name
+
+    @pytest.mark.parametrize("posting,evidence", [("redeem", "csw-redeem"), ("csw-redeem", "redeem")])
+    def test_the_postings_type_chooses_the_evidence_it_takes(self, posting, evidence):
+        """A certificate's evidence is one segment and a message path, a
+        withdrawal's two segments and an empty path; the other kind's
+        evidence is refused at its segment count."""
+        inputs = honest_inputs()
+        arguments = {**inputs[posting][1], "proof": inputs[evidence][1]["proof"]}
+        assert explain_redeem(**arguments) == "redeem.segments"
 
     def test_every_declared_check_is_the_first_to_refuse_an_input(self):
         """A check that no input reaches, or that an earlier check always

@@ -13,6 +13,7 @@ from worlds import (
     make_send,
     run_stage,
     two_chain_world,
+    withdrawals_in_one_block,
 )
 
 from mitto.encoding import canonical_digest
@@ -25,7 +26,7 @@ from mitto.messages import (
     message_digest,
     redeem_auth_digest,
 )
-from mitto.proofs import CertificateNotConfirmed, MessageNotCommitted, SourceKind, anchor_of, message_path
+from mitto.proofs import CertificateNotConfirmed, MessageNotCommitted, anchor_of, build_csw_redeem_proof, message_path
 from mitto.sidechain import ByzantineSidechain
 from mitto.tokens import (
     MittoState,
@@ -232,7 +233,7 @@ class TestRedeemGating:
     def test_tampered_proof_rejected(self):
         w, _, tx = committed_redeem()
         beta = w.chains["beta"]
-        bad = replace(tx, proof=replace(tx.proof, msg_tree_root=hash_bytes(b"lie")))
+        bad = replace(tx, proof=replace(tx.proof, block_hash=hash_bytes(b"lie")))
         verdict = beta.accept_redeem(bad)
         assert verdict.reason == PROOF_INVALID
         assert verdict.rule == "redeem-7"
@@ -280,7 +281,9 @@ class TestRedeemGating:
         tx = make_redeem_tx(w.mainchain, alpha, 0, sent.message, sent.payload, sent.sender_sig, w.actor("bob"))
         kind, _, which = evidence.partition(":")
         if kind == "kind":
-            proof = replace(tx.proof, source_kind=SourceKind.CSW)
+            # A withdrawal's evidence shape: an empty message path, two segments.
+            empty = replace(tx.proof.msg_path, leaf_index=0, siblings=())
+            proof = replace(tx.proof, msg_path=empty, segments=tx.proof.segments * 2)
         elif kind == "block":
             proof = replace(tx.proof, block_hash={
                 "unknown": hash_bytes(b"no such block"),
@@ -288,42 +291,57 @@ class TestRedeemGating:
                 "finalizing-nothing": w.mainchain.get_block(6).hash,
             }[which])
         else:
+            # Another certificate's path, then also its block.
             sc_id, epoch = (beta.sc_id, 0) if which == "other-chain" else (alpha.sc_id, 1)
             anchor = anchor_of(w.mainchain, sc_id, epoch)
-            path = replace(tx.proof.commitment_path, posting_digest=canonical_digest(anchor.cert))
-            proof = replace(tx.proof, commitment_path=path)
+            proof = replace(tx.proof, segments=(anchor.stc_path,))
             if kind == "anchor":
-                path = replace(path, segments=(anchor.stc_path,))
-                proof = replace(proof, commitment_path=path, block_hash=canonical_digest(anchor.header))
+                proof = replace(proof, block_hash=canonical_digest(anchor.header))
         bad = replace(tx, proof=proof)
         first = beta.accept_redeem(bad)
         assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
         assert beta.accept_redeem(tx).accepted
         assert beta.accept_redeem(bad).reason == ALREADY_REDEEMED
 
-    @pytest.mark.parametrize("evidence", ["kind:certificate", "posting:other", "csw_ref:unknown"])
+    @pytest.mark.parametrize("evidence", ["kind:certificate", "posting:other", "nullifier:unknown"])
     def test_csw_evidence_not_of_the_named_withdrawal_is_a_bad_proof_until_redeemed(self, evidence):
-        # A csw_ref that names no included withdrawal is a missing posting,
-        # looked up only after the replay check.
+        # A nullifier that names no included withdrawal is a missing
+        # posting, looked up only after the replay check.
         w, _ = run_stage(CEASED)
         alpha, beta = w.chains["alpha"], w.chains["beta"]
-        pkg = held_withdrawal(w)
-        assert w.mainchain.submit_csw(pkg.csw).accepted
-        w.mainchain.advance_block()
+        pkg, other = withdrawals_in_one_block(w)
         tx = make_csw_redeem_tx(w.mainchain, pkg, w.actor("bob"))
         if evidence == "kind:certificate":
-            bad = replace(tx, proof=replace(tx.proof, source_kind=SourceKind.CERTIFICATE))
+            # A certificate's evidence shape: one segment.
+            bad = replace(tx, proof=replace(tx.proof, segments=tx.proof.segments[1:]))
         elif evidence == "posting:other":
-            path = replace(tx.proof.commitment_path, posting_digest=hash_bytes(b"x"))
-            bad = replace(tx, proof=replace(tx.proof, commitment_path=path))
+            # The paths of the other withdrawal included in the same block.
+            elsewhere = build_csw_redeem_proof(w.mainchain, alpha.sc_id, other.csw.nullifier, other.message)
+            bad = replace(tx, proof=replace(tx.proof, segments=elsewhere.segments))
         else:
-            bad = replace(tx, csw_ref=(alpha.sc_id, hash_bytes(b"no such withdrawal")))
+            bad = replace(tx, csw_nullifier=hash_bytes(b"no such withdrawal"))
         count = writes()
         first = beta.accept_csw_redeem(bad)
         assert (first.reason, first.rule) == (PROOF_INVALID, "redeem-7")
         assert writes() == count
         assert beta.accept_csw_redeem(tx).accepted
         assert beta.accept_csw_redeem(bad).reason == ALREADY_REDEEMED
+
+    def test_a_csw_redeem_finds_its_withdrawal_under_the_message_sender(self):
+        # The nullifier is looked up among the withdrawals of the message's
+        # sending chain, the only chain whose withdrawal can embed it.
+        w, _ = run_stage(CEASED)
+        beta, gamma = w.chains["beta"], w.chains["gamma"]
+        pkg = held_withdrawal(w)
+        assert w.mainchain.submit_csw(pkg.csw).accepted
+        w.mainchain.advance_block()
+        tx = make_csw_redeem_tx(w.mainchain, pkg, w.actor("bob"))
+        assert beta.resolve_redeem(tx)[1] == pkg.csw
+        lying = replace(tx, message=replace(tx.message, sending_sc_id=gamma.sc_id))
+        assert beta.resolve_redeem(lying)[1] is None
+        verdict = beta.accept_csw_redeem(lying)
+        assert (verdict.reason, verdict.rule) == (PROOF_INVALID, "redeem-7")
+        assert beta.accept_csw_redeem(tx).accepted
 
     def test_no_delivery_before_confirmation(self):
         # At every stage before the source certificate is finalized, the

@@ -6,7 +6,9 @@ every encoding byte for byte and must never be regenerated to make a codec
 change pass.
 """
 import gc
+import hashlib
 import json
+import struct
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -58,6 +60,44 @@ def test_golden_encoding(name):
     assert type(sample).decode(data) == sample
 
 
+def _sha(label: str) -> bytes:
+    return hashlib.sha256(label.encode()).digest()
+
+
+def _path_bytes(leaf_index: int, siblings: list[tuple[str, bool]]) -> bytes:
+    """A Merkle path as laid out on the wire: u32 leaf index, u32 count,
+    then each sibling's digest and its on-left byte."""
+    out = struct.pack(">II", leaf_index, len(siblings))
+    return out + b"".join(_sha(label) + bytes([on_left]) for label, on_left in siblings)
+
+
+def _hand_assembled_redeem_vectors() -> dict:
+    """The golden redeem encodings, written out byte by byte from the
+    layout of ``wire_samples``' values, without the codecs."""
+    path = _path_bytes(5, [("s0", True), ("s1", False), ("s2", True)])
+    proof = (
+        b"\x0b"  # TAG_REDEEM_PROOF
+        + path  # msg_path
+        + struct.pack(">I", 2) + path + _path_bytes(0, [("t0", False)])  # segments
+        + _sha("block")  # block_hash
+    )
+    message = bytes.fromhex(GOLDEN["CscpMessage"])
+    body = message + struct.pack(">I", 2) + b"pl" + proof
+    body += struct.pack(">I", 64) + b"\x02" * 64 + struct.pack(">I", 64) + b"\x03" * 64
+    return {
+        "RedeemProof": proof,
+        "RedeemTx": b"\x09" + body,  # TAG_REDEEM_TX
+        "CswRedeemTx": b"\x0a" + body + _sha("null"),  # TAG_CSW_REDEEM_TX, then csw_nullifier
+    }
+
+
+@pytest.mark.parametrize("name", ["RedeemProof", "RedeemTx", "CswRedeemTx"])
+def test_golden_redeem_encodings_follow_their_layout(name):
+    """Redeem evidence is the message path, the count-prefixed segments and
+    the block hash; a CSW redeem ends in its 32-byte nullifier."""
+    assert GOLDEN[name] == _hand_assembled_redeem_vectors()[name].hex()
+
+
 def _proved(name: str):
     """The bundle witness ``name`` proved by its prover: its verifier, its
     signer's public key, the public input and the proof."""
@@ -87,9 +127,9 @@ def test_a_key_that_is_not_32_bytes_never_verifies(name, params_len):
     assert verify(sim_merkle_vk((public + b"\x00")[:params_len]), public_input, proof) is False
 
 
-#: The codecs of 32-byte fields: digests, public keys, and the lists and
-#: pairs that hold digests.
-_FIXED_WIDTH = ("digest", "pubkey", "digest_list", "sibling_list", "u32_digest")
+#: The codecs of 32-byte fields: digests, public keys, and the lists that
+#: hold digests.
+_FIXED_WIDTH = ("digest", "pubkey", "digest_list", "sibling_list")
 
 
 def _fixed_width_values(value, where: str):
@@ -105,8 +145,6 @@ def _fixed_width_values(value, where: str):
             yield from ((codec.kind, f"{place}[{i}]", x) for i, x in enumerate(item))
         elif codec.kind == "sibling_list":
             yield from ((codec.kind, f"{place}[{i}]", x) for i, (x, _) in enumerate(item))
-        elif codec.kind == "u32_digest":
-            yield codec.kind, place, item[1]
         elif codec.kind == "list_of":
             for i, x in enumerate(item):
                 yield from _fixed_width_values(x, f"{place}[{i}]")
@@ -138,7 +176,7 @@ _FIXED_WIDTH_FIELDS = sorted({
 def test_encode_rejects_a_digest_or_key_that_is_not_32_bytes(field, sample, length):
     _, attr, kind = field
     bad = bytes(length)
-    value = {"digest_list": (bad,), "sibling_list": ((bad, False),), "u32_digest": (0, bad)}.get(kind, bad)
+    value = {"digest_list": (bad,), "sibling_list": ((bad, False),)}.get(kind, bad)
     with pytest.raises(ValueError, match=f"must be 32 bytes, got {length}"):
         replace(sample, **{attr: value}).encode()
 
@@ -180,7 +218,6 @@ _SCALARS = {
         st.tuples(st.just(True), st.integers(1, U64_MAX), st.none()),
         st.tuples(st.just(False), st.none(), st.integers(0, U64_MAX)),
     ),
-    "u32_digest": st.tuples(st.integers(0, U32_MAX), _digest),
 }
 
 

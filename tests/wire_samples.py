@@ -30,14 +30,12 @@ from mitto.messages import (
 )
 from mitto.proofs import (
     ClaimKind,
-    CommitmentChain,
     CommittedState,
     CswBundle,
     CswClaim,
     CswPublicInput,
     RedeemProof,
     ReturnEvidence,
-    SourceKind,
     StateAnchor,
     WcertBundle,
     WcertPublicInput,
@@ -195,15 +193,9 @@ def wire_samples() -> dict:
         leaf_index=5,
         siblings=((_h("s0"), True), (_h("s1"), False), (_h("s2"), True)),
     )
-    chain = CommitmentChain(
-        posting_digest=_h("posting"),
-        segments=(path, MerklePath(leaf_index=0, siblings=((_h("t0"), False),))),
-    )
     redeem_proof = RedeemProof(
-        source_kind=SourceKind.CSW,
         msg_path=path,
-        msg_tree_root=_h("tree"),
-        commitment_path=chain,
+        segments=(path, MerklePath(leaf_index=0, siblings=((_h("t0"), False),))),
         block_hash=_h("block"),
     )
     return {
@@ -241,7 +233,7 @@ def wire_samples() -> dict:
             proof=redeem_proof,
             sender_sig=b"\x02" * 64,
             receiver_signature=b"\x03" * 64,
-            csw_ref=(3, _h("null")),
+            csw_nullifier=_h("null"),
         ),
         "SidechainRegistration": SidechainRegistration(
             sc_id=4,
@@ -277,7 +269,6 @@ def wire_samples() -> dict:
             amount=0,
             proofdata_root=_h("pdr"),
         ),
-        "CommitmentChain": chain,
         "RedeemProof": redeem_proof,
         "MerklePath": path,
         **_bundle_samples(),

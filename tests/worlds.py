@@ -15,7 +15,7 @@ from mitto.harness import Runner, World
 from mitto.messages import CswRedeemTx, RedeemTx, SendTx, message_digest
 from mitto.proofs import explain_redeem, verify_redeem
 from mitto.scenario import parse_scenario
-from mitto.tokens import transfer_message, withdraw_native_held
+from mitto.tokens import final_ledger, transfer_message, withdraw_foreign, withdraw_native_held
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -167,15 +167,28 @@ def held_withdrawal(w):
     return withdraw_native_held(w.chains["alpha"], w.actor("alice"), kept, w.chains["beta"].sc_id, bob)
 
 
-def redeem_arguments(w, message, payload, proof, csw_ref=None) -> tuple:
+def withdrawals_in_one_block(w):
+    """In the ceased stage: alice's held withdrawal and her withdrawal of
+    the foreign FOR, back to its issuer beta, both for bob and both
+    included in the next block."""
+    alpha = w.chains["alpha"]
+    foreign = canonical_digest(held(final_ledger(alpha), "FOR"))
+    packages = held_withdrawal(w), withdraw_foreign(alpha, w.actor("alice"), foreign, w.actor("bob").public)
+    for package in packages:
+        assert w.mainchain.submit_csw(package.csw).accepted
+    w.mainchain.advance_block()
+    return packages
+
+
+def redeem_arguments(w, message, payload, proof, csw_nullifier=None) -> tuple:
     """The redeem verifier's arguments for the evidence, resolved by beta's
     gate as a redeem on beta resolves them; a CSW redeem names its
-    withdrawal by ``csw_ref``. The resolver reads no signature, so none is
-    made."""
-    if csw_ref is None:
+    withdrawal by ``csw_nullifier``. The resolver reads no signature, so
+    none is made."""
+    if csw_nullifier is None:
         tx = RedeemTx(message, payload, proof, sender_sig=b"", receiver_signature=b"")
     else:
-        tx = CswRedeemTx(message, payload, proof, sender_sig=b"", receiver_signature=b"", csw_ref=csw_ref)
+        tx = CswRedeemTx(message, payload, proof, sender_sig=b"", receiver_signature=b"", csw_nullifier=csw_nullifier)
     return (*w.chains["beta"].resolve_redeem(tx), message, payload, proof)
 
 
