@@ -17,8 +17,8 @@ written, so neither check dumps the world.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import orjson
@@ -219,16 +219,16 @@ _ORJSON_OPTIONS = (
 def render_json(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for
     the values reports are made of: dicts with str keys, lists, tuples, str,
-    int, bool and None. A non-str key or a value of another type raises
-    TypeError, except that orjson renders a float, an enum member and a
-    UUID, where ``_write`` raises. No report holds one, and the frozen
-    output pins would show one.
+    int, bool and None. A non-str key raises TypeError, as does a value
+    ``json.dumps`` refuses. A value of another type is outside that promise:
+    orjson renders a float, an enum member and a UUID its own way. No report
+    holds one, and the frozen output pins would show one.
 
-    orjson writes the text. ``_write`` writes it only where orjson cannot
-    give those bytes: a value orjson refuses (an int outside 64 bits, a
-    lone surrogate, nesting deeper than 255, a non-str key, an unsupported
-    type), or a text holding a character ``ensure_ascii`` escapes (any
-    non-ASCII character, or U+007F)."""
+    orjson writes the text. ``json.dumps`` writes it where orjson cannot
+    give those bytes: a value orjson refuses (an int outside 64 bits, a lone
+    surrogate, nesting deeper than 255, a non-str key, an unsupported type),
+    or a text holding a character ``ensure_ascii`` escapes (any non-ASCII
+    character, or U+007F)."""
     try:
         text = orjson.dumps(value, option=_ORJSON_OPTIONS)
     except TypeError:
@@ -236,52 +236,21 @@ def render_json(value) -> str:
     else:
         if text.isascii() and b"\x7f" not in text:
             return text.decode()
-    parts: list[str] = []
-    _write(value, parts.append, "\n")
-    return "".join(parts)
+    _refuse_non_str_keys(value)
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
-def _write(value, put, newline: str) -> None:
-    """Put the JSON text of ``value``, nested at ``newline`` (a line break and
-    the current indentation)."""
-    if isinstance(value, str):
-        put(encode_basestring_ascii(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
+def _refuse_non_str_keys(value) -> None:
+    """Raise TypeError at a dict key that is not a str, which ``json.dumps``
+    would write as a string key. A cyclic value raises RecursionError."""
+    if isinstance(value, dict):
+        for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
-            put(separator)
-            put(encode_basestring_ascii(key))
-            put(": ")
-            _write(value[key], put, inner)
-            separator = "," + inner
-        put(newline + "}")
+            _refuse_non_str_keys(item)
     elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
         for item in value:
-            put(separator)
-            _write(item, put, inner)
-            separator = "," + inner
-        put(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            _refuse_non_str_keys(item)
 
 
 def dump_state(world: World, path: str | Path) -> None:

@@ -24,7 +24,7 @@ from . import encoding as enc
 from . import verdict as v
 from .encoding import U32, canonical_digest, nested, wire
 from .hashing import Digest, EMPTY_STC, ScBlockEntries, StcTree, build_stc
-from .journal import Journaled, JournalList, JournalSet
+from .journal import JournalDict, Journaled, JournalList, JournalSet
 from .messages import (
     BlockHeader,
     CeasedSidechainWithdrawal,
@@ -127,12 +127,12 @@ class Mainchain(Journaled):
 
     def __init__(self) -> None:
         genesis = BlockHeader(height=0, parent_hash=GENESIS_PARENT, stc_root=EMPTY_STC.root)
-        self._blocks: list[Block] = [Block(header=genesis, stc=EMPTY_STC)]
-        self._by_hash: dict[Digest, Block] = {self._blocks[0].hash: self._blocks[0]}
-        self._finalized: dict[tuple[int, int], StateAnchor] = {}
-        self._csw_inclusions: dict[tuple[int, Digest], tuple[CeasedSidechainWithdrawal, Digest]] = {}
-        self._records: dict[int, ScRecord] = {}
-        self._pending_registrations: list[SidechainRegistration] = []
+        self._blocks: JournalList[Block] = JournalList([Block(header=genesis, stc=EMPTY_STC)])
+        self._by_hash: JournalDict[Digest, Block] = JournalDict({self._blocks[0].hash: self._blocks[0]})
+        self._finalized: JournalDict[tuple[int, int], StateAnchor] = JournalDict()
+        self._csw_inclusions: JournalDict[tuple[int, Digest], tuple[CeasedSidechainWithdrawal, Digest]] = JournalDict()
+        self._records: JournalDict[int, ScRecord] = JournalDict()
+        self._pending_registrations: JournalList[SidechainRegistration] = JournalList()
         self._pending_csws: JournalList[tuple[int, CeasedSidechainWithdrawal]] = JournalList()
 
     # -- registration -------------------------------------------------------

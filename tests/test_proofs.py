@@ -15,6 +15,7 @@ from worlds import (
     CEASED,
     COMMITTED,
     SCENARIO_DIR,
+    SHADOWED_CHECKS,
     held,
     held_withdrawal,
     make_send,
@@ -40,6 +41,7 @@ from mitto.messages import (
     VerificationKey,
     WithdrawalCertificate,
     message_digest,
+    redeem_auth_digest,
 )
 from mitto.proofs import (
     CertificateNotConfirmed,
@@ -714,3 +716,24 @@ class TestNamedChecks:
         assert refused_by == {check_id: check_id for check_id in declared_check_ids()}
         verified = [check_id for check_id, (explain, args) in cases.items() if VERIFIERS[explain](*args.values())]
         assert verified == []
+
+    @pytest.mark.parametrize("gamma", [False, True], ids=["no-gamma", "gamma-finalized-beside"])
+    def test_the_gate_refuses_a_shadowed_checks_input_before_it(self, gamma):
+        """``check_cases``' input for ``redeem.posting-sender``, alpha's
+        certificate redeem on beta with the message's sending chain changed
+        to GAMMA and signed by the receiver, is refused by beta's gate at a
+        check it reaches first: no posting, or gamma's own certificate, which
+        does not commit the message. A gate that reaches the check fails this."""
+        chains = COMMITTED["chains"] + ([{"label": "gamma", "epoch_length": 2}] if gamma else [])
+        world, sends = run_stage({**COMMITTED, "chains": chains})
+        sent, bob = sends["sent"], world.actor("bob")
+        honest = make_redeem_tx(
+            world.mainchain, world.chains["alpha"], sent.epoch_id, sent.message, sent.payload, sent.sender_sig, bob
+        )
+        message = replace(sent.message, sending_sc_id=GAMMA)
+        tx = replace(honest, message=message, receiver_signature=bob.sign(redeem_auth_digest(message, sent.payload)))
+        verdict = world.chains["beta"].accept_redeem(tx)
+        assert verdict.to_json() == {"accepted": False, "reason": "ProofInvalid", "rule": "redeem-7"}
+        refused_by = redeem_refusal(world, message, tx.payload, tx.proof)
+        assert refused_by == ("commits.msg-path" if gamma else "redeem.posting")
+        assert refused_by in SHADOWED_CHECKS["redeem.posting-sender"]

@@ -45,6 +45,15 @@ SHADOWED = {
     "redeem-4e": {"accepted": False, "reason": "ProofInvalid", "rule": "redeem-7"},
 }
 
+#: Each verifier check that no input through a gate can fail, with the
+#: checks the gate reaches first on the input ``check_cases`` crafts for it.
+SHADOWED_CHECKS = {
+    # The gate looks a redeem's posting up under the message's sending chain,
+    # and both indexes key a posting by its own ledger id; the check still
+    # guards a direct verify_redeem caller.
+    "redeem.posting-sender": {"redeem.posting", "commits.msg-path"},
+}
+
 #: The rule id a world could fire but no op reaches, and why.
 UNREACHED = {"redeem-4d": "no op commits a message whose sender is not its instance's owner"}
 
