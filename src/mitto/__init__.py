@@ -10,14 +10,16 @@ redeem verifier reads no chain either: it checks the evidence against the
 block root and the posting the receiving chain looked up for it.
 """
 
-# ``import mitto`` loads every module but the CLI: perfbench's tracer patches
-# the functions bound in the loaded ``mitto`` modules, so a module left out
-# here would go untraced. ``cli`` stays out because ``python -m mitto.cli``
-# warns when its module is already imported before it runs as ``__main__``.
+# ``import mitto`` loads the modules a run executes, and only those:
+# perfbench's tracer patches the functions bound in the loaded ``mitto``
+# modules, so a run-path module left out here would go untraced. ``fuzz`` and
+# ``vectors`` generate and check inputs, and no run needs them; callers import
+# them by name (``from mitto import fuzz``). ``cli`` stays out because
+# ``python -m mitto.cli`` warns when its module is already imported before it
+# runs as ``__main__``.
 from . import (
     accountant,
     encoding,
-    fuzz,
     harness,
     hashing,
     journal,
@@ -28,14 +30,12 @@ from . import (
     scenario,
     sidechain,
     tokens,
-    vectors,
     verdict,
 )
 
 __all__ = [
     "accountant",
     "encoding",
-    "fuzz",
     "harness",
     "hashing",
     "journal",
@@ -46,6 +46,5 @@ __all__ = [
     "scenario",
     "sidechain",
     "tokens",
-    "vectors",
     "verdict",
 ]

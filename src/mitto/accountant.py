@@ -65,21 +65,21 @@ REPLAY = "replay-safety"
 OVER_RETURN = "over-return"
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ChainInfo:
     sc_id: int
     byzantine: bool = False
     variant: str = VARIANT_STANDARD
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class IssueInfo:
     issuer_label: str
     fungible: bool
     total: int = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class Accountant:
     chains: dict[str, ChainInfo] = field(default_factory=dict)
     issues: dict[str, IssueInfo] = field(default_factory=dict)
@@ -87,11 +87,11 @@ class Accountant:
     returned_units: dict[tuple[str, int], int] = field(default_factory=dict)
     csw_credit: dict[tuple[int, str], int] = field(default_factory=dict)
     accepted_redeems: dict[str, set[Digest]] = field(default_factory=dict)
-    _books: dict[str, "_Book"] = field(default_factory=dict, repr=False)  # honest chains, in registration order
-    _holders: dict[tuple[str, int], int] = field(default_factory=dict, repr=False)
-    _crowded: dict[str, set[int]] = field(default_factory=dict, repr=False)
-    _moved: set[str] = field(default_factory=set, repr=False)  # names whose invariant inputs moved
-    _findings: dict[str, list[str]] = field(default_factory=dict, repr=False)  # per name, when any
+    _books: dict[str, "_Book"] = field(default_factory=dict)  # honest chains, in registration order
+    _holders: dict[tuple[str, int], int] = field(default_factory=dict)
+    _crowded: dict[str, set[int]] = field(default_factory=dict)
+    _moved: set[str] = field(default_factory=set)  # names whose invariant inputs moved
+    _findings: dict[str, list[str]] = field(default_factory=dict)  # per name, when any
 
     # -- event stream ----------------------------------------------------------
 

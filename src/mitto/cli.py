@@ -17,9 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import vectors
 from .encoding import U64_MAX
-from .fuzz import run_fuzz
 from .harness import HarnessError, Runner, dump_state, render_report
 from .scenario import ParseError, load_scenario
 
@@ -132,6 +130,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.traces <= 0:
         print("--traces needs a positive trace count", file=sys.stderr)
         return EXIT_USAGE
+    from .fuzz import run_fuzz
+
     result = run_fuzz(args.seed, args.traces)
     print(
         f"fuzz seed {args.seed}: {result['traces']} traces, {result['steps']} steps, "
@@ -155,6 +155,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_vectors(args: argparse.Namespace) -> int:
+    from . import vectors
+
     directory = Path(args.directory)
     target = directory / vectors.FILE_NAME
     if not target.exists():

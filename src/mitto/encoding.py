@@ -151,7 +151,7 @@ def decode_hashed(cls, data: bytes, digest: Digest):
 # Wire schema
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Codec:
     """One field's wire form, as code the schema compiler splices into
     each type's encoder and decoder.

@@ -257,7 +257,7 @@ def dump_state(world: World, path: str | Path) -> None:
     Path(path).write_text(render_json(world.dump()) + "\n")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _SendRecord:
     """An accepted send and the token instance it moved. A message enters
     the outbox while ``epoch_id`` epochs are closed, so the next accepted

@@ -66,7 +66,7 @@ class MerklePath:
     siblings: tuple[tuple[Digest, bool], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MerkleTree:
     """Padded binary commitment tree.
 
@@ -192,7 +192,7 @@ class ScBlockEntries:
     tx_digests: tuple[Digest, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class StcTree:
     """Commitment over all sidechain activity in one block.
 

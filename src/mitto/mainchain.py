@@ -65,7 +65,7 @@ class SidechainRegistration:
     csw_vk: VerificationKey
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Block:
     """Sealed block: its header and the commitment tree whose root the
     header carries."""
@@ -86,7 +86,7 @@ class Block:
         return self.header.stc_root
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ScRecord(Journaled):
     registration: SidechainRegistration
     status: str = STATUS_PENDING
@@ -179,7 +179,8 @@ class Mainchain(Journaled):
             record.status = STATUS_ALIVE
             tx_lists.setdefault(registration.sc_id, []).append(canonical_digest(registration))
             activated_ids.add(registration.sc_id)
-        self._pending_registrations.clear()
+        if self._pending_registrations:  # each clear is a counted write
+            self._pending_registrations.clear()
 
         finalizing: list[tuple[ScRecord, WithdrawalCertificate]] = []
         for sc_id, record in self._records.items():
@@ -196,7 +197,8 @@ class Mainchain(Journaled):
             finalizing.append((record, cert))
 
         csw_batch = sorted(self._pending_csws, key=lambda pending: pending[0])
-        self._pending_csws.clear()
+        if csw_batch:
+            self._pending_csws.clear()
         for sc_id, csw in csw_batch:
             tx_lists.setdefault(sc_id, []).append(canonical_digest(csw))
 

@@ -279,7 +279,7 @@ class ClaimKind(IntEnum):
     SENT_RECORD = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CommittedState:
     """The sorted entity digests a certificate committed to, and their
     root. Only a withdrawal's state path reads the tree's levels, so the
@@ -340,7 +340,7 @@ class ReturnEvidence:
     returned_instance_bytes: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CswClaim:
     """Everything the prover asserts about one ceased-sidechain withdrawal."""
 

@@ -449,7 +449,7 @@ STEP_OPS = tuple(STEP_TYPES)
 TAMPERS = {op: tuple(cls.tampers) for op, cls in STEP_TYPES.items() if cls.tampers}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Scenario:
     name: str
     seed: int

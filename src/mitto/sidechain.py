@@ -99,7 +99,7 @@ class MessageHandler(Protocol):
     def dump(self) -> dict: ...
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ClosedEpoch:
     """Archived epoch, kept at its epoch id's index in ``Sidechain.epochs``:
     the tree over its message digests, which redeem evidence reads, and,

@@ -238,7 +238,7 @@ def _split_child_hash(parent: Digest, amount: int, index: int) -> Digest:
     return hash_bytes(b"split" + parent + enc.enc_u64(amount) + enc.enc_u8(index))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MittoState(Journaled):
     """One sidechain's token ledger: held instances and issuer sent records.
     It is the chain's message handler for token transfers."""
@@ -566,7 +566,7 @@ def attach_token_ledger(chain, registry: TokenNameRegistry, variant: str = VARIA
 # Ceased-sidechain token flows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CswPackage:
     """Everything needed to submit a withdrawal and redeem its message:
     the withdrawal itself, the embedded message with its payload, the

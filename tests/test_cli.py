@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, report files, dumps, directory runs, fuzz, vectors."""
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,12 @@ from mitto.scenario import MAX_ADVANCE_BLOCKS, MAX_SCENARIO_BLOCKS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = str(SCENARIO_DIR / "golden_fungible_roundtrip.json")
+FROZEN = json.loads((ROOT / "tests" / "golden" / "frozen_outputs.json").read_text())
+
+
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports ``mitto`` from ``src``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def write_scenario(tmp_path, obj, name="s.json") -> str:
@@ -215,18 +222,49 @@ def test_run_scenario_error_writes_its_report(tmp_path, capsys):
 def test_report_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     """Two interpreters with different string-hash seeds write the same
     report bytes for a scenario that walks sets and dicts of every kind."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     reports = []
     for hash_seed in ("0", "1"):
         target = tmp_path / f"report-{hash_seed}.json"
         done = subprocess.run(
             [sys.executable, "-m", "mitto.cli", "run", str(SCENARIO_DIR / "ceased_flows.json"),
              "--json-report", str(target)],
-            env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True, text=True, check=False,
+            env=dict(src_env(), PYTHONHASHSEED=hash_seed), capture_output=True, text=True, check=False,
         )
         assert done.returncode == 0, done.stderr
         reports.append(target.read_bytes())
     assert reports[0] == reports[1]
+
+
+def _cli_in_a_fresh_interpreter(*args: str) -> set[str]:
+    """Run ``python -m mitto.cli ARGS`` in a new interpreter; the ``mitto``
+    modules it imported, read from ``-X importtime``'s lines."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mitto.cli", *args],
+        env=src_env(), capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+    return {name for name in imported if name.startswith("mitto.")}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_a_run_loads_no_input_generator_and_writes_the_pinned_report(tmp_path):
+    """``mitto run`` imports neither ``fuzz`` nor ``vectors``, and its report
+    is byte for byte the one ``tests/golden/frozen_outputs.json`` pins."""
+    target = tmp_path / "report.json"
+    imported = _cli_in_a_fresh_interpreter("run", str(SCENARIO_DIR / "ceased_flows.json"), "--json-report", str(target))
+    assert "mitto.harness" in imported
+    assert imported.isdisjoint({"mitto.fuzz", "mitto.vectors"})
+    assert _sha256(target) == FROZEN["scenarios"]["ceased_flows.json"]["report"]
+
+
+def test_vectors_load_their_module_on_demand_and_emit_the_pinned_file(tmp_path):
+    imported = _cli_in_a_fresh_interpreter("vectors", str(tmp_path))
+    assert "mitto.vectors" in imported and "mitto.fuzz" not in imported
+    assert _sha256(tmp_path / "vectors.json") == FROZEN["vectors.json"]
 
 
 def test_send_amount_of_nft_exit_two(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
-loads every module, every function the benchmark traces exists, the
-README's layout lists every package module, only the accountant drains
-a journal's key record, the runner names no tamper, and no verifier check
-returns a bare False.
+loads every module a run executes and no other, every function the
+benchmark traces exists, the README's layout lists every package module,
+only the accountant drains a journal's key record, the runner names no
+tamper, and no verifier check returns a bare False.
 
 No linter ships with the project, so this walks the syntax tree of every
 package and test module instead. A top-level import counts as used when
@@ -65,22 +65,51 @@ def test_detector_sees_unused_and_exempt_names():
     assert unused_imports(source) == ["line 2: json", "line 4: Fn"]
 
 
-def test_import_mitto_loads_every_module_but_the_cli():
-    """perfbench's tracer patches only the modules ``import mitto`` loaded."""
-    expected = sorted(path.stem for path in (ROOT / "src" / "mitto").glob("*.py") if path.stem not in ("__init__", "cli"))
+#: Modules ``import mitto`` leaves out: the command line and the input
+#: generators no run executes.
+OFF_RUN_PATH = ("cli", "fuzz", "vectors")
+
+
+def _load_tracer():
+    """perfbench's tracer, read from its file, unedited."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _imported_siblings(path: Path) -> set[str]:
+    """The ``mitto`` modules ``path`` imports anywhere, in a function too."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("mitto.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "mitto"):
+            module = node.module if node.level else node.module.partition(".")[2]
+            names |= {module.split(".")[0]} if module else {alias.name for alias in node.names}
+    return names
+
+
+def test_import_mitto_loads_the_run_path_only():
+    """``import mitto`` loads every module but the CLI and the input
+    generators, those include every module perfbench's tracer patches, and
+    no module on that path imports one left out."""
+    package = ROOT / "src" / "mitto"
+    run_path = sorted(path.stem for path in package.glob("*.py") if path.stem not in ("__init__", *OFF_RUN_PATH))
     code = "import sys, mitto; print(sorted(n[6:] for n in sys.modules if n.startswith('mitto.')))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == str(expected)
+    assert out.stdout.strip() == str(run_path)
+    assert {module for module, _, _ in _load_tracer().TARGETS} <= set(run_path)
+    reaching = {name: _imported_siblings(package / f"{name}.py") & set(OFF_RUN_PATH) for name in run_path}
+    assert {name: found for name, found in reaching.items() if found} == {}
 
 
 def test_every_traced_target_resolves():
     """Each (module, path) that perfbench's tracer wraps names a function or
     method of the loaded package, defined where the tracer looks for it: a
-    method on its own class. The tracer is read from its file, unedited."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    method on its own class."""
+    tracer = _load_tracer()
     missing = []
     for module_name, path, _ in tracer.TARGETS:
         *owners, attr = path.split(".")

@@ -8,6 +8,7 @@ from worlds import CEASED, COMMITTED, held_withdrawal, run_stage, two_chain_worl
 
 from mitto.encoding import canonical_digest
 from mitto.hashing import EMPTY_ROOT, EMPTY_STC, ScBlockEntries, build_stc, hash_bytes
+from mitto.journal import writes
 from mitto.keys import KeyPair
 from mitto.mainchain import (
     GENESIS_PARENT,
@@ -101,6 +102,19 @@ class TestChain:
         assert mc.tip is genesis
         mc.advance_blocks(3)
         assert mc.tip_height == 3
+
+    def test_an_empty_sealed_block_makes_two_counted_writes(self):
+        # The block list's append and the hash index's insert; an empty
+        # registration or withdrawal queue is left as it is, not cleared.
+        mc = Mainchain()
+        sc = mc.register_sidechain(2, bare_vk("a"), bare_vk("b"))
+        mc.advance_block()
+        assert mc.record(sc).status == STATUS_ALIVE
+        for _ in range(3):  # inside epoch 0, so no block finalizes or ceases the chain
+            count = writes()
+            mc.advance_block()
+            assert writes() - count == 2
+        assert mc.record(sc).status == STATUS_ALIVE
 
     def test_stc_root_recomputable_from_included_entries(self):
         # An external verifier regroups each block's entries and re-derives
