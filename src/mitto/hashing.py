@@ -183,7 +183,7 @@ def verify_path(root: Digest, leaf: Digest, path: MerklePath) -> bool:
 # Per-block sidechain transactions commitment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ScBlockEntries:
     """Everything one sidechain contributed to a single mainchain block:
     at most one certificate digest, and its transaction digests in order."""

@@ -1,22 +1,23 @@
 """Write-counting chain state: containers and the objects that hold them.
 
-Each container is a plain ``dict``, ``set`` or ``list`` whose mutating
-methods also bump one write count shared by all containers; reads stay the
-inherited C methods. A ``Journaled`` object (each chain, settlement record,
-token ledger and name registry) bumps the same count on every attribute
-assignment, so rebinding a container or changing a scalar counts too. Two
-reads of ``writes()`` around a stretch of code differ exactly when it wrote
-chain state. That is how the scenario runner proves a rejected transaction
-left no trace, at the cost of two calls whatever the world holds.
+Each container is a plain ``dict``, ``set`` or ``list`` whose reads stay the
+inherited C methods. Six mutators are counted, the only ones the chains
+call: ``JournalDict.__setitem__`` and ``__delitem__``, ``JournalSet.add``,
+and ``JournalList.append``, ``clear`` and ``__setitem__``. Each bumps one
+write count shared by all containers. Every other mutator of the three
+base types raises ``TypeError``, so no write can slip past the count. A
+``Journaled`` object (each chain, settlement record, token ledger and name
+registry) bumps the same count on every attribute assignment, so rebinding
+a container or changing a scalar counts too. Two reads of ``writes()``
+around a stretch of code differ exactly when it wrote chain state. That is
+how the scenario runner proves a rejected transaction left no trace, at the
+cost of two calls whatever the world holds.
 
-A ``JournalDict`` or ``JournalSet`` also records the keys (dict keys, set
-elements) written after its one reader, the accountant's shadow book that
-mirrors it, last drained it, so the book resyncs only those keys. A write
-may record a key it did not change (``clear`` records every key), never the
-other way round. Recording starts at the first drain. A ``JournalDict``
-subclass can keep an index of its values in step with every write through
-``_write`` (runs before the write, with the keys it touches) and ``_wrote``
-(runs after).
+A ``JournalDict`` or ``JournalSet`` also records the key (dict key, set
+element) of each write after its one reader, the accountant's shadow book
+that mirrors it, last drained it, so the book resyncs only those keys. A
+write may record a key it did not change, never the other way round.
+Recording starts at the first drain.
 """
 from __future__ import annotations
 
@@ -45,74 +46,32 @@ class Journaled:
         object.__setattr__(self, name, value)
 
 
-def _recording(method, keys_of):
-    """A mutator that passes the keys ``keys_of`` names to ``_write`` before
-    ``method`` runs and to ``_wrote`` after."""
+def _refused(name: str):
+    def refused(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__}.{name} is not a counted write")
 
-    def recorded(self, *args, **kwargs):
-        keys = keys_of(self, *args)
-        self._write(keys)
-        try:
-            return method(self, *args, **kwargs)
-        finally:
-            self._wrote(keys)
-
-    recorded.__name__ = method.__name__
-    return recorded
+    refused.__name__ = name
+    return refused
 
 
-def _journaled(**mutators):
-    """Class decorator: wrap each named mutator of the class's builtin base
-    with ``_recording``, given the function naming the keys it touches."""
+def _refuse(*names):
+    """Class decorator: make each named mutator of the class raise, as a
+    write the count would not see."""
 
     def decorate(cls):
-        base = cls.__bases__[-1]
-        for name, keys_of in mutators.items():
-            setattr(cls, name, _recording(getattr(base, name), keys_of))
+        for name in names:
+            setattr(cls, name, _refused(name))
         return cls
 
     return decorate
 
 
-def _none(box, *_):
-    return ()
-
-
-def _first(box, key, *_):
-    return (key,)
-
-
-def _every(box, *_):
-    return tuple(box)
-
-
-def _other(box, other):
-    return other if isinstance(other, (set, frozenset)) else ()
-
-
-class _Journal:
-    __slots__ = ()
-
-    def _write(self, keys) -> None:
-        global _clock
-        _clock += 1
-
-    def _wrote(self, keys) -> None:
-        pass
-
-
-class _KeyedJournal(_Journal):
+class _Keyed:
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.written: set | None = None
-
-    def _write(self, keys) -> None:
-        global _clock
-        _clock += 1
-        if self.written is not None:
-            self.written.update(keys)
 
     def drain(self) -> set | None:
         """Return the keys written after the last drain (None before the
@@ -122,70 +81,55 @@ class _KeyedJournal(_Journal):
         return keys
 
 
-@_journaled(
-    __setitem__=_first,
-    __delitem__=_first,
-    pop=_first,
-    setdefault=_first,
-    popitem=lambda box: (next(reversed(box)),) if box else (),
-    clear=_every,
-)
-class JournalDict(_KeyedJournal, dict):
+@_refuse("clear", "pop", "popitem", "setdefault", "update", "__ior__")
+class JournalDict(_Keyed, dict):
     __slots__ = ("written",)
 
-    def update(self, *args, **kwargs) -> None:
-        items = dict(*args, **kwargs)
-        self._write(items)
-        dict.update(self, items)
-        self._wrote(items)
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
-
-
-@_journaled(
-    add=_first,
-    discard=_first,
-    remove=_first,
-    clear=_every,
-    intersection_update=_every,
-    __iand__=_every,
-    __ior__=_other,
-    __isub__=_other,
-    __ixor__=_other,
-)
-class JournalSet(_KeyedJournal, set):
-    __slots__ = ("written",)
-
-    def pop(self):
-        self._write(())
-        key = set.pop(self)
+    def __setitem__(self, key, value) -> None:
+        global _clock
+        _clock += 1
         if self.written is not None:
             self.written.add(key)
-        return key
+        dict.__setitem__(self, key, value)
 
-    def update(self, *others) -> None:
-        keys = set().union(*others)
-        self._write(keys)
-        set.update(self, keys)
-
-    def difference_update(self, *others) -> None:
-        keys = set().union(*others)
-        self._write(keys)
-        set.difference_update(self, keys)
-
-    def symmetric_difference_update(self, other) -> None:
-        keys = set(other)
-        self._write(keys)
-        set.symmetric_difference_update(self, keys)
+    def __delitem__(self, key) -> None:
+        global _clock
+        _clock += 1
+        if self.written is not None:
+            self.written.add(key)
+        dict.__delitem__(self, key)
 
 
-@_journaled(**dict.fromkeys(
-    ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append", "clear", "extend", "insert", "pop",
-     "remove", "reverse", "sort"),
-    _none,
-))
-class JournalList(_Journal, list):
+@_refuse(
+    "clear", "discard", "pop", "remove", "update", "difference_update", "intersection_update",
+    "symmetric_difference_update", "__iand__", "__ior__", "__isub__", "__ixor__",
+)
+class JournalSet(_Keyed, set):
+    __slots__ = ("written",)
+
+    def add(self, key) -> None:
+        global _clock
+        _clock += 1
+        if self.written is not None:
+            self.written.add(key)
+        set.add(self, key)
+
+
+@_refuse("__delitem__", "__iadd__", "__imul__", "extend", "insert", "pop", "remove", "reverse", "sort")
+class JournalList(list):
     __slots__ = ()
 
+    def append(self, value) -> None:
+        global _clock
+        _clock += 1
+        list.append(self, value)
+
+    def clear(self) -> None:
+        global _clock
+        _clock += 1
+        list.clear(self)
+
+    def __setitem__(self, index, value) -> None:
+        global _clock
+        _clock += 1
+        list.__setitem__(self, index, value)

@@ -85,11 +85,11 @@ _SIGNATURE = ctypes.create_string_buffer(64)
 PubKey = Signature = bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class KeyPair:
     seed: bytes
     public: PubKey = field(init=False)
-    _secret: bytes = field(init=False, repr=False, compare=False)
+    _secret: bytes = field(init=False)
 
     def __post_init__(self):
         if len(self.seed) != 32:

@@ -278,7 +278,9 @@ class Mainchain(Journaled):
         epoch = None if block is None or record is None else record.current_epoch(block.height)
         # Epoch e settles in the last block of epoch e + 1.
         anchor = None if epoch is None else self._finalized.get((sc_id, epoch - 1))
-        return anchor.cert if anchor is not None and anchor.header == block.header else None
+        # advance_block gives the anchor the header object of the block it
+        # seals, so identity decides, without a field-by-field compare.
+        return anchor.cert if anchor is not None and anchor.header is block.header else None
 
     def csw_inclusion(self, sc_id: int, nullifier: Digest):
         return self._csw_inclusions.get((sc_id, nullifier))

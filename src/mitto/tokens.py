@@ -180,35 +180,39 @@ class Holdings(JournalDict):
         super().__init__(*args, **kwargs)
         self.by_id: dict[tuple[str, int], tuple[Digest, ...]] = {}
         self.by_owner: dict[tuple[PubKey, str], set[Digest]] = {}
-        self._wrote(self)  # index the entries it starts with
+        for digest, instance in self.items():  # index the entries it starts with
+            self._index(digest, instance)
 
-    def _write(self, keys) -> None:
-        super()._write(keys)
-        for digest in keys:
-            instance = self.get(digest)
-            if instance is None:
-                continue
-            key = (instance.owner, instance.token_name)
-            self.by_owner[key].discard(digest)
-            if not self.by_owner[key]:
-                del self.by_owner[key]
-            if not instance.fungibility:
-                key = (instance.token_name, instance.token_id)
-                rest = tuple(d for d in self.by_id[key] if d != digest)
-                if rest:
-                    self.by_id[key] = rest
-                else:
-                    del self.by_id[key]
+    def __setitem__(self, digest: Digest, instance: TokenInstance) -> None:
+        self._unindex(digest)
+        super().__setitem__(digest, instance)
+        self._index(digest, instance)
 
-    def _wrote(self, keys) -> None:
-        for digest in keys:
-            instance = self.get(digest)
-            if instance is None:
-                continue
-            self.by_owner.setdefault((instance.owner, instance.token_name), set()).add(digest)
-            if not instance.fungibility:
-                key = (instance.token_name, instance.token_id)
-                self.by_id[key] = self.by_id.get(key, ()) + (digest,)
+    def __delitem__(self, digest: Digest) -> None:
+        self._unindex(digest)
+        super().__delitem__(digest)
+
+    def _index(self, digest: Digest, instance: TokenInstance) -> None:
+        self.by_owner.setdefault((instance.owner, instance.token_name), set()).add(digest)
+        if not instance.fungibility:
+            key = (instance.token_name, instance.token_id)
+            self.by_id[key] = self.by_id.get(key, ()) + (digest,)
+
+    def _unindex(self, digest: Digest) -> None:
+        instance = self.get(digest)
+        if instance is None:
+            return
+        key = (instance.owner, instance.token_name)
+        self.by_owner[key].discard(digest)
+        if not self.by_owner[key]:
+            del self.by_owner[key]
+        if not instance.fungibility:
+            key = (instance.token_name, instance.token_id)
+            rest = tuple(d for d in self.by_id[key] if d != digest)
+            if rest:
+                self.by_id[key] = rest
+            else:
+                del self.by_id[key]
 
     def owned(self, owner: PubKey, name: str, token_id: int | None = None) -> list[tuple[int, Digest, TokenInstance]]:
         """``(amount, digest, instance)`` of each instance of ``name`` (only

@@ -13,12 +13,12 @@ from oracles import OracleRunner
 from worlds import SCENARIO_DIR
 
 from mitto import accountant as accountant_module, hashing, mainchain as mainchain_module, sidechain as sidechain_module
-from mitto import harness as harness_module, journal as journal_module
+from mitto import harness as harness_module
 from mitto.accountant import Accountant
 from mitto.encoding import U32_MAX, U64_MAX, DecodeError, canonical_digest
 from mitto.harness import HarnessError, Runner, dump_state, render_json, render_report
 from mitto.hashing import hash_bytes
-from mitto.journal import JournalDict, Journaled, JournalList, JournalSet
+from mitto.journal import JournalDict, Journaled, JournalList, JournalSet, writes
 from mitto.mainchain import STATUS_ALIVE, STATUS_CEASED, Mainchain, ScRecord
 from mitto.messages import CscpMessage, MSG_TYPE_TOKEN_TRANSFER, SendTx, message_digest
 from mitto.proofs import CswBundle, csw_nullifier
@@ -669,45 +669,20 @@ READ_ONLY = {
     "symmetric_difference", "union",
 }
 
-MUTATIONS = {
+# The only mutators the chains call, each counted once: every other mutator
+# of the base type raises.
+COUNTED = {
     JournalDict: {
         "__delitem__": lambda d: d.__delitem__("a"),
-        "__ior__": lambda d: d.__ior__({"b": 1}),
         "__setitem__": lambda d: d.__setitem__("b", 1),
-        "clear": lambda d: d.clear(),
-        "pop": lambda d: d.pop("a"),
-        "popitem": lambda d: d.popitem(),
-        "setdefault": lambda d: d.setdefault("b", 1),
-        "update": lambda d: d.update(b=1),
     },
     JournalSet: {
-        "__iand__": lambda s: s.__iand__({"b"}),
-        "__ior__": lambda s: s.__ior__({"b"}),
-        "__isub__": lambda s: s.__isub__({"a"}),
-        "__ixor__": lambda s: s.__ixor__({"b"}),
         "add": lambda s: s.add("b"),
-        "clear": lambda s: s.clear(),
-        "difference_update": lambda s: s.difference_update({"a"}),
-        "discard": lambda s: s.discard("a"),
-        "intersection_update": lambda s: s.intersection_update({"b"}),
-        "pop": lambda s: s.pop(),
-        "remove": lambda s: s.remove("a"),
-        "symmetric_difference_update": lambda s: s.symmetric_difference_update({"b"}),
-        "update": lambda s: s.update({"b"}),
     },
     JournalList: {
-        "__delitem__": lambda l: l.__delitem__(0),
-        "__iadd__": lambda l: l.__iadd__(["c"]),
-        "__imul__": lambda l: l.__imul__(2),
         "__setitem__": lambda l: l.__setitem__(0, "c"),
         "append": lambda l: l.append("c"),
         "clear": lambda l: l.clear(),
-        "extend": lambda l: l.extend(["c"]),
-        "insert": lambda l: l.insert(0, "c"),
-        "pop": lambda l: l.pop(),
-        "remove": lambda l: l.remove("a"),
-        "reverse": lambda l: l.reverse(),
-        "sort": lambda l: l.sort(),
     },
 }
 
@@ -734,23 +709,61 @@ def _changed_keys(before, after) -> set:
     return before ^ after
 
 
-@pytest.mark.parametrize("cls", list(MUTATIONS), ids=lambda cls: cls.__name__)
-def test_every_mutator_bumps_writes(cls):
-    """Every mutator bumps the shared write count once, and a dict's or
-    set's record holds every key it changed."""
+def _fresh(cls):
+    """A seeded container whose writes are recorded, as once a reader mirrors it."""
+    box = cls(SEEDS[cls])
+    if cls is not JournalList:
+        box.drain()
+    return box
+
+
+@pytest.mark.parametrize("cls", list(COUNTED), ids=lambda cls: cls.__name__)
+def test_every_mutator_is_counted_or_refused(cls):
+    """A counted mutator bumps the shared write count once, and a dict's or
+    set's record holds every key it changed. Any other mutator of the base
+    type, a new one included, raises and leaves everything as it was."""
     base = cls.__bases__[-1]
-    assert _mutators(base) == set(MUTATIONS[cls]), "a mutator of the base type is not journaled"
-    for name, mutate in MUTATIONS[cls].items():
+    mutators = _mutators(base)
+    assert set(COUNTED[cls]) <= mutators
+    for name, mutate in COUNTED[cls].items():
         assert name in cls.__dict__, f"{cls.__name__}.{name} is inherited, so it writes unseen"
-        box = cls(SEEDS[cls])
-        if cls is not JournalList:
-            box.drain()  # a reader mirrors it, so its writes are recorded from now on
-        before, clock = base(box), journal_module._clock
+        box = _fresh(cls)
+        before, clock = base(box), writes()
         mutate(box)
-        assert journal_module._clock == clock + 1, name
+        assert writes() == clock + 1, name
         if cls is not JournalList:
             changed = _changed_keys(before, base(box))
             assert changed and changed <= box.drain(), name
+    for name in sorted(mutators - set(COUNTED[cls])):
+        box = _fresh(cls)
+        before, clock = base(box), writes()
+        with pytest.raises(TypeError, match="is not a counted write"):
+            getattr(box, name)(SEEDS[cls])
+        assert base(box) == before and writes() == clock, name
+        if cls is not JournalList:
+            assert box.written == set(), name
+
+
+def test_the_chains_call_every_counted_mutator(monkeypatch):
+    """A ceased scenario calls each counted mutator, so the counted set
+    holds only writes the chains make."""
+    calls = {}
+
+    def counting(cls, name):
+        method = cls.__dict__[name]
+
+        def counted(self, *args):
+            calls[cls, name] += 1
+            return method(self, *args)
+
+        calls[cls, name] = 0
+        return counted
+
+    for cls, names in COUNTED.items():
+        for name in names:
+            monkeypatch.setattr(cls, name, counting(cls, name))
+    Runner(load_scenario(SCENARIO_DIR / "ceased_flows.json")).run()
+    assert all(calls.values()), calls
 
 
 def test_drain_hands_each_written_key_to_one_reader():
@@ -1293,7 +1306,10 @@ def _sweeps(ops) -> list[list[str]]:
             record.status = args[1]
         elif kind in ("use", "unuse"):
             nullifier = csw_nullifier(chain.sc_id, keys[args[1]])
-            record.used_nullifiers.add(nullifier) if kind == "use" else record.used_nullifiers.discard(nullifier)
+            if kind == "use":
+                record.used_nullifiers.add(nullifier)
+            else:  # a JournalSet only grows in place: remove by rebinding
+                record.used_nullifiers = JournalSet(record.used_nullifiers - {nullifier})
         elif kind == "rebind_used":
             record.used_nullifiers = JournalSet(record.used_nullifiers)
         else:
@@ -1302,12 +1318,15 @@ def _sweeps(ops) -> list[list[str]]:
             if kind == "put":
                 ledger.s_tks[keys[rest[0]]] = instances[rest[1]]
             elif kind == "delete":
-                ledger.s_tks.pop(keys[rest[0]], None)
+                if keys[rest[0]] in ledger.s_tks:
+                    del ledger.s_tks[keys[rest[0]]]
             elif kind == "record":
                 key = list(records)[rest[0]]
                 ledger.s_sent[key] = records[key][rest[1] % len(records[key])]
             elif kind == "unrecord":
-                ledger.s_sent.pop(list(records)[rest[0]], None)
+                key = list(records)[rest[0]]
+                if key in ledger.s_sent:
+                    del ledger.s_sent[key]
             elif kind == "restore":
                 # Written while detached, then bound again: a container the
                 # book read before, whose record runs from its last drain.
@@ -1397,7 +1416,7 @@ def _write_frozen(world):
 
 
 def _forget_nullifiers(world):
-    world.mainchain.record(world.chains["alpha"].sc_id).used_nullifiers.clear()
+    world.mainchain.record(world.chains["alpha"].sc_id).used_nullifiers = JournalSet()
 
 
 def _rebind_tks(world):
@@ -1430,8 +1449,9 @@ def _mint_twice(original):
 def _forget_record(original):
     def apply_send(self, instance, message):
         original(self, instance, message)
-        if instance.issuer_sc_id == self.sc_id:
-            self.s_sent.pop(("f", message.receiving_sc_id, instance.token_name), None)
+        key = ("f", message.receiving_sc_id, instance.token_name)
+        if instance.issuer_sc_id == self.sc_id and key in self.s_sent:
+            del self.s_sent[key]
 
     return apply_send
 
