@@ -7,18 +7,23 @@ two types can collide on the same byte string.
 
 Each wire type states its format once, as the field list it hands to
 ``wire``: (attribute, codec) pairs in wire order. ``wire`` compiles that
-list when the class is defined into the type's ``encode()``, its
-``read(reader)`` and its strict top-level ``decode(data)``; runs of
-fixed-width fields pack and unpack through one precompiled
-``struct.Struct``. ``to_json`` is the one JSON rendering, for reports.
-``canonical_digest`` hashes each wire value once and keeps the digest on it.
+list, when the class is defined, into the type's ``encode()``, its
+``read_at(data, offset) -> (value, end)`` and its strict top-level
+``decode(data)``, and compiles the type's ``__init__`` from its dataclass
+fields. A decoder reads each run of fixed-width fields with one
+precompiled ``struct.Struct.unpack_from`` behind one bounds check, slices
+each length-prefixed field after a bounds check, and calls the inner
+type's ``read_at`` for a nested value; a short read is a ``DecodeError``
+naming the bytes it needed. ``to_json`` is the one JSON rendering, for
+reports. ``canonical_digest`` hashes each wire value once and keeps the
+digest on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .hashing import Digest, MerklePath, hash_bytes
 
@@ -82,43 +87,50 @@ def enc_digest(value: Digest, what: str = "digest") -> bytes:
     return value
 
 
-class ByteReader:
-    """Strict cursor over an encoded byte string.
+def _short(need: int, at: int, have: int) -> DecodeError:
+    """The refusal of a read of ``need`` bytes at offset ``at`` of data
+    ``have`` bytes long."""
+    return DecodeError(f"need {need} bytes at offset {at}, have {have - at}")
 
-    Every read is bounds-checked and raises DecodeError on any shortfall;
-    finish() rejects trailing bytes so encodings have no slack.
-    """
 
-    def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
+_U32 = struct.Struct(">I")
 
-    def take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
-            raise DecodeError(f"need {n} bytes at offset {self._pos}, have {len(self._data) - self._pos}")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
 
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
+def _bytes_at(data: bytes, o: int) -> tuple[bytes, int]:
+    """The u32-length-prefixed bytes at offset ``o``, and their end."""
+    e = o + 4
+    if e > len(data):
+        raise _short(4, o, len(data))
+    (size,) = _U32.unpack_from(data, o)
+    o, e = e, e + size
+    if e > len(data):
+        raise _short(size, o, len(data))
+    return data[o:e], e
 
-    def raw_bytes(self) -> bytes:
-        return self.take(self.u32())
 
-    def string(self) -> str:
-        try:
-            return self.raw_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("invalid utf-8") from exc
+def _str_at(data: bytes, o: int) -> tuple[str, int]:
+    """The u32-length-prefixed UTF-8 string at offset ``o``, and its end."""
+    raw, o = _bytes_at(data, o)
+    try:
+        return raw.decode("utf-8"), o
+    except UnicodeDecodeError as exc:
+        raise DecodeError("invalid utf-8") from exc
 
-    def digests(self, count: int) -> tuple[Digest, ...]:
-        data = self.take(32 * count)
-        return tuple([data[i : i + 32] for i in range(0, len(data), 32)])
 
-    def finish(self) -> None:
-        if self._pos != len(self._data):
-            raise DecodeError(f"{len(self._data) - self._pos} trailing bytes")
+def _sized(decode, data: bytes, o: int) -> tuple[object, int]:
+    """The value ``decode`` makes of the u32-length-prefixed bytes at ``o``,
+    which it must fill exactly, and their end."""
+    raw, o = _bytes_at(data, o)
+    return decode(raw), o
+
+
+def _list_of(read_at, data: bytes, o: int, count: int) -> tuple[tuple, int]:
+    """``count`` values, each read by ``read_at`` where the last ended."""
+    items = []
+    for _ in range(count):
+        item, o = read_at(data, o)
+        items.append(item)
+    return tuple(items), o
 
 
 #: Instance ``__dict__`` key of a wire value's digest. It is no identifier,
@@ -159,10 +171,12 @@ class Codec:
     ``put`` lists what the field writes, in order: (struct code, expression)
     for a fixed-width piece, ("", expression giving bytes) otherwise; ``{v}``
     is the field's value (``{v[i]}`` the i-th attribute of a multi-attribute
-    field). ``get`` lists what it reads: (struct code, "") or ("", expression
-    over the reader ``r``), where ``{0}``, ``{1}``, ... name the pieces read
-    so far. ``check`` is a statement rejecting bad pieces, ``value`` builds
-    the attribute (one expression per attribute of a multi-attribute field).
+    field). ``get`` lists what it reads from ``data`` at offset ``o``:
+    (struct code, "") for a fixed-width piece, ("*", size expression) for a
+    slice of that many bytes, or ("", expression giving the piece and the
+    offset after it); ``{0}``, ``{1}``, ... name the pieces read so far.
+    ``check`` is a statement rejecting bad pieces, ``value`` builds the
+    attribute (one expression per attribute of a multi-attribute field).
     ``kind`` and ``ref`` say what the codec is, for tests that walk the
     schema.
     """
@@ -180,8 +194,8 @@ _BAD_BOOL = "if {0} > 1: raise DecodeError('bad bool byte %d' % {0})"
 U8 = Codec("u8", put=(("B", "{v}"),), get=(("B", ""),))
 U32 = Codec("u32", put=(("I", "{v}"),), get=(("I", ""),))
 U64 = Codec("u64", put=(("Q", "{v}"),), get=(("Q", ""),))
-BYTES = Codec("bytes", put=(("I", "len({v})"), ("", "{v}")), get=(("I", ""), ("", "r.take({0})")), value="{1}")
-STR = Codec("str", put=(("", "enc_str({v})"),), get=(("", "r.string()"),))
+BYTES = Codec("bytes", put=(("I", "len({v})"), ("", "{v}")), get=(("I", ""), ("*", "{0}")), value="{1}")
+STR = Codec("str", put=(("", "enc_str({v})"),), get=(("", "_str_at(data, o)"),))
 # A 32-byte field reads as the plain bytes the fixed-width struct unpacks
 # and writes only after ``enc_digest`` has checked its length.
 DIGEST = Codec("digest", put=(("", "enc_digest({v})"),), get=(("32s", ""),))
@@ -189,22 +203,22 @@ PUBKEY = Codec("pubkey", put=(("", "enc_digest({v}, 'public key')"),), get=(("32
 DIGEST_LIST = Codec(
     "digest_list",
     put=(("I", "len({v})"), ("", "b''.join(map(enc_digest, {v}))")),
-    get=(("I", ""), ("", "r.digests({0})")),
-    value="{1}",
+    get=(("I", ""), ("*", "32 * {0}")),
+    value="tuple([{1}[i : i + 32] for i in range(0, len({1}), 32)])",
 )
 #: A Merkle path's ``(digest, on_left)`` pairs: a count, then per pair its
-#: digest and a side byte (1: the sibling sits on the left), read in one take.
+#: digest and a side byte (1: the sibling sits on the left), read as one slice.
 SIBLING_LIST = Codec(
     "sibling_list",
     put=(("I", "len({v})"), ("", "b''.join([enc_digest(d) + (b'\\x01' if left else b'\\x00') for d, left in {v}])")),
-    get=(("I", ""), ("", "r.take(33 * {0})")),
+    get=(("I", ""), ("*", "33 * {0}")),
     value="tuple([({1}[i : i + 32], {1}[i + 32] == 1) for i in range(0, len({1}), 33)])",
     check="if max({1}[32::33], default=0) > 1: raise DecodeError('bad side byte %d' % max({1}[32::33]))",
 )
 BYTES_LIST = Codec(
     "bytes_list",
     put=(("I", "len({v})"), ("", "b''.join(map(enc_bytes, {v}))")),
-    get=(("I", ""), ("", "tuple([r.raw_bytes() for _ in range({0})])")),
+    get=(("I", ""), ("", "_list_of(_bytes_at, data, o, {0})")),
     value="{1}",
 )
 #: The amount-or-token-id union over (fungibility, amount, token_id): a
@@ -221,7 +235,7 @@ UNITS = Codec(
 def nested(type_name: str) -> Codec:
     """A field holding one value of the named wire type (looked up when
     first decoded, so a type may name one declared in a later module)."""
-    return Codec("nested", put=(("", "{v}.encode()"),), get=(("", f"{type_name}.read(r)"),), ref=type_name)
+    return Codec("nested", put=(("", "{v}.encode()"),), get=(("", f"_read_{type_name}(data, o)"),), ref=type_name)
 
 
 def list_of(type_name: str) -> Codec:
@@ -229,7 +243,7 @@ def list_of(type_name: str) -> Codec:
     return Codec(
         "list_of",
         put=(("I", "len({v})"), ("", "b''.join([x.encode() for x in {v}])")),
-        get=(("I", ""), ("", f"tuple([{type_name}.read(r) for _ in range({{0}})])")),
+        get=(("I", ""), ("", f"_list_of(_read_{type_name}, data, o, {{0}})")),
         value="{1}",
         ref=type_name,
     )
@@ -240,7 +254,7 @@ def optional(type_name: str) -> Codec:
     return Codec(
         "optional",
         put=(("B", "0 if {v} is None else 1"), ("", "b'' if {v} is None else {v}.encode()")),
-        get=(("B", ""), ("", f"{type_name}.read(r) if _flag({{0}}) else None")),
+        get=(("B", ""), ("", f"_read_{type_name}(data, o) if _flag({{0}}) else (None, o)")),
         value="{1}",
         ref=type_name,
     )
@@ -252,7 +266,7 @@ def sized(type_name: str) -> Codec:
     return Codec(
         "sized",
         put=(("", "enc_bytes({v}.encode())"),),
-        get=(("", f"{type_name}.decode(r.raw_bytes())"),),
+        get=(("", f"_sized({type_name}.decode, data, o)"),),
         ref=type_name,
     )
 
@@ -277,7 +291,12 @@ WIRE_TYPES: dict[str, type] = {}
 _NAMESPACE: dict = {
     "DecodeError": DecodeError,
     "StructError": struct.error,
+    "_bytes_at": _bytes_at,
     "_flag": _flag,
+    "_list_of": _list_of,
+    "_short": _short,
+    "_sized": _sized,
+    "_str_at": _str_at,
     "enc_bytes": enc_bytes,
     "enc_digest": enc_digest,
     "enc_str": enc_str,
@@ -296,45 +315,65 @@ def _struct(fmt: str) -> str:
 
 
 def wire(tag: int | None, *field_list: tuple):
-    """Class decorator: give a dataclass the codecs its field list implies.
+    """Class decorator: give a dataclass the constructor and codecs its
+    field list implies.
 
     ``tag`` (None for untagged types) leads the encoding; each entry is
     (attribute, codec), or (tuple of attributes, codec) for a codec that
-    spans several. Adds ``encode(self) -> bytes``, ``read(reader)`` and
-    ``decode(data)``, which also rejects trailing bytes. The class must be a
-    frozen dataclass with an instance ``__dict__``, where
-    ``canonical_digest`` keeps its digest.
+    spans several, and the entries name every field once. Adds
+    ``__init__``, ``encode(self) -> bytes``, ``read_at(data, offset) ->
+    (value, end)`` and ``decode(data)``, which also rejects trailing bytes.
+    The class must be a frozen dataclass declared ``init=False``, with an
+    instance ``__dict__``, where ``canonical_digest`` keeps its digest.
     """
 
     def declare(cls):
         name = cls.__name__
         params = getattr(cls, "__dataclass_params__", None)
-        if params is None or not params.frozen or "__slots__" in cls.__dict__:
-            raise TypeError(f"wire type {name} must be a frozen dataclass without __slots__")
+        if params is None or not params.frozen or params.init or "__slots__" in cls.__dict__:
+            raise TypeError(f"wire type {name} must be a frozen dataclass with init=False and without __slots__")
+        names = [a for attrs, _ in field_list for a in ((attrs,) if isinstance(attrs, str) else attrs)]
+        if sorted(names) != sorted(f.name for f in fields(cls)):
+            raise TypeError(f"wire type {name}: the field list must name each field once")
+        init, local = _init_source(cls)
         _bind(name, cls)
         entries = list(field_list)
         if tag is not None:
             tag_check = f"if {{0}} != {tag}: raise DecodeError('expected tag 0x{tag:02x}, got 0x%02x' % {{0}})"
             entries.insert(0, ((), Codec("tag", put=(("B", str(tag)),), get=(("B", ""),), value=(), check=tag_check)))
-        source = _encoder_source(name, entries) + _reader_source(name, entries)
-        local: dict = {}
+        source = init + _encoder_source(name, entries) + _decoder_source(cls, entries)
         exec(compile(source, f"<wire {name}>", "exec"), _NAMESPACE, local)
-        read = local["read"]
-
-        def decode(data: bytes):
-            reader = ByteReader(data)
-            value = read(reader)
-            reader.finish()
-            return value
-
-        cls.encode = local["encode"]
-        cls.read = staticmethod(read)
-        cls.decode = staticmethod(decode)
+        _bind(f"_read_{name}", local["read_at"])
+        for method in ("__init__", "encode"):
+            local[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, local[method])
+        cls.read_at = staticmethod(local["read_at"])
+        cls.decode = staticmethod(_strict(local["read_at"]))
         cls.WIRE_FIELDS = field_list
         WIRE_TYPES[name] = cls
         return cls
 
     return declare
+
+
+def _init_source(cls) -> tuple[str, dict]:
+    """The constructor dataclass would write, with the same parameters, but
+    writing the fields straight into the instance ``__dict__``, in field
+    order, past the frozen ``__setattr__``; then ``__post_init__`` if
+    defined. Also gives the default values, by the names the source uses."""
+    params, lines, defaults = [], ["_d = self.__dict__"], {}
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            raise TypeError(f"wire type {cls.__name__}: field {f.name} must be a plain init field")
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            params.append(f"{f.name}=_default_{f.name}")
+            defaults[f"_default_{f.name}"] = f.default
+        lines.append(f"_d[{f.name!r}] = {f.name}")
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    return f"def __init__(self, {', '.join(params)}):\n" + "".join(f"    {line}\n" for line in lines), defaults
 
 
 def _encoder_source(name: str, entries: list) -> str:
@@ -364,15 +403,22 @@ def _encoder_source(name: str, entries: list) -> str:
     )
 
 
-def _reader_source(name: str, entries: list) -> str:
-    lines, checks, run, args = [], [], [], []
+def _decoder_source(cls, entries: list) -> str:
+    name = cls.__name__
+    lines, checks, run, values = ["n = len(data)"], [], [], {}
     counter = itertools.count()
+
+    def bound(size: str) -> None:
+        lines.append(f"e = o + {size}")
+        lines.append("if e > n: raise _short(e - o, o, n)")
 
     def flush():
         if run:
             fmt = "".join(f for f, _ in run)
             targets = "".join(f"{t}, " for _, t in run)
-            lines.append(f"{targets}= {_struct(fmt)}.unpack(r.take({struct.calcsize('>' + fmt)}))")
+            bound(str(struct.calcsize(">" + fmt)))
+            lines.append(f"{targets}= {_struct(fmt)}.unpack_from(data, o)")
+            lines.append("o = e")
             run.clear()
         lines.extend(checks)
         checks.clear()
@@ -381,21 +427,38 @@ def _reader_source(name: str, entries: list) -> str:
         temps = []
         for fmt, expr in codec.get:
             temp = f"t{next(counter)}"
-            if fmt:
+            if fmt == "*":
+                flush()
+                bound(expr.format(*temps))
+                lines += [f"{temp} = data[o:e]", "o = e"]
+            elif fmt:
                 run.append((fmt, temp))
             else:
                 flush()
-                lines.append(f"{temp} = {expr.format(*temps)}")
+                lines.append(f"{temp}, o = {expr.format(*temps)}")
             temps.append(temp)
         if codec.check:
             checks.append(codec.check.format(*temps))
         if isinstance(attrs, str):
-            args.append(f"{attrs}={codec.value.format(*temps)}")
+            values[attrs] = codec.value.format(*temps)
         else:
-            args += [f"{a}={value.format(*temps)}" for a, value in zip(attrs, codec.value)]
+            values.update((a, value.format(*temps)) for a, value in zip(attrs, codec.value))
     flush()
-    lines.append(f"return {name}({', '.join(args)})")
-    return "def read(r):\n" + "".join(f"    {line}\n" for line in lines)
+    lines.append(f"return {name}({', '.join(values[f.name] for f in fields(cls))}), o")
+    return "def read_at(data, o):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _strict(read_at):
+    """``decode(data)``: the value ``read_at`` reads from offset 0, which
+    must end exactly at the end of ``data``."""
+
+    def decode(data: bytes):
+        value, end = read_at(data, 0)
+        if end != len(data):
+            raise DecodeError(f"{len(data) - end} trailing bytes")
+        return value
+
+    return decode
 
 
 def to_json(value):

@@ -55,12 +55,12 @@ class IndexOutOfRange(Exception):
     """Path requested for an index that is padding or beyond the leaf list."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MerklePath:
     """Authentication path of one leaf: per level, a plain ``(digest,
     on_left)`` pair naming the sibling node and the side it sits on. Its
-    wire form is declared in ``encoding``, beside the codecs it is built
-    from."""
+    wire form, constructor included, is declared in ``encoding``, beside
+    the codecs it is built from; ``import mitto`` loads both."""
 
     leaf_index: int
     siblings: tuple[tuple[Digest, bool], ...]

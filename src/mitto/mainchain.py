@@ -57,7 +57,7 @@ class InvalidParams(Exception):
     ("wcert_vk", nested("VerificationKey")),
     ("csw_vk", nested("VerificationKey")),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SidechainRegistration:
     sc_id: int
     epoch_length: int

@@ -39,7 +39,7 @@ SCHEME_SIM_MERKLE = 1
 
 
 @wire(enc.TAG_PROOF, ("scheme_id", U8), ("body", BYTES))
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Proof:
     """Opaque proof carrier: a scheme id and that scheme's serialized evidence."""
 
@@ -48,7 +48,7 @@ class Proof:
 
 
 @wire(enc.TAG_VERIFICATION_KEY, ("scheme_id", U8), ("params", BYTES))
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VerificationKey:
     """Per-sidechain verification key registered on the mainchain at creation.
 
@@ -69,7 +69,7 @@ class VerificationKey:
     ("receiver_id", PUBKEY),
     ("payload_hash", DIGEST),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CscpMessage:
     """One cross-chain message. payload_hash commits to the payload carried
     alongside; sender_id authorizes the send, receiver_id the redeem."""
@@ -102,7 +102,7 @@ def redeem_auth_digest(message: CscpMessage, payload: bytes) -> Digest:
     ("proofdata", DIGEST_LIST),
     ("proof", nested("Proof")),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WithdrawalCertificate:
     """Per-epoch sidechain commitment posted to the mainchain.
 
@@ -127,7 +127,7 @@ class WithdrawalCertificate:
     ("proofdata", DIGEST_LIST),
     ("proof", nested("Proof")),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CeasedSidechainWithdrawal:
     """Withdrawal from a sidechain that stopped certifying.
 
@@ -145,7 +145,7 @@ class CeasedSidechainWithdrawal:
 
 
 @wire(enc.TAG_BLOCK_HEADER, ("height", U64), ("parent_hash", DIGEST), ("stc_root", DIGEST))
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BlockHeader:
     """The hashed part of a mainchain block: height, parent link, and the
     root committing all sidechain activity in the block."""
@@ -156,7 +156,7 @@ class BlockHeader:
 
 
 @wire(enc.TAG_SEND_TX, ("message", nested("CscpMessage")), ("payload", BYTES), ("signature", BYTES))
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SendTx:
     """Sidechain-local send: the message, its payload, and the sender's
     signature over the message digest."""
@@ -174,7 +174,7 @@ class SendTx:
     ("sender_sig", BYTES),
     ("receiver_signature", BYTES),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RedeemTx:
     """Claim of a committed message on its receiving chain.
 
@@ -200,7 +200,7 @@ class RedeemTx:
     ("receiver_signature", BYTES),
     ("csw_nullifier", DIGEST),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CswRedeemTx:
     """Claim of a message that left its ceased chain inside a withdrawal.
 

@@ -116,7 +116,7 @@ class CswNotFound(EvidenceUnavailable):
     ("last_block_hash", DIGEST),
     ("proofdata_root", DIGEST),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WcertPublicInput:
     """What the mainchain pins down before verifying a certificate proof."""
 
@@ -134,7 +134,7 @@ class WcertPublicInput:
     ("amount", U64),
     ("proofdata_root", DIGEST),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CswPublicInput:
     """What the mainchain pins down before verifying a withdrawal proof."""
 
@@ -227,7 +227,7 @@ def _decoded(wire_type, data: bytes):
 # ---------------------------------------------------------------------------
 
 @wire(None, ("bt_list", BYTES_LIST), ("proofdata", DIGEST_LIST), ("signature", BYTES))
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WcertBundle:
     """Body of a certificate proof: the epoch's backward transfers and
     proofdata, and the signature over the public input digest."""
@@ -310,7 +310,7 @@ class CommittedState:
     ("stc_path", nested("MerklePath")),
     ("header", nested("BlockHeader")),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StateAnchor:
     """Chains a finalized certificate, and the roots it carries, to a
     mainchain block hash: its digest is a leaf of the block's sidechain
@@ -328,7 +328,7 @@ class StateAnchor:
     ("holder", nested("StateAnchor")),
     ("returned_instance_bytes", BYTES),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReturnEvidence:
     """Evidence for a sent-record claim: the counterparty's return message,
     committed in the certificate its holder anchor carries, wrapping an
@@ -365,7 +365,7 @@ class CswClaim:
     ("return_evidence", optional("ReturnEvidence")),
     ("signature", BYTES),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CswBundle:
     """Body of a withdrawal proof: the claim as the verifier refolds it,
     with the entity's path to the committed-state root it names, and the
@@ -557,7 +557,7 @@ def _commits(cert: WithdrawalCertificate, message: CscpMessage, path: MerklePath
     ("segments", list_of("MerklePath")),
     ("block_hash", DIGEST),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RedeemProof:
     """Evidence that a message was committed and mainchain-confirmed.
 

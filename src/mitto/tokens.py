@@ -89,7 +89,7 @@ class NotOwner(EvidenceUnavailable):
     ("owner", PUBKEY),
     ("data_hash", DIGEST),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TokenInstance:
     """One non-fungible token or one parcel of fungible tokens."""
 
@@ -120,7 +120,7 @@ class TokenInstance:
     ("token_name", STR),
     (("fungibility", "amount", "token_id"), UNITS),
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SentRecord:
     """Issuer-side account of own tokens sent to one counterparty chain."""
 

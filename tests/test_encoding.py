@@ -1,9 +1,16 @@
-"""Canonical byte encoding: fixed-width integers, length prefixes, strict reads."""
+"""Canonical byte encoding: fixed-width integers, length prefixes, strict reads.
+
+The primitives are read only inside a wire type's compiled decoder, so each
+read is checked here through the ``decode`` of a type that holds it:
+``Proof`` (u8, bytes), ``SentRecord`` (u32, str, the units union),
+``WcertBundle`` (a digest list) and ``MerklePath`` (u32s first).
+"""
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mitto.encoding import (
-    ByteReader,
+    TAG_PROOF,
+    TAG_SENT_RECORD,
     DecodeError,
     enc_bytes,
     enc_str,
@@ -12,8 +19,9 @@ from mitto.encoding import (
     enc_u64,
 )
 from mitto.hashing import MerklePath, build_merkle, hash_bytes, merkle_path
-from mitto.messages import BlockHeader
+from mitto.messages import BlockHeader, Proof
 from mitto.proofs import WcertBundle
+from mitto.tokens import SentRecord
 
 
 def test_fixed_width_big_endian():
@@ -75,29 +83,35 @@ def test_digest_list_layout():
     assert bundle.encode() == enc_u32(0) + b"\x00\x00\x00\x02" + d0 + d1 + enc_u32(0)
 
 
+def _proof(scheme: bytes, body: bytes) -> bytes:
+    return bytes([TAG_PROOF]) + scheme + body
+
+
+def _record(receiver: int, name: bytes) -> bytes:
+    """A fungible SentRecord of 3 units, with ``name`` as its raw name bytes."""
+    return bytes([TAG_SENT_RECORD]) + enc_u32(receiver) + enc_bytes(name) + b"\x01" + enc_u64(3)
+
+
 def test_reader_roundtrip():
     d0 = hash_bytes(b"x")
-    blob = enc_u8(7) + enc_u32(9) + enc_bytes(b"pay") + enc_str("nm") + d0
-    r = ByteReader(blob)
-    assert r.take(1) == b"\x07"
-    assert r.u32() == 9
-    assert r.raw_bytes() == b"pay"
-    assert r.string() == "nm"
-    assert r.digests(1) == (d0,)
-    r.finish()
+    assert Proof.decode(_proof(enc_u8(7), enc_bytes(b"pay"))) == Proof(scheme_id=7, body=b"pay")
+    assert SentRecord.decode(_record(9, b"nm")) == SentRecord(9, "nm", True, amount=3)
+    assert WcertBundle.decode(enc_u32(0) + enc_u32(1) + d0 + enc_u32(0)) == WcertBundle((), (d0,), b"")
 
 
 def test_reader_rejects_truncation():
-    r = ByteReader(b"\x00\x00\x00\x05ab")  # claims 5 bytes, has 2
-    with pytest.raises(DecodeError):
-        r.raw_bytes()
+    with pytest.raises(DecodeError, match="need 5 bytes at offset 6, have 2"):  # claims 5 bytes, has 2
+        Proof.decode(_proof(enc_u8(7), b"\x00\x00\x00\x05ab"))
 
 
 def test_reader_rejects_trailing_garbage():
-    r = ByteReader(enc_u8(1) + b"\x00")
-    r.take(1)
-    with pytest.raises(DecodeError):
-        r.finish()
+    with pytest.raises(DecodeError, match="^1 trailing bytes$"):
+        Proof.decode(_proof(enc_u8(1), enc_bytes(b"")) + b"\x00")
+
+
+def test_reader_rejects_invalid_utf8():
+    with pytest.raises(DecodeError, match="invalid utf-8"):
+        SentRecord.decode(_record(9, b"\xff"))
 
 
 def test_expect_tag():
@@ -109,8 +123,8 @@ def test_expect_tag():
 
 
 def test_reading_past_end_raises():
-    with pytest.raises(DecodeError):
-        ByteReader(b"\x00").u32()
+    with pytest.raises(DecodeError, match="need 8 bytes at offset 0, have 1"):
+        MerklePath.decode(b"\x00")  # a u32 leaf index and a u32 count
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,17 +138,14 @@ def test_u64_roundtrip_property(n):
 @settings(max_examples=80, deadline=None)
 @given(st.binary(max_size=128))
 def test_bytes_roundtrip_property(buf):
-    r = ByteReader(enc_bytes(buf))
-    assert r.raw_bytes() == buf
-    r.finish()
+    assert Proof.decode(_proof(enc_u8(1), enc_bytes(buf))).body == buf
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.text(max_size=40))
 def test_str_roundtrip_property(text):
-    r = ByteReader(enc_str(text))
-    assert r.string() == text
-    r.finish()
+    assert SentRecord.decode(_record(2, text.encode("utf-8"))).token_name == text
+    assert _record(2, text.encode("utf-8"))[5:-9] == enc_str(text)
 
 
 def test_encodings_are_prefix_free_by_length_prefix():
@@ -142,5 +153,6 @@ def test_encodings_are_prefix_free_by_length_prefix():
     a = enc_bytes(b"ab")
     b = enc_bytes(b"abc")
     assert not b.startswith(a) or a == b[: len(a)] and len(a) != len(b)
-    ra, rb = ByteReader(a), ByteReader(b)
-    assert ra.raw_bytes() != rb.raw_bytes()
+    assert Proof.decode(_proof(b"\x01", a)).body != Proof.decode(_proof(b"\x01", b)).body
+    with pytest.raises(DecodeError):
+        Proof.decode(_proof(b"\x01", b[:-1]))

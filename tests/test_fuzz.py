@@ -1,4 +1,7 @@
 """Generated adversarial traces: determinism and guaranteed probes."""
+import gc
+import tracemalloc
+
 from mitto import fuzz
 from mitto.cli import main
 from mitto.fuzz import generate_trace, run_fuzz, run_trace
@@ -75,3 +78,28 @@ def test_a_trace_that_stops_early_is_reported_with_its_probes_not_rejected(monke
     assert result["ok"] is False
     assert main(["fuzz", "--traces", "2", "--seed", "5"]) == 1
     assert "  trace 1: stopped at step 0 (scenario)" in capsys.readouterr().out.splitlines()
+
+
+def test_a_finished_world_leaves_less_behind_than_one_world_holds():
+    """Run fuzz worlds one after another, dropping each: what stays traced
+    after world 40 exceeds what stayed after world 10 by less than the
+    memory one live world holds. A cache or memo that kept something of
+    every world would grow by a share of a world per world."""
+    retained = {}
+    tracemalloc.start()
+    try:
+        for index in range(41):
+            obj, _ = generate_trace(7, index)
+            runner = Runner(parse_scenario(obj, source=obj["name"]))
+            runner.run()
+            del obj
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0]
+            del runner
+            gc.collect()
+            retained[index + 1] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    one_world = live - retained[41]
+    assert one_world > 50_000
+    assert retained[40] - retained[10] < one_world, (retained[10], retained[40], one_world)

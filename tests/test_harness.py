@@ -138,6 +138,61 @@ def test_bundled_reports_render_without_the_fallback(monkeypatch):
     assert "GLD" in report["failure"]["trace"]
 
 
+def _outside_report_types(value, where: str = "$"):
+    """Each place in ``value`` that is not a report type: a dict with str
+    keys, a list or tuple, or a str, bool, int or None. The types are
+    matched exactly, so an enum or a str subclass is outside. An int
+    outside 64 bits is reported too, tagged ``wide``: orjson refuses it,
+    so ``json.dumps`` writes the whole text."""
+    if type(value) is dict:
+        for key, item in value.items():
+            if type(key) is str:
+                yield from _outside_report_types(item, f"{where}.{key}")
+            else:
+                yield f"{where}: key {key!r}"
+    elif type(value) in (list, tuple):
+        for index, item in enumerate(value):
+            yield from _outside_report_types(item, f"{where}[{index}]")
+    elif type(value) is int:
+        if not -(2**63) <= value < 2**64:
+            yield f"{where}: wide"
+    elif type(value) not in (str, bool, type(None)):
+        yield f"{where}: {type(value).__name__}"
+
+
+def test_every_emitted_report_holds_only_report_types(monkeypatch):
+    """``render_json`` promises ``json.dumps``'s bytes for report types only,
+    so no report or state dump the repo emits may hold anything else: the
+    bundled scenarios, the world-layer vectors and ``run_fuzz(7, 20)``. The
+    one int outside 64 bits is the u64-overflow vector's issued total,
+    U64_MAX + 1, made on purpose by two issuances."""
+    from mitto import fuzz, vectors
+
+    emitted = []
+
+    class Recording(Runner):
+        def run(self):
+            report = super().run()
+            emitted.append((self.scenario.name, report, self.world.dump()))
+            return report
+
+    monkeypatch.setattr(fuzz, "Runner", Recording)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        Recording(load_scenario(path)).run()
+    world_cases = [case for case in vectors.CASES if case.layer == "world"]
+    for case in world_cases:
+        Recording(parse_scenario(case.scenario, case.id)).run()
+    result = fuzz.run_fuzz(7, 20)
+    assert len(emitted) == 11 + len(world_cases) + 20 and result["ok"]
+    found = {
+        (name, place)
+        for name, report, dump in [*emitted, ("run_fuzz(7, 20)", result, {})]
+        for place in [*_outside_report_types(report), *_outside_report_types({"final": dump})]
+    }
+    wide = "$.final.chains.alpha.state.handlers.1.issued.BIG: wide"
+    assert found == {("world-send-5-sent-record-overflow", wide)}
+
+
 def test_rejected_tx_leaves_empty_diff():
     runner = Runner(parse_scenario(scenario_obj([])))
     runner.run()

@@ -1,7 +1,7 @@
 """Wire types: byte roundtrips, digest bindings, strict decoding."""
 import pytest
 
-from mitto.encoding import ByteReader, DecodeError, canonical_digest
+from mitto.encoding import DecodeError, canonical_digest
 from mitto.hashing import hash_bytes
 from mitto.keys import KeyPair
 from mitto.messages import (
@@ -58,34 +58,26 @@ def sample_csw() -> CeasedSidechainWithdrawal:
 class TestByteRoundtrips:
     def test_message(self):
         m = sample_message()
-        r = ByteReader(m.encode())
-        assert CscpMessage.read(r) == m
-        r.finish()
+        assert CscpMessage.decode(m.encode()) == m
 
     def test_certificate(self):
         c = sample_cert()
-        r = ByteReader(c.encode())
-        assert WithdrawalCertificate.read(r) == c
-        r.finish()
+        assert WithdrawalCertificate.decode(c.encode()) == c
 
     def test_csw(self):
         w = sample_csw()
-        r = ByteReader(w.encode())
-        assert CeasedSidechainWithdrawal.read(r) == w
-        r.finish()
+        assert CeasedSidechainWithdrawal.decode(w.encode()) == w
 
     def test_block_header(self):
         h = BlockHeader(height=5, parent_hash=hash_bytes(b"p"), stc_root=hash_bytes(b"s"))
         encoded = h.encode()
         assert len(encoded) == 73
-        r = ByteReader(encoded)
-        assert BlockHeader.read(r) == h
-        r.finish()
+        assert BlockHeader.decode(encoded) == h
 
     def test_truncated_message_rejected(self):
         blob = sample_message().encode()[:-1]
-        with pytest.raises(DecodeError):
-            CscpMessage.read(ByteReader(blob))
+        with pytest.raises(DecodeError, match="need 109 bytes at offset 0, have 108"):
+            CscpMessage.decode(blob)
 
 
 class TestDigestBindings:

@@ -27,7 +27,7 @@ from worlds import (
 )
 
 from mitto import mainchain as mainchain_module, proofs, sidechain as sidechain_module
-from mitto.encoding import ByteReader, canonical_digest, enc_bytes, enc_u32
+from mitto.encoding import canonical_digest, enc_bytes, enc_u32
 from mitto.harness import Runner
 from mitto.hashing import EMPTY_ROOT, MerklePath, build_merkle, hash_bytes, merkle_path, verify_path
 from mitto.keys import KeyPair
@@ -93,15 +93,15 @@ def test_nullifier_formula_matches_independent_recomputation():
 
 def test_public_input_encode_decode_roundtrip():
     wc = make_wcert_input(5, (b"bt",), hash_bytes(b"blk"), (hash_bytes(b"pd"),))
-    assert WcertPublicInput.read(ByteReader(wc.encode())) == wc
+    assert WcertPublicInput.decode(wc.encode()) == wc
     csw = make_csw_input(hash_bytes(b"blk"), hash_bytes(b"nul"), SIGNER.public, 0, (hash_bytes(b"pd"),))
-    assert CswPublicInput.read(ByteReader(csw.encode())) == csw
+    assert CswPublicInput.decode(csw.encode()) == csw
 
 
 def test_path_codec_roundtrip():
     tree = build_merkle([hash_bytes(bytes([i])) for i in range(5)])
     path = merkle_path(tree, 3)
-    decoded = MerklePath.read(ByteReader(path.encode()))
+    decoded = MerklePath.decode(path.encode())
     assert decoded == path
 
 
@@ -323,7 +323,7 @@ class TestRedeemEvidence:
         alpha = w.chains["alpha"]
         proof = build_redeem_proof(w.mainchain, alpha.sc_id, 0, sent.message, alpha.epochs[0].tree)
         assert redeem_verifies(w, sent.message, sent.payload, proof)
-        decoded = RedeemProof.read(ByteReader(proof.encode()))
+        decoded = RedeemProof.decode(proof.encode())
         assert decoded == proof
 
     def test_uncommitted_message_cannot_be_proved(self):
@@ -406,7 +406,7 @@ class TestRedeemEvidence:
         proof = build_csw_redeem_proof(w.mainchain, alpha.sc_id, pkg.csw.nullifier, pkg.message)
         assert len(proof.segments) == 2 and proof.msg_path == MerklePath(leaf_index=0, siblings=())
         assert redeem_verifies(w, pkg.message, pkg.payload, proof, pkg.csw.nullifier)
-        assert RedeemProof.read(ByteReader(proof.encode())) == proof
+        assert RedeemProof.decode(proof.encode()) == proof
 
     def test_csw_lookup_failures_raise(self):
         w, _ = run_stage(CEASED)

@@ -7,9 +7,10 @@ change pass.
 """
 import gc
 import hashlib
+import inspect
 import json
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import FrozenInstanceError, MISSING, dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,27 @@ def test_optional_flag_is_a_strict_byte():
         CswBundle.decode(bytes(data))
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_every_cut_and_every_extra_byte_is_a_decode_error(name):
+    """Each strict prefix of a golden encoding stops at an inline bounds
+    check, as a DecodeError (never a struct.error or an IndexError), and
+    one byte more is the trailing-bytes refusal."""
+    cls, golden = type(SAMPLES[name]), bytes.fromhex(GOLDEN[name])
+    for cut in range(len(golden)):
+        with pytest.raises(DecodeError, match=r"^need \d+ bytes at offset \d+, have \d+$"):
+            cls.decode(golden[:cut])
+    for extra in (b"\x00", b"\xff"):
+        with pytest.raises(DecodeError, match="^1 trailing bytes$"):
+            cls.decode(golden + extra)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_read_at_starts_and_ends_at_its_offsets(name):
+    sample, golden = SAMPLES[name], bytes.fromhex(GOLDEN[name])
+    data = b"\xa5" * 3 + golden + b"\x5a" * 2
+    assert type(sample).read_at(data, 3) == (sample, 3 + len(golden))
+
+
 def test_sized_value_must_fill_its_length():
     anchor = SAMPLES["StateAnchor"]
     rest = anchor.stc_path.encode() + anchor.header.encode()
@@ -331,6 +353,59 @@ def test_to_json_renders_report_types():
         "receiver_id": BOB.hex(),
         "payload_hash": hash_bytes(b"payload").hex(),
     }
+
+
+# -- the generated constructors ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_TYPES))
+def test_constructor_signature_is_the_dataclass_one(name):
+    """``wire`` writes each type's ``__init__``; its parameters are the ones
+    ``dataclass`` would generate from the same fields."""
+    cls = WIRE_TYPES[name]
+    assert cls.__dataclass_params__.init is False and "__init__" in vars(cls)
+    spec = [(f.name, f.type) if f.default is MISSING else (f.name, f.type, field(default=f.default)) for f in fields(cls)]
+    reference = make_dataclass(name, spec, frozen=True)
+
+    def shape(c):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+    assert shape(cls) == shape(reference)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_constructed_values_are_frozen_and_replace_round_trips(name):
+    sample = SAMPLES[name]
+    cls, values = type(sample), [getattr(sample, f.name) for f in fields(sample)]
+    assert cls(*values) == sample == cls(**{f.name: v for f, v in zip(fields(sample), values)})
+    assert list(vars(cls(*values))) == [f.name for f in fields(sample)]
+    assert replace(sample) == sample
+    for f in fields(sample):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sample, f.name, getattr(sample, f.name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(sample, f.name)
+        assert replace(sample, **{f.name: getattr(sample, f.name)}) == sample
+
+
+@pytest.mark.parametrize(
+    "name,changes,message",
+    [
+        ("TokenInstance/nft", dict(fungibility=True, amount=None, token_id=None), "fungible instance carries an amount"),
+        ("TokenInstance/nft", dict(fungibility=True, amount=0, token_id=None), "fungible amount must be positive"),
+        ("TokenInstance/nft", dict(fungibility=False, token_id=1, amount=2), "non-fungible instance carries a token id"),
+        ("TokenInstance/nft", dict(fungibility=False, token_id=-1), "token id must be nonnegative"),
+        ("SentRecord/fungible", dict(fungibility=True, amount=0), "fungible sent record carries a positive amount only"),
+        ("SentRecord/fungible", dict(fungibility=False, amount=1), "non-fungible sent record carries a token id only"),
+    ],
+)
+def test_constructors_still_run_post_init(name, changes, message):
+    base = SAMPLES[name]
+    values = {f.name: getattr(base, f.name) for f in fields(base)}
+    with pytest.raises(ValueError, match=message):
+        type(base)(**{**values, **changes})
+    with pytest.raises(ValueError, match=message):
+        replace(base, **changes)
 
 
 # -- the per-object digest memo -------------------------------------------------------
